@@ -12,6 +12,8 @@ reporting (§4.8):
 * :mod:`repro.bench.report` — the detailed per-query report (Table 1) and
   the aggregated summary report (Fig. 5), including the MRE CDF and its
   area-above-curve statistic;
+* :mod:`repro.bench.codec` — the lossless ``QueryRecord`` ↔ dict
+  mapping the wire protocol and the record spool serialize through;
 * :mod:`repro.bench.adapters` — the paper's Listing-1 system-adapter
   facade;
 * :mod:`repro.bench.experiments` — one harness function per experiment of
@@ -19,6 +21,7 @@ reporting (§4.8):
 """
 
 from repro.bench.adapters import SystemAdapter
+from repro.bench.codec import record_from_dict, record_to_dict
 from repro.bench.driver import BenchmarkDriver, QueryRecord, SessionDriver
 from repro.bench.metrics import QueryMetrics, compute_metrics
 from repro.bench.report import (
@@ -38,5 +41,7 @@ __all__ = [
     "SystemAdapter",
     "compute_metrics",
     "mre_cdf",
+    "record_from_dict",
+    "record_to_dict",
     "summarize_records",
 ]

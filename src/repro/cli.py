@@ -457,7 +457,6 @@ def _cmd_serve(args) -> int:
         SessionManager,
         render_aggregate_report,
         render_session_table,
-        resolve_scheduler,
         serial_baseline,
         total_records,
     )
@@ -521,19 +520,6 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        try:
-            if resolve_scheduler(args.scheduler) != "calendar":
-                print(
-                    "--spill requires the calendar scheduler (drop "
-                    "--scheduler tasks / REPRO_SCHEDULER=tasks): the "
-                    "legacy task-per-session path retains records by "
-                    "construction",
-                    file=sys.stderr,
-                )
-                return 1
-        except BenchmarkError as error:
-            print(str(error), file=sys.stderr)
-            return 1
     ctx = ExperimentContext(settings)
     workflow_type = WorkflowType(args.workflow_type)
     on_record = None
@@ -546,7 +532,7 @@ def _cmd_serve(args) -> int:
     mode = "shared engine" if args.share_engine else "isolated engines"
     pacing = f", paced at {args.accel:g}x" if args.accel else ""
     users = args.policy or "scripted"
-    spool = RecordSpool(args.spill) if args.spill is not None else None
+    arrivals = None
     if args.arrivals is not None:
         horizon = args.horizon if args.horizon is not None else 120.0
         try:
@@ -566,55 +552,60 @@ def _cmd_serve(args) -> int:
         except BenchmarkError as error:
             print(str(error), file=sys.stderr)
             return 1
-        manager = OpenSystemManager.for_engine(
-            ctx,
-            args.engine,
-            arrivals,
-            policy=args.policy,
-            per_session=args.per_session,
-            workflow_type=workflow_type,
-            share_engine=args.share_engine,
-            accel=args.accel,
-            speculation=args.speculation,
-            on_record=on_record,
-            scheduler=args.scheduler,
-            spool=spool,
-        )
-        shape = (
-            f"{args.arrival_schedule} schedule @ base {args.arrivals:g}/s"
-            if args.arrival_schedule is not None
-            else f"Poisson({args.arrivals:g}/s)"
-        )
-        print(
-            f"open system: {shape} arrivals over "
-            f"{horizon:g}s (≤{args.sessions} sessions, "
-            f"{users} users) on {args.engine} ({mode}{pacing})"
-        )
-    else:
-        manager = SessionManager.for_engine(
-            ctx,
-            args.engine,
-            args.sessions,
-            per_session=args.per_session,
-            workflow_type=workflow_type,
-            share_engine=args.share_engine,
-            accel=args.accel,
-            speculation=args.speculation,
-            on_record=on_record,
-            policy=args.policy,
-            scheduler=args.scheduler,
-            spool=spool,
-        )
-        print(
-            f"serving {args.sessions} sessions × {args.per_session} "
-            f"{workflow_type.value} workflows ({users} users) on "
-            f"{args.engine} ({mode}{pacing})"
-        )
-    results = manager.run()
+    # Opened last: RecordSpool truncates its file, so every argument is
+    # validated before it exists — and it is closed however the run ends.
+    spool = RecordSpool(args.spill) if args.spill is not None else None
+    try:
+        if arrivals is not None:
+            manager = OpenSystemManager.for_engine(
+                ctx,
+                args.engine,
+                arrivals,
+                policy=args.policy,
+                per_session=args.per_session,
+                workflow_type=workflow_type,
+                share_engine=args.share_engine,
+                accel=args.accel,
+                speculation=args.speculation,
+                on_record=on_record,
+                spool=spool,
+            )
+            shape = (
+                f"{args.arrival_schedule} schedule @ base {args.arrivals:g}/s"
+                if args.arrival_schedule is not None
+                else f"Poisson({args.arrivals:g}/s)"
+            )
+            print(
+                f"open system: {shape} arrivals over "
+                f"{horizon:g}s (≤{args.sessions} sessions, "
+                f"{users} users) on {args.engine} ({mode}{pacing})"
+            )
+        else:
+            manager = SessionManager.for_engine(
+                ctx,
+                args.engine,
+                args.sessions,
+                per_session=args.per_session,
+                workflow_type=workflow_type,
+                share_engine=args.share_engine,
+                accel=args.accel,
+                speculation=args.speculation,
+                on_record=on_record,
+                policy=args.policy,
+                spool=spool,
+            )
+            print(
+                f"serving {args.sessions} sessions × {args.per_session} "
+                f"{workflow_type.value} workflows ({users} users) on "
+                f"{args.engine} ({mode}{pacing})"
+            )
+        results = manager.run()
+    finally:
+        if spool is not None:
+            spool.close()
     if follow is not None:
         follow.close()
     if spool is not None:
-        spool.close()
         print()
         print(render_aggregate_report(
             manager.aggregate,
@@ -1248,11 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["debug", "info", "warning", "error", "silent"],
                         help="structured stderr log threshold (default: "
                              "$REPRO_LOG or warning)")
-    parser.add_argument("--no-kernels", action="store_true", dest="no_kernels",
-                        help="disable the compiled-query kernel cache and run "
-                             "the uncompiled aggregation path (answers are "
-                             "bitwise-identical, just slower; also "
-                             "$REPRO_KERNELS=off)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_data = sub.add_parser("generate-data", help="generate a scaled flights CSV")
@@ -1421,12 +1407,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "retaining it, and report run-level "
                               "aggregates (how 100k+ sessions fit in "
                               "one process; docs/server.md)")
-    p_serve.add_argument("--scheduler", default=None,
-                         choices=["calendar", "tasks"],
-                         help="session scheduler: the event-calendar "
-                              "heap (default) or the legacy "
-                              "task-per-session path; REPRO_SCHEDULER "
-                              "sets the default")
     p_serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                          help="expose the server over a TCP socket "
                               "instead of serving in-process (port 0 = "
@@ -1764,10 +1744,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     log.configure(args.log_level)
-    if getattr(args, "no_kernels", False):
-        from repro.engines.kernel_cache import set_kernels_enabled
-
-        set_kernels_enabled(False)
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
     if trace_path or metrics_path:

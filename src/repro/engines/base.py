@@ -236,24 +236,28 @@ class Engine:
         """
         return set()
 
-    def release_settled(self) -> int:
-        """Drop book-keeping of queries that can never be observed again.
+    def release_settled(self, group: Optional[str]) -> int:
+        """Drop book-keeping of a retired session's queries.
 
         A long-lived shared engine otherwise accumulates one handle state
         and one scheduler task (with its full service history) per query
         ever submitted — memory proportional to *total* load, not current
         load. The session server calls this when a session retires from a
-        constant-memory serving run: every handle whose task is settled
-        (finished or cancelled) and not retained by the engine subclass
-        is forgotten, in both the engine and its scheduler. Returns the
-        number of handles released. The caller promises not to query the
-        released handles again; in the serving stack that holds because a
-        retired session's records are already final.
+        constant-memory serving run: every handle of that session's
+        scheduler ``group`` whose task is settled (finished or cancelled)
+        and not retained by the engine subclass is forgotten, in both the
+        engine and its scheduler. Returns the number of handles released.
+        Other groups are never touched — a live session's finished query
+        still has a deadline to be evaluated at. The caller promises not
+        to query the released handles again; in the serving stack that
+        holds because a retired session's records are already final.
         """
         retained = self._retained_task_ids()
         released = 0
         for handle, state in list(self._handles.items()):
             if state.task_id in retained:
+                continue
+            if self.scheduler.task_group(state.task_id) != group:
                 continue
             settled = self.scheduler.finished_at(
                 state.task_id

@@ -21,10 +21,10 @@ attributes always, and mirrored into the ``obs`` metrics registry
 (``repro_kernel_cache_*_total``) while observability is enabled; compile
 time lands in the profiler's ``compile`` stage.
 
-Kernels can be disabled wholesale (``REPRO_KERNELS=off`` or the CLI's
-``--no-kernels``), in which case :func:`get_kernel` returns ``None`` and
-every call site falls back to the uncompiled path — the A/B switch the
-differential test layer and golden-byte checks lean on.
+Kernels can be disabled wholesale with :func:`set_kernels_enabled`, in
+which case :func:`get_kernel` returns ``None`` and every call site falls
+back to the uncompiled path — the test-only reference the differential
+suite and ``benchmarks/bench_kernels.py`` compare the compiled path to.
 """
 
 from __future__ import annotations
@@ -43,15 +43,6 @@ from repro.query.model import AggQuery
 
 #: Default number of compiled kernels kept alive process-wide.
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
-
-
-def _env_flag_disabled() -> bool:
-    return os.environ.get("REPRO_KERNELS", "").strip().lower() in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 def _env_capacity() -> int:
@@ -139,7 +130,7 @@ class KernelCache:
             ).inc()
 
 
-_ENABLED = not _env_flag_disabled()
+_ENABLED = True
 _CACHE = KernelCache(_env_capacity())
 
 

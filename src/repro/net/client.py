@@ -15,7 +15,7 @@ take. On top of it:
   CSV a scripted client reconstructs, compared byte-for-byte against
   in-process ``repro serve`` output by ``benchmarks/bench_net.py``.
 
-Records cross the wire through :func:`repro.net.protocol.record_to_dict`
+Records cross the wire through :func:`repro.bench.codec.record_to_dict`
 round trips, so the client-side
 :class:`~repro.bench.report.DetailedReport` renders **byte-identical**
 CSV to the server-side one — JSON preserves every float (NaN included)

@@ -63,7 +63,7 @@ typed catalog (one dataclass per tag) mirrors the session lifecycle:
 
 Payloads reuse the existing ``to_dict``/``from_dict`` machinery of
 :mod:`repro.workflow.spec` for visualizations and interactions, and
-:func:`record_to_dict`/:func:`record_from_dict` (defined here) for
+:func:`~repro.bench.codec.record_to_dict`/``record_from_dict`` for
 metric records, so everything that crosses the wire round-trips through
 exactly the serialization the on-disk formats already trust. JSON floats
 round-trip exactly (``repr``-based encoding), including the NaN values a
@@ -79,8 +79,9 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Type
 
+from repro.bench import codec
+from repro.bench.codec import record_to_dict
 from repro.bench.driver import QueryRecord
-from repro.bench.metrics import QueryMetrics
 from repro.common.errors import ProtocolError, WorkflowError
 from repro.workflow.spec import Interaction, VizSpec
 
@@ -110,67 +111,13 @@ _HEADER = struct.Struct(">I")
 
 
 # ----------------------------------------------------------------------
-# Record serialization (QueryRecord + QueryMetrics round trip)
+# Record serialization (repro.bench.codec, typed for the wire)
 # ----------------------------------------------------------------------
-
-#: QueryMetrics fields, in dataclass order (all JSON-primitive).
-_METRIC_FIELDS = (
-    "tr_violated",
-    "bins_delivered",
-    "bins_in_gt",
-    "missing_bins",
-    "rel_error_avg",
-    "rel_error_stdev",
-    "smape",
-    "cosine_distance",
-    "margin_avg",
-    "margin_stdev",
-    "bins_out_of_margin",
-    "bias",
-)
-
-#: QueryRecord fields except ``metrics`` (all JSON-primitive).
-_RECORD_FIELDS = (
-    "query_id",
-    "interaction_id",
-    "viz_name",
-    "driver",
-    "data_size",
-    "think_time",
-    "time_requirement",
-    "workflow",
-    "workflow_type",
-    "start_time",
-    "end_time",
-    "bin_dims",
-    "binning_type",
-    "agg_type",
-    "rows_processed",
-    "fraction",
-    "num_concurrent",
-    "qualifying_fraction",
-)
-
-
-def record_to_dict(record: QueryRecord) -> dict:
-    """One detailed-report row as a plain dict (Table-1 fidelity)."""
-    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    data["metrics"] = {
-        name: getattr(record.metrics, name) for name in _METRIC_FIELDS
-    }
-    return data
-
 
 def record_from_dict(data: dict) -> QueryRecord:
     """Rebuild the exact :class:`QueryRecord` a server evaluated."""
     try:
-        metrics = QueryMetrics(
-            **{name: data["metrics"][name] for name in _METRIC_FIELDS}
-        )
-        return QueryRecord(
-            metrics=metrics,
-            **{name: data[name] for name in _RECORD_FIELDS},
-        )
+        return codec.record_from_dict(data)
     except (KeyError, TypeError) as error:
         raise ProtocolError(f"malformed record payload: {error}") from error
 

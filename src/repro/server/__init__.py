@@ -9,12 +9,13 @@ think-time-paced sessions concurrently from one process:
   workflow suite or adaptive policy), :class:`SessionStream` (live
   per-session metric stream), :class:`SessionResult` (per-session
   Table-1/Fig.-5 reports plus the session's interaction mix);
-* :mod:`repro.server.manager` — :class:`SessionManager`, the asyncio
-  multiplexer stepping sessions in deterministic global virtual-time
-  order, in *isolated* (byte-identical to serial) or *shared-engine*
-  (fair-scheduled contention) topology; :class:`ArrivalProcess` and
-  :class:`OpenSystemManager`, the open-system mode where seeded Poisson
-  arrivals spawn sessions mid-run and churn them out again;
+* :mod:`repro.server.manager` — one event-calendar loop stepping
+  sessions in deterministic global virtual-time order, in *isolated*
+  (byte-identical to serial) or *shared-engine* (fair-scheduled
+  contention) topology: :class:`SessionManager` feeds it a fixed
+  population (every arrival at virtual time 0), :class:`ArrivalProcess`
+  and :class:`OpenSystemManager` seeded Poisson arrivals that spawn
+  sessions mid-run and churn them out again;
 * :mod:`repro.server.clock` — :class:`AsyncClock`, wall-clock pacing for
   real-time/accelerated serving without losing determinism;
 * :mod:`repro.server.report` — per-session tables, the
@@ -38,7 +39,6 @@ from repro.server.manager import (
     SessionManager,
     SessionTurnHook,
     make_session,
-    resolve_scheduler,
     serial_baseline,
     session_specs,
 )
@@ -91,7 +91,6 @@ __all__ = [
     "iter_spool",
     "make_session",
     "render_aggregate_report",
-    "resolve_scheduler",
     "adaptive_bench_csv_text",
     "render_adaptive_bench",
     "render_session_bench",

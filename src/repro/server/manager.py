@@ -2,15 +2,19 @@
 
 IDEBench models interactive exploration as think-time-paced sessions
 issuing concurrent queries (§2.2, §4.4). The serial driver simulates one
-such session at a time; :class:`SessionManager` serves *many at once*
-from a single process, the way a deployed exploration backend would face
-its users. Each session is a :class:`~repro.bench.driver.SessionDriver`
-(the steppable event machine factored out of the serial driver), run as
-an asyncio task and coordinated by a :class:`_VirtualTimeline` that
-grants step turns in **global virtual-time order** — the discrete-event
-merge of all sessions' event queues, with ties broken by session index,
-so a run's event order (and thus its output) is a pure function of its
-inputs.
+such session at a time; the managers here serve *many at once* from a
+single process, the way a deployed exploration backend would face its
+users. Each session is a :class:`~repro.bench.driver.SessionDriver` (the
+steppable event machine factored out of the serial driver); one
+event-calendar loop (:meth:`_ManagerCore._run_calendar`) grants step
+turns in **global virtual-time order** — the discrete-event merge of all
+sessions' event queues, with ties broken by session index, so a run's
+event order (and thus its output) is a pure function of its inputs.
+
+Two populations, one loop: :class:`OpenSystemManager` follows a seeded
+:class:`ArrivalProcess` (sessions arrive and depart mid-run);
+:class:`SessionManager` serves a fixed set of sessions, which is the
+same thing with every arrival at virtual time 0 and no departure.
 
 Two engine topologies:
 
@@ -38,9 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -63,40 +65,14 @@ from repro.workflow.generator import WorkflowGenerator
 from repro.workflow.policy import InteractionPolicy, make_policy
 from repro.workflow.spec import WorkflowType
 
-#: Sentinel: session is mid-step or has not declared its next event yet.
-_UNKNOWN = object()
-
-#: Environment variable selecting the step scheduler implementation.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-#: The event-calendar scheduler: one loop, a heap of (time, index)
-#: entries, O(log N) per grant. The default.
-SCHEDULER_CALENDAR = "calendar"
-#: The legacy task-per-session scheduler, kept for A/B equivalence runs.
-SCHEDULER_TASKS = "tasks"
-
-#: Entries a trace ring keeps when ``trace_capture=True`` (satellite of
-#: the event-calendar work: an always-growing trace list at 10⁵ sessions
-#: is a memory leak, so capture is opt-in and bounded).
+#: Entries a trace ring keeps when ``trace_capture=True`` (an
+#: always-growing trace list at 10⁵ sessions is a memory leak, so capture
+#: is opt-in and bounded).
 DEFAULT_TRACE_CAPACITY = 65536
 
-
-def resolve_scheduler(choice: Optional[str] = None) -> str:
-    """Resolve the scheduler implementation to use.
-
-    Explicit ``choice`` wins; otherwise the ``REPRO_SCHEDULER``
-    environment variable; otherwise the calendar. Both managers run
-    either implementation and produce byte-identical output (pinned by
-    tests/test_scheduler_equivalence.py against the golden corpus).
-    """
-    value = choice if choice is not None else os.environ.get(
-        SCHEDULER_ENV, SCHEDULER_CALENDAR
-    )
-    if value not in (SCHEDULER_CALENDAR, SCHEDULER_TASKS):
-        raise BenchmarkError(
-            f"unknown scheduler {value!r} "
-            f"(choose {SCHEDULER_CALENDAR!r} or {SCHEDULER_TASKS!r})"
-        )
-    return value
+#: Calendar slot of the arrival spawner — below every session index, so
+#: at equal virtual times the arrival is processed first.
+_SPAWNER = -1
 
 
 def _make_trace_ring(trace_capture: Union[bool, int]) -> Optional[RingBuffer]:
@@ -156,83 +132,67 @@ class SessionTurnHook:
         acknowledged)."""
 
 
-class _VirtualTimeline:
-    """Grants step turns in global (time, session index) order.
-
-    Every session task declares its next event time, then awaits its
-    turn; the turn goes to the globally minimal ``(time, index)`` pair,
-    but only once *every* live session has declared — a session that is
-    mid-step (or about to re-declare) holds the timeline, because its
-    next event might precede everyone else's. Exactly one session steps
-    at a time, and the grant order is deterministic.
-
-    Wakeups are *targeted*: a grant sets only the winning session's
-    event (one wakeup per grant, counted on :attr:`wakeups`), never a
-    herd-waking ``notify_all`` that schedules every waiter just so N−1
-    of them can re-scan and sleep again. Grant evaluation happens only
-    when the declared set actually changes — a declare completing it, or
-    a retire shrinking it — and all state mutation is synchronous within
-    one event-loop step, so no lock is needed.
-    """
-
-    def __init__(self, pacer: Optional[AsyncClock] = None):
-        self._declared: Dict[int, object] = {}
-        self._events: Dict[int, asyncio.Event] = {}
-        self._pacer = pacer
-        #: Waiter wakeups signalled so far — exactly one per grant. The
-        #: regression test pins this to the grant count (O(1) per step).
-        self.wakeups = 0
-
-    def register(self, index: int) -> None:
-        """Pre-register a session so no grants happen before it declares."""
-        self._declared[index] = _UNKNOWN
-
-    async def acquire(self, index: int, event_time: float) -> None:
-        """Declare the session's next event and wait for its turn."""
-        self._declared[index] = event_time
-        event = self._events.get(index)
-        if event is None:
-            event = self._events[index] = asyncio.Event()
-        event.clear()
-        self._maybe_grant()
-        await event.wait()
-        # Hold the timeline while stepping: nobody else may be granted
-        # until this session declares its *next* event (or retires),
-        # since that event could be earlier than any other pending one.
-        self._declared[index] = _UNKNOWN
-        if self._pacer is not None:
-            await self._pacer.sleep_until(event_time)
-
-    def _maybe_grant(self) -> None:
-        best: Optional[Tuple[float, int]] = None
-        for key, value in self._declared.items():
-            if value is _UNKNOWN:
-                return
-            if best is None or (value, key) < best:
-                best = (value, key)
-        if best is not None:
-            self.wakeups += 1
-            self._events[best[1]].set()
-
-    async def retire(self, index: int) -> None:
-        """Remove a finished session from the timeline."""
-        self._declared.pop(index, None)
-        self._events.pop(index, None)
-        self._maybe_grant()
+#: One live session of the calendar: a flyweight, no coroutine each.
+_Live = Tuple[SessionDriver, SessionSpec, "SessionArrival"]
 
 
 class _ManagerCore:
-    """Plumbing shared by the closed- and open-system managers.
+    """The serving loop both managers run.
 
-    Holds the opt-in bounded step trace and the per-grant side-effect
-    sequence, which must be byte-identical under both schedulers and
-    both managers (the golden corpus pins the tracer event order).
+    A run is an iterator of :class:`SessionArrival` merged with the live
+    sessions' event queues on one heap. Subclasses say where arrivals
+    come from (:meth:`_arrivals`) and what a spawned session is made of
+    (:meth:`_spawn`); everything else — admission, turn grants, hooked
+    or plain stepping, departures, abandonment, result and aggregate
+    bookkeeping — is here, once, keyed on data (``turn_hooks``,
+    ``arrival.departure_time``, ``spool``) rather than on the caller.
     """
 
-    shared: bool
-    _shared_engine = None
-    _trace_ring: Optional[RingBuffer]
+    def __init__(
+        self,
+        oracle,
+        settings: BenchmarkSettings,
+        *,
+        engine,
+        accel: Optional[float],
+        on_record: Optional[Callable[[str, QueryRecord], None]],
+        trace_capture: Union[bool, int],
+        spool: Optional[RecordSpool],
+        turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
+    ):
+        if spool is not None and turn_hooks:
+            raise BenchmarkError(
+                "record spooling is incompatible with turn hooks: the "
+                "wire protocol replays retained per-session records"
+            )
+        self.oracle = oracle
+        self.settings = settings
+        self.shared = engine is not None
+        self._shared_engine = engine
+        if self.shared and isinstance(
+            engine.scheduler.policy, WeightedSharingPolicy
+        ):
+            engine.scheduler.set_policy(FairSessionPolicy())
+        self.accel = accel
+        self._pacer = AsyncClock(accel) if accel is not None else None
+        self._on_record = on_record
+        self.spool = spool
+        #: Incremental run totals, folded as records and retirements
+        #: happen (global virtual-time order) — spooled or not.
+        self.aggregate = ServingAggregate()
+        self.streams: Dict[str, SessionStream] = {}
+        self._trace_ring = _make_trace_ring(trace_capture)
+        self.wall_seconds: float = 0.0
+        #: Session ids whose turn hook raised :class:`SessionAbandoned`.
+        self.abandoned: List[str] = []
+        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
+        #: Retained results by session index. The slot is reserved at
+        #: spawn, so iteration order is arrival order no matter when
+        #: each session retires; empty in spool mode.
+        self._results: Dict[int, Optional[SessionResult]] = {}
+        self._ran = False
 
+    # ------------------------------------------------------------------
     @property
     def trace(self) -> List[Tuple[float, str]]:
         """Captured ``(virtual time, session id)`` step marks (see
@@ -245,10 +205,136 @@ class _ManagerCore:
         if self._trace_ring is not None:
             self._trace_ring.append((time, label))
 
+    # ------------------------------------------------------------------
+    def _arrivals(self) -> Iterator["SessionArrival"]:
+        """The run's arrival stream, in arrival order."""
+        raise NotImplementedError
+
+    def _spawn(
+        self, arrival: "SessionArrival"
+    ) -> Tuple[SessionDriver, SessionSpec]:
+        """Build (and announce) the session that ``arrival`` brings."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def run(self) -> List[SessionResult]:
+        """Serve every arrival to completion (blocking wrapper)."""
+        return asyncio.run(self.run_async())
+
+    async def run_async(self) -> List[SessionResult]:
+        """Serve sessions concurrently; results in arrival order.
+
+        A spooled run returns ``[]``: everything observable already went
+        through the spool and :attr:`aggregate`, no record lists exist.
+        """
+        if self._ran:
+            raise BenchmarkError(
+                f"{type(self).__name__} is single-shot: it already ran"
+            )
+        self._ran = True
+        if self.shared:
+            # The shared engine lives for the whole serving run (Listing
+            # 1's lifecycle, once per service session, not per workflow).
+            if not self._shared_engine.is_prepared:
+                self._shared_engine.prepare()
+            self._shared_engine.workflow_start()
+        started = perf_seconds()
+        await self._run_calendar(self._arrivals())
+        series = get_timeseries()
+        if series.enabled:
+            series.finalize()
+        self.wall_seconds = perf_seconds() - started
+        if self.shared:
+            self._shared_engine.workflow_end()
+            # Confine the serving run's mutation of the caller's engine:
+            # without this, later tasks submitted outside the server would
+            # silently inherit the last-stepped session's group.
+            self._shared_engine.scheduler.set_group(None)
+        return list(self._results.values())
+
+    async def _run_calendar(
+        self, arrivals: Iterator["SessionArrival"]
+    ) -> None:
+        """One loop, a heap of ``(event_time, index)`` — no per-session task.
+
+        The spawner is one calendar entry at slot :data:`_SPAWNER` (below
+        every session index, so an arrival at an equal instant processes
+        first); it holds the next pending arrival, so the schedule is
+        consumed lazily. Sessions are flyweights — ``(driver, spec,
+        arrival)`` in a dict keyed by index. Exactly the minimal
+        ``(time, index)`` entry is processed at a time and the session's
+        next event is declared before the next pop, so the global order
+        is fully serialized; hook callbacks (the TCP turn protocol) are
+        awaited while the calendar holds the turn and therefore stall
+        virtual time for everyone without ever reordering it. Granting
+        is the heap pop, O(log N).
+        """
+        heap: List[Tuple[float, int]] = []
+        live: Dict[int, _Live] = {}
+        pending = next(arrivals, None)
+        if pending is not None:
+            heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
+        while heap:
+            event_time, index = heapq.heappop(heap)
+            if self._pacer is not None:
+                await self._pacer.sleep_until(event_time)
+            arriving = index == _SPAWNER
+            if arriving:
+                arrival, index = pending, pending.index
+                driver, spec = self._spawn(arrival)
+                live[index] = (driver, spec, arrival)
+                if self.spool is None:
+                    self._results[index] = None  # reserves arrival order
+                self.aggregate.session_started()
+                series = get_timeseries()
+                if series.enabled:
+                    series.session_started(event_time)
+                pending = next(arrivals, None)
+                if pending is not None:
+                    heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
+            else:
+                driver, spec, arrival = live[index]
+                self._turn_granted(
+                    event_time, spec.session_id, queue_depth=len(heap)
+                )
+            hook = self._hooks.get(index)
+            try:
+                if hook is None:
+                    if not arriving:
+                        driver.step()
+                else:
+                    if not arriving:
+                        await hook.on_turn(event_time)
+                        await hook.on_step(event_time, driver.step())
+                    # An externally sourced session may be stalled on the
+                    # think-time grid (PENDING). It holds the calendar —
+                    # nobody advances — until its frontend supplies the
+                    # interaction: remote think time blocks virtual time
+                    # for everyone, exactly like a large think-time gap
+                    # would, and never reorders events.
+                    while driver.needs_input:
+                        with get_profiler().stage(STAGE_PENDING_STALL):
+                            await hook.wait_input(driver)
+            except SessionAbandoned:
+                # The remote frontend vanished, timed out, or violated
+                # the turn protocol mid-run: retire exactly this session.
+                self._retire(live.pop(index), event_time, abandoned=True)
+                continue
+            next_time = driver.next_event_time()
+            if next_time is not None and next_time < arrival.departure_time:
+                heapq.heappush(heap, (next_time, index))
+            else:
+                # Done — or, with an event left at/past the departure
+                # instant, the user walked away mid-workload.
+                self._retire(
+                    live.pop(index), event_time,
+                    departed=next_time is not None,
+                )
+
     def _turn_granted(
         self, event_time: float, session_id: str, queue_depth: int = 0
     ) -> None:
-        """Per-grant side effects, identical under both schedulers."""
+        """Per-grant side effects (the golden corpus pins their order)."""
         self._trace_mark(event_time, session_id)
         tracer = get_tracer()
         if tracer.enabled:
@@ -269,22 +355,101 @@ class _ManagerCore:
         if self.shared:
             self._shared_engine.scheduler.set_group(session_id)
 
-
-def _timeseries_record(session_id: str, record) -> None:
-    """Metric-stream subscriber folding evaluated deadlines into the
-    global windowed series (spool mode feeds through the aggregate
-    instead — see :class:`~repro.server.spool.ServingAggregate`)."""
-    series = get_timeseries()
-    if series.enabled:
-        series.observe_record(
-            record.end_time,
-            record.tr_violated,
-            latency=record.end_time - record.start_time,
+    def _start_session(
+        self,
+        arrival: "SessionArrival",
+        spec: SessionSpec,
+        policy: Optional[InteractionPolicy],
+        engine,
+    ) -> SessionDriver:
+        """Wire a session's stream and driver onto ``engine``."""
+        stream = SessionStream(spec.session_id, retain=self.spool is None)
+        if self._on_record is not None:
+            stream.subscribe(self._on_record)
+        if self.spool is not None:
+            stream.subscribe(self.spool.append)
+        stream.subscribe(self.aggregate.observe_record)
+        self.streams[spec.session_id] = stream
+        if not engine.is_prepared:
+            engine.prepare()
+        # The session's virtual life starts at its arrival instant. The
+        # spawner holds the globally minimal calendar slot, so advancing
+        # the engine clock here is monotone for every live session.
+        if engine.clock.now() < arrival.arrival_time:
+            engine.clock.advance_to(arrival.arrival_time)
+            engine.advance_to(arrival.arrival_time)
+        return SessionDriver(
+            engine,
+            self.oracle,
+            self.settings,
+            list(spec.workflows) if policy is None else [],
+            session_id=spec.session_id,
+            lifecycle=not self.shared,
+            on_record=stream.push,
+            policy=policy,
         )
+
+    def _retire(
+        self,
+        session: _Live,
+        now: float,
+        departed: bool = False,
+        abandoned: bool = False,
+    ) -> None:
+        """Take a session off the calendar and settle its footprint.
+
+        A session that ``departed`` (open-system churn) or was
+        ``abandoned`` by its turn hook leaves work in flight: those
+        queries are cancelled, never evaluated — the user never saw
+        them — and, on a shared engine, its whole scheduler group is
+        swept so ghost load cannot skew the survivors.
+        """
+        driver, spec, arrival = session
+        if departed:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "manager.depart",
+                    arrival.departure_time,
+                    session=spec.session_id,
+                )
+        if abandoned:
+            self.abandoned.append(spec.session_id)
+        if departed or abandoned:
+            driver.abandon()
+            if self.shared:
+                self._shared_engine.scheduler.cancel_group(spec.session_id)
+        series = get_timeseries()
+        if series.enabled:
+            # Folded at the global processing instant (monotone), even
+            # for departures whose nominal instant lies earlier.
+            series.session_finished(now)
+        counts = dict(driver.interaction_counts)
+        self.aggregate.session_finished(driver.steps, counts, departed=departed)
+        if self.spool is None:
+            self._results[arrival.index] = SessionResult(
+                spec,
+                self.streams[spec.session_id].records,
+                interaction_counts=counts,
+                departed_at=arrival.departure_time if departed else None,
+                steps=driver.steps,
+            )
+            return
+        # Constant-memory mode: free everything the session owned —
+        # stream, driver and (isolated mode) its whole engine go with
+        # it; a shared engine sheds the session's settled scheduler
+        # tasks and handles.
+        del self.streams[spec.session_id]
+        if self.shared:
+            self._shared_engine.release_settled(spec.session_id)
 
 
 class SessionManager(_ManagerCore):
     """Multiplexes N simulated IDE sessions over shared engine state.
+
+    The closed system: a fixed population, all present from virtual time
+    0 and each running to completion: one ``SessionArrival(i, 0.0)``
+    per spec, fed to the shared calendar loop.
 
     Parameters
     ----------
@@ -318,11 +483,6 @@ class SessionManager(_ManagerCore):
         pace their step turns through the hook (the TCP turn protocol);
         a hook raising :class:`SessionAbandoned` retires just that
         session. Abandoned session ids accumulate on :attr:`abandoned`.
-    scheduler:
-        ``"calendar"`` (default, O(log N) heap loop) or ``"tasks"`` (the
-        legacy task-per-session model); ``None`` reads the
-        ``REPRO_SCHEDULER`` environment variable. Both produce the same
-        bytes — see :func:`resolve_scheduler`.
     trace_capture:
         Opt-in step tracing. ``False`` (default) records nothing; ``True``
         keeps the newest :data:`DEFAULT_TRACE_CAPACITY` entries in a
@@ -330,12 +490,12 @@ class SessionManager(_ManagerCore):
         then yields ``(virtual time, session id)`` marks.
     spool:
         Optional :class:`~repro.server.spool.RecordSpool` switching the
-        run to constant-memory mode: records are spilled/aggregated the
-        moment they are produced instead of retained, :attr:`aggregate`
-        carries the incremental run totals, and :meth:`run_async`
-        returns ``[]`` (there are no per-session record lists to build
-        results from). Requires the calendar scheduler; incompatible
-        with ``turn_hooks`` (the TCP layer needs retained records).
+        run to constant-memory mode: records are spilled the moment they
+        are produced instead of retained, per-session state is freed as
+        sessions retire, and :meth:`run_async` returns ``[]`` (there are
+        no per-session record lists to build results from) —
+        :attr:`aggregate` carries the run totals. Incompatible with
+        ``turn_hooks`` (the TCP layer needs retained records).
 
     A manager is single-shot: :meth:`run` (or :meth:`run_async`) may be
     called once; per-session streams are available on :attr:`streams`
@@ -357,7 +517,6 @@ class SessionManager(_ManagerCore):
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policies: Optional[Sequence[Optional[InteractionPolicy]]] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ):
@@ -385,63 +544,26 @@ class SessionManager(_ManagerCore):
             raise BenchmarkError(
                 "pass exactly one of engines= (isolated) or engine= (shared)"
             )
-        self.oracle = oracle
-        self.settings = settings
-        self.shared = engine is not None
-        if self.shared:
-            if isinstance(engine.scheduler.policy, WeightedSharingPolicy):
-                engine.scheduler.set_policy(FairSessionPolicy())
-            self._engines = [engine] * len(self._specs)
-            self._shared_engine = engine
-        else:
-            engines = list(engines)
-            if len(engines) != len(self._specs):
-                raise BenchmarkError(
-                    f"{len(self._specs)} sessions need {len(self._specs)} "
-                    f"engines, got {len(engines)}"
-                )
-            self._engines = engines
-            self._shared_engine = None
-        self.accel = accel
-        self._scheduler = resolve_scheduler(scheduler)
-        self.spool = spool
-        self.aggregate: Optional[ServingAggregate] = (
-            ServingAggregate() if spool is not None else None
+        self._engines = (
+            [engine] * len(self._specs) if engines is None else list(engines)
         )
-        if spool is not None and self._scheduler == SCHEDULER_TASKS:
+        if len(self._engines) != len(self._specs):
             raise BenchmarkError(
-                "record spooling requires the calendar scheduler "
-                f"({SCHEDULER_ENV}={SCHEDULER_TASKS} cannot spool)"
+                f"{len(self._specs)} sessions need {len(self._specs)} "
+                f"engines, got {len(self._engines)}"
             )
-        if spool is not None and turn_hooks:
-            raise BenchmarkError(
-                "record spooling is incompatible with turn hooks: the "
-                "wire protocol replays retained per-session records"
-            )
-        self.streams: Dict[str, SessionStream] = {}
-        for spec in self._specs:
-            stream = SessionStream(spec.session_id, retain=spool is None)
-            if on_record is not None:
-                stream.subscribe(on_record)
-            if spool is not None:
-                stream.subscribe(spool.append)
-                stream.subscribe(self.aggregate.observe_record)
-            else:
-                stream.subscribe(_timeseries_record)
-            self.streams[spec.session_id] = stream
-        self._trace_ring = _make_trace_ring(trace_capture)
-        self.wall_seconds: float = 0.0
-        #: Session ids whose turn hook raised :class:`SessionAbandoned`.
-        self.abandoned: List[str] = []
-        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
-        unknown = [i for i in self._hooks if not 0 <= i < len(self._specs)]
+        unknown = [
+            i for i in (turn_hooks or {}) if not 0 <= i < len(self._specs)
+        ]
         if unknown:
             raise BenchmarkError(
                 f"turn hooks reference unknown session indexes {unknown!r}"
             )
-        self._pacer = AsyncClock(accel) if accel is not None else None
-        self._timeline = _VirtualTimeline(pacer=self._pacer)
-        self._ran = False
+        super().__init__(
+            oracle, settings, engine=engine, accel=accel,
+            on_record=on_record, trace_capture=trace_capture, spool=spool,
+            turn_hooks=turn_hooks,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -452,247 +574,18 @@ class SessionManager(_ManagerCore):
     def num_sessions(self) -> int:
         return len(self._specs)
 
-    # ------------------------------------------------------------------
-    def run(self) -> List[SessionResult]:
-        """Serve all sessions to completion (blocking wrapper)."""
-        return asyncio.run(self.run_async())
+    def _arrivals(self) -> Iterator["SessionArrival"]:
+        return (SessionArrival(index, 0.0) for index in range(len(self._specs)))
 
-    async def run_async(self) -> List[SessionResult]:
-        """Serve all sessions concurrently; results in spec order."""
-        if self._ran:
-            raise BenchmarkError("a SessionManager can only run once")
-        self._ran = True
-        for engine in self._unique_engines():
-            if not engine.is_prepared:
-                engine.prepare()
-        drivers = [
-            SessionDriver(
-                self._engines[index],
-                self.oracle,
-                self.settings,
-                [] if self._policies[index] is not None else list(spec.workflows),
-                session_id=spec.session_id,
-                lifecycle=not self.shared,
-                on_record=self.streams[spec.session_id].push,
-                policy=self._policies[index],
-            )
-            for index, spec in enumerate(self._specs)
-        ]
-        if self.shared:
-            # The shared engine lives for the whole serving run (Listing
-            # 1's lifecycle, once per service session, not per workflow).
-            self._shared_engine.workflow_start()
-        started = perf_seconds()
-        if self._scheduler == SCHEDULER_TASKS:
-            series = get_timeseries()
-            if series.enabled:
-                for _ in drivers:
-                    series.session_started(0.0)
-            for index in range(len(self._specs)):
-                self._timeline.register(index)
-            await asyncio.gather(
-                *(
-                    self._run_session(index, driver)
-                    for index, driver in enumerate(drivers)
-                )
-            )
-        else:
-            await self._run_calendar(drivers)
-        series = get_timeseries()
-        if series.enabled:
-            series.finalize()
-        self.wall_seconds = perf_seconds() - started
-        if self.shared:
-            self._shared_engine.workflow_end()
-            # Confine the serving run's mutation of the caller's engine:
-            # without this, later tasks submitted outside the server would
-            # silently inherit the last-stepped session's group.
-            self._shared_engine.scheduler.set_group(None)
-        if self.spool is not None:
-            # Constant-memory mode: everything observable already went
-            # through the spool/aggregate; no record lists exist.
-            return []
-        return [
-            SessionResult(
-                spec,
-                self.streams[spec.session_id].records,
-                interaction_counts=dict(driver.interaction_counts),
-                steps=driver.steps,
-            )
-            for spec, driver in zip(self._specs, drivers)
-        ]
-
-    # ------------------------------------------------------------------
-    # Event-calendar scheduler (the default)
-    # ------------------------------------------------------------------
-    async def _run_calendar(self, drivers: List[SessionDriver]) -> None:
-        """One loop, a heap of ``(event_time, index)`` — no per-session task.
-
-        Equivalence with the task scheduler is structural: the legacy
-        timeline fully serializes stepping (a grant happens only when
-        every live session has declared, and exactly the minimal
-        ``(time, index)`` steps), so replaying the same
-        declare → grant → side-effect sequence inline reproduces the
-        identical global order — including hooked (TCP) sessions, whose
-        callbacks are awaited while the calendar holds the turn, exactly
-        as the timeline held it. Granting is the heap pop, O(log N).
-        """
-        heap: List[Tuple[float, int]] = []
-        if self.aggregate is not None:
-            for _ in drivers:
-                self.aggregate.session_started()
-        series = get_timeseries()
-        if series.enabled:
-            # A closed population is all live at vt 0; records fold via
-            # the streams (or the aggregate in spool mode), lifecycle and
-            # turns fold here in the grant loop.
-            for _ in drivers:
-                series.session_started(0.0)
-        # Admission in index order — the same serialized declare order
-        # the task path produces (no grant can precede full declaration).
-        for index, driver in enumerate(drivers):
-            await self._calendar_admit(index, driver, heap)
-        while heap:
-            event_time, index = heapq.heappop(heap)
-            driver = drivers[index]
-            spec = self._specs[index]
-            hook = self._hooks.get(index)
-            if self._pacer is not None:
-                await self._pacer.sleep_until(event_time)
-            self._turn_granted(
-                event_time, spec.session_id, queue_depth=len(heap)
-            )
-            try:
-                if hook is None:
-                    driver.step()
-                else:
-                    await hook.on_turn(event_time)
-                    records = driver.step()
-                    await hook.on_step(event_time, records)
-            except SessionAbandoned:
-                self._calendar_abandon(index, driver, now=event_time)
-                continue
-            await self._calendar_admit(index, driver, heap, now=event_time)
-
-    async def _calendar_admit(
-        self,
-        index: int,
-        driver: SessionDriver,
-        heap: List[Tuple[float, int]],
-        now: float = 0.0,
-    ) -> None:
-        """Resolve input stalls, then declare the session's next event."""
-        hook = self._hooks.get(index)
-        try:
-            if hook is not None:
-                # An externally sourced session may be stalled on the
-                # think-time grid (PENDING). It holds the calendar —
-                # nobody advances — until its frontend supplies the
-                # interaction: remote think time blocks virtual time for
-                # everyone, exactly like a large think-time gap would,
-                # and never reorders events.
-                while driver.needs_input:
-                    with get_profiler().stage(STAGE_PENDING_STALL):
-                        await hook.wait_input(driver)
-        except SessionAbandoned:
-            self._calendar_abandon(index, driver, now=now)
-            return
-        event_time = driver.next_event_time()
-        if event_time is None:
-            self._calendar_finish(index, driver, now=now)
-        else:
-            heapq.heappush(heap, (event_time, index))
-
-    def _calendar_abandon(
-        self, index: int, driver: SessionDriver, now: float = 0.0
-    ) -> None:
-        # Mirror of the task path's SessionAbandoned handler: cancel the
-        # session's in-flight queries and sweep its scheduler group.
+    def _spawn(
+        self, arrival: "SessionArrival"
+    ) -> Tuple[SessionDriver, SessionSpec]:
+        index = arrival.index
         spec = self._specs[index]
-        driver.abandon()
-        if self.shared:
-            self._shared_engine.scheduler.cancel_group(spec.session_id)
-        self.abandoned.append(spec.session_id)
-        self._calendar_finish(index, driver, now=now)
-
-    def _calendar_finish(
-        self, index: int, driver: SessionDriver, now: float = 0.0
-    ) -> None:
-        series = get_timeseries()
-        if series.enabled:
-            # Folded at the global processing instant, which keeps the
-            # series' virtual-time axis monotone.
-            series.session_finished(now)
-        if self.aggregate is None:
-            return
-        self.aggregate.session_finished(
-            driver.steps, dict(driver.interaction_counts)
+        driver = self._start_session(
+            arrival, spec, self._policies[index], self._engines[index]
         )
-
-    # ------------------------------------------------------------------
-    async def _run_session(self, index: int, driver: SessionDriver) -> None:
-        # Records flow through the driver's on_record hook (wired to the
-        # session's stream at construction) the moment each deadline is
-        # evaluated — step() is the only delivery path.
-        spec = self._specs[index]
-        hook = self._hooks.get(index)
-        last_event = 0.0
-        try:
-            while True:
-                if hook is not None:
-                    # An externally sourced session may be stalled on the
-                    # think-time grid (PENDING). It holds the timeline
-                    # undeclared — nobody advances — until its frontend
-                    # supplies the interaction: remote think time blocks
-                    # virtual time for everyone, exactly like a large
-                    # think-time gap would, and never reorders events.
-                    while driver.needs_input:
-                        with get_profiler().stage(STAGE_PENDING_STALL):
-                            await hook.wait_input(driver)
-                event_time = driver.next_event_time()
-                if event_time is None:
-                    break
-                await self._timeline.acquire(index, event_time)
-                last_event = event_time
-                # All other live sessions wait for this grant — the same
-                # count the calendar path reads off its heap.
-                self._turn_granted(
-                    event_time,
-                    spec.session_id,
-                    queue_depth=len(self._timeline._declared) - 1,
-                )
-                if hook is None:
-                    driver.step()
-                else:
-                    await hook.on_turn(event_time)
-                    records = driver.step()
-                    await hook.on_step(event_time, records)
-        except SessionAbandoned:
-            # The remote frontend vanished, timed out, or violated the
-            # turn protocol mid-run. Retire exactly this session: cancel
-            # its in-flight queries (never evaluated — the departed user
-            # never saw them) and, on a shared engine, sweep its whole
-            # scheduler group so ghost load cannot skew the survivors.
-            # Identical to an open-system churn departure at this
-            # session's last event time.
-            driver.abandon()
-            if self.shared:
-                self._shared_engine.scheduler.cancel_group(spec.session_id)
-            self.abandoned.append(spec.session_id)
-        finally:
-            series = get_timeseries()
-            if series.enabled:
-                series.session_finished(last_event)
-            await self._timeline.retire(index)
-
-    def _unique_engines(self) -> List:
-        unique: List = []
-        seen = set()
-        for engine in self._engines:
-            if id(engine) not in seen:
-                seen.add(id(engine))
-                unique.append(engine)
-        return unique
+        return driver, spec
 
     # ------------------------------------------------------------------
     @classmethod
@@ -711,62 +604,50 @@ class SessionManager(_ManagerCore):
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policy: Optional[str] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ) -> "SessionManager":
         """Build a manager from an :class:`ExperimentContext`.
 
         Sessions get deterministic per-session workflow suites via
-        :func:`session_specs` (scripted and ``replay``) or adaptive
+        :func:`make_session` (scripted and ``replay``) or adaptive
         per-session policies seeded from the same purpose strings
         (``markov``/``uncertainty``); engines come from the engine
         registry over the context's shared dataset.
         """
-        from repro.bench.experiments import make_engine
-
-        settings = ctx.settings
-        dataset = ctx.dataset(settings.data_size, normalized)
-        oracle = ctx.oracle(settings.data_size, normalized)
-        if num_sessions < 1:
-            raise BenchmarkError(
-                f"need at least one session, got {num_sessions!r}"
-            )
-        generator = shared_policy_generator(ctx) if policy is not None else None
-        pairs = [
-            make_session(
-                ctx,
-                index,
-                per_session=per_session,
-                workflow_type=workflow_type,
-                policy=policy,
-                generator=generator,
-            )
-            for index in range(num_sessions)
-        ]
-        specs = [spec for spec, _ in pairs]
-        policies = (
-            [built for _, built in pairs] if policy is not None else None
+        oracle, new_engine = _engine_source(
+            ctx, engine_name, speculation, normalized
+        )
+        pairs = _make_sessions(
+            ctx, num_sessions, per_session, workflow_type, policy
         )
         if share_engine:
-            engine = make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            )
-            return cls(
-                specs, oracle, settings, engine=engine, accel=accel,
-                on_record=on_record, policies=policies,
-                turn_hooks=turn_hooks, scheduler=scheduler,
-                trace_capture=trace_capture, spool=spool,
-            )
-        engines = [
-            make_engine(engine_name, dataset, settings, VirtualClock(), speculation)
-            for _ in specs
-        ]
+            topology = {"engine": new_engine()}
+        else:
+            topology = {"engines": [new_engine() for _ in pairs]}
         return cls(
-            specs, oracle, settings, engines=engines, accel=accel,
-            on_record=on_record, policies=policies, turn_hooks=turn_hooks,
-            scheduler=scheduler, trace_capture=trace_capture, spool=spool,
+            [spec for spec, _ in pairs], oracle, ctx.settings, accel=accel,
+            on_record=on_record,
+            policies=[built for _, built in pairs],
+            turn_hooks=turn_hooks, trace_capture=trace_capture, spool=spool,
+            **topology,
         )
+
+
+def _engine_source(ctx, engine_name: str, speculation: bool, normalized: bool):
+    """``(oracle, engine factory)`` over the context's shared dataset."""
+    from repro.bench.experiments import make_engine
+
+    settings = ctx.settings
+    dataset = ctx.dataset(settings.data_size, normalized)
+    oracle = ctx.oracle(settings.data_size, normalized)
+
+    def new_engine():
+        return make_engine(
+            engine_name, dataset, settings, VirtualClock(), speculation
+        )
+
+    return oracle, new_engine
 
 
 def shared_policy_generator(ctx) -> WorkflowGenerator:
@@ -836,14 +717,14 @@ def make_session(
     return spec, built
 
 
-def session_specs(
+def _make_sessions(
     ctx,
     num_sessions: int,
-    per_session: int = 2,
-    workflow_type: WorkflowType = WorkflowType.MIXED,
-    policy: Optional[str] = None,
-) -> List[SessionSpec]:
-    """Deterministic per-session workload specs (see :func:`make_session`)."""
+    per_session: int,
+    workflow_type: WorkflowType,
+    policy: Optional[str],
+) -> List[Tuple[SessionSpec, Optional[InteractionPolicy]]]:
+    """Sessions ``0 … num_sessions-1`` via :func:`make_session`."""
     if num_sessions < 1:
         raise BenchmarkError(f"need at least one session, got {num_sessions!r}")
     generator = shared_policy_generator(ctx) if policy is not None else None
@@ -855,9 +736,21 @@ def session_specs(
             workflow_type=workflow_type,
             policy=policy,
             generator=generator,
-        )[0]
+        )
         for index in range(num_sessions)
     ]
+
+
+def session_specs(
+    ctx,
+    num_sessions: int,
+    per_session: int = 2,
+    workflow_type: WorkflowType = WorkflowType.MIXED,
+    policy: Optional[str] = None,
+) -> List[SessionSpec]:
+    """Deterministic per-session workload specs (see :func:`make_session`)."""
+    pairs = _make_sessions(ctx, num_sessions, per_session, workflow_type, policy)
+    return [spec for spec, _ in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -1164,33 +1057,36 @@ class ArrivalProcess:
             produced += 1
 
 
-#: Timeline slot of the arrival spawner — below every session index, so
-#: at equal virtual times the arrival is processed first.
-_SPAWNER = -1
-
 
 class OpenSystemManager(_ManagerCore):
     """Serves an *open system*: sessions arrive and depart mid-run.
 
     Where :class:`SessionManager` steps a fixed population to
-    completion, this manager follows an :class:`ArrivalProcess`: a
-    spawner occupies one slot of the shared :class:`_VirtualTimeline`
-    and, at each scheduled arrival instant, creates the session —
-    deterministic per-session seed via
+    completion, this manager follows an :class:`ArrivalProcess`: the
+    calendar's spawner slot creates each session at its scheduled
+    arrival instant — deterministic per-session seed via
     :func:`~repro.common.rng.derive_session_seed`, scripted suite or
-    adaptive policy via ``session_factory`` — registers it with the
-    timeline and lets it compete for step turns. Sessions whose
-    ``departure_time`` overtakes their next event *abandon*: in-flight
-    queries are cancelled (never evaluated), speculation hints freed,
-    and — on a shared engine — the scheduler's whole session group is
-    cancelled (:meth:`~repro.engines.scheduler.ProcessorSharingScheduler.cancel_group`),
+    adaptive policy via ``session_factory`` — and lets it compete for
+    step turns. Sessions whose ``departure_time`` overtakes their next
+    event *abandon*: in-flight queries are cancelled (never evaluated),
+    speculation hints freed, and — on a shared engine — the scheduler's
+    whole session group is cancelled
+    (:meth:`~repro.engines.scheduler.ProcessorSharingScheduler.cancel_group`),
     so ghost load from churned-out users cannot skew the survivors.
 
-    Determinism: the schedule is precomputed, every grant follows global
-    ``(time, index)`` order with the spawner below all sessions, and
-    abandonment happens at the departing session's own last event time —
-    so a churned run's bytes are a pure function of its configuration,
-    invariant to wall pacing (``accel``) and re-invocation.
+    Determinism: the schedule is a pure function of the arrival
+    process, every grant follows global ``(time, index)`` order with the
+    spawner below all sessions, and abandonment happens at the departing
+    session's own last event time — so a churned run's bytes are a pure
+    function of its configuration, invariant to wall pacing (``accel``)
+    and re-invocation.
+
+    ``arrivals`` is an :class:`ArrivalProcess` (or anything with its
+    ``schedule()`` / ``iter_schedule()``); the remaining parameters are
+    :class:`SessionManager`'s, with ``engine_factory`` (a fresh engine
+    per arriving session) in place of ``engines``. With a ``spool`` the
+    schedule is streamed, never materialized, so memory stays
+    O(active sessions).
     """
 
     def __init__(
@@ -1206,7 +1102,6 @@ class OpenSystemManager(_ManagerCore):
         engine=None,
         accel: Optional[float] = None,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ):
@@ -1215,39 +1110,16 @@ class OpenSystemManager(_ManagerCore):
                 "pass exactly one of engine_factory= (isolated) or "
                 "engine= (shared)"
             )
-        self.oracle = oracle
-        self.settings = settings
-        self.arrivals = arrivals
-        self.shared = engine is not None
-        self._engine_factory = engine_factory
-        self._shared_engine = engine
-        if self.shared and isinstance(
-            engine.scheduler.policy, WeightedSharingPolicy
-        ):
-            engine.scheduler.set_policy(FairSessionPolicy())
-        self._session_factory = session_factory
-        self.accel = accel
-        self._scheduler = resolve_scheduler(scheduler)
-        self.spool = spool
-        self.aggregate: Optional[ServingAggregate] = (
-            ServingAggregate() if spool is not None else None
+        super().__init__(
+            oracle, settings, engine=engine, accel=accel,
+            on_record=on_record, trace_capture=trace_capture, spool=spool,
         )
-        if spool is not None and self._scheduler == SCHEDULER_TASKS:
-            raise BenchmarkError(
-                "record spooling requires the calendar scheduler "
-                f"({SCHEDULER_ENV}={SCHEDULER_TASKS} cannot spool)"
-            )
-        self._on_record = on_record
-        self.streams: Dict[str, SessionStream] = {}
-        self._trace_ring = _make_trace_ring(trace_capture)
-        self.wall_seconds: float = 0.0
-        self._pacer = AsyncClock(accel) if accel is not None else None
-        self._timeline = _VirtualTimeline(pacer=self._pacer)
-        self._results: Dict[int, SessionResult] = {}
+        self.arrivals = arrivals
+        self._engine_factory = engine_factory
+        self._session_factory = session_factory
         #: Materialized only on demand — a constant-memory run never
         #: holds the full arrival schedule (it streams iter_schedule()).
         self._schedule_cache: Optional[List[SessionArrival]] = None
-        self._ran = False
 
     # ------------------------------------------------------------------
     @property
@@ -1257,273 +1129,28 @@ class OpenSystemManager(_ManagerCore):
             self._schedule_cache = self.arrivals.schedule()
         return self._schedule_cache
 
-    # ------------------------------------------------------------------
-    def run(self) -> List[SessionResult]:
-        """Serve the whole schedule to completion (blocking wrapper)."""
-        return asyncio.run(self.run_async())
-
-    async def run_async(self) -> List[SessionResult]:
-        """Serve arrivals as they come; results in arrival order."""
-        if self._ran:
-            raise BenchmarkError("an OpenSystemManager can only run once")
-        self._ran = True
+    def _arrivals(self) -> Iterator[SessionArrival]:
         if self.spool is not None:
-            # Constant-memory mode streams the schedule; everything else
-            # materializes it once (results come back in arrival order).
-            arrival_iter: Iterator[SessionArrival] = (
-                self.arrivals.iter_schedule()
-            )
-        else:
-            arrival_iter = iter(self.schedule)
-        first = next(arrival_iter, None)
-        if first is None:
-            return []
-        arrival_iter = itertools.chain([first], arrival_iter)
-        if self.shared:
-            if not self._shared_engine.is_prepared:
-                self._shared_engine.prepare()
-            self._shared_engine.workflow_start()
-        started = perf_seconds()
-        if self._scheduler == SCHEDULER_TASKS:
-            tasks: List[asyncio.Task] = []
-            self._timeline.register(_SPAWNER)
-            await self._spawner(tasks)
-            if tasks:
-                await asyncio.gather(*tasks)
-        else:
-            await self._run_calendar(arrival_iter)
-        series = get_timeseries()
-        if series.enabled:
-            series.finalize()
-        self.wall_seconds = perf_seconds() - started
-        if self.shared:
-            self._shared_engine.workflow_end()
-            self._shared_engine.scheduler.set_group(None)
-        if self.spool is not None:
-            return []
-        return [self._results[arrival.index] for arrival in self.schedule]
+            return self.arrivals.iter_schedule()
+        return iter(self.schedule)
 
-    # ------------------------------------------------------------------
-    # Event-calendar scheduler (the default)
-    # ------------------------------------------------------------------
-    async def _run_calendar(
-        self, arrival_iter: Iterator[SessionArrival]
-    ) -> None:
-        """Heap-driven merge of the arrival stream and live sessions.
-
-        The spawner is one calendar entry at slot :data:`_SPAWNER` (below
-        every session index, so an arrival at an equal instant processes
-        first — the task path's tie-break). Sessions are flyweights:
-        ``(driver, spec, arrival)`` in a dict keyed by index, no
-        coroutine each. A session whose next event would land past its
-        departure time retires immediately, at the exact global order
-        point the task path retires it.
-        """
-        heap: List[Tuple[float, int]] = []
-        live: Dict[int, Tuple[SessionDriver, SessionSpec, SessionArrival]] = {}
-        pending = next(arrival_iter, None)
-        if pending is not None:
-            heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
-        while heap:
-            event_time, index = heapq.heappop(heap)
-            if self._pacer is not None:
-                await self._pacer.sleep_until(event_time)
-            if index == _SPAWNER:
-                arrival = pending
-                self._trace_mark(arrival.arrival_time, "arrival")
-                driver, spec = self._spawn(arrival)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "manager.arrival",
-                        arrival.arrival_time,
-                        session=spec.session_id,
-                    )
-                    get_metrics().counter(
-                        "repro_sessions_spawned_total",
-                        help="Open-system sessions spawned mid-run.",
-                    ).inc()
-                if self.aggregate is not None:
-                    self.aggregate.session_started()
-                series = get_timeseries()
-                if series.enabled:
-                    series.session_started(arrival.arrival_time)
-                self._calendar_declare(
-                    arrival, driver, spec, heap, live,
-                    now=arrival.arrival_time,
-                )
-                pending = next(arrival_iter, None)
-                if pending is not None:
-                    heapq.heappush(heap, (pending.arrival_time, _SPAWNER))
-            else:
-                driver, spec, arrival = live[index]
-                self._turn_granted(
-                    event_time, spec.session_id, queue_depth=len(heap)
-                )
-                driver.step()
-                self._calendar_declare(
-                    arrival, driver, spec, heap, live, now=event_time
-                )
-
-    def _calendar_declare(
-        self,
-        arrival: SessionArrival,
-        driver: SessionDriver,
-        spec: SessionSpec,
-        heap: List[Tuple[float, int]],
-        live: Dict[int, Tuple[SessionDriver, SessionSpec, SessionArrival]],
-        now: float = 0.0,
-    ) -> None:
-        """Declare a session's next event, or retire it (done/departed)."""
-        event_time = driver.next_event_time()
-        if event_time is not None and event_time < arrival.departure_time:
-            live[arrival.index] = (driver, spec, arrival)
-            heapq.heappush(heap, (event_time, arrival.index))
-            return
-        live.pop(arrival.index, None)
-        # A remaining event at/past the departure instant means the user
-        # walked away mid-workload (the task path's departure branch).
-        self._retire_session(
-            arrival, driver, spec, departed=event_time is not None, now=now
-        )
-
-    def _retire_session(
-        self,
-        arrival: SessionArrival,
-        driver: SessionDriver,
-        spec: SessionSpec,
-        departed: bool,
-        now: float = 0.0,
-    ) -> None:
-        if departed:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "manager.depart",
-                    arrival.departure_time,
-                    session=spec.session_id,
-                )
-            driver.abandon()
-            if self.shared:
-                self._shared_engine.scheduler.cancel_group(spec.session_id)
-        series = get_timeseries()
-        if series.enabled:
-            # Folded at the global processing instant (monotone), even
-            # for departures whose nominal instant lies earlier.
-            series.session_finished(now)
-        if self.spool is None:
-            self._results[arrival.index] = SessionResult(
-                spec,
-                self.streams[spec.session_id].records,
-                interaction_counts=dict(driver.interaction_counts),
-                departed_at=arrival.departure_time if departed else None,
-                steps=driver.steps,
-            )
-            return
-        # Constant-memory mode: fold the session's footprint into the
-        # aggregate, then free everything it owned — stream, driver and
-        # (isolated mode) its whole engine go with it; a shared engine
-        # sheds the session's settled scheduler tasks and handles.
-        self.aggregate.session_finished(
-            driver.steps,
-            dict(driver.interaction_counts),
-            departed=departed,
-        )
-        self.streams.pop(spec.session_id, None)
-        if self.shared:
-            self._shared_engine.release_settled()
-
-    # ------------------------------------------------------------------
-    async def _spawner(self, tasks: List[asyncio.Task]) -> None:
-        try:
-            for arrival in self.schedule:
-                await self._timeline.acquire(_SPAWNER, arrival.arrival_time)
-                self._trace_mark(arrival.arrival_time, "arrival")
-                driver, spec = self._spawn(arrival)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "manager.arrival",
-                        arrival.arrival_time,
-                        session=spec.session_id,
-                    )
-                    get_metrics().counter(
-                        "repro_sessions_spawned_total",
-                        help="Open-system sessions spawned mid-run.",
-                    ).inc()
-                series = get_timeseries()
-                if series.enabled:
-                    series.session_started(arrival.arrival_time)
-                self._timeline.register(arrival.index)
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._run_session(arrival, driver, spec)
-                    )
-                )
-        finally:
-            await self._timeline.retire(_SPAWNER)
-
-    def _spawn(self, arrival: SessionArrival):
+    def _spawn(
+        self, arrival: SessionArrival
+    ) -> Tuple[SessionDriver, SessionSpec]:
+        self._trace_mark(arrival.arrival_time, "arrival")
         spec, policy = self._session_factory(arrival.index)
-        stream = SessionStream(spec.session_id, retain=self.spool is None)
-        if self._on_record is not None:
-            stream.subscribe(self._on_record)
-        if self.spool is not None:
-            stream.subscribe(self.spool.append)
-            stream.subscribe(self.aggregate.observe_record)
-        else:
-            stream.subscribe(_timeseries_record)
-        self.streams[spec.session_id] = stream
-        if self.shared:
-            engine = self._shared_engine
-        else:
-            engine = self._engine_factory()
-            if not engine.is_prepared:
-                engine.prepare()
-        # The session's virtual life starts at its arrival instant. The
-        # spawner holds the globally minimal timeline slot, so advancing
-        # the engine clock here is monotone for every live session.
-        if engine.clock.now() < arrival.arrival_time:
-            engine.clock.advance_to(arrival.arrival_time)
-            engine.advance_to(arrival.arrival_time)
-        driver = SessionDriver(
-            engine,
-            self.oracle,
-            self.settings,
-            list(spec.workflows) if policy is None else [],
-            session_id=spec.session_id,
-            lifecycle=not self.shared,
-            on_record=stream.push,
-            policy=policy,
-        )
-        return driver, spec
-
-    async def _run_session(
-        self, arrival: SessionArrival, driver: SessionDriver, spec: SessionSpec
-    ) -> None:
-        departed = False
-        last_event = arrival.arrival_time
-        try:
-            while True:
-                event_time = driver.next_event_time()
-                if event_time is None:
-                    break
-                if event_time >= arrival.departure_time:
-                    departed = True
-                    break
-                await self._timeline.acquire(arrival.index, event_time)
-                last_event = event_time
-                self._turn_granted(
-                    event_time,
-                    spec.session_id,
-                    queue_depth=len(self._timeline._declared) - 1,
-                )
-                driver.step()
-        finally:
-            self._retire_session(
-                arrival, driver, spec, departed=departed, now=last_event
+        engine = self._shared_engine if self.shared else self._engine_factory()
+        driver = self._start_session(arrival, spec, policy, engine)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                "manager.arrival", arrival.arrival_time, session=spec.session_id
             )
-            await self._timeline.retire(arrival.index)
+            get_metrics().counter(
+                "repro_sessions_spawned_total",
+                help="Open-system sessions spawned mid-run.",
+            ).inc()
+        return driver, spec
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1541,7 +1168,6 @@ class OpenSystemManager(_ManagerCore):
         speculation: bool = False,
         normalized: bool = False,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        scheduler: Optional[str] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ) -> "OpenSystemManager":
@@ -1552,11 +1178,9 @@ class OpenSystemManager(_ManagerCore):
         closed-system session *i* would get, so its workload is
         identical whether it arrives mid-run or starts at time zero.
         """
-        from repro.bench.experiments import make_engine
-
-        settings = ctx.settings
-        dataset = ctx.dataset(settings.data_size, normalized)
-        oracle = ctx.oracle(settings.data_size, normalized)
+        oracle, new_engine = _engine_source(
+            ctx, engine_name, speculation, normalized
+        )
         generator = shared_policy_generator(ctx) if policy is not None else None
 
         def session_factory(index: int):
@@ -1570,22 +1194,13 @@ class OpenSystemManager(_ManagerCore):
             )
 
         if share_engine:
-            engine = make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            )
-            return cls(
-                oracle, settings, arrivals, session_factory,
-                engine=engine, accel=accel, on_record=on_record,
-                scheduler=scheduler, trace_capture=trace_capture,
-                spool=spool,
-            )
+            topology = {"engine": new_engine()}
+        else:
+            topology = {"engine_factory": new_engine}
         return cls(
-            oracle, settings, arrivals, session_factory,
-            engine_factory=lambda: make_engine(
-                engine_name, dataset, settings, VirtualClock(), speculation
-            ),
-            accel=accel, on_record=on_record, scheduler=scheduler,
-            trace_capture=trace_capture, spool=spool,
+            oracle, ctx.settings, arrivals, session_factory, accel=accel,
+            on_record=on_record, trace_capture=trace_capture, spool=spool,
+            **topology,
         )
 
 
@@ -1604,17 +1219,13 @@ def serial_baseline(
     :class:`~repro.bench.driver.BenchmarkDriver`. Per-session detailed
     reports must be byte-identical to the server's.
     """
-    from repro.bench.experiments import make_engine
-
-    settings = ctx.settings
-    dataset = ctx.dataset(settings.data_size, normalized)
-    oracle = ctx.oracle(settings.data_size, normalized)
+    oracle, new_engine = _engine_source(
+        ctx, engine_name, speculation, normalized
+    )
     results: List[SessionResult] = []
     for spec in specs:
-        engine = make_engine(
-            engine_name, dataset, settings, VirtualClock(), speculation
-        )
+        engine = new_engine()
         engine.prepare()
-        driver = BenchmarkDriver(engine, oracle, settings)
+        driver = BenchmarkDriver(engine, oracle, ctx.settings)
         results.append(SessionResult(spec, driver.run_suite(list(spec.workflows))))
     return results

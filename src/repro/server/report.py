@@ -264,42 +264,7 @@ def bench_cell_key(
     )
 
 
-def _cell_from_results(
-    engine: str,
-    sessions: int,
-    mode: str,
-    per_session: int,
-    results: Sequence[SessionResult],
-    wall_seconds: float,
-) -> SessionBenchCell:
-    records = [record for result in results for record in result.records]
-    answered = [r for r in records if not r.tr_violated]
-    latencies = [r.end_time - r.start_time for r in answered]
-    return SessionBenchCell(
-        engine=engine,
-        sessions=sessions,
-        mode=mode,
-        workflows_per_session=per_session,
-        num_queries=len(records),
-        pct_tr_violated=(
-            100.0 * sum(r.tr_violated for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_missing_bins=(
-            sum(r.metrics.missing_bins for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_latency_answered=(
-            sum(latencies) / len(latencies) if latencies else float("nan")
-        ),
-        virtual_makespan=max((r.end_time for r in records), default=0.0),
-        wall_seconds=wall_seconds,
-    )
-
-
-def _cell_from_aggregate(
+def _cell(
     engine: str,
     sessions: int,
     mode: str,
@@ -307,14 +272,7 @@ def _cell_from_aggregate(
     aggregate: ServingAggregate,
     wall_seconds: float,
 ) -> SessionBenchCell:
-    """Build a load-report cell from an incremental aggregate.
-
-    Counts and maxima match :func:`_cell_from_results` exactly; the
-    float means fold in record-arrival order instead of grouped-by-
-    session order, so they can differ from the retained path in the
-    last ulp. Incremental cells therefore never enter the artifact
-    store (the cache stays byte-pure).
-    """
+    """One load-report cell; every derived column is the aggregate's."""
     return SessionBenchCell(
         engine=engine,
         sessions=sessions,
@@ -327,6 +285,22 @@ def _cell_from_aggregate(
         virtual_makespan=aggregate.virtual_makespan,
         wall_seconds=wall_seconds,
     )
+
+
+def _run_aggregate(manager) -> ServingAggregate:
+    """Run ``manager``; the aggregate its report cell is built from.
+
+    Retained runs fold their results session by session
+    (:meth:`ServingAggregate.from_results`) — the byte-stable order the
+    artifact store caches. Incremental (spooled) runs have no results to
+    fold and use the manager's live aggregate, whose float means fold in
+    record-arrival order and can differ in the last ulp; those cells
+    therefore never enter the store (the cache stays byte-pure).
+    """
+    results = manager.run()
+    if manager.spool is not None:
+        return manager.aggregate
+    return ServingAggregate.from_results(results)
 
 
 def run_session_bench(
@@ -386,17 +360,11 @@ def run_session_bench(
                     share_engine=(mode == "shared"),
                     spool=RecordSpool() if incremental else None,
                 )
-                results = manager.run()
-                if incremental:
-                    cell = _cell_from_aggregate(
-                        engine_name, sessions, mode, per_session,
-                        manager.aggregate, manager.wall_seconds,
-                    )
-                else:
-                    cell = _cell_from_results(
-                        engine_name, sessions, mode, per_session, results,
-                        manager.wall_seconds,
-                    )
+                cell = _cell(
+                    engine_name, sessions, mode, per_session,
+                    _run_aggregate(manager),
+                    manager.wall_seconds,
+                )
                 if store is not None and not incremental:
                     store.put(key, cell.payload())
                 cells.append(cell)
@@ -553,54 +521,10 @@ def _adaptive_cell(
     sessions: int,
     churn: str,
     per_session: int,
-    results: Sequence[SessionResult],
-    wall_seconds: float,
-) -> AdaptiveBenchCell:
-    records = [record for result in results for record in result.records]
-    answered = [r for r in records if not r.tr_violated]
-    latencies = [r.end_time - r.start_time for r in answered]
-    counts: dict = {}
-    for result in results:
-        for kind, count in sorted(result.interaction_counts.items()):
-            counts[kind] = counts.get(kind, 0) + count
-    return AdaptiveBenchCell(
-        engine=engine,
-        policy=policy,
-        sessions=sessions,
-        churn=churn,
-        workflows_per_session=per_session,
-        sessions_served=len(results),
-        sessions_departed=sum(r.departed_at is not None for r in results),
-        num_queries=len(records),
-        pct_tr_violated=(
-            100.0 * sum(r.tr_violated for r in records) / len(records)
-            if records
-            else float("nan")
-        ),
-        mean_latency_answered=(
-            sum(latencies) / len(latencies) if latencies else float("nan")
-        ),
-        virtual_makespan=max((r.end_time for r in records), default=0.0),
-        mix=interaction_mix(counts),
-        wall_seconds=wall_seconds,
-    )
-
-
-def _adaptive_cell_from_aggregate(
-    engine: str,
-    policy: str,
-    sessions: int,
-    churn: str,
-    per_session: int,
     aggregate: ServingAggregate,
     wall_seconds: float,
 ) -> AdaptiveBenchCell:
-    """Build an adaptive-report cell from an incremental aggregate.
-
-    Same contract as :func:`_cell_from_aggregate`: integer columns and
-    the interaction mix match :func:`_adaptive_cell` exactly, float
-    means fold in record-arrival order.
-    """
+    """One adaptive-report cell; every derived column is the aggregate's."""
     return AdaptiveBenchCell(
         engine=engine,
         policy=policy,
@@ -702,18 +626,12 @@ def run_adaptive_bench(
                         share_engine=share_engine,
                         spool=spool,
                     )
-                results = manager.run()
+                aggregate = _run_aggregate(manager)
                 wall = manager.wall_seconds
-                if incremental:
-                    cell = _adaptive_cell_from_aggregate(
-                        engine, policy, sessions, churn, per_session,
-                        manager.aggregate, wall,
-                    )
-                else:
-                    cell = _adaptive_cell(
-                        engine, policy, sessions, churn, per_session,
-                        results, wall,
-                    )
+                cell = _adaptive_cell(
+                    engine, policy, sessions, churn, per_session,
+                    aggregate, wall,
+                )
                 if store is not None and not incremental:
                     store.put(key, cell.payload())
                 cells.append(cell)

@@ -32,21 +32,15 @@ serialization is canonical JSON.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
+from repro.bench.codec import record_from_dict, record_to_dict
 from repro.common.errors import BenchmarkError
 from repro.common.fingerprint import canonical_json
 from repro.obs.timeseries import get_timeseries
-
-
-def _record_to_dict(record) -> dict:
-    # Lazy import: repro.net pulls in repro.server at package import
-    # time, so a module-level import here would be circular.
-    from repro.net.protocol import record_to_dict
-
-    return record_to_dict(record)
 
 
 class RecordSpool:
@@ -75,7 +69,7 @@ class RecordSpool:
             raise BenchmarkError(f"record spool {self.path} is closed")
         if self._handle is not None:
             line = canonical_json(
-                {"record": _record_to_dict(record), "session": session_id}
+                {"record": record_to_dict(record), "session": session_id}
             )
             self._handle.write(line.encode("utf-8"))
             self._handle.write(b"\n")
@@ -102,10 +96,6 @@ def iter_spool(path: Union[str, Path]) -> Iterator[Tuple[str, object]]:
     of a population-scale run (per-session slicing, re-aggregation)
     starts here.
     """
-    import json
-
-    from repro.net.protocol import record_from_dict
-
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -149,8 +139,29 @@ class ServingAggregate:
         self.peak_active = 0
 
     # -- folding hooks --------------------------------------------------
-    def observe_record(self, session_id: str, record) -> None:
-        """Fold one evaluated record (metric-stream subscriber)."""
+    @classmethod
+    def from_results(cls, results) -> "ServingAggregate":
+        """Fold retained ``SessionResult`` objects after the run.
+
+        Session-then-record order: the float sums then equal a plain
+        left fold over the concatenated record lists, which is what the
+        retained load reports have always printed. Pure arithmetic — the
+        windowed series already saw these records live.
+        """
+        aggregate = cls()
+        for result in results:
+            aggregate.session_started()
+            for record in result.records:
+                aggregate.fold_record(record)
+            aggregate.session_finished(
+                result.steps,
+                result.interaction_counts,
+                departed=result.departed_at is not None,
+            )
+        return aggregate
+
+    def fold_record(self, record) -> None:
+        """Fold one evaluated record into the totals (no side effects)."""
         self.num_queries += 1
         if record.tr_violated:
             self.tr_violations += 1
@@ -160,10 +171,16 @@ class ServingAggregate:
         self.missing_bins_sum += record.metrics.missing_bins
         if record.end_time > self.virtual_makespan:
             self.virtual_makespan = record.end_time
+
+    def observe_record(self, session_id: str, record) -> None:
+        """Metric-stream subscriber: fold one record as it is evaluated.
+
+        The aggregate is the live record fan-out point, so the windowed
+        series (:mod:`repro.obs.timeseries`) is fed from here too.
+        """
+        self.fold_record(record)
         series = get_timeseries()
         if series.enabled:
-            # In spool mode the aggregate is the record fan-out point, so
-            # the windowed series (repro.obs.timeseries) folds here too.
             series.observe_record(
                 record.end_time,
                 record.tr_violated,

@@ -25,32 +25,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", "oracle"])
 
-    def test_no_kernels_flag_parses(self):
-        args = build_parser().parse_args(["--no-kernels", "run"])
-        assert args.no_kernels
-        args = build_parser().parse_args(["run"])
-        assert not args.no_kernels
-
-
-class TestNoKernels:
-    def test_no_kernels_run_matches_default(self, tmp_path):
-        """--no-kernels answers bitwise-identically, just uncompiled."""
-        from repro.engines.kernel_cache import kernels_enabled
-
-        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        common = ["run", "--engine", "idea-sim", "--size", "S",
-                  "--scale", "20000", "--per-type", "1", "--tr", "1"]
-        assert main(common + ["--out", str(fast)]) == 0
-        assert kernels_enabled()
-        try:
-            assert main(["--no-kernels"] + common + ["--out", str(slow)]) == 0
-            assert not kernels_enabled()
-        finally:
-            from repro.engines.kernel_cache import set_kernels_enabled
-
-            set_kernels_enabled(True)
-        assert fast.read_bytes() == slow.read_bytes()
-
 
 class TestGenerateData:
     def test_writes_csv(self, tmp_path):

@@ -150,6 +150,56 @@ class TestServeAdaptive:
         assert "need --arrivals" in capsys.readouterr().err
 
 
+class TestServeSpill:
+    def test_spill_writes_records_and_aggregate_report(self, tmp_path, capsys):
+        spill = tmp_path / "records.jsonl"
+        code = main(
+            ["serve", "--sessions", "2", "--per-session", "1",
+             "--spill", str(spill)] + COMMON
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "sessions served      : 2" in captured
+        lines = spill.read_bytes().splitlines()
+        assert f"{len(lines)} records spooled" in captured
+
+    def test_rejected_arguments_leave_spill_file_untouched(
+        self, tmp_path, capsys
+    ):
+        """The spill file is opened (truncated) only after validation."""
+        spill = tmp_path / "records.jsonl"
+        spill.write_bytes(b"precious earlier run\n")
+        code = main(
+            ["serve", "--sessions", "2", "--arrivals", "1",
+             "--arrival-schedule", "bogus", "--spill", str(spill)] + COMMON
+        )
+        assert code == 1
+        assert "unknown arrival schedule kind" in capsys.readouterr().err
+        assert spill.read_bytes() == b"precious earlier run\n"
+
+    def test_spill_closed_when_the_run_fails(self, tmp_path, monkeypatch):
+        from repro.server import RecordSpool, SessionManager
+
+        opened = []
+        original = RecordSpool.__init__
+
+        def recording_init(self, path=None):
+            original(self, path)
+            opened.append(self)
+
+        def failing_run(self):
+            raise RuntimeError("engine fell over")
+
+        monkeypatch.setattr(RecordSpool, "__init__", recording_init)
+        monkeypatch.setattr(SessionManager, "run", failing_run)
+        with pytest.raises(RuntimeError, match="fell over"):
+            main(
+                ["serve", "--sessions", "1", "--per-session", "1",
+                 "--spill", str(tmp_path / "records.jsonl")] + COMMON
+            )
+        assert [spool._closed for spool in opened] == [True]
+
+
 class TestBenchAdaptive:
     def test_sweep_writes_deterministic_csv(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -310,6 +310,15 @@ class TestMalformed:
         with pytest.raises(ProtocolError, match="malformed record"):
             record_from_dict({"metrics": {}})
 
+    def test_record_codec_lives_below_the_wire(self):
+        """net re-exports the bench-layer codec; only the typed error
+        on the decode side is the wire's own."""
+        from repro.bench import codec
+
+        assert record_to_dict is codec.record_to_dict
+        with pytest.raises(KeyError):
+            codec.record_from_dict({"metrics": {}})
+
     def test_malformed_interaction_rejected(self):
         body = json.dumps(
             {"v": PROTOCOL_VERSION, "type": "interact", "interaction": {}}

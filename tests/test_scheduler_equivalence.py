@@ -1,196 +1,78 @@
-"""Calendar scheduler ↔ legacy task-per-session equivalence (ISSUE 8).
+"""Calendar loop ↔ frozen task-per-session outputs, one pin per test.
 
-The event-calendar scheduler replaces one asyncio task per session with
-a single loop over a heap of ``(event_time, index)`` entries. Its
-contract is *byte equivalence*: for every serving configuration the
-legacy path supports, the calendar must produce identical per-session
-CSVs, identical traces, and identical side-effect ordering — the legacy
-path stays available behind ``REPRO_SCHEDULER=tasks`` precisely so this
-suite can keep proving that.
+The server used to carry two schedulers — the event calendar and a
+legacy asyncio task per session — and this suite ran every serving
+configuration under both and compared bytes. The legacy path is gone;
+its outputs live on in ``tests/golden/scheduler_pins.txt``, one
+``name sha256`` line per configuration, generated *by the tasks
+scheduler* at the last commit that had it. Each test here rebuilds one
+configuration with the one remaining loop and checks it against that
+line, so a drift names the configuration that moved
+(``tests/test_golden_reports.py`` checks the file as a whole).
 
-Also here: the targeted-wakeup regression for the legacy timeline (one
-wakeup per grant, never a thundering herd) and the trace ring's
-bounded/opt-in behavior.
+Also here: the trace ring's bounded/opt-in behavior.
 """
 
 import pytest
 
-from repro.common.errors import BenchmarkError
-from repro.server import (
-    ArrivalProcess,
-    OpenSystemManager,
-    SessionManager,
-    resolve_scheduler,
+from test_golden_reports import GOLDEN_DIR, regen
+
+from repro.server import SessionManager
+
+PINS = dict(
+    line.split()
+    for line in (GOLDEN_DIR / "scheduler_pins.txt").read_text().splitlines()
 )
-from repro.server.manager import SCHEDULER_ENV
 
 
-def _csvs(results):
-    return [result.csv_text() for result in results]
+def _assert_pinned(server_ctx, name):
+    assert regen.scheduler_pin(server_ctx, name) == f"{name} {PINS[name]}\n"
 
 
-def _closed(server_ctx, scheduler, **kwargs):
-    manager = SessionManager.for_engine(
-        server_ctx, kwargs.pop("engine", "idea-sim"),
-        kwargs.pop("sessions", 3), scheduler=scheduler, **kwargs
-    )
-    return manager, manager.run()
-
-
-def _open(server_ctx, scheduler, **kwargs):
-    arrivals = kwargs.pop("arrivals", None) or ArrivalProcess(
-        0.2, 40.0, seed=server_ctx.settings.seed,
-        mean_residence=25.0, max_sessions=4,
-    )
-    manager = OpenSystemManager.for_engine(
-        server_ctx, kwargs.pop("engine", "idea-sim"), arrivals,
-        scheduler=scheduler, **kwargs
-    )
-    return manager, manager.run()
-
-
-class TestResolveScheduler:
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert resolve_scheduler() == "calendar"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "tasks")
-        assert resolve_scheduler() == "tasks"
-
-    def test_explicit_choice_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "tasks")
-        assert resolve_scheduler("calendar") == "calendar"
-
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        with pytest.raises(BenchmarkError):
-            resolve_scheduler("fibers")
-        monkeypatch.setenv(SCHEDULER_ENV, "fibers")
-        with pytest.raises(BenchmarkError):
-            resolve_scheduler()
+def test_every_pin_has_a_builder():
+    assert list(PINS) == list(regen.SCHEDULER_PIN_CASES)
 
 
 class TestClosedSystemEquivalence:
     @pytest.mark.parametrize("share_engine", [False, True])
     def test_scripted_bytes_identical(self, server_ctx, share_engine):
-        _, calendar = _closed(
-            server_ctx, "calendar", per_session=2, share_engine=share_engine
-        )
-        _, tasks = _closed(
-            server_ctx, "tasks", per_session=2, share_engine=share_engine
-        )
-        assert _csvs(calendar) == _csvs(tasks)
+        mode = "shared" if share_engine else "isolated"
+        _assert_pinned(server_ctx, f"closed_scripted_{mode}")
 
     @pytest.mark.parametrize("policy", ["markov", "uncertainty"])
     def test_adaptive_bytes_identical(self, server_ctx, policy):
-        _, calendar = _closed(
-            server_ctx, "calendar", per_session=1, policy=policy,
-            share_engine=True, engine="monetdb-sim",
-        )
-        _, tasks = _closed(
-            server_ctx, "tasks", per_session=1, policy=policy,
-            share_engine=True, engine="monetdb-sim",
-        )
-        assert _csvs(calendar) == _csvs(tasks)
+        _assert_pinned(server_ctx, f"closed_{policy}_monetdb_shared")
 
     def test_traces_identical(self, server_ctx):
-        cal_mgr, _ = _closed(
-            server_ctx, "calendar", per_session=1, trace_capture=True
-        )
-        task_mgr, _ = _closed(
-            server_ctx, "tasks", per_session=1, trace_capture=True
-        )
-        assert cal_mgr.trace == task_mgr.trace
-        assert cal_mgr.trace  # non-vacuous
+        _assert_pinned(server_ctx, "closed_isolated_trace")
 
     @pytest.mark.parametrize("sessions", [1, 10, 100])
     def test_bytes_identical_across_orders_of_magnitude(
         self, server_ctx, sessions
     ):
         """1 → 10² sessions: equivalence must not be a small-N accident."""
-        _, calendar = _closed(
-            server_ctx, "calendar", sessions=sessions, per_session=1
-        )
-        _, tasks = _closed(
-            server_ctx, "tasks", sessions=sessions, per_session=1
-        )
-        assert _csvs(calendar) == _csvs(tasks)
+        _assert_pinned(server_ctx, f"closed_isolated_{sessions}")
 
 
 class TestOpenSystemEquivalence:
     @pytest.mark.parametrize("share_engine", [False, True])
     def test_churn_bytes_and_traces_identical(self, server_ctx, share_engine):
-        cal_mgr, calendar = _open(
-            server_ctx, "calendar", policy="markov",
-            share_engine=share_engine, trace_capture=True,
-        )
-        task_mgr, tasks = _open(
-            server_ctx, "tasks", policy="markov",
-            share_engine=share_engine, trace_capture=True,
-        )
-        assert _csvs(calendar) == _csvs(tasks)
-        assert [r.departed_at for r in calendar] == [
-            r.departed_at for r in tasks
-        ]
-        assert cal_mgr.trace == task_mgr.trace
+        """CSVs, ``departed_at`` and the step + ``"arrival"`` trace marks."""
+        mode = "shared" if share_engine else "isolated"
+        _assert_pinned(server_ctx, f"open_markov_churn_{mode}")
 
     @pytest.mark.parametrize("seed_offset", [0, 1, 2, 3])
     def test_seeded_churn_fuzz(self, server_ctx, seed_offset):
-        """Randomized arrival processes: both schedulers, same bytes."""
-        import random
-
-        rng = random.Random(1000 + seed_offset)
-        rate = rng.uniform(0.1, 0.6)
-        residence = rng.uniform(8.0, 30.0)
-        cap = rng.randint(2, 6)
-
-        def arrivals():
-            return ArrivalProcess(
-                rate, 35.0, seed=server_ctx.settings.seed + seed_offset,
-                mean_residence=residence, max_sessions=cap,
-            )
-
-        policy = rng.choice(["replay", "markov", "uncertainty"])
-        share = rng.random() < 0.5
-        _, calendar = _open(
-            server_ctx, "calendar", arrivals=arrivals(), policy=policy,
-            share_engine=share,
-        )
-        _, tasks = _open(
-            server_ctx, "tasks", arrivals=arrivals(), policy=policy,
-            share_engine=share,
-        )
-        assert _csvs(calendar) == _csvs(tasks)
-
-
-class TestTargetedWakeups:
-    def test_one_wakeup_per_grant_closed(self, server_ctx):
-        """The legacy timeline wakes exactly the winning session per step.
-
-        ``wakeups`` counts ``Event.set()`` calls; the trace counts turn
-        grants. Equality means no thundering herd: every step wakes one
-        coroutine, so per-step cost is O(1) wakeups, not O(sessions).
-        """
-        manager, _ = _closed(
-            server_ctx, "tasks", sessions=4, per_session=1,
-            trace_capture=True,
-        )
-        assert manager._timeline.wakeups == len(manager.trace)
-        assert len(manager.trace) > 4
-
-    def test_one_wakeup_per_grant_open(self, server_ctx):
-        manager, _ = _open(
-            server_ctx, "tasks", policy="markov", trace_capture=True
-        )
-        # The spawner holds a timeline slot too: each arrival grant is
-        # one wakeup, so total wakeups == step grants + arrival grants.
-        assert manager._timeline.wakeups == len(manager.trace)
+        """The four ``random.Random(1000 + offset)`` arrival-process draws."""
+        _assert_pinned(server_ctx, f"churn_fuzz_{1000 + seed_offset}")
 
 
 class TestTraceRing:
     def test_trace_off_by_default(self, server_ctx):
-        manager, _ = _closed(server_ctx, "calendar", per_session=1)
+        manager = SessionManager.for_engine(
+            server_ctx, "idea-sim", 3, per_session=1
+        )
+        manager.run()
         assert manager.trace == []
 
     def test_trace_ring_is_bounded(self, server_ctx):

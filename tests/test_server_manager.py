@@ -24,6 +24,8 @@ from repro.common.errors import BenchmarkError
 from repro.common.rng import derive_session_seed
 from repro.engines.scheduler import FairSessionPolicy
 from repro.server import (
+    OpenSystemManager,
+    SessionArrival,
     SessionManager,
     SessionSpec,
     serial_baseline,
@@ -237,3 +239,51 @@ class TestValidation:
         ]
         with pytest.raises(BenchmarkError):
             SessionManager([spec, spec], oracle, settings, engines=engines)
+
+
+class _AllAtZero:
+    """An arrival source that is a closed population: N arrivals at vt 0."""
+
+    def __init__(self, num_sessions):
+        self.num_sessions = num_sessions
+
+    def schedule(self):
+        return [SessionArrival(i, 0.0) for i in range(self.num_sessions)]
+
+    def iter_schedule(self):
+        return iter(self.schedule())
+
+
+class TestClosedIsOpenWithArrivalsAtZero:
+    """Why one loop serves both managers: a closed population *is* an
+    arrival schedule with every session arriving at virtual time 0 and
+    never departing."""
+
+    @pytest.mark.parametrize("policy", [None, "markov"])
+    @pytest.mark.parametrize("share_engine", [False, True])
+    @pytest.mark.parametrize("num_sessions", [1, 4])
+    def test_per_session_bytes_equal(
+        self, server_ctx, num_sessions, share_engine, policy
+    ):
+        kwargs = dict(
+            per_session=1, share_engine=share_engine, policy=policy,
+            trace_capture=True,
+        )
+        closed = SessionManager.for_engine(
+            server_ctx, "idea-sim", num_sessions, **kwargs
+        )
+        opened = OpenSystemManager.for_engine(
+            server_ctx, "idea-sim", _AllAtZero(num_sessions), **kwargs
+        )
+        closed_results, open_results = closed.run(), opened.run()
+        assert [r.session_id for r in open_results] == [
+            r.session_id for r in closed_results
+        ]
+        assert [r.csv_text() for r in open_results] == [
+            r.csv_text() for r in closed_results
+        ]
+        assert all(r.departed_at is None for r in open_results)
+        # Same grant order too; the open manager additionally announces
+        # each spawn with an "arrival" mark.
+        assert [m for m in opened.trace if m[1] != "arrival"] == closed.trace
+

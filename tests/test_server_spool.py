@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from repro.common.errors import BenchmarkError
+from repro.common.errors import BenchmarkError, ProtocolError
 from repro.server import (
     ArrivalProcess,
     FollowPrinter,
@@ -37,13 +37,17 @@ def _record_keys(results):
     ]
 
 
-def _open_manager(server_ctx, **kwargs):
-    arrivals = ArrivalProcess(
+def _arrivals(server_ctx):
+    return ArrivalProcess(
         0.2, 40.0, seed=server_ctx.settings.seed,
         mean_residence=25.0, max_sessions=4,
     )
+
+
+def _open_manager(server_ctx, **kwargs):
     return OpenSystemManager.for_engine(
-        server_ctx, "idea-sim", arrivals, policy="markov", **kwargs
+        server_ctx, "idea-sim", _arrivals(server_ctx), policy="markov",
+        **kwargs
     )
 
 
@@ -103,14 +107,14 @@ class TestRecordSpool:
         with pytest.raises(BenchmarkError):
             list(iter_spool(path))
 
-    def test_spool_requires_calendar_scheduler(self, server_ctx):
-        with pytest.raises(BenchmarkError):
-            SessionManager.for_engine(
-                server_ctx, "idea-sim", 2, per_session=1,
-                spool=RecordSpool(), scheduler="tasks",
-            )
-        with pytest.raises(BenchmarkError):
-            _open_manager(server_ctx, spool=RecordSpool(), scheduler="tasks")
+    def test_iter_spool_rejects_malformed_record(self, tmp_path):
+        """Well-formed JSON, wrong record shape: same typed error, with
+        the file and line — never a wire-protocol error."""
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"record":{"metrics":{}},"session":"s"}\n')
+        with pytest.raises(BenchmarkError, match=r"bad\.jsonl:1: not a record-spool line") as info:
+            list(iter_spool(path))
+        assert not isinstance(info.value, ProtocolError)
 
 
 class TestServingAggregate:
@@ -157,6 +161,53 @@ class TestServingAggregate:
         assert spooled.aggregate.num_queries == sum(
             len(s.records) for s in retained.streams.values()
         )
+
+    @pytest.mark.parametrize("engine", ["monetdb-sim", "idea-sim"])
+    def test_release_never_touches_live_sessions(self, server_ctx, engine):
+        """Retiring one session must not drop a live session's handles.
+
+        On monetdb-sim queries finish before their deadline is
+        evaluated; releasing every settled handle (instead of the
+        retiring session's own) used to crash the run with
+        ``EngineError: unknown handle``.
+        """
+        spooled = OpenSystemManager.for_engine(
+            server_ctx, engine, _arrivals(server_ctx), per_session=1,
+            share_engine=True, spool=RecordSpool(),
+        )
+        spooled.run()
+        retained = OpenSystemManager.for_engine(
+            server_ctx, engine, _arrivals(server_ctx), per_session=1,
+            share_engine=True,
+        )
+        results = retained.run()
+        assert spooled.aggregate.num_queries == sum(
+            len(r.records) for r in results
+        )
+
+    def test_retained_runs_fold_the_live_aggregate_too(self, server_ctx):
+        manager = _open_manager(server_ctx)
+        results = manager.run()
+        folded = ServingAggregate.from_results(results)
+        live = manager.aggregate
+        assert live.num_queries == folded.num_queries > 0
+        assert live.tr_violations == folded.tr_violations
+        assert live.sessions_departed == folded.sessions_departed
+        assert live.interaction_counts == folded.interaction_counts
+        assert live.peak_active >= 1 and live.active_sessions == 0
+
+    def test_from_results_does_not_feed_the_series(self, server_ctx):
+        """The post-hoc fold is pure: telemetry saw each record once."""
+        from repro.obs.timeseries import TimeSeries, set_timeseries
+
+        results = _open_manager(server_ctx).run()
+        series = TimeSeries(window=5.0)
+        previous = set_timeseries(series)
+        try:
+            ServingAggregate.from_results(results)
+        finally:
+            set_timeseries(previous)
+        assert series.text() == TimeSeries(window=5.0).text()
 
     def test_empty_aggregate_renders(self):
         agg = ServingAggregate()
@@ -232,6 +283,36 @@ class TestIncrementalBench:
             assert a.mean_latency_answered == pytest.approx(
                 b.mean_latency_answered, rel=1e-12
             )
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_report_csv_bytes_pinned(self, server_ctx, incremental):
+        """Both reports, both fold paths: the bytes the two pre-merge
+        cell builders per report produced (hashed at the last commit
+        that had them)."""
+        import hashlib
+
+        from repro.server import (
+            adaptive_bench_csv_text,
+            session_bench_csv_text,
+        )
+
+        sessions = session_bench_csv_text(run_session_bench(
+            server_ctx, ["idea-sim", "monetdb-sim"], [1, 3], per_session=1,
+            incremental=incremental,
+        ))
+        adaptive = adaptive_bench_csv_text(run_adaptive_bench(
+            server_ctx, "idea-sim", ["scripted", "markov", "uncertainty"],
+            [3], per_session=1, arrival_rate=0.2, horizon=40.0,
+            residence=25.0, share_engine=True, incremental=incremental,
+        ))
+        digests = [
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (sessions, adaptive)
+        ]
+        assert digests == [
+            "dd55180e0df0874eab70dc32778480a9c0d9d425ab803d858cb80ff9ab86a9ef",
+            "b505e339f270cf0f5f7c7773a742cec05b1e8f3e89c70bdde732e918e4b1e094",
+        ]
 
     def test_incremental_bypasses_store(self, server_ctx, tmp_path):
         from repro.runtime import ArtifactStore

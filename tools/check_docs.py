@@ -120,7 +120,10 @@ REQUIRED_SECTIONS = {
         "byte-identical across repeated invocations",
         "cancel_group",
         "tools/regen_golden.py",
-        "REPRO_SCHEDULER",
+        "### One calendar loop",
+        "every arrival at virtual time 0",
+        "tests/golden/scheduler_pins.txt",
+        "ServingAggregate.from_results",
         "src/repro/server/spool.py",
         "iter_spool",
         "O(active sessions)",
@@ -162,9 +165,9 @@ REQUIRED_SECTIONS = {
         "dataset.fingerprint()",
         "query_cache_key",
         "repro_kernel_cache_",
-        "REPRO_KERNELS",
+        "set_kernels_enabled(False)",
+        "tests/test_kernels_differential.py",
         "REPRO_KERNEL_CACHE_SIZE",
-        "--no-kernels",
         "BENCH_kernels.json",
         "bitwise equality",
     ],
@@ -224,8 +227,8 @@ REQUIRED_SECTIONS = {
         "repro top",
         "--stats-window",
         "docs/observability.md",
-        "--no-kernels",
-        "REPRO_KERNELS=off",
+        "set_kernels_enabled(False)",
+        "one event-calendar loop",
         "docs/kernels.md",
         "repro lint",
         "docs/determinism.md",

@@ -3,7 +3,9 @@
 
 The corpus pins the exact bytes of four end-to-end reports — a serial
 run, a shared-engine server run, an adaptive (markov) run and an
-open-system churn run — so any change to engines, driver, server,
+open-system churn run — plus wire transcripts, virtual-time traces, a
+windowed series and one SHA-256 per further serving configuration
+(``scheduler_pins.txt``), so any change to engines, driver, server,
 policies or report rendering that shifts output is caught as a diff, not
 discovered downstream. ``tests/test_golden_reports.py`` re-executes the
 same builders in-process and asserts byte identity against the checked-in
@@ -253,6 +255,102 @@ def case_timeseries_serial(ctx) -> str:
     return series.text()
 
 
+# ----------------------------------------------------------------------
+# Scheduler pins: outputs frozen from the deleted task-per-session path
+# ----------------------------------------------------------------------
+
+def _pin_text(manager, results) -> str:
+    """Everything a pin covers: per-session CSVs with departure banners,
+    then the captured ``manager.trace`` marks (step and ``"arrival"``)."""
+    marks = "".join(f"{time!r} {label}\n" for time, label in manager.trace)
+    return _session_text(results) + marks
+
+
+def _closed_pin(sessions=3, engine="idea-sim", **kwargs):
+    def build(ctx) -> str:
+        from repro.server import SessionManager
+
+        manager = SessionManager.for_engine(ctx, engine, sessions, **kwargs)
+        return _pin_text(manager, manager.run())
+
+    return build
+
+
+def _open_pin(rate=0.2, horizon=40.0, residence=25.0, cap=4, seed_offset=0,
+              **kwargs):
+    def build(ctx) -> str:
+        from repro.server import ArrivalProcess, OpenSystemManager
+
+        arrivals = ArrivalProcess(
+            rate, horizon, seed=ctx.settings.seed + seed_offset,
+            mean_residence=residence, max_sessions=cap,
+        )
+        manager = OpenSystemManager.for_engine(
+            ctx, "idea-sim", arrivals, **kwargs
+        )
+        return _pin_text(manager, manager.run())
+
+    return build
+
+
+#: Pin name → builder. One entry per configuration the calendar ↔ tasks
+#: equivalence suite compared before the task-per-session scheduler was
+#: deleted; the hashes in ``scheduler_pins.txt`` were generated by that
+#: scheduler, so reproducing them proves the calendar loop still emits
+#: the bytes (and the grant order) both implementations agreed on. The
+#: four ``churn_fuzz_*`` rows are the suite's ``random.Random(1000+i)``
+#: draws (rate, residence, cap, policy, topology), written out.
+SCHEDULER_PIN_CASES = {
+    "closed_scripted_isolated": _closed_pin(per_session=2),
+    "closed_scripted_shared": _closed_pin(per_session=2, share_engine=True),
+    "closed_markov_monetdb_shared": _closed_pin(
+        engine="monetdb-sim", per_session=1, policy="markov",
+        share_engine=True,
+    ),
+    "closed_uncertainty_monetdb_shared": _closed_pin(
+        engine="monetdb-sim", per_session=1, policy="uncertainty",
+        share_engine=True,
+    ),
+    "closed_isolated_trace": _closed_pin(per_session=1, trace_capture=True),
+    "closed_isolated_1": _closed_pin(sessions=1, per_session=1),
+    "closed_isolated_10": _closed_pin(sessions=10, per_session=1),
+    "closed_isolated_100": _closed_pin(sessions=100, per_session=1),
+    "open_markov_churn_isolated": _open_pin(
+        policy="markov", trace_capture=True
+    ),
+    "open_markov_churn_shared": _open_pin(
+        policy="markov", share_engine=True, trace_capture=True
+    ),
+    "churn_fuzz_1000": _open_pin(
+        0.488678321350282, 35.0, 22.73616231030349, 2, 0,
+        policy="markov", share_engine=True,
+    ),
+    "churn_fuzz_1001": _open_pin(
+        0.4983254839799852, 35.0, 9.28977712045676, 3, 1, policy="replay",
+    ),
+    "churn_fuzz_1002": _open_pin(
+        0.3604742035109544, 35.0, 17.267504422252408, 3, 2,
+        policy="replay", share_engine=True,
+    ),
+    "churn_fuzz_1003": _open_pin(
+        0.3486707104699016, 35.0, 15.919790050925648, 5, 3, policy="markov",
+    ),
+}
+
+
+def scheduler_pin(ctx, name: str) -> str:
+    """The ``name sha256`` line of one pinned configuration."""
+    import hashlib
+
+    text = SCHEDULER_PIN_CASES[name](ctx)
+    return f"{name} {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n"
+
+
+def case_scheduler_pins(ctx) -> str:
+    """SHA-256 per serving configuration, frozen from the tasks scheduler."""
+    return "".join(scheduler_pin(ctx, name) for name in SCHEDULER_PIN_CASES)
+
+
 #: File name → builder. Each builder gets a fresh-or-shared context and
 #: returns the complete file content as text.
 GOLDEN_CASES = {
@@ -265,6 +363,7 @@ GOLDEN_CASES = {
     "trace_serial.jsonl": case_trace_serial,
     "trace_tcp_shared.jsonl": case_trace_tcp_shared,
     "timeseries_serial.jsonl": case_timeseries_serial,
+    "scheduler_pins.txt": case_scheduler_pins,
 }
 
 
