@@ -14,7 +14,8 @@ Demonstrates, on an 8-cell matrix (4 engines × 2 TRs, mixed workload):
    when fewer than 4 are available (e.g. a 1-core container) the script
    still *measures* the parallel run but reports the speedup check as
    SKIPPED rather than failed — multiprocessing cannot beat serial on a
-   single core;
+   single core — the verdict line reads ``SKIP`` and the JSON records
+   ``"speedup_checked": false`` beside the measured ``speedup``;
 3. **caching** — a second run against the same artifact store restores
    every cell near-instantly.
 
@@ -117,10 +118,11 @@ def main(argv=None) -> int:
             cores = os.cpu_count() or 1
 
         ok = True
+        speedup_checked = cores >= args.jobs
         if not identical:
             lines.append("FAIL: parallel/cached summaries differ from serial")
             ok = False
-        if cores < args.jobs:
+        if not speedup_checked:
             lines.append(
                 f"SKIP: speedup check needs >= {args.jobs} cores, "
                 f"only {cores} available (measured {speedup:.2f}x)"
@@ -135,7 +137,11 @@ def main(argv=None) -> int:
             lines.append("FAIL: cached re-run is not near-instant")
             ok = False
         if ok:
-            lines.append("PASS")
+            # A skipped speedup check is not a passed one: say which.
+            lines.append(
+                "PASS" if speedup_checked
+                else "SKIP (speedup unchecked; byte-identity and cached re-run pass)"
+            )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -145,7 +151,8 @@ def main(argv=None) -> int:
     (RESULTS_DIR / "runtime_parallel.txt").write_text(text + "\n", encoding="utf-8")
     payload = {
         "artifact": "runtime_parallel.txt",
-        "ok": "PASS" in lines,
+        "ok": ok,
+        "speedup_checked": speedup_checked,
         "jobs": args.jobs,
         "cells": len(specs),
         "serial_seconds": serial_seconds,
@@ -156,7 +163,7 @@ def main(argv=None) -> int:
     }
     payload.update(artifact_identity(text))
     write_bench_json(RESULTS_DIR, "runtime_parallel", payload)
-    return 0 if "PASS" in lines else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

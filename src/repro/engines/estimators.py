@@ -22,10 +22,12 @@ systematic under/over-estimation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.common.errors import EngineError
@@ -37,8 +39,13 @@ Values = Dict[BinKey, Tuple[float, ...]]
 Margins = Dict[BinKey, Tuple[Optional[float], ...]]
 
 
+@functools.lru_cache(maxsize=32)
 def z_value(confidence_level: float) -> float:
-    """Two-sided normal critical value for ``confidence_level``."""
+    """Two-sided normal critical value for ``confidence_level``.
+
+    Memoized per level (a run uses one); a rejected level is never
+    cached, so every bad call raises.
+    """
     if not 0.0 < confidence_level < 1.0:
         raise EngineError(
             f"confidence level must be in (0, 1), got {confidence_level!r}"
@@ -74,38 +81,39 @@ def srs_estimate(
     values: Values = {}
     margins: Margins = {}
     n = float(sample_size)
-    for g, key in enumerate(stats.keys):
-        row_values: List[float] = []
-        row_margins: List[Optional[float]] = []
-        k = float(stats.counts[g])
-        for j, agg in enumerate(stats.query.aggregates):
-            if agg.func is AggFunc.COUNT:
-                p = k / n
-                row_values.append(p * population)
-                row_margins.append(
-                    z * population * math.sqrt(max(p * (1.0 - p), 0.0) / n) * fpc
-                )
-            elif agg.func is AggFunc.SUM:
-                mean_z = stats.sums[j][g] / n
-                var_z = max(stats.sumsqs[j][g] / n - mean_z * mean_z, 0.0)
-                row_values.append(mean_z * population)
-                row_margins.append(z * population * math.sqrt(var_z / n) * fpc)
-            elif agg.func is AggFunc.AVG:
-                mean_b = stats.sums[j][g] / k
-                row_values.append(mean_b)
-                if k >= 2:
-                    var_b = max(stats.sumsqs[j][g] / k - mean_b * mean_b, 0.0)
-                    row_margins.append(z * math.sqrt(var_b / k) * fpc)
-                else:
+    with np.errstate(invalid="ignore"):  # NaN/inf cells propagate by design
+        for g, key in enumerate(stats.keys):
+            row_values: List[float] = []
+            row_margins: List[Optional[float]] = []
+            k = float(stats.counts[g])
+            for j, agg in enumerate(stats.query.aggregates):
+                if agg.func is AggFunc.COUNT:
+                    p = k / n
+                    row_values.append(p * population)
+                    row_margins.append(
+                        z * population * math.sqrt(max(p * (1.0 - p), 0.0) / n) * fpc
+                    )
+                elif agg.func is AggFunc.SUM:
+                    mean_z = stats.sums[j][g] / n
+                    var_z = max(stats.sumsqs[j][g] / n - mean_z * mean_z, 0.0)
+                    row_values.append(mean_z * population)
+                    row_margins.append(z * population * math.sqrt(var_z / n) * fpc)
+                elif agg.func is AggFunc.AVG:
+                    mean_b = stats.sums[j][g] / k
+                    row_values.append(mean_b)
+                    if k >= 2:
+                        var_b = max(stats.sumsqs[j][g] / k - mean_b * mean_b, 0.0)
+                        row_margins.append(z * math.sqrt(var_b / k) * fpc)
+                    else:
+                        row_margins.append(None)
+                elif agg.func is AggFunc.MIN:
+                    row_values.append(float(stats.mins[j][g]))
                     row_margins.append(None)
-            elif agg.func is AggFunc.MIN:
-                row_values.append(float(stats.mins[j][g]))
-                row_margins.append(None)
-            elif agg.func is AggFunc.MAX:
-                row_values.append(float(stats.maxs[j][g]))
-                row_margins.append(None)
-        values[key] = tuple(row_values)
-        margins[key] = tuple(row_margins)
+                elif agg.func is AggFunc.MAX:
+                    row_values.append(float(stats.maxs[j][g]))
+                    row_margins.append(None)
+            values[key] = tuple(row_values)
+            margins[key] = tuple(row_margins)
     return values, margins
 
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.common.fingerprint import stable_digest
 from repro.data.storage import Dataset
 from repro.obs.profile import STAGE_BINNING, STAGE_PREDICATE_EVAL, get_profiler
 from repro.query.binning import GroupedRows, group_rows
@@ -38,7 +37,7 @@ def query_cache_key(query: AggQuery) -> str:
     per interpreter (``PYTHONHASHSEED``) and therefore useless for on-disk
     caches or cross-worker sharing.
     """
-    return stable_digest(query.to_dict(), length=None)
+    return query.digest
 
 
 @dataclass
@@ -116,28 +115,29 @@ def compute_grouped_stats(
     sumsqs: Dict[int, np.ndarray] = {}
     mins: Dict[int, np.ndarray] = {}
     maxs: Dict[int, np.ndarray] = {}
-    for j, agg in enumerate(query.aggregates):
-        if agg.func is AggFunc.COUNT:
-            continue
-        values = get_column(agg.field)[mask].astype(np.float64)
-        if grouped.num_groups == 0:
-            sums[j] = np.zeros(0)
-            sumsqs[j] = np.zeros(0)
-            mins[j] = np.zeros(0)
-            maxs[j] = np.zeros(0)
-            continue
-        sums[j] = np.bincount(
-            grouped.inverse, weights=values, minlength=grouped.num_groups
-        )
-        sumsqs[j] = np.bincount(
-            grouped.inverse, weights=values * values, minlength=grouped.num_groups
-        )
-        group_min = np.full(grouped.num_groups, np.inf)
-        group_max = np.full(grouped.num_groups, -np.inf)
-        np.minimum.at(group_min, grouped.inverse, values)
-        np.maximum.at(group_max, grouped.inverse, values)
-        mins[j] = group_min
-        maxs[j] = group_max
+    with np.errstate(invalid="ignore"):  # NaN cells propagate by design
+        for j, agg in enumerate(query.aggregates):
+            if agg.func is AggFunc.COUNT:
+                continue
+            values = get_column(agg.field)[mask].astype(np.float64)
+            if grouped.num_groups == 0:
+                sums[j] = np.zeros(0)
+                sumsqs[j] = np.zeros(0)
+                mins[j] = np.zeros(0)
+                maxs[j] = np.zeros(0)
+                continue
+            sums[j] = np.bincount(
+                grouped.inverse, weights=values, minlength=grouped.num_groups
+            )
+            sumsqs[j] = np.bincount(
+                grouped.inverse, weights=values * values, minlength=grouped.num_groups
+            )
+            group_min = np.full(grouped.num_groups, np.inf)
+            group_max = np.full(grouped.num_groups, -np.inf)
+            np.minimum.at(group_min, grouped.inverse, values)
+            np.maximum.at(group_max, grouped.inverse, values)
+            mins[j] = group_min
+            maxs[j] = group_max
 
     return GroupedStats(
         query=query,

@@ -240,15 +240,16 @@ class KernelAccumulator:
         if not len(gids):
             return
         np.add.at(self._counts, gids, 1)
-        for j, full_values in kernel._agg_values.items():
-            if row_indices is None:
-                values = full_values[valid]
-            else:
-                values = full_values[row_indices][valid]
-            np.add.at(self._sums[j], gids, values)
-            np.add.at(self._sumsqs[j], gids, values * values)
-            np.minimum.at(self._mins[j], gids, values)
-            np.maximum.at(self._maxs[j], gids, values)
+        with np.errstate(invalid="ignore"):  # NaN cells propagate by design
+            for j, full_values in kernel._agg_values.items():
+                if row_indices is None:
+                    values = full_values[valid]
+                else:
+                    values = full_values[row_indices][valid]
+                np.add.at(self._sums[j], gids, values)
+                np.add.at(self._sumsqs[j], gids, values * values)
+                np.minimum.at(self._mins[j], gids, values)
+                np.maximum.at(self._maxs[j], gids, values)
 
     def stats(self) -> GroupedStats:
         """Snapshot the groups seen so far as a :class:`GroupedStats`."""

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
 from repro.common.errors import QueryError
+from repro.common.fingerprint import stable_digest
 from repro.query.filters import Filter, filter_from_dict
 
 #: One coordinate of a bin key.
@@ -234,6 +236,22 @@ class AggQuery:
                 if field_name not in seen:
                     seen.append(field_name)
         return tuple(seen)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the canonical JSON form, computed once per instance.
+
+        The query is frozen, so the memo can never go stale; it lives in
+        the instance ``__dict__`` (not a field), so ``==``, ``hash`` and
+        ``dataclasses.replace`` never see it and :meth:`__getstate__`
+        keeps it out of pickles.
+        """
+        return stable_digest(self.to_dict(), length=None)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("digest", None)
+        return state
 
     def to_dict(self) -> dict:
         return {

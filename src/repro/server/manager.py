@@ -683,9 +683,12 @@ def make_session(
     (closed system) or arrives mid-run (open system): both managers call
     this one function, so the invariant cannot drift between them.
     Scripted sessions (and the ``replay`` policy) carry a workflow suite
-    generated from that seed; adaptive policies carry only the seed —
-    their interactions are chosen online. ``generator`` may pass a shared
-    sampling generator for adaptive policies (built on demand otherwise).
+    *described* from that seed — its interactions materialize from the
+    same stream as the driver fires them, so spawning costs the same
+    whether the session stays or leaves; adaptive policies carry only the
+    seed — their interactions are chosen online. ``generator`` may pass a
+    shared sampling generator for adaptive policies (built on demand
+    otherwise).
     """
     seed = derive_session_seed(ctx.settings.seed, index)
     workflows: Tuple = ()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,6 +224,58 @@ class _Builder:
         return name
 
 
+class _LazyInteractions(Sequence):
+    """Read-only view of a workflow that is generated as it is read.
+
+    ``len()`` is the budget — every fill emits exactly ``budget``
+    interactions — so it costs nothing; reading index *i* advances the
+    fill, one sampled action at a time, only until interaction *i*
+    exists. The fill owns its RNG stream, so reading later changes no
+    byte. ``==``/``hash`` agree with the tuple form and pickling reduces
+    to it. Single consumer: a read from inside a running fill (another
+    thread, or re-entrantly) fails with ``ValueError: generator already
+    executing`` and leaves the materialized prefix intact.
+    """
+
+    __slots__ = ("_builder", "_fill")
+
+    def __init__(self, builder: _Builder, fill: Iterator[None]):
+        self._builder = builder
+        self._fill = fill
+
+    def __len__(self) -> int:
+        return self._builder.budget
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        index = range(len(self))[index]  # wraps negatives, IndexError outside
+        done = self._builder.interactions
+        while len(done) <= index:
+            try:
+                next(self._fill)
+            except StopIteration:
+                raise WorkflowError(
+                    f"fill stopped at {len(done)} of {len(self)} interactions"
+                ) from None
+        return done[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _LazyInteractions)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+    def __repr__(self) -> str:
+        done = len(self._builder.interactions)
+        return f"<{len(self)} interactions, {done} materialized>"
+
+
 class WorkflowGenerator:
     """Samples workflows of the four Fig.-3 types plus mixed.
 
@@ -269,16 +321,22 @@ class WorkflowGenerator:
     # Public API
     # ------------------------------------------------------------------
     def generate(self, workflow_type: WorkflowType, index: int = 0) -> Workflow:
-        """Generate workflow ``index`` of ``workflow_type``."""
+        """Describe workflow ``index`` of ``workflow_type``.
+
+        Only the budget is drawn here; the interactions materialize from
+        the workflow's own RNG stream as they are read (see
+        :class:`_LazyInteractions`), so a session that departs early
+        never pays for the interactions it did not fire.
+        """
         rng = derive_rng(self.seed, "workflow", workflow_type.value, index)
         budget = int(
             rng.integers(self.config.interactions_min, self.config.interactions_max + 1)
         )
         builder = _Builder(self, budget)
         if workflow_type is WorkflowType.MIXED:
-            self._fill_mixed(builder, rng)
+            fill = self._fill_mixed(builder, rng)
         elif workflow_type in _CHAINS:
-            self._fill_typed(builder, rng, workflow_type)
+            fill = self._fill_typed(builder, rng, workflow_type)
         else:
             raise WorkflowError(
                 f"cannot generate workflows of type {workflow_type.value!r}"
@@ -286,7 +344,7 @@ class WorkflowGenerator:
         return Workflow(
             name=f"{workflow_type.value}_{index}",
             workflow_type=workflow_type,
-            interactions=tuple(builder.interactions),
+            interactions=_LazyInteractions(builder, fill),
         )
 
     def generate_suite(
@@ -307,6 +365,8 @@ class WorkflowGenerator:
         online policies (:mod:`repro.workflow.policy`) build dashboards
         from the identical distributions.
         """
+        if not name:
+            raise WorkflowError("viz needs a name")
         return self._sample_viz(None, rng, name)
 
     def sample_filter(self, rng: np.random.Generator, viz: VizSpec) -> Filter:
@@ -328,8 +388,12 @@ class WorkflowGenerator:
         rng: np.random.Generator,
         workflow_type: WorkflowType,
         anchor: Optional[str] = None,
-    ) -> None:
-        """Run one typed segment until the budget (or segment cap) is hit."""
+    ) -> Iterator[None]:
+        """Run one typed segment until the budget is hit.
+
+        Like every fill, a generator function: it yields after each
+        sampled action (one or two emitted interactions).
+        """
         chain = _CHAINS[workflow_type]
         walker = chain.iter_walk(rng)
         while builder.remaining > 0:
@@ -342,8 +406,11 @@ class WorkflowGenerator:
                 anchor = self._one_to_n_action(builder, rng, action, anchor)
             elif workflow_type is WorkflowType.N_TO_ONE:
                 anchor = self._n_to_one_action(builder, rng, action, anchor)
+            yield
 
-    def _fill_mixed(self, builder: _Builder, rng: np.random.Generator) -> None:
+    def _fill_mixed(
+        self, builder: _Builder, rng: np.random.Generator
+    ) -> Iterator[None]:
         """Mixed workflows: consecutive segments of the four base types.
 
         §5.1: mixed workflows "exhibit usage patterns from all four
@@ -366,12 +433,15 @@ class WorkflowGenerator:
                 segment_budget = max(
                     2, min(builder.remaining, builder.budget // num_segments)
                 )
-                self._fill_segment(builder, rng, segment_type, segment_budget)
+                yield from self._fill_segment(
+                    builder, rng, segment_type, segment_budget
+                )
             # Occasionally tidy up the dashboard, as real users do.
             if builder.remaining > 0 and len(builder.graph) > 4 and rng.random() < 0.4:
                 victim = self._pick_leaf(builder, rng)
                 if victim is not None:
                     builder.emit(DiscardViz(victim))
+                    yield
 
     def _fill_segment(
         self,
@@ -379,7 +449,7 @@ class WorkflowGenerator:
         rng: np.random.Generator,
         workflow_type: WorkflowType,
         segment_budget: int,
-    ) -> None:
+    ) -> Iterator[None]:
         chain = _CHAINS[workflow_type]
         walker = chain.iter_walk(rng)
         stop_at = len(builder.interactions) + segment_budget
@@ -394,6 +464,7 @@ class WorkflowGenerator:
                 anchor = self._one_to_n_action(builder, rng, action, anchor)
             elif workflow_type is WorkflowType.N_TO_ONE:
                 anchor = self._n_to_one_action(builder, rng, action, anchor)
+            yield
 
     # -- independent browsing (Fig. 3a) ---------------------------------
     def _independent_action(

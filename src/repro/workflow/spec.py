@@ -206,11 +206,16 @@ _INTERACTION_PARSERS = {
 
 @dataclass(frozen=True)
 class Workflow:
-    """A named, typed sequence of interactions (one benchmark unit)."""
+    """A named, typed sequence of interactions (one benchmark unit).
+
+    ``interactions`` is a tuple for loaded and hand-built workflows and
+    a lazily materialized read-only sequence, equal to that tuple, for
+    generated ones (:mod:`repro.workflow.generator`).
+    """
 
     name: str
     workflow_type: WorkflowType
-    interactions: Tuple[Interaction, ...]
+    interactions: Sequence[Interaction]
 
     def __post_init__(self):
         if not self.name:

@@ -52,10 +52,25 @@ class TestZValue:
     def test_monotone(self):
         assert z_value(0.99) > z_value(0.9) > z_value(0.5)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, float("nan")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(EngineError):
-            z_value(bad)
+        for _ in range(2):  # memoized per level, but a rejection never is
+            with pytest.raises(EngineError):
+                z_value(bad)
+
+    def test_computed_once_per_level(self, monkeypatch):
+        from repro.engines import estimators
+
+        calls = []
+        real_ppf = estimators.scipy_stats.norm.ppf
+        monkeypatch.setattr(
+            estimators.scipy_stats.norm, "ppf",
+            lambda q: calls.append(q) or real_ppf(q),
+        )
+        z_value.cache_clear()
+        assert z_value(0.9) == z_value(0.9) == float(real_ppf(0.95))
+        assert z_value(0.8) != z_value(0.9)
+        assert calls == [0.95, 0.9]
 
 
 class TestSrsEstimate:

@@ -266,6 +266,42 @@ class TestPortableCacheKeys:
         b = _query((Aggregate(AggFunc.SUM, "value"),))
         assert query_cache_key(a) != query_cache_key(b)
 
+    def test_key_is_digested_once_per_query_object(self, monkeypatch):
+        """Kernel cache and oracle ask for the same frozen query's key
+        several times per record; only the first call serializes."""
+        import dataclasses
+        import pickle
+
+        from repro.common.fingerprint import stable_digest
+        from repro.query import model
+
+        calls = []
+        monkeypatch.setattr(
+            model, "stable_digest",
+            lambda *a, **kw: calls.append(a) or stable_digest(*a, **kw),
+        )
+        query = _query((Aggregate(AggFunc.SUM, "value"),))
+        fresh = _query((Aggregate(AggFunc.SUM, "value"),))
+        plain_pickle = pickle.dumps(query)
+        key = query_cache_key(query)
+        assert query_cache_key(query) == key == stable_digest(
+            query.to_dict(), length=None
+        )
+        assert len(calls) == 1
+        # The memo is invisible to the dataclass machinery and to pickles.
+        assert query == fresh and hash(query) == hash(fresh)
+        assert pickle.dumps(query) == plain_pickle
+        assert pickle.loads(plain_pickle) == query
+        assert "digest" not in repr(query)
+        other = dataclasses.replace(
+            query, aggregates=(Aggregate(AggFunc.COUNT),)
+        )
+        assert query_cache_key(other) == query_cache_key(
+            _query((Aggregate(AggFunc.COUNT),))
+        ) != key
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            query.table = "other"
+
     def test_set_predicate_repr_is_canonical(self):
         predicate = SetPredicate("group", frozenset(["b", "a", "c"]))
         assert repr(predicate) == (

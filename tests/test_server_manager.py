@@ -24,6 +24,7 @@ from repro.common.errors import BenchmarkError
 from repro.common.rng import derive_session_seed
 from repro.engines.scheduler import FairSessionPolicy
 from repro.server import (
+    ArrivalProcess,
     OpenSystemManager,
     SessionArrival,
     SessionManager,
@@ -252,6 +253,28 @@ class _AllAtZero:
 
     def iter_schedule(self):
         return iter(self.schedule())
+
+
+class TestDepartedSessionsPayForWhatTheyFired:
+    def test_scripted_workflows_materialize_only_as_fired(self, server_ctx):
+        """A scripted session that walks away leaves the rest of its
+        workflow ungenerated (the fill stops where the driver stopped)."""
+        arrivals = ArrivalProcess(
+            0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
+        )
+        results = OpenSystemManager.for_engine(
+            server_ctx, "idea-sim", arrivals, per_session=1
+        ).run()
+        unbuilt = 0
+        for result in results:
+            (workflow,) = result.spec.workflows
+            built = len(workflow.interactions._builder.interactions)
+            fired = sum(result.interaction_counts.values())
+            # One sampled action may emit two interactions (create + link).
+            assert fired <= built <= min(fired + 2, workflow.num_interactions)
+            assert result.abandoned or built == workflow.num_interactions
+            unbuilt += workflow.num_interactions - built
+        assert unbuilt > 0
 
 
 class TestClosedIsOpenWithArrivalsAtZero:

@@ -6,6 +6,8 @@ type-faithful (independent workflows never link, 1:N hubs fan out, N:1
 selections trigger exactly one query, …).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,106 @@ class TestStructuralValidity:
     def test_custom_type_rejected(self, generator):
         with pytest.raises(WorkflowError):
             generator.generate(WorkflowType.CUSTOM, 0)
+
+
+def _materialized(workflow: Workflow) -> int:
+    """Interactions the fill has emitted (and applied to its shadow graph)."""
+    return len(workflow.interactions._builder.interactions)
+
+
+class TestLazyMaterialization:
+    """Workflows are described at ``generate`` and built as they are read,
+    over the same RNG stream — byte identity with the eager generator is
+    pinned by ``tests/golden/workflow_pins.txt``."""
+
+    @pytest.mark.parametrize("workflow_type", GENERATED_TYPES)
+    def test_len_is_the_number_of_interactions(self, generator, workflow_type):
+        # ``len()`` answers from the budget without generating anything,
+        # which is only right if every fill emits exactly ``budget``.
+        for index in range(200):
+            workflow = generator.generate(workflow_type, index)
+            assert _materialized(workflow) == 0
+            assert len(workflow.interactions) == len(tuple(workflow.interactions))
+
+    @pytest.mark.parametrize("workflow_type", GENERATED_TYPES)
+    def test_reading_a_prefix_generates_only_the_prefix(
+        self, generator, workflow_type
+    ):
+        for index in range(10):
+            budget = generator.generate(workflow_type, index).num_interactions
+            for k in (0, 1, budget // 2, budget - 1):
+                workflow = generator.generate(workflow_type, index)
+                workflow.interactions[k]
+                # One sampled action may emit two interactions (create + link).
+                assert k + 1 <= _materialized(workflow) <= min(k + 2, budget)
+
+    def test_partial_then_full_read_equals_full_read(self, generator):
+        for workflow_type in GENERATED_TYPES:
+            full = tuple(generator.generate(workflow_type, 3).interactions)
+            workflow = generator.generate(workflow_type, 3)
+            head = [workflow.interactions[i] for i in (4, 0, 2)]
+            assert head == [full[4], full[0], full[2]]
+            assert tuple(workflow.interactions) == full
+            assert tuple(workflow.interactions) == full  # re-read: same objects
+            assert _materialized(workflow) == len(full)
+
+    def test_indexing_like_a_tuple(self, generator):
+        workflow = generator.generate(WorkflowType.MIXED, 0)
+        full = tuple(generator.generate(WorkflowType.MIXED, 0).interactions)
+        assert workflow.interactions[:3] == full[:3]
+        assert _materialized(workflow) <= 4
+        assert workflow.interactions[-1] == full[-1]
+        assert workflow.interactions[-len(full)] == full[0]
+        assert workflow.interactions[1::5] == full[1::5]
+        assert full[2] in workflow.interactions
+        for outside in (len(full), -len(full) - 1):
+            with pytest.raises(IndexError):
+                workflow.interactions[outside]
+        with pytest.raises(TypeError):
+            workflow.interactions[0] = full[0]
+
+    def test_equality_hash_and_round_trips_agree_with_the_tuple_form(
+        self, generator
+    ):
+        workflow = generator.generate(WorkflowType.SEQUENTIAL, 1)
+        twin = generator.generate(WorkflowType.SEQUENTIAL, 1)
+        as_tuple = Workflow(
+            workflow.name, workflow.workflow_type, tuple(twin.interactions)
+        )
+        assert workflow == as_tuple and as_tuple == workflow
+        assert workflow.interactions == as_tuple.interactions
+        assert hash(workflow) == hash(as_tuple)
+        assert workflow.interactions != list(as_tuple.interactions)
+        restored = Workflow.from_dict(workflow.to_dict())
+        assert restored == workflow and hash(restored) == hash(workflow)
+        unpickled = pickle.loads(pickle.dumps(generator.generate(
+            WorkflowType.SEQUENTIAL, 1
+        )))
+        assert type(unpickled.interactions) is tuple
+        assert unpickled == workflow
+
+    def test_reentrant_read_fails_loudly_and_keeps_the_prefix(
+        self, flights_profiles, monkeypatch
+    ):
+        """Single consumer: a read from inside the running fill (what a
+        second thread would amount to) raises instead of interleaving
+        two advances over one RNG stream."""
+        own = WorkflowGenerator(flights_profiles, "flights", seed=99)
+        workflow = own.generate(WorkflowType.INDEPENDENT, 0)
+        full = tuple(own.generate(WorkflowType.INDEPENDENT, 0).interactions)
+        original = own._sample_filter
+        reentered = []
+
+        def reading_sampler(rng, viz):
+            if not reentered:
+                reentered.append(True)
+                with pytest.raises(ValueError, match="already executing"):
+                    workflow.interactions[len(full) - 1]
+            return original(rng, viz)
+
+        monkeypatch.setattr(own, "_sample_filter", reading_sampler)
+        assert tuple(workflow.interactions) == full
+        assert reentered
 
 
 class TestTypeCharacteristics:
@@ -199,6 +301,12 @@ class TestSampledContent:
                         else:
                             assert isinstance(coord, int)
             graph.apply(interaction)
+
+
+class TestPublicSamplingApi:
+    def test_empty_viz_name_is_a_workflow_error(self, generator):
+        with pytest.raises(WorkflowError, match="viz needs a name"):
+            generator.sample_viz_spec(np.random.default_rng(0), "")
 
 
 class TestWorkloadConfigValidation:

@@ -129,7 +129,12 @@ REQUIRED_SECTIONS = {
         "O(active sessions)",
         "benchmarks/bench_scale.py",
     ],
+    "docs/architecture.md": [
+        "## Lazy materialization of scripted workflows",
+        "tests/golden/workflow_pins.txt",
+    ],
     "docs/paper-mapping.md": [
+        "_LazyInteractions",
         "src/repro/workflow/policy.py",
         "ArrivalProcess",
         "src/repro/net/",

@@ -4,12 +4,13 @@
 The corpus pins the exact bytes of four end-to-end reports — a serial
 run, a shared-engine server run, an adaptive (markov) run and an
 open-system churn run — plus wire transcripts, virtual-time traces, a
-windowed series and one SHA-256 per further serving configuration
-(``scheduler_pins.txt``), so any change to engines, driver, server,
-policies or report rendering that shifts output is caught as a diff, not
-discovered downstream. ``tests/test_golden_reports.py`` re-executes the
-same builders in-process and asserts byte identity against the checked-in
-files.
+windowed series, one SHA-256 per further serving configuration
+(``scheduler_pins.txt``) and one per generated workflow
+(``workflow_pins.txt``), so any change to generator, engines, driver,
+server, policies or report rendering that shifts output is caught as a
+diff, not discovered downstream. ``tests/test_golden_reports.py``
+re-executes the same builders in-process and asserts byte identity
+against the checked-in files.
 
 After an *intentional* behavior change, refresh the corpus with::
 
@@ -351,6 +352,31 @@ def case_scheduler_pins(ctx) -> str:
     return "".join(scheduler_pin(ctx, name) for name in SCHEDULER_PIN_CASES)
 
 
+def case_workflow_pins(ctx) -> str:
+    """SHA-256 of every generated workflow's canonical JSON.
+
+    Five workflow types × indexes 0–19 × seeds {42, 7}, frozen from the
+    eager generator before workflows became lazily materialized: a full
+    read of a lazy workflow must reproduce the tuple the eager fill
+    built, interaction for interaction.
+    """
+    from repro.common.fingerprint import stable_digest
+    from repro.workflow.generator import WorkflowGenerator
+    from repro.workflow.spec import WorkflowType
+
+    profiles = ctx.profiles(ctx.settings.data_size)
+    lines = []
+    for seed in (42, 7):
+        generator = WorkflowGenerator(profiles, "flights", seed=seed)
+        for workflow_type in WorkflowType:
+            if workflow_type is WorkflowType.CUSTOM:  # loaded, never generated
+                continue
+            for workflow in generator.generate_suite(workflow_type, 20):
+                digest = stable_digest(workflow.to_dict(), length=None)
+                lines.append(f"seed{seed}_{workflow.name} {digest}\n")
+    return "".join(lines)
+
+
 #: File name → builder. Each builder gets a fresh-or-shared context and
 #: returns the complete file content as text.
 GOLDEN_CASES = {
@@ -364,6 +390,7 @@ GOLDEN_CASES = {
     "trace_tcp_shared.jsonl": case_trace_tcp_shared,
     "timeseries_serial.jsonl": case_timeseries_serial,
     "scheduler_pins.txt": case_scheduler_pins,
+    "workflow_pins.txt": case_workflow_pins,
 }
 
 
