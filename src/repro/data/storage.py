@@ -327,6 +327,12 @@ class Dataset:
     into dimension tables. :meth:`resolve_column` hides the difference from
     query evaluation: it tells callers where a logical column lives and
     whether reaching it requires a join.
+
+    Tables are immutable-by-convention, so data derived from them is
+    memoized on the dataset and shared by every query compiled against
+    it: the content :meth:`fingerprint`, each column's dictionary
+    encoding (:meth:`encoded_column`) and its ``float64`` cast
+    (:meth:`float64_column`).
     """
 
     def __init__(
@@ -352,6 +358,10 @@ class Dataset:
         self.fact_table = fact_table
         self.foreign_keys = tuple(foreign_keys)
         self._fingerprint: Optional[str] = None
+        #: logical column -> (sorted categories, fact-granularity codes).
+        self._encoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        #: logical column -> fact-granularity float64 values.
+        self._float64: Dict[str, np.ndarray] = {}
 
     @property
     def fact(self) -> Table:
@@ -405,6 +415,49 @@ class Dataset:
         dim = self.tables[fk.dim_table]
         return dim[physical][keys]
 
+    def encoded_column(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Dictionary encoding of logical column ``name`` read as strings.
+
+        Returns ``(categories, codes)``: the sorted distinct values of
+        ``gather_column(name).astype(str)`` and, per fact row, the
+        ``int64`` index of its value among them — so codes are monotone
+        in the categories and ``categories[codes]`` reconstructs the
+        string column. FK-reachable columns are encoded at dimension-
+        table size and dereferenced through the key, so ``categories``
+        may hold values no fact row references.
+
+        Memoized like :meth:`fingerprint` (tables are immutable-by-
+        convention) and shared by every compiled kernel and the
+        stratified sampler; both arrays are read-only.
+        """
+        encoded = self._encoded.get(name)
+        if encoded is None:
+            table_name, physical, fk = self.resolve_column(name)
+            categories, codes = np.unique(
+                self.tables[table_name][physical].astype(str), return_inverse=True
+            )
+            codes = codes.astype(np.int64, copy=False)
+            if fk is not None:
+                codes = codes[self.fact[fk.fact_column]]
+            categories.setflags(write=False)
+            codes.setflags(write=False)
+            encoded = self._encoded[name] = (categories, codes)
+        return encoded
+
+    def float64_column(self, name: str) -> np.ndarray:
+        """Logical column ``name`` at fact granularity as read-only ``float64``.
+
+        Memoized, so every kernel aggregating the column shares one
+        array; a fact column that already is ``float64`` is shared as a
+        read-only view, not copied.
+        """
+        values = self._float64.get(name)
+        if values is None:
+            values = self.gather_column(name).astype(np.float64, copy=False).view()
+            values.setflags(write=False)
+            self._float64[name] = values
+        return values
+
     def column_is_numeric(self, name: str) -> bool:
         """Whether logical column ``name`` holds numeric data."""
         table_name, physical, _ = self.resolve_column(name)
@@ -440,6 +493,19 @@ class Dataset:
                 hasher.update(repr(fk).encode("utf-8"))
             self._fingerprint = hasher.hexdigest()[:32]
         return self._fingerprint
+
+    def __getstate__(self) -> dict:
+        # The memoized encodings and casts are derived data: leaving
+        # them out keeps a warmed dataset's pickle (ArtifactStore, matrix
+        # workers) byte-equal to a cold one's.
+        state = dict(self.__dict__)
+        del state["_encoded"], state["_float64"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._encoded = {}
+        self._float64 = {}
 
     def __repr__(self) -> str:
         kind = "star" if self.is_normalized else "denormalized"

@@ -103,11 +103,14 @@ class StratifiedSamplingEngine(Engine):
             weight = self.actual_rows / len(indices)
             self._strata = [(np.sort(indices), weight)]
         else:
-            values = self.dataset.gather_column(column).astype(str)
-            categories, codes = np.unique(values, return_inverse=True)
+            # One stable pass cuts every stratum: rows ordered by code
+            # (uint8 takes numpy's radix sort; _MAX_STRATA fits) stay
+            # ascending within each code, as flatnonzero gave them.
+            categories, codes = self.dataset.encoded_column(column)
+            by_stratum = np.argsort(codes.astype(np.uint8), kind="stable")
+            sizes = np.bincount(codes, minlength=len(categories))
             self._strata = []
-            for code in range(len(categories)):
-                stratum_rows = np.flatnonzero(codes == code)
+            for stratum_rows in np.split(by_stratum, np.cumsum(sizes)[:-1]):
                 quota = max(
                     _MIN_PER_STRATUM,
                     int(round(len(stratum_rows) * self.sampling_rate)),
@@ -125,7 +128,7 @@ class StratifiedSamplingEngine(Engine):
         for name in self.dataset.fact.column_names:
             if self.dataset.fact.is_numeric(name):
                 continue
-            cardinality = len(np.unique(self.dataset.fact[name]))
+            cardinality = len(self.dataset.encoded_column(name)[0])
             if cardinality > _MAX_STRATA:
                 continue
             if best is None or cardinality < best[0]:

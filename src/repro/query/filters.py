@@ -15,7 +15,7 @@ workflow file format) and evaluates to a boolean numpy mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,13 +23,26 @@ from repro.common.errors import QueryError
 
 #: A function resolving a logical column name to its value array.
 ColumnGetter = Callable[[str], np.ndarray]
+#: A function resolving a logical column name to its dictionary encoding
+#: ``(sorted string categories, per-row codes)`` — see
+#: :meth:`repro.data.storage.Dataset.encoded_column`.
+EncodingGetter = Callable[[str], Tuple[np.ndarray, np.ndarray]]
 
 
 class Filter:
     """Base class for all predicate nodes."""
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
-        """Return a boolean mask of the rows satisfying this predicate."""
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
+        """Return a boolean mask of the rows satisfying this predicate.
+
+        With ``get_encoding``, predicates over string values are decided
+        once per category and gathered through the codes instead of
+        stringifying the whole column; the mask is the same either way.
+        """
         raise NotImplementedError
 
     def fields(self) -> Tuple[str, ...]:
@@ -58,7 +71,11 @@ class RangePredicate(Filter):
                 f"range predicate on {self.field!r} has low {self.low} > high {self.high}"
             )
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
         values = get_column(self.field)
         if values.dtype.kind not in ("i", "f"):
             raise QueryError(
@@ -89,9 +106,16 @@ class SetPredicate(Filter):
         if not self.values:
             raise QueryError(f"set predicate on {self.field!r} needs values")
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
-        column = get_column(self.field)
-        return np.isin(column.astype(str), sorted(self.values))
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
+        wanted = sorted(self.values)
+        if get_encoding is not None:
+            categories, codes = get_encoding(self.field)
+            return np.isin(categories, wanted)[codes]
+        return np.isin(get_column(self.field).astype(str), wanted)
 
     def fields(self) -> Tuple[str, ...]:
         return (self.field,)
@@ -140,16 +164,24 @@ class Comparison(Filter):
                 f"operator {self.op!r} requires a numeric value, got {self.value!r}"
             )
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
-        column = get_column(self.field)
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
+        compare = _COMPARISON_OPS[self.op]
         value = self.value
         if isinstance(value, str):
-            column = column.astype(str)
-        elif column.dtype.kind not in ("i", "f"):
+            if get_encoding is not None:
+                categories, codes = get_encoding(self.field)
+                return compare(categories, value)[codes]
+            return compare(get_column(self.field).astype(str), value)
+        column = get_column(self.field)
+        if column.dtype.kind not in ("i", "f"):
             raise QueryError(
                 f"numeric comparison on non-numeric column {self.field!r}"
             )
-        return _COMPARISON_OPS[self.op](column, value)
+        return compare(column, value)
 
     def fields(self) -> Tuple[str, ...]:
         return (self.field,)
@@ -203,10 +235,14 @@ class _Combinator(Filter):
 class And(_Combinator):
     """Conjunction of predicates (the dominant form: incremental filtering)."""
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
-        mask = self._children[0].evaluate(get_column)
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
+        mask = self._children[0].evaluate(get_column, get_encoding)
         for child in self._children[1:]:
-            mask = mask & child.evaluate(get_column)
+            mask = mask & child.evaluate(get_column, get_encoding)
         return mask
 
     def to_dict(self) -> dict:
@@ -216,10 +252,14 @@ class And(_Combinator):
 class Or(_Combinator):
     """Disjunction — selections of several bins OR their predicates."""
 
-    def evaluate(self, get_column: ColumnGetter) -> np.ndarray:
-        mask = self._children[0].evaluate(get_column)
+    def evaluate(
+        self,
+        get_column: ColumnGetter,
+        get_encoding: Optional[EncodingGetter] = None,
+    ) -> np.ndarray:
+        mask = self._children[0].evaluate(get_column, get_encoding)
         for child in self._children[1:]:
-            mask = mask | child.evaluate(get_column)
+            mask = mask | child.evaluate(get_column, get_encoding)
         return mask
 
     def to_dict(self) -> dict:
@@ -227,12 +267,15 @@ class Or(_Combinator):
 
 
 def evaluate_filter(
-    filter_expr: Union[Filter, None], get_column: ColumnGetter, num_rows: int
+    filter_expr: Union[Filter, None],
+    get_column: ColumnGetter,
+    num_rows: int,
+    get_encoding: Optional[EncodingGetter] = None,
 ) -> np.ndarray:
     """Evaluate an optional filter; ``None`` selects all rows."""
     if filter_expr is None:
         return np.ones(num_rows, dtype=bool)
-    mask = filter_expr.evaluate(get_column)
+    mask = filter_expr.evaluate(get_column, get_encoding)
     if mask.shape != (num_rows,):
         raise QueryError(
             f"filter produced mask of shape {mask.shape}, expected ({num_rows},)"

@@ -26,6 +26,7 @@ keeps the dependency acyclic.
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -205,7 +206,10 @@ class MatrixExecutor:
         An existing :class:`ExperimentContext` to reuse for in-process
         execution of cells that match its dataset/seed/scale — the
         ``exp_*`` harness passes itself so its in-memory caches keep
-        working exactly as before.
+        working exactly as before. Held weakly: the context owns this
+        executor, and a strong back-reference would make every dropped
+        context (with its dataset and the dataset's memoized encodings)
+        wait for a cycle collection.
     progress:
         Optional callable receiving one human-readable line per cell.
     """
@@ -223,7 +227,9 @@ class MatrixExecutor:
         self.jobs = jobs
         self.store = store
         self.reuse_results = reuse_results
-        self.local_context = local_context
+        self._local_context = (
+            weakref.ref(local_context) if local_context is not None else None
+        )
         self.progress = progress
         self._contexts: Dict[ContextKey, Any] = {}
 
@@ -279,8 +285,9 @@ class MatrixExecutor:
         from repro.bench.experiments import ExperimentContext
 
         key = context_key(spec)
-        if self.local_context is not None and context_key_of(self.local_context) == key:
-            return self.local_context
+        local = self._local_context() if self._local_context is not None else None
+        if local is not None and context_key_of(local) == key:
+            return local
         ctx = self._contexts.get(key)
         if ctx is None:
             ctx = ExperimentContext(spec.settings, store=self.store)

@@ -215,13 +215,13 @@ def test_differential_on_normalized_schema(flights_table):
         _check_query(dataset, query, np_rng)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_and_inf_aggregate_cells(flights_dataset):
     """NaN/inf in aggregated columns flow through bit-identically.
 
     The sites where they are expected to meet arithmetic are wrapped in
     ``np.errstate(invalid="ignore")``; a warning from anywhere else is a
-    new, unsanctioned site and fails this test.
+    new, unsanctioned site and fails this test (the suite runs under
+    ``error::RuntimeWarning``, see ``pyproject.toml``).
     """
     values = np.linspace(-5.0, 5.0, 400)
     values[7] = np.nan

@@ -162,6 +162,19 @@ class TestContextReuse:
         assert ctx._tables  # noqa: SLF001 — asserting the cache side effect
         assert executor._contexts == {}
 
+    def test_dropped_context_is_freed_without_a_cycle_collection(self, settings):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            ctx = ExperimentContext(settings)
+            alive = weakref.ref(ctx)
+            del ctx
+            assert alive() is None  # ctx.runtime must not point back strongly
+        finally:
+            gc.enable()
+
     def test_foreign_context_not_reused(self, settings, specs):
         other = ExperimentContext(settings.with_(seed=99))
         executor = MatrixExecutor(jobs=1, local_context=other)

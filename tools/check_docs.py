@@ -132,9 +132,11 @@ REQUIRED_SECTIONS = {
     "docs/architecture.md": [
         "## Lazy materialization of scripted workflows",
         "tests/golden/workflow_pins.txt",
+        "Dataset.encoded_column",
     ],
     "docs/paper-mapping.md": [
         "_LazyInteractions",
+        "Dataset.encoded_column",
         "src/repro/workflow/policy.py",
         "ArrivalProcess",
         "src/repro/net/",
@@ -163,6 +165,11 @@ REQUIRED_SECTIONS = {
     ],
     "docs/kernels.md": [
         "## The compile pipeline",
+        "### Dictionary gather",
+        "### Counting grouping and its span rule",
+        "### What still sorts, and why",
+        "unique_inverse",
+        "tests/test_kernels_compile.py",
         "## Cache keying",
         "## The incremental contract",
         "## The determinism guarantee",
