@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.common.errors import EngineError
-from repro.query.groundtruth import GroupedStats
+from repro.query.groundtruth import GroupedStats, StrataGrid, identity_moments
 from repro.query.model import AggFunc, AggQuery, BinKey
 
 #: values / margins mapping types returned by the estimators.
@@ -130,9 +130,53 @@ class StratumStats:
     sample_size: int
 
 
+@dataclass(frozen=True)
+class StrataMoments:
+    """Every stratum's contribution at once: row ``h`` of ``grid`` is
+    stratum ``h``, with ``weights[h]`` and ``sample_sizes[h]`` as in
+    :class:`StratumStats`."""
+
+    grid: StrataGrid
+    weights: Sequence[float]
+    sample_sizes: Sequence[int]
+
+    @classmethod
+    def from_strata(
+        cls, query: AggQuery, strata: Sequence[StratumStats]
+    ) -> "StrataMoments":
+        """Lay per-stratum statistics out on the union of their keys
+        (first-seen order), absent cells zero / ``±inf``."""
+        column: Dict[BinKey, int] = {}
+        for stratum in strata:
+            for key in stratum.stats.keys:
+                column.setdefault(key, len(column))
+        grid = StrataGrid(
+            list(column),
+            np.zeros((len(strata), len(column)), dtype=np.int64),
+            *identity_moments(query, (len(strata), len(column))),
+        )
+        for h, stratum in enumerate(strata):
+            stats = stratum.stats
+            columns = [column[key] for key in stats.keys]
+            grid.counts[h, columns] = stats.counts
+            for cells, held in (
+                (grid.sums, stats.sums),
+                (grid.sumsqs, stats.sumsqs),
+                (grid.mins, stats.mins),
+                (grid.maxs, stats.maxs),
+            ):
+                for j, values in held.items():
+                    cells[j][h, columns] = values
+        return cls(
+            grid,
+            weights=[stratum.weight for stratum in strata],
+            sample_sizes=[stratum.sample_size for stratum in strata],
+        )
+
+
 def stratified_estimate(
     query: AggQuery,
-    strata: Sequence[StratumStats],
+    strata: Union[StrataMoments, Sequence[StratumStats]],
     confidence_level: float,
 ) -> Tuple[Values, Margins]:
     """Combine per-stratum statistics into stratified estimates.
@@ -142,88 +186,103 @@ def stratified_estimate(
     COUNT estimates, its margin approximated by the pooled within-bin
     variance (delta method, documented approximation); MIN/MAX take the
     extremum over strata, without margins.
+
+    One vectorized pass over the ``(strata, bins)`` grid, written to
+    reproduce — bit for bit — a scalar loop that visits, per bin, the
+    strata holding it in order: a cell of a stratum without the bin
+    contributes an exact ``+0.0``, and sums over strata are cumulative,
+    i.e. strictly sequential (docs/kernels.md, "One pass over strata").
     """
-    if not strata:
-        raise EngineError("stratified estimate needs at least one stratum")
+    if not isinstance(strata, StrataMoments):
+        if not strata:
+            raise EngineError("stratified estimate needs at least one stratum")
+        strata = StrataMoments.from_strata(query, strata)
     z = z_value(confidence_level)
+    grid = strata.grid
 
-    # Union of keys over strata, preserving first-seen order.
-    all_keys: List[BinKey] = []
-    seen = set()
-    for stratum in strata:
-        for key in stratum.stats.keys:
-            if key not in seen:
-                seen.add(key)
-                all_keys.append(key)
-    index_per_stratum = [
-        {key: g for g, key in enumerate(s.stats.keys)} for s in strata
-    ]
+    # Bins some stratum observed, in first-seen order: by first stratum
+    # holding them, then by position along the grid's key axis.
+    present = grid.counts > 0
+    first_stratum = present.argmax(axis=0)
+    bins = np.flatnonzero(present.any(axis=0))
+    bins = bins[np.argsort(first_stratum[bins], kind="stable")]
 
-    values: Values = {}
-    margins: Margins = {}
-    for key in all_keys:
-        row_values: List[float] = []
-        row_margins: List[Optional[float]] = []
+    def over_strata(cells: np.ndarray) -> np.ndarray:
+        # cumsum adds stratum after stratum (np.sum may pair them up);
+        # `+ 0.0` is the scalar loop's start value, which turns an
+        # all-``-0.0`` column into ``+0.0``.
+        return (np.cumsum(cells, axis=0)[-1] + 0.0)[bins]
+
+    def extremum(cells: np.ndarray, beats, start: float) -> np.ndarray:
+        # Python's min(best, cell) takes the cell only when cell < best:
+        # a NaN cell never wins and of two zeros the earlier stratum's
+        # stays. np.fmin agrees on NaN but not on which zero.
+        best = np.full(len(bins), start)
+        for row in cells[:, bins]:
+            best = np.where(beats(row, best), row, best)
+        return best
+
+    def per_stratum(factors: List[float]) -> np.ndarray:
+        return np.array(factors, dtype=np.float64)[:, np.newaxis]
+
+    # The squared factors are taken on Python floats: Python's ``**`` is
+    # libm ``pow``, numpy's squares by ``x * x`` — different last bits.
+    sizes = [float(size) for size in strata.sample_sizes]
+    w = per_stratum(list(strata.weights))
+    n_h = per_stratum(sizes)
+    wn_squared = per_stratum(
+        [(weight * size) ** 2 for weight, size in zip(strata.weights, sizes)]
+    )
+    w_squared = per_stratum([weight ** 2 for weight in strata.weights])
+
+    k = grid.counts.astype(np.float64)
+    count_est = over_strata(w * k)
+
+    value_columns: List[List[float]] = []
+    margin_columns: List[List[Optional[float]]] = []
+    with np.errstate(invalid="ignore"):  # NaN/inf cells propagate by design
         for j, agg in enumerate(query.aggregates):
-            count_est = 0.0
-            count_var = 0.0
-            sum_est = 0.0
-            sum_var = 0.0
-            within_var = 0.0
-            minimum = math.inf
-            maximum = -math.inf
-            for stratum, key_index in zip(strata, index_per_stratum):
-                g = key_index.get(key)
-                if g is None:
-                    continue
-                stats = stratum.stats
-                w = stratum.weight
-                n_h = float(stratum.sample_size)
-                k = float(stats.counts[g])
-                p = k / n_h
-                count_est += w * k
-                count_var += (w * n_h) ** 2 * p * (1.0 - p) / n_h
-                if agg.func in (AggFunc.SUM, AggFunc.AVG):
-                    mean_z = stats.sums[j][g] / n_h
-                    var_z = max(
-                        stats.sumsqs[j][g] / n_h - mean_z * mean_z, 0.0
-                    )
-                    sum_est += w * stats.sums[j][g]
-                    sum_var += (w * n_h) ** 2 * var_z / n_h
-                    if k >= 1:
-                        mean_b = stats.sums[j][g] / k
-                        var_b = max(
-                            stats.sumsqs[j][g] / k - mean_b * mean_b, 0.0
-                        )
-                        within_var += (w ** 2) * k * var_b
-                if agg.func is AggFunc.MIN:
-                    minimum = min(minimum, float(stats.mins[j][g]))
-                if agg.func is AggFunc.MAX:
-                    maximum = max(maximum, float(stats.maxs[j][g]))
-
+            margin: Optional[np.ndarray] = None
             if agg.func is AggFunc.COUNT:
-                row_values.append(count_est)
-                row_margins.append(z * math.sqrt(count_var))
-            elif agg.func is AggFunc.SUM:
-                row_values.append(sum_est)
-                row_margins.append(z * math.sqrt(sum_var))
-            elif agg.func is AggFunc.AVG:
-                # Keys only enter all_keys through a stratum that observed
-                # them, so count_est > 0 holds; guard anyway for safety.
-                if count_est <= 0:
-                    raise EngineError(f"stratified AVG over empty bin {key!r}")
-                avg_est = sum_est / count_est
-                row_values.append(avg_est)
-                row_margins.append(
-                    z * math.sqrt(within_var) / count_est if count_est >= 2 else None
-                )
+                p = k / n_h
+                value = count_est
+                margin = z * np.sqrt(over_strata(wn_squared * p * (1.0 - p) / n_h))
+            elif agg.func.reads_sums:
+                sums, sumsqs = grid.sums[j], grid.sumsqs[j]
+                sum_est = over_strata(w * sums)
+                if agg.func is AggFunc.SUM:
+                    mean_z = sums / n_h
+                    var_z = np.maximum(sumsqs / n_h - mean_z * mean_z, 0.0)
+                    value = sum_est
+                    margin = z * np.sqrt(over_strata(wn_squared * var_z / n_h))
+                else:
+                    # Bins only enter through a stratum that observed
+                    # them, so count_est > 0 holds; guard anyway.
+                    if (count_est <= 0).any():
+                        raise EngineError("stratified AVG over an empty bin")
+                    # Cells with k = 0 hold zero sums: any non-zero
+                    # denominator yields the exact zeros they must add.
+                    k_or_one = np.where(present, k, 1.0)
+                    mean_b = sums / k_or_one
+                    var_b = np.maximum(sumsqs / k_or_one - mean_b * mean_b, 0.0)
+                    value = sum_est / count_est
+                    margin = (
+                        z * np.sqrt(over_strata(w_squared * k * var_b)) / count_est
+                    )
             elif agg.func is AggFunc.MIN:
-                row_values.append(minimum)
-                row_margins.append(None)
-            elif agg.func is AggFunc.MAX:
-                row_values.append(maximum)
-                row_margins.append(None)
-        if row_values:
-            values[key] = tuple(row_values)
-            margins[key] = tuple(row_margins)
+                value = extremum(grid.mins[j], np.less, np.inf)
+            else:
+                value = extremum(grid.maxs[j], np.greater, -np.inf)
+            value_columns.append(value.tolist())
+            if margin is None:
+                margin_columns.append([None] * len(bins))
+            else:
+                margin_columns.append(margin.tolist())
+                if agg.func is AggFunc.AVG:  # no interval from < 2 rows
+                    for i in np.flatnonzero(count_est < 2).tolist():
+                        margin_columns[-1][i] = None
+
+    keys = [grid.keys[g] for g in bins.tolist()]
+    values: Values = dict(zip(keys, zip(*value_columns)))
+    margins: Margins = dict(zip(keys, zip(*margin_columns)))
     return values, margins

@@ -40,7 +40,11 @@ from repro.engines.cost import (
     SAMPLING_DEFAULT_RATE,
     SAMPLING_PREP,
 )
-from repro.engines.estimators import StratumStats, stratified_estimate
+from repro.engines.estimators import (
+    StrataMoments,
+    StratumStats,
+    stratified_estimate,
+)
 from repro.engines.kernel_cache import get_kernel
 from repro.query.groundtruth import compute_grouped_stats
 from repro.query.model import QueryResult
@@ -80,7 +84,11 @@ class StratifiedSamplingEngine(Engine):
         #: the design choice the paper's §6 discussion credits for System
         #: X's rare-group coverage.
         self.stratify = stratify
-        self._strata: List[Tuple[np.ndarray, float]] = []  # (indices, weight)
+        #: The sample: every stratum's row indices back to back, the
+        #: stratum of each, and the per-stratum (indices, weight) views.
+        self._sample_index = np.empty(0, dtype=np.int64)
+        self._stratum_of_row = np.empty(0, dtype=np.int64)
+        self._strata: List[Tuple[np.ndarray, float]] = []
         self._sample_rows = 0
 
     def _default_cost(self) -> EngineCostModel:
@@ -100,8 +108,8 @@ class StratifiedSamplingEngine(Engine):
                 size=max(1, int(self.actual_rows * self.sampling_rate)),
                 replace=False,
             )
-            weight = self.actual_rows / len(indices)
-            self._strata = [(np.sort(indices), weight)]
+            samples = [np.sort(indices)]
+            weights = [self.actual_rows / len(indices)]
         else:
             # One stable pass cuts every stratum: rows ordered by code
             # (uint8 takes numpy's radix sort; _MAX_STRATA fits) stay
@@ -109,7 +117,7 @@ class StratifiedSamplingEngine(Engine):
             categories, codes = self.dataset.encoded_column(column)
             by_stratum = np.argsort(codes.astype(np.uint8), kind="stable")
             sizes = np.bincount(codes, minlength=len(categories))
-            self._strata = []
+            samples, weights = [], []
             for stratum_rows in np.split(by_stratum, np.cumsum(sizes)[:-1]):
                 quota = max(
                     _MIN_PER_STRATUM,
@@ -117,9 +125,15 @@ class StratifiedSamplingEngine(Engine):
                 )
                 quota = min(quota, len(stratum_rows))
                 chosen = rng.choice(stratum_rows, size=quota, replace=False)
-                weight = len(stratum_rows) / quota
-                self._strata.append((np.sort(chosen), weight))
-        self._sample_rows = sum(len(indices) for indices, _ in self._strata)
+                samples.append(np.sort(chosen))
+                weights.append(len(stratum_rows) / quota)
+        quotas = [len(sample) for sample in samples]
+        self._sample_index = np.concatenate(samples)
+        self._stratum_of_row = np.repeat(np.arange(len(samples)), quotas)
+        self._strata = list(
+            zip(np.split(self._sample_index, np.cumsum(quotas)[:-1]), weights)
+        )
+        self._sample_rows = len(self._sample_index)
         return []
 
     def _stratification_column(self) -> Optional[str]:
@@ -146,7 +160,8 @@ class StratifiedSamplingEngine(Engine):
         joins = num_joins(self.dataset, state.query)
         multiplier = self.cost_model.scan_multiplier(
             state.query,
-            self._sample_qualifying_fraction(state),
+            # Approximated by the full-data fraction (cached engine-wide).
+            self.qualifying_fraction(state.query),
             joins,
             column_cost=self.cost_model.scan_column_cost(self.dataset, state.query),
         )
@@ -159,14 +174,6 @@ class StratifiedSamplingEngine(Engine):
         demand = self.cost_model.startup_latency + base * jitter
         state.task_id = self.scheduler.add_task(demand)
 
-    def _sample_qualifying_fraction(self, state: _HandleState) -> float:
-        key = ("sample_fraction", state.query.filter)
-        cached = state.extra.get(key)
-        if cached is not None:
-            return cached
-        # Approximate with the full-data fraction (cached engine-wide).
-        return self.qualifying_fraction(state.query)
-
     def _result_at(self, state: _HandleState, time: float) -> Optional[QueryResult]:
         finished = self.scheduler.finished_at(state.task_id)
         if finished is None or finished > time + 1e-12:
@@ -176,32 +183,32 @@ class StratifiedSamplingEngine(Engine):
         return state.extra["result"]
 
     def _estimate(self, state: _HandleState) -> QueryResult:
-        # One compiled kernel serves every stratum: the filter mask, bin
-        # codes and column casts are shared across the per-stratum passes.
+        # One compiled kernel aggregates every stratum in a single pass
+        # over the sample; without one (kernels disabled, or compiled in
+        # fallback mode) each stratum takes the uncompiled path.
         kernel = get_kernel(self.dataset, state.query)
-        strata_stats = []
-        for indices, weight in self._strata:
-            if kernel is not None:
-                stats = kernel.evaluate(indices)
-            else:
+        if kernel is not None and kernel.supports_incremental:
+            grid = kernel.evaluate_strata(
+                self._sample_index, self._stratum_of_row, len(self._strata)
+            )
+            strata = StrataMoments(
+                grid,
+                weights=[weight for _, weight in self._strata],
+                sample_sizes=[len(indices) for indices, _ in self._strata],
+            )
+            observed = bool(grid.counts.any())
+        else:
+            strata = []
+            for indices, weight in self._strata:
                 stats = compute_grouped_stats(self.dataset, state.query, indices)
-            if stats.num_groups == 0:
-                continue
-            strata_stats.append(
-                StratumStats(stats=stats, weight=weight, sample_size=len(indices))
+                if stats.num_groups:
+                    strata.append(StratumStats(stats, weight, len(indices)))
+            observed = bool(strata)
+        values, margins = {}, {}
+        if observed:  # else: no qualifying sample row, nothing to estimate
+            values, margins = stratified_estimate(
+                state.query, strata, self.settings.confidence_level
             )
-        if not strata_stats:
-            return QueryResult(
-                query=state.query,
-                values={},
-                margins={},
-                rows_processed=self._sample_rows,
-                fraction=self._sample_rows / self.actual_rows,
-                exact=False,
-            )
-        values, margins = stratified_estimate(
-            state.query, strata_stats, self.settings.confidence_level
-        )
         return QueryResult(
             query=state.query,
             values=values,

@@ -44,10 +44,11 @@ def query_cache_key(query: AggQuery) -> str:
 class GroupedStats:
     """Sufficient statistics of one query over one set of rows.
 
-    ``counts[g]`` is the number of aggregated rows in group ``g``; for
-    every aggregate ``j`` over a column, ``sums[j][g]`` / ``sumsqs[j][g]``
-    / ``mins[j][g]`` / ``maxs[j][g]`` hold the within-group moments.
-    COUNT aggregates have no entry in the per-column dictionaries.
+    ``counts[g]`` is the number of aggregated rows in group ``g``. The
+    per-column dictionaries hold, for aggregate ``j``, exactly the
+    within-group moments its function reads: ``sums[j]`` and
+    ``sumsqs[j]`` for SUM and AVG, ``mins[j]`` for MIN, ``maxs[j]`` for
+    MAX, nothing for COUNT (:attr:`AggFunc.reads_sums`).
     """
 
     query: AggQuery
@@ -63,6 +64,49 @@ class GroupedStats:
     @property
     def num_groups(self) -> int:
         return len(self.keys)
+
+
+@dataclass
+class StrataGrid:
+    """The :class:`GroupedStats` of several row strata on one grid.
+
+    Every array has shape ``(strata, len(keys))``: row ``h`` holds what
+    stratum ``h`` contributes to each group, under the same
+    moments-on-demand rule. A group the stratum holds no row of is an
+    exact zero (``+inf`` / ``-inf`` for ``mins`` / ``maxs``).
+    """
+
+    keys: List[BinKey]
+    counts: np.ndarray
+    sums: Dict[int, np.ndarray]
+    sumsqs: Dict[int, np.ndarray]
+    mins: Dict[int, np.ndarray]
+    maxs: Dict[int, np.ndarray]
+
+
+def identity_moments(
+    query: AggQuery, shape
+) -> Tuple[
+    Dict[int, np.ndarray], Dict[int, np.ndarray],
+    Dict[int, np.ndarray], Dict[int, np.ndarray],
+]:
+    """``(sums, sumsqs, mins, maxs)`` of ``query`` before any row is
+    folded in: per aggregate, only the arrays its function reads, of
+    ``shape``, at the identity of their fold (``0.0``, ``+inf``, ``-inf``).
+    """
+    sums: Dict[int, np.ndarray] = {}
+    sumsqs: Dict[int, np.ndarray] = {}
+    mins: Dict[int, np.ndarray] = {}
+    maxs: Dict[int, np.ndarray] = {}
+    for j, agg in enumerate(query.aggregates):
+        if agg.func.reads_sums:
+            sums[j] = np.zeros(shape)
+            sumsqs[j] = np.zeros(shape)
+        elif agg.func is AggFunc.MIN:
+            mins[j] = np.full(shape, np.inf)
+        elif agg.func is AggFunc.MAX:
+            maxs[j] = np.full(shape, -np.inf)
+    return sums, sumsqs, mins, maxs
 
 
 def compute_grouped_stats(
@@ -120,24 +164,25 @@ def compute_grouped_stats(
             if agg.func is AggFunc.COUNT:
                 continue
             values = get_column(agg.field)[mask].astype(np.float64)
-            if grouped.num_groups == 0:
-                sums[j] = np.zeros(0)
-                sumsqs[j] = np.zeros(0)
-                mins[j] = np.zeros(0)
-                maxs[j] = np.zeros(0)
-                continue
-            sums[j] = np.bincount(
-                grouped.inverse, weights=values, minlength=grouped.num_groups
-            )
-            sumsqs[j] = np.bincount(
-                grouped.inverse, weights=values * values, minlength=grouped.num_groups
-            )
-            group_min = np.full(grouped.num_groups, np.inf)
-            group_max = np.full(grouped.num_groups, -np.inf)
-            np.minimum.at(group_min, grouped.inverse, values)
-            np.maximum.at(group_max, grouped.inverse, values)
-            mins[j] = group_min
-            maxs[j] = group_max
+            if agg.func.reads_sums:
+                if grouped.num_groups == 0:
+                    sums[j] = np.zeros(0)
+                    sumsqs[j] = np.zeros(0)
+                    continue
+                sums[j] = np.bincount(
+                    grouped.inverse, weights=values, minlength=grouped.num_groups
+                )
+                sumsqs[j] = np.bincount(
+                    grouped.inverse,
+                    weights=values * values,
+                    minlength=grouped.num_groups,
+                )
+            elif agg.func is AggFunc.MIN:
+                mins[j] = np.full(grouped.num_groups, np.inf)
+                np.minimum.at(mins[j], grouped.inverse, values)
+            else:
+                maxs[j] = np.full(grouped.num_groups, -np.inf)
+                np.maximum.at(maxs[j], grouped.inverse, values)
 
     return GroupedStats(
         query=query,

@@ -26,10 +26,16 @@ from the dataset's memoized dictionary encoding
 codes are found by counting (:func:`unique_inverse`), so a compile is a
 few gathers over the filter-passing rows.
 
-A poll then reduces to one gather of group ids plus ``np.add.at`` /
-``np.minimum.at`` scatters — and :class:`PrefixKernelRun` makes polls over
-growing sample prefixes **incremental**: only the delta rows since the
-last poll are aggregated, turning per-session cost into O(n).
+A poll then reduces to one gather plus the scatters its aggregates need:
+the group ids are gathered once, counts take one ``np.add.at``, and each
+aggregate scatters only the moments its function reads (sum and sum of
+squares for SUM/AVG, ``np.minimum.at`` for MIN, ``np.maximum.at`` for
+MAX). A kernel whose filter passes every row also skips the compress of
+rows without a group. :class:`PrefixKernelRun` makes polls over growing
+sample prefixes **incremental**: only the delta rows since the last poll
+are aggregated, turning per-session cost into O(n). A stratified sample
+is aggregated in **one pass** too — :meth:`CompiledQueryKernel.evaluate_strata`
+scatters every stratum's rows into cells ``stratum * num_groups + gid``.
 
 Determinism contract (pinned by ``tests/test_kernels_differential.py``):
 compiled results are **bitwise identical** to the uncompiled path. The
@@ -48,7 +54,12 @@ import numpy as np
 from repro.common.errors import QueryError
 from repro.query.binning import DimensionCodes, compute_codes
 from repro.query.filters import evaluate_filter
-from repro.query.groundtruth import GroupedStats, compute_grouped_stats
+from repro.query.groundtruth import (
+    GroupedStats,
+    StrataGrid,
+    compute_grouped_stats,
+    identity_moments,
+)
 from repro.query.model import AggFunc, AggQuery, BinDimension, BinKey, BinKind
 
 #: Mixed-radix packing of 2-D bin codes must stay inside int64; spans
@@ -133,6 +144,10 @@ class CompiledQueryKernel:
                 self._fallback = True
             else:
                 self._row_gid[rows] = gid
+        #: The filter passes every row, so every row has a group id and
+        #: accumulating needs no compress (never in fallback mode, where
+        #: no row has one).
+        self.all_rows_pass = not self._fallback and rows.size == self.num_rows
         # Both arrays are handed out to every holder of the kernel.
         self._mask.setflags(write=False)
         self._row_gid.setflags(write=False)
@@ -217,13 +232,13 @@ class CompiledQueryKernel:
         return keys, gid.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
-    def new_accumulator(self) -> "KernelAccumulator":
+    def new_accumulator(self, num_strata: int = 1) -> "KernelAccumulator":
         """A fresh running aggregation (raises in fallback mode)."""
         if self._fallback:
             raise QueryError(
                 "kernel compiled in fallback mode has no incremental path"
             )
-        return KernelAccumulator(self)
+        return KernelAccumulator(self, num_strata)
 
     def evaluate(self, row_indices: Optional[np.ndarray] = None) -> GroupedStats:
         """Aggregate ``row_indices`` (or everything) from scratch.
@@ -237,11 +252,32 @@ class CompiledQueryKernel:
         accumulator.update(row_indices)
         return accumulator.stats()
 
+    def evaluate_strata(
+        self, rows: np.ndarray, stratum_of_row: np.ndarray, num_strata: int
+    ) -> StrataGrid:
+        """Aggregate a stratified row sample in one pass.
+
+        ``rows`` concatenates the strata and ``stratum_of_row[i]`` names
+        the stratum of ``rows[i]``. Row ``h`` of the result is bitwise
+        what ``evaluate`` returns for stratum ``h``'s rows alone, spread
+        over all of the kernel's groups (raises in fallback mode).
+        """
+        accumulator = self.new_accumulator(num_strata)
+        accumulator.update(rows, stratum_of_row)
+        return accumulator.grid()
+
     def exact_stats(self) -> GroupedStats:
         """Full-table stats, computed once and memoized on the kernel."""
         if self._exact_stats is None:
             self._exact_stats = self.evaluate(None)
         return self._exact_stats
+
+
+def _taken(
+    moments: Dict[int, np.ndarray], cells: np.ndarray
+) -> Dict[int, np.ndarray]:
+    # Polls of tiny tables are all call overhead, and most dicts are empty.
+    return {j: array[cells] for j, array in moments.items()} if moments else {}
 
 
 class KernelAccumulator:
@@ -254,76 +290,100 @@ class KernelAccumulator:
     many calls produces bitwise-identical accumulator state — the property
     that makes incremental prefix polling byte-equivalent to from-scratch
     evaluation.
+
+    With ``num_strata`` > 1 the same arrays hold one block of groups per
+    stratum (cell ``stratum * num_groups + gid``); a cell still folds its
+    rows in stream order, so each block equals the single-stratum
+    accumulator fed that stratum's rows. ``grid`` reads the blocks out.
     """
 
-    def __init__(self, kernel: CompiledQueryKernel):
+    def __init__(self, kernel: CompiledQueryKernel, num_strata: int = 1):
         self._kernel = kernel
-        num_groups = kernel.num_groups
-        self._counts = np.zeros(num_groups, dtype=np.int64)
-        self._sums: Dict[int, np.ndarray] = {}
-        self._sumsqs: Dict[int, np.ndarray] = {}
-        self._mins: Dict[int, np.ndarray] = {}
-        self._maxs: Dict[int, np.ndarray] = {}
-        for j in kernel._agg_values:
-            self._sums[j] = np.zeros(num_groups)
-            self._sumsqs[j] = np.zeros(num_groups)
-            self._mins[j] = np.full(num_groups, np.inf)
-            self._maxs[j] = np.full(num_groups, -np.inf)
+        self._num_strata = num_strata
+        num_cells = num_strata * kernel.num_groups
+        self._counts = np.zeros(num_cells, dtype=np.int64)
+        self._sums, self._sumsqs, self._mins, self._maxs = identity_moments(
+            kernel.query, num_cells
+        )
         self.rows_aggregated = 0
         self.rows_scanned = 0
 
-    def update(self, row_indices: Optional[np.ndarray]) -> None:
-        """Fold more rows in (``None`` = the whole table, once)."""
+    def update(
+        self,
+        row_indices: Optional[np.ndarray],
+        stratum_of_row: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fold more rows in (``None`` = the whole table, once).
+
+        ``stratum_of_row`` (parallel to ``row_indices``) routes each row
+        to its stratum's block of a multi-stratum accumulator.
+        """
         kernel = self._kernel
         if row_indices is None:
-            gid_rows = kernel._row_gid
+            cells = kernel._row_gid
             self.rows_scanned += kernel.num_rows
         else:
-            gid_rows = kernel._row_gid[row_indices]
+            cells = kernel._row_gid[row_indices]
             self.rows_scanned += len(row_indices)
-        valid = gid_rows >= 0
-        gids = gid_rows[valid]
         # Rows with a group id are exactly the filter-passing rows
         # (AggQuery guarantees >= 1 bin dimension, so every masked row
-        # grouped at compile time).
-        self.rows_aggregated += len(gids)
-        if not len(gids):
+        # grouped at compile time); when the filter passes all of them
+        # there is nothing to compress away.
+        if not kernel.all_rows_pass:
+            valid = cells >= 0
+            cells = cells[valid]
+            if stratum_of_row is not None:
+                stratum_of_row = stratum_of_row[valid]
+            if kernel._agg_values:
+                # From here on: what selects the aggregated rows' values.
+                row_indices = valid if row_indices is None else row_indices[valid]
+        self.rows_aggregated += len(cells)
+        if not len(cells):
             return
-        np.add.at(self._counts, gids, 1)
+        if stratum_of_row is not None:
+            cells = stratum_of_row * kernel.num_groups + cells
+        np.add.at(self._counts, cells, 1)
         with np.errstate(invalid="ignore"):  # NaN cells propagate by design
-            for j, full_values in kernel._agg_values.items():
-                if row_indices is None:
-                    values = full_values[valid]
+            for j, values in kernel._agg_values.items():
+                if row_indices is not None:
+                    values = values[row_indices]
+                if j in self._sums:
+                    np.add.at(self._sums[j], cells, values)
+                    np.add.at(self._sumsqs[j], cells, values * values)
+                elif j in self._mins:
+                    np.minimum.at(self._mins[j], cells, values)
                 else:
-                    values = full_values[row_indices][valid]
-                np.add.at(self._sums[j], gids, values)
-                np.add.at(self._sumsqs[j], gids, values * values)
-                np.minimum.at(self._mins[j], gids, values)
-                np.maximum.at(self._maxs[j], gids, values)
+                    np.maximum.at(self._maxs[j], cells, values)
 
     def stats(self) -> GroupedStats:
         """Snapshot the groups seen so far as a :class:`GroupedStats`."""
         present = np.flatnonzero(self._counts > 0)
-        keys = [self._kernel._keys[g] for g in present]
-        sums: Dict[int, np.ndarray] = {}
-        sumsqs: Dict[int, np.ndarray] = {}
-        mins: Dict[int, np.ndarray] = {}
-        maxs: Dict[int, np.ndarray] = {}
-        for j in self._sums:
-            sums[j] = self._sums[j][present]
-            sumsqs[j] = self._sumsqs[j][present]
-            mins[j] = self._mins[j][present]
-            maxs[j] = self._maxs[j][present]
         return GroupedStats(
             query=self._kernel.query,
-            keys=keys,
+            keys=[self._kernel._keys[g] for g in present],
             counts=self._counts[present],
-            sums=sums,
-            sumsqs=sumsqs,
-            mins=mins,
-            maxs=maxs,
+            sums=_taken(self._sums, present),
+            sumsqs=_taken(self._sumsqs, present),
+            mins=_taken(self._mins, present),
+            maxs=_taken(self._maxs, present),
             rows_aggregated=self.rows_aggregated,
             rows_scanned=self.rows_scanned,
+        )
+
+    def grid(self) -> StrataGrid:
+        """The accumulator as ``(strata, groups)`` arrays (views)."""
+        shape = (self._num_strata, self._kernel.num_groups)
+
+        def blocks(moments: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+            return {j: cells.reshape(shape) for j, cells in moments.items()}
+
+        return StrataGrid(
+            keys=self._kernel._keys,
+            counts=self._counts.reshape(shape),
+            sums=blocks(self._sums),
+            sumsqs=blocks(self._sumsqs),
+            mins=blocks(self._mins),
+            maxs=blocks(self._maxs),
         )
 
 

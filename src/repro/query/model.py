@@ -54,6 +54,12 @@ class AggFunc(Enum):
         """COUNT aggregates rows; the others aggregate a column."""
         return self is not AggFunc.COUNT
 
+    @property
+    def reads_sums(self) -> bool:
+        """SUM and AVG are formed from a group's sum and sum of squares
+        (MIN and MAX read only their own extremum, COUNT no moment)."""
+        return self is AggFunc.SUM or self is AggFunc.AVG
+
 
 @dataclass(frozen=True)
 class BinDimension:

@@ -133,14 +133,24 @@ class TestGroupedStatsOnSubset:
         assert stats.rows_scanned == 3
 
     def test_sumsq_and_extrema(self, toy_dataset):
+        # Each aggregate carries only the moments its function reads.
         stats = compute_grouped_stats(
-            toy_dataset, _query((Aggregate(AggFunc.AVG, "value"),))
+            toy_dataset,
+            _query(
+                (
+                    Aggregate(AggFunc.AVG, "value"),
+                    Aggregate(AggFunc.MIN, "value"),
+                    Aggregate(AggFunc.MAX, "value"),
+                )
+            ),
         )
         keys = {k[0]: g for g, k in enumerate(stats.keys)}
         b = keys["b"]
         assert stats.sumsqs[0][b] == pytest.approx(1.0 + 4.0 + 9.0)
-        assert stats.mins[0][b] == 1.0
-        assert stats.maxs[0][b] == 3.0
+        assert stats.mins[1][b] == 1.0
+        assert stats.maxs[2][b] == 3.0
+        assert list(stats.sums) == list(stats.sumsqs) == [0]
+        assert list(stats.mins) == [1] and list(stats.maxs) == [2]
 
     def test_count_aggregate_has_no_moment_arrays(self, toy_dataset):
         stats = compute_grouped_stats(

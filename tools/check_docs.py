@@ -168,6 +168,8 @@ REQUIRED_SECTIONS = {
         "### Dictionary gather",
         "### Counting grouping and its span rule",
         "### What still sorts, and why",
+        "### Moments on demand",
+        "### One pass over strata",
         "unique_inverse",
         "tests/test_kernels_compile.py",
         "## Cache keying",

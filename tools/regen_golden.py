@@ -5,8 +5,9 @@ The corpus pins the exact bytes of four end-to-end reports — a serial
 run, a shared-engine server run, an adaptive (markov) run and an
 open-system churn run — plus wire transcripts, virtual-time traces, a
 windowed series, one SHA-256 per further serving configuration
-(``scheduler_pins.txt``) and one per generated workflow
-(``workflow_pins.txt``), so any change to generator, engines, driver,
+(``scheduler_pins.txt``), one per generated workflow
+(``workflow_pins.txt``) and one per System X estimate
+(``estimator_pins.txt``), so any change to generator, engines, driver,
 server, policies or report rendering that shifts output is caught as a
 diff, not discovered downstream. ``tests/test_golden_reports.py``
 re-executes the same builders in-process and asserts byte identity
@@ -377,6 +378,116 @@ def case_workflow_pins(ctx) -> str:
     return "".join(lines)
 
 
+# ----------------------------------------------------------------------
+# Estimator pins: System X estimates frozen from the per-stratum scalar
+# combiner, before it became one pass over a (stratum × bin) grid
+# ----------------------------------------------------------------------
+
+def estimator_pin_queries():
+    """Pin-name suffix → query: 6 aggregate sets × 3 bin shapes × 3 filters.
+
+    ``UNIQUE_CARRIER`` is the column the engine stratifies on, so its
+    bins each live in exactly one stratum; the other shapes spread every
+    bin over many strata. The selective filter leaves whole strata
+    without a qualifying sample row at the low sampling rate.
+    """
+    from repro.query.filters import RangePredicate
+    from repro.query.model import (
+        AggFunc, Aggregate, AggQuery, BinDimension, BinKind,
+    )
+
+    delay = "ARR_DELAY"
+    aggregate_sets = {
+        "count": (Aggregate(AggFunc.COUNT),),
+        "sum": (Aggregate(AggFunc.SUM, delay),),
+        "avg": (Aggregate(AggFunc.AVG, delay),),
+        "count+avg": (Aggregate(AggFunc.COUNT), Aggregate(AggFunc.AVG, delay)),
+        "min": (Aggregate(AggFunc.MIN, delay),),
+        "max": (Aggregate(AggFunc.MAX, delay),),
+    }
+    bin_shapes = {
+        "nominal": (BinDimension("UNIQUE_CARRIER", BinKind.NOMINAL),),
+        "quantitative": (
+            BinDimension("DEP_DELAY", BinKind.QUANTITATIVE, width=20.0),
+        ),
+        "2d": (
+            BinDimension("ORIGIN_STATE", BinKind.NOMINAL),
+            BinDimension("DISTANCE", BinKind.QUANTITATIVE, width=500.0),
+        ),
+    }
+    filters = {
+        "all": None,
+        "selective": RangePredicate("DEP_DELAY", 30.0, None),
+        "nothing": RangePredicate("DISTANCE", None, -1.0),
+    }
+    return {
+        f"{bins_name}_{aggs_name}_{filter_name}": AggQuery(
+            "flights", bins=bins, aggregates=aggregates, filter=filter_expr
+        )
+        for bins_name, bins in bin_shapes.items()
+        for aggs_name, aggregates in aggregate_sets.items()
+        for filter_name, filter_expr in filters.items()
+    }
+
+
+def estimate_digest(result) -> str:
+    """SHA-256 over a result's keys, value bits and margin bits, in dict
+    order (``<d`` patterns, so NaN payloads and ±0 count; ``N`` = None)."""
+    import hashlib
+    import struct
+
+    digest = hashlib.sha256()
+    for mapping in (result.values, result.margins):
+        for key, row in mapping.items():
+            digest.update(repr(key).encode("utf-8"))
+            for cell in row:
+                digest.update(
+                    b"N" if cell is None else struct.pack("<d", float(cell))
+                )
+        digest.update(b"|")
+    return digest.hexdigest()
+
+
+def case_estimator_pins(ctx) -> str:
+    """SHA-256 per System X estimate on the tests' flights fixture.
+
+    Every query of :func:`estimator_pin_queries` × ``stratify`` on/off ×
+    sampling rates {0.02, 0.2}, driven through submit → result_at. The
+    hashes were generated by the per-stratum ``kernel.evaluate`` loop and
+    the scalar ``stratified_estimate``; the one-pass grid must reproduce
+    them bit for bit. ``ctx`` is unused: the fixture is the 6 000-row
+    seed table of ``tests/conftest.py``, not the corpus configuration.
+    """
+    from repro.common.clock import VirtualClock
+    from repro.common.config import BenchmarkSettings, DataSize
+    from repro.data.seed import generate_flights_seed
+    from repro.data.storage import Dataset
+    from repro.engines.sampling import StratifiedSamplingEngine
+
+    dataset = Dataset.from_table(generate_flights_seed(6_000, seed=11))
+    settings = BenchmarkSettings(
+        data_size=DataSize.S, scale=100_000_000 // 6_000, seed=11
+    )
+    queries = estimator_pin_queries()
+    lines = []
+    for stratify in (True, False):
+        for rate in (0.02, 0.2):
+            engine = StratifiedSamplingEngine(
+                dataset, settings, VirtualClock(),
+                sampling_rate=rate, stratify=stratify,
+            )
+            engine.prepare()
+            prefix = f"{'stratified' if stratify else 'uniform'}_{rate}"
+            for name, query in queries.items():
+                handle = engine.submit(query)
+                time = engine.clock.now() + 60.0
+                engine.clock.advance_to(time)
+                engine.advance_to(time)
+                result = engine.result_at(handle, time)
+                lines.append(f"{prefix}_{name} {estimate_digest(result)}\n")
+    return "".join(lines)
+
+
 #: File name → builder. Each builder gets a fresh-or-shared context and
 #: returns the complete file content as text.
 GOLDEN_CASES = {
@@ -391,6 +502,7 @@ GOLDEN_CASES = {
     "timeseries_serial.jsonl": case_timeseries_serial,
     "scheduler_pins.txt": case_scheduler_pins,
     "workflow_pins.txt": case_workflow_pins,
+    "estimator_pins.txt": case_estimator_pins,
 }
 
 
