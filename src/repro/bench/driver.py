@@ -609,7 +609,7 @@ class SessionDriver:
         target_node: VizNode = graph.node(link.target)
         upstream = graph.effective_filter(link.source)
         speculative: List[AggQuery] = []
-        for key in source_result.values:
+        for key in source_result.columns.keys:
             probe = VizNode(spec=source_node.spec, selection=(key,))
             selection_filter = probe.selection_filter()
             effective = conjoin(

@@ -3,7 +3,10 @@
 AQP engines return approximate answers plus confidence intervals at the
 configured confidence level (§4.6, default 95 %). This module converts the
 sufficient statistics of :func:`repro.query.groundtruth.compute_grouped_stats`
-into estimates and *absolute* margins of error:
+into estimates and *absolute* margins of error, handed back as
+:class:`repro.query.model.BinColumns` — one float64 row per aggregate,
+which is what :func:`repro.bench.metrics.compute_metrics` reads; the
+estimate still unpacks as its ``(values, margins)`` dict pair:
 
 * :func:`srs_estimate` — simple random sampling (the progressive and
   online-aggregation engines sample uniformly from a shuffled permutation,
@@ -15,9 +18,9 @@ Margins derive from the usual CLT intervals: counts are binomial
 proportions scaled by the population, sums are scaled sample means over
 the *whole* sample (rows outside the bin contribute zero), and averages
 use the within-bin standard error. MIN/MAX estimates carry no margin
-(``None``) — order statistics of a sample bound nothing without
-distributional assumptions; the Bias metric (§4.7) is what catches their
-systematic under/over-estimation.
+(``bounded`` False; ``None`` in the dict form) — order statistics of a
+sample bound nothing without distributional assumptions; the Bias metric
+(§4.7) is what catches their systematic under/over-estimation.
 """
 
 from __future__ import annotations
@@ -25,18 +28,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.common.errors import EngineError
 from repro.query.groundtruth import GroupedStats, StrataGrid, identity_moments
-from repro.query.model import AggFunc, AggQuery, BinKey
-
-#: values / margins mapping types returned by the estimators.
-Values = Dict[BinKey, Tuple[float, ...]]
-Margins = Dict[BinKey, Tuple[Optional[float], ...]]
+from repro.query.model import AggFunc, AggQuery, BinColumns, BinKey
 
 
 @functools.lru_cache(maxsize=32)
@@ -53,18 +52,34 @@ def z_value(confidence_level: float) -> float:
     return float(scipy_stats.norm.ppf(0.5 + confidence_level / 2.0))
 
 
+def _columns(keys: List[BinKey], rows: list) -> BinColumns:
+    """An estimate from one ``(values, margins, bounded)`` triple per
+    aggregate. ``margins=None``: no bin of that aggregate is bounded;
+    ``bounded=None`` beside margins: every bin is."""
+    values, margins, bounded = [], [], []
+    for value, margin, has in rows:
+        values.append(value)
+        margins.append(np.zeros(len(keys)) if margin is None else margin)
+        bounded.append(np.full(len(keys), margin is not None) if has is None else has)
+    return BinColumns(keys, values, margins, bounded)
+
+
 def srs_estimate(
     stats: GroupedStats,
     sample_size: int,
     population: int,
     confidence_level: float,
-) -> Tuple[Values, Margins]:
+) -> BinColumns:
     """Estimates from a simple random sample of ``sample_size`` rows.
 
     ``stats`` must have been computed over exactly those rows.
     ``population`` is the total number of rows being estimated (the actual
     dataset size — estimates are in actual-data units so they are directly
     comparable to the ground truth; see DESIGN.md §1.3).
+
+    One array expression per aggregate, in the operation order of the
+    scalar per-bin loop it replaced (``tests/test_engines_estimators.py``
+    keeps that loop as the reference).
     """
     if sample_size <= 0:
         raise EngineError("cannot estimate from an empty sample")
@@ -73,48 +88,35 @@ def srs_estimate(
             f"sample of {sample_size} exceeds population {population}"
         )
     z = z_value(confidence_level)
-    expansion = population / sample_size
     # Finite-population correction: as the sample approaches the full
     # table, margins collapse to zero (progressive engines converge).
     fpc = math.sqrt(max(0.0, 1.0 - sample_size / population))
 
-    values: Values = {}
-    margins: Margins = {}
     n = float(sample_size)
+    k = stats.counts.astype(np.float64)
+    rows = []
     with np.errstate(invalid="ignore"):  # NaN/inf cells propagate by design
-        for g, key in enumerate(stats.keys):
-            row_values: List[float] = []
-            row_margins: List[Optional[float]] = []
-            k = float(stats.counts[g])
-            for j, agg in enumerate(stats.query.aggregates):
-                if agg.func is AggFunc.COUNT:
-                    p = k / n
-                    row_values.append(p * population)
-                    row_margins.append(
-                        z * population * math.sqrt(max(p * (1.0 - p), 0.0) / n) * fpc
-                    )
-                elif agg.func is AggFunc.SUM:
-                    mean_z = stats.sums[j][g] / n
-                    var_z = max(stats.sumsqs[j][g] / n - mean_z * mean_z, 0.0)
-                    row_values.append(mean_z * population)
-                    row_margins.append(z * population * math.sqrt(var_z / n) * fpc)
-                elif agg.func is AggFunc.AVG:
-                    mean_b = stats.sums[j][g] / k
-                    row_values.append(mean_b)
-                    if k >= 2:
-                        var_b = max(stats.sumsqs[j][g] / k - mean_b * mean_b, 0.0)
-                        row_margins.append(z * math.sqrt(var_b / k) * fpc)
-                    else:
-                        row_margins.append(None)
-                elif agg.func is AggFunc.MIN:
-                    row_values.append(float(stats.mins[j][g]))
-                    row_margins.append(None)
-                elif agg.func is AggFunc.MAX:
-                    row_values.append(float(stats.maxs[j][g]))
-                    row_margins.append(None)
-            values[key] = tuple(row_values)
-            margins[key] = tuple(row_margins)
-    return values, margins
+        for j, agg in enumerate(stats.query.aggregates):
+            if agg.func is AggFunc.COUNT:
+                p = k / n
+                var_p = np.maximum(p * (1.0 - p), 0.0)
+                margin = z * population * np.sqrt(var_p / n) * fpc
+                rows.append((p * population, margin, None))
+            elif agg.func is AggFunc.SUM:
+                mean_z = stats.sums[j] / n
+                var_z = np.maximum(stats.sumsqs[j] / n - mean_z * mean_z, 0.0)
+                margin = z * population * np.sqrt(var_z / n) * fpc
+                rows.append((mean_z * population, margin, None))
+            elif agg.func is AggFunc.AVG:
+                mean_b = stats.sums[j] / k
+                var_b = np.maximum(stats.sumsqs[j] / k - mean_b * mean_b, 0.0)
+                # no interval from < 2 rows
+                rows.append((mean_b, z * np.sqrt(var_b / k) * fpc, k >= 2))
+            elif agg.func is AggFunc.MIN:
+                rows.append((stats.mins[j], None, None))
+            else:
+                rows.append((stats.maxs[j], None, None))
+    return _columns(stats.keys, rows)
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def stratified_estimate(
     query: AggQuery,
     strata: Union[StrataMoments, Sequence[StratumStats]],
     confidence_level: float,
-) -> Tuple[Values, Margins]:
+) -> BinColumns:
     """Combine per-stratum statistics into stratified estimates.
 
     COUNT/SUM use the standard stratified expansion with per-stratum
@@ -197,6 +199,9 @@ def stratified_estimate(
         if not strata:
             raise EngineError("stratified estimate needs at least one stratum")
         strata = StrataMoments.from_strata(query, strata)
+    for h, size in enumerate(strata.sample_sizes):
+        if size <= 0:  # every variance below divides by n_h
+            raise EngineError(f"stratum {h} holds no sampled row (sample_size {size})")
     z = z_value(confidence_level)
     grid = strata.grid
 
@@ -238,23 +243,21 @@ def stratified_estimate(
     k = grid.counts.astype(np.float64)
     count_est = over_strata(w * k)
 
-    value_columns: List[List[float]] = []
-    margin_columns: List[List[Optional[float]]] = []
+    rows = []
     with np.errstate(invalid="ignore"):  # NaN/inf cells propagate by design
         for j, agg in enumerate(query.aggregates):
-            margin: Optional[np.ndarray] = None
             if agg.func is AggFunc.COUNT:
                 p = k / n_h
-                value = count_est
                 margin = z * np.sqrt(over_strata(wn_squared * p * (1.0 - p) / n_h))
+                rows.append((count_est, margin, None))
             elif agg.func.reads_sums:
                 sums, sumsqs = grid.sums[j], grid.sumsqs[j]
                 sum_est = over_strata(w * sums)
                 if agg.func is AggFunc.SUM:
                     mean_z = sums / n_h
                     var_z = np.maximum(sumsqs / n_h - mean_z * mean_z, 0.0)
-                    value = sum_est
                     margin = z * np.sqrt(over_strata(wn_squared * var_z / n_h))
+                    rows.append((sum_est, margin, None))
                 else:
                     # Bins only enter through a stratum that observed
                     # them, so count_est > 0 holds; guard anyway.
@@ -265,24 +268,14 @@ def stratified_estimate(
                     k_or_one = np.where(present, k, 1.0)
                     mean_b = sums / k_or_one
                     var_b = np.maximum(sumsqs / k_or_one - mean_b * mean_b, 0.0)
-                    value = sum_est / count_est
                     margin = (
                         z * np.sqrt(over_strata(w_squared * k * var_b)) / count_est
                     )
+                    # no interval from < 2 rows
+                    rows.append((sum_est / count_est, margin, ~(count_est < 2)))
             elif agg.func is AggFunc.MIN:
-                value = extremum(grid.mins[j], np.less, np.inf)
+                rows.append((extremum(grid.mins[j], np.less, np.inf), None, None))
             else:
-                value = extremum(grid.maxs[j], np.greater, -np.inf)
-            value_columns.append(value.tolist())
-            if margin is None:
-                margin_columns.append([None] * len(bins))
-            else:
-                margin_columns.append(margin.tolist())
-                if agg.func is AggFunc.AVG:  # no interval from < 2 rows
-                    for i in np.flatnonzero(count_est < 2).tolist():
-                        margin_columns[-1][i] = None
+                rows.append((extremum(grid.maxs[j], np.greater, -np.inf), None, None))
 
-    keys = [grid.keys[g] for g in bins.tolist()]
-    values: Values = dict(zip(keys, zip(*value_columns)))
-    margins: Margins = dict(zip(keys, zip(*margin_columns)))
-    return values, margins
+    return _columns([grid.keys[g] for g in bins.tolist()], rows)

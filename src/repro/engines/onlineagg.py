@@ -162,13 +162,12 @@ class OnlineAggEngine(Engine):
                     [self._permutation[offset:], self._permutation[: end - self.actual_rows]]
                 )
             stats = compute_grouped_stats(self.dataset, query, indices)
-        values, margins = srs_estimate(
+        columns = srs_estimate(
             stats, n, self.actual_rows, self.settings.confidence_level
         )
         return QueryResult(
             query=query,
-            values=values,
-            margins=margins,
+            columns=columns,
             rows_processed=n,
             fraction=n / self.actual_rows,
             exact=(n >= self.actual_rows),

@@ -188,13 +188,12 @@ class ProgressiveEngine(Engine):
             else:
                 indices = self._sample_indices(query, n)
                 stats = compute_grouped_stats(self.dataset, query, indices)
-            values, margins = srs_estimate(
+            columns = srs_estimate(
                 stats, n, self.actual_rows, self.settings.confidence_level
             )
         return QueryResult(
             query=query,
-            values=values,
-            margins=margins,
+            columns=columns,
             rows_processed=n,
             fraction=n / self.actual_rows,
             exact=(n >= self.actual_rows),

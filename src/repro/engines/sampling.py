@@ -47,7 +47,7 @@ from repro.engines.estimators import (
 )
 from repro.engines.kernel_cache import get_kernel
 from repro.query.groundtruth import compute_grouped_stats
-from repro.query.model import QueryResult
+from repro.query.model import BinColumns, QueryResult
 
 #: Strata with more categories than this are unusable for stratification.
 _MAX_STRATA = 64
@@ -204,15 +204,15 @@ class StratifiedSamplingEngine(Engine):
                 if stats.num_groups:
                     strata.append(StratumStats(stats, weight, len(indices)))
             observed = bool(strata)
-        values, margins = {}, {}
-        if observed:  # else: no qualifying sample row, nothing to estimate
-            values, margins = stratified_estimate(
+        if observed:
+            columns = stratified_estimate(
                 state.query, strata, self.settings.confidence_level
             )
+        else:  # no qualifying sample row, nothing to estimate
+            columns = BinColumns([], [np.zeros(0)] * len(state.query.aggregates))
         return QueryResult(
             query=state.query,
-            values=values,
-            margins=margins,
+            columns=columns,
             rows_processed=self._sample_rows,
             fraction=self._sample_rows / self.actual_rows,
             exact=False,

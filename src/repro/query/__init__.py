@@ -5,7 +5,7 @@ IDE workloads are dominated by *binned* OLAP-style aggregation queries
 to evaluate them:
 
 * :mod:`repro.query.model` — :class:`AggQuery` (bin dimensions, aggregate
-  functions, filter) and :class:`QueryResult`;
+  functions, filter) and :class:`QueryResult` over its ``BinColumns``;
 * :mod:`repro.query.filters` — predicate trees and their vectorized
   evaluation to boolean masks;
 * :mod:`repro.query.binning` — 1-D/2-D, nominal/quantitative binning;

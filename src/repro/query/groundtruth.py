@@ -25,7 +25,7 @@ from repro.data.storage import Dataset
 from repro.obs.profile import STAGE_BINNING, STAGE_PREDICATE_EVAL, get_profiler
 from repro.query.binning import GroupedRows, group_rows
 from repro.query.filters import evaluate_filter
-from repro.query.model import AggFunc, AggQuery, BinKey, QueryResult
+from repro.query.model import AggFunc, AggQuery, BinColumns, BinKey, QueryResult
 
 
 def query_cache_key(query: AggQuery) -> str:
@@ -197,24 +197,22 @@ def compute_grouped_stats(
     )
 
 
-def stats_to_exact_values(stats: GroupedStats) -> Dict[BinKey, Tuple[float, ...]]:
+def stats_to_exact_values(stats: GroupedStats) -> BinColumns:
     """Turn sufficient statistics into exact per-bin aggregate values."""
-    values: Dict[BinKey, Tuple[float, ...]] = {}
-    for g, key in enumerate(stats.keys):
-        row: List[float] = []
-        for j, agg in enumerate(stats.query.aggregates):
-            if agg.func is AggFunc.COUNT:
-                row.append(float(stats.counts[g]))
-            elif agg.func is AggFunc.SUM:
-                row.append(float(stats.sums[j][g]))
-            elif agg.func is AggFunc.AVG:
-                row.append(float(stats.sums[j][g] / stats.counts[g]))
-            elif agg.func is AggFunc.MIN:
-                row.append(float(stats.mins[j][g]))
-            elif agg.func is AggFunc.MAX:
-                row.append(float(stats.maxs[j][g]))
-        values[key] = tuple(row)
-    return values
+    rows: List[np.ndarray] = []
+    for j, agg in enumerate(stats.query.aggregates):
+        if agg.func is AggFunc.COUNT:
+            row = stats.counts
+        elif agg.func is AggFunc.SUM:
+            row = stats.sums[j]
+        elif agg.func is AggFunc.AVG:
+            row = stats.sums[j] / stats.counts
+        elif agg.func is AggFunc.MIN:
+            row = stats.mins[j]
+        else:
+            row = stats.maxs[j]
+        rows.append(np.asarray(row, dtype=np.float64))
+    return BinColumns(stats.keys, rows)
 
 
 def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
@@ -233,8 +231,7 @@ def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
         stats = compute_grouped_stats(dataset, query)
     return QueryResult(
         query=query,
-        values=stats_to_exact_values(stats),
-        margins={},
+        columns=stats_to_exact_values(stats),
         rows_processed=stats.rows_scanned,
         fraction=1.0,
         exact=True,

@@ -18,12 +18,15 @@ at the configured confidence level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.errors import QueryError
+import numpy as np
+
+from repro.common.errors import EngineError, QueryError
 from repro.common.fingerprint import stable_digest
 from repro.query.filters import Filter, filter_from_dict
 
@@ -277,20 +280,115 @@ class AggQuery:
         )
 
 
-@dataclass
+#: The dict form of an answer: bin key → one cell per aggregate.
+Values = Dict[BinKey, Tuple[float, ...]]
+Margins = Dict[BinKey, Tuple[Optional[float], ...]]
+
+
+@dataclass(eq=False)
+class BinColumns:
+    """The stored form of a query answer: bin keys beside one contiguous
+    float64 row per aggregate.
+
+    ``values[j][i]`` is aggregate ``j`` (the order of
+    ``query.aggregates``) in bin ``keys[i]``. Approximate answers add
+    ``margins`` of the same shape and ``bounded``: ``bounded[j][i]`` is
+    False where the engine offers no margin (MIN/MAX under sampling) —
+    the dict form's ``None``, which a NaN margin is not: NaN is a margin
+    that was computed and counts, ``None`` is skipped, and a float row
+    cannot tell them apart. Cells of ``margins`` behind a False are
+    unspecified. Exact answers have ``margins is None``.
+    """
+
+    keys: Sequence[BinKey]
+    values: Sequence[np.ndarray]
+    margins: Optional[Sequence[np.ndarray]] = None
+    bounded: Optional[Sequence[np.ndarray]] = None
+
+    def __post_init__(self) -> None:
+        if (self.margins is None) != (self.bounded is None):
+            raise EngineError("margins and their bounded mask come together")
+        for rows in (self.values, self.margins, self.bounded):
+            if rows is not None and any(len(row) != len(self.keys) for row in rows):
+                raise EngineError(
+                    f"an answer row must hold one cell per bin ({len(self.keys)})"
+                )
+
+    @classmethod
+    def from_dicts(
+        cls, values: Values, margins: Margins, num_aggregates: int
+    ) -> "BinColumns":
+        """Columns of an answer given as ``{bin key: row}`` dicts (engine
+        adapters, tests, stored artifacts); the dicts stay its views."""
+
+        def rows_of(cells, dtype) -> List[np.ndarray]:
+            return [
+                np.array([cell[j] for cell in cells], dtype=dtype)
+                for j in range(num_aggregates)
+            ]
+
+        keys = list(values)
+        margin_rows = bounded = None
+        if margins:
+            no_margin = (None,) * num_aggregates
+            cells = [margins.get(key, no_margin) for key in keys]
+            margin_rows = rows_of(cells, np.float64)  # None reads NaN
+            bounded = rows_of(
+                [[margin is not None for margin in cell] for cell in cells], bool
+            )
+        columns = cls(keys, rows_of(values.values(), np.float64), margin_rows, bounded)
+        columns.by_key = (values, margins)
+        return columns
+
+    @cached_property
+    def by_key(self) -> Tuple[Values, Margins]:
+        """The ``(values, margins)`` dict views: bin key → one Python
+        float per aggregate, ``None`` for an unbounded margin; no margins
+        at all is ``{}``. Built on first use — the store and adapter
+        boundary; nothing between kernel and metrics reads them."""
+        values = dict(zip(self.keys, zip(*[row.tolist() for row in self.values])))
+        if self.margins is None:
+            return values, {}
+        cells = [
+            [cell if has else None for cell, has in zip(row.tolist(), mask.tolist())]
+            for row, mask in zip(self.margins, self.bounded)
+        ]
+        return values, dict(zip(self.keys, zip(*cells)))
+
+    def __iter__(self):
+        """Unpacks as ``values, margins = estimate``."""
+        return iter(self.by_key)
+
+    @cached_property
+    def index(self) -> Dict[BinKey, int]:
+        """Bin key → position along the rows."""
+        return {key: i for i, key in enumerate(self.keys)}
+
+    @cached_property
+    def norms(self) -> Tuple[float, ...]:
+        """Euclidean norm of each value row."""
+        return tuple(math.sqrt(row.dot(row)) for row in self.values)
+
+
 class QueryResult:
     """The (possibly approximate) answer to an :class:`AggQuery`.
 
+    Engines hand over ``columns``; adapters may pass ``values`` /
+    ``margins`` dicts instead, converted on construction. ``==`` compares
+    by value and pickles hold the dict form, whichever came in.
+
     Attributes
     ----------
+    columns:
+        the answer as :class:`BinColumns`.
     values:
         bin key → tuple of per-aggregate values (order matches
-        ``query.aggregates``).
+        ``query.aggregates``); a cached view of ``columns``.
     margins:
         bin key → tuple of per-aggregate absolute margins of error at the
         run's confidence level; ``None`` entries mean the engine offers no
         bound for that aggregate (e.g. MIN/MAX under sampling). Exact
-        engines return empty margins.
+        engines return empty margins. A cached view of ``columns``.
     rows_processed:
         number of *actual* rows the engine aggregated (sample size).
     fraction:
@@ -299,21 +397,53 @@ class QueryResult:
         whether the answer is exact (ground truth semantics).
     """
 
-    query: AggQuery
-    values: Dict[BinKey, Tuple[float, ...]]
-    margins: Dict[BinKey, Tuple[Optional[float], ...]] = field(default_factory=dict)
-    rows_processed: int = 0
-    fraction: float = 1.0
-    exact: bool = False
+    def __init__(
+        self,
+        query: AggQuery,
+        values: Optional[Values] = None,
+        margins: Optional[Margins] = None,
+        rows_processed: int = 0,
+        fraction: float = 1.0,
+        exact: bool = False,
+        *,
+        columns: Optional[BinColumns] = None,
+    ):
+        self.query = query
+        self.columns = columns or BinColumns.from_dicts(
+            values, margins or {}, len(query.aggregates)
+        )
+        self.rows_processed = rows_processed
+        self.fraction = fraction
+        self.exact = exact
+
+    values = property(lambda self: self.columns.by_key[0])
+    margins = property(lambda self: self.columns.by_key[1])
 
     @property
     def num_bins(self) -> int:
         """Number of bins for which a value was delivered."""
-        return len(self.values)
+        return len(self.columns.keys)
 
     def value_of(self, key: BinKey, aggregate_index: int = 0) -> float:
         """Value of one aggregate in one bin (KeyError if missing)."""
         return self.values[key][aggregate_index]
+
+    def __getstate__(self) -> dict:
+        # The dict layout the dataclass pickled: store artifacts stay
+        # byte-equal and older ones load.
+        return dict(
+            query=self.query, values=self.values, margins=self.margins,
+            rows_processed=self.rows_processed, fraction=self.fraction,
+            exact=self.exact,
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
 
     def __repr__(self) -> str:
         kind = "exact" if self.exact else f"approx({self.fraction:.3%})"

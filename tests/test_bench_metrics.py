@@ -1,6 +1,7 @@
 """Tests for the §4.7 metric suite."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.bench.metrics import QueryMetrics, compute_metrics
 from repro.common.errors import BenchmarkError
+from repro.query.groundtruth import evaluate_exact
 from repro.query.model import (
     AggFunc,
     Aggregate,
@@ -16,6 +18,8 @@ from repro.query.model import (
     BinKind,
     QueryResult,
 )
+
+from test_golden_reports import regen
 
 
 def _query(num_aggs=1):
@@ -232,3 +236,51 @@ def test_metric_bounds_property(truths, noise, keep):
         if not math.isnan(metrics.bias):
             assert metrics.bias >= 0.0
     assert metrics.bins_out_of_margin <= max(len(values), 1)
+
+
+class TestColumnsAndDictsScoreAlike:
+    """An answer scores the same whether it arrives as columns (engines)
+    or through the dict-taking constructor (adapters, stored artifacts)."""
+
+    def test_every_pinned_estimate(self):
+        scored = 0
+        for _name, dataset, query, result in regen.estimator_pin_results():
+            truth = evaluate_exact(dataset, query)
+            as_dicts = QueryResult(
+                query, dict(result.values), dict(result.margins),
+                result.rows_processed, result.fraction, result.exact,
+            )
+            stored_truth = pickle.loads(pickle.dumps(truth))
+            assert "by_key" in vars(as_dicts.columns)  # no conversion back
+            expected = regen.metrics_digest(compute_metrics(result, truth))
+            assert regen.metrics_digest(compute_metrics(as_dicts, truth)) == expected
+            assert regen.metrics_digest(compute_metrics(result, stored_truth)) == expected
+            scored += bool(result.num_bins)
+        assert scored >= 100
+
+    def test_lone_negative_zero_bias_reads_positive_zero(self):
+        # 0.0 / -8.0 is -0.0; np.mean([-0.0]) — what the per-aggregate fold
+        # was — starts its reduce from +0.0.
+        truth = _ground_truth({("a",): (-5.0,), ("b",): (-3.0,)})
+        metrics = compute_metrics(_approx({("a",): (2.0,), ("b",): (-2.0,)}), truth)
+        assert metrics.bias == 0.0 and math.copysign(1.0, metrics.bias) == 1.0
+
+    def test_none_margin_is_not_a_nan_margin(self):
+        truth = _ground_truth({("a",): (10.0,), ("b",): (20.0,)})
+        values = {("a",): (9.0,), ("b",): (22.0,)}
+        skipped = compute_metrics(
+            _approx(values, {("a",): (None,), ("b",): (2.0,)}), truth
+        )
+        counted = compute_metrics(
+            _approx(values, {("a",): (math.nan,), ("b",): (2.0,)}), truth
+        )
+        assert skipped.margin_avg == pytest.approx(2.0 / 22.0)
+        assert math.isnan(counted.margin_avg)
+
+    def test_ground_truth_memo_is_built_once(self):
+        truth = _ground_truth({("a",): (3.0,), ("b",): (4.0,)})
+        compute_metrics(_approx({("b",): (4.0,)}), truth)
+        index, norms = truth.columns.index, truth.columns.norms
+        assert norms == (5.0,)
+        compute_metrics(_approx({("a",): (3.0,), ("b",): (4.0,)}), truth)
+        assert truth.columns.index is index and truth.columns.norms is norms

@@ -12,12 +12,14 @@ import io
 import pytest
 
 from repro.bench.driver import BenchmarkDriver, SessionDriver
+from repro.bench.experiments import MAIN_ENGINES, make_engine
 from repro.bench.report import DetailedReport
 from repro.common.clock import VirtualClock
 from repro.common.errors import BenchmarkError
 from repro.engines.columnstore import ColumnStoreEngine
 from repro.engines.progressive import ProgressiveEngine
-from repro.query.model import AggFunc, Aggregate, BinDimension, BinKind
+from repro.query.groundtruth import GroundTruthOracle
+from repro.query.model import AggFunc, Aggregate, BinColumns, BinDimension, BinKind
 from repro.workflow.spec import (
     CreateViz,
     Link,
@@ -238,3 +240,34 @@ class TestLifecycle:
         driver.run()
         assert engine._speculative == {}
         assert engine.scheduler.active_tasks() == []
+
+
+class TestAnswersStayColumns:
+    @pytest.mark.parametrize("engine_name", MAIN_ENGINES)
+    def test_hot_path_never_builds_the_dict_views(
+        self, monkeypatch, engine_name, flights_dataset, tiny_settings, two_workflows
+    ):
+        """Kernel → estimate → metrics hands arrays over; the dict views
+        of ``QueryResult.values`` / ``.margins`` belong to the store and
+        adapter boundary (no store here)."""
+
+        class Recorder:  # a non-data descriptor, as cached_property is
+            reads = []
+
+            def __get__(self, columns, owner):
+                self.reads.append(columns)
+                return {}, {}
+
+        monkeypatch.setattr(BinColumns, "by_key", Recorder())
+        engine = make_engine(engine_name, flights_dataset, tiny_settings, VirtualClock())
+        engine.prepare()
+        records = SessionDriver(
+            engine, GroundTruthOracle(flights_dataset), tiny_settings, two_workflows
+        ).run()
+        assert len(records) >= 6
+        assert any(not record.metrics.tr_violated for record in records)
+        assert Recorder.reads == []
+        # ...and the recorder does see a read when one happens.
+        query = two_workflows[1].interactions[0].viz.base_query()
+        assert GroundTruthOracle(flights_dataset).answer(query).values == {}
+        assert len(Recorder.reads) == 1

@@ -5,12 +5,17 @@ fraction of true values inside the reported 95 % interval must be near
 95 % — the property the Out-of-Margin metric (§4.7) sanity-checks.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from repro.common.errors import EngineError
 from repro.data.storage import Dataset, Table
 from repro.engines.estimators import (
+    StrataMoments,
     StratumStats,
     srs_estimate,
     stratified_estimate,
@@ -18,6 +23,8 @@ from repro.engines.estimators import (
 )
 from repro.query.groundtruth import compute_grouped_stats, evaluate_exact
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+
+import test_estimator_pins as pins
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +258,119 @@ class TestStratifiedEstimate:
         )
         with pytest.raises(EngineError):
             stratified_estimate(query, [], 0.95)
+
+    def test_rejects_a_stratum_without_sampled_rows(self, population, rng):
+        query = AggQuery(
+            "p",
+            bins=(BinDimension("g", BinKind.NOMINAL),),
+            aggregates=(Aggregate(AggFunc.SUM, "v"),),
+        )
+        strata = self._strata(population, query, 50, rng)
+        strata[1] = dataclasses.replace(strata[1], sample_size=0)
+        # Every variance divides by n_h: the old loop skipped such a
+        # stratum, the grid would carry its NaN into every bin.
+        with pytest.raises(EngineError, match="stratum 1 holds no sampled row"):
+            stratified_estimate(query, strata, 0.95)
+        moments = StrataMoments.from_strata(query, strata)
+        with pytest.raises(EngineError, match="stratum 1"):
+            stratified_estimate(query, moments, 0.95)
+
+
+# ----------------------------------------------------------------------
+# The scalar loop srs_estimate replaced, verbatim
+# ----------------------------------------------------------------------
+def reference_srs_estimate(stats, sample_size, population, confidence_level):
+    if sample_size <= 0:
+        raise EngineError("cannot estimate from an empty sample")
+    if sample_size > population:
+        raise EngineError(
+            f"sample of {sample_size} exceeds population {population}"
+        )
+    z = z_value(confidence_level)
+    fpc = math.sqrt(max(0.0, 1.0 - sample_size / population))
+
+    values = {}
+    margins = {}
+    n = float(sample_size)
+    with np.errstate(invalid="ignore"):  # NaN/inf cells propagate by design
+        for g, key in enumerate(stats.keys):
+            row_values = []
+            row_margins = []
+            k = float(stats.counts[g])
+            for j, agg in enumerate(stats.query.aggregates):
+                if agg.func is AggFunc.COUNT:
+                    p = k / n
+                    row_values.append(p * population)
+                    row_margins.append(
+                        z * population * math.sqrt(max(p * (1.0 - p), 0.0) / n) * fpc
+                    )
+                elif agg.func is AggFunc.SUM:
+                    mean_z = stats.sums[j][g] / n
+                    var_z = max(stats.sumsqs[j][g] / n - mean_z * mean_z, 0.0)
+                    row_values.append(mean_z * population)
+                    row_margins.append(z * population * math.sqrt(var_z / n) * fpc)
+                elif agg.func is AggFunc.AVG:
+                    mean_b = stats.sums[j][g] / k
+                    row_values.append(mean_b)
+                    if k >= 2:
+                        var_b = max(stats.sumsqs[j][g] / k - mean_b * mean_b, 0.0)
+                        row_margins.append(z * math.sqrt(var_b / k) * fpc)
+                    else:
+                        row_margins.append(None)
+                elif agg.func is AggFunc.MIN:
+                    row_values.append(float(stats.mins[j][g]))
+                    row_margins.append(None)
+                elif agg.func is AggFunc.MAX:
+                    row_values.append(float(stats.maxs[j][g]))
+                    row_margins.append(None)
+            values[key] = tuple(row_values)
+            margins[key] = tuple(row_margins)
+    return values, margins
+
+
+INF = math.inf
+srs_cells = st.lists(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.sampled_from([math.nan, INF, -INF, 0.0, -0.0, 1.0, 1e-300]),
+        ),
+        max_size=4,
+    ),
+    min_size=len(pins.ALL_KEYS), max_size=len(pins.ALL_KEYS),
+)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    functions=pins.function_draws,
+    cells=srs_cells,
+    extra_rows=st.integers(min_value=0, max_value=50),
+    unsampled=st.integers(min_value=0, max_value=10_000),
+)
+# counts of 1: AVG margin None exactly where fewer than two rows fell
+@example(
+    functions=[AggFunc.AVG, AggFunc.COUNT],
+    cells=[[3.0], [], [1.0, 1.0], [], [2.5]], extra_rows=0, unsampled=7,
+)
+# the sample is the population: fpc == 0 zeroes finite margins, inf * 0 is NaN
+@example(
+    functions=[AggFunc.COUNT, AggFunc.SUM, AggFunc.AVG],
+    cells=[[1.0, 2.0], [INF, 1.0], [], [-0.0], [4.0, 4.0]], extra_rows=3, unsampled=0,
+)
+# NaN and ±inf cells: poisoned moments, inf - inf variances, extrema
+@example(
+    functions=[AggFunc.SUM, AggFunc.AVG, AggFunc.MIN, AggFunc.MAX],
+    cells=[[math.nan], [1.0, math.nan], [INF, -INF], [-INF, 2.0], [INF]],
+    extra_rows=1, unsampled=20,
+)
+def test_vectorized_srs_equals_the_scalar_loop(functions, cells, extra_rows, unsampled):
+    query = pins._query(functions)
+    if not any(cells):
+        extra_rows = max(extra_rows, 1)  # a sample holds >= 1 row
+    stratum = pins._stratum(query, cells, extra_rows, 1.0)
+    population = stratum.sample_size + unsampled
+    expected = reference_srs_estimate(stratum.stats, stratum.sample_size, population, 0.95)
+    pins.assert_same_estimates(
+        srs_estimate(stratum.stats, stratum.sample_size, population, 0.95), expected
+    )

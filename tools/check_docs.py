@@ -133,6 +133,7 @@ REQUIRED_SECTIONS = {
         "## Lazy materialization of scripted workflows",
         "tests/golden/workflow_pins.txt",
         "Dataset.encoded_column",
+        "### Answers are columns",
     ],
     "docs/paper-mapping.md": [
         "_LazyInteractions",

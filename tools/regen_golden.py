@@ -6,8 +6,9 @@ run, a shared-engine server run, an adaptive (markov) run and an
 open-system churn run — plus wire transcripts, virtual-time traces, a
 windowed series, one SHA-256 per further serving configuration
 (``scheduler_pins.txt``), one per generated workflow
-(``workflow_pins.txt``) and one per System X estimate
-(``estimator_pins.txt``), so any change to generator, engines, driver,
+(``workflow_pins.txt``), one per System X estimate
+(``estimator_pins.txt``) and one per scored answer
+(``metrics_pins.txt``), so any change to generator, engines, driver,
 server, policies or report rendering that shifts output is caught as a
 diff, not discovered downstream. ``tests/test_golden_reports.py``
 re-executes the same builders in-process and asserts byte identity
@@ -448,15 +449,13 @@ def estimate_digest(result) -> str:
     return digest.hexdigest()
 
 
-def case_estimator_pins(ctx) -> str:
-    """SHA-256 per System X estimate on the tests' flights fixture.
+def estimator_pin_results():
+    """``(pin name, dataset, query, result)`` per pinned System X estimate.
 
     Every query of :func:`estimator_pin_queries` × ``stratify`` on/off ×
-    sampling rates {0.02, 0.2}, driven through submit → result_at. The
-    hashes were generated by the per-stratum ``kernel.evaluate`` loop and
-    the scalar ``stratified_estimate``; the one-pass grid must reproduce
-    them bit for bit. ``ctx`` is unused: the fixture is the 6 000-row
-    seed table of ``tests/conftest.py``, not the corpus configuration.
+    sampling rates {0.02, 0.2}, driven through submit → result_at on the
+    6 000-row seed table of ``tests/conftest.py`` (not the corpus
+    configuration).
     """
     from repro.common.clock import VirtualClock
     from repro.common.config import BenchmarkSettings, DataSize
@@ -469,7 +468,6 @@ def case_estimator_pins(ctx) -> str:
         data_size=DataSize.S, scale=100_000_000 // 6_000, seed=11
     )
     queries = estimator_pin_queries()
-    lines = []
     for stratify in (True, False):
         for rate in (0.02, 0.2):
             engine = StratifiedSamplingEngine(
@@ -483,8 +481,153 @@ def case_estimator_pins(ctx) -> str:
                 time = engine.clock.now() + 60.0
                 engine.clock.advance_to(time)
                 engine.advance_to(time)
-                result = engine.result_at(handle, time)
-                lines.append(f"{prefix}_{name} {estimate_digest(result)}\n")
+                yield (
+                    f"{prefix}_{name}", dataset, query,
+                    engine.result_at(handle, time),
+                )
+
+
+def case_estimator_pins(ctx) -> str:
+    """SHA-256 per System X estimate on the tests' flights fixture.
+
+    The hashes were generated by the per-stratum ``kernel.evaluate`` loop
+    and the scalar ``stratified_estimate``; the one-pass grid must
+    reproduce them bit for bit. ``ctx`` is unused
+    (:func:`estimator_pin_results`).
+    """
+    return "".join(
+        f"{name} {estimate_digest(result)}\n"
+        for name, _dataset, _query, result in estimator_pin_results()
+    )
+
+
+# ----------------------------------------------------------------------
+# Metrics pins: §4.7 metrics frozen from the dict-walking compute_metrics,
+# before answers became columns
+# ----------------------------------------------------------------------
+
+def metrics_digest(metrics) -> str:
+    """SHA-256 over all twelve ``QueryMetrics`` fields in declaration
+    order: ``<d`` bits for floats (so NaN and ±0 count), ``<q`` for the
+    bool and the ints."""
+    import dataclasses
+    import hashlib
+    import struct
+
+    digest = hashlib.sha256()
+    for spec in dataclasses.fields(metrics):
+        cell = getattr(metrics, spec.name)
+        if isinstance(cell, float):
+            digest.update(struct.pack("<d", cell))
+        else:
+            digest.update(struct.pack("<q", int(cell)))
+    return digest.hexdigest()
+
+
+def metrics_pin_cases():
+    """Pin name → ``(result, ground_truth)`` for the shapes the estimator
+    corpus does not reach, built through the dict-taking constructor."""
+    from repro.query.model import (
+        AggFunc, Aggregate, AggQuery, BinDimension, BinKind, QueryResult,
+    )
+
+    nan = float("nan")
+    one = (Aggregate(AggFunc.COUNT),)
+    two = (Aggregate(AggFunc.COUNT), Aggregate(AggFunc.AVG, "v"))
+
+    def case(truth, values, margins=None, aggregates=one):
+        query = AggQuery(
+            "t", bins=(BinDimension("g", BinKind.NOMINAL),), aggregates=aggregates
+        )
+        return (
+            QueryResult(
+                query=query, values=values, margins=margins or {},
+                rows_processed=10, fraction=0.1,
+            ),
+            QueryResult(query=query, values=truth, exact=True),
+        )
+
+    a, b, c, d = ("a",), ("b",), ("c",), ("d",)
+    return {
+        # 0.0 / -8.0 is -0.0, and the mean over aggregates reads +0.0.
+        "zero_estimate_sum_negative_truth_sum": case(
+            {a: (-5.0,), b: (-3.0,)}, {a: (2.0,), b: (-2.0,)},
+            {a: (1.0,), b: (1.0,)},
+        ),
+        "delivered_bin_absent_from_truth": case(
+            {a: (10.0,), b: (20.0,)}, {a: (9.0,), c: (4.0,), b: (22.0,)},
+            {a: (2.0,), c: (1.0,), b: (1.0,)},
+        ),
+        "none_margin_beside_nan_margin": case(
+            {a: (10.0,), b: (20.0,), c: (30.0,)},
+            {a: (9.0,), b: (22.0,), c: (33.0,)},
+            {a: (None,), b: (nan,), c: (1.0,)},
+        ),
+        "tiny_estimates_zero_and_positive_margin": case(
+            {a: (0.0,), b: (0.5,), c: (3.0,)},
+            {a: (1e-13,), b: (0.0,), c: (-1e-12,)},
+            {a: (0.0,), b: (0.25,), c: (0.0,)},
+        ),
+        "permuted_key_order": case(
+            {a: (1.0, 0.5), b: (2.0, 0.25), c: (3.0, 0.125), d: (4.0, 7.0)},
+            {c: (3.5, 0.1), a: (0.75, 0.6), d: (4.25, 6.0), b: (1.5, 0.3)},
+            {c: (0.4, 0.2), a: (0.3, None), d: (0.2, 0.5), b: (0.6, 0.01)},
+            aggregates=two,
+        ),
+        "empty_result": case({a: (10.0,), b: (20.0,)}, {}),
+        "empty_result_empty_truth": case({}, {}),
+        "delivered_bins_empty_truth": case({}, {a: (1.0,)}, {a: (0.5,)}),
+        "truths_cancel_to_zero": case(
+            {a: (5.0,), b: (-5.0,)}, {a: (4.0,), b: (-6.0,)},
+            {a: (2.0,), b: (0.5,)},
+        ),
+        "all_truths_zero": case(
+            {a: (0.0,), b: (0.0,)}, {a: (0.0,), b: (1.0,)},
+            {a: (0.0,), b: (2.0,)},
+        ),
+        "different_bounded_masks_per_aggregate": case(
+            {a: (10.0, 1.0), b: (20.0, 2.0), c: (30.0, 3.0)},
+            {a: (11.0, 1.5), b: (18.0, 2.5), c: (30.0, 2.0)},
+            {a: (0.5, None), b: (None, 0.1), c: (3.0, nan)},
+            aggregates=two,
+        ),
+        "margin_row_absent_for_a_delivered_bin": case(
+            {a: (10.0,), b: (20.0,)}, {a: (9.0,), b: (25.0,)}, {b: (1.0,)},
+        ),
+        "partial_delivery_negative_margin": case(
+            {a: (10.0,), b: (20.0,), c: (0.0,)}, {c: (2.0,), a: (12.0,)},
+            {c: (-3.0,), a: (-0.5,)},
+        ),
+        "nan_estimate": case(
+            {a: (10.0,), b: (20.0,)}, {a: (nan,), b: (21.0,)},
+            {a: (1.0,), b: (0.0,)},
+        ),
+        "exact_answer_without_margins": case(
+            {a: (10.0, 1.0), b: (20.0, 2.0)}, {a: (10.0, 1.0), b: (20.0, 2.0)},
+            aggregates=two,
+        ),
+    }
+
+
+def case_metrics_pins(ctx) -> str:
+    """SHA-256 per scored answer: the §4.7 metrics of every
+    :func:`estimator_pin_results` estimate against its exact answer,
+    then the hand-built :func:`metrics_pin_cases`. Generated by the
+    per-bin dict walk of ``compute_metrics``; the columnar one must
+    reproduce it bit for bit. ``ctx`` is unused.
+    """
+    from repro.bench.metrics import compute_metrics
+    from repro.query.groundtruth import evaluate_exact
+
+    lines = [
+        f"{name} "
+        f"{metrics_digest(compute_metrics(result, evaluate_exact(dataset, query)))}\n"
+        for name, dataset, query, result in estimator_pin_results()
+    ]
+    lines += [
+        f"hand_{name} {metrics_digest(compute_metrics(result, truth))}\n"
+        for name, (result, truth) in metrics_pin_cases().items()
+    ]
     return "".join(lines)
 
 
@@ -503,6 +646,7 @@ GOLDEN_CASES = {
     "scheduler_pins.txt": case_scheduler_pins,
     "workflow_pins.txt": case_workflow_pins,
     "estimator_pins.txt": case_estimator_pins,
+    "metrics_pins.txt": case_metrics_pins,
 }
 
 
