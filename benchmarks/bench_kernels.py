@@ -14,7 +14,9 @@ Demonstrates the three promises ``docs/kernels.md`` makes:
    re-aggregates the whole prefix every poll (O(n²) per session);
 2. **cache effectiveness** — replaying the shared-engine session-server
    workload hits the process-wide kernel cache far more often than it
-   misses (headline hit rate);
+   misses (headline hit rate), and the kernels it does compile share
+   their parts: fewer binning plans, filter masks and groupings are
+   built than kernels compiled (never more plans than compiles);
 3. **byte neutrality** — every golden report/transcript in
    ``tests/golden/`` rebuilds byte-identically with kernels enabled
    *and* with kernels disabled (the A/B switch; the windowed series'
@@ -49,7 +51,7 @@ from repro.engines.kernel_cache import (
 )
 from repro.query.filters import RangePredicate
 from repro.query.groundtruth import compute_grouped_stats
-from repro.query.kernels import PrefixKernelRun
+from repro.query.kernels import PART_BUILDS, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 from repro.server import SessionManager
 
@@ -203,10 +205,12 @@ def main(argv=None) -> int:
     )
     ctx = ExperimentContext(settings)
     clear_kernel_cache()
+    builds_before = dict(PART_BUILDS)
     SessionManager.for_engine(
         ctx, "idea-sim", args.sessions, per_session=2, share_engine=True
     ).run()
     stats = kernel_cache().stats()
+    builds = {kind: PART_BUILDS[kind] - builds_before[kind] for kind in PART_BUILDS}
     lookups = stats["hits"] + stats["misses"]
     hit_rate = stats["hits"] / lookups if lookups else 0.0
     lines.append(
@@ -214,8 +218,19 @@ def main(argv=None) -> int:
         f"({100 * hit_rate:.1f}% hit rate, {stats['entries']} entries, "
         f"{stats['evictions']} evictions)"
     )
+    lines.append(
+        f"shared parts: {stats['misses']} kernel compiles built "
+        f"{builds['plans']} plans, {builds['masks']} masks, "
+        f"{builds['groupings']} groupings"
+    )
     if lookups == 0:
         lines.append("FAIL: the workload never consulted the kernel cache")
+        ok = False
+    if builds["plans"] > stats["misses"]:
+        lines.append(
+            f"FAIL: {builds['plans']} plan builds exceed "
+            f"{stats['misses']} kernel compiles"
+        )
         ok = False
 
     # 3. Golden corpus byte-identical with kernels on AND off.
@@ -264,6 +279,9 @@ def main(argv=None) -> int:
         "cache_misses": stats["misses"],
         "cache_evictions": stats["evictions"],
         "cache_hit_rate": hit_rate,
+        "plan_builds": builds["plans"],
+        "mask_builds": builds["masks"],
+        "grouping_builds": builds["groupings"],
         "golden_unchanged": not changed,
     }
     payload.update(artifact_identity(text))

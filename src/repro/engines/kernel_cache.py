@@ -1,7 +1,11 @@
 """Process-wide LRU cache of compiled query kernels.
 
-Compiling an :class:`~repro.query.kernels.CompiledQueryKernel` costs one
-full pass over the referenced columns (gather, filter mask, bin codes).
+Compiling an :class:`~repro.query.kernels.CompiledQueryKernel` costs up
+to a few passes over the referenced columns: a filter mask, a binning
+plan and its restriction to the passing rows, each built only when no
+cached kernel of the dataset already holds it — the parts are weakly
+registered in :mod:`repro.query.kernels` and die with the last kernel
+using them, so this cache's capacity is their only bound too.
 Interactive workloads re-issue structurally identical queries constantly
 (§2.2's linked-visualization updates repeat on every selection change,
 and clearing a filter restores a previous query), and the session server

@@ -13,18 +13,22 @@ out of the poll loop:
   normalized schemas included);
 * the filter mask is evaluated once over the full table — predicates are
   pointwise, so the mask of any row subset is a gather of the full mask;
-* bin codes and the group structure are built once over all filter-passing
-  rows, yielding a per-row *global group id* and the decoded keys in
-  canonical order (sorted codes / lexicographic for 2-D), of which every
-  subset's naive grouping is a restriction;
+* bin codes and the group structure are built once over all rows (a
+  :class:`BinningPlan`) and restricted to the filter-passing ones (a
+  :class:`Grouping`), yielding a per-row *global group id* and the
+  decoded keys in canonical order (sorted codes / lexicographic for
+  2-D), of which every subset's naive grouping is a restriction;
 * aggregate columns are read as ``float64`` through the dataset's shared
   cast.
 
-Compiling itself does not sort: nominal codes and string predicates come
-from the dataset's memoized dictionary encoding
+IDE queries are built incrementally (§2.2, §4.3): a brush re-issues many
+queries whose bins are unchanged and one filter lands on many vizs. So a
+compile builds only what no live kernel of the dataset already holds —
+one plan per ``bins``, one mask per ``filter``, one grouping per pair —
+and none of it sorts: nominal codes and string predicates come from the
+dataset's memoized dictionary encoding
 (:meth:`repro.data.storage.Dataset.encoded_column`) and the distinct
-codes are found by counting (:func:`unique_inverse`), so a compile is a
-few gathers over the filter-passing rows.
+codes are found by counting (:func:`unique_inverse`).
 
 A poll then reduces to one gather plus the scatters its aggregates need:
 the group ids are gathered once, counts take one ``np.add.at``, and each
@@ -47,12 +51,14 @@ from-scratch IEEE-754 operation sequence bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.query.binning import DimensionCodes, compute_codes
+from repro.query.binning import compute_codes
 from repro.query.filters import evaluate_filter
 from repro.query.groundtruth import (
     GroupedStats,
@@ -101,14 +107,177 @@ def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return unique + lowest, rank[shifted]
 
 
+@dataclass(eq=False)
+class BinningPlan:
+    """``query.bins`` run over every row of a dataset: the decoded keys in
+    canonical order and each row's group id among them."""
+
+    keys: List[BinKey]
+    gid: np.ndarray
+
+
+@dataclass(eq=False)
+class Grouping:
+    """What a (bins, filter) pair compiles to, whatever is aggregated.
+
+    ``keys`` are the plan's keys some passing row reaches and ``row_gid``
+    each row's index among them (``-1`` for rows failing the filter). It
+    holds the parts it was derived from, so they live as long as it does.
+    """
+
+    mask: np.ndarray
+    plan: Optional[BinningPlan]
+    keys: List[BinKey]
+    row_gid: np.ndarray
+    num_passing: int
+    fallback: bool
+
+
+#: dataset -> the parts its live kernels are made of: plans by
+#: ("plans", bins), full-table masks by ("masks", filter), groupings by
+#: ("groupings", bins, filter). Weak both ways — a part dies with the
+#: last kernel holding it, so the kernel cache's capacity bounds these
+#: too. Their arrays are read-only: many kernels poll through each.
+_PARTS = weakref.WeakKeyDictionary()
+#: Parts built since import (none was alive to share), by kind.
+PART_BUILDS = {"plans": 0, "masks": 0, "groupings": 0}
+
+
+def _shared(dataset, key: tuple, build: Callable[[], object]):
+    """The dataset's live part under ``key``; built, and only then
+    registered, if there is none — a build that raises leaves nothing."""
+    parts = _PARTS.get(dataset)
+    if parts is None:
+        parts = _PARTS[dataset] = weakref.WeakValueDictionary()
+    part = parts.get(key)
+    if part is None:
+        part = parts[key] = build()
+        PART_BUILDS[key[0]] += 1
+    return part
+
+
+def _dimension_codes(
+    dataset,
+    dim: BinDimension,
+    columns: Dict[str, np.ndarray],
+    rows: Optional[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Bin codes of ``rows`` (``None``: every row) under ``dim``, and the
+    categories they index (``None``: a quantitative code is its own key).
+
+    Nominal codes are a gather from the dataset's dictionary: they index
+    *all* of the column's sorted categories rather than those present
+    among ``rows``, which numbers the groups identically because both are
+    monotone in the category order.
+    """
+    if dim.kind is BinKind.NOMINAL:
+        categories, codes = dataset.encoded_column(dim.field)
+        return (codes if rows is None else codes[rows]), categories
+    values = columns[dim.field]
+    return compute_codes(dim, values if rows is None else values[rows]).codes, None
+
+
+def _decoded(codes: np.ndarray, categories: Optional[np.ndarray]) -> list:
+    """Key coordinates of ``codes``: Python ``int`` bin indices or ``str``
+    categories, as :class:`~repro.query.binning.DimensionCodes` decodes."""
+    return (codes if categories is None else categories[codes]).tolist()
+
+
+def _build_groups(
+    dataset,
+    bins: Tuple[BinDimension, ...],
+    columns: Dict[str, np.ndarray],
+    rows: Optional[np.ndarray],
+) -> Tuple[List[BinKey], np.ndarray]:
+    """Group structure of ``rows`` (``None``: every row) under ``bins``.
+
+    Mirrors :func:`repro.query.binning.group_rows` exactly, except the
+    grouping is computed once over every candidate row instead of per
+    subset and without sorting: distinct codes in ascending order for
+    1-D, mixed-radix packing (monotone lexicographic, so subset
+    orderings are restrictions) for 2-D.
+    """
+    per_dim = [_dimension_codes(dataset, dim, columns, rows) for dim in bins]
+    if len(per_dim) == 1:
+        unique_codes, gid = unique_inverse(per_dim[0][0])
+        return list(zip(_decoded(unique_codes, per_dim[0][1]))), gid
+    (first, first_categories), (second, second_categories) = per_dim
+    first_min = int(first.min())
+    first_max = int(first.max())
+    second_min = int(second.min())
+    second_span = int(second.max()) - second_min + 1
+    if (first_max - first_min) * second_span + (second_span - 1) > _PACK_LIMIT:
+        raise _PackingOverflow
+    unique_packed, gid = unique_inverse(
+        (first - first_min) * second_span + (second - second_min)
+    )
+    first_codes, second_codes = np.divmod(unique_packed, second_span)
+    keys = zip(
+        _decoded(first_codes + first_min, first_categories),
+        _decoded(second_codes + second_min, second_categories),
+    )
+    return list(keys), gid
+
+
+def _build_grouping(
+    dataset, query: AggQuery, columns: Dict[str, np.ndarray]
+) -> Grouping:
+    """Restrict the binning plan of ``query.bins`` to the rows its filter
+    passes: keys no passing row reaches drop out and the rest renumber."""
+    num_rows = dataset.num_fact_rows
+
+    def build_mask() -> np.ndarray:
+        mask = evaluate_filter(
+            query.filter, columns.__getitem__, num_rows, dataset.encoded_column
+        )
+        mask.setflags(write=False)
+        return mask
+
+    def build_plan() -> BinningPlan:
+        # A plan covers rows no query may have asked about: their NaNs
+        # cast to the int64 extremes (see unique_inverse) unwarned.
+        with np.errstate(invalid="ignore"):
+            keys, gid = _build_groups(dataset, query.bins, columns, None)
+        gid.setflags(write=False)
+        return BinningPlan(keys, gid)
+
+    mask = _shared(dataset, ("masks", query.filter), build_mask)
+    rows = np.flatnonzero(mask)
+    plan, keys, fallback = None, [], False
+    row_gid = np.full(num_rows, -1, dtype=np.int64)
+    if rows.size:
+        try:
+            plan = _shared(dataset, ("plans", query.bins), build_plan)
+        except _PackingOverflow:
+            # No plan to share: group the passing rows alone, whose
+            # narrower code spans a filter may have brought back in range.
+            try:
+                keys, row_gid[rows] = _build_groups(
+                    dataset, query.bins, columns, rows
+                )
+            except _PackingOverflow:
+                fallback = True
+        else:
+            if rows.size == num_rows:
+                keys, row_gid = plan.keys, plan.gid
+            else:
+                kept, row_gid[rows] = unique_inverse(plan.gid[rows])
+                keys = plan.keys
+                if len(kept) < len(keys):
+                    keys = [keys[g] for g in kept.tolist()]
+    row_gid.setflags(write=False)
+    return Grouping(mask, plan, keys, row_gid, rows.size, fallback)
+
+
 class CompiledQueryKernel:
     """One query compiled against one dataset.
 
-    Holds the resolved column arrays, the full-table filter mask, the
-    per-row global group id (``-1`` for rows failing the filter) and the
-    decoded bin keys in canonical order. ``evaluate`` aggregates any row
-    subset from scratch; ``new_accumulator`` starts an incremental
-    running aggregation over a growing row stream.
+    Holds the full-table filter mask, the per-row global group id (``-1``
+    for rows failing the filter) and the decoded bin keys in canonical
+    order — the :class:`Grouping` it shares with every live kernel of the
+    same bins and filter — plus the aggregated columns. ``evaluate``
+    aggregates any row subset from scratch; ``new_accumulator`` starts an
+    incremental running aggregation over a growing row stream.
     """
 
     def __init__(self, dataset, query: AggQuery):
@@ -123,34 +292,25 @@ class CompiledQueryKernel:
             name: dataset.gather_column(name)
             for name in query.referenced_columns()
         }
-        self._mask = evaluate_filter(
-            query.filter,
-            columns.__getitem__,
-            self.num_rows,
-            dataset.encoded_column,
+        self._grouping = grouping = _shared(
+            dataset,
+            ("groupings", query.bins, query.filter),
+            lambda: _build_grouping(dataset, query, columns),
         )
+        self._mask = grouping.mask
+        # Equal to ``mask.mean()``: both divide the exact count once.
         self.qualifying_fraction = (
-            float(self._mask.mean()) if len(self._mask) else 0.0
+            grouping.num_passing / self.num_rows if self.num_rows else 0.0
         )
-
-        self._keys: List[BinKey] = []
-        self._row_gid = np.full(self.num_rows, -1, dtype=np.int64)
-        self._fallback = False
-        rows = np.flatnonzero(self._mask)
-        if rows.size:
-            try:
-                self._keys, gid = self._build_groups(columns, rows)
-            except _PackingOverflow:
-                self._fallback = True
-            else:
-                self._row_gid[rows] = gid
+        self._keys = grouping.keys
+        self._row_gid = grouping.row_gid
+        self._fallback = grouping.fallback
         #: The filter passes every row, so every row has a group id and
         #: accumulating needs no compress (never in fallback mode, where
         #: no row has one).
-        self.all_rows_pass = not self._fallback and rows.size == self.num_rows
-        # Both arrays are handed out to every holder of the kernel.
-        self._mask.setflags(write=False)
-        self._row_gid.setflags(write=False)
+        self.all_rows_pass = (
+            not self._fallback and grouping.num_passing == self.num_rows
+        )
 
         #: aggregate index -> full-table float64 value array, shared with
         #: every other kernel aggregating the same column of the dataset.
@@ -175,61 +335,6 @@ class CompiledQueryKernel:
     def full_mask(self) -> np.ndarray:
         """The full-table boolean filter mask (read-only)."""
         return self._mask
-
-    def _dimension_codes(
-        self, dim: BinDimension, columns: Dict[str, np.ndarray], rows: np.ndarray
-    ) -> DimensionCodes:
-        """Bin codes of ``rows`` under ``dim``.
-
-        Nominal codes are a gather from the dataset's dictionary: they
-        index *all* of the column's sorted categories rather than those
-        present among ``rows``, which numbers the groups identically
-        because both are monotone in the category order.
-        """
-        if dim.kind is BinKind.NOMINAL:
-            categories, codes = self._dataset.encoded_column(dim.field)
-            return DimensionCodes(codes[rows], lambda code: str(categories[code]))
-        return compute_codes(dim, columns[dim.field][rows])
-
-    def _build_groups(
-        self, columns: Dict[str, np.ndarray], rows: np.ndarray
-    ) -> Tuple[List[BinKey], np.ndarray]:
-        """Global group structure over all filter-passing ``rows``.
-
-        Mirrors :func:`repro.query.binning.group_rows` exactly, except the
-        grouping is computed once over every candidate row instead of per
-        subset and without sorting: distinct codes in ascending order for
-        1-D, mixed-radix packing (monotone lexicographic, so subset
-        orderings are restrictions) for 2-D.
-        """
-        per_dim = [
-            self._dimension_codes(dim, columns, rows) for dim in self.query.bins
-        ]
-        if len(per_dim) == 1:
-            unique_codes, gid = unique_inverse(per_dim[0].codes)
-            keys = [(per_dim[0].decode(code),) for code in unique_codes]
-            return keys, gid.astype(np.int64, copy=False)
-        first, second = per_dim
-        first_min = int(first.codes.min())
-        first_max = int(first.codes.max())
-        second_min = int(second.codes.min())
-        second_span = int(second.codes.max()) - second_min + 1
-        if (first_max - first_min) * second_span + (second_span - 1) > _PACK_LIMIT:
-            raise _PackingOverflow
-        packed = (first.codes - first_min) * second_span + (
-            second.codes - second_min
-        )
-        unique_packed, gid = unique_inverse(packed)
-        keys: List[BinKey] = []
-        for value in unique_packed:
-            first_code, second_code = divmod(int(value), second_span)
-            keys.append(
-                (
-                    first.decode(first_code + first_min),
-                    second.decode(second_code + second_min),
-                )
-            )
-        return keys, gid.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     def new_accumulator(self, num_strata: int = 1) -> "KernelAccumulator":

@@ -166,6 +166,7 @@ REQUIRED_SECTIONS = {
     ],
     "docs/kernels.md": [
         "## The compile pipeline",
+        "### Shared plans, masks and groupings",
         "### Dictionary gather",
         "### Counting grouping and its span rule",
         "### What still sorts, and why",
