@@ -37,8 +37,6 @@ from repro.engines.kernel_cache import (
     configure_kernel_cache,
     get_kernel,
     kernel_cache,
-    kernels_enabled,
-    set_kernels_enabled,
 )
 from repro.engines.onlineagg import OnlineAggEngine
 from repro.engines.progressive import ProgressiveEngine
@@ -71,6 +69,4 @@ __all__ = [
     "configure_kernel_cache",
     "get_kernel",
     "kernel_cache",
-    "kernels_enabled",
-    "set_kernels_enabled",
 ]

@@ -28,11 +28,14 @@ import numpy as np
 from repro.common.clock import Clock, VirtualClock
 from repro.common.config import BenchmarkSettings
 from repro.common.errors import EngineError
-from repro.common.rng import derive_rng
+from repro.common.rng import derive_rng, derive_seed
 from repro.data.storage import Dataset
 from repro.engines.cost import EngineCostModel, PreparationModel
+from repro.engines.estimators import srs_estimate
+from repro.engines.kernel_cache import get_kernel
 from repro.engines.scheduler import ProcessorSharingScheduler
-from repro.query.filters import Filter, evaluate_filter
+from repro.query.filters import Filter
+from repro.query.kernels import PrefixKernelRun
 from repro.query.model import AggQuery, QueryResult
 
 
@@ -278,24 +281,14 @@ class Engine:
         """Fraction of rows satisfying the query's filter (cost input).
 
         Cached per filter tree: dashboards re-evaluate the same effective
-        predicate across many linked queries. With compiled kernels
-        enabled the fraction comes from the kernel's full-table mask, so
-        the predicate is never evaluated a second time for cost modeling.
+        predicate across many linked queries. The fraction comes from the
+        kernel's full-table mask, so the predicate is never evaluated a
+        second time for cost modeling.
         """
-        cached = self._fraction_cache.get(query.filter)
-        if cached is not None:
-            return cached
-        from repro.engines.kernel_cache import get_kernel  # deferred: cycle
-
-        kernel = get_kernel(self.dataset, query)
-        if kernel is not None:
-            fraction = kernel.qualifying_fraction
-        else:
-            mask = evaluate_filter(
-                query.filter, self.dataset.gather_column, self.actual_rows
-            )
-            fraction = float(mask.mean()) if len(mask) else 0.0
-        self._fraction_cache[query.filter] = fraction
+        fraction = self._fraction_cache.get(query.filter)
+        if fraction is None:
+            fraction = get_kernel(self.dataset, query).qualifying_fraction
+            self._fraction_cache[query.filter] = fraction
         return fraction
 
     def _shuffled_indices(self, stream: object = "shuffle") -> np.ndarray:
@@ -310,3 +303,65 @@ class Engine:
             raise EngineError(
                 f"unknown handle {handle} for engine {self.name!r}"
             ) from None
+
+
+class PrefixSamplingEngine(Engine):
+    """Base of the engines whose sample is a growing prefix.
+
+    Every distinct query starts at its own deterministic rotation of one
+    seeded whole-table permutation, so concurrent samples are
+    decorrelated while re-executions of the *same* query extend the
+    *same* sample, and any prefix is an SRS of the table. One
+    :class:`PrefixKernelRun` per query aggregates it incrementally.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._permutation: Optional[np.ndarray] = None
+        #: query → incremental aggregation of its rotated prefix.
+        self._kernel_runs: Dict[AggQuery, PrefixKernelRun] = {}
+
+    def _do_prepare(self) -> List[Tuple[str, float]]:
+        self._permutation = self._shuffled_indices()
+        return []
+
+    def workflow_start(self) -> None:
+        """New workflow: the next polls re-aggregate from scratch
+        (bitwise-equivalent to continuing)."""
+        self._kernel_runs.clear()
+
+    def _kernel_run(self, query: AggQuery) -> PrefixKernelRun:
+        """The query's run; its rotation offset is hashed once, here."""
+        run = self._kernel_runs.get(query)
+        if run is None:
+            offset = derive_seed(self.settings.seed, self.name, "rotation", query)
+            run = self._kernel_runs[query] = PrefixKernelRun(
+                get_kernel(self.dataset, query),
+                self._permutation,
+                offset % self.actual_rows,
+            )
+        return run
+
+    def _result_of(self, state: _HandleState, n: int) -> QueryResult:
+        """The handle's estimate from ``n`` rows (the last one is kept:
+        polls between two sampling steps repeat ``n``)."""
+        cache = state.extra.get("result_cache")
+        if cache is not None and cache[0] == n:
+            return cache[1]
+        result = self._estimate(state.query, n)
+        state.extra["result_cache"] = (n, result)
+        return result
+
+    def _estimate(self, query: AggQuery, n: int) -> QueryResult:
+        """The SRS estimate from the first ``n`` rows of the query's prefix."""
+        stats = self._kernel_run(query).poll(n)
+        columns = srs_estimate(
+            stats, n, self.actual_rows, self.settings.confidence_level
+        )
+        return QueryResult(
+            query=query,
+            columns=columns,
+            rows_processed=n,
+            fraction=n / self.actual_rows,
+            exact=(n >= self.actual_rows),
+        )

@@ -2,8 +2,9 @@
 
 AQP engines return approximate answers plus confidence intervals at the
 configured confidence level (§4.6, default 95 %). This module converts the
-sufficient statistics of :func:`repro.query.groundtruth.compute_grouped_stats`
-into estimates and *absolute* margins of error, handed back as
+sufficient statistics a compiled kernel accumulates (a
+:class:`~repro.query.groundtruth.GroupedStats`, or a ``StrataGrid`` of
+them) into estimates and *absolute* margins of error, handed back as
 :class:`repro.query.model.BinColumns` — one float64 row per aggregate,
 which is what :func:`repro.bench.metrics.compute_metrics` reads; the
 estimate still unpacks as its ``(values, margins)`` dict pair:
@@ -12,7 +13,8 @@ estimate still unpacks as its ``(values, margins)`` dict pair:
   online-aggregation engines sample uniformly from a shuffled permutation,
   so a prefix of size *n* is an SRS of the table);
 * :func:`stratified_estimate` — stratified sampling with per-stratum
-  weights (the offline-sample engine, System X).
+  weights (the offline-sample engine, System X), from one input form:
+  :class:`StrataMoments`.
 
 Margins derive from the usual CLT intervals: counts are binomial
 proportions scaled by the population, sums are scaled sample means over
@@ -28,13 +30,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.common.errors import EngineError
-from repro.query.groundtruth import GroupedStats, StrataGrid, identity_moments
+from repro.query.groundtruth import GroupedStats, StrataGrid
 from repro.query.model import AggFunc, AggQuery, BinColumns, BinKey
 
 
@@ -120,65 +122,19 @@ def srs_estimate(
 
 
 @dataclass(frozen=True)
-class StratumStats:
-    """One stratum's contribution to a stratified estimate.
-
-    ``weight`` is the expansion factor N_h / n_h of the stratum;
-    ``sample_size`` its number of sampled rows n_h.
-    """
-
-    stats: GroupedStats
-    weight: float
-    sample_size: int
-
-
-@dataclass(frozen=True)
 class StrataMoments:
-    """Every stratum's contribution at once: row ``h`` of ``grid`` is
-    stratum ``h``, with ``weights[h]`` and ``sample_sizes[h]`` as in
-    :class:`StratumStats`."""
+    """Every stratum's contribution to a stratified estimate: row ``h`` of
+    ``grid`` is stratum ``h``, ``weights[h]`` its expansion factor
+    N_h / n_h and ``sample_sizes[h]`` its number of sampled rows n_h."""
 
     grid: StrataGrid
     weights: Sequence[float]
     sample_sizes: Sequence[int]
 
-    @classmethod
-    def from_strata(
-        cls, query: AggQuery, strata: Sequence[StratumStats]
-    ) -> "StrataMoments":
-        """Lay per-stratum statistics out on the union of their keys
-        (first-seen order), absent cells zero / ``±inf``."""
-        column: Dict[BinKey, int] = {}
-        for stratum in strata:
-            for key in stratum.stats.keys:
-                column.setdefault(key, len(column))
-        grid = StrataGrid(
-            list(column),
-            np.zeros((len(strata), len(column)), dtype=np.int64),
-            *identity_moments(query, (len(strata), len(column))),
-        )
-        for h, stratum in enumerate(strata):
-            stats = stratum.stats
-            columns = [column[key] for key in stats.keys]
-            grid.counts[h, columns] = stats.counts
-            for cells, held in (
-                (grid.sums, stats.sums),
-                (grid.sumsqs, stats.sumsqs),
-                (grid.mins, stats.mins),
-                (grid.maxs, stats.maxs),
-            ):
-                for j, values in held.items():
-                    cells[j][h, columns] = values
-        return cls(
-            grid,
-            weights=[stratum.weight for stratum in strata],
-            sample_sizes=[stratum.sample_size for stratum in strata],
-        )
-
 
 def stratified_estimate(
     query: AggQuery,
-    strata: Union[StrataMoments, Sequence[StratumStats]],
+    strata: StrataMoments,
     confidence_level: float,
 ) -> BinColumns:
     """Combine per-stratum statistics into stratified estimates.
@@ -195,10 +151,8 @@ def stratified_estimate(
     contributes an exact ``+0.0``, and sums over strata are cumulative,
     i.e. strictly sequential (docs/kernels.md, "One pass over strata").
     """
-    if not isinstance(strata, StrataMoments):
-        if not strata:
-            raise EngineError("stratified estimate needs at least one stratum")
-        strata = StrataMoments.from_strata(query, strata)
+    if not strata.sample_sizes:
+        raise EngineError("stratified estimate needs at least one stratum")
     for h, size in enumerate(strata.sample_sizes):
         if size <= 0:  # every variance below divides by n_h
             raise EngineError(f"stratum {h} holds no sampled row (sample_size {size})")

@@ -80,16 +80,6 @@ class FrontendEngine:
     def is_prepared(self) -> bool:
         return self.backend.is_prepared
 
-    @property
-    def kernel_runs(self):
-        """The backend's per-query incremental kernel runs, if it keeps any.
-
-        The frontend adds no execution of its own, so compiled-kernel
-        state (like scheduling) lives entirely in the backend; exposing it
-        keeps introspection uniform across engine stand-ins.
-        """
-        return getattr(self.backend, "_kernel_runs", {})
-
     # -- lifecycle ---------------------------------------------------------
     def prepare(self) -> PreparationReport:
         report = self.backend.prepare()

@@ -25,17 +25,18 @@ attributes always, and mirrored into the ``obs`` metrics registry
 (``repro_kernel_cache_*_total``) while observability is enabled; compile
 time lands in the profiler's ``compile`` stage.
 
-Kernels can be disabled wholesale with :func:`set_kernels_enabled`, in
-which case :func:`get_kernel` returns ``None`` and every call site falls
-back to the uncompiled path — the test-only reference the differential
-suite and ``benchmarks/bench_kernels.py`` compare the compiled path to.
+There is no off switch: :func:`get_kernel` always returns a kernel, the
+only way library code computes grouped statistics. A kernel whose 2-D
+packing overflows runs the uncompiled, sort-based evaluation behind the
+same interface (fallback mode), which makes that path the differential
+reference (``tests/conftest.py`` forces kernels into it).
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import BenchmarkError
 from repro.obs.metrics import get_metrics
@@ -134,21 +135,7 @@ class KernelCache:
             ).inc()
 
 
-_ENABLED = True
 _CACHE = KernelCache(_env_capacity())
-
-
-def kernels_enabled() -> bool:
-    """Whether compiled kernels are in use (vs. the uncompiled path)."""
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle compiled kernels process-wide; returns the previous state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
 
 
 def kernel_cache() -> KernelCache:
@@ -167,8 +154,7 @@ def clear_kernel_cache() -> None:
     _CACHE.clear()
 
 
-def get_kernel(dataset, query: AggQuery) -> Optional[CompiledQueryKernel]:
-    """The cached compiled kernel, or ``None`` when kernels are disabled."""
-    if not _ENABLED:
-        return None
+def get_kernel(dataset, query: AggQuery) -> CompiledQueryKernel:
+    """The process-wide cache's kernel for ``query`` × ``dataset`` —
+    always a :class:`CompiledQueryKernel`, compiled on a miss."""
     return _CACHE.get(dataset, query)

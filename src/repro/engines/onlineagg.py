@@ -27,27 +27,24 @@ This simulator reproduces those semantics:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.common.errors import EngineError
-from repro.common.rng import derive_seed
-from repro.engines.base import Engine, EngineCapabilities, _HandleState
+from repro.engines.base import (
+    EngineCapabilities,
+    PrefixSamplingEngine,
+    _HandleState,
+)
 from repro.engines.cost import (
     EngineCostModel,
     ONLINEAGG_COST,
     ONLINEAGG_PREP,
     PreparationModel,
 )
-from repro.engines.estimators import srs_estimate
-from repro.engines.kernel_cache import get_kernel
-from repro.query.groundtruth import compute_grouped_stats, evaluate_exact
-from repro.query.kernels import PrefixKernelRun
+from repro.query.groundtruth import evaluate_exact
 from repro.query.model import AggFunc, AggQuery, QueryResult
 
 
-class OnlineAggEngine(Engine):
+class OnlineAggEngine(PrefixSamplingEngine):
     """XDB-like online aggregation with a blocking fallback."""
 
     name = "xdb-sim"
@@ -55,21 +52,11 @@ class OnlineAggEngine(Engine):
         supports_joins=True, progressive=True, returns_margins=True
     )
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._permutation: Optional[np.ndarray] = None
-        #: query → incremental prefix aggregation (compiled-kernel path).
-        self._kernel_runs: Dict[AggQuery, PrefixKernelRun] = {}
-
     def _default_cost(self) -> EngineCostModel:
         return ONLINEAGG_COST
 
     def _default_prep(self) -> PreparationModel:
         return ONLINEAGG_PREP
-
-    def _do_prepare(self) -> List[Tuple[str, float]]:
-        self._permutation = self._shuffled_indices()
-        return []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -130,45 +117,4 @@ class OnlineAggEngine(Engine):
         )
         if n <= 0:
             return None
-        cache = state.extra.get("result_cache")
-        if cache is not None and cache[0] == n:
-            return cache[1]
-        result = self._estimate(state.query, n)
-        state.extra["result_cache"] = (n, result)
-        return result
-
-    def workflow_start(self) -> None:
-        """New workflow: drop incremental state (queries will not repeat)."""
-        self._kernel_runs.clear()
-
-    def _estimate(self, query: AggQuery, n: int) -> QueryResult:
-        if self._permutation is None:
-            raise EngineError("engine not prepared")
-        offset = derive_seed(self.settings.seed, self.name, "rotation", query) % self.actual_rows
-        run = self._kernel_runs.get(query)
-        if run is None:
-            kernel = get_kernel(self.dataset, query)
-            if kernel is not None:
-                run = PrefixKernelRun(kernel, self._permutation, offset)
-                self._kernel_runs[query] = run
-        if run is not None:
-            stats = run.poll(n)
-        else:
-            end = offset + n
-            if end <= self.actual_rows:
-                indices = self._permutation[offset:end]
-            else:
-                indices = np.concatenate(
-                    [self._permutation[offset:], self._permutation[: end - self.actual_rows]]
-                )
-            stats = compute_grouped_stats(self.dataset, query, indices)
-        columns = srs_estimate(
-            stats, n, self.actual_rows, self.settings.confidence_level
-        )
-        return QueryResult(
-            query=query,
-            columns=columns,
-            rows_processed=n,
-            fraction=n / self.actual_rows,
-            exact=(n >= self.actual_rows),
-        )
+        return self._result_of(state, n)

@@ -24,13 +24,14 @@ the normalized-schema experiment (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import EngineError
-from repro.common.rng import derive_seed
-from repro.engines.base import Engine, EngineCapabilities, _HandleState
+from repro.engines.base import (
+    EngineCapabilities,
+    PrefixSamplingEngine,
+    _HandleState,
+)
 from repro.engines.cost import (
     EngineCostModel,
     PreparationModel,
@@ -38,13 +39,9 @@ from repro.engines.cost import (
     PROGRESSIVE_FIRST_QUERY_PENALTY,
     PROGRESSIVE_PREP,
 )
-from repro.engines.estimators import srs_estimate
-from repro.engines.kernel_cache import get_kernel
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import STAGE_ENGINE_STEP, get_profiler
 from repro.obs.tracer import get_tracer
-from repro.query.groundtruth import compute_grouped_stats
-from repro.query.kernels import PrefixKernelRun
 from repro.query.model import AggQuery, QueryResult
 
 #: Relative scheduler weight of speculative background tasks while the
@@ -57,7 +54,7 @@ _SPECULATIVE_WEIGHT_PAUSED = 1e-4
 _MAX_SPECULATIVE = 40
 
 
-class ProgressiveEngine(Engine):
+class ProgressiveEngine(PrefixSamplingEngine):
     """IDEA-like progressive online aggregation."""
 
     name = "idea-sim"
@@ -72,13 +69,8 @@ class ProgressiveEngine(Engine):
         self.speculation = speculation
         #: Result reuse (à la [16]) can be disabled for ablation studies.
         self.reuse_enabled = reuse
-        self._permutation: Optional[np.ndarray] = None
         #: query → tuples already processed in some earlier execution.
         self._reuse: Dict[AggQuery, int] = {}
-        #: query → incremental prefix aggregation (compiled-kernel path).
-        self._kernel_runs: Dict[AggQuery, PrefixKernelRun] = {}
-        #: query → rotation offset memo (derive_seed hashes per call).
-        self._offsets: Dict[AggQuery, int] = {}
         #: query → (task_id, rate) of a running speculative execution.
         self._speculative: Dict[AggQuery, Tuple[int, float]] = {}
         #: handles of foreground queries that have not been cancelled yet;
@@ -105,10 +97,6 @@ class ProgressiveEngine(Engine):
 
     def _default_prep(self) -> PreparationModel:
         return PROGRESSIVE_PREP
-
-    def _do_prepare(self) -> List[Tuple[str, float]]:
-        self._permutation = self._shuffled_indices()
-        return []
 
     # ------------------------------------------------------------------
     # Submission / polling
@@ -160,12 +148,7 @@ class ProgressiveEngine(Engine):
         if n <= 0:
             return None
         self._remember(state.query, n)
-        cache = state.extra.get("result_cache")
-        if cache is not None and cache[0] == n:
-            return cache[1]
-        result = self._estimate(state.query, n)
-        state.extra["result_cache"] = (n, result)
-        return result
+        return self._result_of(state, n)
 
     def _estimate(self, query: AggQuery, n: int) -> QueryResult:
         # The engine-step kernel: one sample-prefix estimate. Wall time
@@ -180,68 +163,7 @@ class ProgressiveEngine(Engine):
                 help="Progressive estimate kernels executed.",
             ).inc()
         with get_profiler().stage(STAGE_ENGINE_STEP):
-            run = self._kernel_run(query)
-            if run is not None:
-                # Incremental path: fold in only the delta rows since the
-                # last poll of this query (bitwise-equal to from-scratch).
-                stats = run.poll(n)
-            else:
-                indices = self._sample_indices(query, n)
-                stats = compute_grouped_stats(self.dataset, query, indices)
-            columns = srs_estimate(
-                stats, n, self.actual_rows, self.settings.confidence_level
-            )
-        return QueryResult(
-            query=query,
-            columns=columns,
-            rows_processed=n,
-            fraction=n / self.actual_rows,
-            exact=(n >= self.actual_rows),
-        )
-
-    def _rotation_offset(self, query: AggQuery) -> int:
-        """The query's deterministic rotation offset (memoized per query)."""
-        offset = self._offsets.get(query)
-        if offset is None:
-            offset = (
-                derive_seed(self.settings.seed, self.name, "rotation", query)
-                % self.actual_rows
-            )
-            self._offsets[query] = offset
-        return offset
-
-    def _kernel_run(self, query: AggQuery) -> Optional[PrefixKernelRun]:
-        """The query's incremental run (None when kernels are disabled)."""
-        if self._permutation is None:
-            raise EngineError("engine not prepared")
-        run = self._kernel_runs.get(query)
-        if run is None:
-            kernel = get_kernel(self.dataset, query)
-            if kernel is None:
-                return None
-            run = PrefixKernelRun(
-                kernel, self._permutation, self._rotation_offset(query)
-            )
-            self._kernel_runs[query] = run
-        return run
-
-    def _sample_indices(self, query: AggQuery, n: int) -> np.ndarray:
-        """First ``n`` rows of the query's rotated permutation.
-
-        Each distinct query starts at its own deterministic rotation of the
-        shared shuffle so concurrent samples are decorrelated, while
-        re-executions of the *same* query extend the *same* sample — the
-        property result reuse relies on.
-        """
-        if self._permutation is None:
-            raise EngineError("engine not prepared")
-        offset = self._rotation_offset(query)
-        end = offset + n
-        if end <= self.actual_rows:
-            return self._permutation[offset:end]
-        return np.concatenate(
-            [self._permutation[offset:], self._permutation[: end - self.actual_rows]]
-        )
+            return super()._estimate(query, n)
 
     def _remember(self, query: AggQuery, n: int) -> None:
         if n > self._reuse.get(query, 0):
@@ -327,9 +249,7 @@ class ProgressiveEngine(Engine):
             self.scheduler.cancel(task_id)
         self._speculative.clear()
         self._reuse.clear()
-        # Incremental accumulators restart with the reuse cache: the next
-        # workflow's polls rebuild from scratch (bitwise-equivalent).
-        self._kernel_runs.clear()
+        super().workflow_start()
 
     def workflow_end(self) -> None:
         for task_id, _rate in self._speculative.values():

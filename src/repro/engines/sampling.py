@@ -40,13 +40,8 @@ from repro.engines.cost import (
     SAMPLING_DEFAULT_RATE,
     SAMPLING_PREP,
 )
-from repro.engines.estimators import (
-    StrataMoments,
-    StratumStats,
-    stratified_estimate,
-)
+from repro.engines.estimators import StrataMoments, stratified_estimate
 from repro.engines.kernel_cache import get_kernel
-from repro.query.groundtruth import compute_grouped_stats
 from repro.query.model import BinColumns, QueryResult
 
 #: Strata with more categories than this are unusable for stratification.
@@ -183,28 +178,16 @@ class StratifiedSamplingEngine(Engine):
         return state.extra["result"]
 
     def _estimate(self, state: _HandleState) -> QueryResult:
-        # One compiled kernel aggregates every stratum in a single pass
-        # over the sample; without one (kernels disabled, or compiled in
-        # fallback mode) each stratum takes the uncompiled path.
-        kernel = get_kernel(self.dataset, state.query)
-        if kernel is not None and kernel.supports_incremental:
-            grid = kernel.evaluate_strata(
-                self._sample_index, self._stratum_of_row, len(self._strata)
-            )
+        # One kernel pass over the sample aggregates every stratum.
+        grid = get_kernel(self.dataset, state.query).evaluate_strata(
+            self._sample_index, self._stratum_of_row, len(self._strata)
+        )
+        if grid.counts.any():
             strata = StrataMoments(
                 grid,
                 weights=[weight for _, weight in self._strata],
                 sample_sizes=[len(indices) for indices, _ in self._strata],
             )
-            observed = bool(grid.counts.any())
-        else:
-            strata = []
-            for indices, weight in self._strata:
-                stats = compute_grouped_stats(self.dataset, state.query, indices)
-                if stats.num_groups:
-                    strata.append(StratumStats(stats, weight, len(indices)))
-            observed = bool(strata)
-        if observed:
             columns = stratified_estimate(
                 state.query, strata, self.settings.confidence_level
             )

@@ -1,22 +1,23 @@
-"""Exact query evaluation and the shared grouped-statistics kernel.
-
-Two consumers:
+"""Exact query evaluation and the reference grouped statistics.
 
 * the **ground-truth oracle** — every metric of §4.7 compares an engine's
   answer against the exact answer on the full dataset; the oracle caches
   those exact answers per query (workloads re-issue many identical
   queries, e.g. when a filter is cleared);
-* the **engine simulators** — approximate engines aggregate *subsets*
-  (samples) of the data and need, per bin, the count and the sum/sum-of-
-  squares of each aggregated column to form estimates and confidence
-  intervals. :func:`compute_grouped_stats` provides exactly that, over
-  either the full dataset or a caller-supplied row subset.
+* the **sufficient statistics** engines estimate from — per bin, the
+  count and the moments each aggregate reads (:class:`GroupedStats`, or a
+  :class:`StrataGrid` of them for a stratified sample), which library
+  code gets from a compiled kernel (:mod:`repro.query.kernels`);
+* :func:`compute_grouped_stats` — the uncompiled, sort-based evaluation
+  of one query over one row subset, in one library role: what a
+  fallback-mode kernel runs. That makes it the differential reference
+  the kernel tests hold every compiled answer to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +84,35 @@ class StrataGrid:
     mins: Dict[int, np.ndarray]
     maxs: Dict[int, np.ndarray]
 
+    @classmethod
+    def from_stats(
+        cls, query: AggQuery, strata: Sequence[GroupedStats]
+    ) -> "StrataGrid":
+        """Lay per-stratum statistics out on the union of their keys
+        (first-seen order), absent cells zero / ``±inf``."""
+        column: Dict[BinKey, int] = {}
+        for stats in strata:
+            for key in stats.keys:
+                column.setdefault(key, len(column))
+        shape = (len(strata), len(column))
+        grid = cls(
+            list(column),
+            np.zeros(shape, dtype=np.int64),
+            *identity_moments(query, shape),
+        )
+        for h, stats in enumerate(strata):
+            columns = [column[key] for key in stats.keys]
+            grid.counts[h, columns] = stats.counts
+            for cells, held in (
+                (grid.sums, stats.sums),
+                (grid.sumsqs, stats.sumsqs),
+                (grid.mins, stats.mins),
+                (grid.maxs, stats.maxs),
+            ):
+                for j, values in held.items():
+                    cells[j][h, columns] = values
+        return grid
+
 
 def identity_moments(
     query: AggQuery, shape
@@ -116,8 +146,9 @@ def compute_grouped_stats(
 ) -> GroupedStats:
     """Aggregate ``query`` over ``dataset`` (optionally only ``row_indices``).
 
-    ``row_indices`` is how sampling engines evaluate a prefix of their
-    shuffled row permutation; ``None`` aggregates everything (exact).
+    The uncompiled reference: a fallback-mode kernel runs it, and the
+    differential tests hold every compiled answer to it bit for bit.
+    ``None`` aggregates every row (exact).
     """
     if not query.is_resolved:
         raise QueryError(
@@ -218,17 +249,13 @@ def stats_to_exact_values(stats: GroupedStats) -> BinColumns:
 def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
     """Exact (blocking-engine / ground-truth) evaluation of a query.
 
-    Routed through the compiled-kernel cache when kernels are enabled:
-    the full-table stats are memoized on the kernel, so every oracle and
-    blocking engine in the process shares one evaluation per query.
+    Routed through the compiled-kernel cache: the full-table stats are
+    memoized on the kernel, so every oracle and blocking engine in the
+    process shares one evaluation per query.
     """
     from repro.engines.kernel_cache import get_kernel  # deferred: layering
 
-    kernel = get_kernel(dataset, query)
-    if kernel is not None:
-        stats = kernel.exact_stats()
-    else:
-        stats = compute_grouped_stats(dataset, query)
+    stats = get_kernel(dataset, query).exact_stats()
     return QueryResult(
         query=query,
         columns=stats_to_exact_values(stats),

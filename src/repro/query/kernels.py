@@ -42,11 +42,14 @@ is aggregated in **one pass** too — :meth:`CompiledQueryKernel.evaluate_strata
 scatters every stratum's rows into cells ``stratum * num_groups + gid``.
 
 Determinism contract (pinned by ``tests/test_kernels_differential.py``):
-compiled results are **bitwise identical** to the uncompiled path. The
-accumulators use unbuffered ``ufunc.at`` scatters, which apply updates
-sequentially in row order — exactly the fold ``np.bincount(weights=...)``
-performs — so continuing a running sum over delta rows reproduces the
-from-scratch IEEE-754 operation sequence bit for bit.
+compiled results are **bitwise identical** to the uncompiled path, which
+survives in one library role — a kernel whose 2-D packing overflows
+compiles in **fallback mode** and runs it behind the same interface —
+and is therefore the differential reference. The accumulators use
+unbuffered ``ufunc.at`` scatters, which apply updates sequentially in row
+order — exactly the fold ``np.bincount(weights=...)`` performs — so
+continuing a running sum over delta rows reproduces the from-scratch
+IEEE-754 operation sequence bit for bit.
 """
 
 from __future__ import annotations
@@ -365,8 +368,19 @@ class CompiledQueryKernel:
         ``rows`` concatenates the strata and ``stratum_of_row[i]`` names
         the stratum of ``rows[i]``. Row ``h`` of the result is bitwise
         what ``evaluate`` returns for stratum ``h``'s rows alone, spread
-        over all of the kernel's groups (raises in fallback mode).
+        over all of the kernel's groups — in fallback mode, over the
+        groups some stratum holds, one uncompiled pass per stratum.
         """
+        if self._fallback:
+            return StrataGrid.from_stats(
+                self.query,
+                [
+                    compute_grouped_stats(
+                        self._dataset, self.query, rows[stratum_of_row == h]
+                    )
+                    for h in range(num_strata)
+                ],
+            )
         accumulator = self.new_accumulator(num_strata)
         accumulator.update(rows, stratum_of_row)
         return accumulator.grid()

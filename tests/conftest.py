@@ -9,6 +9,8 @@ clocks are function-scoped because they are stateful.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.common.config import BenchmarkSettings, DataSize
 from repro.data.schema import profile_table
 from repro.data.seed import generate_flights_seed
 from repro.data.storage import Dataset
+from repro.engines.kernel_cache import clear_kernel_cache
+from repro.query import kernels
 from repro.query.groundtruth import GroundTruthOracle
 from repro.query.model import (
     AggFunc,
@@ -93,6 +97,40 @@ def delay_avg_query():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(7)
+
+
+@contextlib.contextmanager
+def _fallback_kernels():
+    def overflow(*_args):
+        raise kernels._PackingOverflow
+
+    def forget_compiled():
+        kernels._PARTS.clear()
+        clear_kernel_cache()
+
+    forget_compiled()
+    compiled, kernels._build_groups = kernels._build_groups, overflow
+    try:
+        yield
+    finally:
+        kernels._build_groups = compiled
+        forget_compiled()
+
+
+@pytest.fixture
+def fallback_kernels():
+    """The differential reference, as a context manager.
+
+    Inside ``with fallback_kernels():`` every kernel compiles in fallback
+    mode — its grouping "overflows", so ``evaluate``, ``evaluate_strata``
+    and ``PrefixKernelRun.poll`` all run the uncompiled, sort-based
+    ``compute_grouped_stats`` behind the unchanged kernel interface
+    (cache lookups and counters included). Whatever was compiled before
+    is forgotten on entry, and the fallback kernels on exit, so neither
+    side answers from the other's cache. A test runs the same drive on
+    both sides and demands equal bytes.
+    """
+    return _fallback_kernels
 
 
 @pytest.fixture(scope="session")

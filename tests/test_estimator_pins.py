@@ -6,9 +6,10 @@ must reproduce the loop bit for bit. Two nets hold it there:
 
 * ``tests/golden/estimator_pins.txt`` — 216 System X estimates hashed
   from the loop's output at the commit before the rewrite.
-  ``test_golden_reports`` replays them with kernels on (the one-pass
-  ``evaluate_strata`` grid); this module replays them with kernels off
-  (the grid assembled from per-stratum ``compute_grouped_stats``).
+  ``test_golden_reports`` replays them through compiled kernels (the
+  one-pass ``evaluate_strata`` grid); this module replays them through
+  fallback kernels (the grid ``StrataGrid.from_stats`` lays out from
+  per-stratum ``compute_grouped_stats``).
 * The deleted loop itself, moved here verbatim as
   ``reference_stratified_estimate``, and a hypothesis property comparing
   the two on random strata: keys and their order, value and margin bits,
@@ -27,14 +28,8 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from repro.common.errors import EngineError
-from repro.engines.estimators import (
-    StrataMoments,
-    StratumStats,
-    stratified_estimate,
-    z_value,
-)
-from repro.engines.kernel_cache import set_kernels_enabled
-from repro.query.groundtruth import GroupedStats
+from repro.engines.estimators import StrataMoments, stratified_estimate, z_value
+from repro.query.groundtruth import GroupedStats, StrataGrid
 from repro.query.model import (
     AggFunc,
     Aggregate,
@@ -47,12 +42,9 @@ from repro.query.model import (
 from test_golden_reports import GOLDEN_DIR, regen
 
 
-def test_pins_hold_with_kernels_disabled():
-    previous = set_kernels_enabled(False)
-    try:
+def test_pins_hold_with_kernels_disabled(fallback_kernels):
+    with fallback_kernels():
         rebuilt = regen.case_estimator_pins(None)
-    finally:
-        set_kernels_enabled(previous)
     assert rebuilt.encode("utf-8") == (GOLDEN_DIR / "estimator_pins.txt").read_bytes()
 
 
@@ -63,6 +55,25 @@ def test_pins_cover_the_declared_matrix():
     ]
     assert len(names) == len(set(names)) == 4 * len(regen.estimator_pin_queries())
     assert len(names) >= 40
+
+
+@dataclasses.dataclass(frozen=True)
+class Stratum:
+    """One stratum as the scalar loop reads it: its statistics, its
+    expansion factor N_h / n_h and its number of sampled rows n_h."""
+
+    stats: GroupedStats
+    weight: float
+    sample_size: int
+
+
+def strata_moments(query: AggQuery, strata: List[Stratum]) -> StrataMoments:
+    """The same strata in ``stratified_estimate``'s input form."""
+    return StrataMoments(
+        StrataGrid.from_stats(query, [stratum.stats for stratum in strata]),
+        weights=[stratum.weight for stratum in strata],
+        sample_sizes=[stratum.sample_size for stratum in strata],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +184,7 @@ def _query(funcs) -> AggQuery:
     )
 
 
-def _stratum(query: AggQuery, cells, extra_rows: int, weight: float) -> StratumStats:
+def _stratum(query: AggQuery, cells, extra_rows: int, weight: float) -> Stratum:
     """One stratum from the raw values of each bin (``cells[i]`` belongs
     to ``ALL_KEYS[i]``; an empty list leaves the bin out), folded in row
     order. Unlike a kernel's scatter the sums start from the first value,
@@ -197,7 +208,7 @@ def _stratum(query: AggQuery, cells, extra_rows: int, weight: float) -> StratumS
         mins=mins, maxs=maxs, rows_aggregated=int(counts.sum()),
         rows_scanned=sample_size,
     )
-    return StratumStats(stats=stats, weight=weight, sample_size=sample_size)
+    return Stratum(stats=stats, weight=weight, sample_size=sample_size)
 
 
 cell_values = st.lists(
@@ -306,12 +317,14 @@ def test_vectorized_combiner_equals_the_scalar_loop(functions, draws):
     query = _query(functions)
     strata = [_stratum(query, *draw) for draw in draws]
     expected = reference_stratified_estimate(query, strata, 0.95)
-    assert_same_estimates(stratified_estimate(query, strata, 0.95), expected)
+    moments = strata_moments(query, strata)
+    assert_same_estimates(stratified_estimate(query, moments, 0.95), expected)
     # ...and from a kernel-shaped grid: canonical key axis, unseen bins.
-    moments = _canonical_grid(StrataMoments.from_strata(query, strata))
+    moments = _canonical_grid(moments)
     assert_same_estimates(stratified_estimate(query, moments, 0.95), expected)
 
 
 def test_empty_strata_rejected_before_any_arithmetic():
     with pytest.raises(EngineError):
-        stratified_estimate(_query([AggFunc.COUNT]), [], 0.95)
+        query = _query([AggFunc.COUNT])
+        stratified_estimate(query, strata_moments(query, []), 0.95)

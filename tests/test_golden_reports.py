@@ -61,6 +61,18 @@ def test_replay_is_byte_identical(server_ctx, name):
     )
 
 
+@pytest.mark.parametrize("name", sorted(regen.GOLDEN_CASES))
+def test_replay_is_byte_identical_through_fallback_kernels(
+    server_ctx, name, fallback_kernels
+):
+    """The A/B side: the same bytes, unmasked, when every kernel runs the
+    uncompiled reference (the series' kernel-cache counters included —
+    fallback kernels pass through the cache like any other)."""
+    with fallback_kernels():
+        rebuilt = regen.GOLDEN_CASES[name](server_ctx).encode("utf-8")
+    assert rebuilt == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_adaptive_differs_from_scripted():
     """Sanity: the adaptive golden file is not a copy of the scripted one."""
     markov = (GOLDEN_DIR / "adaptive_markov.txt").read_bytes()

@@ -27,8 +27,6 @@ from repro.engines.kernel_cache import (
     configure_kernel_cache,
     get_kernel,
     kernel_cache,
-    kernels_enabled,
-    set_kernels_enabled,
 )
 from repro.obs import get_metrics, get_tracer, observed
 from repro.query.kernels import CompiledQueryKernel
@@ -226,16 +224,22 @@ class TestDatasetIsolation:
 
 
 class TestProcessWideToggles:
-    def test_get_kernel_respects_disable_toggle(self):
+    def test_fallback_kernels_pass_through_the_cache(self, fallback_kernels):
         dataset = _toy_dataset()
         query = _query()
-        previous = set_kernels_enabled(False)
-        try:
-            assert not kernels_enabled()
-            assert get_kernel(dataset, query) is None
-        finally:
-            set_kernels_enabled(previous)
-        assert isinstance(get_kernel(dataset, query), CompiledQueryKernel)
+        compiled = get_kernel(dataset, query)
+        assert compiled.supports_incremental
+        with fallback_kernels():
+            assert kernel_cache().stats()["entries"] == 0
+            kernel = get_kernel(dataset, query)
+            assert isinstance(kernel, CompiledQueryKernel)
+            assert not kernel.supports_incremental
+            assert get_kernel(dataset, query) is kernel
+            stats = kernel_cache().stats()
+            assert (stats["misses"], stats["hits"]) == (1, 1)
+            assert kernel.evaluate(None).sums[0].tolist() == [4.0, 6.0]
+        assert kernel_cache().stats()["entries"] == 0
+        assert get_kernel(dataset, query).supports_incremental
 
     def test_configure_replaces_process_cache(self):
         original = kernel_cache()

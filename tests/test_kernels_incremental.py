@@ -21,12 +21,7 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.engines.cost import PROGRESSIVE_FIRST_QUERY_PENALTY
 from repro.engines.estimators import srs_estimate
-from repro.engines.kernel_cache import (
-    clear_kernel_cache,
-    get_kernel,
-    kernels_enabled,
-    set_kernels_enabled,
-)
+from repro.engines.kernel_cache import get_kernel
 from repro.engines.onlineagg import OnlineAggEngine
 from repro.engines.progressive import ProgressiveEngine
 from repro.query.groundtruth import compute_grouped_stats
@@ -109,7 +104,7 @@ def filtered_query():
 class TestPrefixKernelRunSchedules:
     def _check_schedule(self, dataset, query, offset, schedule):
         kernel = get_kernel(dataset, query)
-        assert kernel is not None and kernel.supports_incremental
+        assert kernel.supports_incremental
         permutation = np.random.default_rng(23).permutation(dataset.num_fact_rows)
         run = PrefixKernelRun(kernel, permutation, offset)
         for n in schedule:
@@ -220,7 +215,6 @@ def _naive_result(engine, query, n):
 
 class TestEngineIncremental:
     def test_progressive_polls_match_naive(self, engine, filtered_query):
-        assert kernels_enabled()
         start = engine.clock.now()
         handle = engine.submit(filtered_query)
         for dt in (0.4, 0.9, 0.9, 1.6, 3.0, 8.0):
@@ -274,9 +268,10 @@ class TestEngineIncremental:
         engine.cancel(handle)
 
     def test_kernels_disabled_bitwise_identical_results(
-        self, flights_dataset, tiny_settings, filtered_query
+        self, flights_dataset, tiny_settings, filtered_query, fallback_kernels
     ):
-        """The A/B switch: an engine with kernels off answers identically."""
+        """The A/B switch: an engine whose kernels all run the uncompiled
+        reference answers identically."""
 
         def drive():
             engine = ProgressiveEngine(flights_dataset, tiny_settings, VirtualClock())
@@ -290,13 +285,12 @@ class TestEngineIncremental:
                 results.append(engine.result_at(handle, start + dt))
             return results
 
-        clear_kernel_cache()
         fast = drive()
-        previous = set_kernels_enabled(False)
-        try:
+        with fallback_kernels():
+            assert not get_kernel(
+                flights_dataset, filtered_query
+            ).supports_incremental
             slow = drive()
-        finally:
-            set_kernels_enabled(previous)
         assert any(result is not None for result in fast)
         for a, b in zip(fast, slow):
             if a is None or b is None:
@@ -325,3 +319,32 @@ class TestEngineIncremental:
                 result, _naive_result(engine, carrier_count_query, result.rows_processed)
             )
         assert saw_result
+
+    def test_onlineagg_hashes_a_query_rotation_once(
+        self, flights_dataset, tiny_settings, carrier_count_query, monkeypatch
+    ):
+        """The rotation offset is a ``str(query)`` plus a SHA-256: paid
+        when the query's run is built, not again on every poll."""
+        import repro.engines.base
+        from repro.common.rng import derive_seed
+
+        hashed = []
+
+        def counting(*parts):
+            hashed.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(repro.engines.base, "derive_seed", counting)
+        engine = OnlineAggEngine(flights_dataset, tiny_settings, VirtualClock())
+        engine.prepare()
+        engine.workflow_start()
+        start = engine.clock.now()
+        handle = engine.submit(carrier_count_query)
+        polled = set()
+        for dt in (0.5, 1.4, 3.5, 9.0):
+            _run_to(engine, start + dt)
+            result = engine.result_at(handle, start + dt)
+            if result is not None:
+                polled.add(result.rows_processed)
+        assert len(polled) >= 3
+        assert len(hashed) == 1 and hashed[0][2:] == ("rotation", carrier_count_query)

@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import QueryError
 from repro.data.storage import Dataset, Table
-from repro.engines.kernel_cache import set_kernels_enabled
+from repro.engines.estimators import stratified_estimate
 from repro.engines.sampling import StratifiedSamplingEngine
 from repro.query.filters import Comparison, RangePredicate
-from repro.query.groundtruth import compute_grouped_stats
+from repro.query.groundtruth import StrataGrid, compute_grouped_stats
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
+import test_estimator_pins as pins
 from test_kernels_differential import assert_stats_equal
 
 ALL_FUNCS = (
@@ -129,7 +129,7 @@ def test_strata_grid_equals_per_stratum_evaluate_nan_column(
     assert_grid_equals_per_stratum(CompiledQueryKernel(edge_dataset, query))
 
 
-def test_fallback_kernels_have_no_grid_and_the_engine_copes(tiny_settings):
+def test_fallback_kernels_lay_the_reference_on_a_grid(tiny_settings):
     # A 2-D code span past the packing guard compiles in fallback mode
     # (see test_packing_overflow_falls_back_to_naive_path).
     table = Table(
@@ -151,28 +151,45 @@ def test_fallback_kernels_have_no_grid_and_the_engine_copes(tiny_settings):
     )
     kernel = CompiledQueryKernel(dataset, query)
     assert not kernel.supports_incremental and not kernel.all_rows_pass
-    with pytest.raises(QueryError):
-        kernel.evaluate_strata(np.array([0, 1]), np.array([0, 0]), 1)
 
-    def estimate():
-        engine = StratifiedSamplingEngine(
-            dataset, tiny_settings, VirtualClock(), sampling_rate=0.75
+    # Its grid is the reference, stratum by stratum (stratum 1 is empty).
+    samples = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([2, 3])]
+    grid = kernel.evaluate_strata(
+        np.concatenate(samples), np.array([0, 0, 2, 2]), len(samples)
+    )
+    reference = StrataGrid.from_stats(
+        query, [compute_grouped_stats(dataset, query, rows) for rows in samples]
+    )
+    assert grid.keys == reference.keys and len(grid.keys) == 4
+    assert grid.counts.tolist() == [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]
+    assert grid.counts.dtype == reference.counts.dtype
+    for name in ("sums", "sumsqs", "mins", "maxs"):
+        cells, expected = getattr(grid, name), getattr(reference, name)
+        assert sorted(cells) == sorted(expected)
+        for j in expected:
+            assert cells[j].dtype == expected[j].dtype
+            assert cells[j].tobytes() == expected[j].tobytes()
+
+    # ...and the engine answers from it what the reference answers.
+    engine = StratifiedSamplingEngine(
+        dataset, tiny_settings, VirtualClock(), sampling_rate=0.75
+    )
+    engine.prepare()
+    handle = engine.submit(query)
+    engine.clock.advance_to(60.0)
+    engine.advance_to(60.0)
+    result = engine.result_at(handle, 60.0)
+    strata = [
+        pins.Stratum(
+            compute_grouped_stats(dataset, query, indices), weight, len(indices)
         )
-        engine.prepare()
-        handle = engine.submit(query)
-        engine.clock.advance_to(60.0)
-        engine.advance_to(60.0)
-        return engine.result_at(handle, 60.0)
-
-    through_fallback_kernel = estimate()
-    previous = set_kernels_enabled(False)
-    try:
-        without_kernels = estimate()
-    finally:
-        set_kernels_enabled(previous)
-    assert len(through_fallback_kernel.values) == 3
-    assert through_fallback_kernel.values == without_kernels.values
-    assert through_fallback_kernel.margins == without_kernels.margins
+        for indices, weight in engine._strata
+    ]
+    values, margins = stratified_estimate(
+        query, pins.strata_moments(query, strata), tiny_settings.confidence_level
+    )
+    assert len(values) == 3
+    assert result.values == values and result.margins == margins
 
 
 # ----------------------------------------------------------------------

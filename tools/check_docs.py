@@ -181,7 +181,7 @@ REQUIRED_SECTIONS = {
         "dataset.fingerprint()",
         "query_cache_key",
         "repro_kernel_cache_",
-        "set_kernels_enabled(False)",
+        "fallback_kernels",
         "tests/test_kernels_differential.py",
         "REPRO_KERNEL_CACHE_SIZE",
         "BENCH_kernels.json",
@@ -243,7 +243,7 @@ REQUIRED_SECTIONS = {
         "repro top",
         "--stats-window",
         "docs/observability.md",
-        "set_kernels_enabled(False)",
+        "fallback_kernels",
         "one event-calendar loop",
         "docs/kernels.md",
         "repro lint",
