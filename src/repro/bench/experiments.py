@@ -93,28 +93,17 @@ SEED_ROWS = 60_000
 
 
 @lru_cache(maxsize=8)
-def _shared_seed_table(seed: int, rows: int) -> Table:
-    """Process-wide memo of the synthetic seed table.
-
-    The table is a pure function of ``(seed, rows)`` and is treated as
-    immutable everywhere (engines copy or index, never write), so every
-    :class:`ExperimentContext` in a process — including the many the CLI
-    tests and run-matrix workers create — can share one instance instead
-    of re-synthesizing it.
-    """
-    return generate_flights_seed(rows, seed=seed)
-
-
-@lru_cache(maxsize=8)
 def _shared_scaler(seed: int, rows: int) -> CopulaScaler:
     """Process-wide memo of the fitted copula scaler (pure in its key).
 
-    Only these two *fixed-cost* artifacts are memoized process-wide;
-    scaled tables stay cached per context (and per artifact store), so a
-    long-lived process sweeping large sizes does not pin multi-GB tables
-    for its lifetime.
+    Only this one *fixed-cost* artifact is memoized process-wide: the
+    seed table it is fitted on is read by nothing else, so it lives for
+    the fit and no longer, and scaled tables stay cached per context (and
+    per artifact store), so a long-lived process sweeping large sizes
+    does not pin multi-GB tables for its lifetime.
     """
-    return CopulaScaler.fit(_shared_seed_table(seed, rows), seed_value=seed)
+    seed_table = generate_flights_seed(rows, seed=seed)
+    return CopulaScaler.fit(seed_table, seed_value=seed)
 
 
 def make_engine(
@@ -160,7 +149,6 @@ class ExperimentContext:
         self.runtime = MatrixExecutor(
             jobs=jobs, store=store, reuse_results=reuse_results, local_context=self
         )
-        self._seed_table: Optional[Table] = None
         self._scaler: Optional[CopulaScaler] = None
         self._tables: Dict[DataSize, Table] = {}
         self._datasets: Dict[Tuple[DataSize, bool], Dataset] = {}
@@ -186,12 +174,6 @@ class ExperimentContext:
         return self.store.get_or_create(key, build)
 
     # -- data ----------------------------------------------------------
-    @property
-    def seed_table(self) -> Table:
-        if self._seed_table is None:
-            self._seed_table = _shared_seed_table(self.settings.seed, SEED_ROWS)
-        return self._seed_table
-
     @property
     def scaler(self) -> CopulaScaler:
         if self._scaler is None:

@@ -129,9 +129,11 @@ class CopulaScaler:
 
     def _generate_batch(self, num_rows: int, rng: np.random.Generator) -> Table:
         k = len(self.column_names)
-        independent = rng.standard_normal(size=(num_rows, k))
-        correlated = independent @ self.cholesky.T
-        uniforms = gaussian_to_uniform(correlated)
+        # No name for the normals or the correlated matrix: each
+        # (num_rows × k) buffer is freed as soon as the next one exists.
+        uniforms = gaussian_to_uniform(
+            rng.standard_normal(size=(num_rows, k)) @ self.cholesky.T
+        )
         columns: Dict[str, np.ndarray] = {}
         for j, name in enumerate(self.column_names):
             u = uniforms[:, j]

@@ -141,9 +141,8 @@ def normalize(
         dim_data: Dict[str, np.ndarray] = {
             key_column: np.arange(len(unique_rows), dtype=np.int64)
         }
-        dim_data.update(
-            {dim_col: unique_rows[:, j] for j, dim_col in enumerate(dim_columns)}
-        )
+        # Transposed copy: each attribute column contiguous, as engines gather it.
+        dim_data.update(zip(dim_columns, np.ascontiguousarray(unique_rows.T)))
         dim_tables[dim_name] = Table(dim_name, dim_data)
         offset = 0
         for role in roles:

@@ -17,10 +17,9 @@ inverse CDFs for both quantitative and nominal columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr, ndtri
 
 from repro.common.errors import DataGenerationError
 
@@ -34,15 +33,19 @@ def normal_scores(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     rank ``(r + 0.5) / n`` keeps scores strictly inside (0, 1) so the probit
     transform stays finite.
     """
+    values = np.asarray(values)
     n = len(values)
     if n == 0:
         raise DataGenerationError("cannot compute normal scores of empty column")
     jitter = rng.permutation(n)
-    order = np.lexsort((jitter, values))
+    # Rows laid out in jitter order, then sorted stably by value: the order
+    # of ``np.lexsort((jitter, values))`` from one single-key sort.
+    by_jitter = np.empty(n, dtype=np.intp)
+    by_jitter[jitter] = np.arange(n)
+    order = by_jitter[np.argsort(values[by_jitter], kind="stable")]
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(n, dtype=np.float64)
-    uniforms = (ranks + 0.5) / n
-    return scipy_stats.norm.ppf(uniforms)
+    return ndtri((ranks + 0.5) / n)
 
 
 def safe_cholesky(matrix: np.ndarray, max_jitter: float = 1e-3) -> np.ndarray:
@@ -129,13 +132,17 @@ class NominalInverseCdf:
 
     def code_of(self, values: np.ndarray) -> np.ndarray:
         """Frequency-rank codes of ``values`` (0 = most common)."""
-        lookup = {category: i for i, category in enumerate(self.categories)}
-        try:
-            return np.array([lookup[str(v)] for v in values], dtype=np.int64)
-        except KeyError as exc:
+        values = np.asarray(values, dtype=str)
+        by_name = np.argsort(self.categories)
+        names = self.categories[by_name]
+        slots = np.minimum(np.searchsorted(names, values), len(names) - 1)
+        known = names[slots] == values
+        if not known.all():
             raise DataGenerationError(
-                f"value {exc.args[0]!r} not present in fitted categories"
-            ) from None
+                f"value {str(values[np.argmin(known)])!r} not present in "
+                "fitted categories"
+            )
+        return by_name[slots].astype(np.int64, copy=False)
 
 
 def correlation_of_scores(scores: np.ndarray) -> np.ndarray:
@@ -157,7 +164,7 @@ def correlation_of_scores(scores: np.ndarray) -> np.ndarray:
 
 def gaussian_to_uniform(samples: np.ndarray) -> np.ndarray:
     """Probit inverse: map correlated N(0,1) samples to uniforms (Φ)."""
-    return scipy_stats.norm.cdf(samples)
+    return ndtr(samples)
 
 
 def empirical_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -171,5 +178,7 @@ def empirical_correlation(x: np.ndarray, y: np.ndarray) -> float:
 
 def spearman_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation (what the copula actually preserves)."""
-    result: Tuple[float, float] = scipy_stats.spearmanr(x, y)
-    return float(result[0])
+    # Local: this import costs more than the rest of ``repro`` together.
+    from scipy.stats import spearmanr
+
+    return float(spearmanr(x, y)[0])

@@ -30,21 +30,29 @@ from repro.common.errors import DataGenerationError, QueryError
 
 
 def _as_column(values) -> np.ndarray:
-    """Coerce ``values`` into a 1-D column array with a supported dtype."""
+    """Coerce ``values`` into a 1-D column array with a supported dtype.
+
+    An ``int64``, ``float64`` or unicode array is adopted, not copied, as
+    a read-only view; writing to the original afterwards would leave the
+    memoized :meth:`Table.fingerprint` stale.
+    """
     array = np.asarray(values)
     if array.ndim != 1:
         raise DataGenerationError(
             f"columns must be 1-D, got array of shape {array.shape}"
         )
-    if array.dtype.kind in ("i", "u"):
-        return array.astype(np.int64)
-    if array.dtype.kind == "f":
-        return array.astype(np.float64)
-    if array.dtype.kind == "b":
-        return array.astype(np.int64)
-    if array.dtype.kind in ("U", "S", "O"):
-        return array.astype(str)
-    raise DataGenerationError(f"unsupported column dtype {array.dtype!r}")
+    if array.dtype.kind in ("i", "u", "b"):
+        column = array.astype(np.int64, copy=False)
+    elif array.dtype.kind == "f":
+        column = array.astype(np.float64, copy=False)
+    elif array.dtype.kind in ("U", "S", "O"):
+        column = array.astype(str, copy=False)
+    else:
+        raise DataGenerationError(f"unsupported column dtype {array.dtype!r}")
+    if column is values:
+        column = column.view()
+        column.setflags(write=False)
+    return column
 
 
 class Table:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtri
 
 from repro.common.errors import EngineError
 from repro.query.groundtruth import GroupedStats, StrataGrid
@@ -51,7 +51,7 @@ def z_value(confidence_level: float) -> float:
         raise EngineError(
             f"confidence level must be in (0, 1), got {confidence_level!r}"
         )
-    return float(scipy_stats.norm.ppf(0.5 + confidence_level / 2.0))
+    return float(ndtri(0.5 + confidence_level / 2.0))
 
 
 def _columns(keys: List[BinKey], rows: list) -> BinColumns:

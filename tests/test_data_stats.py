@@ -38,6 +38,24 @@ class TestNormalScores:
         with pytest.raises(DataGenerationError):
             normal_scores(np.array([]), rng)
 
+    def test_heavily_tied_column_equals_lexsort_reference(self):
+        """The two-key ``lexsort`` spelling, verbatim, on the same draws."""
+        from scipy import stats as scipy_stats
+
+        def reference(values, rng):
+            n = len(values)
+            jitter = rng.permutation(n)
+            order = np.lexsort((jitter, values))
+            ranks = np.empty(n, dtype=np.float64)
+            ranks[order] = np.arange(n, dtype=np.float64)
+            uniforms = (ranks + 0.5) / n
+            return scipy_stats.norm.ppf(uniforms)
+
+        values = np.random.default_rng(3).integers(0, 4, size=5_000).astype(float)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        assert np.array_equal(normal_scores(values, ours), reference(values, theirs))
+        assert ours.random() == theirs.random()  # same number of draws
+
 
 class TestSafeCholesky:
     def test_identity(self):
@@ -115,6 +133,24 @@ class TestNominalInverseCdf:
         cdf = NominalInverseCdf.fit(np.array(["a", "b"]))
         with pytest.raises(DataGenerationError):
             cdf.code_of(np.array(["zzz"]))
+
+    def test_code_of_round_trips_when_one_category_prefixes_another(self):
+        values = np.array(["AA", "A", "AA", "B", "AA", "A"])
+        cdf = NominalInverseCdf.fit(values)
+        assert list(cdf.categories) == ["AA", "A", "B"]
+        assert list(cdf.code_of(values)) == [0, 1, 0, 2, 0, 1]
+
+    def test_code_of_accepts_object_dtype(self):
+        cdf = NominalInverseCdf.fit(np.array(["x", "y", "y"]))
+        codes = cdf.code_of(np.array(["y", "x"], dtype=object))
+        assert codes.dtype == np.int64 and list(codes) == [0, 1]
+
+    @pytest.mark.parametrize("unknown", ["zz", "ab", "0"])
+    def test_code_of_names_the_first_unknown_value(self, unknown):
+        """Past the last sorted category, between two, before the first."""
+        cdf = NominalInverseCdf.fit(np.array(["a", "b", "b", "c"]))
+        with pytest.raises(DataGenerationError, match=repr(unknown)):
+            cdf.code_of(np.array(["b", unknown, "nope", "a"]))
 
 
 class TestCorrelationHelpers:

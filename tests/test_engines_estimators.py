@@ -63,15 +63,22 @@ class TestZValue:
         from repro.engines import estimators
 
         calls = []
-        real_ppf = estimators.scipy_stats.norm.ppf
+        real_ndtri = estimators.ndtri
         monkeypatch.setattr(
-            estimators.scipy_stats.norm, "ppf",
-            lambda q: calls.append(q) or real_ppf(q),
+            estimators, "ndtri", lambda q: calls.append(q) or real_ndtri(q)
         )
         z_value.cache_clear()
-        assert z_value(0.9) == z_value(0.9) == float(real_ppf(0.95))
+        assert z_value(0.9) == z_value(0.9) == float(real_ndtri(0.95))
         assert z_value(0.8) != z_value(0.9)
         assert calls == [0.95, 0.9]
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_equals_scipy_stats_norm_ppf(self, level):
+        """``src/`` reaches the probit through ``scipy.special`` alone;
+        the ``scipy.stats`` spelling it replaced is the reference."""
+        from scipy.stats import norm
+
+        assert z_value(level) == float(norm.ppf(0.5 + level / 2))
 
 
 class TestSrsEstimate:

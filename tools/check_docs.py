@@ -134,6 +134,7 @@ REQUIRED_SECTIONS = {
         "tests/golden/workflow_pins.txt",
         "Dataset.encoded_column",
         "### Answers are columns",
+        "## Cold start and footprint",
     ],
     "docs/paper-mapping.md": [
         "_LazyInteractions",

@@ -7,8 +7,9 @@ open-system churn run — plus wire transcripts, virtual-time traces, a
 windowed series, one SHA-256 per further serving configuration
 (``scheduler_pins.txt``), one per generated workflow
 (``workflow_pins.txt``), one per System X estimate
-(``estimator_pins.txt``) and one per scored answer
-(``metrics_pins.txt``), so any change to generator, engines, driver,
+(``estimator_pins.txt``), one per scored answer (``metrics_pins.txt``)
+and the §4.2 data generator's output at three seeds × three scales
+(``data_pins.txt``), so any change to generator, engines, driver,
 server, policies or report rendering that shifts output is caught as a
 diff, not discovered downstream. ``tests/test_golden_reports.py``
 re-executes the same builders in-process and asserts byte identity
@@ -631,6 +632,92 @@ def case_metrics_pins(ctx) -> str:
     return "".join(lines)
 
 
+# ----------------------------------------------------------------------
+# Data pins: §4.2 generator output frozen from the scipy.stats-based
+# scaler, before it worked in place on scipy.special
+# ----------------------------------------------------------------------
+
+#: Scales pinned per seed: S at 100, 20 000 and 160 000 actual rows —
+#: the three data sizes ``BENCHMARK.json``'s workloads set up.
+DATA_PIN_SCALES = (1_000_000, 5_000, 625)
+
+
+def scaler_digest(scaler) -> str:
+    """SHA-256 over a fitted scaler's Cholesky factor and every CDF
+    array, in column order (dtype, then raw bytes)."""
+    import hashlib
+
+    import numpy as np
+
+    arrays = [scaler.cholesky]
+    for name in scaler.column_names:
+        if name in scaler.numeric_cdfs:
+            arrays.append(scaler.numeric_cdfs[name].sorted_values)
+        else:
+            cdf = scaler.nominal_cdfs[name]
+            arrays += [cdf.categories, cdf.cumulative]
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.dtype.str.encode("utf-8"))
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def profiles_digest(profiles) -> str:
+    """SHA-256 over every :class:`ColumnProfile` field (float ``repr``
+    round-trips, so a one-ulp shift in a quantile changes the digest)."""
+    import hashlib
+
+    text = repr([
+        (p.name, p.kind.value, p.minimum, p.maximum, p.std, p.categories,
+         p.quantiles)
+        for p in profiles.values()
+    ])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def case_data_pins(ctx) -> str:
+    """Digests of everything between a seed and a profiled dataset.
+
+    Seeds 5–7: the 60 000-row seed table, the fitted scaler, and per
+    :data:`DATA_PIN_SCALES` scale the scaled table, its star-schema
+    normalization and its column profiles; then one multi-batch
+    generation and the normal critical values the engines' margins use.
+    ``ctx`` is unused: every pin builds its own context.
+    """
+    from repro.bench.experiments import SEED_ROWS, ExperimentContext
+    from repro.common.config import BenchmarkSettings, DataSize
+    from repro.data.seed import generate_flights_seed
+    from repro.engines.estimators import z_value
+
+    size = DataSize.S
+    lines = []
+    for seed in (5, 6, 7):
+        seed_table = generate_flights_seed(SEED_ROWS, seed=seed)
+        lines.append(f"seed{seed}_seed_table {seed_table.fingerprint()}\n")
+        scaler = ExperimentContext(BenchmarkSettings(seed=seed)).scaler
+        lines.append(f"seed{seed}_scaler {scaler_digest(scaler)}\n")
+        for scale in DATA_PIN_SCALES:
+            data = ExperimentContext(
+                BenchmarkSettings(data_size=size, scale=scale, seed=seed)
+            )
+            prefix = f"seed{seed}_scale{scale}"
+            lines += [
+                f"{prefix}_table {data.table(size).fingerprint()}\n",
+                f"{prefix}_normalized "
+                f"{data.dataset(size, normalized=True).fingerprint()}\n",
+                f"{prefix}_profiles {profiles_digest(data.profiles(size))}\n",
+            ]
+    # The last seed's scaler, three batches from one generator stream.
+    batched = scaler.generate(450_000, batch_rows=200_000)
+    lines.append(f"seed{seed}_generate_450000_in_3_batches {batched.fingerprint()}\n")
+    lines += [
+        f"z_value_{level} {float.hex(z_value(level))}\n"
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99)
+    ]
+    return "".join(lines)
+
+
 #: File name → builder. Each builder gets a fresh-or-shared context and
 #: returns the complete file content as text.
 GOLDEN_CASES = {
@@ -647,7 +734,12 @@ GOLDEN_CASES = {
     "workflow_pins.txt": case_workflow_pins,
     "estimator_pins.txt": case_estimator_pins,
     "metrics_pins.txt": case_metrics_pins,
+    "data_pins.txt": case_data_pins,
 }
+
+#: Cases that run no query: rebuilding them through fallback kernels
+#: would repeat the plain rebuild and compare nothing new.
+KERNEL_FREE_CASES = frozenset({"data_pins.txt"})
 
 
 def main() -> int:
