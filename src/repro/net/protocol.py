@@ -75,6 +75,7 @@ encode→decode→encode fixpoint to keep it that way.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Type
@@ -238,6 +239,21 @@ class Attach(Message):
                 "client-driven sessions are their own interaction source; "
                 "policy= applies to scripted mode only"
             )
+        if self.accel is not None and not (
+            math.isfinite(self.accel) and self.accel > 0
+        ):
+            raise ProtocolError(
+                f"accel must be unset or a finite number > 0, got "
+                f"{self.accel!r}"
+            )
+        if self.per_session < 1:
+            raise ProtocolError(
+                f"per_session must be >= 1, got {self.per_session!r}"
+            )
+        if self.session_index < 0:
+            raise ProtocolError(
+                f"session_index must be >= 0, got {self.session_index!r}"
+            )
 
     def to_payload(self) -> dict:
         return {
@@ -252,15 +268,18 @@ class Attach(Message):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Attach":
-        return cls(
-            mode=payload.get("mode", "scripted"),
-            session_index=int(payload.get("session_index", 0)),
-            per_session=int(payload.get("per_session", 1)),
-            workflow_type=payload.get("workflow_type", "mixed"),
-            policy=payload.get("policy"),
-            accel=payload.get("accel"),
-            name=payload.get("name"),
-        )
+        try:
+            return cls(
+                mode=payload.get("mode", "scripted"),
+                session_index=int(payload.get("session_index", 0)),
+                per_session=int(payload.get("per_session", 1)),
+                workflow_type=payload.get("workflow_type", "mixed"),
+                policy=payload.get("policy"),
+                accel=payload.get("accel"),
+                name=payload.get("name"),
+            )
+        except (TypeError, ValueError) as error:
+            raise ProtocolError(f"malformed attach payload: {error}") from error
 
 
 @dataclass(frozen=True)

@@ -1,49 +1,49 @@
 """The asyncio TCP server: real frontends driving simulated engines.
 
-Each accepted connection becomes one simulated IDE session (§2.2's one
-user). After the HELLO handshake the client ATTACHes in one of two modes:
+Every accepted connection is one simulated IDE session (§2.2's one user)
+and every session is a calendar session: an entry on a
+:class:`~repro.server.manager.SessionManager`'s event calendar, stepped
+by the one loop in-process ``repro serve`` runs, with a
+:class:`_WireHook` streaming each step's records back as RECORD frames.
+After the HELLO handshake the client ATTACHes in one of two modes:
 
-* **scripted** — the server runs session ``session_index``'s seeded
-  workflow suite (or, with ``policy`` set, its adaptive policy) through a
-  :class:`~repro.bench.driver.SessionDriver` on a fresh engine over the
-  shared dataset, streaming every evaluated record back as a RECORD
-  frame. Because isolated serving is byte-identical to serial runs, the
-  report a scripted client reassembles is **byte-identical** to the
-  in-process ``repro serve`` report for the same configuration — the
-  determinism guarantee extended across the wire (docs/protocol.md).
+* **scripted** — the session is ``session_index``'s seeded workflow suite
+  (or, with ``policy`` set, its adaptive policy), built by the same
+  :func:`~repro.server.manager.make_session` ``repro serve`` uses. The
+  report a scripted client reassembles — and the server's virtual-time
+  trace — is **byte-identical** to the in-process ``repro serve`` run of
+  the same configuration (docs/protocol.md).
 * **client** — the connection is the interaction source: SUBMIT_VIZ and
   INTERACT frames feed an
   :class:`~repro.workflow.policy.ExternalInteractionSource`, and the
-  driver *stalls* on the think-time grid whenever the next interaction
-  has not arrived (``driver.needs_input``). Interactions still fire at
-  exact grid instants, so wall arrival time never leaks into results.
+  session *stalls* on the think-time grid (the hook's ``wait_input``)
+  whenever the next interaction has not arrived. Interactions still fire
+  at exact grid instants, so wall arrival time never leaks into results.
 
-By default sessions are isolated (one engine per connection): concurrent
-connections interleave freely on the event loop without affecting each
-other's bytes.
+Isolated and shared serving differ only in the hook and the engine
+topology:
 
-**Shared-engine serving** (``share_engine=True``, ``repro serve --tcp
---share-engine``) attaches every connection to *one* shared-engine
-:class:`~repro.server.manager.SessionManager` instead: the server waits
-until all ``max_sessions`` expected participants have attached (each
-ATTACH claims one ``session_index`` slot), broadcasts a BARRIER, and
-then advances the global virtual timeline itself — each step turn is
-announced to its session's frontend as a TURN_GRANT frame, the records
-the step produced stream back, and the timeline is released only when
-the client's TURN_DONE acknowledgement arrives. A slow (or stalled
-client-driven) frontend therefore blocks only *virtual* time — every
-session waits, the deterministic ``(time, slot)`` order is unchanged —
-and never corrupts it; reports come out **byte-identical** to the
-in-process ``repro serve --share-engine`` run of the same configuration
-(docs/protocol.md's v2 contract). A frontend that disconnects while
-holding the turn, times out on its acknowledgement, or violates the
-turn protocol abandons exactly its own session (scheduler group swept
-via ``cancel_group``), exactly like an open-system churn departure.
-
-Wall pacing is per session (isolated mode only): an ATTACH with
-``accel`` paces that session's events through an
-:class:`~repro.server.clock.AsyncClock` (1.0 = real time, the original
-IDEBench driver's behavior) without changing results.
+* **isolated** (default) — each connection is a one-session manager on
+  its own engine over the shared dataset; concurrent connections
+  interleave freely on the event loop without affecting each other's
+  bytes. An ATTACH with ``accel`` paces its session through the
+  manager's :class:`~repro.server.clock.AsyncClock` (1.0 = real time,
+  the original IDEBench driver's behavior) without changing results.
+* **shared** (``share_engine=True``, ``repro serve --tcp
+  --share-engine``) — every connection is one session of *one*
+  shared-engine manager, paced by :class:`_SharedTurnHook`: the server
+  waits until all ``max_sessions`` participants have attached (each
+  ATTACH claims one ``session_index`` slot), broadcasts a BARRIER, and
+  announces each step turn as a TURN_GRANT frame; the timeline is
+  released only when the client's TURN_DONE arrives. A slow (or stalled
+  client-driven) frontend therefore blocks only *virtual* time — the
+  deterministic ``(time, slot)`` order is unchanged — and reports come
+  out **byte-identical** to the in-process ``repro serve
+  --share-engine`` run (docs/protocol.md's v2 contract). A frontend that
+  disconnects while holding the turn, times out on its acknowledgement,
+  or violates the turn protocol abandons exactly its own session
+  (scheduler group swept via ``cancel_group``), like an open-system
+  churn departure.
 
 :class:`ServerThread` runs a server on a background thread with its own
 event loop — how the blocking client library, the benchmarks, and
@@ -53,11 +53,11 @@ event loop — how the blocking client library, the benchmarks, and
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import re
 import threading
 from typing import Dict, List, Optional, Set
 
-from repro.bench.driver import SessionDriver
 from repro.common.errors import BenchmarkError, ProtocolError
 from repro.obs import stats_payload
 from repro.obs.metrics import get_metrics
@@ -68,11 +68,11 @@ from repro.obs.profile import (
 )
 from repro.obs.slo import SloWatchdog
 from repro.obs.timeseries import TimeSeries, set_timeseries
-from repro.server.clock import AsyncClock
 from repro.server.manager import (
     SessionAbandoned,
     SessionManager,
     SessionTurnHook,
+    _engine_source,
     make_session,
     shared_policy_generator,
 )
@@ -202,7 +202,6 @@ class TcpSessionServer:
         port: int = 0,
         max_sessions: Optional[int] = None,
         speculation: bool = False,
-        normalized: bool = False,
         share_engine: bool = False,
         per_session: int = 1,
         workflow_type: WorkflowType = WorkflowType.MIXED,
@@ -224,7 +223,6 @@ class TcpSessionServer:
         self.port = port
         self.max_sessions = max_sessions
         self.speculation = speculation
-        self.normalized = normalized
         self.share_engine = share_engine
         self.per_session = per_session
         self.workflow_type = (
@@ -263,8 +261,12 @@ class TcpSessionServer:
             self._series.add_listener(self._on_window)
         self.sessions_served = 0
         self._on_ready = on_ready
-        self._dataset = ctx.dataset(ctx.settings.data_size, normalized)
-        self._oracle = ctx.oracle(ctx.settings.data_size, normalized)
+        self._oracle, self._new_engine = _engine_source(
+            ctx, engine_name, speculation
+        )
+        #: Built on the first adaptive session, then shared by all of
+        #: them (policies draw from per-session rng streams only).
+        self._policy_generator = None
         self._client_counter = 0
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -279,10 +281,7 @@ class TcpSessionServer:
                 )
             # One engine, one run: the population contends on it exactly
             # as the in-process shared SessionManager would arrange.
-            self._shared_engine = self._make_engine()
-            self._policy_generator = (
-                shared_policy_generator(ctx) if policy is not None else None
-            )
+            self._shared_engine = self._new_engine()
             self._shared_run = _SharedRun(self, max_sessions)
 
     # ------------------------------------------------------------------
@@ -491,12 +490,9 @@ class TcpSessionServer:
                 # Shared-run sessions are counted by the run coordinator
                 # (all at once, when the run ends), not per handler.
                 await self._serve_shared(reader, writer, attach)
-            elif attach.mode == "client":
-                attached = True
-                await self._serve_client_driven(reader, writer, attach)
             else:
                 attached = True
-                await self._serve_scripted(reader, writer, attach)
+                await self._serve_isolated(reader, writer, attach)
         except ProtocolError as error:
             await self._send_error(writer, "protocol", str(error))
         except BenchmarkError as error:
@@ -545,209 +541,89 @@ class TcpSessionServer:
         except (ConnectionError, OSError):  # pragma: no cover - peer gone
             pass
 
-    def _make_engine(self):
-        from repro.bench.experiments import make_engine
-        from repro.common.clock import VirtualClock
-
-        engine = make_engine(
-            self.engine_name,
-            self._dataset,
-            self.ctx.settings,
-            VirtualClock(),
-            self.speculation,
-        )
-        engine.prepare()
-        return engine
-
     # ------------------------------------------------------------------
-    # Scripted / policy-driven sessions
+    # Sessions
     # ------------------------------------------------------------------
-    async def _serve_scripted(self, reader, writer, attach: Attach) -> None:
+    def _session_for(self, attach: Attach, session_id: str):
+        """``(spec, policy, source)`` of the session an ATTACH asks for.
+
+        Scripted sessions come from :func:`make_session` (``session_id``
+        is unused: the index names them); a client-driven one is its own
+        policy, an external interaction source named ``session_id``.
+        """
         try:
             workflow_type = WorkflowType(attach.workflow_type)
         except ValueError as error:
             raise ProtocolError(
                 f"unknown workflow type {attach.workflow_type!r}"
             ) from error
+        if attach.mode == "client":
+            source = ExternalInteractionSource(
+                plan_name=session_id, workflow_type=workflow_type
+            )
+            spec = SessionSpec(session_id=session_id, policy="external")
+            return spec, source, source
+        if attach.policy is not None and self._policy_generator is None:
+            self._policy_generator = shared_policy_generator(self.ctx)
         spec, policy = make_session(
             self.ctx,
             attach.session_index,
             per_session=attach.per_session,
             workflow_type=workflow_type,
             policy=attach.policy,
+            generator=self._policy_generator,
         )
-        driver = SessionDriver(
-            self._make_engine(),
+        return spec, policy, None
+
+    async def _serve_isolated(self, reader, writer, attach: Attach) -> None:
+        """One connection, one session: a one-session manager on its own
+        engine, paced by the ATTACH's ``accel``."""
+        spec, policy, source = self._session_for(
+            attach, attach.name or f"client-{self._client_counter}"
+        )
+        if source is not None:
+            self._client_counter += 1
+        hook = _WireHook(self, reader, writer, spec.session_id, source)
+        manager = SessionManager(
+            [spec],
             self._oracle,
             self.ctx.settings,
-            [] if policy is not None else list(spec.workflows),
-            session_id=spec.session_id,
-            policy=policy,
+            engines=[self._new_engine()],
+            policies=[policy],
+            accel=attach.accel,
+            turn_hooks={0: hook},
         )
+        payload = {
+            "mode": attach.mode,
+            "engine": self.engine_name,
+            "workflow_type": attach.workflow_type,
+        }
+        if source is None:
+            payload.update(policy=attach.policy, per_session=attach.per_session)
         await self._send(
             writer,
             Progress(
-                session_id=spec.session_id,
-                event="attached",
-                payload={
-                    "mode": attach.mode,
-                    "engine": self.engine_name,
-                    "policy": attach.policy,
-                    "per_session": attach.per_session,
-                    "workflow_type": workflow_type.value,
-                },
+                session_id=spec.session_id, event="attached", payload=payload
             ),
         )
-        await self._stream_session(writer, driver, spec, attach)
+        (result,) = await manager.run_async()
+        if not hook.abandoned:
+            await hook.detach(result.records)
 
-    async def _stream_session(
-        self, writer, driver: SessionDriver, spec: SessionSpec, attach: Attach
-    ) -> None:
-        pacer = AsyncClock(attach.accel) if attach.accel else None
-        seq = 0
-        last_workflow = driver.workflow_index
-        while True:
-            event_time = driver.next_event_time()
-            if event_time is None:
-                break
-            if pacer is not None:
-                await pacer.sleep_until(event_time)
-            for record in driver.step():
-                await self._send(
-                    writer, Record(spec.session_id, seq, record)
-                )
-                seq += 1
-            if driver.workflow_index != last_workflow and not driver.finished:
-                last_workflow = driver.workflow_index
-                await self._send(
-                    writer,
-                    Progress(
-                        session_id=spec.session_id,
-                        event="workflow",
-                        payload={"index": last_workflow},
-                    ),
-                )
-            # Let other connections interleave between events.
-            await asyncio.sleep(0)
-        await self._send(
-            writer,
-            Detach(
-                session_id=spec.session_id,
-                queries=len(driver.records),
-                makespan=max(
-                    (r.end_time for r in driver.records), default=0.0
-                ),
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Client-driven sessions
-    # ------------------------------------------------------------------
-    async def _serve_client_driven(self, reader, writer, attach: Attach) -> None:
-        try:
-            workflow_type = WorkflowType(attach.workflow_type)
-        except ValueError as error:
-            raise ProtocolError(
-                f"unknown workflow type {attach.workflow_type!r}"
-            ) from error
-        session_id = attach.name or f"client-{self._client_counter}"
-        self._client_counter += 1
-        source = ExternalInteractionSource(
-            plan_name=session_id, workflow_type=workflow_type
-        )
-        spec = SessionSpec(session_id=session_id, policy="external")
-        driver = SessionDriver(
-            self._make_engine(),
-            self._oracle,
-            self.ctx.settings,
-            [],
-            session_id=session_id,
-            policy=source,
-        )
-        await self._send(
-            writer,
-            Progress(
-                session_id=session_id,
-                event="attached",
-                payload={
-                    "mode": "client",
-                    "engine": self.engine_name,
-                    "workflow_type": workflow_type.value,
-                },
-            ),
-        )
-        pacer = AsyncClock(attach.accel) if attach.accel else None
-        seq = 0
-        try:
-            while not driver.finished:
-                while driver.needs_input:
-                    message = await self._recv(reader)
-                    if isinstance(message, Detach):
-                        source.finish()
-                        if not driver.interaction_counts and not source.buffered:
-                            # The client detached without ever
-                            # interacting — a legitimate no-op session
-                            # (REPL `quit`, piped-stdin EOF). Nothing
-                            # ran, so answer with an empty summary
-                            # instead of the empty-workflow error
-                            # resume() would raise.
-                            driver.abandon()
-                            break
-                    elif isinstance(message, SubmitViz):
-                        source.feed(CreateViz(message.viz))
-                    elif isinstance(message, Interact):
-                        source.feed(message.interaction)
-                    else:
-                        raise ProtocolError(
-                            f"unexpected {message.TYPE!r} frame in a "
-                            f"client-driven session"
-                        )
-                    driver.resume()
-                if driver.finished:
-                    break
-                event_time = driver.next_event_time()
-                if event_time is None:
-                    break
-                if pacer is not None:
-                    await pacer.sleep_until(event_time)
-                for record in driver.step():
-                    await self._send(writer, Record(session_id, seq, record))
-                    seq += 1
-                await asyncio.sleep(0)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            # The frontend vanished mid-session: abandon cleanly —
-            # cancel in-flight queries, free hints — and stop. No
-            # records are produced for events the departed user never
-            # saw, exactly like an open-system churn departure.
-            driver.abandon()
-            raise
-        await self._send(
-            writer,
-            Detach(
-                session_id=session_id,
-                queries=len(driver.records),
-                makespan=max(
-                    (r.end_time for r in driver.records), default=0.0
-                ),
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Shared-engine serving (wire-level turn protocol)
-    # ------------------------------------------------------------------
     async def _serve_shared(self, reader, writer, attach: Attach) -> None:
-        slot = self._shared_run.register(attach, reader, writer)
+        """One slot of the shared run: attach, wait for the run, detach."""
+        hook = self._shared_run.register(attach, reader, writer)
         await self._send(
             writer,
             Progress(
-                session_id=slot.session_id,
+                session_id=hook.session_id,
                 event="attached",
                 payload={
                     "mode": attach.mode,
                     "engine": self.engine_name,
                     "shared": True,
                     "sessions": self._shared_run.expected,
-                    "session_index": slot.index,
+                    "session_index": attach.session_index,
                     "per_session": self.per_session,
                     "workflow_type": self.workflow_type.value,
                     "policy": self.policy,
@@ -755,41 +631,13 @@ class TcpSessionServer:
             ),
         )
         self._shared_run.maybe_start()
-        await slot.done.wait()
-        if slot.error is not None:
-            await self._send_error(writer, slot.error_code, slot.error)
-            return
-        if slot.abandoned:
-            # The peer disconnected / timed out / violated the turn
-            # protocol; the hook already said whatever could be said.
-            return
-        await self._send(
-            writer,
-            Detach(
-                session_id=slot.session_id,
-                queries=len(slot.records),
-                makespan=max(
-                    (r.end_time for r in slot.records), default=0.0
-                ),
-            ),
-        )
-
-
-class _SharedSlot:
-    """One attached participant of a shared-engine run."""
-
-    def __init__(self, index: int, attach: Attach, reader, writer,
-                 session_id: str):
-        self.index = index
-        self.attach = attach
-        self.reader = reader
-        self.writer = writer
-        self.session_id = session_id
-        self.records: List = []
-        self.done = asyncio.Event()
-        self.abandoned = False
-        self.error: Optional[str] = None
-        self.error_code = "session"
+        await hook.done.wait()
+        if hook.error is not None:
+            await self._send_error(writer, "session", hook.error)
+        elif not hook.abandoned:
+            # An abandoned peer disconnected, timed out or violated the
+            # turn protocol; the hook already said what could be said.
+            await hook.detach(hook.records)
 
 
 class _SharedRun:
@@ -806,14 +654,14 @@ class _SharedRun:
     def __init__(self, server: "TcpSessionServer", expected: int):
         self.server = server
         self.expected = expected
-        self.slots: Dict[int, _SharedSlot] = {}
+        self.slots: Dict[int, _SharedTurnHook] = {}
         self.started = False
         self.aborted = False
         self.task: Optional[asyncio.Task] = None
         self._barrier_watchdog: Optional[asyncio.Task] = None
 
     # -- attachment ----------------------------------------------------
-    def register(self, attach: Attach, reader, writer) -> _SharedSlot:
+    def register(self, attach: Attach, reader, writer) -> "_SharedTurnHook":
         server = self.server
         if self.aborted:
             raise ProtocolError(
@@ -880,14 +728,14 @@ class _SharedRun:
                     f"session name {session_id!r} is reserved for "
                     f"scripted slots"
                 )
-            taken = {slot.session_id for slot in self.slots.values()}
+            taken = {hook.session_id for hook in self.slots.values()}
             if session_id in taken:
                 raise ProtocolError(
                     f"session name {session_id!r} is already attached"
                 )
-        slot = _SharedSlot(index, attach, reader, writer, session_id)
-        self.slots[index] = slot
-        return slot
+        hook = _SharedTurnHook(server, attach, reader, writer, session_id)
+        self.slots[index] = hook
+        return hook
 
     def maybe_start(self) -> None:
         """Start the run once the whole population has attached."""
@@ -898,6 +746,13 @@ class _SharedRun:
             self._barrier_watchdog.cancel()
         self.task = asyncio.ensure_future(self._execute())
 
+    def _fail(self, error: str) -> None:
+        """Release every waiting slot with ``error``."""
+        for hook in self.slots.values():
+            if not hook.done.is_set():
+                hook.error = error
+                hook.done.set()
+
     async def _barrier_deadline(self) -> None:
         try:
             await asyncio.sleep(self.server.barrier_timeout)
@@ -906,15 +761,11 @@ class _SharedRun:
         if self.started or self.aborted:
             return
         self.aborted = True
-        for slot in self.slots.values():
-            if not slot.done.is_set():
-                slot.error = (
-                    f"barrier timeout: only {len(self.slots)} of "
-                    f"{self.expected} sessions attached within "
-                    f"{self.server.barrier_timeout:g}s; the shared run "
-                    f"was aborted"
-                )
-                slot.done.set()
+        self._fail(
+            f"barrier timeout: only {len(self.slots)} of {self.expected} "
+            f"sessions attached within {self.server.barrier_timeout:g}s; "
+            f"the shared run was aborted"
+        )
         # No run can ever happen now; let the server exit cleanly.
         self.server.request_stop()
 
@@ -929,14 +780,10 @@ class _SharedRun:
             return
         if self._barrier_watchdog is not None:
             self._barrier_watchdog.cancel()
-        for slot in self.slots.values():
-            if not slot.done.is_set():
-                slot.error = (
-                    f"server stopped with {len(self.slots)} of "
-                    f"{self.expected} sessions attached; the shared run "
-                    f"never started"
-                )
-                slot.done.set()
+        self._fail(
+            f"server stopped with {len(self.slots)} of {self.expected} "
+            f"sessions attached; the shared run never started"
+        )
         # A run that never starts flushes no windows; release any
         # waiting subscribers with an empty (final-only) stream.
         self.server._finish_stream()
@@ -949,61 +796,36 @@ class _SharedRun:
             if server._series is not None
             else None
         )
+        hooks = [self.slots[index] for index in range(self.expected)]
         try:
-            specs, policies, hooks = [], [], {}
-            for index in range(self.expected):
-                slot = self.slots[index]
-                if slot.attach.mode == "scripted":
-                    spec, policy = make_session(
-                        server.ctx,
-                        index,
-                        per_session=server.per_session,
-                        workflow_type=server.workflow_type,
-                        policy=server.policy,
-                        generator=server._policy_generator,
-                    )
-                    source = None
-                else:
-                    try:
-                        workflow_type = WorkflowType(
-                            slot.attach.workflow_type
-                        )
-                    except ValueError as error:
-                        raise ProtocolError(
-                            f"unknown workflow type "
-                            f"{slot.attach.workflow_type!r}"
-                        ) from error
-                    source = ExternalInteractionSource(
-                        plan_name=slot.session_id,
-                        workflow_type=workflow_type,
-                    )
-                    spec = SessionSpec(
-                        session_id=slot.session_id, policy="external"
-                    )
-                    policy = source
+            specs, policies = [], []
+            for hook in hooks:
+                spec, policy, hook.source = server._session_for(
+                    hook.attach, hook.session_id
+                )
                 specs.append(spec)
                 policies.append(policy)
-                hooks[index] = _SharedTurnHook(server, slot, source)
-            for index in range(self.expected):
-                await self._announce(self.slots[index])
+            for hook in hooks:
+                # A peer dead already is abandoned at its first grant.
+                with contextlib.suppress(ConnectionError, OSError):
+                    await server._send(
+                        hook.writer, Barrier(sessions=self.expected)
+                    )
             manager = SessionManager(
                 specs,
                 server._oracle,
                 server.ctx.settings,
                 engine=server._shared_engine,
                 policies=policies,
-                turn_hooks=hooks,
+                turn_hooks=dict(enumerate(hooks)),
             )
             results = await manager.run_async()
         except Exception as error:  # noqa: BLE001 - reported to every peer
-            for slot in self.slots.values():
-                if not slot.done.is_set():
-                    slot.error = f"shared run failed: {error}"
-                    slot.done.set()
+            self._fail(f"shared run failed: {error}")
         else:
-            for index, slot in self.slots.items():
-                slot.records = results[index].records
-                slot.done.set()
+            for hook, result in zip(hooks, results):
+                hook.records = result.records
+                hook.done.set()
         finally:
             if server._series is not None:
                 set_timeseries(previous_series)
@@ -1011,59 +833,143 @@ class _SharedRun:
             for _ in range(self.expected):
                 server._session_ended()
 
-    async def _announce(self, slot: _SharedSlot) -> None:
-        try:
-            await self.server._send(
-                slot.writer, Barrier(sessions=self.expected)
-            )
-        except (ConnectionError, OSError):
-            # Dead already; its first grant will notice and abandon it.
-            pass
 
+class _WireHook(SessionTurnHook):
+    """Wires one calendar session to its TCP connection.
 
-class _SharedTurnHook(SessionTurnHook):
-    """Wires one shared-run session's turns to its TCP connection.
-
-    Every callback runs while the session holds the global timeline, so
-    a slow acknowledgement (or a stalled client-driven frontend) blocks
-    virtual time for the whole run — order unchanged — and a dead or
-    misbehaving peer abandons exactly this session via
-    :class:`SessionAbandoned`.
+    Streams each step's records as RECORD frames — plus a ``workflow``
+    PROGRESS frame when a scripted session crosses a workflow boundary —
+    and yields to the event loop after every step, so concurrent
+    connections interleave. A stalled client-driven session's source is
+    fed from the socket in :meth:`wait_input`. A vanished peer becomes
+    :class:`SessionAbandoned`: the manager retires exactly this session,
+    cancelling its in-flight queries (the departed user never saw them).
     """
 
-    def __init__(self, server: TcpSessionServer, slot: _SharedSlot,
-                 source: Optional[ExternalInteractionSource]):
+    def __init__(self, server: TcpSessionServer, reader, writer,
+                 session_id: str,
+                 source: Optional[ExternalInteractionSource] = None):
         self.server = server
-        self.slot = slot
+        self.reader = reader
+        self.writer = writer
+        self.session_id = session_id
         self.source = source
-        self.turn = 0
         self.seq = 0
+        self.workflow = 0
+        self.abandoned = False
 
     # -- SessionTurnHook interface -------------------------------------
     async def wait_input(self, driver) -> None:
         source = self.source
-        if source is None:  # pragma: no cover - scripted sessions never stall
-            raise BenchmarkError("scripted session unexpectedly stalled")
-        if source.buffered or source.finished:
+        if not (source.buffered or source.finished):
             # Frames absorbed while awaiting an earlier acknowledgement
-            # (pipelined replay clients) are already queued; consume them
-            # before reading the socket again.
-            self._consume(driver)
-            return
-        message = await self._read()
-        await self._absorb(message, driver)
+            # (pipelined replay clients) are already queued; read the
+            # socket only when none are.
+            message = await self._read()
+            if not self._feed(message):
+                await self._reject(message)
+        if source.finished and not source.buffered and (
+            not driver.interaction_counts
+        ):
+            # Detached without ever interacting (REPL `quit`, piped-stdin
+            # EOF): a legitimate no-op session, retired cleanly with a
+            # zero-query summary.
+            driver.abandon()
+        else:
+            driver.resume()
 
-    async def on_turn(self, event_time: float) -> None:
-        await self._send_timed(
-            TurnGrant(self.slot.session_id, self.turn, event_time)
+    async def on_step(self, event_time: float, records, driver) -> None:
+        for record in records:
+            await self._send(Record(self.session_id, self.seq, record))
+            self.seq += 1
+        if driver.workflow_index != self.workflow and not driver.finished:
+            self.workflow = driver.workflow_index
+            await self._send(
+                Progress(
+                    session_id=self.session_id,
+                    event="workflow",
+                    payload={"index": self.workflow},
+                )
+            )
+        # Let other connections interleave between events.
+        await asyncio.sleep(0)
+
+    async def detach(self, records) -> None:
+        """Close the completed session with its DETACH summary."""
+        await self.server._send(
+            self.writer,
+            Detach(
+                session_id=self.session_id,
+                queries=len(records),
+                makespan=max((r.end_time for r in records), default=0.0),
+            ),
         )
 
-    async def on_step(self, event_time: float, records) -> None:
-        for record in records:
-            await self._send_timed(
-                Record(self.slot.session_id, self.seq, record)
-            )
-            self.seq += 1
+    # -- internals -----------------------------------------------------
+    def _feed(self, message: Message) -> bool:
+        """Queue a client-driven frame on the source; False if it is none."""
+        if isinstance(message, Detach):
+            self.source.finish()
+        elif isinstance(message, SubmitViz):
+            self.source.feed(CreateViz(message.viz))
+        elif isinstance(message, Interact):
+            self.source.feed(message.interaction)
+        else:
+            return False
+        return True
+
+    async def _reject(self, message: Message) -> None:
+        raise ProtocolError(
+            f"unexpected {message.TYPE!r} frame in a client-driven session"
+        )
+
+    async def _send(self, message: Message) -> None:
+        try:
+            await self.server._send(self.writer, message)
+        except (ConnectionError, OSError):
+            self._gone()
+
+    async def _read(self) -> Message:
+        try:
+            return await self.server._recv(self.reader)
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            self._gone()
+
+    def _gone(self) -> None:
+        self.abandoned = True
+        raise SessionAbandoned(
+            f"session {self.session_id!r} disconnected mid-run"
+        )
+
+
+class _SharedTurnHook(_WireHook):
+    """One slot of a shared-engine run: the wire hook plus turns.
+
+    Every callback runs while the session holds the global timeline, so
+    a slow acknowledgement (or a stalled client-driven frontend) blocks
+    virtual time for the whole run — order unchanged. Each step is
+    announced as a TURN_GRANT and released by the matching TURN_DONE;
+    every read and send is bounded by the server's turn timeout, and a
+    protocol violation is answered with a typed error before the session
+    is abandoned. The run coordinator keeps the slot's ATTACH here and
+    learns its outcome through ``done`` (``records`` or ``error``).
+    """
+
+    def __init__(self, server: TcpSessionServer, attach: Attach, reader,
+                 writer, session_id: str):
+        super().__init__(server, reader, writer, session_id)
+        self.attach = attach
+        self.turn = 0
+        self.records: List = []
+        self.done = asyncio.Event()
+        self.error: Optional[str] = None
+
+    # -- SessionTurnHook interface -------------------------------------
+    async def on_turn(self, event_time: float) -> None:
+        await self._send(TurnGrant(self.session_id, self.turn, event_time))
+
+    async def on_step(self, event_time: float, records, driver) -> None:
+        await super().on_step(event_time, records, driver)
         # The grant→TURN_DONE round trip is where a shared run's wall
         # time goes when a frontend is slow; profile it as its own stage.
         with get_profiler().stage(STAGE_TURN_GRANT):
@@ -1071,7 +977,41 @@ class _SharedTurnHook(SessionTurnHook):
         self.turn += 1
 
     # -- internals -----------------------------------------------------
-    async def _send_timed(self, message: Message) -> None:
+    async def _await_ack(self) -> None:
+        while True:
+            message = await self._read()
+            if isinstance(message, TurnDone):
+                if message.turn != self.turn:
+                    await self._violate(
+                        "turn",
+                        f"out-of-order turn_done: expected turn "
+                        f"{self.turn}, got {message.turn}",
+                    )
+                return
+            # A pipelining client-driven frontend may send its next
+            # interactions (or its detach) before acknowledging the
+            # turn; they queue for the grid while the wait goes on.
+            if self.source is None or not self._feed(message):
+                await self._violate(
+                    "protocol",
+                    f"unexpected {message.TYPE!r} frame while awaiting "
+                    f"turn_done {self.turn}",
+                )
+
+    async def _reject(self, message: Message) -> None:
+        if isinstance(message, TurnDone):
+            await self._violate(
+                "turn",
+                f"unsolicited turn_done (no grant outstanding for "
+                f"session {self.session_id!r})",
+            )
+        await self._violate(
+            "protocol",
+            f"unexpected {message.TYPE!r} frame in a client-driven "
+            f"shared session",
+        )
+
+    async def _send(self, message: Message) -> None:
         """Send with the turn timeout applied to the drain.
 
         The read side alone cannot bound a misbehaving peer: a client
@@ -1084,114 +1024,33 @@ class _SharedTurnHook(SessionTurnHook):
         """
         try:
             await asyncio.wait_for(
-                self.server._send(self.slot.writer, message),
-                self.server.turn_timeout,
+                super()._send(message), self.server.turn_timeout
             )
         except asyncio.TimeoutError:
-            self.slot.abandoned = True
+            self.abandoned = True
             raise SessionAbandoned(
-                f"session {self.slot.session_id!r} stopped reading; send "
+                f"session {self.session_id!r} stopped reading; send "
                 f"blocked past the {self.server.turn_timeout:g}s turn "
                 f"timeout"
             ) from None
-        except (ConnectionError, OSError):
-            self._gone()
-
-    async def _await_ack(self) -> None:
-        while True:
-            message = await self._read()
-            if isinstance(message, TurnDone):
-                if message.turn != self.turn:
-                    await self._violate(
-                        "turn",
-                        f"out-of-order turn_done: expected turn "
-                        f"{self.turn}, got {message.turn}",
-                    )
-                return
-            if self.source is not None and isinstance(
-                message, (SubmitViz, Interact, Detach)
-            ):
-                # A pipelining client-driven frontend may send its next
-                # interactions (or its detach) before acknowledging the
-                # turn; queue them for the grid, keep waiting.
-                if isinstance(message, Detach):
-                    self.source.finish()
-                elif isinstance(message, SubmitViz):
-                    self.source.feed(CreateViz(message.viz))
-                else:
-                    self.source.feed(message.interaction)
-                continue
-            await self._violate(
-                "protocol",
-                f"unexpected {message.TYPE!r} frame while awaiting "
-                f"turn_done {self.turn}",
-            )
-
-    def _consume(self, driver) -> None:
-        source = self.source
-        if (
-            source.finished
-            and not source.buffered
-            and not driver.interaction_counts
-        ):
-            # Detached without ever interacting: a legitimate no-op
-            # session (same contract as isolated serving) — retire it
-            # cleanly with a zero-query summary.
-            driver.abandon()
-        else:
-            driver.resume()
-
-    async def _absorb(self, message: Message, driver) -> None:
-        source = self.source
-        if isinstance(message, Detach):
-            source.finish()
-            self._consume(driver)
-        elif isinstance(message, SubmitViz):
-            source.feed(CreateViz(message.viz))
-            driver.resume()
-        elif isinstance(message, Interact):
-            source.feed(message.interaction)
-            driver.resume()
-        elif isinstance(message, TurnDone):
-            await self._violate(
-                "turn",
-                f"unsolicited turn_done (no grant outstanding for "
-                f"session {self.slot.session_id!r})",
-            )
-        else:
-            await self._violate(
-                "protocol",
-                f"unexpected {message.TYPE!r} frame in a client-driven "
-                f"shared session",
-            )
 
     async def _read(self) -> Message:
         try:
             return await asyncio.wait_for(
-                self.server._recv(self.slot.reader),
-                self.server.turn_timeout,
+                super()._read(), self.server.turn_timeout
             )
         except asyncio.TimeoutError:
             await self._violate(
                 "turn",
-                f"session {self.slot.session_id!r} sent no frame within "
+                f"session {self.session_id!r} sent no frame within "
                 f"the {self.server.turn_timeout:g}s turn timeout; "
                 f"abandoning it (virtual time was stalled, never "
                 f"corrupted)",
             )
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            self._gone()
-
-    def _gone(self) -> None:
-        self.slot.abandoned = True
-        raise SessionAbandoned(
-            f"session {self.slot.session_id!r} disconnected mid-run"
-        )
 
     async def _violate(self, code: str, text: str) -> None:
-        self.slot.abandoned = True
-        self.slot.error_code = code
-        await self.server._send_error(self.slot.writer, code, text)
+        self.abandoned = True
+        await self.server._send_error(self.writer, code, text)
         raise SessionAbandoned(text)
 
 

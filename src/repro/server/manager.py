@@ -126,10 +126,11 @@ class SessionTurnHook:
     async def on_turn(self, event_time: float) -> None:
         """Called after the session won the timeline, before it steps."""
 
-    async def on_step(self, event_time: float, records) -> None:
-        """Called after the step, with the records it produced; return
-        only when the turn may be released (e.g. the remote client
-        acknowledged)."""
+    async def on_step(self, event_time: float, records, driver) -> None:
+        """Called after the step, with the records it produced and the
+        session's driver (whose ``workflow_index`` shows workflow
+        boundaries); return only when the turn may be released (e.g. the
+        remote client acknowledged)."""
 
 
 #: One live session of the calendar: a flyweight, no coroutine each.
@@ -305,7 +306,7 @@ class _ManagerCore:
                 else:
                     if not arriving:
                         await hook.on_turn(event_time)
-                        await hook.on_step(event_time, driver.step())
+                        await hook.on_step(event_time, driver.step(), driver)
                     # An externally sourced session may be stalled on the
                     # think-time grid (PENDING). It holds the calendar —
                     # nobody advances — until its frontend supplies the
@@ -600,7 +601,6 @@ class SessionManager(_ManagerCore):
         share_engine: bool = False,
         accel: Optional[float] = None,
         speculation: bool = False,
-        normalized: bool = False,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policy: Optional[str] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
@@ -615,9 +615,7 @@ class SessionManager(_ManagerCore):
         (``markov``/``uncertainty``); engines come from the engine
         registry over the context's shared dataset.
         """
-        oracle, new_engine = _engine_source(
-            ctx, engine_name, speculation, normalized
-        )
+        oracle, new_engine = _engine_source(ctx, engine_name, speculation)
         pairs = _make_sessions(
             ctx, num_sessions, per_session, workflow_type, policy
         )
@@ -634,13 +632,13 @@ class SessionManager(_ManagerCore):
         )
 
 
-def _engine_source(ctx, engine_name: str, speculation: bool, normalized: bool):
+def _engine_source(ctx, engine_name: str, speculation: bool):
     """``(oracle, engine factory)`` over the context's shared dataset."""
     from repro.bench.experiments import make_engine
 
     settings = ctx.settings
-    dataset = ctx.dataset(settings.data_size, normalized)
-    oracle = ctx.oracle(settings.data_size, normalized)
+    dataset = ctx.dataset(settings.data_size)
+    oracle = ctx.oracle(settings.data_size)
 
     def new_engine():
         return make_engine(
@@ -1169,7 +1167,6 @@ class OpenSystemManager(_ManagerCore):
         share_engine: bool = False,
         accel: Optional[float] = None,
         speculation: bool = False,
-        normalized: bool = False,
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
@@ -1181,9 +1178,7 @@ class OpenSystemManager(_ManagerCore):
         closed-system session *i* would get, so its workload is
         identical whether it arrives mid-run or starts at time zero.
         """
-        oracle, new_engine = _engine_source(
-            ctx, engine_name, speculation, normalized
-        )
+        oracle, new_engine = _engine_source(ctx, engine_name, speculation)
         generator = shared_policy_generator(ctx) if policy is not None else None
 
         def session_factory(index: int):
@@ -1213,7 +1208,6 @@ def serial_baseline(
     specs: Sequence[SessionSpec],
     *,
     speculation: bool = False,
-    normalized: bool = False,
 ) -> List[SessionResult]:
     """Run each session's workflows through the serial driver.
 
@@ -1222,9 +1216,7 @@ def serial_baseline(
     :class:`~repro.bench.driver.BenchmarkDriver`. Per-session detailed
     reports must be byte-identical to the server's.
     """
-    oracle, new_engine = _engine_source(
-        ctx, engine_name, speculation, normalized
-    )
+    oracle, new_engine = _engine_source(ctx, engine_name, speculation)
     results: List[SessionResult] = []
     for spec in specs:
         engine = new_engine()

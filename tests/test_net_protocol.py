@@ -334,6 +334,18 @@ class TestMalformed:
         with pytest.raises(ProtocolError, match="interaction source"):
             Attach(mode="client", policy="markov")
 
+    @pytest.mark.parametrize("field, value", [
+        ("accel", 0), ("accel", -1.0), ("accel", math.nan),
+        ("accel", math.inf), ("accel", "fast"), ("per_session", 0),
+        ("per_session", -2), ("session_index", -1), ("session_index", "x"),
+    ])
+    def test_attach_fields_validated_at_decode(self, field, value):
+        body = json.dumps(
+            {"v": PROTOCOL_VERSION, "type": "attach", field: value}
+        )
+        with pytest.raises(ProtocolError, match=f"{field}|malformed attach"):
+            decode_body(body.encode())
+
     def test_truncated_stream_is_incomplete_not_error(self):
         frame = encode_message(Hello())
         assert split_frame(frame[: len(frame) // 2]) is None

@@ -26,6 +26,7 @@ from repro.net.protocol import (
     Attach,
     Detach,
     Hello,
+    Message,
     encode_message,
 )
 from repro.net.server import ServerThread, TcpSessionServer
@@ -288,6 +289,61 @@ class TestHandshake:
                 client.send(Attach(mode="scripted", workflow_type="sideways"))
                 with pytest.raises(ProtocolError, match="workflow type"):
                     client.read_message()
+
+    def test_invalid_attach_fields_get_protocol_errors(
+        self, server_ctx, reference
+    ):
+        # Hand-encoded: the client-side Attach constructor refuses these.
+        class RawAttach(Message):
+            TYPE = "attach"
+
+            def __init__(self, **fields):
+                self.fields = fields
+
+            def to_payload(self):
+                return self.fields
+
+        bad = [
+            {"accel": 0.0}, {"accel": -1.0}, {"accel": float("nan")},
+            {"per_session": 0}, {"per_session": -2},
+            {"session_index": -1},
+        ]
+        with ServerThread(_server(server_ctx)) as (host, port):
+            for fields in bad:
+                with NetClient(host, port) as client:
+                    client.hello()
+                    client.send(RawAttach(mode="scripted", **fields))
+                    (field,) = fields
+                    with pytest.raises(
+                        ProtocolError, match=rf"\[protocol\].*{field}"
+                    ):
+                        client.read_message()
+            _, csv_text = scripted_csv_over_tcp(host, port, 0, per_session=1)
+        assert csv_text == reference[0].csv_text()
+
+
+def test_isolated_trace_equals_in_process_trace(server_ctx):
+    """A TCP connection is a calendar session: its virtual-only trace is
+    the in-process run's, line for line (``manager.turn`` included)."""
+    from repro.obs import observed
+    from repro.obs.sink import entry_line
+
+    def virtual_trace(run):
+        with observed(enabled=True) as tracer:
+            run()
+            return [
+                entry_line(entry, virtual_only=True)
+                for entry in tracer.entries()
+            ]
+
+    def over_tcp():
+        with ServerThread(_server(server_ctx)) as (host, port):
+            fetch_scripted_session(host, port, 0, per_session=2)
+
+    in_process = virtual_trace(
+        SessionManager.for_engine(server_ctx, "idea-sim", 1, per_session=2).run
+    )
+    assert virtual_trace(over_tcp) == in_process
 
 
 class TestExternalSource:

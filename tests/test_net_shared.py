@@ -50,7 +50,7 @@ class _AbandonAfterSteps(SessionTurnHook):
         self.kill_after = kill_after
         self.steps = 0
 
-    async def on_step(self, event_time, records):
+    async def on_step(self, event_time, records, driver):
         self.steps += 1
         if self.steps >= self.kill_after:
             raise SessionAbandoned("test abandonment")

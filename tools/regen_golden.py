@@ -133,6 +133,53 @@ def case_tcp_session(ctx) -> str:
     return "\n".join(frames) + "\n"
 
 
+def case_tcp_isolated(ctx) -> str:
+    """Server→client frames of four isolated TCP conversations.
+
+    One isolated server, four connections in turn, each under a
+    ``== name ==`` banner: a scripted ``per_session=2`` session (its
+    ``workflow`` PROGRESS frames mark the suite's workflow boundary), a
+    scripted ``markov`` session, a client-driven wire replay of session
+    0's first workflow (the client-mode ``attached`` payload), and a
+    client that attaches and detaches without interacting.
+    """
+    from repro.net.client import NetClient
+    from repro.net.server import ServerThread, TcpSessionServer
+    from repro.server import make_session
+
+    workflow = make_session(ctx, 0, per_session=1)[0].workflows[0]
+
+    def replay(client):
+        client.attach_client(
+            name=workflow.name, workflow_type=workflow.workflow_type.value
+        )
+        for interaction in workflow.interactions:
+            client.send_interaction(interaction)
+        client.detach()
+
+    def idle(client):
+        client.attach_client()
+        client.detach()
+
+    conversations = {
+        "scripted_per_session_2": lambda c: c.attach_scripted(0, per_session=2),
+        "scripted_markov": lambda c: c.attach_scripted(1, policy="markov"),
+        "client_replay": replay,
+        "client_idle": idle,
+    }
+    parts = []
+    server = TcpSessionServer(ctx, "idea-sim", max_sessions=len(conversations))
+    with ServerThread(server) as (host, port):
+        for name, converse in conversations.items():
+            with NetClient(host, port, log_frames=True) as client:
+                client.hello()
+                converse(client)
+                client.collect()
+                parts.append(f"== {name} ==\n")
+                parts += [frame + "\n" for frame in client.frame_log]
+    return "".join(parts)
+
+
 def case_tcp_shared(ctx) -> str:
     """Slot 0's frames of a 2-session shared-engine TCP run.
 
@@ -726,6 +773,7 @@ GOLDEN_CASES = {
     "adaptive_markov.txt": case_adaptive_markov,
     "open_churn.txt": case_open_churn,
     "tcp_session.txt": case_tcp_session,
+    "tcp_isolated.txt": case_tcp_isolated,
     "tcp_shared.txt": case_tcp_shared,
     "trace_serial.jsonl": case_trace_serial,
     "trace_tcp_shared.jsonl": case_trace_tcp_shared,
