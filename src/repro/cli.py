@@ -677,121 +677,98 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench_sessions(args) -> int:
-    from repro.server import (
-        render_session_bench,
-        run_session_bench,
-        write_session_bench_csv,
-    )
+def _session_counts(text: str) -> List[int]:
+    try:
+        return [int(count) for count in _split(text)]
+    except ValueError:
+        raise BenchmarkError(
+            f"--sessions expects comma-separated integers, got {text!r}"
+        ) from None
 
-    settings = BenchmarkSettings(
-        data_size=DataSize.parse(args.size),
-        scale=args.scale,
-        seed=args.seed,
-        time_requirement=args.tr,
-        think_time=args.think_time,
-    )
+
+def _run_serving(args, settings: BenchmarkSettings, specs) -> list:
+    """Execute planned serve cells (cached with ``--cache-dir``)."""
+    ctx = ExperimentContext(settings)
+    return MatrixExecutor(
+        store=_make_store(args.cache_dir, args.cache_budget),
+        local_context=ctx,
+        progress=None if args.quiet else print,
+    ).run(specs)
+
+
+def _cmd_bench_sessions(args) -> int:
+    from repro.runtime import plan_sessions
+    from repro.server import BENCH_COLUMNS, render_session_bench, serving_csv_text
+
     engines = _split(args.engines)
     if not _check_engines(engines):
         return 1
-    session_counts = [int(count) for count in _split(args.sessions)]
     modes = _split(args.modes)
-    ctx = ExperimentContext(settings)
-    store = _make_store(args.cache_dir, args.cache_budget)
+    settings = _settings_from_args(args)
+    try:
+        session_counts = _session_counts(args.sessions)
+        specs = plan_sessions(
+            settings, engines, session_counts,
+            per_session=args.per_session,
+            workflow_type=args.workflow_type,
+            modes=modes,
+        )
+    except BenchmarkError as error:  # planning validates every cell
+        print(str(error), file=sys.stderr)
+        return 1
     print(
         f"session load sweep: {len(engines)} engines × "
         f"{len(session_counts)} session counts × {len(modes)} modes, "
         f"{args.per_session} {args.workflow_type} workflows/session"
         + (f", cache={args.cache_dir}" if args.cache_dir else "")
     )
-    try:
-        cells = run_session_bench(
-            ctx,
-            engines,
-            session_counts,
-            per_session=args.per_session,
-            workflow_type=WorkflowType(args.workflow_type),
-            modes=modes,
-            incremental=args.incremental,
-            store=store,
-            progress=None if args.quiet else print,
-        )
-    except ValueError as error:
-        # run_session_bench validates modes before any cell runs.
-        print(str(error), file=sys.stderr)
-        return 1
+    results = _run_serving(args, settings, specs)
     print()
-    print(render_session_bench(cells, title="sessions × engine load report"))
+    print(render_session_bench(results, title="sessions × engine load report"))
     if args.out:
-        write_session_bench_csv(args.out, cells)
-        print(f"\nwrote load report ({len(cells)} cells) to {args.out}")
+        text = serving_csv_text(results, BENCH_COLUMNS)
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        print(f"\nwrote load report ({len(results)} cells) to {args.out}")
     return 0
 
 
 def _cmd_bench_adaptive(args) -> int:
-    from repro.server import (
-        render_adaptive_bench,
-        run_adaptive_bench,
-        write_adaptive_bench_csv,
-    )
-    from repro.workflow.policy import POLICY_NAMES
+    from repro.runtime import plan_adaptive
+    from repro.server import ADAPTIVE_COLUMNS, render_adaptive_bench, serving_csv_text
 
-    settings = BenchmarkSettings(
-        data_size=DataSize.parse(args.size),
-        scale=args.scale,
-        seed=args.seed,
-        time_requirement=args.tr,
-        think_time=args.think_time,
-    )
     if not _check_engines([args.engine]):
         return 1
     policies = _split(args.policies)
-    known = ("scripted",) + POLICY_NAMES
-    unknown = [p for p in policies if p not in known]
-    if unknown:
-        print(
-            f"unknown policies: {', '.join(unknown)} "
-            f"(choose from {', '.join(known)})",
-            file=sys.stderr,
-        )
-        return 1
-    session_counts = [int(count) for count in _split(args.sessions)]
     churn_modes = _split(args.churn)
-    ctx = ExperimentContext(settings)
-    store = _make_store(args.cache_dir, args.cache_budget)
+    settings = _settings_from_args(args)
+    try:
+        session_counts = _session_counts(args.sessions)
+        specs = plan_adaptive(
+            settings, args.engine, policies, session_counts,
+            per_session=args.per_session,
+            workflow_type=args.workflow_type,
+            churn_modes=churn_modes,
+            arrival_rate=args.arrivals,
+            horizon=args.horizon,
+            residence=args.residence,
+            share_engine=args.share_engine,
+        )
+    except BenchmarkError as error:  # planning validates every cell
+        print(str(error), file=sys.stderr)
+        return 1
     print(
         f"adaptive sweep: {len(policies)} policies × "
         f"{len(session_counts)} session counts × {len(churn_modes)} churn "
         f"modes on {args.engine}, {args.per_session} workflows/session"
         + (f", cache={args.cache_dir}" if args.cache_dir else "")
     )
-    try:
-        cells = run_adaptive_bench(
-            ctx,
-            args.engine,
-            policies,
-            session_counts,
-            per_session=args.per_session,
-            workflow_type=WorkflowType(args.workflow_type),
-            churn_modes=churn_modes,
-            arrival_rate=args.arrivals,
-            horizon=args.horizon,
-            residence=args.residence,
-            share_engine=args.share_engine,
-            incremental=args.incremental,
-            store=store,
-            progress=None if args.quiet else print,
-        )
-    except (ValueError, BenchmarkError) as error:
-        # run_adaptive_bench validates churn modes and arrival
-        # parameters before any cell runs.
-        print(str(error), file=sys.stderr)
-        return 1
+    results = _run_serving(args, settings, specs)
     print()
-    print(render_adaptive_bench(cells, title="sessions × policy × churn report"))
+    print(render_adaptive_bench(results, title="sessions × policy × churn report"))
     if args.out:
-        write_adaptive_bench_csv(args.out, cells)
-        print(f"\nwrote adaptive report ({len(cells)} cells) to {args.out}")
+        text = serving_csv_text(results, ADAPTIVE_COLUMNS)
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        print(f"\nwrote adaptive report ({len(results)} cells) to {args.out}")
     return 0
 
 
@@ -1568,10 +1545,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "unlimited; default 2 GiB)")
     p_bench.add_argument("--out", default=None,
                          help="load report CSV path (deterministic bytes)")
-    p_bench.add_argument("--incremental", action="store_true",
-                         help="fold each cell incrementally instead of "
-                              "retaining every record (constant memory "
-                              "per cell; skips the cell cache)")
     p_bench.add_argument("--quiet", action="store_true",
                          help="suppress per-cell progress lines")
     _add_obs_arguments(p_bench)
@@ -1625,10 +1598,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=DEFAULT_CACHE_BUDGET_BYTES,
                             help="store byte budget (LRU eviction; 0 = "
                                  "unlimited; default 2 GiB)")
-    p_adaptive.add_argument("--incremental", action="store_true",
-                            help="fold each cell incrementally instead "
-                                 "of retaining every record (constant "
-                                 "memory per cell; skips the cell cache)")
     p_adaptive.add_argument("--out", default=None,
                             help="adaptive report CSV path "
                                  "(deterministic bytes)")

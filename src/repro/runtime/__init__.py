@@ -2,14 +2,18 @@
 persistent artifact caching and resumable experiments.
 
 The paper's evaluation is a large cross-product of engines, workflow
-types, time requirements, data sizes and schema layouts (§5). This
-subpackage turns that product into an explicit, parallelizable run
-matrix:
+types, time requirements, data sizes and schema layouts (§5); the
+serving sweeps add session counts, serving modes, user policies and
+churn (§2.2). This subpackage turns both products into one explicit,
+parallelizable run matrix:
 
 * :mod:`repro.runtime.spec` — :class:`RunSpec`, the declarative, hashable
-  description of one experiment cell;
+  description of one experiment cell (``suite``, ``prepare``, or
+  ``serve`` with a :class:`ServingSelector`);
 * :mod:`repro.runtime.planner` — ``plan_*`` functions enumerating the
-  cells of each paper experiment (and arbitrary matrices for the CLI);
+  cells of each paper experiment, the ``bench-sessions`` /
+  ``bench-adaptive`` sweeps (``plan_sessions`` / ``plan_adaptive``) and
+  arbitrary matrices for the CLI;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, a content-addressed
   on-disk cache for datasets, workflow suites, ground-truth answers and
   per-cell reports;
@@ -33,11 +37,13 @@ from repro.runtime.executor import (
     select_workflows,
 )
 from repro.runtime.planner import (
+    plan_adaptive,
     plan_detailed_table,
     plan_matrix,
     plan_overall,
     plan_prep_times,
     plan_schema,
+    plan_sessions,
     plan_system_y,
     plan_think_time,
     plan_workflow_types,
@@ -55,7 +61,7 @@ from repro.runtime.report import (
     render_matrix,
     write_matrix_csv,
 )
-from repro.runtime.spec import RunSpec, WorkflowSelector
+from repro.runtime.spec import RunSpec, ServingSelector, WorkflowSelector
 from repro.runtime.store import DEFAULT_CACHE_BUDGET_BYTES, ArtifactStore
 
 __all__ = [
@@ -65,6 +71,7 @@ __all__ = [
     "DEFAULT_REGRESS_DIR",
     "MatrixExecutor",
     "RunSpec",
+    "ServingSelector",
     "WorkflowSelector",
     "context_key",
     "current_revision",
@@ -74,11 +81,13 @@ __all__ = [
     "snapshots",
     "matrix_csv_text",
     "matrix_summary_rows",
+    "plan_adaptive",
     "plan_detailed_table",
     "plan_matrix",
     "plan_overall",
     "plan_prep_times",
     "plan_schema",
+    "plan_sessions",
     "plan_system_y",
     "plan_think_time",
     "plan_workflow_types",

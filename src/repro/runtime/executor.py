@@ -26,6 +26,7 @@ keeps the dependency acyclic.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -57,17 +58,34 @@ def result_key(spec: RunSpec) -> tuple:
 
 @dataclass
 class CellResult:
-    """Outcome of one executed (or cache-restored) run-matrix cell."""
+    """Outcome of one executed (or cache-restored) run-matrix cell.
+
+    Suite cells carry ``records``, prepare cells ``prep`` and serve cells
+    ``serving`` — the serving run's aggregate report fields.
+    """
 
     spec: RunSpec
     records: List[Any] = field(default_factory=list)
     prep: Optional[Any] = None
     from_cache: bool = False
     elapsed: float = 0.0
+    serving: Optional[Dict[str, Any]] = None
 
     @property
     def fingerprint(self) -> str:
         return self.spec.fingerprint()
+
+    @classmethod
+    def from_payload(
+        cls, spec: RunSpec, payload: Dict[str, Any], **kwargs
+    ) -> "CellResult":
+        return cls(
+            spec=spec,
+            records=payload.get("records", []),
+            prep=payload.get("prep"),
+            serving=payload.get("serving"),
+            **kwargs,
+        )
 
 
 def select_workflows(ctx, spec: RunSpec):
@@ -113,11 +131,14 @@ def warm_ground_truth(ctx, spec: RunSpec) -> None:
 def execute_cell(ctx, spec: RunSpec) -> Dict[str, Any]:
     """Run one cell on an experiment context; returns its result payload.
 
-    The payload (``{"records": [...], "prep": ...}``) is exactly what the
-    artifact store persists under :func:`result_key`.
+    The payload (``{"records": [...], "prep": ...}``, plus ``"serving"``
+    for serve cells) is exactly what the artifact store persists under
+    :func:`result_key`.
     """
     from repro.bench.experiments import make_engine
 
+    if spec.mode == "serve":
+        return {"records": [], "prep": None, "serving": _serve(ctx, spec)}
     if spec.mode == "prepare":
         from repro.common.clock import VirtualClock
 
@@ -133,6 +154,57 @@ def execute_cell(ctx, spec: RunSpec) -> Dict[str, Any]:
         speculation=spec.speculation,
     )
     return {"records": records, "prep": None}
+
+
+#: The :class:`~repro.server.spool.ServingAggregate` attributes a serve
+#: cell's payload carries (beside its interaction ``mix`` and wall time).
+SERVING_FIELDS = (
+    "sessions_served", "sessions_departed", "num_queries", "pct_tr_violated",
+    "mean_missing_bins", "mean_latency_answered", "virtual_makespan",
+    "queries_per_virtual_second",
+)
+
+
+def _serve(ctx, spec: RunSpec) -> Dict[str, Any]:
+    """Serve one ``serve`` cell, spooled; the aggregate's report fields.
+
+    Every cell runs in constant memory, and its numbers come from the
+    manager's live :class:`~repro.server.spool.ServingAggregate`, which
+    folds records in global virtual-time order — deterministic for a
+    configuration, so every cell is cacheable.
+    """
+    from repro.server.manager import OpenSystemManager, SessionManager
+    from repro.server.spool import RecordSpool
+    from repro.workflow.policy import interaction_mix
+
+    if ctx.settings != spec.settings:
+        # ``for_engine`` reads ``ctx.settings``, and contexts are shared by
+        # every cell with the same (dataset, seed, scale): serve under the
+        # cell's own settings on a view that shares the cached artifacts.
+        ctx = copy.copy(ctx)
+        ctx.settings = spec.settings
+    serving = spec.serving
+    options = dict(
+        per_session=spec.workflows.count,
+        workflow_type=WorkflowType(spec.workflows.workflow_type),
+        share_engine=serving.share_engine,
+        policy=None if serving.policy == "scripted" else serving.policy,
+        spool=RecordSpool(),
+    )
+    if serving.churn == "open":
+        manager = OpenSystemManager.for_engine(
+            ctx, spec.engine, serving.arrivals(spec.settings.seed), **options
+        )
+    else:
+        manager = SessionManager.for_engine(
+            ctx, spec.engine, serving.sessions, **options
+        )
+    manager.run()
+    aggregate = manager.aggregate
+    fields = {name: getattr(aggregate, name) for name in SERVING_FIELDS}
+    fields["mix"] = interaction_mix(aggregate.interaction_counts)
+    fields["wall_seconds"] = manager.wall_seconds
+    return fields
 
 
 # ----------------------------------------------------------------------
@@ -274,12 +346,7 @@ class MatrixExecutor:
         payload = self.store.get(result_key(spec))
         if payload is None:
             return None
-        return CellResult(
-            spec=spec,
-            records=payload.get("records", []),
-            prep=payload.get("prep"),
-            from_cache=True,
-        )
+        return CellResult.from_payload(spec, payload, from_cache=True)
 
     def _context_for(self, spec: RunSpec):
         from repro.bench.experiments import ExperimentContext
@@ -307,11 +374,8 @@ class MatrixExecutor:
             elapsed = perf_seconds() - started
             if self.store is not None:
                 self.store.put(result_key(spec), payload)
-            results[index] = CellResult(
-                spec=spec,
-                records=payload["records"],
-                prep=payload["prep"],
-                elapsed=elapsed,
+            results[index] = CellResult.from_payload(
+                spec, payload, elapsed=elapsed
             )
             self._report(f"[ran {elapsed:6.2f}s] {spec.describe()}")
 
@@ -340,11 +404,8 @@ class MatrixExecutor:
                     spec = specs[index]
                     payload = future.result()
                     elapsed = perf_seconds() - started[index]
-                    results[index] = CellResult(
-                        spec=spec,
-                        records=payload["records"],
-                        prep=payload["prep"],
-                        elapsed=elapsed,
+                    results[index] = CellResult.from_payload(
+                        spec, payload, elapsed=elapsed
                     )
                     self._report(f"[ran {elapsed:6.2f}s] {spec.describe()}")
 

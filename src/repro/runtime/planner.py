@@ -4,7 +4,11 @@ Each ``plan_*`` function mirrors the loop structure of one ``exp_*``
 harness function (§5 of the paper) but produces the cells *declaratively*,
 in a deterministic order, without executing anything. The generic
 :func:`plan_matrix` builds arbitrary engines × TRs × sizes × workflow
-types × schema cross-products for the ``run-matrix`` CLI.
+types × schema cross-products for the ``run-matrix`` CLI;
+:func:`plan_sessions` and :func:`plan_adaptive` build the ``serve`` cells
+of ``repro bench-sessions`` and ``repro bench-adaptive``. Every planner
+validates its whole product while building it, so a bad value fails
+before any cell runs.
 
 Plan order is part of the contract: executors return results aligned with
 the planned order (never completion order), which is what makes parallel
@@ -21,10 +25,19 @@ from repro.common.config import (
     DEFAULT_TIME_REQUIREMENTS,
 )
 from repro.common.errors import ConfigurationError
-from repro.runtime.spec import RunSpec, WorkflowSelector
+from repro.runtime.spec import (
+    CHURN_MODES,
+    RunSpec,
+    ServingSelector,
+    WorkflowSelector,
+)
+from repro.workflow.policy import POLICY_NAMES
 
 #: Schema layout labels accepted by :func:`plan_matrix`.
 SCHEMA_LAYOUTS = ("denormalized", "normalized")
+
+#: Serving modes accepted by :func:`plan_sessions`.
+SERVING_MODES = ("isolated", "shared")
 
 
 def plan_matrix(
@@ -228,4 +241,79 @@ def plan_system_y(
             label=f"system-y/{engine}",
         )
         for engine in ("monetdb-sim", "system-y-sim")
+    ]
+
+
+def plan_sessions(
+    settings: BenchmarkSettings,
+    engines: Sequence[str],
+    session_counts: Sequence[int],
+    per_session: int = 2,
+    workflow_type: str = "mixed",
+    modes: Sequence[str] = SERVING_MODES,
+) -> List[RunSpec]:
+    """``repro bench-sessions`` cells: engines × session counts × modes."""
+    unknown = [mode for mode in modes if mode not in SERVING_MODES]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown serving mode(s) {unknown!r} "
+            f"(choose from: isolated, shared)"
+        )
+    workflows = WorkflowSelector(workflow_type=workflow_type, count=per_session)
+    return [
+        RunSpec(
+            engine=engine,
+            settings=settings,
+            workflows=workflows,
+            mode="serve",
+            serving=ServingSelector(sessions, share_engine=mode == "shared"),
+            label=f"sessions/{engine}/{sessions}/{mode}",
+        )
+        for engine in engines
+        for sessions in session_counts
+        for mode in modes
+    ]
+
+
+def plan_adaptive(
+    settings: BenchmarkSettings,
+    engine: str,
+    policies: Sequence[str],
+    session_counts: Sequence[int],
+    per_session: int = 1,
+    workflow_type: str = "mixed",
+    churn_modes: Sequence[str] = CHURN_MODES,
+    arrival_rate: float = 0.1,
+    horizon: float = 60.0,
+    residence: Optional[float] = 30.0,
+    share_engine: bool = False,
+) -> List[RunSpec]:
+    """``repro bench-adaptive`` cells: policies × session counts × churn.
+
+    Closed cells carry no arrival parameters (see
+    :class:`~repro.runtime.spec.ServingSelector`).
+    """
+    known = ("scripted",) + POLICY_NAMES
+    unknown = [policy for policy in policies if policy not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown policies: {', '.join(unknown)} "
+            f"(choose from {', '.join(known)})"
+        )
+    workflows = WorkflowSelector(workflow_type=workflow_type, count=per_session)
+    return [
+        RunSpec(
+            engine=engine,
+            settings=settings,
+            workflows=workflows,
+            mode="serve",
+            serving=ServingSelector(
+                sessions, share_engine, policy, churn,
+                *((arrival_rate, horizon, residence) if churn == "open" else ()),
+            ),
+            label=f"adaptive/{engine}/{policy}/{sessions}/{churn}",
+        )
+        for policy in policies
+        for sessions in session_counts
+        for churn in churn_modes
     ]

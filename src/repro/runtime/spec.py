@@ -1,12 +1,14 @@
-"""Declarative run-matrix cells: :class:`WorkflowSelector` and :class:`RunSpec`.
+"""Declarative run-matrix cells: :class:`WorkflowSelector`,
+:class:`ServingSelector` and :class:`RunSpec`.
 
 The paper's evaluation is a cross-product — engines × workflow types ×
-time requirements × data sizes × schema layouts (§5, Figs. 5–6). The
-runtime represents every cell of that product as a :class:`RunSpec`: a
-frozen, hashable, JSON-round-trippable value that says *what* to run and
-nothing about *how* or *where*. That separation is what lets the executor
-shard cells across worker processes, key per-cell artifacts on disk, and
-resume a crashed matrix without re-planning.
+time requirements × data sizes × schema layouts (§5, Figs. 5–6) — and the
+serving sweeps add session counts × serving modes × user policies × churn
+(§2.2). The runtime represents every cell of either product as a
+:class:`RunSpec`: a frozen, hashable, JSON-round-trippable value that says
+*what* to run and nothing about *how* or *where*. That separation is what
+lets the executor shard cells across worker processes, key per-cell
+artifacts on disk, and resume a crashed matrix without re-planning.
 
 A spec's :meth:`~RunSpec.fingerprint` is the stable digest of its
 canonical dictionary (plus the cache schema version), so two equal specs
@@ -17,7 +19,7 @@ artifact-cache key and as the input to per-cell seed derivation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.common.config import BenchmarkSettings
@@ -30,7 +32,10 @@ from repro.workflow.spec import WorkflowType
 SELECTOR_KINDS = ("generated", "speculation")
 
 #: Execution modes of a cell.
-RUN_MODES = ("suite", "prepare")
+RUN_MODES = ("suite", "prepare", "serve")
+
+#: Churn modes of a serving cell: a fixed population, or Poisson arrivals.
+CHURN_MODES = ("closed", "open")
 
 
 @dataclass(frozen=True)
@@ -88,14 +93,70 @@ class WorkflowSelector:
 
 
 @dataclass(frozen=True)
+class ServingSelector:
+    """How a ``mode="serve"`` cell serves its sessions.
+
+    ``closed`` cells serve exactly ``sessions`` users from time zero;
+    ``open`` cells draw Poisson arrivals (``arrival_rate`` per virtual
+    second until ``horizon``, mean stay ``residence``) capped at
+    ``sessions``. ``policy`` is ``"scripted"`` or an adaptive user model.
+    Closed cells never consult the arrival fields, so planners leave them
+    ``None`` there and tuning arrivals never re-keys a closed cell.
+    """
+
+    sessions: int
+    share_engine: bool = False
+    policy: str = "scripted"
+    churn: str = "closed"
+    arrival_rate: Optional[float] = None
+    horizon: Optional[float] = None
+    residence: Optional[float] = None
+
+    def __post_init__(self):
+        if self.sessions < 1:
+            raise ConfigurationError(
+                f"serving cells need >= 1 session, got {self.sessions!r}"
+            )
+        if self.churn not in CHURN_MODES:
+            raise ConfigurationError(
+                f"unknown churn mode {self.churn!r} (choose from: closed, open)"
+            )
+        if self.churn == "open":
+            if self.arrival_rate is None or self.horizon is None:
+                raise ConfigurationError(
+                    "open serving cells need an arrival rate and a horizon"
+                )
+            self.arrivals(seed=0)  # a bad rate must not surface mid-sweep
+
+    def arrivals(self, seed: int):
+        """The open cell's :class:`~repro.server.manager.ArrivalProcess`."""
+        from repro.server.manager import ArrivalProcess
+
+        return ArrivalProcess(
+            self.arrival_rate, self.horizon, seed=seed,
+            mean_residence=self.residence, max_sessions=self.sessions,
+        )
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ServingSelector":
+        return cls(**data)
+
+
+@dataclass(frozen=True)
 class RunSpec:
     """One cell of the run matrix — a hashable unit of benchmark work.
 
     ``mode="suite"`` runs the selected workflows on ``engine`` and yields
     detailed query records; ``mode="prepare"`` only measures the engine's
-    modeled data-preparation time (§5.2). ``label`` is a display/grouping
-    tag and deliberately excluded from the fingerprint, so relabeling a
-    cell never invalidates its cached artifacts.
+    modeled data-preparation time (§5.2); ``mode="serve"`` serves
+    ``serving.sessions`` sessions of ``workflows.count`` workflows each
+    through the session server and yields the run's aggregate report
+    fields. ``label`` is a display/grouping tag and deliberately excluded
+    from the fingerprint, so relabeling a cell never invalidates its
+    cached artifacts.
     """
 
     engine: str
@@ -105,6 +166,7 @@ class RunSpec:
     speculation: bool = False
     mode: str = "suite"
     label: str = ""
+    serving: Optional[ServingSelector] = None
 
     def __post_init__(self):
         if not self.engine:
@@ -112,6 +174,10 @@ class RunSpec:
         if self.mode not in RUN_MODES:
             raise ConfigurationError(
                 f"unknown run mode {self.mode!r}; expected one of {RUN_MODES}"
+            )
+        if (self.mode == "serve") != (self.serving is not None):
+            raise ConfigurationError(
+                "a serving selector goes with mode='serve', and only there"
             )
 
     # ------------------------------------------------------------------
@@ -144,6 +210,14 @@ class RunSpec:
         schema = "norm" if self.normalized else "denorm"
         if self.mode == "prepare":
             return f"{self.engine} prepare {self.settings.data_size.name}/{schema}"
+        if self.mode == "serve":
+            serving = self.serving
+            topology = "shared" if serving.share_engine else "isolated"
+            return (
+                f"{self.engine} {serving.policy} ×{serving.sessions} "
+                f"{topology} {serving.churn} "
+                f"TR={self.settings.time_requirement}s"
+            )
         return (
             f"{self.engine} {self.workflows.workflow_type}×{self.workflows.count} "
             f"TR={self.settings.time_requirement}s "
@@ -154,7 +228,7 @@ class RunSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
+        data = {
             "engine": self.engine,
             "settings": self.settings.to_dict(),
             "workflows": self.workflows.to_dict(),
@@ -163,6 +237,11 @@ class RunSpec:
             "mode": self.mode,
             "label": self.label,
         }
+        # Only when set: suite and prepare fingerprints (every cached
+        # cell) stay exactly what they were before serve cells existed.
+        if self.serving is not None:
+            data["serving"] = self.serving.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
@@ -174,4 +253,8 @@ class RunSpec:
             speculation=data.get("speculation", False),
             mode=data.get("mode", "suite"),
             label=data.get("label", ""),
+            serving=(
+                ServingSelector.from_dict(data["serving"])
+                if "serving" in data else None
+            ),
         )

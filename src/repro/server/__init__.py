@@ -18,10 +18,14 @@ think-time-paced sessions concurrently from one process:
   sessions mid-run and churn them out again;
 * :mod:`repro.server.clock` — :class:`AsyncClock`, wall-clock pacing for
   real-time/accelerated serving without losing determinism;
-* :mod:`repro.server.report` — per-session tables, the
-  ``bench-sessions`` sessions × engine load report and the
-  ``bench-adaptive`` sessions × policy × churn report, persisted through
-  the runtime artifact store.
+* :mod:`repro.server.spool` — :class:`RecordSpool` and
+  :class:`ServingAggregate`, constant-memory record handling;
+* :mod:`repro.server.report` — per-session tables and the writers of
+  the ``bench-sessions`` sessions × engine load report and the
+  ``bench-adaptive`` sessions × policy × churn report. Their cells are
+  ``RunSpec(mode="serve")`` cells (:mod:`repro.runtime`), planned by
+  ``plan_sessions`` / ``plan_adaptive`` and run by the
+  ``MatrixExecutor``.
 
 Adaptive user models themselves (replay/markov/uncertainty) live in
 :mod:`repro.workflow.policy`. Usage, guarantees and clock modes are
@@ -49,19 +53,14 @@ from repro.server.spool import (
     render_aggregate_report,
 )
 from repro.server.report import (
+    ADAPTIVE_COLUMNS,
+    BENCH_COLUMNS,
     FOLLOW_AGGREGATE_THRESHOLD,
-    AdaptiveBenchCell,
     FollowPrinter,
-    SessionBenchCell,
-    adaptive_bench_csv_text,
     render_adaptive_bench,
     render_session_bench,
     render_session_table,
-    run_adaptive_bench,
-    run_session_bench,
-    session_bench_csv_text,
-    write_adaptive_bench_csv,
-    write_session_bench_csv,
+    serving_csv_text,
 )
 from repro.server.session import (
     SessionResult,
@@ -71,9 +70,10 @@ from repro.server.session import (
 )
 
 __all__ = [
-    "AdaptiveBenchCell",
+    "ADAPTIVE_COLUMNS",
     "ArrivalProcess",
     "AsyncClock",
+    "BENCH_COLUMNS",
     "FOLLOW_AGGREGATE_THRESHOLD",
     "FollowPrinter",
     "OpenSystemManager",
@@ -82,7 +82,6 @@ __all__ = [
     "ServingAggregate",
     "SessionAbandoned",
     "SessionArrival",
-    "SessionBenchCell",
     "SessionManager",
     "SessionResult",
     "SessionSpec",
@@ -91,16 +90,11 @@ __all__ = [
     "iter_spool",
     "make_session",
     "render_aggregate_report",
-    "adaptive_bench_csv_text",
     "render_adaptive_bench",
     "render_session_bench",
     "render_session_table",
-    "run_adaptive_bench",
-    "run_session_bench",
     "serial_baseline",
-    "session_bench_csv_text",
+    "serving_csv_text",
     "session_specs",
     "total_records",
-    "write_adaptive_bench_csv",
-    "write_session_bench_csv",
 ]

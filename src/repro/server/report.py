@@ -1,16 +1,19 @@
-"""Session-server reporting: per-session tables and the load report.
+"""Session-server reporting: per-session tables and the sweep reports.
 
 Two renderings:
 
 * :func:`render_session_table` — one row per served session (the §4.8
   summary metrics, scoped per session), printed by ``repro serve``;
-* the ``repro bench-sessions`` **load report** — a sessions × engine
-  sweep measuring how per-session quality and aggregate throughput
-  evolve as more simulated users share the process (and, in shared
-  mode, one engine). Cells persist through the runtime
-  :class:`~repro.runtime.store.ArtifactStore` under content keys, so
-  re-running a sweep with ``--cache-dir`` restores finished cells
-  exactly like ``repro run-matrix`` does.
+* the serving-sweep reports — ``repro bench-sessions`` (sessions ×
+  engine × isolated/shared: how per-session quality and aggregate
+  throughput evolve as more simulated users share the process and, in
+  shared mode, one engine) and ``repro bench-adaptive`` (sessions ×
+  policy × closed/open churn). Their cells are ``RunSpec(mode="serve")``
+  cells run by the runtime's
+  :class:`~repro.runtime.executor.MatrixExecutor`, so they cache and
+  resume exactly like ``repro run-matrix``; this module only writes
+  them: :func:`serving_csv_text` with :data:`BENCH_COLUMNS` or
+  :data:`ADAPTIVE_COLUMNS`, and one terminal table per report.
 
 Determinism split, mirroring :mod:`repro.runtime.report`: the CSV holds
 only virtual-time quantities (stable bytes for a given configuration);
@@ -23,18 +26,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from repro.common.clock import perf_seconds
-from repro.common.fingerprint import CACHE_SCHEMA_VERSION
 from repro.common.fingerprint import fmt_cell as _fmt
-from repro.server.manager import ArrivalProcess, OpenSystemManager, SessionManager
 from repro.server.session import SessionResult
-from repro.server.spool import RecordSpool, ServingAggregate
-from repro.workflow.policy import interaction_mix
-from repro.workflow.spec import WorkflowType
+
 
 def _dash(value: float, spec: str) -> str:
     """Format a possibly-NaN float for a terminal table (NaN → em dash).
@@ -48,21 +45,6 @@ def _dash(value: float, spec: str) -> str:
     if math.isnan(value):
         return "—"
     return format(value, spec)
-
-
-#: Columns of the deterministic load-report CSV.
-BENCH_COLUMNS = (
-    "engine",
-    "sessions",
-    "mode",
-    "workflows_per_session",
-    "num_queries",
-    "pct_tr_violated",
-    "mean_missing_bins",
-    "mean_latency_answered",
-    "virtual_makespan",
-    "queries_per_virtual_second",
-)
 
 
 # ----------------------------------------------------------------------
@@ -188,241 +170,22 @@ class FollowPrinter:
 
 
 # ----------------------------------------------------------------------
-# Load report (repro bench-sessions)
+# Serving-sweep reports (repro bench-sessions / bench-adaptive)
 # ----------------------------------------------------------------------
 
-@dataclass
-class SessionBenchCell:
-    """One cell of the load report: (engine, session count, mode)."""
-
-    engine: str
-    sessions: int
-    mode: str  # "isolated" | "shared"
-    workflows_per_session: int
-    num_queries: int
-    pct_tr_violated: float
-    mean_missing_bins: float
-    #: Mean end-to-end latency of answered queries, virtual seconds.
-    mean_latency_answered: float
-    #: Virtual time from serving start to the last evaluated deadline.
-    virtual_makespan: float
-    #: Wall seconds of the serving run that produced this cell — a
-    #: diagnostic (never part of the deterministic CSV); cache-restored
-    #: cells carry the original run's measurement.
-    wall_seconds: float = 0.0
-    from_cache: bool = False
-
-    @property
-    def queries_per_virtual_second(self) -> float:
-        if self.virtual_makespan <= 0:
-            return float("nan")
-        return self.num_queries / self.virtual_makespan
-
-    def payload(self) -> dict:
-        """The persistable (deterministic + diagnostic) cell content."""
-        return {
-            "engine": self.engine,
-            "sessions": self.sessions,
-            "mode": self.mode,
-            "workflows_per_session": self.workflows_per_session,
-            "num_queries": self.num_queries,
-            "pct_tr_violated": self.pct_tr_violated,
-            "mean_missing_bins": self.mean_missing_bins,
-            "mean_latency_answered": self.mean_latency_answered,
-            "virtual_makespan": self.virtual_makespan,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, from_cache: bool = False) -> "SessionBenchCell":
-        return cls(from_cache=from_cache, **payload)
-
-
-def bench_cell_key(
-    settings,
-    engine: str,
-    sessions: int,
-    mode: str,
-    per_session: int,
-    workflow_type: WorkflowType,
-) -> tuple:
-    """Artifact-store key of one load-report cell.
-
-    Everything the cell's deterministic output depends on goes in; wall
-    time and machine identity stay out, exactly like
-    :meth:`~repro.runtime.spec.RunSpec.fingerprint`.
-    """
-    return (
-        "session-bench",
-        CACHE_SCHEMA_VERSION,
-        settings.to_dict(),
-        engine,
-        sessions,
-        mode,
-        per_session,
-        workflow_type.value,
-    )
-
-
-def _cell(
-    engine: str,
-    sessions: int,
-    mode: str,
-    per_session: int,
-    aggregate: ServingAggregate,
-    wall_seconds: float,
-) -> SessionBenchCell:
-    """One load-report cell; every derived column is the aggregate's."""
-    return SessionBenchCell(
-        engine=engine,
-        sessions=sessions,
-        mode=mode,
-        workflows_per_session=per_session,
-        num_queries=aggregate.num_queries,
-        pct_tr_violated=aggregate.pct_tr_violated,
-        mean_missing_bins=aggregate.mean_missing_bins,
-        mean_latency_answered=aggregate.mean_latency_answered,
-        virtual_makespan=aggregate.virtual_makespan,
-        wall_seconds=wall_seconds,
-    )
-
-
-def _run_aggregate(manager) -> ServingAggregate:
-    """Run ``manager``; the aggregate its report cell is built from.
-
-    Retained runs fold their results session by session
-    (:meth:`ServingAggregate.from_results`) — the byte-stable order the
-    artifact store caches. Incremental (spooled) runs have no results to
-    fold and use the manager's live aggregate, whose float means fold in
-    record-arrival order and can differ in the last ulp; those cells
-    therefore never enter the store (the cache stays byte-pure).
-    """
-    results = manager.run()
-    if manager.spool is not None:
-        return manager.aggregate
-    return ServingAggregate.from_results(results)
-
-
-def run_session_bench(
-    ctx,
-    engines: Sequence[str],
-    session_counts: Sequence[int],
-    *,
-    per_session: int = 2,
-    workflow_type: WorkflowType = WorkflowType.MIXED,
-    modes: Sequence[str] = ("isolated", "shared"),
-    incremental: bool = False,
-    store=None,
-    reuse_results: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[SessionBenchCell]:
-    """Run the sessions × engine sweep; cells restore from ``store``.
-
-    ``incremental=True`` folds each cell through a
-    :class:`~repro.server.spool.ServingAggregate` instead of retaining
-    every record — memory stays O(active sessions) per cell, which is
-    what makes population-scale sweeps feasible. Integer columns match
-    the retained path exactly; float means can differ in the last ulp
-    (fold order), so incremental cells bypass the artifact store.
-    """
-    unknown_modes = [mode for mode in modes if mode not in ("isolated", "shared")]
-    if unknown_modes:
-        # Fail before any cell runs: a typo must not cost a sweep.
-        raise ValueError(
-            f"unknown serving mode(s) {unknown_modes!r} "
-            f"(choose from: isolated, shared)"
-        )
-    cells: List[SessionBenchCell] = []
-    for engine_name in engines:
-        for sessions in session_counts:
-            for mode in modes:
-                key = bench_cell_key(
-                    ctx.settings, engine_name, sessions, mode, per_session,
-                    workflow_type,
-                )
-                if store is not None and reuse_results and not incremental:
-                    payload = store.get(key)
-                    if payload is not None:
-                        cells.append(
-                            SessionBenchCell.from_payload(payload, from_cache=True)
-                        )
-                        if progress:
-                            progress(
-                                f"[cache] {engine_name} ×{sessions} {mode}"
-                            )
-                        continue
-                manager = SessionManager.for_engine(
-                    ctx,
-                    engine_name,
-                    sessions,
-                    per_session=per_session,
-                    workflow_type=workflow_type,
-                    share_engine=(mode == "shared"),
-                    spool=RecordSpool() if incremental else None,
-                )
-                cell = _cell(
-                    engine_name, sessions, mode, per_session,
-                    _run_aggregate(manager),
-                    manager.wall_seconds,
-                )
-                if store is not None and not incremental:
-                    store.put(key, cell.payload())
-                cells.append(cell)
-                if progress:
-                    progress(
-                        f"[ran {manager.wall_seconds:6.2f}s] "
-                        f"{engine_name} ×{sessions} {mode}"
-                    )
-    return cells
-
-
-def bench_rows(cells: Sequence[SessionBenchCell]) -> List[List[object]]:
-    """Deterministic CSV rows (no wall-clock columns), in sweep order."""
-    return [
-        [
-            cell.engine,
-            cell.sessions,
-            cell.mode,
-            cell.workflows_per_session,
-            cell.num_queries,
-            _fmt(cell.pct_tr_violated),
-            _fmt(cell.mean_missing_bins),
-            _fmt(cell.mean_latency_answered),
-            _fmt(cell.virtual_makespan),
-            _fmt(cell.queries_per_virtual_second),
-        ]
-        for cell in cells
-    ]
-
-
-def write_session_bench_csv(
-    path: Union[str, Path, io.TextIOBase], cells: Sequence[SessionBenchCell]
-) -> None:
-    """Write the load report CSV (stable bytes for a configuration)."""
-    if isinstance(path, (str, Path)):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write(handle, cells)
-    else:
-        _write(path, cells)
-
-
-def _write(handle, cells: Sequence[SessionBenchCell]) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(BENCH_COLUMNS)
-    for row in bench_rows(cells):
-        writer.writerow(row)
-
-
-def session_bench_csv_text(cells: Sequence[SessionBenchCell]) -> str:
-    """The load report CSV as a string (byte-identity comparisons)."""
-    buffer = io.StringIO()
-    _write(buffer, cells)
-    return buffer.getvalue()
-
-
-# ----------------------------------------------------------------------
-# Adaptive/churn report (repro bench-adaptive)
-# ----------------------------------------------------------------------
+#: Columns of the deterministic load-report CSV.
+BENCH_COLUMNS = (
+    "engine",
+    "sessions",
+    "mode",
+    "workflows_per_session",
+    "num_queries",
+    "pct_tr_violated",
+    "mean_missing_bins",
+    "mean_latency_answered",
+    "virtual_makespan",
+    "queries_per_virtual_second",
+)
 
 #: Interaction kinds reported as mix columns, in CSV order.
 MIX_KINDS = ("create_viz", "set_filter", "select_bins", "link", "discard_viz")
@@ -443,251 +206,48 @@ ADAPTIVE_COLUMNS = (
 ) + tuple(f"mix_{kind}" for kind in MIX_KINDS)
 
 
-@dataclass
-class AdaptiveBenchCell:
-    """One cell of the adaptive report: (policy, session count, churn)."""
+def _fields(result) -> dict:
+    """Every report column of one served ``mode="serve"`` cell, by name.
 
-    engine: str
-    policy: str
-    sessions: int
-    churn: str  # "closed" | "open"
-    workflows_per_session: int
-    #: Sessions that actually ran (open cells serve what the Poisson
-    #: schedule yields within the horizon, capped at ``sessions``).
-    sessions_served: int
-    #: Sessions that left mid-run, abandoning in-flight queries.
-    sessions_departed: int
-    num_queries: int
-    pct_tr_violated: float
-    mean_latency_answered: float
-    virtual_makespan: float
-    #: Fraction of fired interactions per kind — the behavioral
-    #: fingerprint that separates adaptive policies from replay.
-    mix: dict
-    wall_seconds: float = 0.0
-    from_cache: bool = False
-
-    def payload(self) -> dict:
-        data = {k: v for k, v in sorted(self.__dict__.items())
-                if k != "from_cache"}
-        return data
-
-    @classmethod
-    def from_payload(cls, payload: dict, from_cache: bool = False) -> "AdaptiveBenchCell":
-        return cls(from_cache=from_cache, **payload)
-
-
-def adaptive_cell_key(
-    settings,
-    engine: str,
-    policy: str,
-    sessions: int,
-    churn: str,
-    per_session: int,
-    workflow_type: WorkflowType,
-    arrival_rate: float,
-    horizon: float,
-    residence: Optional[float],
-    share_engine: bool,
-) -> tuple:
-    """Artifact-store key of one adaptive-report cell (content-addressed).
-
-    Closed cells never consult the arrival process, so its parameters are
-    normalized out of their keys — tuning ``--arrivals``/``--residence``
-    must not invalidate cached closed-system sweeps.
+    The cell's identity comes from its spec, its numbers from the
+    payload :func:`~repro.runtime.executor.execute_cell` stored.
     """
-    if churn == "closed":
-        arrival_rate = horizon = residence = None
-    return (
-        "adaptive-bench",
-        CACHE_SCHEMA_VERSION,
-        settings.to_dict(),
-        engine,
-        policy,
-        sessions,
-        churn,
-        per_session,
-        workflow_type.value,
-        arrival_rate,
-        horizon,
-        residence,
-        share_engine,
-    )
+    spec, serving = result.spec, result.spec.serving
+    fields = {
+        "engine": spec.engine,
+        "sessions": serving.sessions,
+        "mode": "shared" if serving.share_engine else "isolated",
+        "policy": serving.policy,
+        "churn": serving.churn,
+        "workflows_per_session": spec.workflows.count,
+        **result.serving,
+    }
+    for kind in MIX_KINDS:
+        fields[f"mix_{kind}"] = fields["mix"].get(kind, 0.0)
+    return fields
 
 
-def _adaptive_cell(
-    engine: str,
-    policy: str,
-    sessions: int,
-    churn: str,
-    per_session: int,
-    aggregate: ServingAggregate,
-    wall_seconds: float,
-) -> AdaptiveBenchCell:
-    """One adaptive-report cell; every derived column is the aggregate's."""
-    return AdaptiveBenchCell(
-        engine=engine,
-        policy=policy,
-        sessions=sessions,
-        churn=churn,
-        workflows_per_session=per_session,
-        sessions_served=aggregate.sessions_served,
-        sessions_departed=aggregate.sessions_departed,
-        num_queries=aggregate.num_queries,
-        pct_tr_violated=aggregate.pct_tr_violated,
-        mean_latency_answered=aggregate.mean_latency_answered,
-        virtual_makespan=aggregate.virtual_makespan,
-        mix=interaction_mix(aggregate.interaction_counts),
-        wall_seconds=wall_seconds,
-    )
+def serving_csv_text(results: Sequence, columns: Sequence[str]) -> str:
+    """A serving-sweep CSV (:data:`BENCH_COLUMNS` or
+    :data:`ADAPTIVE_COLUMNS`), one row per cell in plan order.
 
-
-def run_adaptive_bench(
-    ctx,
-    engine: str,
-    policies: Sequence[str],
-    session_counts: Sequence[int],
-    *,
-    per_session: int = 1,
-    workflow_type: WorkflowType = WorkflowType.MIXED,
-    churn_modes: Sequence[str] = ("closed", "open"),
-    arrival_rate: float = 0.1,
-    horizon: float = 60.0,
-    residence: Optional[float] = 30.0,
-    share_engine: bool = False,
-    incremental: bool = False,
-    store=None,
-    reuse_results: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[AdaptiveBenchCell]:
-    """Run the sessions × policy × churn sweep; cells restore from ``store``.
-
-    ``closed`` cells serve exactly ``sessions`` concurrent users from
-    time zero to workload completion; ``open`` cells draw a Poisson
-    arrival schedule (``arrival_rate``/``horizon``/``residence``, capped
-    at ``sessions``) and let users churn mid-run. Every cell's CSV row is
-    deterministic, so cached restores are byte-identical to fresh runs.
-
-    ``incremental=True`` aggregates each cell without retaining records
-    (see :func:`run_session_bench`); such cells bypass the store.
+    Only virtual-time quantities: stable bytes for a configuration,
+    whether a cell ran now or was restored from the store.
     """
-    unknown = [mode for mode in churn_modes if mode not in ("closed", "open")]
-    if unknown:
-        raise ValueError(
-            f"unknown churn mode(s) {unknown!r} (choose from: closed, open)"
-        )
-    if "open" in churn_modes:
-        # Validate the arrival parameters before any cell runs — a bad
-        # rate must not surface halfway through an expensive sweep.
-        ArrivalProcess(
-            arrival_rate, horizon,
-            seed=ctx.settings.seed, mean_residence=residence, max_sessions=1,
-        )
-    cells: List[AdaptiveBenchCell] = []
-    for policy in policies:
-        for sessions in session_counts:
-            for churn in churn_modes:
-                key = adaptive_cell_key(
-                    ctx.settings, engine, policy, sessions, churn,
-                    per_session, workflow_type, arrival_rate, horizon,
-                    residence, share_engine,
-                )
-                if store is not None and reuse_results and not incremental:
-                    payload = store.get(key)
-                    if payload is not None:
-                        cells.append(
-                            AdaptiveBenchCell.from_payload(payload, from_cache=True)
-                        )
-                        if progress:
-                            progress(f"[cache] {policy} ×{sessions} {churn}")
-                        continue
-                spool = RecordSpool() if incremental else None
-                if churn == "closed":
-                    manager = SessionManager.for_engine(
-                        ctx, engine, sessions,
-                        per_session=per_session,
-                        workflow_type=workflow_type,
-                        share_engine=share_engine,
-                        policy=None if policy == "scripted" else policy,
-                        spool=spool,
-                    )
-                else:
-                    arrivals = ArrivalProcess(
-                        arrival_rate, horizon,
-                        seed=ctx.settings.seed,
-                        mean_residence=residence,
-                        max_sessions=sessions,
-                    )
-                    manager = OpenSystemManager.for_engine(
-                        ctx, engine, arrivals,
-                        policy=None if policy == "scripted" else policy,
-                        per_session=per_session,
-                        workflow_type=workflow_type,
-                        share_engine=share_engine,
-                        spool=spool,
-                    )
-                aggregate = _run_aggregate(manager)
-                wall = manager.wall_seconds
-                cell = _adaptive_cell(
-                    engine, policy, sessions, churn, per_session,
-                    aggregate, wall,
-                )
-                if store is not None and not incremental:
-                    store.put(key, cell.payload())
-                cells.append(cell)
-                if progress:
-                    progress(f"[ran {wall:6.2f}s] {policy} ×{sessions} {churn}")
-    return cells
-
-
-def adaptive_rows(cells: Sequence[AdaptiveBenchCell]) -> List[List[object]]:
-    """Deterministic CSV rows (no wall-clock columns), in sweep order."""
-    return [
-        [
-            cell.engine,
-            cell.policy,
-            cell.sessions,
-            cell.churn,
-            cell.workflows_per_session,
-            cell.sessions_served,
-            cell.sessions_departed,
-            cell.num_queries,
-            _fmt(cell.pct_tr_violated),
-            _fmt(cell.mean_latency_answered),
-            _fmt(cell.virtual_makespan),
-        ]
-        + [_fmt(cell.mix.get(kind, 0.0)) for kind in MIX_KINDS]
-        for cell in cells
-    ]
-
-
-def write_adaptive_bench_csv(
-    path: Union[str, Path, io.TextIOBase], cells: Sequence[AdaptiveBenchCell]
-) -> None:
-    """Write the adaptive report CSV (stable bytes for a configuration)."""
-    if isinstance(path, (str, Path)):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write_adaptive(handle, cells)
-    else:
-        _write_adaptive(path, cells)
-
-
-def _write_adaptive(handle, cells: Sequence[AdaptiveBenchCell]) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(ADAPTIVE_COLUMNS)
-    for row in adaptive_rows(cells):
-        writer.writerow(row)
-
-
-def adaptive_bench_csv_text(cells: Sequence[AdaptiveBenchCell]) -> str:
-    """The adaptive report CSV as a string (byte-identity comparisons)."""
     buffer = io.StringIO()
-    _write_adaptive(buffer, cells)
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for result in results:
+        fields = _fields(result)
+        writer.writerow([
+            value if isinstance(value, (str, int)) else _fmt(value)
+            for value in (fields[column] for column in columns)
+        ])
     return buffer.getvalue()
 
 
 def render_adaptive_bench(
-    cells: Sequence[AdaptiveBenchCell], title: str = "adaptive session report"
+    results: Sequence, title: str = "adaptive session report"
 ) -> str:
     """Plain-text sessions × policy × churn table for terminal output."""
     header = (
@@ -696,20 +256,23 @@ def render_adaptive_bench(
         f"{'select%':>8} {'wall':>7} {'cached':>6}"
     )
     lines = [title, "=" * len(header), header, "-" * len(header)]
-    for cell in cells:
+    for result in results:
+        cell = _fields(result)
         lines.append(
-            f"{cell.policy:<12} {cell.sessions:>8} {cell.churn:<7} "
-            f"{cell.sessions_served:>6} {cell.sessions_departed:>5} "
-            f"{cell.num_queries:>7} {_dash(cell.pct_tr_violated, '8.1f'):>8}% "
-            f"{100 * cell.mix.get('set_filter', 0.0):>7.1f}% "
-            f"{100 * cell.mix.get('select_bins', 0.0):>7.1f}% "
-            f"{cell.wall_seconds:>6.2f}s {'yes' if cell.from_cache else 'no':>6}"
+            f"{cell['policy']:<12} {cell['sessions']:>8} {cell['churn']:<7} "
+            f"{cell['sessions_served']:>6} {cell['sessions_departed']:>5} "
+            f"{cell['num_queries']:>7} "
+            f"{_dash(cell['pct_tr_violated'], '8.1f'):>8}% "
+            f"{100 * cell['mix_set_filter']:>7.1f}% "
+            f"{100 * cell['mix_select_bins']:>7.1f}% "
+            f"{cell['wall_seconds']:>6.2f}s "
+            f"{'yes' if result.from_cache else 'no':>6}"
         )
     return "\n".join(lines)
 
 
 def render_session_bench(
-    cells: Sequence[SessionBenchCell], title: str = "session load report"
+    results: Sequence, title: str = "session load report"
 ) -> str:
     """Plain-text sessions × engine table for terminal output."""
     header = (
@@ -717,16 +280,16 @@ def render_session_bench(
         f"{'%TR viol':>9} {'latency':>8} {'q/vs':>7} {'wall':>7} {'cached':>6}"
     )
     lines = [title, "=" * len(header), header, "-" * len(header)]
-    for cell in cells:
-        latency = (
-            "—"
-            if math.isnan(cell.mean_latency_answered)
-            else f"{cell.mean_latency_answered:.2f}s"
-        )
+    for result in results:
+        cell = _fields(result)
+        latency = cell["mean_latency_answered"]
+        latency = "—" if math.isnan(latency) else f"{latency:.2f}s"
         lines.append(
-            f"{cell.engine:<14} {cell.sessions:>8} {cell.mode:<9} "
-            f"{cell.num_queries:>7} {_dash(cell.pct_tr_violated, '8.1f'):>8}% "
-            f"{latency:>8} {_dash(cell.queries_per_virtual_second, '7.2f'):>7} "
-            f"{cell.wall_seconds:>6.2f}s {'yes' if cell.from_cache else 'no':>6}"
+            f"{cell['engine']:<14} {cell['sessions']:>8} {cell['mode']:<9} "
+            f"{cell['num_queries']:>7} "
+            f"{_dash(cell['pct_tr_violated'], '8.1f'):>8}% {latency:>8} "
+            f"{_dash(cell['queries_per_virtual_second'], '7.2f'):>7} "
+            f"{cell['wall_seconds']:>6.2f}s "
+            f"{'yes' if result.from_cache else 'no':>6}"
         )
     return "\n".join(lines)

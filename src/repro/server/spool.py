@@ -17,12 +17,13 @@ This module holds the two pieces that make that possible:
   memory. ``path=None`` counts records without writing anywhere — the
   aggregate-only mode the scale benchmark uses.
 * :class:`ServingAggregate` — the incremental aggregation of a serving
-  run: every quantity the load reports
-  (:mod:`repro.server.report`) derive from a full record list is folded
-  one record at a time — counts and maxima exactly, float sums in
-  record-arrival order — so ``repro bench-sessions`` /
-  ``bench-adaptive`` cells and the ``repro serve`` aggregate report are
-  produced without ever materializing all sessions.
+  run: every quantity the sweep reports (:mod:`repro.server.report`)
+  print is folded one record at a time — counts and maxima exactly,
+  float sums in record-arrival order — so ``repro bench-sessions`` /
+  ``bench-adaptive`` cells (always spooled) and the ``repro serve``
+  aggregate report are produced without ever materializing all
+  sessions. Every manager folds one live aggregate, retained or
+  spooled, so there is one fold order for every run.
 
 Both are deterministic: a spill file's bytes and an aggregate's derived
 metrics are pure functions of the run configuration, because records
@@ -139,29 +140,12 @@ class ServingAggregate:
         self.peak_active = 0
 
     # -- folding hooks --------------------------------------------------
-    @classmethod
-    def from_results(cls, results) -> "ServingAggregate":
-        """Fold retained ``SessionResult`` objects after the run.
+    def observe_record(self, session_id: str, record) -> None:
+        """Metric-stream subscriber: fold one record as it is evaluated.
 
-        Session-then-record order: the float sums then equal a plain
-        left fold over the concatenated record lists, which is what the
-        retained load reports have always printed. Pure arithmetic — the
-        windowed series already saw these records live.
+        The aggregate is the live record fan-out point, so the windowed
+        series (:mod:`repro.obs.timeseries`) is fed from here too.
         """
-        aggregate = cls()
-        for result in results:
-            aggregate.session_started()
-            for record in result.records:
-                aggregate.fold_record(record)
-            aggregate.session_finished(
-                result.steps,
-                result.interaction_counts,
-                departed=result.departed_at is not None,
-            )
-        return aggregate
-
-    def fold_record(self, record) -> None:
-        """Fold one evaluated record into the totals (no side effects)."""
         self.num_queries += 1
         if record.tr_violated:
             self.tr_violations += 1
@@ -171,14 +155,6 @@ class ServingAggregate:
         self.missing_bins_sum += record.metrics.missing_bins
         if record.end_time > self.virtual_makespan:
             self.virtual_makespan = record.end_time
-
-    def observe_record(self, session_id: str, record) -> None:
-        """Metric-stream subscriber: fold one record as it is evaluated.
-
-        The aggregate is the live record fan-out point, so the windowed
-        series (:mod:`repro.obs.timeseries`) is fed from here too.
-        """
-        self.fold_record(record)
         series = get_timeseries()
         if series.enabled:
             series.observe_record(

@@ -1,4 +1,5 @@
-"""CLI tests for the session-server subcommands (serve, bench-sessions)."""
+"""CLI tests for the session-server subcommands (serve, bench-sessions,
+bench-adaptive)."""
 
 import pytest
 
@@ -95,6 +96,23 @@ class TestBenchSessions:
         )
         assert code == 1
         assert "unknown engines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sessions", "0"], ">= 1 session"),
+        (["--sessions", "2,0"], ">= 1 session"),
+        (["--sessions", "1,x"], "comma-separated integers"),
+        (["--per-session", "0"], "selector count must be >= 1"),
+        (["--modes", "isolated,sideways"], "unknown serving mode"),
+        (["--workflow-type", "zigzag"], "unknown workflow type"),
+    ])
+    def test_bad_sweep_arguments_fail_before_any_cell(
+        self, capsys, flags, message
+    ):
+        code = main(["bench-sessions"] + flags + COMMON)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 class TestServeAdaptive:
@@ -245,6 +263,21 @@ class TestBenchAdaptive:
         )
         assert code == 1
         assert "unknown churn mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sessions", "2,0"], ">= 1 session"),
+        (["--sessions", "1,x"], "comma-separated integers"),
+        (["--per-session", "0"], "selector count must be >= 1"),
+        (["--arrivals", "0"], "arrival rate must be positive"),
+    ])
+    def test_bad_sweep_arguments_fail_before_any_cell(
+        self, capsys, flags, message
+    ):
+        code = main(["bench-adaptive", "--policies", "markov"] + flags + COMMON)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 class TestParser:

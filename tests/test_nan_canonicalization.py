@@ -16,14 +16,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.common.config import BenchmarkSettings
 from repro.common.fingerprint import fmt_cell
+from repro.runtime import CellResult, plan_adaptive, plan_sessions
 from repro.server.report import (
-    AdaptiveBenchCell,
-    SessionBenchCell,
-    adaptive_bench_csv_text,
+    ADAPTIVE_COLUMNS,
+    BENCH_COLUMNS,
     render_adaptive_bench,
     render_session_bench,
-    session_bench_csv_text,
+    serving_csv_text,
 )
 
 
@@ -58,43 +59,52 @@ class TestFmtCell:
         assert fmt_cell(value) == expected
 
 
-def _empty_session_cell() -> SessionBenchCell:
-    """A cell whose run produced zero records — every mean is NaN."""
+def _empty_payload() -> dict:
+    """A serve cell whose run produced zero records — every mean is NaN."""
     nan = float("nan")
-    return SessionBenchCell(
-        engine="idea-sim", sessions=1, mode="shared",
-        workflows_per_session=1, num_queries=0,
-        pct_tr_violated=nan, mean_missing_bins=nan,
-        mean_latency_answered=nan, virtual_makespan=0.0,
-    )
+    return {
+        "sessions_served": 1, "sessions_departed": 1, "num_queries": 0,
+        "pct_tr_violated": nan, "mean_missing_bins": nan,
+        "mean_latency_answered": nan, "virtual_makespan": 0.0,
+        "queries_per_virtual_second": nan, "mix": {}, "wall_seconds": 0.0,
+    }
 
 
-def _empty_adaptive_cell() -> AdaptiveBenchCell:
-    nan = float("nan")
-    return AdaptiveBenchCell(
-        engine="idea-sim", policy="markov", sessions=1, churn="open",
-        workflows_per_session=1, sessions_served=1, sessions_departed=1,
-        num_queries=0, pct_tr_violated=nan, mean_latency_answered=nan,
-        virtual_makespan=0.0, mix={},
-    )
+def _empty_session_cell(payload=None) -> CellResult:
+    spec = plan_sessions(
+        BenchmarkSettings(), ["idea-sim"], [1], per_session=1,
+        modes=("shared",),
+    )[0]
+    return CellResult(spec=spec, serving=payload or _empty_payload())
+
+
+def _empty_adaptive_cell() -> CellResult:
+    spec = plan_adaptive(
+        BenchmarkSettings(), "idea-sim", ["markov"], [1], churn_modes=("open",)
+    )[0]
+    return CellResult(spec=spec, serving=_empty_payload())
+
+
+def _session_csv(cell: CellResult) -> str:
+    return serving_csv_text([cell], BENCH_COLUMNS)
 
 
 class TestReportCsvs:
     def test_session_bench_csv_has_no_nan_token(self):
-        text = session_bench_csv_text([_empty_session_cell()])
+        text = _session_csv(_empty_session_cell())
         assert "nan" not in text.lower()
         assert "inf" not in text.lower()
         # Empty-latency cell renders as an empty CSV field, not a token.
         assert ",,," in text
 
     def test_adaptive_csv_has_no_nan_token(self):
-        text = adaptive_bench_csv_text([_empty_adaptive_cell()])
+        text = serving_csv_text([_empty_adaptive_cell()], ADAPTIVE_COLUMNS)
         assert "nan" not in text.lower()
 
     def test_numpy_float32_cell_cannot_leak_nan(self):
         cell = _empty_session_cell()
-        cell.mean_latency_answered = np.float32("nan")
-        text = session_bench_csv_text([cell])
+        cell.serving["mean_latency_answered"] = np.float32("nan")
+        text = _session_csv(cell)
         assert "nan" not in text.lower()
 
     def test_renders_show_dash_not_nan(self):
@@ -106,19 +116,16 @@ class TestReportCsvs:
         assert "—" in adaptive_table
 
     def test_cache_round_trip_is_byte_identical(self):
-        # Snapshot/diff compares bytes; a cell restored from the
-        # artifact-store JSON payload (NaN travels as a JSON `NaN`
-        # token) must re-render the exact same CSV bytes.
+        # Snapshot/diff compares bytes; a cell restored from a payload
+        # that went through a serializer (NaN travels as a JSON `NaN`
+        # token here) must re-render the exact same CSV bytes.
         import json
 
         cell = _empty_session_cell()
-        payload = json.loads(json.dumps(cell.payload(), allow_nan=True))
-        restored = SessionBenchCell.from_payload(payload, from_cache=True)
-        assert math.isnan(restored.mean_latency_answered)
-        assert (
-            session_bench_csv_text([restored])
-            == session_bench_csv_text([cell])
-        )
+        payload = json.loads(json.dumps(cell.serving, allow_nan=True))
+        restored = _empty_session_cell(payload)
+        assert math.isnan(restored.serving["mean_latency_answered"])
+        assert _session_csv(restored) == _session_csv(cell)
 
 
 class TestRegressionDiff:
@@ -129,12 +136,10 @@ class TestRegressionDiff:
 
         cell = _empty_session_cell()
         fresh = tmp_path / "fresh.csv"
-        fresh.write_text(session_bench_csv_text([cell]), encoding="utf-8",
-                         newline="")
-        payload = json.loads(json.dumps(cell.payload(), allow_nan=True))
-        restored_cell = SessionBenchCell.from_payload(payload)
+        fresh.write_text(_session_csv(cell), encoding="utf-8", newline="")
+        payload = json.loads(json.dumps(cell.serving, allow_nan=True))
         restored = tmp_path / "restored.csv"
-        restored.write_text(session_bench_csv_text([restored_cell]),
+        restored.write_text(_session_csv(_empty_session_cell(payload)),
                             encoding="utf-8", newline="")
         regress = tmp_path / "regress"
         snapshot(regress, "aaa", "sessions", fresh)

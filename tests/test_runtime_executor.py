@@ -180,3 +180,44 @@ class TestContextReuse:
         executor = MatrixExecutor(jobs=1, local_context=other)
         executor.run(specs[:1])
         assert len(executor._contexts) == 1
+
+
+class TestServeCells:
+    """Serving sweeps are ordinary cells: jobs, store and resume for free."""
+
+    @pytest.fixture(scope="class")
+    def serve_specs(self, settings):
+        from repro.runtime import plan_adaptive, plan_sessions
+
+        return plan_sessions(
+            settings, ("idea-sim", "monetdb-sim"), (1, 2), per_session=1
+        ) + plan_adaptive(
+            settings, "idea-sim", ("scripted", "markov"), (2,),
+            arrival_rate=0.2, horizon=40.0, residence=25.0, share_engine=True,
+        )
+
+    @staticmethod
+    def _texts(results):
+        from repro.server import ADAPTIVE_COLUMNS, BENCH_COLUMNS, serving_csv_text
+
+        sessions = [r for r in results if r.spec.label.startswith("sessions/")]
+        adaptive = [r for r in results if r.spec.label.startswith("adaptive/")]
+        return (
+            serving_csv_text(sessions, BENCH_COLUMNS),
+            serving_csv_text(adaptive, ADAPTIVE_COLUMNS),
+        )
+
+    def test_parallel_bit_identical_to_serial(self, serve_specs):
+        serial = MatrixExecutor(jobs=1).run(serve_specs)
+        parallel = MatrixExecutor(jobs=2).run(serve_specs)
+        assert [r.spec for r in parallel] == serve_specs
+        assert self._texts(parallel) == self._texts(serial)
+        assert all(r.serving["num_queries"] > 0 for r in serial)
+
+    def test_second_run_restores_every_cell(self, serve_specs, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        first = MatrixExecutor(jobs=1, store=store).run(serve_specs)
+        second = MatrixExecutor(jobs=1, store=store).run(serve_specs)
+        assert not any(r.from_cache for r in first)
+        assert all(r.from_cache for r in second)
+        assert self._texts(second) == self._texts(first)

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.common.config import BenchmarkSettings, DataSize
-from repro.common.errors import ConfigurationError
+from repro.common.errors import BenchmarkError, ConfigurationError
 from repro.common.fingerprint import canonical_json, stable_digest
 from repro.runtime.planner import (
+    plan_adaptive,
     plan_matrix,
     plan_overall,
+    plan_prep_times,
     plan_schema,
+    plan_sessions,
     plan_think_time,
 )
-from repro.runtime.spec import RunSpec, WorkflowSelector
+from repro.runtime.spec import RunSpec, ServingSelector, WorkflowSelector
 
 
 @pytest.fixture
@@ -127,3 +130,143 @@ class TestPlanners:
         first = plan_overall(settings, ("idea-sim",), (0.5,), 2, DataSize.S)
         second = plan_overall(settings, ("idea-sim",), (0.5,), 2, DataSize.S)
         assert [s.fingerprint() for s in first] == [s.fingerprint() for s in second]
+
+
+class TestFrozenFingerprints:
+    """Suite and prepare cells key every user's run-matrix cache (and the
+    perf ledger's ``sim_digest``): adding the serve mode must not move a
+    single one. The values were generated before serve cells existed."""
+
+    @pytest.fixture
+    def pinned_settings(self):
+        return BenchmarkSettings(
+            data_size=DataSize.S, scale=50_000, seed=5, time_requirement=1.0
+        )
+
+    def test_suite_and_prepare_fingerprints_are_pinned(self, pinned_settings):
+        s = pinned_settings
+        overall = plan_overall(s, ["idea-sim"], [3.0], 2, DataSize.S)[0]
+        normalized = [
+            cell for cell in plan_schema(s, ["monetdb-sim"], [DataSize.S], 2, 1.0)
+            if cell.normalized
+        ][0]
+        speculation = plan_think_time(s, [2.0], 1.0, DataSize.S, True)[0]
+        prepare = plan_prep_times(s, ["xdb-sim"], DataSize.S)[0]
+        assert [
+            cell.fingerprint()
+            for cell in (overall, normalized, speculation, prepare)
+        ] == [
+            "2d58f3b29981c54bf75dff8af272db8ad40fbac6df9aabbb224a64ec384c010e",
+            "1010819f4d79b7beecc9054a09bedaff2363355353b2f574dab7bbee3314bb72",
+            "73eebb5614e4bb2fec77b5297cdb11e722bfd93335c769d05e29f6fba4a361e0",
+            "dbc9e75ee014c7e6a0a784faeab293427ad0d87008fde90c1a5b3a775e177401",
+        ]
+
+    def test_only_serve_cells_carry_a_serving_key(self, pinned_settings):
+        overall = plan_overall(pinned_settings, ["idea-sim"], [3.0], 2, DataSize.S)
+        assert "serving" not in overall[0].to_dict()
+        serve = plan_sessions(pinned_settings, ["idea-sim"], [2])[0]
+        assert serve.to_dict()["serving"]["sessions"] == 2
+
+
+class TestServeSpecs:
+    def test_round_trip(self, settings):
+        specs = plan_sessions(settings, ["idea-sim"], [1, 3]) + plan_adaptive(
+            settings, "idea-sim", ["markov", "load-adaptive"], [2],
+            arrival_rate=0.2, horizon=40.0, residence=None, share_engine=True,
+        )
+        for spec in specs:
+            restored = RunSpec.from_dict(spec.to_dict())
+            assert restored == spec
+            assert restored.fingerprint() == spec.fingerprint()
+
+    def test_plan_sessions_order_and_shape(self, settings):
+        specs = plan_sessions(
+            settings, ["idea-sim", "monetdb-sim"], [1, 3], per_session=2,
+            workflow_type="sequential",
+        )
+        assert [
+            (s.engine, s.serving.sessions, s.serving.share_engine)
+            for s in specs
+        ] == [
+            ("idea-sim", 1, False), ("idea-sim", 1, True),
+            ("idea-sim", 3, False), ("idea-sim", 3, True),
+            ("monetdb-sim", 1, False), ("monetdb-sim", 1, True),
+            ("monetdb-sim", 3, False), ("monetdb-sim", 3, True),
+        ]
+        assert {s.mode for s in specs} == {"serve"}
+        assert {(s.workflows.workflow_type, s.workflows.count) for s in specs} == {
+            ("sequential", 2)
+        }
+
+    def test_closed_cell_fingerprints_ignore_arrival_params(self, settings):
+        def fingerprints(rate, horizon, residence):
+            return [
+                spec.fingerprint()
+                for spec in plan_adaptive(
+                    settings, "idea-sim", ["replay"], [2],
+                    arrival_rate=rate, horizon=horizon, residence=residence,
+                )
+            ]
+
+        # Closed cells never consult the arrival process: tuning it must
+        # not invalidate their cached results.
+        closed_a, open_a = fingerprints(0.1, 60.0, 30.0)
+        closed_b, open_b = fingerprints(0.5, 99.0, None)
+        assert closed_a == closed_b
+        assert open_a != open_b
+
+    def test_serving_selector_goes_with_serve_mode(self, settings):
+        with pytest.raises(ConfigurationError):
+            RunSpec(engine="idea-sim", settings=settings, mode="serve")
+        with pytest.raises(ConfigurationError):
+            RunSpec(
+                engine="idea-sim", settings=settings,
+                serving=ServingSelector(sessions=1),
+            )
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sessions=0),
+        dict(sessions=-2),
+        dict(sessions=1, churn="sideways"),
+        dict(sessions=1, churn="open"),
+        dict(sessions=1, churn="open", arrival_rate=0.0, horizon=40.0),
+        dict(sessions=1, churn="open", arrival_rate=0.2, horizon=-1.0),
+        dict(sessions=1, churn="open", arrival_rate=0.2, horizon=40.0,
+             residence=0.0),
+    ])
+    def test_bad_serving_selectors_rejected(self, kwargs):
+        with pytest.raises(BenchmarkError):
+            ServingSelector(**kwargs)
+
+    def test_cells_differing_only_in_tr_run_under_their_own_settings(
+        self, server_ctx
+    ):
+        """A shared context must not leak its TR into a serve cell."""
+        from repro.runtime import MatrixExecutor
+        from repro.server import BENCH_COLUMNS, serving_csv_text
+
+        cells = [
+            plan_sessions(
+                server_ctx.settings.with_(time_requirement=tr),
+                ["idea-sim"], [2], per_session=1, modes=("shared",),
+            )[0]
+            for tr in (1.0, 0.2)
+        ]
+        together = MatrixExecutor(local_context=server_ctx).run(cells)
+        alone = [MatrixExecutor().run([cell])[0] for cell in cells]
+        texts = [serving_csv_text([r], BENCH_COLUMNS) for r in together]
+        assert texts == [serving_csv_text([r], BENCH_COLUMNS) for r in alone]
+        assert texts[0] != texts[1]
+
+    def test_planners_validate_before_returning_any_cell(self, settings):
+        with pytest.raises(ConfigurationError, match="serving mode"):
+            plan_sessions(settings, ["idea-sim"], [1], modes=("sideways",))
+        with pytest.raises(ConfigurationError, match=">= 1 session"):
+            plan_sessions(settings, ["idea-sim"], [2, 0])
+        with pytest.raises(ConfigurationError, match="selector count"):
+            plan_sessions(settings, ["idea-sim"], [1], per_session=0)
+        with pytest.raises(ConfigurationError, match="unknown policies"):
+            plan_adaptive(settings, "idea-sim", ["telepathy"], [1])
+        with pytest.raises(ConfigurationError, match=">= 1 session"):
+            plan_adaptive(settings, "idea-sim", ["markov"], [2, 0])

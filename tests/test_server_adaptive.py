@@ -21,7 +21,6 @@ from repro.server import (
     ArrivalProcess,
     OpenSystemManager,
     SessionManager,
-    run_adaptive_bench,
 )
 from repro.workflow.policy import interaction_mix, mix_distance
 
@@ -244,53 +243,38 @@ class TestOpenSystem:
 
 class TestAdaptiveBench:
     def test_cells_cache_byte_identically(self, server_ctx, tmp_path):
-        from repro.runtime import ArtifactStore
-        from repro.server import adaptive_bench_csv_text
+        from repro.runtime import ArtifactStore, MatrixExecutor, plan_adaptive
+        from repro.server import ADAPTIVE_COLUMNS, serving_csv_text
 
         store = ArtifactStore(tmp_path / "cache")
-        kwargs = dict(
-            per_session=1,
-            churn_modes=("closed", "open"),
-            arrival_rate=0.2,
-            horizon=40.0,
-            residence=25.0,
+        specs = plan_adaptive(
+            server_ctx.settings, "idea-sim", ["replay", "markov"], [2],
+            per_session=1, arrival_rate=0.2, horizon=40.0, residence=25.0,
         )
-        first = run_adaptive_bench(
-            server_ctx, "idea-sim", ["replay", "markov"], [2],
-            store=store, **kwargs,
+
+        def run():
+            return MatrixExecutor(store=store, local_context=server_ctx).run(specs)
+
+        first, second = run(), run()
+        assert all(result.from_cache for result in second)
+        assert serving_csv_text(first, ADAPTIVE_COLUMNS) == serving_csv_text(
+            second, ADAPTIVE_COLUMNS
         )
-        second = run_adaptive_bench(
-            server_ctx, "idea-sim", ["replay", "markov"], [2],
-            store=store, **kwargs,
-        )
-        assert all(cell.from_cache for cell in second)
-        assert adaptive_bench_csv_text(first) == adaptive_bench_csv_text(second)
 
     def test_unknown_churn_mode_rejected(self, server_ctx):
-        with pytest.raises(ValueError):
-            run_adaptive_bench(
-                server_ctx, "idea-sim", ["replay"], [1],
+        from repro.runtime import plan_adaptive
+
+        with pytest.raises(BenchmarkError, match="unknown churn mode"):
+            plan_adaptive(
+                server_ctx.settings, "idea-sim", ["replay"], [1],
                 churn_modes=("sideways",),
             )
 
     def test_bad_arrival_params_rejected_before_any_cell(self, server_ctx):
+        from repro.runtime import plan_adaptive
+
         with pytest.raises(BenchmarkError):
-            run_adaptive_bench(
-                server_ctx, "idea-sim", ["replay"], [1],
+            plan_adaptive(
+                server_ctx.settings, "idea-sim", ["replay"], [1],
                 churn_modes=("open",), arrival_rate=0.0,
             )
-
-    def test_closed_cells_ignore_arrival_params_in_keys(self, server_ctx):
-        from repro.server.report import adaptive_cell_key
-        from repro.workflow.spec import WorkflowType
-
-        def key(churn, rate, horizon, residence):
-            return adaptive_cell_key(
-                server_ctx.settings, "idea-sim", "replay", 2, churn, 1,
-                WorkflowType.MIXED, rate, horizon, residence, False,
-            )
-
-        # Closed cells never consult the arrival process: tuning it must
-        # not invalidate their cached results.
-        assert key("closed", 0.1, 60.0, 30.0) == key("closed", 0.5, 99.0, None)
-        assert key("open", 0.1, 60.0, 30.0) != key("open", 0.5, 99.0, None)

@@ -4,8 +4,9 @@ rate-limited --follow output (docs/server.md's population-scale section).
 The contract under test: a spooled run produces *the same information*
 as a retained run — every record lands in the spill file in global
 virtual-time order, the incremental aggregate matches what a full record
-list would yield — while the manager returns no results and per-session
-state is freed as sessions retire.
+list would yield, bit for bit the aggregate a retained run folds — while
+the manager returns no results and per-session state is freed as
+sessions retire.
 """
 
 import io
@@ -22,8 +23,6 @@ from repro.server import (
     SessionManager,
     iter_spool,
     render_aggregate_report,
-    run_adaptive_bench,
-    run_session_bench,
 )
 from repro.server.manager import ArrivalProcess as _AP
 from repro.server.session import SessionStream
@@ -186,28 +185,20 @@ class TestServingAggregate:
         )
 
     def test_retained_runs_fold_the_live_aggregate_too(self, server_ctx):
-        manager = _open_manager(server_ctx)
-        results = manager.run()
-        folded = ServingAggregate.from_results(results)
-        live = manager.aggregate
+        """One fold order: a retained run's live aggregate is the spooled
+        run's, float sums bit for bit."""
+        retained = _open_manager(server_ctx)
+        assert retained.run()
+        spooled = _open_manager(server_ctx, spool=RecordSpool())
+        spooled.run()
+        live, folded = retained.aggregate, spooled.aggregate
         assert live.num_queries == folded.num_queries > 0
+        assert live.latency_sum == folded.latency_sum
+        assert live.missing_bins_sum == folded.missing_bins_sum
         assert live.tr_violations == folded.tr_violations
         assert live.sessions_departed == folded.sessions_departed
         assert live.interaction_counts == folded.interaction_counts
         assert live.peak_active >= 1 and live.active_sessions == 0
-
-    def test_from_results_does_not_feed_the_series(self, server_ctx):
-        """The post-hoc fold is pure: telemetry saw each record once."""
-        from repro.obs.timeseries import TimeSeries, set_timeseries
-
-        results = _open_manager(server_ctx).run()
-        series = TimeSeries(window=5.0)
-        previous = set_timeseries(series)
-        try:
-            ServingAggregate.from_results(results)
-        finally:
-            set_timeseries(previous)
-        assert series.text() == TimeSeries(window=5.0).text()
 
     def test_empty_aggregate_renders(self):
         agg = ServingAggregate()
@@ -244,89 +235,58 @@ class TestLazyArrivalSchedule:
 
 
 class TestIncrementalBench:
-    def test_session_cells_match_retained(self, server_ctx):
-        kwargs = dict(per_session=1, modes=("isolated",))
-        retained = run_session_bench(
-            server_ctx, ["idea-sim"], [2], **kwargs
-        )
-        incremental = run_session_bench(
-            server_ctx, ["idea-sim"], [2], incremental=True, **kwargs
-        )
-        for a, b in zip(retained, incremental):
-            assert a.num_queries == b.num_queries
-            assert a.pct_tr_violated == b.pct_tr_violated
-            assert a.virtual_makespan == b.virtual_makespan
-            assert a.mean_latency_answered == pytest.approx(
-                b.mean_latency_answered, rel=1e-12
-            )
-            assert a.mean_missing_bins == pytest.approx(
-                b.mean_missing_bins, rel=1e-12
-            )
+    """Every serving-sweep cell runs spooled and folds incrementally."""
 
-    def test_adaptive_cells_match_retained(self, server_ctx):
-        kwargs = dict(
-            per_session=1, churn_modes=("open",),
-            arrival_rate=0.2, horizon=40.0, residence=25.0,
-        )
-        retained = run_adaptive_bench(
-            server_ctx, "idea-sim", ["markov"], [3], **kwargs
-        )
-        incremental = run_adaptive_bench(
-            server_ctx, "idea-sim", ["markov"], [3],
-            incremental=True, **kwargs
-        )
-        for a, b in zip(retained, incremental):
-            assert a.sessions_served == b.sessions_served
-            assert a.sessions_departed == b.sessions_departed
-            assert a.num_queries == b.num_queries
-            assert a.mix == b.mix
-            assert a.mean_latency_answered == pytest.approx(
-                b.mean_latency_answered, rel=1e-12
-            )
-
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_report_csv_bytes_pinned(self, server_ctx, incremental):
-        """Both reports, both fold paths: the bytes the two pre-merge
-        cell builders per report produced (hashed at the last commit
-        that had them)."""
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_report_csv_bytes_pinned(self, server_ctx, tmp_path, cached):
+        """Both reports, fresh and cache-restored: the bytes the pre-merge
+        cell builders produced (hashed at the last commit that had them,
+        on both their retained and their incremental fold)."""
         import hashlib
 
+        from repro.runtime import (
+            ArtifactStore,
+            MatrixExecutor,
+            plan_adaptive,
+            plan_sessions,
+        )
         from repro.server import (
-            adaptive_bench_csv_text,
-            session_bench_csv_text,
+            ADAPTIVE_COLUMNS,
+            BENCH_COLUMNS,
+            serving_csv_text,
         )
 
-        sessions = session_bench_csv_text(run_session_bench(
-            server_ctx, ["idea-sim", "monetdb-sim"], [1, 3], per_session=1,
-            incremental=incremental,
-        ))
-        adaptive = adaptive_bench_csv_text(run_adaptive_bench(
-            server_ctx, "idea-sim", ["scripted", "markov", "uncertainty"],
-            [3], per_session=1, arrival_rate=0.2, horizon=40.0,
-            residence=25.0, share_engine=True, incremental=incremental,
-        ))
+        sessions = plan_sessions(
+            server_ctx.settings, ["idea-sim", "monetdb-sim"], [1, 3],
+            per_session=1,
+        )
+        adaptive = plan_adaptive(
+            server_ctx.settings, "idea-sim",
+            ["scripted", "markov", "uncertainty"], [3], per_session=1,
+            arrival_rate=0.2, horizon=40.0, residence=25.0, share_engine=True,
+        )
+        store = ArtifactStore(tmp_path / "cache")
+
+        def run():
+            return MatrixExecutor(store=store, local_context=server_ctx).run(
+                sessions + adaptive
+            )
+
+        results = run()
+        if cached:
+            results = run()
+        assert all(result.from_cache == cached for result in results)
+        texts = (
+            serving_csv_text(results[:len(sessions)], BENCH_COLUMNS),
+            serving_csv_text(results[len(sessions):], ADAPTIVE_COLUMNS),
+        )
         digests = [
-            hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for text in (sessions, adaptive)
+            hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts
         ]
         assert digests == [
             "dd55180e0df0874eab70dc32778480a9c0d9d425ab803d858cb80ff9ab86a9ef",
             "b505e339f270cf0f5f7c7773a742cec05b1e8f3e89c70bdde732e918e4b1e094",
         ]
-
-    def test_incremental_bypasses_store(self, server_ctx, tmp_path):
-        from repro.runtime import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "cache")
-        run_session_bench(
-            server_ctx, ["idea-sim"], [1], per_session=1,
-            modes=("isolated",), incremental=True, store=store,
-        )
-        cells = run_session_bench(
-            server_ctx, ["idea-sim"], [1], per_session=1,
-            modes=("isolated",), store=store,
-        )
-        assert not any(cell.from_cache for cell in cells)
 
 
 class _FakeClock:

@@ -123,7 +123,7 @@ REQUIRED_SECTIONS = {
         "### One calendar loop",
         "every arrival at virtual time 0",
         "tests/golden/scheduler_pins.txt",
-        "ServingAggregate.from_results",
+        'RunSpec(mode="serve")',
         "src/repro/server/spool.py",
         "iter_spool",
         "O(active sessions)",

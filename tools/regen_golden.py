@@ -3,7 +3,8 @@
 
 The corpus pins the exact bytes of four end-to-end reports — a serial
 run, a shared-engine server run, an adaptive (markov) run and an
-open-system churn run — plus wire transcripts, virtual-time traces, a
+open-system churn run — plus the two serving-sweep CSVs
+(``serving_sweeps.txt``), wire transcripts, virtual-time traces, a
 windowed series, one SHA-256 per further serving configuration
 (``scheduler_pins.txt``), one per generated workflow
 (``workflow_pins.txt``), one per System X estimate
@@ -110,6 +111,41 @@ def case_open_churn(ctx) -> str:
         per_session=1, share_engine=True,
     ).run()
     return _session_text(results)
+
+
+def case_serving_sweeps(ctx) -> str:
+    """Both serving-sweep CSVs (``repro bench-sessions`` / ``bench-adaptive``).
+
+    bench-sessions: idea-sim and monetdb-sim × {1, 3} sessions × both
+    modes at the CLI default of two workflows per session. bench-adaptive:
+    idea-sim × every policy × 3 sessions × {closed, open} (arrivals
+    0.2/s over 40 s, 25 s residence), once per engine topology.
+    """
+    from repro.runtime import MatrixExecutor, plan_adaptive, plan_sessions
+    from repro.server import ADAPTIVE_COLUMNS, BENCH_COLUMNS, serving_csv_text
+
+    def run(specs):
+        return MatrixExecutor(local_context=ctx).run(specs)
+
+    sessions = plan_sessions(
+        ctx.settings, ["idea-sim", "monetdb-sim"], [1, 3], per_session=2
+    )
+    parts = [
+        "== bench-sessions ==\n",
+        serving_csv_text(run(sessions), BENCH_COLUMNS),
+    ]
+    for share_engine in (False, True):
+        adaptive = plan_adaptive(
+            ctx.settings, "idea-sim",
+            ["scripted", "replay", "markov", "uncertainty", "load-adaptive"],
+            [3], per_session=1, arrival_rate=0.2, horizon=40.0,
+            residence=25.0, share_engine=share_engine,
+        )
+        parts += [
+            f"== bench-adaptive share_engine={share_engine} ==\n",
+            serving_csv_text(run(adaptive), ADAPTIVE_COLUMNS),
+        ]
+    return "".join(parts)
 
 
 def case_tcp_session(ctx) -> str:
@@ -772,6 +808,7 @@ GOLDEN_CASES = {
     "server_shared.txt": case_server_shared,
     "adaptive_markov.txt": case_adaptive_markov,
     "open_churn.txt": case_open_churn,
+    "serving_sweeps.txt": case_serving_sweeps,
     "tcp_session.txt": case_tcp_session,
     "tcp_isolated.txt": case_tcp_isolated,
     "tcp_shared.txt": case_tcp_shared,
