@@ -87,6 +87,9 @@ class Engine:
     capabilities = EngineCapabilities(
         supports_joins=False, progressive=False, returns_margins=False
     )
+    #: Whether :meth:`link_vizs` hints start work; the driver builds the
+    #: speculative queries of a link only for an engine that reads them.
+    speculates = False
 
     def __init__(
         self,

@@ -33,6 +33,8 @@ class FrontendEngine:
     """
 
     name = "system-y-sim"
+    #: §5.6: no prefetch layer — :meth:`link_vizs` drops the hint.
+    speculates = False
 
     def __init__(
         self,

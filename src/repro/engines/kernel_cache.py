@@ -10,14 +10,19 @@ Interactive workloads re-issue structurally identical queries constantly
 (§2.2's linked-visualization updates repeat on every selection change,
 and clearing a filter restores a previous query), and the session server
 multiplexes sessions over one shared engine — so compiled units are
-cached process-wide, keyed by the same stable digests the ground-truth
-oracle uses:
+cached process-wide, keyed by value:
 
-    (dataset.fingerprint(), query_cache_key(query))
+    (dataset.fingerprint(), query)
 
-Both components are content SHA-256 digests, so lookups are identical in
-every process regardless of ``PYTHONHASHSEED`` and kernels compiled for
-one dataset can never leak to another.
+The dataset part is its memoized content digest, so kernels compiled for
+one dataset can never leak to another; the query part is the frozen
+query itself, whose ``hash`` + ``==`` cost a few microseconds where its
+canonical-JSON SHA-256 (:func:`~repro.query.groundtruth.query_cache_key`)
+costs several times that. That is the identity the engines' per-query
+maps already use. Nothing leaves the process, so the salted ``hash``
+only decides bucket placement, never which kernel a query gets: lookups
+hit and miss identically under every ``PYTHONHASHSEED``. The SHA-256
+digest is the key of the on-disk store alone.
 
 Eviction is LRU with a configurable capacity
 (``REPRO_KERNEL_CACHE_SIZE``). Hit/miss/eviction counts are kept as plain
@@ -42,7 +47,6 @@ from repro.common.errors import BenchmarkError
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import STAGE_COMPILE, get_profiler
 from repro.obs.tracer import get_tracer
-from repro.query.groundtruth import query_cache_key
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggQuery
 
@@ -68,13 +72,13 @@ def _env_capacity() -> int:
 
 
 class KernelCache:
-    """Digest-keyed LRU of :class:`CompiledQueryKernel` objects."""
+    """Value-keyed LRU of :class:`CompiledQueryKernel` objects."""
 
     def __init__(self, capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY):
         if capacity < 1:
             raise BenchmarkError(f"kernel cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, str], CompiledQueryKernel]" = (
+        self._entries: "OrderedDict[Tuple[str, AggQuery], CompiledQueryKernel]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -85,9 +89,10 @@ class KernelCache:
         return len(self._entries)
 
     @staticmethod
-    def key_for(dataset, query: AggQuery) -> Tuple[str, str]:
-        """The process-portable cache key: content digests only."""
-        return (dataset.fingerprint(), query_cache_key(query))
+    def key_for(dataset, query: AggQuery) -> Tuple[str, AggQuery]:
+        """The cache key: the dataset's content fingerprint and the query
+        value — equal queries share a kernel, whatever object spells them."""
+        return (dataset.fingerprint(), query)
 
     def get(self, dataset, query: AggQuery) -> CompiledQueryKernel:
         """The compiled kernel for ``query`` × ``dataset`` (compiling on miss)."""

@@ -78,6 +78,10 @@ class ProgressiveEngine(PrefixSamplingEngine):
         self._foreground: set = set()
         self._first_query_pending = True
 
+    @property
+    def speculates(self) -> bool:
+        return self.speculation
+
     def _retained_task_ids(self) -> set:
         # Parked speculative executions are read back (work_done) when the
         # speculated query is finally submitted — their tasks must survive

@@ -30,13 +30,15 @@ from repro.query.model import AggFunc, AggQuery, BinColumns, BinKey, QueryResult
 
 
 def query_cache_key(query: AggQuery) -> str:
-    """Stable, hashable, process-portable cache key for ``query``.
+    """Stable, process-portable store key for ``query``.
 
     The key is a SHA-256 digest of the query's canonical JSON form
     (:meth:`AggQuery.to_dict`), so structurally equal queries key
     identically in every process — unlike ``hash(query)``, which is salted
     per interpreter (``PYTHONHASHSEED``) and therefore useless for on-disk
-    caches or cross-worker sharing.
+    caches or cross-worker sharing. It is computed only where a key leaves
+    the process (the oracle's :class:`~repro.runtime.store.ArtifactStore`
+    lookups); in-memory caches key on the query value itself.
     """
     return query.digest
 
@@ -274,17 +276,18 @@ class GroundTruthOracle:
     without changing any measured quantity — ground truth is computed
     outside the simulated clock.
 
-    Cache keys are the stable digests of :func:`query_cache_key`, so they
-    are portable across worker processes. When ``store`` (an
+    The in-memory map is keyed on the query value (``hash`` + ``==``), like
+    the kernel cache. When ``store`` (an
     :class:`repro.runtime.store.ArtifactStore`-compatible object) is given,
     answers additionally persist on disk under the dataset's content
-    fingerprint — a cell computed by one worker warms every other worker
-    and every later run.
+    fingerprint and the stable digest of :func:`query_cache_key` — computed
+    only after an in-memory miss — so a cell computed by one worker warms
+    every other worker and every later run.
     """
 
     def __init__(self, dataset: Dataset, store=None, dataset_key: Optional[str] = None):
         self._dataset = dataset
-        self._cache: Dict[str, QueryResult] = {}
+        self._cache: Dict[AggQuery, QueryResult] = {}
         self._store = store
         self._dataset_key = dataset_key
         self.hits = 0
@@ -302,28 +305,29 @@ class GroundTruthOracle:
             self._dataset_key = self._dataset.fingerprint()
         return self._dataset_key
 
-    def _store_key(self, query_key: str) -> tuple:
-        return ("ground-truth", self.dataset_key, query_key)
+    def _store_key(self, query: AggQuery) -> tuple:
+        return ("ground-truth", self.dataset_key, query_cache_key(query))
 
     def answer(self, query: AggQuery) -> QueryResult:
         """Exact result for ``query`` (cached in memory, then on disk)."""
-        key = query_cache_key(query)
-        cached = self._cache.get(key)
+        cached = self._cache.get(query)
         if cached is not None:
             self.hits += 1
             return cached
+        store_key = None
         if self._store is not None:
-            persisted = self._store.get(self._store_key(key))
+            store_key = self._store_key(query)
+            persisted = self._store.get(store_key)
             if persisted is not None:
                 self.hits += 1
                 self.store_hits += 1
-                self._cache[key] = persisted
+                self._cache[query] = persisted
                 return persisted
         self.misses += 1
         result = evaluate_exact(self._dataset, query)
-        self._cache[key] = result
-        if self._store is not None:
-            self._store.put(self._store_key(key), result)
+        self._cache[query] = result
+        if store_key is not None:
+            self._store.put(store_key, result)
         return result
 
     def clear(self) -> None:

@@ -96,6 +96,9 @@ def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``[min, max]`` in O(rows + span) and each row's rank is a table
     lookup. Spans that do not fit the bound above (NaN-poisoned or
     degenerate-width codes reach the int64 extremes) take the sort.
+    Ranks are ``int32`` on the counting path (they are below the span,
+    which the bound keeps under 2**31 below half a billion rows): half
+    the bytes for every later gather of them.
     """
     lowest = int(codes.min())
     span = int(codes.max()) - lowest + 1
@@ -105,7 +108,7 @@ def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     present = np.zeros(span, dtype=bool)
     present[shifted] = True
     unique = np.flatnonzero(present)
-    rank = np.empty(span, dtype=np.int64)
+    rank = np.empty(span, dtype=np.int32)
     rank[unique] = np.arange(len(unique))
     return unique + lowest, rank[shifted]
 
@@ -124,8 +127,9 @@ class Grouping:
     """What a (bins, filter) pair compiles to, whatever is aggregated.
 
     ``keys`` are the plan's keys some passing row reaches and ``row_gid``
-    each row's index among them (``-1`` for rows failing the filter). It
-    holds the parts it was derived from, so they live as long as it does.
+    each row's index among them (``-1`` for rows failing the filter;
+    ``int32``, or the plan's own array when every row passes). It holds
+    the parts it was derived from, so they live as long as it does.
     """
 
     mask: np.ndarray
@@ -247,7 +251,7 @@ def _build_grouping(
     mask = _shared(dataset, ("masks", query.filter), build_mask)
     rows = np.flatnonzero(mask)
     plan, keys, fallback = None, [], False
-    row_gid = np.full(num_rows, -1, dtype=np.int64)
+    row_gid = np.full(num_rows, -1, dtype=np.int32)
     if rows.size:
         try:
             plan = _shared(dataset, ("plans", query.bins), build_plan)

@@ -11,6 +11,7 @@ import io
 
 import pytest
 
+from repro.bench import driver as driver_module
 from repro.bench.driver import BenchmarkDriver, SessionDriver
 from repro.bench.experiments import MAIN_ENGINES, make_engine
 from repro.bench.report import DetailedReport
@@ -18,12 +19,15 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import BenchmarkError
 from repro.engines.columnstore import ColumnStoreEngine
 from repro.engines.progressive import ProgressiveEngine
+from repro.query.filters import And, RangePredicate, SetPredicate
 from repro.query.groundtruth import GroundTruthOracle
 from repro.query.model import AggFunc, Aggregate, BinColumns, BinDimension, BinKind
+from repro.server import ArrivalProcess, OpenSystemManager
 from repro.workflow.spec import (
     CreateViz,
     Link,
     SelectBins,
+    SetFilter,
     VizSpec,
     Workflow,
     WorkflowType,
@@ -240,6 +244,177 @@ class TestLifecycle:
         driver.run()
         assert engine._speculative == {}
         assert engine.scheduler.active_tasks() == []
+
+
+#: The source bins of ``_hint_workflow``'s first link: the carriers of
+#: the 6 000-row flights fixture.
+CARRIERS = (
+    "AD BK CR DY EF FM GT HA IH JO KV LC MJ NQ OX PE QL RS SZ TG UN VU WB XI YP"
+).split()
+
+
+def _hint_workflow():
+    """Two links: a nominal source, then a filtered quantitative source
+    into a target with its own filter (every part a hint captures)."""
+    distance = VizSpec(
+        "c", "flights",
+        (BinDimension("DISTANCE", BinKind.QUANTITATIVE, width=1000.0),),
+        (Aggregate(AggFunc.COUNT),),
+    )
+    return Workflow(
+        name="hints",
+        workflow_type=WorkflowType.CUSTOM,
+        interactions=(
+            CreateViz(_viz("a", "UNIQUE_CARRIER", nominal=True)),
+            CreateViz(_viz("b")),
+            CreateViz(distance),
+            Link("a", "b"),
+            SetFilter("b", RangePredicate("ARR_DELAY", -10.0, 60.0)),
+            SetFilter("c", RangePredicate("AIR_TIME", 30.0, 300.0)),
+            Link("c", "b"),
+            SelectBins("c", ((1,),)),
+        ),
+    )
+
+
+def _pinned_links():
+    """Per link, the speculative queries the eagerly building driver
+    handed a speculating engine — pinned from it, in its order."""
+    target = _viz("b")
+    first = [
+        target.base_query(SetPredicate("UNIQUE_CARRIER", frozenset([carrier])))
+        for carrier in CARRIERS
+    ]
+    second = [
+        target.base_query(And(
+            RangePredicate("ARR_DELAY", -10.0, 60.0),
+            RangePredicate("DISTANCE", low, low + 1000.0),
+            RangePredicate("AIR_TIME", 30.0, 300.0),
+        ))
+        for low in (0.0, 1000.0, 2000.0)
+    ]
+    return [first, second]
+
+
+def _spied(engine):
+    """``engine`` recording every link_vizs / delete_vizs call."""
+    calls = []
+    link, delete = engine.link_vizs, engine.delete_vizs
+    engine.link_vizs = lambda queries: (
+        calls.append(("link", list(queries))), link(queries)
+    )
+    engine.delete_vizs = lambda queries: (
+        calls.append(("delete", list(queries))), delete(queries)
+    )
+    return calls
+
+
+@pytest.fixture
+def hint_builds(monkeypatch):
+    """Counts speculative filters the driver builds (one conjoin each)."""
+    built = []
+    conjoin = driver_module.conjoin
+    monkeypatch.setattr(
+        driver_module, "conjoin", lambda parts: built.append(parts) or conjoin(parts)
+    )
+    return built
+
+
+class TestSpeculationHints:
+    def _idea(self, dataset, settings, speculation):
+        engine = ProgressiveEngine(
+            dataset, settings, VirtualClock(), speculation=speculation
+        )
+        engine.prepare()
+        return engine
+
+    def _step_to_links(self, driver, links):
+        while driver.interaction_counts.get("link", 0) < links:
+            driver.step()
+
+    def test_speculating_engine_gets_the_pinned_lists(
+        self, flights_dataset, tiny_settings, flights_oracle
+    ):
+        engine = self._idea(flights_dataset, tiny_settings, True)
+        calls = _spied(engine)
+        SessionDriver(
+            engine, flights_oracle, tiny_settings, [_hint_workflow()]
+        ).run()
+        assert calls == [("link", queries) for queries in _pinned_links()]
+
+    @pytest.mark.parametrize("engine_name", MAIN_ENGINES + ("system-y-sim",))
+    def test_shared_engine_frees_the_pinned_queries_at_workflow_end(
+        self, engine_name, flights_dataset, tiny_settings, flights_oracle
+    ):
+        engine = make_engine(engine_name, flights_dataset, tiny_settings, VirtualClock())
+        engine.prepare()
+        calls = _spied(engine)
+        SessionDriver(
+            engine, flights_oracle, tiny_settings, [_hint_workflow()],
+            lifecycle=False,
+        ).run()
+        first, second = _pinned_links()
+        assert calls == [("delete", first + second)]
+
+    @pytest.mark.parametrize("links", [1, 2])
+    def test_shared_engine_frees_what_was_linked_on_abandon(
+        self, links, flights_dataset, tiny_settings, flights_oracle
+    ):
+        engine = self._idea(flights_dataset, tiny_settings, False)
+        calls = _spied(engine)
+        driver = SessionDriver(
+            engine, flights_oracle, tiny_settings, [_hint_workflow()],
+            lifecycle=False,
+        )
+        self._step_to_links(driver, links)
+        driver.abandon()
+        pinned = _pinned_links()[:links]
+        assert calls == [("delete", [q for queries in pinned for q in queries])]
+
+    def test_private_engine_abandon_frees_only_linked_hints(
+        self, flights_dataset, tiny_settings, flights_oracle, hint_builds
+    ):
+        first, _ = _pinned_links()
+        for speculation, expected in (
+            (True, [("link", first), ("delete", first)]),
+            (False, []),
+        ):
+            engine = self._idea(flights_dataset, tiny_settings, speculation)
+            calls = _spied(engine)
+            driver = SessionDriver(
+                engine, flights_oracle, tiny_settings, [_hint_workflow()]
+            )
+            self._step_to_links(driver, 1)
+            driver.abandon()
+            assert calls == expected
+        assert len(hint_builds) == len(first)  # the speculating run's only
+
+    @pytest.mark.parametrize("engine_name", MAIN_ENGINES + ("system-y-sim",))
+    def test_serial_run_builds_no_speculative_query(
+        self, engine_name, flights_dataset, tiny_settings, flights_oracle,
+        hint_builds,
+    ):
+        engine = make_engine(engine_name, flights_dataset, tiny_settings, VirtualClock())
+        engine.prepare()
+        records = BenchmarkDriver(engine, flights_oracle, tiny_settings).run_workflow(
+            _hint_workflow()
+        )
+        assert len(records) == 8 and hint_builds == []
+
+    def test_abandoned_open_session_builds_no_speculative_query(
+        self, server_ctx, hint_builds
+    ):
+        arrivals = ArrivalProcess(
+            0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
+        )
+        results = OpenSystemManager.for_engine(
+            server_ctx, "idea-sim", arrivals, per_session=1
+        ).run()
+        assert any(
+            result.abandoned and result.interaction_counts.get("link")
+            for result in results
+        )
+        assert hint_builds == []
 
 
 class TestAnswersStayColumns:

@@ -1,15 +1,17 @@
-"""Kernel-cache semantics: LRU order, counters, portable keys, isolation.
+"""Kernel-cache semantics: LRU order, counters, value keys, isolation.
 
 The process-wide :class:`~repro.engines.kernel_cache.KernelCache` must be
-deterministic infrastructure: digest keys identical across interpreter
-hash seeds (the PR 1 regression, now at the cache layer), strict LRU
-eviction, hit/miss/eviction counters mirrored into the ``obs`` metrics
-snapshot only while observability is on, and no leakage between datasets
-whose content fingerprints differ.
+deterministic infrastructure: keys that print identically across
+interpreter hash seeds, (dataset content fingerprint, query value) keys
+that never let one spelling of a query answer differently from another,
+strict LRU eviction, hit/miss/eviction counters mirrored into the ``obs``
+metrics snapshot only while observability is on, and no leakage between
+datasets whose content fingerprints differ.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -17,8 +19,12 @@ import sys
 import numpy as np
 import pytest
 
+from repro.bench.driver import SessionDriver
+from repro.bench.report import DetailedReport
+from repro.common.clock import VirtualClock
 from repro.common.errors import BenchmarkError
 from repro.data.storage import Dataset, Table
+from repro.engines.columnstore import ColumnStoreEngine
 from repro.engines.kernel_cache import (
     DEFAULT_KERNEL_CACHE_CAPACITY,
     KernelCache,
@@ -29,8 +35,22 @@ from repro.engines.kernel_cache import (
     kernel_cache,
 )
 from repro.obs import get_metrics, get_tracer, observed
+from repro.query import kernels
+from repro.query.filters import Comparison, RangePredicate
+from repro.query.groundtruth import (
+    GroundTruthOracle,
+    compute_grouped_stats,
+    query_cache_key,
+)
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+from repro.workflow.spec import (
+    CreateViz,
+    SetFilter,
+    VizSpec,
+    Workflow,
+    WorkflowType,
+)
 
 
 def _toy_dataset(name="toy", values=(1.0, 2.0, 3.0, 4.0)):
@@ -153,16 +173,18 @@ class TestMetricsCounters:
 
 
 class TestPortableKeys:
-    def test_key_components_are_content_digests(self):
+    def test_key_is_content_fingerprint_and_query_value(self):
         dataset = _toy_dataset()
         query = _query()
         key = KernelCache.key_for(dataset, query)
-        assert isinstance(key, tuple) and len(key) == 2
-        # Dataset fingerprints are 32 hex chars, query keys the full 64;
-        # both are content digests, never id()/hash()-derived.
-        for part in key:
-            assert isinstance(part, str) and len(part) in (32, 64)
-            int(part, 16)
+        assert key == (dataset.fingerprint(), query)
+        # The dataset part is its 32-hex content digest, never id()-derived.
+        assert len(key[0]) == 32 and int(key[0], 16) >= 0
+        # Equal values key equally, whatever objects spell them...
+        assert KernelCache.key_for(_toy_dataset(), _query()) == key
+        # ...and the key still isolates datasets whose bytes differ.
+        other = _toy_dataset(values=(1.0, 2.0, 3.0, 5.0))
+        assert KernelCache.key_for(other, query) != key
 
     def test_key_identical_across_hash_seeds(self):
         # hash() is salted per process; digest keys must not be. Mirror of
@@ -198,6 +220,124 @@ class TestPortableKeys:
                 ).stdout.strip()
             )
         assert keys[0] == keys[1] == keys[2]
+
+
+def _spelled(width, reference, low, high):
+    """A query whose numbers can be spelled int or float, +0.0 or -0.0."""
+    return AggQuery(
+        table="toy",
+        bins=(
+            BinDimension(
+                "value", BinKind.QUANTITATIVE, width=width, reference=reference
+            ),
+        ),
+        aggregates=(Aggregate(AggFunc.SUM, "value"),),
+        filter=RangePredicate("value", low, high),
+    )
+
+
+def _nan_query():
+    # A fresh NaN object each call: NaN != NaN, and tuples compare their
+    # items by identity first, so only separately built NaNs differ.
+    return AggQuery(
+        table="toy",
+        bins=(BinDimension("group", BinKind.NOMINAL),),
+        aggregates=(Aggregate(AggFunc.SUM, "value"),),
+        filter=Comparison("value", "!=", float("nan")),
+    )
+
+
+def _stats_bytes(stats):
+    return (
+        stats.keys,
+        stats.counts.tobytes(),
+        {j: row.tobytes() for j, row in stats.sums.items()},
+        {j: row.tobytes() for j, row in stats.sumsqs.items()},
+    )
+
+
+class TestValueIdentity:
+    """Where value identity (the key) and digest identity (the store key)
+    part ways, and why neither changes an answer."""
+
+    def test_int_float_and_signed_zero_spellings_share_a_kernel(self):
+        cache = KernelCache(capacity=4)
+        dataset = _toy_dataset()
+        ints = _spelled(2, 0, 1, 4)
+        floats = _spelled(2.0, -0.0, 1.0, 4.0)
+        assert ints == floats and hash(ints) == hash(floats)
+        assert query_cache_key(ints) != query_cache_key(floats)
+        kernel = cache.get(dataset, ints)
+        assert cache.get(dataset, floats) is kernel
+        assert (cache.misses, cache.hits) == (1, 1)
+        # The shared kernel is byte for byte what the other spelling
+        # computes on its own, uncompiled.
+        assert _stats_bytes(kernel.exact_stats()) == _stats_bytes(
+            compute_grouped_stats(dataset, floats)
+        )
+
+    def test_nan_bearing_query_misses_across_objects(self):
+        cache = KernelCache(capacity=4)
+        dataset = _toy_dataset()
+        first, second = _nan_query(), _nan_query()
+        assert first != second
+        assert query_cache_key(first) == query_cache_key(second)
+        kernel = cache.get(dataset, first)
+        assert cache.get(dataset, first) is kernel  # the same object hits
+        other = cache.get(dataset, second)
+        assert other is not kernel
+        assert (cache.misses, cache.hits) == (2, 1)
+        assert _stats_bytes(other.exact_stats()) == _stats_bytes(
+            kernel.exact_stats()
+        )
+        assert kernel.exact_stats().counts.tolist() == [2, 2]
+
+    def test_spellings_give_byte_identical_records(
+        self, flights_dataset, tiny_settings
+    ):
+        def workflow(width, reference, low, high):
+            viz = VizSpec(
+                "v", "flights",
+                (BinDimension(
+                    "DEP_DELAY", BinKind.QUANTITATIVE,
+                    width=width, reference=reference,
+                ),),
+                (Aggregate(AggFunc.AVG, "ARR_DELAY"),),
+            )
+            return Workflow(
+                name="spelled",
+                workflow_type=WorkflowType.CUSTOM,
+                interactions=(
+                    CreateViz(viz),
+                    SetFilter("v", RangePredicate("DISTANCE", low, high)),
+                ),
+            )
+
+        def run(spelled, oracle):
+            engine = ColumnStoreEngine(flights_dataset, tiny_settings, VirtualClock())
+            engine.prepare()
+            records = SessionDriver(engine, oracle, tiny_settings, [spelled]).run()
+            buffer = io.StringIO()
+            DetailedReport(records).to_csv(buffer)
+            return buffer.getvalue()
+
+        def forget_compiled():
+            kernels._PARTS.clear()
+            clear_kernel_cache()
+
+        ints = workflow(20, 0, 100, 2000)
+        floats = workflow(20.0, -0.0, 100.0, 2000.0)
+        forget_compiled()
+        oracle = GroundTruthOracle(flights_dataset)
+        first = run(ints, oracle)
+        compiled = (kernel_cache().misses, oracle.misses)
+        assert compiled == (2, 2)
+        # The other spelling compiles nothing and computes no answer...
+        assert run(floats, oracle) == first
+        assert (kernel_cache().misses, oracle.misses) == compiled
+        # ...and is what it would have produced alone, from scratch.
+        forget_compiled()
+        assert run(floats, GroundTruthOracle(flights_dataset)) == first
 
 
 class TestDatasetIsolation:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import QueryError
 from repro.data.storage import Dataset, Table
-from repro.query.filters import RangePredicate, SetPredicate
+from repro.query.filters import Comparison, RangePredicate, SetPredicate
 from repro.query.groundtruth import (
     GroundTruthOracle,
     compute_grouped_stats,
@@ -223,6 +223,50 @@ class TestOracle:
         oracle.answer(_query((Aggregate(AggFunc.COUNT),)))
         assert oracle.misses == 1
 
+    def test_int_float_and_signed_zero_spellings_share_an_answer(
+        self, toy_dataset
+    ):
+        def spelled(width, reference, low, high):
+            return _query(
+                (Aggregate(AggFunc.SUM, "value"),),
+                filter_expr=RangePredicate("value", low, high),
+                bins=(BinDimension(
+                    "value", BinKind.QUANTITATIVE,
+                    width=width, reference=reference,
+                ),),
+            )
+
+        ints, floats = spelled(10, 0, 1, 50), spelled(10.0, -0.0, 1.0, 50.0)
+        assert query_cache_key(ints) != query_cache_key(floats)
+        oracle = GroundTruthOracle(toy_dataset)
+        answer = oracle.answer(ints)
+        assert oracle.answer(floats) is answer
+        assert (oracle.misses, oracle.hits) == (1, 1)
+        alone = GroundTruthOracle(toy_dataset).answer(floats)
+        assert alone.values == answer.values == {
+            (0,): (6.0,), (1,): (10.0,), (2,): (20.0,),
+        }
+
+    def test_nan_bearing_query_misses_across_objects(self, toy_dataset):
+        def nan_query():  # a fresh NaN object per call
+            return _query(
+                (Aggregate(AggFunc.SUM, "value"),),
+                filter_expr=Comparison("value", "!=", float("nan")),
+            )
+
+        first, second = nan_query(), nan_query()
+        assert first != second
+        assert query_cache_key(first) == query_cache_key(second)
+        oracle = GroundTruthOracle(toy_dataset)
+        answer = oracle.answer(first)
+        assert oracle.answer(first) is answer
+        again = oracle.answer(second)
+        assert again is not answer
+        assert (oracle.misses, oracle.hits) == (2, 1)
+        assert again.values == answer.values == {
+            ("a",): (30.0,), ("b",): (6.0,), ("c",): (100.0,),
+        }
+
 
 class TestPortableCacheKeys:
     def test_structurally_equal_queries_key_identically(self):
@@ -277,8 +321,8 @@ class TestPortableCacheKeys:
         assert query_cache_key(a) != query_cache_key(b)
 
     def test_key_is_digested_once_per_query_object(self, monkeypatch):
-        """Kernel cache and oracle ask for the same frozen query's key
-        several times per record; only the first call serializes."""
+        """However often a frozen query's store key is asked for, only
+        the first call serializes."""
         import dataclasses
         import pickle
 
@@ -319,6 +363,75 @@ class TestPortableCacheKeys:
         )
 
 
+class TestDigestOnlyAtTheStore:
+    """In-memory caches key on query values: a run digests no query
+    without a store, and at most once per distinct query with one (the
+    store key, after an in-memory miss)."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        from repro.common.fingerprint import stable_digest
+        from repro.query import model
+
+        calls = []
+        monkeypatch.setattr(
+            model, "stable_digest",
+            lambda *a, **kw: calls.append(a) or stable_digest(*a, **kw),
+        )
+        return calls
+
+    @pytest.fixture
+    def answered(self, monkeypatch):
+        queries = set()
+        answer = GroundTruthOracle.answer
+        monkeypatch.setattr(
+            GroundTruthOracle, "answer",
+            lambda oracle, query: queries.add(query) or answer(oracle, query),
+        )
+        return queries
+
+    @staticmethod
+    def _serve(ctx):
+        from repro.server import SessionManager
+
+        results = SessionManager.for_engine(ctx, "idea-sim", 2, per_session=1).run()
+        assert sum(result.num_queries for result in results) > 0
+
+    @staticmethod
+    def _matrix(settings, store=None):
+        from repro.common.config import DataSize
+        from repro.runtime import MatrixExecutor, plan_overall
+
+        specs = plan_overall(
+            settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), 1, DataSize.S
+        )
+        results = MatrixExecutor(jobs=1, store=store).run(specs)
+        assert all(result.records for result in results)
+
+    def test_serving_run(self, server_ctx, tmp_path, digests, answered):
+        from repro.bench.experiments import ExperimentContext
+        from repro.runtime import ArtifactStore
+
+        self._serve(server_ctx)
+        assert digests == [] and answered
+        answered.clear()
+        stored = ExperimentContext(
+            server_ctx.settings, store=ArtifactStore(tmp_path / "cache")
+        )
+        self._serve(stored)
+        assert 0 < len(digests) <= len(answered)
+
+    def test_matrix_run(self, server_ctx, tmp_path, digests, answered):
+        from repro.runtime import ArtifactStore
+
+        settings = server_ctx.settings.with_(workflows_per_type=1)
+        self._matrix(settings)
+        assert digests == [] and answered
+        answered.clear()
+        self._matrix(settings, ArtifactStore(tmp_path / "cache"))
+        assert 0 < len(digests) <= len(answered)
+
+
 class TestOracleStoreBacking:
     def test_answers_shared_through_store(self, toy_dataset, tmp_path, monkeypatch):
         from repro.runtime.store import ArtifactStore
@@ -341,3 +454,31 @@ class TestOracleStoreBacking:
         result = second.answer(query)
         assert result.values == {("a",): (2.0,), ("b",): (3.0,), ("c",): (1.0,)}
         assert second.store_hits == 1 and second.misses == 0
+
+    def test_store_is_keyed_by_query_cache_key(self, toy_dataset, tmp_path):
+        from repro.runtime.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "cache")
+        ints = _query(
+            (Aggregate(AggFunc.COUNT),), filter_expr=RangePredicate("value", 1, 50)
+        )
+        floats = _query(
+            (Aggregate(AggFunc.COUNT),),
+            filter_expr=RangePredicate("value", 1.0, 50.0),
+        )
+        oracle = GroundTruthOracle(toy_dataset, store=store)
+        answer = oracle.answer(ints)
+        assert oracle.answer(floats) is answer  # in memory: value identity
+        assert (store.misses, store.puts) == (1, 1)
+        stored = store.get(
+            ("ground-truth", toy_dataset.fingerprint(), query_cache_key(ints))
+        )
+        assert stored == answer
+        # On disk the digest is the identity: the float spelling has its
+        # own key, so a fresh oracle misses the store and recomputes it.
+        fresh = GroundTruthOracle(toy_dataset, store=store)
+        assert fresh.answer(floats).values == answer.values
+        assert (fresh.store_hits, fresh.misses) == (0, 1)
+        assert store.contains(
+            ("ground-truth", toy_dataset.fingerprint(), query_cache_key(floats))
+        )

@@ -277,6 +277,63 @@ class TestDepartedSessionsPayForWhatTheyFired:
         assert unbuilt > 0
 
 
+class TestIsolatedEnginesArePrivate:
+    """An isolated session's engine serves that session alone, so nothing
+    steps it after ``abandon()`` — why a lifecycle session's abandon frees
+    only the hints it actually handed its engine. (The serial façade runs
+    every session to completion and never abandons one.)"""
+
+    @pytest.fixture
+    def drivers(self, monkeypatch):
+        from repro.server import manager
+
+        made = []
+
+        class Recording(manager.SessionDriver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(manager, "SessionDriver", Recording)
+        return made
+
+    @staticmethod
+    def _assert_private(drivers):
+        engines = {id(driver.engine) for driver in drivers}
+        assert len(engines) == len(drivers)
+        assert all(driver.lifecycle and driver.finished for driver in drivers)
+
+    def test_open_system_sessions(self, server_ctx, drivers):
+        arrivals = ArrivalProcess(
+            0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
+        )
+        results = OpenSystemManager.for_engine(
+            server_ctx, "idea-sim", arrivals, per_session=1
+        ).run()
+        assert any(result.abandoned for result in results)
+        assert len(drivers) == len(results)
+        self._assert_private(drivers)
+
+    def test_tcp_connections(self, server_ctx, drivers):
+        from repro.net.client import NetClient, scripted_csv_over_tcp
+        from repro.net.server import ServerThread, TcpSessionServer
+
+        (spec,) = session_specs(server_ctx, 1, per_session=1)
+        server = TcpSessionServer(server_ctx, "idea-sim", max_sessions=2)
+        with ServerThread(server) as (host, port):
+            # One interaction, then the peer vanishes: an abandon...
+            ghost = NetClient(host, port).connect()
+            ghost.hello()
+            ghost.attach_client(name="ghost")
+            ghost.send_interaction(spec.workflows[0].interactions[0])
+            ghost.drain(0.05)
+            ghost.close()
+            # ...and the next connection still gets an engine of its own.
+            scripted_csv_over_tcp(host, port, 0, per_session=1)
+        assert len(drivers) == 2
+        self._assert_private(drivers)
+
+
 class TestClosedIsOpenWithArrivalsAtZero:
     """Why one loop serves both managers: a closed population *is* an
     arrival schedule with every session arriving at virtual time 0 and
