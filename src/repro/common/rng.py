@@ -9,15 +9,26 @@ from a root seed plus a *purpose string*, so that
 * two runs with the same root seed are bit-identical, and
 * adding a new consumer of randomness never perturbs existing streams
   (each purpose hashes to an independent child seed).
+
+The per-interaction samplers draw one scalar at a time, where numpy's
+per-call dispatch (7–9 µs for ``Generator.choice``) dwarfs the draw
+itself. :func:`pick`, :func:`choice_cdf` / :func:`pick_weighted` and
+:func:`uniform` are scalar forms that consume the *identical* stream and
+return the identical value as the numpy call they replace
+(docs/determinism.md, "Draw forms"; ``tests/test_common_rng.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
+from typing import List, Sequence, TypeVar
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+_T = TypeVar("_T")
 
 
 def derive_seed(root_seed: int, *purpose: object) -> int:
@@ -67,3 +78,42 @@ def derive_session_seed(root_seed: int, session_index: int) -> int:
     (docs/server.md's determinism guarantee).
     """
     return derive_seed(root_seed, "server-session", session_index)
+
+
+def pick(rng: np.random.Generator, items: Sequence[_T]) -> _T:
+    """``rng.choice(items)`` for a non-empty sequence, as the element itself.
+
+    ``Generator.choice`` without ``p`` draws ``integers(0, len)``.
+    """
+    return items[int(rng.integers(len(items)))]
+
+
+def choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF ``rng.choice(items, p=p)`` searches, built once.
+
+    The float operations ``Generator.choice`` repeats on every call:
+    ``cumsum``, then divide by the last entry. Callers validate ``p``
+    (finite, non-negative, normalized).
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def pick_weighted(
+    rng: np.random.Generator, items: Sequence[_T], cdf: Sequence[float]
+) -> _T:
+    """``rng.choice(items, p=p)`` given ``cdf = choice_cdf(p)``.
+
+    ``Generator.choice`` draws one ``random()`` and searches the CDF with
+    ``side="right"``, which is :func:`bisect.bisect_right`.
+    """
+    return items[bisect_right(cdf, rng.random())]
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` for scalar bounds.
+
+    numpy computes ``low + (high - low) * next_double``.
+    """
+    return low + (high - low) * rng.random()

@@ -40,7 +40,6 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.bench.codec import record_from_dict, record_to_dict
 from repro.common.errors import BenchmarkError
-from repro.common.fingerprint import canonical_json
 from repro.obs.timeseries import get_timeseries
 
 
@@ -69,8 +68,12 @@ class RecordSpool:
         if self._closed:
             raise BenchmarkError(f"record spool {self.path} is closed")
         if self._handle is not None:
-            line = canonical_json(
-                {"record": record_to_dict(record), "session": session_id}
+            # record_to_dict yields JSON primitives only, so these are
+            # canonical_json's bytes without its canonicalize walk.
+            line = json.dumps(
+                {"record": record_to_dict(record), "session": session_id},
+                sort_keys=True,
+                separators=(",", ":"),
             )
             self._handle.write(line.encode("utf-8"))
             self._handle.write(b"\n")

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import WorkflowError
-from repro.common.rng import derive_rng
+from repro.common.rng import choice_cdf, derive_rng, pick, pick_weighted, uniform
 from repro.data.schema import ColumnKind, ColumnProfile
 from repro.query.filters import Filter, RangePredicate, SetPredicate
 from repro.query.model import AggFunc, Aggregate, BinDimension, BinKey, BinKind
@@ -101,6 +102,18 @@ class WorkloadConfig:
             )
         if not self.agg_distribution:
             raise WorkflowError("aggregate distribution must be non-empty")
+        weights = [weight for _, weight in self.agg_distribution]
+        if not (
+            all(0 <= weight < math.inf for weight in weights)
+            and 0 < sum(weights) < math.inf
+        ):
+            raise WorkflowError(
+                "aggregate weights must be finite, non-negative and not all "
+                f"zero, got {weights}"
+            )
+        for name in ("bin_count_choices", "width_target_bins"):
+            if not getattr(self, name):
+                raise WorkflowError(f"{name} must be non-empty")
         low, high = self.filter_selectivity_range
         if not 0 < low <= high <= 1:
             raise WorkflowError(
@@ -231,10 +244,14 @@ class _LazyInteractions(Sequence):
     interactions — so it costs nothing; reading index *i* advances the
     fill, one sampled action at a time, only until interaction *i*
     exists. The fill owns its RNG stream, so reading later changes no
-    byte. ``==``/``hash`` agree with the tuple form and pickling reduces
-    to it. Single consumer: a read from inside a running fill (another
-    thread, or re-entrantly) fails with ``ValueError: generator already
-    executing`` and leaves the materialized prefix intact.
+    byte. Its scalar draws use :mod:`repro.common.rng`'s draw forms
+    (``pick``, ``pick_weighted``, ``uniform``): the same stream and
+    values as the ``Generator`` calls they replace, at a tenth of the
+    cost per draw. ``==``/``hash`` agree with the tuple form and
+    pickling reduces to it. Single consumer: a read from inside a
+    running fill (another thread, or re-entrantly) fails with
+    ``ValueError: generator already executing`` and leaves the
+    materialized prefix intact.
     """
 
     __slots__ = ("_builder", "_fill")
@@ -316,6 +333,9 @@ class WorkflowGenerator:
         ]
         if not self._quantitative:
             raise WorkflowError("dataset has no usable quantitative columns")
+        self._agg_specs, weights = zip(*self.config.agg_distribution)
+        weights = np.array(weights, dtype=np.float64)
+        self._agg_cdf = choice_cdf(weights / weights.sum())
 
     # ------------------------------------------------------------------
     # Public API
@@ -474,7 +494,7 @@ class WorkflowGenerator:
         if action == "create" and can_create or len(builder.graph) == 0:
             builder.emit(CreateViz(self._sample_viz(builder, rng)))
             return
-        viz_name = str(rng.choice(builder.graph.viz_names))
+        viz_name = pick(rng, builder.graph.viz_names)
         node = builder.graph.node(viz_name)
         if node.own_filter is not None and rng.random() < 0.12:
             builder.emit(SetFilter(viz_name, None))  # clear (undo)
@@ -502,13 +522,13 @@ class WorkflowGenerator:
                         builder.emit(Link(tail, new_name))
                 return new_name
         if action == "filter":
-            target = str(rng.choice(chain_members))
+            target = pick(rng, chain_members)
             node = builder.graph.node(target)
             builder.emit(SetFilter(target, self._sample_filter(rng, node.spec)))
             return tail
         # select: prefer non-tail members so descendants exist.
         candidates = [m for m in chain_members if builder.graph.children(m)]
-        target = str(rng.choice(candidates or chain_members))
+        target = pick(rng, candidates or chain_members)
         node = builder.graph.node(target)
         builder.emit(SelectBins(target, self._sample_selection(rng, node.spec)))
         return tail
@@ -586,7 +606,7 @@ class WorkflowGenerator:
             target_node = builder.graph.node(target)
             builder.emit(SetFilter(target, self._sample_filter(rng, target_node.spec)))
             return target
-        source = str(rng.choice(sources))
+        source = pick(rng, sources)
         source_node = builder.graph.node(source)
         if action == "filter":
             builder.emit(SetFilter(source, self._sample_filter(rng, source_node.spec)))
@@ -602,7 +622,7 @@ class WorkflowGenerator:
         ]
         if not leaves:
             return None
-        return str(rng.choice(leaves))
+        return pick(rng, leaves)
 
     # ------------------------------------------------------------------
     # Materialization of specs, filters, selections
@@ -632,9 +652,9 @@ class WorkflowGenerator:
         self, rng: np.random.Generator, exclude: Tuple[str, ...] = ()
     ) -> BinDimension:
         candidates = [p for p in self._quantitative if p.name not in exclude]
-        profile = candidates[int(rng.integers(len(candidates)))]
+        profile = pick(rng, candidates)
         if rng.random() < self.config.bin_count_probability:
-            bin_count = int(rng.choice(self.config.bin_count_choices))
+            bin_count = int(pick(rng, self.config.bin_count_choices))
             # The generator resolves immediately (it has the profile), as
             # the frontend's min/max pre-query would.
             return BinDimension(
@@ -642,7 +662,7 @@ class WorkflowGenerator:
                 kind=BinKind.QUANTITATIVE,
                 bin_count=bin_count,
             ).resolved(profile.minimum, profile.maximum)
-        target_bins = int(rng.choice(self.config.width_target_bins))
+        target_bins = int(pick(rng, self.config.width_target_bins))
         width = _nice_width(profile.span / target_bins)
         reference = _nice_floor(profile.minimum, width)
         return BinDimension(
@@ -658,19 +678,17 @@ class WorkflowGenerator:
         candidates = [p for p in self._nominal if p.name not in exclude]
         if not candidates:
             raise WorkflowError("no nominal columns available")
-        profile = candidates[int(rng.integers(len(candidates)))]
+        profile = pick(rng, candidates)
         return BinDimension(field=profile.name, kind=BinKind.NOMINAL)
 
     def _sample_aggregates(
         self, rng: np.random.Generator, exclude: set
     ) -> Tuple[Aggregate, ...]:
-        specs, weights = zip(*self.config.agg_distribution)
-        weights = np.array(weights, dtype=np.float64)
-        choice = str(rng.choice(specs, p=weights / weights.sum()))
+        choice = pick_weighted(rng, self._agg_specs, self._agg_cdf)
         numeric_candidates = [
             p.name for p in self._quantitative if p.name not in exclude
         ] or [p.name for p in self._quantitative]
-        field_name = str(rng.choice(numeric_candidates))
+        field_name = pick(rng, numeric_candidates)
         if choice == "count":
             return (Aggregate(AggFunc.COUNT),)
         if choice == "count+avg":
@@ -690,7 +708,7 @@ class WorkflowGenerator:
         if self._nominal and rng.random() < 0.35:
             candidates = [p for p in self._nominal if p.name not in bin_fields]
             if candidates:
-                profile = candidates[int(rng.integers(len(candidates)))]
+                profile = pick(rng, candidates)
                 k = int(
                     rng.integers(
                         1, min(self.config.max_filter_categories, profile.cardinality) + 1
@@ -707,14 +725,13 @@ class WorkflowGenerator:
                     frozenset(profile.categories[int(i)] for i in chosen),
                 )
         candidates = [p for p in self._quantitative if p.name not in bin_fields]
-        profile = (candidates or self._quantitative)[
-            int(rng.integers(len(candidates or self._quantitative)))
-        ]
+        profile = pick(rng, candidates or self._quantitative)
         low_sel, high_sel = self.config.filter_selectivity_range
+        # np.exp, not math.exp: the two differ in the last bit.
         selectivity = float(
-            np.exp(rng.uniform(np.log(low_sel), np.log(high_sel)))
+            np.exp(uniform(rng, np.log(low_sel), np.log(high_sel)))
         )
-        start = float(rng.uniform(0.0, 1.0 - selectivity))
+        start = uniform(rng, 0.0, 1.0 - selectivity)
         low = profile.quantile(start)
         high = profile.quantile(start + selectivity)
         if high <= low:
@@ -732,7 +749,7 @@ class WorkflowGenerator:
             for dim in viz.bins:
                 if dim.kind is BinKind.QUANTITATIVE:
                     profile = self.profiles[dim.field]
-                    value = profile.quantile(float(rng.uniform(0.05, 0.95)))
+                    value = profile.quantile(uniform(rng, 0.05, 0.95))
                     coords.append(int(np.floor((value - dim.reference) / dim.width)))
                 else:
                     profile = self.profiles[dim.field]

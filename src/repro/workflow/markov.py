@@ -14,12 +14,14 @@ sampled action into a concrete interaction (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.common.errors import WorkflowError
+from repro.common.rng import choice_cdf, pick_weighted
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,10 @@ class MarkovChain:
     states: Tuple[str, ...]
     transitions: Mapping[str, Mapping[str, float]]
     initial: str
+    #: state → (successors sorted by name, their CDF), built at construction.
+    _rows: Dict[str, Tuple[Tuple[str, ...], List[float]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.states:
@@ -53,12 +59,18 @@ class MarkovChain:
                     raise WorkflowError(
                         f"transition {state!r} → {successor!r} targets unknown state"
                     )
-                if weight < 0:
+                if not 0 <= weight < math.inf:
                     raise WorkflowError(
-                        f"negative weight on {state!r} → {successor!r}"
+                        f"weight on {state!r} → {successor!r} must be finite "
+                        f"and non-negative, got {weight!r}"
                     )
             if sum(row.values()) <= 0:
                 raise WorkflowError(f"state {state!r} has all-zero weights")
+        rows = {}
+        for state in self.states:
+            successors, probs = self.normalized_row(state)
+            rows[state] = (successors, choice_cdf(probs))
+        object.__setattr__(self, "_rows", rows)
 
     def normalized_row(self, state: str) -> Tuple[Tuple[str, ...], np.ndarray]:
         """Successors and their normalized probabilities, sorted by name."""
@@ -68,11 +80,16 @@ class MarkovChain:
         return successors, weights / weights.sum()
 
     def step(self, state: str, rng: np.random.Generator) -> str:
-        """Sample the successor of ``state``."""
-        if state not in self.transitions:
+        """Sample the successor of ``state``.
+
+        One ``rng.random()`` searched in the state's precomputed CDF —
+        the draw and the result of ``rng.choice(successors, p=probs)``
+        over :meth:`normalized_row`, without numpy's per-call dispatch.
+        """
+        row = self._rows.get(state)
+        if row is None:
             raise WorkflowError(f"unknown state {state!r}")
-        successors, probs = self.normalized_row(state)
-        return str(rng.choice(successors, p=probs))
+        return pick_weighted(rng, *row)
 
     def walk(self, length: int, rng: np.random.Generator) -> List[str]:
         """Sample a state sequence of ``length`` starting at ``initial``."""

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import WorkflowError
-from repro.common.rng import derive_rng
+from repro.common.rng import derive_rng, pick
 from repro.workflow.generator import _CHAINS, WorkflowGenerator
 from repro.workflow.graph import VizGraph
 from repro.workflow.spec import (
@@ -347,7 +347,7 @@ class MarkovPolicy(_GenerativePolicy):
         self._refilter = []
         base_types = sorted(_CHAINS, key=lambda t: t.value)
         if self._workflow_type is WorkflowType.MIXED:
-            base = base_types[int(self._rng.integers(len(base_types)))]
+            base = pick(self._rng, base_types)
         elif self._workflow_type in _CHAINS:
             base = self._workflow_type
         else:
@@ -385,15 +385,15 @@ class MarkovPolicy(_GenerativePolicy):
             if action == "create" and can_create:
                 return self._create(self._rng)
             if action == "extend" and can_create and self._room >= 2:
-                source = str(self._rng.choice(names))
+                source = pick(self._rng, names)
                 created = self._create(self._rng)
                 target = created[0].viz.name
                 return created + [Link(source, target)]
             if action == "select":
                 candidates = [n for n in names if graph.children(n)] or names
-                return self._select(graph, str(self._rng.choice(candidates)))
+                return self._select(graph, pick(self._rng, candidates))
             if action in ("filter", "create", "extend"):
-                target = str(self._rng.choice(names))
+                target = pick(self._rng, names)
                 node = graph.node(target)
                 if node.own_filter is not None and self._rng.random() < 0.12:
                     return [SetFilter(target, None)]  # clear (undo)

@@ -10,10 +10,15 @@ sessions retire.
 """
 
 import io
+import math
 
 import pytest
 
+from repro.bench.codec import record_to_dict
+from repro.bench.driver import QueryRecord
+from repro.bench.metrics import QueryMetrics
 from repro.common.errors import BenchmarkError, ProtocolError
+from repro.common.fingerprint import canonical_json
 from repro.server import (
     ArrivalProcess,
     FollowPrinter,
@@ -99,6 +104,36 @@ class TestRecordSpool:
         spool.close()
         with pytest.raises(BenchmarkError):
             spool.append("session-0", object())
+
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_spool_line_is_canonical_json(self, tmp_path, violated):
+        """The spool serializes without canonicalize; its bytes must still
+        be canonical_json's, NaN metrics of a TR-violated record included."""
+        if violated:
+            metrics = QueryMetrics.violated(bins_in_gt=10)
+            assert math.isnan(metrics.rel_error_avg)
+        else:
+            metrics = QueryMetrics(
+                tr_violated=False, bins_delivered=8, bins_in_gt=10,
+                missing_bins=0.2, rel_error_avg=0.1, rel_error_stdev=0.05,
+                smape=0.05, cosine_distance=0.01, margin_avg=0.05,
+                margin_stdev=0.025, bins_out_of_margin=0, bias=1.0,
+            )
+        record = QueryRecord(
+            query_id=3, interaction_id=2, viz_name="viz_1", driver="idea-sim",
+            data_size="S", think_time=1.0, time_requirement=0.5,
+            workflow="mixed_0", workflow_type="mixed", start_time=1.0 / 3,
+            end_time=0.1 + 0.2, metrics=metrics, bin_dims=2,
+            binning_type="quantitative", agg_type="avg", rows_processed=1000,
+            fraction=0.1, num_concurrent=1, qualifying_fraction=0.5,
+        )
+        path = tmp_path / "s.jsonl"
+        with RecordSpool(path) as spool:
+            spool.append("session-7", record)
+        expected = canonical_json(
+            {"record": record_to_dict(record), "session": "session-7"}
+        )
+        assert path.read_bytes() == expected.encode("utf-8") + b"\n"
 
     def test_iter_spool_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -6,13 +6,14 @@ type-faithful (independent workflows never link, 1:N hubs fan out, N:1
 selections trigger exactly one query, …).
 """
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.common.errors import WorkflowError
-from repro.query.model import AggFunc, BinKind
+from repro.query.model import AggFunc, Aggregate, BinKind
 from repro.workflow.generator import (
     WorkflowGenerator,
     WorkloadConfig,
@@ -317,6 +318,39 @@ class TestWorkloadConfigValidation:
     def test_rejects_empty_agg_distribution(self):
         with pytest.raises(WorkflowError):
             WorkloadConfig(agg_distribution=())
+
+    @pytest.mark.parametrize("weights", [
+        (0.5, -0.1), (0.5, float("nan")), (0.0, 0.0), (1.0, float("inf")),
+    ])
+    def test_rejects_bad_agg_weights(self, weights):
+        # Caught at construction, not at the first sampled viz mid-run.
+        with pytest.raises(WorkflowError, match="aggregate weights"):
+            WorkloadConfig(
+                agg_distribution=(("count", weights[0]), ("avg", weights[1]))
+            )
+
+    @pytest.mark.parametrize("key", ["bin_count_choices", "width_target_bins"])
+    def test_rejects_empty_bin_choices(self, key):
+        with pytest.raises(WorkflowError, match=key):
+            WorkloadConfig(**{key: ()})
+
+    def test_from_json_validates(self, tmp_path):
+        path = tmp_path / "config.json"
+        payload = WorkloadConfig().to_dict()
+        payload["agg_distribution"] = [["count", 0.0], ["avg", 0.0]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(WorkflowError, match="aggregate weights"):
+            WorkloadConfig.from_json(path)
+
+    def test_zero_weight_is_never_drawn(self, flights_profiles):
+        config = WorkloadConfig(
+            agg_distribution=(("min", 0.0), ("count", 1.0), ("max", 0.0))
+        )
+        generator = WorkflowGenerator(flights_profiles, "flights", config=config)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            viz = generator.sample_viz_spec(rng, "v")
+            assert viz.aggregates == (Aggregate(AggFunc.COUNT),)
 
     def test_rejects_bad_selectivity_range(self):
         with pytest.raises(WorkflowError):

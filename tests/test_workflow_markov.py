@@ -41,6 +41,16 @@ class TestValidation:
         with pytest.raises(WorkflowError):
             MarkovChain(states=("a",), transitions={"a": {"a": -1}}, initial="a")
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, weight):
+        # The CDF is built at construction; a NaN would sample silently.
+        with pytest.raises(WorkflowError, match="finite"):
+            MarkovChain(
+                states=("a", "b"),
+                transitions={"a": {"a": 1.0, "b": weight}, "b": {"a": 1.0}},
+                initial="a",
+            )
+
     def test_rejects_all_zero_weights(self):
         with pytest.raises(WorkflowError):
             MarkovChain(states=("a",), transitions={"a": {"a": 0.0}}, initial="a")

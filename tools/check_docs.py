@@ -210,6 +210,8 @@ REQUIRED_SECTIONS = {
     ],
     "docs/determinism.md": [
         "## The invariants",
+        "### Draw forms",
+        "tests/test_common_rng.py",
         "## The lint pass",
         "### Rule catalog",
         "### Tier policy",
