@@ -1,4 +1,4 @@
-"""Ablation — IDEA's result reuse ([16], DESIGN.md design-choice index).
+"""Ablation — IDEA's result reuse ([16]; see docs/paper-mapping.md).
 
 Not a paper figure: an ablation of a design choice the paper's IDEA
 description relies on ("might or might not re-use previously computed

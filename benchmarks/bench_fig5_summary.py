@@ -70,8 +70,8 @@ def test_fig5_summary(benchmark, ctx, overall_cache, results_dir):
 
     # System X: >50 % at 0.5 s, small at 1 s, (near) none from 3 s. A small
     # residual tail at 3–5 s comes from concurrent 1:N bursts sharing
-    # capacity — see EXPERIMENTS.md for the documented deviation from the
-    # paper's exact zero.
+    # capacity — see docs/paper-mapping.md, "Documented deviations", for
+    # this departure from the paper's exact zero.
     assert violations[("system-x-sim", 0.5)] > 50.0
     assert violations[("system-x-sim", 1.0)] < 25.0
     assert violations[("system-x-sim", 3.0)] < 10.0

@@ -49,7 +49,7 @@ def test_fig6d_workflow_types(benchmark, ctx, results_dir):
     # show a somewhat stronger concurrency effect for progressive engines
     # than the paper's "only few significant differences" — linked fan-outs
     # split the sampling budget across N simultaneous queries; see
-    # EXPERIMENTS.md.)
+    # docs/paper-mapping.md, "Documented deviations".)
     for engine in ("idea-sim", "system-x-sim"):
         values = np.array([outcome[engine][t] for t in TYPES])
         assert values.max() - values.min() < 0.7

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 Every ``bench_*`` module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md §2 for the index). The shared
+evaluation (docs/paper-mapping.md is the index). The shared
 :class:`ExperimentContext` uses the paper's default configuration mapped
-onto laptop scale (DESIGN.md §1.3):
+onto laptop scale (docs/architecture.md, "Simulated engines"):
 
 * sizes S/M/L = 100M/500M/1B virtual rows over ``scale`` = 1000, i.e.
   100k/500k/1M actual rows;
@@ -12,7 +12,8 @@ onto laptop scale (DESIGN.md §1.3):
 * the virtual clock, so results are deterministic.
 
 Each benchmark writes its rendered artifact to ``benchmarks/results/`` so
-the regenerated tables can be diffed against EXPERIMENTS.md.
+the regenerated tables can be compared with the paper's artifacts
+(docs/paper-mapping.md maps each one).
 """
 
 from __future__ import annotations

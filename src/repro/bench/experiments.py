@@ -508,7 +508,7 @@ def exp_effects(records: Sequence[QueryRecord]) -> Dict[str, Dict[str, Dict[str,
     Returns factor → level → {violated%, missing, mre}. The paper found no
     significant effect of bin dimensionality, binning type or concurrency,
     but a dominant effect of predicate selectivity — the same conclusion
-    these groupings support (see EXPERIMENTS.md).
+    these groupings support (see docs/paper-mapping.md).
     """
     def bucket_selectivity(fraction: float) -> str:
         if fraction >= 0.5:

@@ -13,7 +13,6 @@ CLI exposes the same lifecycle::
     repro serve --engine idea-sim --tcp 127.0.0.1:8642 --sessions 4
     repro connect 127.0.0.1:8642 --session 0 --out session.csv
     repro bench-sessions --engines idea-sim --sessions 1,2,4
-    repro bench-net --sessions 2
     repro report report.csv
     repro report snapshot matrix.csv --kind matrix
     repro report diff a1b2c3d e4f5a6b
@@ -383,12 +382,8 @@ def _cmd_serve_tcp(args, settings) -> int:
     if args.slo:
         from repro.obs.slo import parse_rule
 
-        try:
-            for rule_text in args.slo:
-                parse_rule(rule_text)
-        except BenchmarkError as error:
-            print(str(error), file=sys.stderr)
-            return 1
+        for rule_text in args.slo:
+            parse_rule(rule_text)
     ctx = ExperimentContext(settings)
     max_sessions = args.sessions if args.sessions > 0 else None
     # Correlation: a deterministic run id is stamped into spans and
@@ -497,7 +492,7 @@ def _cmd_serve(args) -> int:
             "--verify compares against pre-generated serial runs, which "
             "adaptive policies and open-system arrivals do not have; "
             "determinism of those modes is checked by "
-            "benchmarks/bench_adaptive.py and the golden corpus",
+            "tests/test_server_adaptive.py and the golden corpus",
             file=sys.stderr,
         )
         return 1
@@ -532,73 +527,67 @@ def _cmd_serve(args) -> int:
     mode = "shared engine" if args.share_engine else "isolated engines"
     pacing = f", paced at {args.accel:g}x" if args.accel else ""
     users = args.policy or "scripted"
-    arrivals = None
     if args.arrivals is not None:
         horizon = args.horizon if args.horizon is not None else 120.0
-        try:
-            rate_schedule = None
-            if args.arrival_schedule is not None:
-                rate_schedule = RateSchedule.parse(
-                    args.arrival_schedule, args.arrivals, horizon
-                )
-            arrivals = ArrivalProcess(
-                args.arrivals,
-                horizon,
-                seed=settings.seed,
-                mean_residence=args.residence,
-                max_sessions=args.sessions,
-                rate_schedule=rate_schedule,
+        rate_schedule = None
+        if args.arrival_schedule is not None:
+            rate_schedule = RateSchedule.parse(
+                args.arrival_schedule, args.arrivals, horizon
             )
-        except BenchmarkError as error:
-            print(str(error), file=sys.stderr)
-            return 1
-    # Opened last: RecordSpool truncates its file, so every argument is
-    # validated before it exists — and it is closed however the run ends.
+        arrivals = ArrivalProcess(
+            args.arrivals,
+            horizon,
+            seed=settings.seed,
+            mean_residence=args.residence,
+            max_sessions=args.sessions,
+            rate_schedule=rate_schedule,
+        )
+        manager = OpenSystemManager.for_engine(
+            ctx,
+            args.engine,
+            arrivals,
+            policy=args.policy,
+            per_session=args.per_session,
+            workflow_type=workflow_type,
+            share_engine=args.share_engine,
+            accel=args.accel,
+            speculation=args.speculation,
+            on_record=on_record,
+        )
+        shape = (
+            f"{args.arrival_schedule} schedule @ base {args.arrivals:g}/s"
+            if args.arrival_schedule is not None
+            else f"Poisson({args.arrivals:g}/s)"
+        )
+        print(
+            f"open system: {shape} arrivals over "
+            f"{horizon:g}s (≤{args.sessions} sessions, "
+            f"{users} users) on {args.engine} ({mode}{pacing})"
+        )
+    else:
+        manager = SessionManager.for_engine(
+            ctx,
+            args.engine,
+            args.sessions,
+            per_session=args.per_session,
+            workflow_type=workflow_type,
+            share_engine=args.share_engine,
+            accel=args.accel,
+            speculation=args.speculation,
+            on_record=on_record,
+            policy=args.policy,
+        )
+        print(
+            f"serving {args.sessions} sessions × {args.per_session} "
+            f"{workflow_type.value} workflows ({users} users) on "
+            f"{args.engine} ({mode}{pacing})"
+        )
+    # Attached last: RecordSpool truncates its file, so the manager has
+    # validated every argument before it exists — and it is closed
+    # however the run ends.
     spool = RecordSpool(args.spill) if args.spill is not None else None
+    manager.spool = spool
     try:
-        if arrivals is not None:
-            manager = OpenSystemManager.for_engine(
-                ctx,
-                args.engine,
-                arrivals,
-                policy=args.policy,
-                per_session=args.per_session,
-                workflow_type=workflow_type,
-                share_engine=args.share_engine,
-                accel=args.accel,
-                speculation=args.speculation,
-                on_record=on_record,
-                spool=spool,
-            )
-            shape = (
-                f"{args.arrival_schedule} schedule @ base {args.arrivals:g}/s"
-                if args.arrival_schedule is not None
-                else f"Poisson({args.arrivals:g}/s)"
-            )
-            print(
-                f"open system: {shape} arrivals over "
-                f"{horizon:g}s (≤{args.sessions} sessions, "
-                f"{users} users) on {args.engine} ({mode}{pacing})"
-            )
-        else:
-            manager = SessionManager.for_engine(
-                ctx,
-                args.engine,
-                args.sessions,
-                per_session=args.per_session,
-                workflow_type=workflow_type,
-                share_engine=args.share_engine,
-                accel=args.accel,
-                speculation=args.speculation,
-                on_record=on_record,
-                policy=args.policy,
-                spool=spool,
-            )
-            print(
-                f"serving {args.sessions} sessions × {args.per_session} "
-                f"{workflow_type.value} workflows ({users} users) on "
-                f"{args.engine} ({mode}{pacing})"
-            )
         results = manager.run()
     finally:
         if spool is not None:
@@ -705,17 +694,14 @@ def _cmd_bench_sessions(args) -> int:
         return 1
     modes = _split(args.modes)
     settings = _settings_from_args(args)
-    try:
-        session_counts = _session_counts(args.sessions)
-        specs = plan_sessions(
-            settings, engines, session_counts,
-            per_session=args.per_session,
-            workflow_type=args.workflow_type,
-            modes=modes,
-        )
-    except BenchmarkError as error:  # planning validates every cell
-        print(str(error), file=sys.stderr)
-        return 1
+    session_counts = _session_counts(args.sessions)
+    # Planning validates every cell before any runs.
+    specs = plan_sessions(
+        settings, engines, session_counts,
+        per_session=args.per_session,
+        workflow_type=args.workflow_type,
+        modes=modes,
+    )
     print(
         f"session load sweep: {len(engines)} engines × "
         f"{len(session_counts)} session counts × {len(modes)} modes, "
@@ -741,21 +727,18 @@ def _cmd_bench_adaptive(args) -> int:
     policies = _split(args.policies)
     churn_modes = _split(args.churn)
     settings = _settings_from_args(args)
-    try:
-        session_counts = _session_counts(args.sessions)
-        specs = plan_adaptive(
-            settings, args.engine, policies, session_counts,
-            per_session=args.per_session,
-            workflow_type=args.workflow_type,
-            churn_modes=churn_modes,
-            arrival_rate=args.arrivals,
-            horizon=args.horizon,
-            residence=args.residence,
-            share_engine=args.share_engine,
-        )
-    except BenchmarkError as error:  # planning validates every cell
-        print(str(error), file=sys.stderr)
-        return 1
+    session_counts = _session_counts(args.sessions)
+    # Planning validates every cell before any runs.
+    specs = plan_adaptive(
+        settings, args.engine, policies, session_counts,
+        per_session=args.per_session,
+        workflow_type=args.workflow_type,
+        churn_modes=churn_modes,
+        arrival_rate=args.arrivals,
+        horizon=args.horizon,
+        residence=args.residence,
+        share_engine=args.share_engine,
+    )
     print(
         f"adaptive sweep: {len(policies)} policies × "
         f"{len(session_counts)} session counts × {len(churn_modes)} churn "
@@ -857,100 +840,6 @@ def _cmd_connect(args) -> int:
             handle.write(records_csv_text(records))
         print(f"wrote detailed report ({len(records)} queries) to {args.out}")
     return 0
-
-
-def _cmd_bench_net(args) -> int:
-    from repro.net.bench import (
-        render_net_bench,
-        render_remote_bench,
-        render_shared_net_bench,
-        run_net_bench,
-        run_remote_bench,
-        run_shared_net_bench,
-    )
-
-    settings = BenchmarkSettings(
-        data_size=DataSize.parse(args.size),
-        scale=args.scale,
-        seed=args.seed,
-        time_requirement=args.tr,
-        think_time=args.think_time,
-    )
-    if not _check_engines([args.engine]):
-        return 1
-    ctx = ExperimentContext(settings)
-    workflow_type = WorkflowType(args.workflow_type)
-    if args.remote or args.host is not None:
-        host = port = None
-        if args.host is not None:
-            address = _parse_address(args.host)
-            if address is None or address[1] == 0:
-                print(
-                    f"--host expects HOST:PORT of a running "
-                    f"`repro serve --tcp --share-engine` server, got "
-                    f"{args.host!r}",
-                    file=sys.stderr,
-                )
-                return 1
-            host, port = address
-        where = (
-            f"against {host}:{port}" if host is not None
-            else "against a loopback shared-engine server"
-        )
-        print(
-            f"remote load generation: {args.sessions} `repro connect` "
-            f"client processes × {args.per_session} "
-            f"{workflow_type.value} workflows {where}"
-        )
-        try:
-            result = run_remote_bench(
-                ctx,
-                args.engine,
-                args.sessions,
-                per_session=args.per_session,
-                workflow_type=workflow_type,
-                host=host,
-                port=port,
-                trace_dir=Path(args.trace_dir) if args.trace_dir else None,
-            )
-        except BenchmarkError as error:
-            print(str(error), file=sys.stderr)
-            return 1
-        for line in render_remote_bench(result):
-            print(line)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(result.report)
-            print(f"wrote aggregated contention report to {args.out}")
-        print("PASS" if result.ok else "FAIL: remote runs diverged")
-        return 0 if result.ok else 1
-    print(
-        f"net benchmark: {args.sessions} scripted sessions × "
-        f"{args.per_session} {workflow_type.value} workflows on "
-        f"{args.engine} over loopback TCP"
-    )
-    result = run_net_bench(
-        ctx,
-        args.engine,
-        args.sessions,
-        per_session=args.per_session,
-        workflow_type=workflow_type,
-    )
-    for line in render_net_bench(result):
-        print(line)
-    shared = run_shared_net_bench(
-        ctx,
-        args.engine,
-        max(2, min(args.sessions, 4)),
-        per_session=args.per_session,
-        workflow_type=workflow_type,
-    )
-    for line in render_shared_net_bench(shared):
-        print(line)
-    ok = result.ok and shared.ok
-    print("PASS" if ok else
-          "FAIL: TCP reports differ from in-process serve")
-    return 0 if ok else 1
 
 
 def _cmd_trace(args) -> int:
@@ -1086,11 +975,7 @@ def _report_snapshot(args) -> int:
         )
         return 1
     revision = args.rev or current_revision()
-    try:
-        target = snapshot(args.dir, revision, args.kind, args.extra[0])
-    except BenchmarkError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    target = snapshot(args.dir, revision, args.kind, args.extra[0])
     print(
         f"snapshot: {args.extra[0]} -> {target} "
         f"(revision {revision}, kind {args.kind})"
@@ -1110,11 +995,7 @@ def _report_diff(args) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
-        identical, report = diff_revisions(args.dir, *args.extra)
-    except BenchmarkError as error:
-        print(str(error), file=sys.stderr)
-        return 1
+    identical, report = diff_revisions(args.dir, *args.extra)
     print(report)
     if identical:
         print(f"revisions {args.extra[0]} and {args.extra[1]} are identical")
@@ -1470,50 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="socket timeout in seconds")
     p_top.set_defaults(func=_cmd_top)
 
-    p_bench_net = sub.add_parser(
-        "bench-net",
-        help="loopback TCP benchmark: byte-equivalence + round-trip "
-             "overhead vs in-process serving",
-    )
-    _add_settings_arguments(p_bench_net)
-    p_bench_net.add_argument("--engine", default="idea-sim",
-                             choices=list(MAIN_ENGINES) + ["system-y-sim"])
-    p_bench_net.add_argument("--sessions", type=int, default=2,
-                             help="scripted sessions to compare")
-    p_bench_net.add_argument("--per-session", type=int, default=1,
-                             dest="per_session",
-                             help="workflows per session")
-    p_bench_net.add_argument("--workflow-type", default="mixed",
-                             dest="workflow_type",
-                             help="workflow type of the per-session suites")
-    p_bench_net.add_argument("--tr", type=float, default=3.0,
-                             help="time requirement in seconds")
-    p_bench_net.add_argument("--think-time", type=float, default=1.0,
-                             dest="think_time")
-    p_bench_net.add_argument("--remote", action="store_true",
-                             help="remote load generation: spawn "
-                                  "--sessions real `repro connect` "
-                                  "client processes against one "
-                                  "shared-engine server and aggregate "
-                                  "their client-side CSVs into one "
-                                  "deterministic contention report")
-    p_bench_net.add_argument("--host", default=None, metavar="HOST:PORT",
-                             help="with --remote: target an "
-                                  "already-running `repro serve --tcp "
-                                  "--share-engine` server instead of a "
-                                  "loopback one (no reference check)")
-    p_bench_net.add_argument("--out", default=None,
-                             help="with --remote: write the aggregated "
-                                  "contention report to this file")
-    p_bench_net.add_argument("--trace-dir", default=None, dest="trace_dir",
-                             metavar="DIR",
-                             help="with --remote: each client process "
-                                  "writes its correlated trace to "
-                                  "DIR/client-N.jsonl (stitch with "
-                                  "`repro trace merge`)")
-    _add_obs_arguments(p_bench_net)
-    p_bench_net.set_defaults(func=_cmd_bench_net)
-
     p_bench = sub.add_parser(
         "bench-sessions",
         help="sessions × engine load report for the session server",
@@ -1708,6 +1545,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(args) -> int:
+    """Run the chosen subcommand; a :class:`BenchmarkError` it raises is
+    reported as one stderr line and exit code 1, never a traceback."""
+    try:
+        return args.func(args)
+    except BenchmarkError as error:
+        print(str(error), file=sys.stderr)
+        return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``idebench-repro`` console script."""
     parser = build_parser()
@@ -1719,13 +1566,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs import observed
 
         with observed(trace_path=trace_path, metrics_path=metrics_path):
-            code = args.func(args)
+            code = _run_command(args)
         if trace_path:
             print(f"wrote trace to {trace_path}")
         if metrics_path:
             print(f"wrote metrics to {metrics_path}")
         return code
-    return args.func(args)
+    return _run_command(args)
 
 
 if __name__ == "__main__":

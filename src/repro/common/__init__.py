@@ -5,7 +5,8 @@ depends on but that is not itself part of the paper's conceptual model:
 
 * :mod:`repro.common.errors` — the exception hierarchy.
 * :mod:`repro.common.clock` — virtual and wall clocks; the virtual clock is
-  what makes benchmark runs deterministic and laptop-scale (see DESIGN.md).
+  what makes benchmark runs deterministic and laptop-scale (see
+  docs/architecture.md).
 * :mod:`repro.common.rng` — seed-derivation utilities so that every
   component draws from an independent, reproducible stream.
 * :mod:`repro.common.config` — the benchmark settings of paper §4.6.

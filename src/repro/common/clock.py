@@ -2,8 +2,8 @@
 
 The paper runs its benchmark against live database systems and measures
 wall-clock latencies. This reproduction replaces the live systems with
-engine simulators (see DESIGN.md §1.2), and those simulators account for
-time through a :class:`Clock`:
+engine simulators (see docs/architecture.md, "Simulated engines"), and
+those simulators account for time through a :class:`Clock`:
 
 * :class:`VirtualClock` — a simulated clock that only moves when the
   benchmark driver advances it. All default benchmark runs use it, which

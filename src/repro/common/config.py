@@ -12,10 +12,10 @@ Confidence Level    level at which AQP engines report margins of error
 ==================  =========================================================
 
 :class:`BenchmarkSettings` is the in-memory form of those settings plus the
-reproduction-specific knobs documented in DESIGN.md §1.3 (the
-virtual-to-actual ``scale`` factor and the root random seed). Settings can
-be round-tripped through JSON, matching the original IDEBench driver's
-configuration files.
+reproduction-specific knobs documented in docs/architecture.md,
+"Simulated engines" (the virtual-to-actual ``scale`` factor and the root
+random seed). Settings can be round-tripped through JSON, matching the
+original IDEBench driver's configuration files.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ class BenchmarkSettings:
     use_joins: bool = False
     #: Confidence level for AQP margins of error.
     confidence_level: float = DEFAULT_CONFIDENCE_LEVEL
-    #: Virtual-rows-per-actual-row factor (DESIGN.md §1.3). 1000 means the
-    #: M=500M configuration is executed over 500k actual rows with engine
-    #: throughputs scaled down by the same factor.
+    #: Virtual-rows-per-actual-row factor (docs/architecture.md,
+    #: "Simulated engines"). 1000 means the M=500M configuration is
+    #: executed over 500k actual rows with engine throughputs scaled down
+    #: by the same factor.
     scale: int = 1000
     #: Root seed from which all random streams are derived.
     seed: int = 42

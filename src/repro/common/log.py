@@ -55,7 +55,7 @@ def parse_level(name: str) -> int:
 
 
 class _Formatter(logging.Formatter):
-    """Renders ``repro[net.bench]`` instead of ``repro[repro.net.bench]``."""
+    """Renders ``repro[net.repl]`` instead of ``repro[repro.net.repl]``."""
 
     def format(self, record: logging.LogRecord) -> str:
         name = record.name
@@ -119,8 +119,8 @@ class Logger:
 def get_logger(name: str) -> Logger:
     """A namespaced logger; configures the shared handler on first use.
 
-    ``name`` is relative to the ``repro`` root: ``get_logger("net.bench")``
-    logs as ``repro[net.bench]``.
+    ``name`` is relative to the ``repro`` root: ``get_logger("net.repl")``
+    logs as ``repro[net.repl]``.
     """
     if not _configured:
         configure()

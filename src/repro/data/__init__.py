@@ -8,8 +8,8 @@ This subpackage implements §4.2 of the paper:
 * :mod:`repro.data.schema` — column kinds (quantitative vs. nominal) and
   star-schema specifications.
 * :mod:`repro.data.seed` — the synthetic U.S.-domestic-flights seed dataset
-  standing in for the BTS data the paper uses (see DESIGN.md §4 for the
-  substitution rationale).
+  standing in for the BTS data the paper uses (docs/architecture.md,
+  "Simulated engines", gives the substitution rationale).
 * :mod:`repro.data.stats` — empirical CDFs, normal scores and covariance
   utilities shared by the scaler.
 * :mod:`repro.data.generator` — the Gaussian-copula (NORTA) data scaler:

@@ -1,4 +1,6 @@
-"""Engine simulators: the five systems under test (DESIGN.md §1.2).
+"""Engine simulators: the five systems under test (§5.1).
+
+The honesty rule they follow is in docs/architecture.md, "Simulated engines".
 
 The paper evaluates MonetDB, approXimateDB/XDB, IDEA, and two commercial
 systems ("System X", "System Y"). None are available offline, so each is

@@ -1,8 +1,9 @@
 """Cost models: the calibrated time behaviour of the simulated systems.
 
-The reproduction's honesty rule (DESIGN.md §1.3): query *answers* are
-computed for real; query *time* is modeled. This module concentrates every
-timing constant so the calibration is reviewable in one place.
+The reproduction's honesty rule (docs/architecture.md, "Simulated
+engines"): query *answers* are computed for real; query *time* is
+modeled. This module concentrates every timing constant so the
+calibration is reviewable in one place.
 
 Throughput constants are expressed in **virtual tuples per second of
 exclusive capacity** on the paper's testbed (2× Intel E5-2660, 256 GB RAM)

@@ -77,7 +77,8 @@ def srs_estimate(
     ``stats`` must have been computed over exactly those rows.
     ``population`` is the total number of rows being estimated (the actual
     dataset size — estimates are in actual-data units so they are directly
-    comparable to the ground truth; see DESIGN.md §1.3).
+    comparable to the ground truth; see docs/architecture.md,
+    "Simulated engines").
 
     One array expression per aggregate, in the operation order of the
     scalar per-bin loop it replaced (``tests/test_engines_estimators.py``

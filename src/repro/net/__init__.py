@@ -30,22 +30,11 @@ interactively:
 Determinism contract (docs/protocol.md): a scripted client over loopback
 produces a session report **byte-identical** to the equivalent
 in-process ``repro serve`` run — the subsystem's determinism guarantee
-extended across the wire, enforced by ``benchmarks/bench_net.py`` and
-the golden transcript in ``tests/golden/``.
+extended across the wire, enforced by ``tests/test_net_server.py``,
+``tests/test_net_shared.py`` and the golden transcripts in
+``tests/golden/``.
 """
 
-from repro.net.bench import (
-    NetBenchResult,
-    RemoteNetBenchResult,
-    SharedNetBenchResult,
-    aggregate_session_reports,
-    render_net_bench,
-    render_remote_bench,
-    render_shared_net_bench,
-    run_net_bench,
-    run_remote_bench,
-    run_shared_net_bench,
-)
 from repro.net.client import (
     NetClient,
     fetch_scripted_session,
@@ -85,30 +74,20 @@ __all__ = [
     "ErrorMessage",
     "Hello",
     "Interact",
-    "NetBenchResult",
     "NetClient",
     "Progress",
     "Record",
-    "RemoteNetBenchResult",
     "ServerThread",
-    "SharedNetBenchResult",
     "SubmitViz",
     "TcpSessionServer",
     "TurnDone",
     "TurnGrant",
-    "aggregate_session_reports",
     "decode_message",
     "encode_message",
     "fetch_scripted_session",
     "record_from_dict",
     "record_to_dict",
-    "render_net_bench",
-    "render_remote_bench",
-    "render_shared_net_bench",
     "replay_workflow",
-    "run_net_bench",
-    "run_remote_bench",
-    "run_shared_net_bench",
     "scripted_csv_over_tcp",
     "version_error",
 ]

@@ -13,7 +13,7 @@ take. On top of it:
   replay client of docs/protocol.md);
 * :func:`scripted_csv_over_tcp` — the acceptance helper: the detailed
   CSV a scripted client reconstructs, compared byte-for-byte against
-  in-process ``repro serve`` output by ``benchmarks/bench_net.py``.
+  in-process ``repro serve`` output by ``tests/test_net_server.py``.
 
 Records cross the wire through :func:`repro.bench.codec.record_to_dict`
 round trips, so the client-side
@@ -403,7 +403,7 @@ def replay_workflow(
     The scripted replay client: every interaction crosses the wire, the
     server fires it on the think-time grid, and the records that come
     back are byte-identical to a serial in-process run of the same
-    workflow (``benchmarks/bench_net.py`` checks this). Against a
+    workflow (``tests/test_net_server.py`` checks this). Against a
     shared-engine server the same call claims timeline slot
     ``session_index`` and rides the turn protocol transparently.
     """

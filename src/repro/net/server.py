@@ -46,8 +46,8 @@ topology:
   churn departure.
 
 :class:`ServerThread` runs a server on a background thread with its own
-event loop — how the blocking client library, the benchmarks, and
-``repro bench-net`` embed a loopback server in one process.
+event loop — how the tests and the perf ledger's ``tcp_scripted``
+workload embed a loopback server in one process.
 """
 
 from __future__ import annotations
@@ -1060,8 +1060,8 @@ class ServerThread:
     Context manager: entering starts the thread (with its own asyncio
     loop) and blocks until the server is listening, yielding
     ``(host, port)``; exiting requests a stop and joins. Lets blocking
-    clients — the CLI, the benchmarks, the tests — talk to a loopback
-    server inside one process::
+    clients — the tests, the perf ledger — talk to a loopback server
+    inside one process::
 
         server = TcpSessionServer(ctx, "idea-sim", max_sessions=2)
         with ServerThread(server) as (host, port):

@@ -23,7 +23,7 @@ Two engine topologies:
   session's report is byte-identical to running its workflows through the
   serial :class:`~repro.bench.driver.BenchmarkDriver` — the server's
   acceptance guarantee (``repro serve --verify`` and
-  ``benchmarks/bench_session_server.py`` check it).
+  ``tests/test_server_manager.py`` check it).
 * **shared** (``engine=...``): all sessions share one engine instance and
   contend for its capacity. The engine's scheduler runs the
   :class:`~repro.engines.scheduler.FairSessionPolicy` with one group per

@@ -1,10 +1,16 @@
 """CLI tests for the network front-end and regression-tracking commands.
 
 Covers ``repro serve --tcp`` + ``repro connect`` (scripted fetch, wire
-replay, REPL), ``repro bench-net``, ``repro serve --arrival-schedule``,
-and ``repro report snapshot``/``diff``. Loopback servers run on a
-background thread via :class:`~repro.net.server.ServerThread`.
+replay, REPL, real client processes against one shared-engine server),
+``repro serve --arrival-schedule``, and ``repro report
+snapshot``/``diff``. Loopback servers run on a background thread via
+:class:`~repro.net.server.ServerThread`.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,45 +337,61 @@ class TestRepl:
         assert "0 queries" not in captured  # the sent prefix ran
 
 
-class TestBenchNet:
-    def test_loopback_equivalence_passes(self, capsys):
-        code = main(
-            ["bench-net", "--sessions", "2", "--per-session", "1"] + COMMON
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        # Isolated: 2 scripted sessions + wire replay + markov repeat +
-        # markov vs in-process (5 checks). Shared: 2 scripted sessions +
-        # the wire-replay pass (3 checks). All byte-identity PASS lines.
-        assert captured.count("byte-identical") == 8
-        assert captured.count("shared-TCP") == 2
-        assert "FAIL" not in captured
-        assert "PASS" in captured
-        assert "overhead per query" in captured
-
-    def test_remote_mode_aggregates_deterministically(
-        self, capsys, tmp_path
+class TestClientProcesses:
+    def test_shared_run_served_to_two_client_processes(
+        self, server_ctx, tmp_path
     ):
-        out = tmp_path / "contention.txt"
-        code = main(
-            ["bench-net", "--remote", "--sessions", "3",
-             "--per-session", "1", "--out", str(out)] + COMMON
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "3 `repro connect` client processes" in captured
-        assert "byte-identical across 2 repeated runs" in captured
-        assert "byte-identical to the in-process" in captured
-        report = out.read_bytes().decode("utf-8")
-        assert report.startswith("== session-0 ==\n")
-        assert "== session-2 ==" in report
+        """N x ``repro connect`` against ``serve --tcp --share-engine``:
+        each process's CSV is the in-process shared run's session, under
+        any hash seed, and ``repro trace merge`` of their traces does not
+        depend on argument order."""
+        from repro.server import SessionManager
 
-    def test_remote_mode_rejects_malformed_host(self, capsys):
-        code = main(
-            ["bench-net", "--remote", "--host", "nonsense"] + COMMON
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = [tmp_path / f"session-{i}.csv" for i in range(2)]
+        traces = [tmp_path / f"client-{i}.jsonl" for i in range(2)]
+        server = TcpSessionServer(
+            server_ctx, "idea-sim", share_engine=True, max_sessions=2,
+            per_session=1, run_id="two-client-processes",
         )
-        assert code == 1
-        assert "HOST:PORT" in capsys.readouterr().err
+        with ServerThread(server) as (host, port):
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "repro.cli", "connect",
+                     f"{host}:{port}", "--session", str(index),
+                     "--per-session", "1", "--out", str(outs[index]),
+                     "--trace", str(traces[index])],
+                    env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                    text=True,
+                )
+                for index, seed in enumerate(["0", "4242"])
+            ]
+            try:
+                for proc in procs:
+                    output, _ = proc.communicate(timeout=120)
+                    assert proc.returncode == 0, output
+            finally:
+                for proc in procs:
+                    proc.kill()
+        reference = SessionManager.for_engine(
+            server_ctx, "idea-sim", 2, per_session=1, share_engine=True
+        ).run()
+        for out, expected in zip(outs, reference):
+            assert out.read_bytes() == expected.csv_text().encode("utf-8")
+        merged = []
+        for order in (traces, traces[::-1]):
+            target = tmp_path / f"merged-{len(merged)}.jsonl"
+            code = main(
+                ["trace", "merge", *map(str, order), "--out", str(target)]
+            )
+            assert code == 0
+            merged.append(target.read_bytes())
+        assert merged[0] == merged[1]
+        # Both clients took the run id from the server's HELLO.
+        lines = merged[0].splitlines()
+        assert lines
+        assert all(b'"run":"two-client-processes"' in line for line in lines)
 
 
 class TestArrivalSchedule:

@@ -195,6 +195,24 @@ class TestServeSpill:
         assert "unknown arrival schedule kind" in capsys.readouterr().err
         assert spill.read_bytes() == b"precious earlier run\n"
 
+    @pytest.mark.parametrize("counts", [
+        ["--sessions", "0"],
+        ["--sessions", "2", "--per-session", "0"],
+    ])
+    def test_invalid_counts_leave_spill_file_untouched(
+        self, tmp_path, capsys, counts
+    ):
+        """The manager validates its counts before the spool exists, and
+        its error is one stderr line, not a traceback."""
+        spill = tmp_path / "records.jsonl"
+        spill.write_bytes(b"precious earlier run\n")
+        code = main(["serve"] + counts + ["--spill", str(spill)] + COMMON)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert spill.read_bytes() == b"precious earlier run\n"
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_spill_closed_when_the_run_fails(self, tmp_path, monkeypatch):
         from repro.server import RecordSpool, SessionManager
 

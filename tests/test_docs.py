@@ -1,8 +1,9 @@
 """Tier-1 mirror of the CI docs job (tools/check_docs.py).
 
 Keeps the documentation guarantees local: a broken intra-repo markdown
-link or a package missing from docs/architecture.md fails the test
-suite before it fails CI.
+link, a package missing from docs/architecture.md or a Python source
+citing a document that does not exist fails the test suite before it
+fails CI.
 """
 
 import sys
@@ -78,6 +79,24 @@ class TestRequiredSections:
         problems = check_docs.check_required_sections(tmp_path)
         assert any("Adaptive sessions" in problem for problem in problems)
         assert any("README.md is missing" in problem for problem in problems)
+
+
+class TestDocReferences:
+    def test_every_cited_doc_exists(self, root):
+        assert check_docs.check_doc_references(root) == []
+
+    def test_missing_doc_detected(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "m.py").write_text(
+            '"""See NOTES.md and docs/a.md; globs like *.md are no '
+            'citation."""\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text("# A\n", encoding="utf-8")
+        assert check_docs.check_doc_references(tmp_path) == [
+            "src/m.py: cites missing NOTES.md"
+        ]
 
 
 class TestModuleAnchors:

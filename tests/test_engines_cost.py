@@ -99,8 +99,9 @@ class TestEngineCostModel:
         )
 
     def test_scale_preserves_time_ratios(self, flights_dataset):
-        """The DESIGN.md §1.3 honesty rule: scaling rows and throughput by
-        the same factor leaves service demands unchanged."""
+        """The honesty rule (docs/architecture.md, "Simulated engines"): scaling rows
+        and throughput by the same factor leaves service demands
+        unchanged."""
         model = COLUMNSTORE_COST
         query = _query()
         demands = [

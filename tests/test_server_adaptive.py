@@ -50,13 +50,14 @@ class TestAdaptiveClosedSystem:
         assert _csvs(first) == _csvs(second)
         assert sum(result.num_queries for result in first) > 0
 
-    def test_adaptive_pacing_is_byte_identical(self, server_ctx):
+    @pytest.mark.parametrize("policy", ["markov", "uncertainty"])
+    def test_adaptive_pacing_is_byte_identical(self, server_ctx, policy):
         paced = SessionManager.for_engine(
-            server_ctx, "idea-sim", 2, per_session=1, policy="markov",
+            server_ctx, "idea-sim", 2, per_session=1, policy=policy,
             accel=1_000_000.0,
         ).run()
         unpaced = SessionManager.for_engine(
-            server_ctx, "idea-sim", 2, per_session=1, policy="markov"
+            server_ctx, "idea-sim", 2, per_session=1, policy=policy
         ).run()
         assert _csvs(paced) == _csvs(unpaced)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI docs job (and tier-1 tests).
 
-Two guarantees, kept machine-checked so the docs cannot silently rot:
+Four guarantees, kept machine-checked so the docs cannot silently rot:
 
 1. **links resolve** — every relative markdown link in the repository's
    ``*.md`` files (README, docs/, top-level notes) points at a file or
@@ -17,6 +17,9 @@ Two guarantees, kept machine-checked so the docs cannot silently rot:
    docs/paper-mapping.md must map the policy module, and the README must
    list the ``bench-adaptive`` and ``cache`` CLI commands. The required
    markers live in :data:`REQUIRED_SECTIONS`.
+4. **cited docs exist** — every ``*.md`` file named in a Python source
+   under ``src/``, ``benchmarks/``, ``tests/`` or ``tools/`` exists, so a
+   docstring cannot point readers at a document that was never written.
 
 Run from the repository root (CI does)::
 
@@ -84,6 +87,37 @@ def check_links(root: Path) -> List[str]:
     return problems
 
 
+#: A markdown file name cited in Python source (``docs/server.md``,
+#: ``README.md``); a glob such as ``*.md`` has no name and never matches.
+_MD_REFERENCE_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+#: Python trees whose markdown citations must resolve.
+_REFERENCE_TREES = ("src", "benchmarks", "tests", "tools")
+
+#: Sources that handle markdown file names as data (the checks here and
+#: their tests), not as references for a reader.
+_REFERENCE_EXEMPT = {"tools/check_docs.py", "tests/test_docs.py"}
+
+
+def check_doc_references(root: Path) -> List[str]:
+    """One problem per ``*.md`` file a Python source cites that is missing.
+
+    A cited name resolves from the repository root, as every citation in
+    the tree is written (``docs/protocol.md``, ``README.md``).
+    """
+    problems = []
+    for tree in _REFERENCE_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel in _REFERENCE_EXEMPT or _SKIP_DIRS.intersection(path.parts):
+                continue
+            text = path.read_text(encoding="utf-8")
+            for name in sorted(set(_MD_REFERENCE_RE.findall(text))):
+                if not (root / name).exists():
+                    problems.append(f"{rel}: cites missing {name}")
+    return problems
+
+
 def check_architecture_coverage(root: Path) -> List[str]:
     """Every src/repro/ package (and cli.py) must appear in architecture.md."""
     architecture = root / "docs" / "architecture.md"
@@ -115,7 +149,6 @@ REQUIRED_SECTIONS = {
         "## Adaptive sessions (interaction policies)",
         "## Open-system churn (arrivals and departures)",
         "### Shared-engine serving over TCP (v2 turn protocol)",
-        "### Remote load generation (`bench-net --remote`)",
         "## Population scale (constant memory)",
         "byte-identical across repeated invocations",
         "cancel_group",
@@ -232,8 +265,6 @@ REQUIRED_SECTIONS = {
         "--policy",
         "--arrivals",
         "--arrival-schedule",
-        "bench-net",
-        "--remote",
         "--share-engine",
         "connect",
         "repro report snapshot",
@@ -283,6 +314,7 @@ def main() -> int:
         check_links(root)
         + check_architecture_coverage(root)
         + check_required_sections(root)
+        + check_doc_references(root)
     )
     files = markdown_files(root)
     if problems:
@@ -293,7 +325,7 @@ def main() -> int:
     print(
         f"docs check OK: {len(files)} markdown files, all relative links "
         f"resolve, architecture.md covers every src/repro package, all "
-        f"required sections present"
+        f"required sections present, every cited doc exists"
     )
     return 0
 
