@@ -26,11 +26,6 @@ import pytest
 from repro.bench.experiments import ExperimentContext
 from repro.common.config import BenchmarkSettings, DataSize
 
-try:  # package import (pytest from the repo root)
-    from benchmarks.benchjson import artifact_identity, write_bench_json
-except ImportError:  # direct invocation with benchmarks/ on sys.path
-    from benchjson import artifact_identity, write_bench_json
-
 #: Environment overrides for slower/faster machines.
 BENCH_SCALE = int(os.environ.get("IDEBENCH_BENCH_SCALE", "1000"))
 BENCH_WORKFLOWS = int(os.environ.get("IDEBENCH_BENCH_WORKFLOWS", "10"))
@@ -66,18 +61,9 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-def write_artifact(results_dir: Path, name: str, text: str, data=None) -> None:
-    """Persist a rendered table, echo it to stdout, and drop the
-    machine-readable ``BENCH_<stem>.json`` sidecar (artifact identity
-    plus any benchmark-specific ``data`` measurements)."""
-    path = results_dir / name
-    path.write_text(text + "\n", encoding="utf-8")
-    stem = Path(name).stem
-    payload = {"artifact": name}
-    payload.update(artifact_identity(text))
-    if data:
-        payload.update(data)
-    write_bench_json(results_dir, stem, payload)
+def write_artifact(results_dir: Path, name: str, text: str) -> None:
+    """Persist a rendered table and echo it to stdout."""
+    (results_dir / name).write_text(text + "\n", encoding="utf-8")
     print(f"\n[{name}]\n{text}")
 
 

@@ -14,8 +14,6 @@ CLI exposes the same lifecycle::
     repro connect 127.0.0.1:8642 --session 0 --out session.csv
     repro bench-sessions --engines idea-sim --sessions 1,2,4
     repro report report.csv
-    repro report snapshot matrix.csv --kind matrix
-    repro report diff a1b2c3d e4f5a6b
 
 ``run`` executes the default configuration (mixed workflows) against one
 engine simulator under the given settings and writes the detailed report;
@@ -73,7 +71,7 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
     Both expand to :func:`repro.obs.observed` around the whole command
     (fresh instruments, files written on exit). Tracing never changes
-    any report's bytes — the acceptance property bench_obs.py checks.
+    any report's bytes (tests/test_obs.py rebuilds every golden traced).
     """
     parser.add_argument("--trace", default=None, metavar="JSONL",
                         help="record a structured trace of the run to this "
@@ -964,68 +962,30 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _report_snapshot(args) -> int:
-    """``repro report snapshot CSV``: store it under the current revision."""
-    from repro.runtime.regression import current_revision, snapshot
-
-    if len(args.extra) != 1:
-        print(
-            "usage: repro report snapshot CSV [--kind K] [--rev R] [--dir D]",
-            file=sys.stderr,
-        )
-        return 1
-    revision = args.rev or current_revision()
-    target = snapshot(args.dir, revision, args.kind, args.extra[0])
-    print(
-        f"snapshot: {args.extra[0]} -> {target} "
-        f"(revision {revision}, kind {args.kind})"
-    )
-    return 0
-
-
-def _report_diff(args) -> int:
-    """``repro report diff REV_A REV_B``: compare two revisions' snapshots."""
-    from repro.runtime.regression import diff_revisions, snapshots
-
-    if len(args.extra) != 2:
-        known = ", ".join(snapshots(args.dir)) or "none"
-        print(
-            f"usage: repro report diff REV_A REV_B [--dir D] "
-            f"(known revisions: {known})",
-            file=sys.stderr,
-        )
-        return 1
-    identical, report = diff_revisions(args.dir, *args.extra)
-    print(report)
-    if identical:
-        print(f"revisions {args.extra[0]} and {args.extra[1]} are identical")
-        return 0
-    print(
-        f"revisions {args.extra[0]} and {args.extra[1]} DIFFER — these "
-        f"CSVs are deterministic, so this is a real behavior change"
-    )
-    return 1
+#: Columns of the detailed report that the summary reads.
+_REPORT_COLUMNS = ("tr_violated", "missing_bins", "rel_error_avg")
 
 
 def _cmd_report(args) -> int:
-    if args.detailed == "snapshot":
-        return _report_snapshot(args)
-    if args.detailed == "diff":
-        return _report_diff(args)
-    if args.extra:
-        print(
-            f"unexpected arguments {args.extra!r} "
-            f"(summary mode takes one CSV path)",
-            file=sys.stderr,
-        )
-        return 1
     # Rebuild a summary from a detailed CSV (settings travel in the rows).
     import csv
 
-    with open(args.detailed, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.DictReader(handle))
+    try:
+        with open(args.detailed, "r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as error:
+        print(f"cannot read report: {error}", file=sys.stderr)
+        return 1
     if not rows:
         print("detailed report is empty", file=sys.stderr)
+        return 1
+    missing_columns = [name for name in _REPORT_COLUMNS if name not in rows[0]]
+    if missing_columns:
+        print(
+            f"cannot read report: {args.detailed} is not a detailed report "
+            f"(no {', '.join(missing_columns)} column)",
+            file=sys.stderr,
+        )
         return 1
     violated = sum(row["tr_violated"] == "True" for row in rows)
     print(f"queries: {len(rows)}")
@@ -1521,26 +1481,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the 2 GiB default budget)")
     p_cache.set_defaults(func=_cmd_cache)
 
-    p_rep = sub.add_parser(
-        "report",
-        help="summarize a detailed CSV, or snapshot/diff deterministic "
-             "reports across git revisions",
-    )
+    p_rep = sub.add_parser("report", help="summarize a detailed report CSV")
     p_rep.add_argument("detailed",
-                       help="path to a detailed report CSV to summarize, "
-                            "or the keyword 'snapshot' (store a "
-                            "deterministic CSV under a revision) or "
-                            "'diff' (compare two revisions' snapshots)")
-    p_rep.add_argument("extra", nargs="*",
-                       help="snapshot: the CSV to store; diff: REV_A REV_B")
-    p_rep.add_argument("--dir", default=".repro-regress",
-                       help="snapshot directory (default .repro-regress)")
-    p_rep.add_argument("--kind", default="matrix",
-                       help="snapshot label, e.g. matrix, sessions, "
-                            "adaptive (default matrix)")
-    p_rep.add_argument("--rev", default=None,
-                       help="snapshot revision (default: git rev-parse "
-                            "--short HEAD, else 'worktree')")
+                       help="path to a detailed report CSV to summarize")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 

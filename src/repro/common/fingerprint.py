@@ -98,9 +98,10 @@ def fmt_cell(value) -> str:
     :mod:`repro.bench.report`): six fixed decimals, locale-independent.
 
     This function is **the** serialization boundary for non-finite
-    values, and it canonicalizes them to exactly one token each so the
-    byte-wise snapshot diffs of :mod:`repro.runtime.regression` can
-    never report a false regression from formatting drift:
+    values, and it canonicalizes them to exactly one token each so a
+    byte-wise comparison of two reports (the golden corpus, a fresh cell
+    against its cached copy) can never see a false change from
+    formatting drift:
 
     * ``None`` and *any* NaN → the empty cell ``""`` — including NaN
       carried by a non-``float`` numeric type such as ``numpy.float32``,

@@ -10,8 +10,8 @@ vectorized engine core, timing-wheel scheduler).
 Stage totals are **wall-clock only** (via
 :func:`repro.common.clock.perf_seconds`) and therefore live entirely on
 the nondeterministic axis: they are never written into golden-pinned
-output, only into ``--metrics-out`` files, ``BENCH_*.json`` payloads and
-the STATS wire message (docs/observability.md's two-axis contract).
+output, only into ``--metrics-out`` files and the STATS wire message
+(docs/observability.md's two-axis contract).
 
 The profiler is a process-wide singleton that defaults to *disabled*;
 ``stage()`` then returns a shared no-op context manager so instrumented

@@ -22,10 +22,8 @@ parallelizable run matrix:
   per-cell seeding, making parallel output bit-identical to serial and
   crashed runs resumable;
 * :mod:`repro.runtime.report` — deterministic matrix summaries (plan
-  order, fixed float formatting: stable bytes at any job count);
-* :mod:`repro.runtime.regression` — cross-run regression tracking:
-  snapshot the deterministic report CSVs per git revision and diff two
-  revisions (``repro report snapshot`` / ``repro report diff``).
+  order, fixed float formatting: stable bytes at any job count) and
+  :func:`current_revision`, the git revision a report was produced at.
 """
 
 from repro.runtime.executor import (
@@ -48,14 +46,8 @@ from repro.runtime.planner import (
     plan_think_time,
     plan_workflow_types,
 )
-from repro.runtime.regression import (
-    DEFAULT_REGRESS_DIR,
-    current_revision,
-    diff_revisions,
-    snapshot,
-    snapshots,
-)
 from repro.runtime.report import (
+    current_revision,
     matrix_csv_text,
     matrix_summary_rows,
     render_matrix,
@@ -68,17 +60,13 @@ __all__ = [
     "ArtifactStore",
     "DEFAULT_CACHE_BUDGET_BYTES",
     "CellResult",
-    "DEFAULT_REGRESS_DIR",
     "MatrixExecutor",
     "RunSpec",
     "ServingSelector",
     "WorkflowSelector",
     "context_key",
     "current_revision",
-    "diff_revisions",
     "execute_cell",
-    "snapshot",
-    "snapshots",
     "matrix_csv_text",
     "matrix_summary_rows",
     "plan_adaptive",

@@ -7,18 +7,25 @@ Determinism rules (what makes ``--jobs N`` byte-identical to ``--jobs 1``):
 * no wall-clock quantity (elapsed time, cache hit/miss) appears in the
   summary — those are printed separately as run diagnostics;
 * floats are rendered with a fixed format, so the CSV is stable bytes.
+
+:func:`current_revision` names the code revision that produced a
+report; the perf ledger stamps its rows with it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import subprocess
 from pathlib import Path
 from typing import List, Sequence, Union
 
 from repro.bench.report import summarize_records
 from repro.common.fingerprint import fmt_cell as _fmt
 from repro.runtime.executor import CellResult
+
+#: Revision used when git metadata is unavailable.
+FALLBACK_REVISION = "worktree"
 
 #: Column order of the matrix summary CSV.
 MATRIX_COLUMNS = (
@@ -42,6 +49,22 @@ MATRIX_COLUMNS = (
     "mean_bias",
     "prep_seconds",
 )
+
+
+def current_revision(cwd: Union[str, Path, None] = None) -> str:
+    """The short git revision of ``cwd`` (or :data:`FALLBACK_REVISION`)."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=str(cwd) if cwd is not None else None,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return FALLBACK_REVISION
+    revision = result.stdout.strip()
+    return revision if result.returncode == 0 and revision else FALLBACK_REVISION
 
 
 def matrix_summary_rows(results: Sequence[CellResult]) -> List[List[object]]:

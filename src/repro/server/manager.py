@@ -718,6 +718,35 @@ def make_session(
     return spec, built
 
 
+def _session_factory(
+    ctx,
+    per_session: int,
+    workflow_type: WorkflowType,
+    policy: Optional[str],
+) -> Callable[[int], Tuple[SessionSpec, Optional[InteractionPolicy]]]:
+    """``index → make_session(ctx, index, …)``, its arguments checked now.
+
+    Both managers build their sessions through this, so a bad count
+    fails before a caller opens a spool, even where (open system) the
+    first session is only made at its arrival.
+    """
+    if per_session < 1:
+        raise BenchmarkError(f"per_session must be >= 1, got {per_session!r}")
+    generator = shared_policy_generator(ctx) if policy is not None else None
+
+    def factory(index: int):
+        return make_session(
+            ctx,
+            index,
+            per_session=per_session,
+            workflow_type=workflow_type,
+            policy=policy,
+            generator=generator,
+        )
+
+    return factory
+
+
 def _make_sessions(
     ctx,
     num_sessions: int,
@@ -728,18 +757,8 @@ def _make_sessions(
     """Sessions ``0 … num_sessions-1`` via :func:`make_session`."""
     if num_sessions < 1:
         raise BenchmarkError(f"need at least one session, got {num_sessions!r}")
-    generator = shared_policy_generator(ctx) if policy is not None else None
-    return [
-        make_session(
-            ctx,
-            index,
-            per_session=per_session,
-            workflow_type=workflow_type,
-            policy=policy,
-            generator=generator,
-        )
-        for index in range(num_sessions)
-    ]
+    factory = _session_factory(ctx, per_session, workflow_type, policy)
+    return [factory(index) for index in range(num_sessions)]
 
 
 def session_specs(
@@ -1179,18 +1198,7 @@ class OpenSystemManager(_ManagerCore):
         identical whether it arrives mid-run or starts at time zero.
         """
         oracle, new_engine = _engine_source(ctx, engine_name, speculation)
-        generator = shared_policy_generator(ctx) if policy is not None else None
-
-        def session_factory(index: int):
-            return make_session(
-                ctx,
-                index,
-                per_session=per_session,
-                workflow_type=workflow_type,
-                policy=policy,
-                generator=generator,
-            )
-
+        session_factory = _session_factory(ctx, per_session, workflow_type, policy)
         if share_engine:
             topology = {"engine": new_engine()}
         else:

@@ -116,6 +116,31 @@ class TestRunAndReport:
         path.write_text("id\n")
         assert main(["report", str(path)]) == 1
 
+    def test_report_missing_file_is_one_stderr_line(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "nope.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read report:")
+        assert len(err.splitlines()) == 1
+
+    def test_report_rejects_a_csv_that_is_not_a_detailed_report(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "matrix.csv"
+        path.write_text("cell_id,engine\nc0,idea-sim\n")
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read report:")
+        assert "tr_violated" in err
+        assert len(err.splitlines()) == 1
+
+    def test_summary_mode_rejects_surplus_arguments(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("x\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", str(csv_path), "surplus"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: surplus" in capsys.readouterr().err
+
     def test_run_on_external_workflow_dir(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         main([

@@ -422,73 +422,3 @@ class TestArrivalSchedule:
         assert code == 1
         assert "unknown arrival schedule" in capsys.readouterr().err
 
-
-class TestReportSnapshotDiff:
-    def _write(self, path, text):
-        path.write_text(text, encoding="utf-8")
-        return path
-
-    def test_snapshot_and_identical_diff(self, tmp_path, capsys):
-        csv = self._write(tmp_path / "m.csv", "a,b\n1,2\n")
-        regress = tmp_path / "regress"
-        for rev in ("aaa1111", "bbb2222"):
-            code = main(
-                ["report", "snapshot", str(csv), "--kind", "matrix",
-                 "--rev", rev, "--dir", str(regress)]
-            )
-            assert code == 0
-        code = main(
-            ["report", "diff", "aaa1111", "bbb2222", "--dir", str(regress)]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "identical" in captured
-
-    def test_differing_revisions_exit_nonzero_with_diff(
-        self, tmp_path, capsys
-    ):
-        regress = tmp_path / "regress"
-        csv_a = self._write(tmp_path / "a.csv", "a,b\n1,2\n")
-        csv_b = self._write(tmp_path / "b.csv", "a,b\n1,3\n")
-        assert main(["report", "snapshot", str(csv_a), "--rev", "aaa",
-                     "--dir", str(regress)]) == 0
-        assert main(["report", "snapshot", str(csv_b), "--rev", "bbb",
-                     "--dir", str(regress)]) == 0
-        code = main(["report", "diff", "aaa", "bbb", "--dir", str(regress)])
-        captured = capsys.readouterr().out
-        assert code == 1
-        assert "DIFFERS" in captured
-        assert "-1,2" in captured and "+1,3" in captured
-        assert "real behavior change" in captured
-
-    def test_unknown_revision_reported(self, tmp_path, capsys):
-        code = main(
-            ["report", "diff", "nope", "nada", "--dir", str(tmp_path)]
-        )
-        assert code == 1
-        assert "no snapshots" in capsys.readouterr().err
-
-    def test_default_revision_comes_from_git(self, tmp_path, capsys):
-        csv = self._write(tmp_path / "m.csv", "a\n1\n")
-        regress = tmp_path / "regress"
-        code = main(
-            ["report", "snapshot", str(csv), "--dir", str(regress)]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "revision" in captured
-        stored = list(regress.iterdir())
-        assert len(stored) == 1  # one revision directory was created
-
-    def test_usage_errors(self, tmp_path, capsys):
-        assert main(["report", "snapshot", "--dir", str(tmp_path)]) == 1
-        assert "usage" in capsys.readouterr().err
-        assert main(["report", "diff", "only-one", "--dir", str(tmp_path)]) == 1
-        assert "usage" in capsys.readouterr().err
-
-    def test_summary_mode_rejects_surplus_arguments(self, tmp_path, capsys):
-        # (The original `repro report detailed.csv` path is covered by
-        # test_cli.py; here just check extra args are caught.)
-        csv = self._write(tmp_path / "d.csv", "x\n")
-        assert main(["report", str(csv), "surplus"]) == 1
-        assert "unexpected arguments" in capsys.readouterr().err

@@ -198,11 +198,12 @@ class TestServeSpill:
     @pytest.mark.parametrize("counts", [
         ["--sessions", "0"],
         ["--sessions", "2", "--per-session", "0"],
+        ["--sessions", "2", "--arrivals", "1", "--per-session", "0"],
     ])
     def test_invalid_counts_leave_spill_file_untouched(
         self, tmp_path, capsys, counts
     ):
-        """The manager validates its counts before the spool exists, and
+        """Either manager validates its counts before the spool exists, and
         its error is one stderr line, not a traceback."""
         spill = tmp_path / "records.jsonl"
         spill.write_bytes(b"precious earlier run\n")
@@ -212,6 +213,8 @@ class TestServeSpill:
         assert spill.read_bytes() == b"precious earlier run\n"
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        if "--per-session" in counts:
+            assert "per_session" in err
 
     def test_spill_closed_when_the_run_fails(self, tmp_path, monkeypatch):
         from repro.server import RecordSpool, SessionManager

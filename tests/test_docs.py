@@ -1,8 +1,8 @@
 """Tier-1 mirror of the CI docs job (tools/check_docs.py).
 
 Keeps the documentation guarantees local: a broken intra-repo markdown
-link, a package missing from docs/architecture.md or a Python source
-citing a document that does not exist fails the test suite before it
+link, a package missing from docs/architecture.md or a doc or Python
+source citing a path that does not exist fails the test suite before it
 fails CI.
 """
 
@@ -96,6 +96,23 @@ class TestDocReferences:
         (tmp_path / "docs" / "a.md").write_text("# A\n", encoding="utf-8")
         assert check_docs.check_doc_references(tmp_path) == [
             "src/m.py: cites missing NOTES.md"
+        ]
+
+    def test_dangling_script_citation_detected(self, tmp_path):
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_kept.py").write_text("", encoding="utf-8")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "Run `benchmarks/bench_kept.py` or benchmarks/bench_gone.py. "
+            "Globs (`benchmarks/bench_*.py`) and placeholders "
+            "(`benchmarks/<name>.py`) are no citation.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "CHANGES.md").write_text(
+            "Deleted benchmarks/bench_old.py.\n", encoding="utf-8"
+        )
+        assert check_docs.check_doc_references(tmp_path) == [
+            "docs/a.md: cites missing benchmarks/bench_gone.py"
         ]
 
 

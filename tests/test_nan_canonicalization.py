@@ -1,14 +1,13 @@
 """NaN canonicalization at the deterministic-CSV serialization boundary.
 
-``repro report snapshot``/``diff`` (:mod:`repro.runtime.regression`)
-compares report CSVs **byte-wise** across git revisions, so any
-formatting drift in how a NaN (an empty-latency cell, a zero-record
-cell's percentage) reaches the CSV would surface as a *false* behavior
-regression. :func:`repro.common.fingerprint.fmt_cell` is the single
-boundary: every NaN — whatever numeric type carries it — serializes to
-exactly one token (the empty cell), infinities to ``inf``/``-inf``, and
-these tests pin that contract end to end: helper, report CSVs, cache
-round trip, and the regression differ itself.
+The golden corpus and the artifact cache compare report CSVs
+**byte-wise**, so any formatting drift in how a NaN (an empty-latency
+cell, a zero-record cell's percentage) reaches the CSV would surface as
+a *false* behavior change. :func:`repro.common.fingerprint.fmt_cell` is
+the single boundary: every NaN — whatever numeric type carries it —
+serializes to exactly one token (the empty cell), infinities to
+``inf``/``-inf``, and these tests pin that contract end to end: helper,
+report CSVs and cache round trip.
 """
 
 import math
@@ -116,8 +115,7 @@ class TestReportCsvs:
         assert "—" in adaptive_table
 
     def test_cache_round_trip_is_byte_identical(self):
-        # Snapshot/diff compares bytes; a cell restored from a payload
-        # that went through a serializer (NaN travels as a JSON `NaN`
+        # A cell restored from a payload that went through a serializer (NaN travels as a JSON `NaN`
         # token here) must re-render the exact same CSV bytes.
         import json
 
@@ -126,23 +124,3 @@ class TestReportCsvs:
         restored = _empty_session_cell(payload)
         assert math.isnan(restored.serving["mean_latency_answered"])
         assert _session_csv(restored) == _session_csv(cell)
-
-
-class TestRegressionDiff:
-    def test_fresh_vs_restored_snapshots_do_not_diff(self, tmp_path):
-        import json
-
-        from repro.runtime.regression import diff_revisions, snapshot
-
-        cell = _empty_session_cell()
-        fresh = tmp_path / "fresh.csv"
-        fresh.write_text(_session_csv(cell), encoding="utf-8", newline="")
-        payload = json.loads(json.dumps(cell.serving, allow_nan=True))
-        restored = tmp_path / "restored.csv"
-        restored.write_text(_session_csv(_empty_session_cell(payload)),
-                            encoding="utf-8", newline="")
-        regress = tmp_path / "regress"
-        snapshot(regress, "aaa", "sessions", fresh)
-        snapshot(regress, "bbb", "sessions", restored)
-        identical, report = diff_revisions(regress, "aaa", "bbb")
-        assert identical, report

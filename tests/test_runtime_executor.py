@@ -1,4 +1,5 @@
-"""Tests for the parallel run-matrix executor.
+"""Tests for the parallel run-matrix executor (and the git revision
+stamp, :func:`repro.runtime.current_revision`).
 
 The matrices here are tiny (2 000 actual rows, 1 workflow per cell) so the
 parallel paths — real ``ProcessPoolExecutor`` workers — stay fast.
@@ -13,12 +14,14 @@ from repro.runtime import (
     ArtifactStore,
     MatrixExecutor,
     RunSpec,
+    current_revision,
     matrix_csv_text,
     plan_overall,
     plan_prep_times,
     result_key,
 )
 from repro.runtime import executor as executor_module
+from repro.runtime.report import FALLBACK_REVISION
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +224,14 @@ class TestServeCells:
         assert not any(r.from_cache for r in first)
         assert all(r.from_cache for r in second)
         assert self._texts(second) == self._texts(first)
+
+
+class TestCurrentRevision:
+    def test_inside_this_repo_returns_short_hash(self):
+        revision = current_revision()
+        assert revision == FALLBACK_REVISION or (
+            4 <= len(revision) <= 16 and revision.isalnum()
+        )
+
+    def test_outside_a_repo_falls_back(self, tmp_path):
+        assert current_revision(tmp_path) == FALLBACK_REVISION

@@ -413,8 +413,9 @@ def primed_ctx(server_ctx):
     return server_ctx
 
 
-def _reference_windows(server_ctx):
-    """In-process shared run of the same config, fresh series installed."""
+def _reference_run(server_ctx):
+    """In-process shared run of the same config, fresh series installed:
+    ``(windows, session 0's detailed CSV)``."""
     from repro.engines.kernel_cache import clear_kernel_cache
     from repro.server import SessionManager
 
@@ -424,18 +425,23 @@ def _reference_windows(server_ctx):
     series = TimeSeries(window=STREAM_WINDOW)
     previous = set_timeseries(series)
     try:
-        SessionManager.for_engine(
+        results = SessionManager.for_engine(
             server_ctx, "idea-sim", 2, per_session=1, share_engine=True
         ).run()
     finally:
         set_timeseries(previous)
-    return series.windows
+    return series.windows, results[0].csv_text()
 
 
 def _streamed_run(server_ctx, slo_rules=()):
-    """One shared TCP run with a probe subscribed before the population."""
+    """One shared TCP run with a probe subscribed before the population:
+    ``(pushes, slot 0's detailed CSV)``."""
     from repro.engines.kernel_cache import clear_kernel_cache
-    from repro.net.client import fetch_scripted_session, stream_server_stats
+    from repro.net.client import (
+        fetch_scripted_session,
+        records_csv_text,
+        stream_server_stats,
+    )
     from repro.net.server import ServerThread, TcpSessionServer
 
     clear_kernel_cache()
@@ -462,29 +468,33 @@ def _streamed_run(server_ctx, slo_rules=()):
             daemon=True,
         )
         peer.start()
-        fetch_scripted_session(host, port, 0, per_session=1)
+        _, records, _ = fetch_scripted_session(host, port, 0, per_session=1)
         peer.join(120)
         probe.join(120)
     assert not probe.is_alive(), "probe never saw the final frame"
-    return pushes
+    return pushes, records_csv_text(records)
 
 
 class TestStreamingEndToEnd:
     def test_pushed_stream_matches_in_process_series(self, primed_ctx):
-        reference = series_lines(_reference_windows(primed_ctx))
+        windows, in_process_csv = _reference_run(primed_ctx)
+        reference = series_lines(windows)
         first = _streamed_run(primed_ctx)
         second = _streamed_run(primed_ctx)
-        for pushes in (first, second):
+        for pushes, csv_text in (first, second):
             assert pushes, "no frames pushed"
             # iter_stats consumes the final=True closing frame itself,
             # so every returned push carries a window.
             payload = [canonical_json(p.window) for p in pushes]
             assert payload == reference
             assert [p.seq for p in pushes] == list(range(len(pushes)))
+            # Streaming is byte-neutral: the subscribed run's workload
+            # bytes are the in-process shared session's.
+            assert csv_text == in_process_csv
 
     def test_slo_alerts_ride_the_pushed_frames(self, primed_ctx):
         # records>0 must fire on every non-empty window of this config.
-        pushes = _streamed_run(primed_ctx, slo_rules=("records>0",))
+        pushes, _ = _streamed_run(primed_ctx, slo_rules=("records>0",))
         fired = [p for p in pushes if p.alerts]
         assert fired, "rule never fired"
         for push in fired:
@@ -502,7 +512,7 @@ class TestStreamingEndToEnd:
         from repro.net.client import NetClient, fetch_scripted_session
         from repro.net.server import ServerThread, TcpSessionServer
 
-        reference = series_lines(_reference_windows(primed_ctx))
+        reference = series_lines(_reference_run(primed_ctx)[0])
         clear_kernel_cache()
         server = TcpSessionServer(
             primed_ctx,

@@ -17,9 +17,14 @@ Four guarantees, kept machine-checked so the docs cannot silently rot:
    docs/paper-mapping.md must map the policy module, and the README must
    list the ``bench-adaptive`` and ``cache`` CLI commands. The required
    markers live in :data:`REQUIRED_SECTIONS`.
-4. **cited docs exist** — every ``*.md`` file named in a Python source
-   under ``src/``, ``benchmarks/``, ``tests/`` or ``tools/`` exists, so a
-   docstring cannot point readers at a document that was never written.
+4. **cited paths exist** — every ``benchmarks/``, ``tests/``, ``tools/``,
+   ``src/`` or ``docs/`` path cited in a markdown file or in a Python
+   source under the first four trees exists, and so does every ``*.md``
+   file such a source names; a doc or docstring cannot point readers at
+   a file that was deleted or never written. Globs and ``<placeholder>``
+   paths are skipped, and so are the history files CHANGES.md and
+   ROADMAP.md; a directory ``.gitignore`` names is a run output and
+   counts as present.
 
 Run from the repository root (CI does)::
 
@@ -91,30 +96,71 @@ def check_links(root: Path) -> List[str]:
 #: ``README.md``); a glob such as ``*.md`` has no name and never matches.
 _MD_REFERENCE_RE = re.compile(r"[\w./-]*\w\.md\b")
 
-#: Python trees whose markdown citations must resolve.
+#: A repository path cited in prose or code (``tests/test_obs.py``,
+#: ``src/repro/net/``). ``*``, ``<`` and ``{`` are matched only so that a
+#: glob or a placeholder is recognised, and skipped.
+_PATH_REFERENCE_RE = re.compile(
+    r"(?<![\w./-])(?:benchmarks|tests|tools|src|docs)/[\w./*<>{}-]*"
+)
+_PLACEHOLDER_CHARS = set("*<>{}")
+
+#: Python trees whose citations must resolve.
 _REFERENCE_TREES = ("src", "benchmarks", "tests", "tools")
 
-#: Sources that handle markdown file names as data (the checks here and
-#: their tests), not as references for a reader.
+#: Sources that handle paths as data (the checks here and their tests),
+#: not as references for a reader.
 _REFERENCE_EXEMPT = {"tools/check_docs.py", "tests/test_docs.py"}
+
+#: History: these record what a change did, paths since deleted included.
+_HISTORY_FILES = {"CHANGES.md", "ROADMAP.md"}
+
+
+def _cited_paths(text: str, python: bool) -> List[str]:
+    names = {name.rstrip(".") for name in _PATH_REFERENCE_RE.findall(text)}
+    if python:
+        names.update(_MD_REFERENCE_RE.findall(text))
+    return sorted(name for name in names if not _PLACEHOLDER_CHARS & set(name))
+
+
+def _output_dirs(root: Path) -> Tuple[str, ...]:
+    """Directories ``.gitignore`` names: a run creates them, so a citation
+    of one (``benchmarks/results/``) resolves even in a fresh checkout."""
+    ignore = root / ".gitignore"
+    if not ignore.exists():
+        return ()
+    lines = ignore.read_text(encoding="utf-8").splitlines()
+    return tuple(line.strip() for line in lines if line.strip().endswith("/"))
 
 
 def check_doc_references(root: Path) -> List[str]:
-    """One problem per ``*.md`` file a Python source cites that is missing.
+    """One problem per cited repository path that does not exist.
 
-    A cited name resolves from the repository root, as every citation in
-    the tree is written (``docs/protocol.md``, ``README.md``).
+    Cited are ``benchmarks/``, ``tests/``, ``tools/``, ``src/`` and
+    ``docs/`` paths in any markdown file or Python source, and ``*.md``
+    names in Python sources. A cited path resolves from the repository
+    root, as every citation in the tree is written (``docs/protocol.md``,
+    ``README.md``).
     """
+    sources = [
+        (path, True)
+        for tree in _REFERENCE_TREES
+        for path in sorted((root / tree).rglob("*.py"))
+    ]
+    sources += [(path, False) for path in markdown_files(root)]
+    outputs = _output_dirs(root)
     problems = []
-    for tree in _REFERENCE_TREES:
-        for path in sorted((root / tree).rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            if rel in _REFERENCE_EXEMPT or _SKIP_DIRS.intersection(path.parts):
-                continue
-            text = path.read_text(encoding="utf-8")
-            for name in sorted(set(_MD_REFERENCE_RE.findall(text))):
-                if not (root / name).exists():
-                    problems.append(f"{rel}: cites missing {name}")
+    for path, python in sources:
+        rel = path.relative_to(root).as_posix()
+        if (
+            rel in _REFERENCE_EXEMPT
+            or rel in _HISTORY_FILES
+            or _SKIP_DIRS.intersection(path.parts)
+        ):
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in _cited_paths(text, python):
+            if not name.startswith(outputs) and not (root / name).exists():
+                problems.append(f"{rel}: cites missing {name}")
     return problems
 
 
@@ -160,7 +206,6 @@ REQUIRED_SECTIONS = {
         "src/repro/server/spool.py",
         "iter_spool",
         "O(active sessions)",
-        "benchmarks/bench_scale.py",
     ],
     "docs/architecture.md": [
         "## Lazy materialization of scripted workflows",
@@ -218,7 +263,6 @@ REQUIRED_SECTIONS = {
         "fallback_kernels",
         "tests/test_kernels_differential.py",
         "REPRO_KERNEL_CACHE_SIZE",
-        "BENCH_kernels.json",
         "bitwise equality",
     ],
     "docs/observability.md": [
@@ -230,7 +274,6 @@ REQUIRED_SECTIONS = {
         "tests/golden/trace_serial.jsonl",
         "tests/golden/trace_tcp_shared.jsonl",
         "repro trace summary",
-        "BENCH_obs.json",
         "--metrics-out",
         "## Windowed virtual-time series",
         "## Streaming STATS subscriptions",
@@ -239,7 +282,6 @@ REQUIRED_SECTIONS = {
         "tests/golden/timeseries_serial.jsonl",
         "repro trace merge",
         "repro top",
-        "BENCH_obs_stream.json",
     ],
     "docs/determinism.md": [
         "## The invariants",
@@ -267,8 +309,6 @@ REQUIRED_SECTIONS = {
         "--arrival-schedule",
         "--share-engine",
         "connect",
-        "repro report snapshot",
-        "repro report diff",
         "--trace",
         "--metrics-out",
         "--log-level",
@@ -325,7 +365,7 @@ def main() -> int:
     print(
         f"docs check OK: {len(files)} markdown files, all relative links "
         f"resolve, architecture.md covers every src/repro package, all "
-        f"required sections present, every cited doc exists"
+        f"required sections present, every cited path exists"
     )
     return 0
 
