@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.data.storage import Dataset, Table
+from repro.data.storage import Dataset, Table, dictionary_encode
 
 
 class ColumnKind(Enum):
@@ -80,12 +80,13 @@ def profile_column(name: str, values: np.ndarray) -> ColumnProfile:
                 float(q) for q in np.percentile(values, np.arange(101))
             ),
         )
-    categories, counts = np.unique(values, return_counts=True)
+    categories, codes = dictionary_encode(values)
+    counts = np.bincount(codes, minlength=len(categories))
     order = np.argsort(-counts, kind="stable")
     return ColumnProfile(
         name=name,
         kind=ColumnKind.NOMINAL,
-        categories=tuple(str(c) for c in categories[order]),
+        categories=tuple(categories[order].tolist()),
     )
 
 

@@ -28,7 +28,7 @@ one plan per ``bins``, one mask per ``filter``, one grouping per pair —
 and none of it sorts: nominal codes and string predicates come from the
 dataset's memoized dictionary encoding
 (:meth:`repro.data.storage.Dataset.encoded_column`) and the distinct
-codes are found by counting (:func:`unique_inverse`).
+codes are found by counting (:func:`unique_inverse`, from ``repro.data``).
 
 A poll then reduces to one gather plus the scatters its aggregates need:
 the group ids are gathered once, counts take one ``np.add.at``, and each
@@ -61,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
+from repro.data.storage import _PACK_LIMIT, unique_inverse
 from repro.query.binning import compute_codes
 from repro.query.filters import evaluate_filter
 from repro.query.groundtruth import (
@@ -71,46 +72,11 @@ from repro.query.groundtruth import (
 )
 from repro.query.model import AggFunc, AggQuery, BinDimension, BinKey, BinKind
 
-#: Mixed-radix packing of 2-D bin codes must stay inside int64; spans
-#: beyond this bound (degenerate bin widths, NaN-poisoned codes) compile
-#: in fallback mode, which delegates to the uncompiled path verbatim.
-_PACK_LIMIT = 2 ** 62
-
-#: :func:`unique_inverse` counts while the code span is at most this many
-#: slots per row (or this many slots outright); measured against the sort
-#: it replaces, counting wins up to ~4 slots per row at every size from
-#: 10 to 160k rows and loses beyond.
-_COUNTING_SLOTS_PER_ROW = 4
-_COUNTING_MIN_SLOTS = 1024
-
 
 class _PackingOverflow(Exception):
-    """2-D code packing would overflow int64; compile falls back."""
-
-
-def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort-free ``np.unique(codes, return_inverse=True)``.
-
-    ``codes`` is a non-empty ``int64`` array. Bin codes are dense small
-    integers, so the distinct ones are read off a presence bitmap over
-    ``[min, max]`` in O(rows + span) and each row's rank is a table
-    lookup. Spans that do not fit the bound above (NaN-poisoned or
-    degenerate-width codes reach the int64 extremes) take the sort.
-    Ranks are ``int32`` on the counting path (they are below the span,
-    which the bound keeps under 2**31 below half a billion rows): half
-    the bytes for every later gather of them.
-    """
-    lowest = int(codes.min())
-    span = int(codes.max()) - lowest + 1
-    if span > max(_COUNTING_MIN_SLOTS, _COUNTING_SLOTS_PER_ROW * codes.size):
-        return np.unique(codes, return_inverse=True)
-    shifted = codes - lowest
-    present = np.zeros(span, dtype=bool)
-    present[shifted] = True
-    unique = np.flatnonzero(present)
-    rank = np.empty(span, dtype=np.int32)
-    rank[unique] = np.arange(len(unique))
-    return unique + lowest, rank[shifted]
+    """2-D code packing would overflow int64 (``_PACK_LIMIT``: degenerate
+    bin widths, NaN-poisoned codes); the kernel compiles in fallback
+    mode, which delegates to the uncompiled path verbatim."""
 
 
 @dataclass(eq=False)
@@ -451,15 +417,16 @@ class KernelAccumulator:
         # Rows with a group id are exactly the filter-passing rows
         # (AggQuery guarantees >= 1 bin dimension, so every masked row
         # grouped at compile time); when the filter passes all of them
-        # there is nothing to compress away.
+        # there is nothing to compress away. Compress by index: a random
+        # boolean mask costs several times ``nonzero`` plus the gathers.
         if not kernel.all_rows_pass:
-            valid = cells >= 0
-            cells = cells[valid]
+            keep = (cells >= 0).nonzero()[0]
+            cells = cells[keep]
             if stratum_of_row is not None:
-                stratum_of_row = stratum_of_row[valid]
+                stratum_of_row = stratum_of_row[keep]
             if kernel._agg_values:
                 # From here on: what selects the aggregated rows' values.
-                row_indices = valid if row_indices is None else row_indices[valid]
+                row_indices = keep if row_indices is None else row_indices[keep]
         self.rows_aggregated += len(cells)
         if not len(cells):
             return

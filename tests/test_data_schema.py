@@ -38,6 +38,21 @@ class TestProfileColumn:
         assert profile.categories == ("b", "a", "c")
         assert profile.cardinality == 3
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            (["d", "b", "a", "b", "d", "c", "a"], ("a", "b", "d", "c")),
+            (["z", "y", "x"], ("x", "y", "z")),
+            (["bb", "b", "", "b", "", "bb"], ("", "b", "bb")),
+        ],
+    )
+    def test_equal_counts_keep_the_sorted_category_order(self, values, expected):
+        """Ties break by category order: ``np.unique`` then a stable argsort."""
+        values = np.array(values)
+        categories, counts = np.unique(values, return_counts=True)
+        reference = tuple(categories[np.argsort(-counts, kind="stable")].tolist())
+        assert profile_column("c", values).categories == reference == expected
+
     def test_nominal_has_no_span(self):
         profile = profile_column("c", np.array(["x", "y"]))
         with pytest.raises(QueryError):
@@ -52,6 +67,17 @@ class TestProfileTable:
     def test_profiles_every_column(self, flights_table):
         profiles = profile_table(flights_table)
         assert set(profiles) == set(flights_table.column_names)
+
+    def test_nominal_order_matches_the_sorting_reference(self, flights_table):
+        for name in flights_table.column_names:
+            if flights_table.is_numeric(name):
+                continue
+            values = flights_table[name]
+            categories, counts = np.unique(values, return_counts=True)
+            order = np.argsort(-counts, kind="stable")
+            assert profile_column(name, values).categories == tuple(
+                categories[order].tolist()
+            )
 
     def test_kinds_match_dtypes(self, flights_table):
         profiles = profile_table(flights_table)

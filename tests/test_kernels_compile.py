@@ -3,9 +3,10 @@
 The differential suite proves compiled results equal the sort-based
 reference; this module pins *how* a compile gets there — the counting
 ``unique_inverse`` agrees with ``np.unique`` on every int64 input, the
-dataset's dictionary encoding and float64 casts are built once, shared,
-read-only and kept out of pickles, and a warm compile neither sorts nor
-stringifies a fact-size array.
+counting ``dictionary_encode`` with ``np.unique`` over the column read
+as strings, the dataset's dictionary encoding and float64 casts are
+built once (without a sort), shared, read-only and kept out of pickles,
+and a warm compile neither sorts nor stringifies a fact-size array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
-from repro.data.storage import Dataset, Table
+from repro.data.schema import profile_column
+from repro.data.storage import Dataset, Table, dictionary_encode
 from repro.engines.kernel_cache import KernelCache
 from repro.engines.sampling import StratifiedSamplingEngine
 from repro.query.filters import (
@@ -129,11 +131,95 @@ def test_unique_inverse_span_rule(sorts):
 
 
 # ----------------------------------------------------------------------
+# dictionary_encode ≡ np.unique(col.astype(str), return_inverse=True)
+# ----------------------------------------------------------------------
+#: NUL (embedded, and trailing, which numpy drops), ASCII, and the
+#: highest BMP and astral code points: four such positions overflow the
+#: packing, three do not.
+_EDGE_CHARACTERS = st.sampled_from(
+    ["\x00", "a", "B", "\uffff", "\U0001f600", "\U0010ffff"]
+)
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, float("nan")])
+
+
+@st.composite
+def _encoder_columns(draw):
+    size = draw(st.one_of(st.integers(0, 1), st.integers(0, 40)))
+    kind = draw(st.sampled_from(["strings", "big-endian strings", "floats", "ints"]))
+    if kind == "floats":
+        elements, dtype = _EDGE_FLOATS | st.floats(), np.float64
+    elif kind == "ints":
+        elements = st.integers(-3, 12) | st.integers(INT64_MIN, INT64_MAX)
+        dtype = np.int64
+    else:
+        elements = st.text(_EDGE_CHARACTERS | st.characters(), max_size=5)
+        dtype = str
+    column = np.array(
+        draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype
+    )
+    if kind == "big-endian strings":
+        column = column.astype(column.dtype.newbyteorder(">"))
+    return column
+
+
+def _assert_encodes_like_numpy(column: np.ndarray) -> None:
+    expected_categories, expected_codes = np.unique(
+        column.astype(str), return_inverse=True
+    )
+    categories, codes = dictionary_encode(column)
+    assert categories.dtype == expected_categories.dtype
+    assert categories.tolist() == expected_categories.tolist()
+    assert codes.dtype == np.int64
+    assert codes.tolist() == expected_codes.tolist()
+
+
+# ----------------------------------------------------------------------
 # The dataset-level dictionary
 # ----------------------------------------------------------------------
 class TestEncodedColumn:
+    @given(column=_encoder_columns())
+    @hyp_settings(max_examples=400, deadline=None)
+    def test_dictionary_encode_matches_numpy(self, column):
+        _assert_encodes_like_numpy(column)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([], dtype=str),
+            np.array([], dtype=np.float64),
+            np.array([""]),
+            np.array(["", "", "a"]),
+            np.array(["a\x00b", "a", "a\x00", "ab", "b\x00\x00"]),
+            np.array(["\x00" * 4, "\U0010ffff" * 4, "\U0010ffff\x00\x00\U0010ffff"]),
+            np.array([-0.0, 0.0, float("nan"), 0.0, -0.0]),
+        ],
+        ids=[
+            "no-rows", "no-float-rows", "one-empty", "mixed-lengths", "nuls",
+            "overflow", "zeros-nan",
+        ],
+    )
+    def test_dictionary_encode_edges(self, column):
+        _assert_encodes_like_numpy(column)
+
+    def test_cold_dictionaries_count_instead_of_sorting(self, flights_table, sorts):
+        dataset = Dataset.from_table(flights_table)  # nothing encoded yet
+        names = [
+            name
+            for name in flights_table.column_names
+            if not flights_table.is_numeric(name)
+        ]
+        assert {flights_table[name].dtype.str for name in names} == {"<U2", "<U3"}
+        for name in names:
+            dataset.encoded_column(name)
+            profile_column(name, flights_table[name])
+        assert sorts == []
+        # Four positions spanning all of unicode overflow the packing.
+        dictionary_encode(np.array(["\x00" * 4, "\U0010ffff" * 4]))
+        assert len(sorts) == 1
+
     def test_reconstructs_the_string_column(self, flights_dataset):
-        for name in ("ORIGIN_STATE", "MONTH"):  # nominal, and numeric as strings
+        # nominal, and numeric (int and float) read as strings
+        for name in ("ORIGIN_STATE", "MONTH", "DEP_DELAY"):
             categories, codes = flights_dataset.encoded_column(name)
             strings = flights_dataset.gather_column(name).astype(str)
             assert categories.tolist() == sorted(set(strings.tolist()))

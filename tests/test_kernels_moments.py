@@ -8,7 +8,8 @@ Three kernel behaviours the differential suite does not name:
 * ``GroupedStats`` carries exactly the moment arrays its aggregates read,
   from the kernel and from the reference alike;
 * a kernel whose filter passes every row accumulates without the
-  ``gid >= 0`` compress.
+  ``gid >= 0`` compress; one that passes some or no row compresses by
+  index, through ``evaluate``, ``evaluate_strata`` and a prefix run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.engines.estimators import stratified_estimate
 from repro.engines.sampling import StratifiedSamplingEngine
 from repro.query.filters import Comparison, RangePredicate
 from repro.query.groundtruth import StrataGrid, compute_grouped_stats
-from repro.query.kernels import CompiledQueryKernel
+from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 import test_estimator_pins as pins
@@ -257,14 +258,29 @@ def _edge_query(filter_expr):
     )
 
 
+def assert_grid_row_equals(grid: StrataGrid, h: int, expected) -> None:
+    """Row ``h`` of ``grid``, restricted to the groups it holds, is
+    bitwise the :class:`GroupedStats` ``expected``."""
+    held = np.flatnonzero(grid.counts[h])
+    assert [grid.keys[g] for g in held] == expected.keys
+    assert grid.counts.dtype == expected.counts.dtype
+    assert grid.counts[h, held].tobytes() == expected.counts.tobytes()
+    for name in ("sums", "sumsqs", "mins", "maxs"):
+        cells, moments = getattr(grid, name), getattr(expected, name)
+        assert sorted(cells) == sorted(moments)
+        for j in moments:
+            assert cells[j][h, held].tobytes() == moments[j].tobytes()
+
+
 @pytest.mark.parametrize(
     "filter_expr, all_pass",
     [
         (None, True),
         (RangePredicate("id", 0, None), True),  # explicit, always true
         (Comparison("id", "!=", 17), False),  # fails exactly one row
+        (RangePredicate("id", 400, None), False),  # passes no row
     ],
-    ids=["unfiltered", "always-true", "fails-one-row"],
+    ids=["unfiltered", "always-true", "fails-one-row", "passes-no-row"],
 )
 def test_filters_passing_every_row_skip_the_compress(
     edge_dataset, filter_expr, all_pass
@@ -276,6 +292,23 @@ def test_filters_passing_every_row_skip_the_compress(
     for rows in (None, rng.permutation(400)[:123], np.array([17]), np.array([], int)):
         assert_stats_equal(
             kernel.evaluate(rows), compute_grouped_stats(edge_dataset, query, rows)
+        )
+    # A stratified sample in one pass (stratum 1 is empty)...
+    samples, rows, stratum_of_row = _strata(400, 4, seed=5)
+    grid = kernel.evaluate_strata(rows, stratum_of_row, len(samples))
+    for h, sample in enumerate(samples):
+        assert_grid_row_equals(
+            grid, h, compute_grouped_stats(edge_dataset, query, sample)
+        )
+    # ...and the prefixes of a rotation that wraps past its end.
+    permutation = rng.permutation(400)
+    run = PrefixKernelRun(kernel, permutation, offset=300)
+    for n in (0, 50, 90, 130, 400, 60):
+        assert_stats_equal(
+            run.poll(n),
+            compute_grouped_stats(
+                edge_dataset, query, np.roll(permutation, -300)[:n]
+            ),
         )
 
 

@@ -253,6 +253,7 @@ REQUIRED_SECTIONS = {
         "### One pass over strata",
         "unique_inverse",
         "tests/test_kernels_compile.py",
+        "test_dictionary_encode_matches_numpy",
         "## Cache keying",
         "## The incremental contract",
         "## The determinism guarantee",
