@@ -160,12 +160,12 @@ def stratified_estimate(
     z = z_value(confidence_level)
     grid = strata.grid
 
-    # Bins some stratum observed, in first-seen order: by first stratum
-    # holding them, then by position along the grid's key axis.
-    present = grid.counts > 0
-    first_stratum = present.argmax(axis=0)
-    bins = np.flatnonzero(present.any(axis=0))
-    bins = bins[np.argsort(first_stratum[bins], kind="stable")]
+    # Only the columns some stratum observed take part: a kernel's grid
+    # spans every group of its plan. ``bins`` puts them in first-seen
+    # order: by first stratum holding them, then along the key axis.
+    observed = (grid.counts > 0).any(axis=0).nonzero()[0]
+    present = grid.counts[:, observed] > 0
+    bins = np.argsort(present.argmax(axis=0), kind="stable")
 
     def over_strata(cells: np.ndarray) -> np.ndarray:
         # cumsum adds stratum after stratum (np.sum may pair them up);
@@ -178,7 +178,7 @@ def stratified_estimate(
         # a NaN cell never wins and of two zeros the earlier stratum's
         # stays. np.fmin agrees on NaN but not on which zero.
         best = np.full(len(bins), start)
-        for row in cells[:, bins]:
+        for row in cells[:, observed[bins]]:
             best = np.where(beats(row, best), row, best)
         return best
 
@@ -195,7 +195,7 @@ def stratified_estimate(
     )
     w_squared = per_stratum([weight ** 2 for weight in strata.weights])
 
-    k = grid.counts.astype(np.float64)
+    k = grid.counts[:, observed].astype(np.float64)
     count_est = over_strata(w * k)
 
     rows = []
@@ -206,7 +206,7 @@ def stratified_estimate(
                 margin = z * np.sqrt(over_strata(wn_squared * p * (1.0 - p) / n_h))
                 rows.append((count_est, margin, None))
             elif agg.func.reads_sums:
-                sums, sumsqs = grid.sums[j], grid.sumsqs[j]
+                sums, sumsqs = grid.sums[j][:, observed], grid.sumsqs[j][:, observed]
                 sum_est = over_strata(w * sums)
                 if agg.func is AggFunc.SUM:
                     mean_z = sums / n_h
@@ -233,4 +233,4 @@ def stratified_estimate(
             else:
                 rows.append((extremum(grid.maxs[j], np.greater, -np.inf), None, None))
 
-    return _columns([grid.keys[g] for g in bins.tolist()], rows)
+    return _columns([grid.keys[g] for g in observed[bins].tolist()], rows)

@@ -2,7 +2,7 @@
 
 Compiling an :class:`~repro.query.kernels.CompiledQueryKernel` costs up
 to a few passes over the referenced columns: a filter mask, a binning
-plan and its restriction to the passing rows, each built only when no
+plan and its group ids with the failing rows marked, each built only when no
 cached kernel of the dataset already holds it — the parts are weakly
 registered in :mod:`repro.query.kernels` and die with the last kernel
 using them, so this cache's capacity is their only bound too.

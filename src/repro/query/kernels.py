@@ -14,7 +14,7 @@ out of the poll loop:
 * the filter mask is evaluated once over the full table — predicates are
   pointwise, so the mask of any row subset is a gather of the full mask;
 * bin codes and the group structure are built once over all rows (a
-  :class:`BinningPlan`) and restricted to the filter-passing ones (a
+  :class:`BinningPlan`) and ``-1`` marks the rows the filter fails (a
   :class:`Grouping`), yielding a per-row *global group id* and the
   decoded keys in canonical order (sorted codes / lexicographic for
   2-D), of which every subset's naive grouping is a restriction;
@@ -92,10 +92,10 @@ class BinningPlan:
 class Grouping:
     """What a (bins, filter) pair compiles to, whatever is aggregated.
 
-    ``keys`` are the plan's keys some passing row reaches and ``row_gid``
-    each row's index among them (``-1`` for rows failing the filter;
-    ``int32``, or the plan's own array when every row passes). It holds
-    the parts it was derived from, so they live as long as it does.
+    ``keys`` are the plan's keys and ``row_gid`` each row's index among
+    them (``-1`` for rows failing the filter; the plan's own array when
+    every row passes). It holds the parts it was derived from, so they
+    live as long as it does.
     """
 
     mask: np.ndarray
@@ -166,14 +166,25 @@ def _build_groups(
 
     Mirrors :func:`repro.query.binning.group_rows` exactly, except the
     grouping is computed once over every candidate row instead of per
-    subset and without sorting: distinct codes in ascending order for
-    1-D, mixed-radix packing (monotone lexicographic, so subset
-    orderings are restrictions) for 2-D.
+    subset and without sorting, and may hold groups no row reaches: in
+    1-D the codes themselves number the groups (every category; every
+    quantitative code in ``[min, max]`` unless that span outnumbers the
+    rows, where the distinct codes do), in 2-D the distinct mixed-radix
+    packed codes (monotone lexicographic, so subset orderings are
+    restrictions).
     """
     per_dim = [_dimension_codes(dataset, dim, columns, rows) for dim in bins]
     if len(per_dim) == 1:
-        unique_codes, gid = unique_inverse(per_dim[0][0])
-        return list(zip(_decoded(unique_codes, per_dim[0][1]))), gid
+        codes, categories = per_dim[0]
+        if categories is not None:
+            return list(zip(categories.tolist())), codes.astype(np.int32)
+        lowest = int(codes.min())
+        span = int(codes.max()) - lowest + 1
+        if span <= codes.size:
+            gid = (codes - lowest).astype(np.int32)
+            return list(zip(range(lowest, lowest + span))), gid
+        unique_codes, gid = unique_inverse(codes)
+        return list(zip(unique_codes.tolist())), gid
     (first, first_categories), (second, second_categories) = per_dim
     first_min = int(first.min())
     first_max = int(first.max())
@@ -195,8 +206,9 @@ def _build_groups(
 def _build_grouping(
     dataset, query: AggQuery, columns: Dict[str, np.ndarray]
 ) -> Grouping:
-    """Restrict the binning plan of ``query.bins`` to the rows its filter
-    passes: keys no passing row reaches drop out and the rest renumber."""
+    """The binning plan of ``query.bins`` with the rows its filter fails
+    set to ``-1``: its keys stay, and a group no passing row reaches is
+    an empty group, like one a sample prefix has not reached yet."""
     num_rows = dataset.num_fact_rows
 
     def build_mask() -> np.ndarray:
@@ -215,31 +227,34 @@ def _build_grouping(
         return BinningPlan(keys, gid)
 
     mask = _shared(dataset, ("masks", query.filter), build_mask)
-    rows = np.flatnonzero(mask)
-    plan, keys, fallback = None, [], False
-    row_gid = np.full(num_rows, -1, dtype=np.int32)
-    if rows.size:
+    num_passing = int(np.count_nonzero(mask))
+    plan, keys, row_gid, fallback = None, [], None, False
+    if num_passing:
         try:
             plan = _shared(dataset, ("plans", query.bins), build_plan)
         except _PackingOverflow:
             # No plan to share: group the passing rows alone, whose
             # narrower code spans a filter may have brought back in range.
+            rows = mask.nonzero()[0]
             try:
-                keys, row_gid[rows] = _build_groups(
-                    dataset, query.bins, columns, rows
-                )
+                keys, gid = _build_groups(dataset, query.bins, columns, rows)
+                row_gid = np.full(num_rows, -1, dtype=np.int32)
+                row_gid[rows] = gid
             except _PackingOverflow:
                 fallback = True
         else:
-            if rows.size == num_rows:
-                keys, row_gid = plan.keys, plan.gid
-            else:
-                kept, row_gid[rows] = unique_inverse(plan.gid[rows])
-                keys = plan.keys
-                if len(kept) < len(keys):
-                    keys = [keys[g] for g in kept.tolist()]
+            keys, row_gid = plan.keys, plan.gid
+            if num_passing < num_rows:
+                # (gid + 1) * mask - 1, not np.where, which mispredicts on
+                # a random mask; int32 ones keep the plan's dtype under
+                # numpy 1.x and NEP 50 alike.
+                row_gid = plan.gid + np.int32(1)
+                row_gid *= mask
+                row_gid -= np.int32(1)
+    if row_gid is None:
+        row_gid = np.full(num_rows, -1, dtype=np.int32)
     row_gid.setflags(write=False)
-    return Grouping(mask, plan, keys, row_gid, rows.size, fallback)
+    return Grouping(mask, plan, keys, row_gid, num_passing, fallback)
 
 
 class CompiledQueryKernel:
@@ -447,10 +462,11 @@ class KernelAccumulator:
 
     def stats(self) -> GroupedStats:
         """Snapshot the groups seen so far as a :class:`GroupedStats`."""
-        present = np.flatnonzero(self._counts > 0)
+        present = (self._counts > 0).nonzero()[0]
+        keys = self._kernel._keys
         return GroupedStats(
             query=self._kernel.query,
-            keys=[self._kernel._keys[g] for g in present],
+            keys=[keys[g] for g in present.tolist()],
             counts=self._counts[present],
             sums=_taken(self._sums, present),
             sumsqs=_taken(self._sumsqs, present),
@@ -483,10 +499,10 @@ class PrefixKernelRun:
     Progressive engines poll growing prefixes of a rotation
     ``permutation[offset:offset+n]`` (wrapping around). A run keeps the
     accumulator for the largest prefix polled so far and, on the next
-    poll, folds in only the delta rows. Scratch rebuilds happen when the
-    prefix shrinks (cancel/reissue races) and the first time the prefix
-    wraps past the end of the permutation; both fallbacks are
-    bitwise-equivalent to the incremental path, just slower.
+    poll, folds in only the delta rows — a delta that wraps past the end
+    of the permutation included. Only a shrinking prefix (cancel/reissue
+    races) rebuilds from scratch, which is bitwise-equivalent, just
+    slower.
     """
 
     def __init__(
@@ -511,11 +527,7 @@ class PrefixKernelRun:
         if not self._kernel.supports_incremental:
             self._n = n
             return self._kernel.evaluate(self._slice(0, n))
-        if (
-            self._accumulator is None
-            or n < self._n
-            or self._delta_wraps(self._n, n)
-        ):
+        if self._accumulator is None or n < self._n:
             self._accumulator = self._kernel.new_accumulator()
             self._accumulator.update(self._slice(0, n))
             if self._n:
@@ -524,10 +536,6 @@ class PrefixKernelRun:
             self._accumulator.update(self._slice(self._n, n))
         self._n = n
         return self._accumulator.stats()
-
-    def _delta_wraps(self, last_n: int, n: int) -> bool:
-        """Whether the delta segment crosses the permutation boundary."""
-        return self._offset + last_n < self._rows < self._offset + n
 
     def _slice(self, start_n: int, end_n: int) -> np.ndarray:
         """Prefix positions ``[start_n, end_n)`` of the rotation, in order."""

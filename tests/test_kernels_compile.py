@@ -31,6 +31,7 @@ from repro.query.filters import (
     SetPredicate,
     evaluate_filter,
 )
+from repro.query import kernels as kernels_module
 from repro.query.groundtruth import compute_grouped_stats
 from repro.query.kernels import CompiledQueryKernel, unique_inverse
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
@@ -117,6 +118,57 @@ def test_unique_inverse_matches_numpy(codes):
 )
 def test_unique_inverse_edges(codes):
     _assert_same_as_numpy(np.array(codes, dtype=np.int64))
+
+
+@pytest.fixture
+def renumberings(monkeypatch):
+    """The argument tuples of every ``unique_inverse`` call a compile makes
+    (the dictionary encoder's own calls are not counted)."""
+    calls = []
+    original = kernels_module.unique_inverse
+    monkeypatch.setattr(
+        kernels_module, "unique_inverse", lambda *a: calls.append(a) or original(*a)
+    )
+    return calls
+
+
+def test_one_dimensional_groups_are_bin_codes(flights_table, renumberings):
+    """Cold compiles number 1-D groups by their codes and mark the rows a
+    filter fails ``-1``: only a 2-D plan counts its packed codes."""
+    dataset = Dataset.from_table(flights_table)  # nothing of it alive yet
+    brush = RangePredicate("DEP_DELAY", -5.0, 45.0)
+    delays = AggQuery(
+        table="flights",
+        bins=(BinDimension("DEP_DELAY", BinKind.QUANTITATIVE, width=20.0),),
+        aggregates=(Aggregate(AggFunc.COUNT),),
+    )
+    kernels = [
+        CompiledQueryKernel(dataset, query)
+        for query in (
+            _nominal_query(),
+            delays,
+            _nominal_query(filter_expr=brush),  # the nominal plan, filtered
+            AggQuery(
+                table="flights",
+                bins=delays.bins,
+                aggregates=delays.aggregates,
+                filter=brush,
+            ),
+        )
+    ]
+    assert renumberings == []
+    assert not kernels[2].all_rows_pass and not kernels[3].all_rows_pass
+    two_d = ("UNIQUE_CARRIER", "DEST_STATE")
+    kernels.append(CompiledQueryKernel(dataset, _nominal_query(bins=two_d)))
+    assert len(renumberings) == 1
+    kernels.append(
+        CompiledQueryKernel(dataset, _nominal_query(bins=two_d, filter_expr=brush))
+    )
+    assert len(renumberings) == 1  # a filtered grouping of the live 2-D plan
+    for kernel in kernels:
+        assert_stats_equal(
+            kernel.exact_stats(), compute_grouped_stats(dataset, kernel.query)
+        )
 
 
 def test_unique_inverse_span_rule(sorts):
@@ -414,7 +466,8 @@ def test_normalized_and_denormalized_group_identically(flights_table, flights_da
 
 
 def test_unreferenced_dimension_categories_do_not_become_groups():
-    """A dimension row no fact row points at widens the dictionary only."""
+    """A dimension row no fact row points at widens the dictionary and
+    the kernel's code space, never an answer."""
     from repro.data.storage import ForeignKey
 
     fact = Table("fact", {"k": [0, 2, 2, 0], "v": [1.0, 2.0, 3.0, 4.0]})
@@ -431,7 +484,11 @@ def test_unreferenced_dimension_categories_do_not_become_groups():
     )
     assert star.encoded_column("NAME")[0].tolist() == ["a", "b", "c"]
     kernel = CompiledQueryKernel(star, query)
-    assert kernel._keys == [("b",), ("c",)]
+    assert kernel.exact_stats().keys == [("b",), ("c",)]
+    accumulator = kernel.new_accumulator()
+    for rows, keys in (([], []), ([1], [("c",)]), ([0, 3], [("b",), ("c",)])):
+        accumulator.update(np.array(rows, dtype=np.int64))
+        assert accumulator.stats().keys == keys
     assert_stats_equal(kernel.evaluate(None), compute_grouped_stats(star, query))
 
 

@@ -16,9 +16,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from repro.data.seed import generate_flights_seed
 from repro.data.storage import Dataset, Table
-from repro.engines.estimators import srs_estimate
+from repro.engines.estimators import StrataMoments, srs_estimate, stratified_estimate
 from repro.query.filters import (
     And,
     Comparison,
@@ -26,8 +28,8 @@ from repro.query.filters import (
     RangePredicate,
     SetPredicate,
 )
-from repro.query.groundtruth import compute_grouped_stats
-from repro.query.kernels import CompiledQueryKernel
+from repro.query.groundtruth import StrataGrid, compute_grouped_stats
+from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 #: How many random queries the fuzz sweep draws (ISSUE 7: >= 300).
@@ -329,6 +331,127 @@ def test_packing_overflow_falls_back_to_naive_path():
     assert_stats_equal(
         kernel.evaluate(prefix), compute_grouped_stats(dataset, query, prefix)
     )
+
+
+# ----------------------------------------------------------------------
+# Groups no passing row reaches: in the kernel, never in an answer
+# ----------------------------------------------------------------------
+def _with_nan_delays(table: Table) -> Table:
+    """``table`` plus ``NAN_DELAY``: ``DEP_DELAY`` with every ninth value
+    NaN, so binning it makes a group of the NaN rows (their codes cast to
+    an int64 extreme) that a range filter on it removes."""
+    delays = table["DEP_DELAY"].astype(np.float64)
+    delays[4::9] = np.nan
+    return table.with_columns({"NAN_DELAY": delays})
+
+
+WHOLE_GROUPS_TABLE = _with_nan_delays(generate_flights_seed(500, seed=4))
+WHOLE_GROUPS_DATASET = Dataset.from_table(WHOLE_GROUPS_TABLE)
+WHOLE_GROUPS_CARRIERS = sorted(set(WHOLE_GROUPS_TABLE["UNIQUE_CARRIER"].tolist()))
+
+
+def _quant_dim(field: str, width: float) -> BinDimension:
+    return BinDimension(field=field, kind=BinKind.QUANTITATIVE, width=width, reference=0.0)
+
+
+WHOLE_GROUPS_BINS = (
+    (BinDimension(field="UNIQUE_CARRIER", kind=BinKind.NOMINAL),),
+    (_quant_dim("MONTH", 1.0),),
+    (_quant_dim("DEP_DELAY", 20.0),),
+    (_quant_dim("NAN_DELAY", 25.0),),
+    (_quant_dim("MONTH", 2.0), BinDimension(field="UNIQUE_CARRIER", kind=BinKind.NOMINAL)),
+    # Its all-rows packing overflows on the NaN codes: a filter removing
+    # the NaN rows groups the passing rows alone, any other falls back.
+    (_quant_dim("NAN_DELAY", 40.0), BinDimension(field="ORIGIN_STATE", kind=BinKind.NOMINAL)),
+)
+_WHOLE_GROUP_FILTERS = st.one_of(
+    st.lists(st.sampled_from(WHOLE_GROUPS_CARRIERS), min_size=1, max_size=4).map(
+        lambda kept: SetPredicate("UNIQUE_CARRIER", frozenset(kept))
+    ),
+    st.tuples(st.integers(1, 12), st.integers(1, 4)).map(
+        lambda low_size: RangePredicate("MONTH", low_size[0], sum(low_size))
+    ),
+    st.tuples(st.integers(-20, 150), st.integers(10, 200)).map(
+        lambda low_size: RangePredicate("NAN_DELAY", float(low_size[0]), float(sum(low_size)))
+    ),
+    st.integers(1, 12).map(lambda month: Comparison("MONTH", "!=", month)),
+)
+_WHOLE_GROUP_AGGREGATES = (
+    Aggregate(func=AggFunc.COUNT),
+    Aggregate(func=AggFunc.SUM, field="DISTANCE"),
+    Aggregate(func=AggFunc.AVG, field="NAN_DELAY"),
+    Aggregate(func=AggFunc.MIN, field="ARR_DELAY"),
+    Aggregate(func=AggFunc.MAX, field="AIR_TIME"),
+)
+
+
+def _assert_columns_equal(fast, naive):
+    assert list(fast.keys) == list(naive.keys)
+    for rows in ("values", "margins", "bounded"):
+        for a, b in zip(getattr(fast, rows), getattr(naive, rows)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), rows
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(
+    bins=st.sampled_from(WHOLE_GROUPS_BINS),
+    filter_expr=st.one_of(
+        _WHOLE_GROUP_FILTERS,
+        st.tuples(_WHOLE_GROUP_FILTERS, _WHOLE_GROUP_FILTERS).map(lambda pair: And(*pair)),
+    ),
+    aggregates=st.lists(
+        st.sampled_from(_WHOLE_GROUP_AGGREGATES), min_size=1, max_size=3, unique=True
+    ),
+    offset=st.integers(0, 499),
+    schedule=st.lists(st.integers(0, 500), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_filters_removing_whole_groups_match_the_reference(
+    bins, filter_expr, aggregates, offset, schedule, seed
+):
+    """A kernel keeps the plan's groups, including those its filter never
+    reaches; every answer is still bitwise the reference's, which only
+    ever sees the rows it is given."""
+    dataset = WHOLE_GROUPS_DATASET
+    query = AggQuery(
+        table="flights", bins=bins, aggregates=tuple(aggregates), filter=filter_expr
+    )
+    permutation = np.random.default_rng(seed).permutation(dataset.num_fact_rows)
+    sample = permutation[:150]
+    stratum_of_row = np.arange(len(sample)) % 3
+    # The reference casts passing NaN rows to bin codes in the open (and
+    # so warns); which rows warn is not what this property is about.
+    with np.errstate(invalid="ignore"):
+        kernel = CompiledQueryKernel(dataset, query)
+        for rows in (None, sample):
+            assert_stats_equal(
+                kernel.evaluate(rows), compute_grouped_stats(dataset, query, rows)
+            )
+        assert_stats_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
+
+        run = PrefixKernelRun(kernel, permutation, offset)
+        for n in schedule:
+            rows = np.roll(permutation, -offset)[:n]
+            assert_stats_equal(run.poll(n), compute_grouped_stats(dataset, query, rows))
+
+        grid = kernel.evaluate_strata(sample, stratum_of_row, 3)
+        reference = StrataGrid.from_stats(
+            query,
+            [
+                compute_grouped_stats(dataset, query, sample[stratum_of_row == h])
+                for h in range(3)
+            ],
+        )
+        assert grid.counts.any() == reference.counts.any()
+        if reference.counts.any():  # as the stratified engine asks
+            _assert_columns_equal(
+                *(
+                    stratified_estimate(
+                        query, StrataMoments(cells, [0.5, 0.3, 0.2], [50, 50, 50]), 0.95
+                    )
+                    for cells in (grid, reference)
+                )
+            )
 
 
 # ----------------------------------------------------------------------

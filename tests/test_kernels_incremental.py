@@ -1,8 +1,8 @@
 """Incremental prefix aggregation ≡ from-scratch, at every poll.
 
 ``PrefixKernelRun`` answers poll *n* by folding only the delta rows since
-the previous poll into a running accumulator (rebuilding from scratch on
-shrinking prefixes and rotation wraps). Its contract is bitwise equality
+the previous poll into a running accumulator, across rotation wraps too
+(rebuilding from scratch on shrinking prefixes). Its contract is bitwise equality
 with a from-scratch evaluation of the same prefix at **every** poll —
 this module drives randomized poll schedules (growing, repeated,
 shrinking, wrap-crossing) against that contract, both on the raw
@@ -142,7 +142,7 @@ class TestPrefixKernelRunSchedules:
             assert stats.rows_aggregated <= n
         assert run.rebuilds == 0
 
-    def test_wrap_crossing_rebuilds_and_matches(self, flights_dataset, filtered_query):
+    def test_wrap_crossing_continues_and_matches(self, flights_dataset, filtered_query):
         rows = flights_dataset.num_fact_rows
         kernel = get_kernel(flights_dataset, filtered_query)
         permutation = np.random.default_rng(9).permutation(rows)
@@ -154,9 +154,9 @@ class TestPrefixKernelRunSchedules:
             assert_stats_equal(
                 incremental, compute_grouped_stats(flights_dataset, filtered_query, indices)
             )
-        # Exactly one scratch rebuild: the wrap itself; later deltas are
-        # contiguous past-the-boundary slices and continue incrementally.
-        assert run.rebuilds == 1
+        # The wrapping delta is one concatenated slice folded onto the
+        # running accumulator: the same rows in the same order as a rebuild.
+        assert run.rebuilds == 0
 
     def test_shrinking_prefix_rebuilds_and_matches(self, flights_dataset, delay_avg_query):
         rows = flights_dataset.num_fact_rows

@@ -55,10 +55,23 @@ def _strata(num_rows: int, num_strata: int, seed: int):
     )
 
 
+def _filled_keys(grid: StrataGrid) -> list:
+    """The grid's keys whose column some stratum holds a row of, in order."""
+    return [grid.keys[g] for g in np.flatnonzero(grid.counts.any(axis=0))]
+
+
 def assert_grid_equals_per_stratum(kernel: CompiledQueryKernel, num_strata=6):
+    """Row ``h`` of the grid is stratum ``h``'s ``evaluate``, spread over
+    the kernel's groups: every other cell is +0.0, or the fold's
+    identity. Over the whole table, the filled columns are exactly the
+    keys of ``exact_stats``, in order; no other column is ever filled."""
+    everything = np.arange(kernel.num_rows)
+    whole = kernel.evaluate_strata(everything, np.zeros_like(everything), 1)
+    assert _filled_keys(whole) == kernel.exact_stats().keys
     samples, rows, stratum_of_row = _strata(kernel.num_rows, num_strata, seed=3)
     grid = kernel.evaluate_strata(rows, stratum_of_row, num_strata)
-    assert grid.keys == kernel.exact_stats().keys
+    assert grid.keys == whole.keys
+    assert set(_filled_keys(grid)) <= set(kernel.exact_stats().keys)
     column = {key: g for g, key in enumerate(grid.keys)}
     moments = ("sums", "sumsqs", "mins", "maxs")
     absent = {"sums": 0.0, "sumsqs": 0.0, "mins": np.inf, "maxs": -np.inf}

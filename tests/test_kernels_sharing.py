@@ -33,10 +33,11 @@ from repro.engines.kernel_cache import (
     get_kernel,
     kernel_cache,
 )
+from repro.engines.estimators import StrataMoments, stratified_estimate
 from repro.query import kernels as kernels_module
 from repro.query.filters import And, Comparison, Or, RangePredicate, SetPredicate
 from repro.query.groundtruth import compute_grouped_stats
-from repro.query.kernels import PART_BUILDS, CompiledQueryKernel
+from repro.query.kernels import PART_BUILDS, CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 from test_kernels_differential import _counting_dataset, assert_stats_equal
@@ -284,14 +285,27 @@ class TestEdges:
         assert kernel._row_gid is kernel._grouping.plan.gid
         assert kernel._keys is kernel._grouping.plan.keys
 
-    def test_filter_removing_whole_groups_restricts_the_keys(self):
+    def test_filter_removing_whole_groups_never_answers_them(self):
         dataset = Dataset.from_table(TABLE)
         query = _query(BINS[0], FILTERS[3], AGGREGATES[1])
         kernel = CompiledQueryKernel(dataset, query)
-        assert [key[0] for key in kernel._keys] == CARRIERS[:2]
-        assert len(kernel._grouping.plan.keys) == len(CARRIERS)
+        # The kernel keeps the plan's code space; the filtered-out
+        # carriers are empty groups, and no answer ever names them.
+        assert kernel._keys is kernel._grouping.plan.keys
+        assert [key[0] for key in kernel._keys] == CARRIERS
+        reached = [(carrier,) for carrier in CARRIERS[:2]]
+        assert kernel.exact_stats().keys == reached
+        assert set(kernel.evaluate(SAMPLE).keys) <= set(reached)
+        run = PrefixKernelRun(kernel, SAMPLE, offset=100)
+        assert all(set(run.poll(n).keys) <= set(reached) for n in (10, 80, 150))
         grid = kernel.evaluate_strata(SAMPLE, STRATUM_OF_ROW, 3)
-        assert grid.keys == kernel.exact_stats().keys == kernel._keys
+        assert grid.keys == kernel._keys
+        filled = [kernel._keys[g] for g in np.flatnonzero(grid.counts.any(axis=0))]
+        assert set(filled) <= set(reached)
+        estimate = stratified_estimate(
+            query, StrataMoments(grid, [0.5, 0.3, 0.2], [50, 50, 50]), 0.95
+        )
+        assert sorted(estimate.keys) == sorted(filled)
         assert_stats_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
 
     def test_overflowing_plan_is_not_shared_and_a_filter_rescues(self):
@@ -337,8 +351,19 @@ class TestEdges:
             (Aggregate(AggFunc.SUM, "m"),), "t",
         )
         kernel = CompiledQueryKernel(dataset, query)
-        assert [key[0] for key in kernel._keys] == [0, 1, 2, 3]
+        # The NaN rows' group stays in the plan's code space, empty.
+        assert kernel._keys is kernel._grouping.plan.keys
+        reached = [(0,), (1,), (2,), (3,)]
+        assert set(reached) <= set(kernel._keys)
         assert_stats_equal(kernel.evaluate(None), compute_grouped_stats(dataset, query))
+        assert kernel.exact_stats().keys == reached
+        permutation = np.arange(40)[::-1]
+        run = PrefixKernelRun(kernel, permutation, offset=30)
+        for n in (5, 20, 40):
+            stats = run.poll(n)
+            assert set(stats.keys) <= set(reached)
+            rows = np.roll(permutation, -30)[:n]
+            assert_stats_equal(stats, compute_grouped_stats(dataset, query, rows))
 
     def test_counting_proxy_shares_like_a_dataset(self):
         proxy, calls = _counting_dataset(Dataset.from_table(TABLE))

@@ -263,6 +263,7 @@ REQUIRED_SECTIONS = {
         "repro_kernel_cache_",
         "fallback_kernels",
         "tests/test_kernels_differential.py",
+        "test_filters_removing_whole_groups_match_the_reference",
         "REPRO_KERNEL_CACHE_SIZE",
         "bitwise equality",
     ],
