@@ -49,9 +49,9 @@ class GroupedStats:
 
     ``counts[g]`` is the number of aggregated rows in group ``g``. The
     per-column dictionaries hold, for aggregate ``j``, exactly the
-    within-group moments its function reads: ``sums[j]`` and
-    ``sumsqs[j]`` for SUM and AVG, ``mins[j]`` for MIN, ``maxs[j]`` for
-    MAX, nothing for COUNT (:attr:`AggFunc.reads_sums`).
+    within-group moments its reader reads (:func:`identity_moments`):
+    ``sums[j]`` and, unless exact, ``sumsqs[j]`` for SUM and AVG,
+    ``mins[j]`` for MIN, ``maxs[j]`` for MAX, nothing for COUNT.
     """
 
     query: AggQuery
@@ -116,15 +116,13 @@ class StrataGrid:
         return grid
 
 
-def identity_moments(
-    query: AggQuery, shape
-) -> Tuple[
+def identity_moments(query: AggQuery, shape, exact: bool = False) -> Tuple[
     Dict[int, np.ndarray], Dict[int, np.ndarray],
     Dict[int, np.ndarray], Dict[int, np.ndarray],
 ]:
     """``(sums, sumsqs, mins, maxs)`` of ``query`` before any row is
-    folded in: per aggregate, only the arrays its function reads, of
-    ``shape``, at the identity of their fold (``0.0``, ``+inf``, ``-inf``).
+    folded in: per aggregate, only the arrays its reader reads (``exact``:
+    no ``sumsqs``), of ``shape``, at their fold's identity (``0.0``, ``±inf``).
     """
     sums: Dict[int, np.ndarray] = {}
     sumsqs: Dict[int, np.ndarray] = {}
@@ -133,7 +131,8 @@ def identity_moments(
     for j, agg in enumerate(query.aggregates):
         if agg.func.reads_sums:
             sums[j] = np.zeros(shape)
-            sumsqs[j] = np.zeros(shape)
+            if not exact:
+                sumsqs[j] = np.zeros(shape)
         elif agg.func is AggFunc.MIN:
             mins[j] = np.full(shape, np.inf)
         elif agg.func is AggFunc.MAX:

@@ -31,9 +31,10 @@ dataset's memoized dictionary encoding
 codes are found by counting (:func:`unique_inverse`, from ``repro.data``).
 
 A poll then reduces to one gather plus the scatters its aggregates need:
-the group ids are gathered once, counts take one ``np.add.at``, and each
-aggregate scatters only the moments its function reads (sum and sum of
-squares for SUM/AVG, ``np.minimum.at`` for MIN, ``np.maximum.at`` for
+the group ids are taken once (``take``, cast to ``np.intp`` once for
+every ``ufunc.at``), counts take one ``np.add.at``, and each aggregate
+scatters only the moments its reader reads (sum, and sum of squares for
+an estimate, for SUM/AVG; ``np.minimum.at`` for MIN, ``np.maximum.at`` for
 MAX). A kernel whose filter passes every row also skips the compress of
 rows without a group. :class:`PrefixKernelRun` makes polls over growing
 sample prefixes **incremental**: only the delta rows since the last poll
@@ -285,7 +286,6 @@ class CompiledQueryKernel:
             ("groupings", query.bins, query.filter),
             lambda: _build_grouping(dataset, query, columns),
         )
-        self._mask = grouping.mask
         # Equal to ``mask.mean()``: both divide the exact count once.
         self.qualifying_fraction = (
             grouping.num_passing / self.num_rows if self.num_rows else 0.0
@@ -322,7 +322,7 @@ class CompiledQueryKernel:
     @property
     def full_mask(self) -> np.ndarray:
         """The full-table boolean filter mask (read-only)."""
-        return self._mask
+        return self._grouping.mask
 
     # ------------------------------------------------------------------
     def new_accumulator(self, num_strata: int = 1) -> "KernelAccumulator":
@@ -339,11 +339,7 @@ class CompiledQueryKernel:
         Bitwise identical to ``compute_grouped_stats(dataset, query,
         row_indices)`` — the differential suite pins this.
         """
-        if self._fallback:
-            return compute_grouped_stats(self._dataset, self.query, row_indices)
-        accumulator = self.new_accumulator()
-        accumulator.update(row_indices)
-        return accumulator.stats()
+        return self._fold(_positions(row_indices))
 
     def evaluate_strata(
         self, rows: np.ndarray, stratum_of_row: np.ndarray, num_strata: int
@@ -356,32 +352,45 @@ class CompiledQueryKernel:
         over all of the kernel's groups — in fallback mode, over the
         groups some stratum holds, one uncompiled pass per stratum.
         """
+        rows = _positions(rows)
         if self._fallback:
             return StrataGrid.from_stats(
                 self.query,
-                [
-                    compute_grouped_stats(
-                        self._dataset, self.query, rows[stratum_of_row == h]
-                    )
-                    for h in range(num_strata)
-                ],
+                [self._fold(rows[stratum_of_row == h]) for h in range(num_strata)],
             )
         accumulator = self.new_accumulator(num_strata)
         accumulator.update(rows, stratum_of_row)
         return accumulator.grid()
 
     def exact_stats(self) -> GroupedStats:
-        """Full-table stats, computed once and memoized on the kernel."""
+        """The memoized full-table stats an exact answer reads (no ``sumsqs``)."""
         if self._exact_stats is None:
-            self._exact_stats = self.evaluate(None)
+            self._exact_stats = self._fold(None, exact=True)
         return self._exact_stats
+
+    def _fold(self, rows: Optional[np.ndarray], exact=False) -> GroupedStats:
+        """``rows`` from scratch; in fallback mode, through the reference."""
+        if self._fallback:
+            return compute_grouped_stats(self._dataset, self.query, rows)
+        accumulator = KernelAccumulator(self, exact=exact)
+        accumulator.update(rows)
+        return accumulator.stats()
+
+
+def _positions(rows) -> Optional[np.ndarray]:
+    """Integer row positions (``take`` reads a boolean mask as 0 and 1)."""
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            raise QueryError(f"row positions must be integers, not {rows.dtype}")
+    return rows
 
 
 def _taken(
     moments: Dict[int, np.ndarray], cells: np.ndarray
 ) -> Dict[int, np.ndarray]:
     # Polls of tiny tables are all call overhead, and most dicts are empty.
-    return {j: array[cells] for j, array in moments.items()} if moments else {}
+    return {j: array.take(cells) for j, array in moments.items()} if moments else {}
 
 
 class KernelAccumulator:
@@ -401,13 +410,13 @@ class KernelAccumulator:
     accumulator fed that stratum's rows. ``grid`` reads the blocks out.
     """
 
-    def __init__(self, kernel: CompiledQueryKernel, num_strata: int = 1):
+    def __init__(self, kernel: CompiledQueryKernel, num_strata: int = 1, exact=False):
         self._kernel = kernel
         self._num_strata = num_strata
         num_cells = num_strata * kernel.num_groups
         self._counts = np.zeros(num_cells, dtype=np.int64)
         self._sums, self._sumsqs, self._mins, self._maxs = identity_moments(
-            kernel.query, num_cells
+            kernel.query, num_cells, exact
         )
         self.rows_aggregated = 0
         self.rows_scanned = 0
@@ -427,7 +436,7 @@ class KernelAccumulator:
             cells = kernel._row_gid
             self.rows_scanned += kernel.num_rows
         else:
-            cells = kernel._row_gid[row_indices]
+            cells = kernel._row_gid.take(row_indices)
             self.rows_scanned += len(row_indices)
         # Rows with a group id are exactly the filter-passing rows
         # (AggQuery guarantees >= 1 bin dimension, so every masked row
@@ -436,25 +445,27 @@ class KernelAccumulator:
         # boolean mask costs several times ``nonzero`` plus the gathers.
         if not kernel.all_rows_pass:
             keep = (cells >= 0).nonzero()[0]
-            cells = cells[keep]
+            cells = cells.take(keep)
             if stratum_of_row is not None:
-                stratum_of_row = stratum_of_row[keep]
+                stratum_of_row = stratum_of_row.take(keep)
             if kernel._agg_values:
                 # From here on: what selects the aggregated rows' values.
-                row_indices = keep if row_indices is None else row_indices[keep]
+                row_indices = keep if row_indices is None else row_indices.take(keep)
         self.rows_aggregated += len(cells)
         if not len(cells):
             return
         if stratum_of_row is not None:
             cells = stratum_of_row * kernel.num_groups + cells
+        cells = cells.astype(np.intp, copy=False)
         np.add.at(self._counts, cells, 1)
         with np.errstate(invalid="ignore"):  # NaN cells propagate by design
             for j, values in kernel._agg_values.items():
                 if row_indices is not None:
-                    values = values[row_indices]
+                    values = values.take(row_indices)
                 if j in self._sums:
                     np.add.at(self._sums[j], cells, values)
-                    np.add.at(self._sumsqs[j], cells, values * values)
+                    if j in self._sumsqs:  # an exact answer reads none
+                        np.add.at(self._sumsqs[j], cells, values * values)
                 elif j in self._mins:
                     np.minimum.at(self._mins[j], cells, values)
                 else:

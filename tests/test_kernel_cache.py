@@ -248,11 +248,14 @@ def _nan_query():
 
 
 def _stats_bytes(stats):
+    """What an exact answer reads of ``stats``, as comparable bytes."""
     return (
         stats.keys,
         stats.counts.tobytes(),
-        {j: row.tobytes() for j, row in stats.sums.items()},
-        {j: row.tobytes() for j, row in stats.sumsqs.items()},
+        *(
+            {j: row.tobytes() for j, row in getattr(stats, name).items()}
+            for name in ("sums", "mins", "maxs")
+        ),
     )
 
 

@@ -37,7 +37,7 @@ from repro.query.kernels import CompiledQueryKernel, unique_inverse
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 from repro.runtime.store import ArtifactStore
 
-from test_kernels_differential import assert_stats_equal
+from test_kernels_differential import assert_exact_equal, assert_stats_equal
 
 INT64_MIN = np.iinfo(np.int64).min
 INT64_MAX = np.iinfo(np.int64).max
@@ -166,7 +166,7 @@ def test_one_dimensional_groups_are_bin_codes(flights_table, renumberings):
     )
     assert len(renumberings) == 1  # a filtered grouping of the live 2-D plan
     for kernel in kernels:
-        assert_stats_equal(
+        assert_exact_equal(
             kernel.exact_stats(), compute_grouped_stats(dataset, kernel.query)
         )
 

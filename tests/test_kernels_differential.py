@@ -28,7 +28,12 @@ from repro.query.filters import (
     RangePredicate,
     SetPredicate,
 )
-from repro.query.groundtruth import StrataGrid, compute_grouped_stats
+from repro.query.groundtruth import (
+    StrataGrid,
+    compute_grouped_stats,
+    evaluate_exact,
+    stats_to_exact_values,
+)
 from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
@@ -56,19 +61,29 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", float(value))
 
 
-def assert_stats_equal(fast, naive):
+def assert_stats_equal(fast, naive, moments=("sums", "sumsqs", "mins", "maxs")):
     assert fast.keys == naive.keys
     assert fast.counts.dtype == naive.counts.dtype
     assert fast.counts.tobytes() == naive.counts.tobytes()
     assert fast.rows_aggregated == naive.rows_aggregated
     assert fast.rows_scanned == naive.rows_scanned
-    for name in ("sums", "sumsqs", "mins", "maxs"):
+    for name in moments:
         fast_dict = getattr(fast, name)
         naive_dict = getattr(naive, name)
         assert sorted(fast_dict) == sorted(naive_dict)
         for j in naive_dict:
             assert fast_dict[j].dtype == naive_dict[j].dtype, (name, j)
             assert fast_dict[j].tobytes() == naive_dict[j].tobytes(), (name, j)
+
+
+#: The moments an exact answer reads (no sums of squares).
+EXACT_MOMENTS = ("sums", "mins", "maxs")
+
+
+def assert_exact_equal(exact, naive):
+    """A kernel's ``exact_stats()`` is bitwise what the reference holds
+    of the moments an exact answer reads."""
+    assert_stats_equal(exact, naive, EXACT_MOMENTS)
 
 
 def assert_estimates_equal(fast_pair, naive_pair):
@@ -427,7 +442,14 @@ def test_filters_removing_whole_groups_match_the_reference(
             assert_stats_equal(
                 kernel.evaluate(rows), compute_grouped_stats(dataset, query, rows)
             )
-        assert_stats_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
+        assert_exact_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
+        # ...and so is the exact answer, NaN cells and signed zeros included.
+        exact = evaluate_exact(dataset, query).columns
+        reference = stats_to_exact_values(compute_grouped_stats(dataset, query))
+        assert list(exact.keys) == list(reference.keys)
+        assert [(row.dtype, row.tobytes()) for row in exact.values] == [
+            (row.dtype, row.tobytes()) for row in reference.values
+        ]
 
         run = PrefixKernelRun(kernel, permutation, offset)
         for n in schedule:

@@ -5,11 +5,13 @@ Three kernel behaviours the differential suite does not name:
 * ``evaluate_strata`` — one scatter over a concatenated stratified sample
   — fills a ``(stratum, group)`` grid whose rows equal per-stratum
   ``evaluate`` calls bit for bit;
-* ``GroupedStats`` carries exactly the moment arrays its aggregates read,
-  from the kernel and from the reference alike;
+* ``GroupedStats`` carries exactly the moment arrays its reader reads,
+  from the kernel and from the reference alike — an exact answer no
+  sums of squares;
 * a kernel whose filter passes every row accumulates without the
   ``gid >= 0`` compress; one that passes some or no row compresses by
-  index, through ``evaluate``, ``evaluate_strata`` and a prefix run.
+  index, through ``evaluate``, ``evaluate_strata`` and a prefix run;
+* both take integer row positions only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.common.clock import VirtualClock
+from repro.common.errors import QueryError
 from repro.data.storage import Dataset, Table
 from repro.engines.estimators import stratified_estimate
 from repro.engines.sampling import StratifiedSamplingEngine
@@ -27,7 +30,7 @@ from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 import test_estimator_pins as pins
-from test_kernels_differential import assert_stats_equal
+from test_kernels_differential import assert_exact_equal, assert_stats_equal
 
 ALL_FUNCS = (
     Aggregate(AggFunc.COUNT),
@@ -255,6 +258,45 @@ def test_stats_hold_exactly_the_moments_their_aggregates_read(
             assert sorted(getattr(stats, name)) == expected, name
 
 
+def test_exact_answers_fold_no_sums_of_squares(flights_dataset):
+    """The reader joins the rule: an exact answer reads counts, sums,
+    mins and maxs, so the exact fold holds no ``sumsqs``; the estimating
+    folds keep theirs. Each is still bitwise the reference."""
+    query = AggQuery(
+        "flights",
+        bins=(BinDimension("UNIQUE_CARRIER", BinKind.NOMINAL),),
+        aggregates=ALL_FUNCS,
+        filter=RangePredicate("DISTANCE", 300.0, 1500.0),
+    )
+    kernel = CompiledQueryKernel(flights_dataset, query)
+    exact = kernel.exact_stats()
+    assert exact.sumsqs == {}
+    assert (sorted(exact.sums), sorted(exact.mins), sorted(exact.maxs)) == (
+        [1, 2], [3], [4]
+    )
+    assert_exact_equal(exact, compute_grouped_stats(flights_dataset, query))
+
+    permutation = np.random.default_rng(4).permutation(kernel.num_rows)
+    for rows in (None, permutation[:300]):
+        stats = kernel.evaluate(rows)
+        assert sorted(stats.sumsqs) == [1, 2]
+        assert_stats_equal(stats, compute_grouped_stats(flights_dataset, query, rows))
+    run = PrefixKernelRun(kernel, permutation, offset=0)
+    for n in (100, 300):
+        stats = run.poll(n)
+        assert sorted(stats.sumsqs) == [1, 2]
+        assert_stats_equal(
+            stats, compute_grouped_stats(flights_dataset, query, permutation[:n])
+        )
+    samples, rows, stratum_of_row = _strata(kernel.num_rows, 4, seed=7)
+    grid = kernel.evaluate_strata(rows, stratum_of_row, len(samples))
+    assert sorted(grid.sumsqs) == [1, 2]
+    for h, sample in enumerate(samples):
+        assert_grid_row_equals(
+            grid, h, compute_grouped_stats(flights_dataset, query, sample)
+        )
+
+
 # ----------------------------------------------------------------------
 # The all-rows-pass fast path
 # ----------------------------------------------------------------------
@@ -332,3 +374,40 @@ def test_fast_path_equals_compress_path_on_the_same_kernel(edge_dataset):
     fast = kernel.evaluate(rows)
     kernel.all_rows_pass = False  # the same kernel, through the compress
     assert_stats_equal(fast, kernel.evaluate(rows))
+
+
+# ----------------------------------------------------------------------
+# Row positions
+# ----------------------------------------------------------------------
+def test_row_positions_must_be_integers(edge_dataset, fallback_kernels):
+    """``take`` would read a boolean mask as positions 0 and 1 (and the
+    reference would select by it, counting every mask cell as scanned):
+    both modes refuse anything but integer positions, and read a list as
+    the positions it holds."""
+    query = _edge_query(Comparison("id", "!=", 17))
+    mask = np.arange(400) % 3 == 0
+    strata = np.arange(400) % 2
+
+    def check(kernel):
+        for rows in (mask, mask.nonzero()[0].astype(np.float64), [True, False]):
+            with pytest.raises(QueryError, match="integers"):
+                kernel.evaluate(rows)
+            with pytest.raises(QueryError, match="integers"):
+                kernel.evaluate_strata(rows, strata[: len(rows)], 2)
+        positions = [5, 17, 399, 3]
+        assert_stats_equal(
+            kernel.evaluate(positions),
+            compute_grouped_stats(edge_dataset, query, np.array(positions)),
+        )
+        expected = kernel.evaluate_strata(np.array(positions), strata[:4], 2)
+        listed = kernel.evaluate_strata(positions, strata[:4], 2)
+        assert listed.keys == expected.keys
+        assert listed.counts.tobytes() == expected.counts.tobytes()
+
+    compiled = CompiledQueryKernel(edge_dataset, query)
+    assert compiled.supports_incremental
+    check(compiled)
+    with fallback_kernels():
+        fallback = CompiledQueryKernel(edge_dataset, query)
+        assert not fallback.supports_incremental
+        check(fallback)

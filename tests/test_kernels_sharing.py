@@ -40,7 +40,12 @@ from repro.query.groundtruth import compute_grouped_stats
 from repro.query.kernels import PART_BUILDS, CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
-from test_kernels_differential import _counting_dataset, assert_stats_equal
+from test_kernels_differential import (
+    EXACT_MOMENTS,
+    _counting_dataset,
+    assert_exact_equal,
+    assert_stats_equal,
+)
 
 NUM_ROWS = 400
 TABLE = generate_flights_seed(NUM_ROWS, seed=3)
@@ -96,10 +101,10 @@ def _dataset(which: str):
     return _counting_dataset(flat)[0] if which == "proxy" else flat
 
 
-def _moment_bytes(stats_or_grid):
+def _moment_bytes(stats_or_grid, moments=("sums", "sumsqs", "mins", "maxs")):
     return {
         name: {j: a.tobytes() for j, a in getattr(stats_or_grid, name).items()}
-        for name in ("sums", "sumsqs", "mins", "maxs")
+        for name in moments
     }
 
 
@@ -112,14 +117,14 @@ def _snapshot(kernel: CompiledQueryKernel):
         "num_groups": kernel.num_groups,
         "mask": kernel.full_mask.tobytes(),
     }
-    for name, stats in (
-        ("sample", kernel.evaluate(SAMPLE)),
-        ("exact", kernel.exact_stats()),
+    for name, stats, moments in (
+        ("sample", kernel.evaluate(SAMPLE), ("sums", "sumsqs", "mins", "maxs")),
+        ("exact", kernel.exact_stats(), EXACT_MOMENTS),
     ):
         observed[name] = (
             stats.keys,
             stats.counts.tobytes(),
-            _moment_bytes(stats),
+            _moment_bytes(stats, moments),
             stats.rows_aggregated,
             stats.rows_scanned,
         )
@@ -137,7 +142,7 @@ def _cold_snapshot(dataset, query):
     assert PART_BUILDS["masks"] == before["masks"] + 1
     snapshot = _snapshot(kernel)
     assert_stats_equal(kernel.evaluate(SAMPLE), compute_grouped_stats(dataset, query, SAMPLE))
-    assert_stats_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
+    assert_exact_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
     assert kernel.qualifying_fraction == float(kernel.full_mask.mean())
     return snapshot
 
@@ -306,7 +311,7 @@ class TestEdges:
             query, StrataMoments(grid, [0.5, 0.3, 0.2], [50, 50, 50]), 0.95
         )
         assert sorted(estimate.keys) == sorted(filled)
-        assert_stats_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
+        assert_exact_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
 
     def test_overflowing_plan_is_not_shared_and_a_filter_rescues(self):
         table = Table(

@@ -264,6 +264,7 @@ REQUIRED_SECTIONS = {
         "fallback_kernels",
         "tests/test_kernels_differential.py",
         "test_filters_removing_whole_groups_match_the_reference",
+        "test_exact_answers_fold_no_sums_of_squares",
         "REPRO_KERNEL_CACHE_SIZE",
         "bitwise equality",
     ],
