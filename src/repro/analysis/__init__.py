@@ -18,10 +18,8 @@ Layout:
   modules, serialization tier);
 * :mod:`repro.analysis.pragmas` — ``# repro: allow[ID] -- reason``
   source suppressions, hygiene-checked;
-* :mod:`repro.analysis.baseline` — the committed grandfather file and
-  its content-keyed matching;
 * :mod:`repro.analysis.engine` — file discovery, the single-pass walk,
-  suppression layering, :class:`LintResult`;
+  pragma suppression, :class:`LintResult`;
 * :mod:`repro.analysis.reporters` — deterministic text/JSON rendering.
 
 The package is self-contained stdlib-only (no numpy), so the lint can
@@ -30,14 +28,6 @@ run in environments where the benchmark itself cannot. Entry points:
 (tests). See docs/determinism.md for the contract and rule catalog.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineError,
-    DEFAULT_BASELINE_PATH,
-    findings_to_entries,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.engine import (
     LintResult,
     META_RULE_ID,
@@ -62,9 +52,6 @@ from repro.analysis.reporters import (
 from repro.analysis.rules import REGISTRY, Rule, all_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
-    "DEFAULT_BASELINE_PATH",
     "DEFAULT_POLICY",
     "Finding",
     "JSON_SCHEMA_VERSION",
@@ -79,13 +66,10 @@ __all__ = [
     "TierRule",
     "all_rules",
     "discover_files",
-    "findings_to_entries",
     "lint_source",
-    "load_baseline",
     "parse_pragmas",
     "render_json",
     "render_rule_table",
     "render_text",
     "run_lint",
-    "save_baseline",
 ]

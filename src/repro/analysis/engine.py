@@ -1,4 +1,4 @@
-"""The lint engine: file discovery, shared AST walk, suppression layers
+"""The lint engine: file discovery, shared AST walk, pragma suppression
 (the static gate on §1's reproducibility contract).
 
 One :func:`run_lint` call scans a set of files/directories and returns a
@@ -11,10 +11,7 @@ One :func:`run_lint` call scans a set of files/directories and returns a
    per-module-tier :class:`~repro.analysis.policy.Policy` activates;
 3. applies ``# repro: allow[...]`` pragma suppressions
    (:mod:`repro.analysis.pragmas`), reporting malformed and unused
-   pragmas as unsuppressible ``DET000`` findings;
-4. applies the committed baseline (:mod:`repro.analysis.baseline`),
-   which grandfathers known findings by content so new code is held to
-   the contract even while old debt is being paid down.
+   pragmas as unsuppressible ``DET000`` findings.
 
 Everything is deterministic: files are scanned in sorted order and all
 result lists come out sorted, so two runs over the same tree produce
@@ -26,16 +23,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.policy import DEFAULT_POLICY, Policy
 from repro.analysis.pragmas import Pragma, PragmaSheet, parse_pragmas
 from repro.analysis.rules import REGISTRY, ModuleContext, Rule
 
 #: Meta-rule id for suppression hygiene (malformed/unused pragmas).
-#: DET000 findings can never themselves be suppressed or baselined.
+#: DET000 findings can never themselves be suppressed.
 META_RULE_ID = "DET000"
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".pytest_cache", ".repro-cache"}
@@ -47,24 +43,14 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     pragma_suppressed: List[Tuple[Finding, Pragma]] = field(default_factory=list)
-    baseline_suppressed: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing — the debt they recorded is
-    #: paid, so the baseline should be regenerated (enforced by --strict).
-    stale_baseline: List[dict] = field(default_factory=list)
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
     files_scanned: int = 0
 
-    def exit_code(self, strict: bool = False) -> int:
-        """The documented contract: 0 clean, 1 findings, 2 usage error.
-
-        ``strict`` additionally fails (exit 1) on stale baseline entries,
-        so CI forces the baseline to shrink in lockstep with the debt.
-        """
+    def exit_code(self) -> int:
+        """The documented contract: 0 clean, 1 findings, 2 usage error."""
         if self.parse_errors:
             return 2
         if self.findings:
-            return 1
-        if strict and self.stale_baseline:
             return 1
         return 0
 
@@ -160,11 +146,7 @@ def _meta_findings(path: str, lines: List[str], sheet: PragmaSheet) -> List[Find
     return findings
 
 
-def run_lint(
-    paths: Sequence,
-    policy: Policy = DEFAULT_POLICY,
-    baseline: Optional[Baseline] = None,
-) -> LintResult:
+def run_lint(paths: Sequence, policy: Policy = DEFAULT_POLICY) -> LintResult:
     """Scan ``paths`` and return the full, deterministic result."""
     result = LintResult()
     try:
@@ -173,7 +155,6 @@ def run_lint(
         result.parse_errors.append((str(paths), str(exc)))
         return result
 
-    candidates: List[Finding] = []
     for file in files:
         display = file.as_posix()
         try:
@@ -184,20 +165,9 @@ def run_lint(
             continue
         result.files_scanned += 1
         result.pragma_suppressed.extend(suppressed)
-        candidates.extend(kept)
-        candidates.extend(_meta_findings(display, source.splitlines(), sheet))
-
-    if baseline is not None:
-        for finding in sorted(candidates):
-            if finding.rule != META_RULE_ID and baseline.absorb(finding):
-                result.baseline_suppressed.append(finding)
-            else:
-                result.findings.append(finding)
-        result.stale_baseline = baseline.stale_entries()
-    else:
-        result.findings = sorted(candidates)
+        result.findings.extend(kept)
+        result.findings.extend(_meta_findings(display, source.splitlines(), sheet))
 
     result.findings.sort()
-    result.baseline_suppressed.sort()
     result.pragma_suppressed.sort(key=lambda pair: pair[0])
     return result

@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location. Findings
 are value objects with a total order (path, line, column, rule id) so
-every reporter — text, JSON, the baseline file — emits them in the same
-deterministic sequence regardless of scan order. The linter that checks
+both reporters — text and JSON — emit them in the same deterministic
+sequence regardless of scan order. The linter that checks
 byte-determinism (§1's reproducibility goal) must itself be
 byte-deterministic.
 """
@@ -19,9 +19,8 @@ class Finding:
 
     ``path`` is the posix-style path the file was scanned under (relative
     paths stay relative, so output is stable across machines). ``snippet``
-    is the stripped source line — it doubles as the content anchor for
-    baseline matching, which keys on *what* the offending line says, not
-    on where it currently sits.
+    is the stripped source line, shown under the finding in both
+    reports.
     """
 
     path: str
@@ -44,14 +43,3 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=data["rule"],
-            message=data["message"],
-            snippet=data.get("snippet", ""),
-        )

@@ -19,7 +19,7 @@ a test tree's ``pkg/common/clock.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import PurePosixPath
 from typing import FrozenSet, List, Tuple

@@ -16,10 +16,10 @@ from repro.analysis.engine import LintResult
 from repro.analysis.rules import REGISTRY, all_rules
 
 #: Bump when the --json payload changes incompatibly.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-def render_text(result: LintResult, strict: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one line per finding, then a summary."""
     lines: List[str] = []
     for path, message in result.parse_errors:
@@ -30,37 +30,26 @@ def render_text(result: LintResult, strict: bool = False) -> str:
         lines.append(f"{finding.location()}: {label}: {finding.message}")
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    for entry in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry: {entry['path']}: {entry['rule']} "
-            f"x{entry['count']} ({entry['snippet']!r}) — regenerate with "
-            "tools/regen_lint_baseline.py"
-        )
     counts = result.counts_by_rule()
     by_rule = " ".join(f"{rule}={count}" for rule, count in sorted(counts.items()))
-    summary = (
+    lines.append(
         f"{result.files_scanned} files scanned, "
         f"{len(result.findings)} finding(s)"
         + (f" ({by_rule})" if by_rule else "")
-        + f", {len(result.pragma_suppressed)} pragma-suppressed, "
-        f"{len(result.baseline_suppressed)} baselined"
+        + f", {len(result.pragma_suppressed)} pragma-suppressed"
     )
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr(y/ies)"
-    lines.append(summary)
-    code = result.exit_code(strict)
-    lines.append("determinism lint: " + ("CLEAN" if code == 0 else "FAILED"))
+    verdict = "CLEAN" if result.exit_code() == 0 else "FAILED"
+    lines.append(f"determinism lint: {verdict}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(result: LintResult, strict: bool = False) -> str:
+def render_json(result: LintResult) -> str:
     """Canonical JSON report (sorted keys — byte-deterministic)."""
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "tool": "repro-lint",
         "files_scanned": result.files_scanned,
-        "exit_code": result.exit_code(strict),
-        "strict": strict,
+        "exit_code": result.exit_code(),
         "findings": [finding.to_dict() for finding in result.findings],
         "counts_by_rule": result.counts_by_rule(),
         "suppressed": {
@@ -72,11 +61,7 @@ def render_json(result: LintResult, strict: bool = False) -> str:
                 }
                 for finding, pragma in result.pragma_suppressed
             ],
-            "baseline": [
-                finding.to_dict() for finding in result.baseline_suppressed
-            ],
         },
-        "stale_baseline": result.stale_baseline,
         "parse_errors": [
             {"path": path, "message": message}
             for path, message in result.parse_errors

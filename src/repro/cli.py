@@ -59,11 +59,48 @@ from repro.workflow.spec import Workflow, WorkflowType, load_suite, save_suite
 from repro.workflow.viewer import render_workflow
 
 
+#: Engines that ``--engine``/``--engines`` accept.
+ENGINE_CHOICES = list(MAIN_ENGINES) + ["system-y-sim"]
+
+
 def _add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--size", default="M", help="data size: S, M, or L")
     parser.add_argument("--scale", type=int, default=1000,
                         help="virtual-to-actual row scale factor")
     parser.add_argument("--seed", type=int, default=42, help="root random seed")
+
+
+def _add_timing_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tr", type=float, default=3.0,
+                        help="time requirement in seconds")
+    parser.add_argument("--think-time", type=float, default=1.0, dest="think_time")
+
+
+def _add_suite_arguments(parser: argparse.ArgumentParser, per_session: int) -> None:
+    parser.add_argument("--per-session", type=int, default=per_session,
+                        dest="per_session", help="workflows per session")
+    parser.add_argument("--workflow-type", default="mixed", dest="workflow_type",
+                        help="workflow type of each session's suite")
+
+
+def _byte_budget(text: str) -> int:
+    """argparse ``type`` of a byte budget: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 bytes, got {value}")
+    return value
+
+
+def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", default=None, dest="cache_dir",
+                        help="artifact store directory (cached cells "
+                             "restore on re-run)")
+    parser.add_argument("--cache-budget", type=_byte_budget, dest="cache_budget",
+                        default=DEFAULT_CACHE_BUDGET_BYTES,
+                        help="store byte budget (LRU eviction; 0 = "
+                             "unlimited; default 2 GiB)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-cell progress lines")
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -215,12 +252,11 @@ def _make_store(cache_dir: Optional[str], budget: Optional[int]) -> Optional[Art
 
 def _check_engines(engines: List[str]) -> bool:
     """Print a stderr message and return False on unknown engine names."""
-    known_engines = list(MAIN_ENGINES) + ["system-y-sim"]
-    unknown = [engine for engine in engines if engine not in known_engines]
+    unknown = [engine for engine in engines if engine not in ENGINE_CHOICES]
     if unknown:
         print(
             f"unknown engines: {', '.join(unknown)} "
-            f"(choose from {', '.join(known_engines)})",
+            f"(choose from {', '.join(ENGINE_CHOICES)})",
             file=sys.stderr,
         )
         return False
@@ -454,13 +490,7 @@ def _cmd_serve(args) -> int:
         total_records,
     )
 
-    settings = BenchmarkSettings(
-        data_size=DataSize.parse(args.size),
-        scale=args.scale,
-        seed=args.seed,
-        time_requirement=args.tr,
-        think_time=args.think_time,
-    )
+    settings = _settings_from_args(args)
     if args.tcp is not None:
         return _cmd_serve_tcp(args, settings)
     adaptive = args.policy in ("markov", "uncertainty", "load-adaptive")
@@ -720,8 +750,6 @@ def _cmd_bench_adaptive(args) -> int:
     from repro.runtime import plan_adaptive
     from repro.server import ADAPTIVE_COLUMNS, render_adaptive_bench, serving_csv_text
 
-    if not _check_engines([args.engine]):
-        return 1
     policies = _split(args.policies)
     churn_modes = _split(args.churn)
     settings = _settings_from_args(args)
@@ -1011,41 +1039,19 @@ def _cmd_lint(args) -> int:
     """``repro lint``: statically enforce the byte-determinism contract.
 
     Exit-code contract (documented in docs/determinism.md and relied on
-    by CI): 0 = clean, 1 = findings (or, under ``--strict``, stale
-    baseline entries), 2 = usage error (bad path, unparseable source or
-    baseline). Argparse itself exits 2 on bad flags, completing the
-    contract.
+    by CI): 0 = clean, 1 = findings, 2 = usage error (bad path or
+    unparseable source). Argparse itself exits 2 on bad flags,
+    completing the contract.
     """
-    from repro.analysis import (
-        BaselineError,
-        DEFAULT_BASELINE_PATH,
-        load_baseline,
-        render_json,
-        render_rule_table,
-        render_text,
-        run_lint,
-    )
+    from repro.analysis import render_json, render_rule_table, render_text, run_lint
 
     if args.list_rules:
         print(render_rule_table(), end="")
         return 0
-    baseline = None
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE_PATH
-        if baseline_path.exists():
-            try:
-                baseline = load_baseline(baseline_path)
-            except BaselineError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-        elif args.baseline:
-            print(f"error: baseline file not found: {baseline_path}",
-                  file=sys.stderr)
-            return 2
-    result = run_lint(args.paths, baseline=baseline)
+    result = run_lint(args.paths)
     render = render_json if args.json_out else render_text
-    print(render(result, strict=args.strict), end="")
-    return result.exit_code(args.strict)
+    print(render(result), end="")
+    return result.exit_code()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1088,11 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the benchmark on one engine")
     _add_settings_arguments(p_run)
-    p_run.add_argument("--engine", default="idea-sim",
-                       choices=list(MAIN_ENGINES) + ["system-y-sim"])
-    p_run.add_argument("--tr", type=float, default=3.0,
-                       help="time requirement in seconds")
-    p_run.add_argument("--think-time", type=float, default=1.0, dest="think_time")
+    _add_timing_arguments(p_run)
+    p_run.add_argument("--engine", default="idea-sim", choices=ENGINE_CHOICES)
     p_run.add_argument("--per-type", type=int, default=10, dest="per_type",
                        help="number of mixed workflows to run")
     p_run.add_argument("--workflows", default=None,
@@ -1134,13 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--seed", type=int, default=42, help="root random seed")
     p_matrix.add_argument("--jobs", type=int, default=1,
                           help="worker processes to shard cells across")
-    p_matrix.add_argument("--cache-dir", default=None, dest="cache_dir",
-                          help="artifact store directory (enables caching "
-                               "and resumption)")
-    p_matrix.add_argument("--cache-budget", type=int, dest="cache_budget",
-                          default=DEFAULT_CACHE_BUDGET_BYTES,
-                          help="store byte budget (LRU eviction; 0 = "
-                               "unlimited; default 2 GiB)")
+    _add_store_arguments(p_matrix)
     p_matrix.add_argument("--resume", action="store_true",
                           help="resume a crashed/partial run from --cache-dir "
                                "(cached cell results are reused by default; "
@@ -1152,8 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="matrix summary CSV path (deterministic bytes)")
     p_matrix.add_argument("--detailed-dir", default=None, dest="detailed_dir",
                           help="directory for per-cell detailed CSVs")
-    p_matrix.add_argument("--quiet", action="store_true",
-                          help="suppress per-cell progress lines")
     p_matrix.set_defaults(func=_cmd_run_matrix)
 
     p_serve = sub.add_parser(
@@ -1161,20 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve N concurrent simulated IDE sessions (asyncio server)",
     )
     _add_settings_arguments(p_serve)
-    p_serve.add_argument("--engine", default="idea-sim",
-                         choices=list(MAIN_ENGINES) + ["system-y-sim"])
+    _add_timing_arguments(p_serve)
+    _add_suite_arguments(p_serve, per_session=2)
+    p_serve.add_argument("--engine", default="idea-sim", choices=ENGINE_CHOICES)
     p_serve.add_argument("--sessions", type=int, default=4,
                          help="number of concurrent sessions to serve")
-    p_serve.add_argument("--per-session", type=int, default=2,
-                         dest="per_session",
-                         help="workflows per session (seeded per session)")
-    p_serve.add_argument("--workflow-type", default="mixed",
-                         dest="workflow_type",
-                         help="workflow type of the per-session suites")
-    p_serve.add_argument("--tr", type=float, default=3.0,
-                         help="time requirement in seconds")
-    p_serve.add_argument("--think-time", type=float, default=1.0,
-                         dest="think_time")
     p_serve.add_argument("--share-engine", action="store_true",
                          dest="share_engine",
                          help="all sessions contend on ONE engine "
@@ -1259,13 +1245,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "shared-engine server this is the "
                                 "timeline slot to claim (also with "
                                 "--replay)")
-    p_connect.add_argument("--per-session", type=int, default=1,
-                           dest="per_session",
-                           help="scripted mode: workflows per session")
-    p_connect.add_argument("--workflow-type", default="mixed",
-                           dest="workflow_type",
-                           help="workflow type of the scripted suite "
-                                "(or REPL session label)")
+    _add_suite_arguments(p_connect, per_session=1)
     p_connect.add_argument("--policy", default=None,
                            choices=list(POLICY_NAMES),
                            help="scripted mode: run this adaptive policy "
@@ -1323,27 +1303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--modes", default="isolated,shared",
                          help="comma-separated serving modes "
                               "(isolated, shared)")
-    p_bench.add_argument("--per-session", type=int, default=2,
-                         dest="per_session",
-                         help="workflows per session")
-    p_bench.add_argument("--workflow-type", default="mixed",
-                         dest="workflow_type",
-                         help="workflow type of the per-session suites")
-    p_bench.add_argument("--tr", type=float, default=3.0,
-                         help="time requirement in seconds")
-    p_bench.add_argument("--think-time", type=float, default=1.0,
-                         dest="think_time")
-    p_bench.add_argument("--cache-dir", default=None, dest="cache_dir",
-                         help="artifact store directory (cells restore on "
-                              "re-run)")
-    p_bench.add_argument("--cache-budget", type=int, dest="cache_budget",
-                         default=DEFAULT_CACHE_BUDGET_BYTES,
-                         help="store byte budget (LRU eviction; 0 = "
-                              "unlimited; default 2 GiB)")
+    _add_timing_arguments(p_bench)
+    _add_suite_arguments(p_bench, per_session=2)
+    _add_store_arguments(p_bench)
     p_bench.add_argument("--out", default=None,
                          help="load report CSV path (deterministic bytes)")
-    p_bench.add_argument("--quiet", action="store_true",
-                         help="suppress per-cell progress lines")
     _add_obs_arguments(p_bench)
     p_bench.set_defaults(func=_cmd_bench_sessions)
 
@@ -1352,8 +1316,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sessions × policy × churn report (adaptive + open system)",
     )
     _add_settings_arguments(p_adaptive)
-    p_adaptive.add_argument("--engine", default="idea-sim",
-                            choices=list(MAIN_ENGINES) + ["system-y-sim"])
+    _add_timing_arguments(p_adaptive)
+    _add_suite_arguments(p_adaptive, per_session=1)
+    _add_store_arguments(p_adaptive)
+    p_adaptive.add_argument("--engine", default="idea-sim", choices=ENGINE_CHOICES)
     p_adaptive.add_argument("--policies",
                             default="replay,markov,uncertainty",
                             help="comma-separated user models (scripted, "
@@ -1364,17 +1330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adaptive.add_argument("--churn", default="closed,open",
                             help="comma-separated churn modes "
                                  "(closed, open)")
-    p_adaptive.add_argument("--per-session", type=int, default=1,
-                            dest="per_session",
-                            help="workflows per session")
-    p_adaptive.add_argument("--workflow-type", default="mixed",
-                            dest="workflow_type",
-                            help="workflow type of scripted/markov "
-                                 "sessions")
-    p_adaptive.add_argument("--tr", type=float, default=3.0,
-                            help="time requirement in seconds")
-    p_adaptive.add_argument("--think-time", type=float, default=1.0,
-                            dest="think_time")
     p_adaptive.add_argument("--arrivals", type=float, default=0.1,
                             dest="arrivals",
                             help="open cells: Poisson arrival rate "
@@ -1388,18 +1343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adaptive.add_argument("--share-engine", action="store_true",
                             dest="share_engine",
                             help="sessions contend on ONE engine per cell")
-    p_adaptive.add_argument("--cache-dir", default=None, dest="cache_dir",
-                            help="artifact store directory (cells restore "
-                                 "on re-run)")
-    p_adaptive.add_argument("--cache-budget", type=int, dest="cache_budget",
-                            default=DEFAULT_CACHE_BUDGET_BYTES,
-                            help="store byte budget (LRU eviction; 0 = "
-                                 "unlimited; default 2 GiB)")
     p_adaptive.add_argument("--out", default=None,
                             help="adaptive report CSV path "
                                  "(deterministic bytes)")
-    p_adaptive.add_argument("--quiet", action="store_true",
-                            help="suppress per-cell progress lines")
     _add_obs_arguments(p_adaptive)
     p_adaptive.set_defaults(func=_cmd_bench_adaptive)
 
@@ -1449,17 +1395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--json", action="store_true", dest="json_out",
                         help="emit the machine-readable JSON report "
                              "instead of text")
-    p_lint.add_argument("--strict", action="store_true",
-                        help="also fail (exit 1) on stale baseline "
-                             "entries — the CI gate mode")
-    p_lint.add_argument("--baseline", default=None, metavar="JSON",
-                        help="baseline file of grandfathered findings "
-                             "(default: tools/lint_baseline.json if "
-                             "present)")
-    p_lint.add_argument("--no-baseline", action="store_true",
-                        dest="no_baseline",
-                        help="ignore any baseline file: report every "
-                             "finding")
     p_lint.add_argument("--list-rules", action="store_true",
                         dest="list_rules",
                         help="print the rule catalog and exit")
@@ -1475,7 +1410,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "budget")
     p_cache.add_argument("--cache-dir", required=True, dest="cache_dir",
                          help="artifact store directory")
-    p_cache.add_argument("--max-bytes", type=int, default=None,
+    p_cache.add_argument("--max-bytes", type=_byte_budget, default=None,
                          dest="max_bytes",
                          help="evict: byte budget to shrink to "
                               "(default: the 2 GiB default budget)")

@@ -21,7 +21,7 @@ different runs are directly comparable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import BenchmarkError
 from repro.common.fingerprint import canonical_json
@@ -87,9 +87,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:

@@ -28,7 +28,7 @@ unaffected until someone passes ``--trace``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.common.clock import perf_seconds
 from repro.obs.sink import RingBuffer, entry_line
@@ -97,8 +97,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects trace entries in memory (optionally bounded) and fans
-    them out to registered sinks as they are recorded."""
+    """Collects trace entries in memory (optionally bounded)."""
 
     def __init__(
         self,
@@ -110,7 +109,6 @@ class Tracer:
             RingBuffer(capacity) if capacity else []
         )
         self._seq = 0
-        self._sinks: List[Callable[[dict], None]] = []
         #: Correlation fields stamped onto every entry (e.g. ``run``,
         #: ``host``) — the cross-host axis ``repro trace merge`` stitches
         #: on. Empty by default, so single-host traces are byte-identical
@@ -165,12 +163,6 @@ class Tracer:
 
     def _record(self, entry: dict) -> None:
         self._entries.append(entry)
-        for sink in self._sinks:
-            sink(entry)
-
-    def add_sink(self, sink: Callable[[dict], None]) -> None:
-        """Stream every future entry to ``sink(entry)`` as it's recorded."""
-        self._sinks.append(sink)
 
     # -- access -------------------------------------------------------
 

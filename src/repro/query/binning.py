@@ -15,7 +15,7 @@ bin's interval/category contains the row's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -107,32 +107,3 @@ def group_rows(
             (first.decode(first_code + first_min), second.decode(second_code + second_min))
         )
     return GroupedRows(keys=keys, inverse=inverse.astype(np.int64))
-
-
-def key_matches_selection(
-    key: BinKey, dims: Sequence[BinDimension], selected: Sequence[BinKey]
-) -> bool:
-    """Whether ``key`` is among ``selected`` (driver-side selection test)."""
-    return tuple(key) in {tuple(s) for s in selected}
-
-
-def selection_filter_parts(
-    dims: Sequence[BinDimension], selected_keys: Sequence[BinKey]
-) -> List[List[Tuple[str, BinDimension, BinCoord]]]:
-    """Explode selected bin keys into per-key (field, dim, coord) triples.
-
-    Helper for :mod:`repro.workflow.graph`, which turns each selected bin
-    into a predicate (range for quantitative coords, equality for nominal)
-    and ORs the per-bin conjunctions together.
-    """
-    exploded = []
-    for key in selected_keys:
-        if len(key) != len(dims):
-            raise QueryError(
-                f"selected key {key!r} has {len(key)} coords, "
-                f"expected {len(dims)}"
-            )
-        exploded.append(
-            [(dim.field, dim, coord) for dim, coord in zip(dims, key)]
-        )
-    return exploded

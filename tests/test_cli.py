@@ -10,6 +10,96 @@ from repro.data.storage import Table
 from repro.workflow.spec import Workflow
 
 
+_BUDGET = 2 * 1024 ** 3
+
+#: Per subcommand: the required arguments, and the full parsed namespace
+#: they produce (``func`` by name; ``command`` and ``log_level`` implied).
+PINNED_DEFAULTS = {
+    "generate-data": (["--out", "o"], {
+        "func": "_cmd_generate_data", "normalize": False,
+        "normalize_spec": None, "out": "o", "rows": None, "scale": 1000,
+        "seed": 42, "seed_csv": None, "size": "M",
+    }),
+    "generate-workflows": (["--out", "o"], {
+        "func": "_cmd_generate_workflows", "config": None, "out": "o",
+        "per_type": 10, "scale": 1000, "seed": 42, "size": "M",
+    }),
+    "view": (["w.json"], {
+        "func": "_cmd_view", "sql": False, "workflow": "w.json",
+    }),
+    "run": ([], {
+        "func": "_cmd_run", "cdf": False, "engine": "idea-sim",
+        "normalized": False, "out": None, "per_type": 10, "scale": 1000,
+        "seed": 42, "size": "M", "speculation": False, "think_time": 1.0,
+        "tr": 3.0, "workflows": None,
+    }),
+    "run-matrix": ([], {
+        "func": "_cmd_run_matrix", "cache_budget": _BUDGET,
+        "cache_dir": None, "detailed_dir": None,
+        "engines": "monetdb-sim,xdb-sim,idea-sim,system-x-sim",
+        "force": False, "jobs": 1, "out": None, "per_type": 10,
+        "quiet": False, "resume": False, "scale": 1000,
+        "schemas": "denormalized", "seed": 42, "sizes": "M",
+        "think_time": 1.0, "trs": "0.5,1.0,3.0,5.0,10.0",
+        "workflow_types": "mixed",
+    }),
+    "serve": ([], {
+        "func": "_cmd_serve", "accel": None, "arrival_schedule": None,
+        "arrivals": None, "engine": "idea-sim", "follow": False,
+        "horizon": None, "metrics_out": None, "out": None,
+        "per_session": 2, "policy": None, "residence": None, "scale": 1000,
+        "seed": 42, "sessions": 4, "share_engine": False, "size": "M",
+        "slo": None, "speculation": False, "spill": None,
+        "stats_window": None, "tcp": None, "think_time": 1.0, "tr": 3.0,
+        "trace": None, "verify": False, "workflow_type": "mixed",
+    }),
+    "connect": (["h:1"], {
+        "func": "_cmd_connect", "accel": None, "address": "h:1",
+        "metrics_out": None, "out": None, "per_session": 1, "policy": None,
+        "repl": False, "replay": None, "session": 0, "stats": False,
+        "timeout": 60.0, "trace": None, "workflow_type": "mixed",
+    }),
+    "top": (["h:1"], {
+        "func": "_cmd_top", "address": "h:1", "interval": 1.0,
+        "timeout": 60.0,
+    }),
+    "bench-sessions": ([], {
+        "func": "_cmd_bench_sessions", "cache_budget": _BUDGET,
+        "cache_dir": None, "engines": "idea-sim", "metrics_out": None,
+        "modes": "isolated,shared", "out": None, "per_session": 2,
+        "quiet": False, "scale": 1000, "seed": 42, "sessions": "1,2,4",
+        "size": "M", "think_time": 1.0, "tr": 3.0, "trace": None,
+        "workflow_type": "mixed",
+    }),
+    "bench-adaptive": ([], {
+        "func": "_cmd_bench_adaptive", "arrivals": 0.1,
+        "cache_budget": _BUDGET, "cache_dir": None, "churn": "closed,open",
+        "engine": "idea-sim", "horizon": 60.0, "metrics_out": None,
+        "out": None, "per_session": 1,
+        "policies": "replay,markov,uncertainty", "quiet": False,
+        "residence": 30.0, "scale": 1000, "seed": 42, "sessions": "2,4",
+        "share_engine": False, "size": "M", "think_time": 1.0, "tr": 3.0,
+        "trace": None, "workflow_type": "mixed",
+    }),
+    "trace": (["summary", "t.jsonl"], {
+        "func": "_cmd_trace", "action": "summary", "csv": False,
+        "kind": None, "out": None, "session": None,
+        "trace_file": ["t.jsonl"],
+    }),
+    "lint": ([], {
+        "func": "_cmd_lint", "json_out": False, "list_rules": False,
+        "paths": ["src"],
+    }),
+    "cache": (["stats", "--cache-dir", "c"], {
+        "func": "_cmd_cache", "action": "stats", "cache_dir": "c",
+        "max_bytes": None,
+    }),
+    "report": (["r.csv"], {
+        "func": "_cmd_report", "detailed": "r.csv",
+    }),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -24,6 +114,29 @@ class TestParser:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", "oracle"])
+
+    def test_every_subcommand_is_pinned(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        assert sorted(subparsers.choices) == sorted(PINNED_DEFAULTS)
+
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULTS))
+    def test_parsed_defaults_are_pinned(self, command):
+        argv, pinned = PINNED_DEFAULTS[command]
+        parsed = vars(build_parser().parse_args([command] + argv))
+        parsed["func"] = parsed["func"].__name__
+        expected = {"command": command, "log_level": None, **pinned}
+        assert parsed == expected
+
+    @pytest.mark.parametrize("flags", [
+        ["--strict"], ["--baseline", "x.json"], ["--no-baseline"],
+    ])
+    def test_lint_has_no_baseline_flags(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint"] + flags)
+        assert exit_info.value.code == 2
 
 
 class TestGenerateData:
@@ -200,6 +313,25 @@ class TestCacheSubcommand:
         assert code == 0
         # Tiny store, nothing over the default 2 GiB budget.
         assert "evicted 0 artifacts" in captured
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "evict", "--max-bytes", "-1"],
+        ["run-matrix", "--cache-budget", "-1"],
+        ["bench-sessions", "--cache-budget", "-1"],
+        ["bench-adaptive", "--cache-budget", "-1"],
+    ])
+    def test_negative_byte_budget_is_a_usage_error(self, argv, tmp_path, capsys):
+        root = self._populate(tmp_path).root
+
+        def files():
+            return sorted((p, p.read_bytes()) for p in root.rglob("*") if p.is_file())
+
+        before = files()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cache-dir", str(root)])
+        assert exit_info.value.code == 2
+        assert "must be >= 0 bytes, got -1" in capsys.readouterr().err
+        assert files() == before and len(before) >= 4
 
     def test_run_matrix_applies_cache_budget(self, tmp_path, capsys):
         cache = tmp_path / "budgeted"

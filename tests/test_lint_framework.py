@@ -1,16 +1,8 @@
-"""Framework-level tests for the determinism lint: pragmas, baseline,
-policy tiers, reporters, and the CLI exit-code contract."""
+"""Framework-level tests for the determinism lint: pragmas, policy
+tiers, reporters, and the CLI exit-code contract."""
 
 import json
 
-import pytest
-
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineError,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.engine import run_lint
 from repro.analysis.policy import DEFAULT_POLICY, Policy
 from repro.analysis.pragmas import parse_pragmas
@@ -115,86 +107,6 @@ class TestPragmas:
         assert pragma.reason == "pacing only"
 
 
-# ---------------------------------------------------------------- baseline
-
-
-class TestBaseline:
-    def _findings(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(WALL_READ)
-        return mod, run_lint([mod]).findings
-
-    def test_save_load_round_trip_absorbs(self, tmp_path):
-        mod, findings = self._findings(tmp_path)
-        assert findings
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, findings)
-        result = run_lint([mod], baseline=load_baseline(baseline_file))
-        assert not result.findings
-        assert len(result.baseline_suppressed) == len(findings)
-        assert not result.stale_baseline
-        assert result.exit_code(strict=True) == 0
-
-    def test_saved_bytes_are_deterministic(self, tmp_path):
-        _mod, findings = self._findings(tmp_path)
-        a = save_baseline(tmp_path / "a.json", findings)
-        b = save_baseline(tmp_path / "b.json", list(reversed(findings)))
-        assert a == b
-
-    def test_count_budget_runs_out(self, tmp_path):
-        mod, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, findings)
-        # A second instance of the same pattern exceeds the budget.
-        mod.write_text(WALL_READ + "\n\ndef later():\n    return time.time()\n")
-        result = run_lint([mod], baseline=load_baseline(baseline_file))
-        assert len(result.findings) == 1
-        assert result.findings[0].rule == "DET001"
-
-    def test_stale_entries_fail_only_under_strict(self, tmp_path):
-        mod, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, findings)
-        mod.write_text("X = 1\n")  # debt paid
-        result = run_lint([mod], baseline=load_baseline(baseline_file))
-        assert not result.findings
-        assert result.stale_baseline
-        assert result.exit_code(strict=False) == 0
-        assert result.exit_code(strict=True) == 1
-
-    def test_meta_findings_are_never_baselined(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("# repro: allow[DET001] -- stale\nX = 1\n")
-        det000 = run_lint([mod]).findings
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, det000)
-        result = run_lint([mod], baseline=load_baseline(baseline_file))
-        assert [f.rule for f in result.findings] == ["DET000"]
-
-    def test_load_rejects_bad_json(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_load_rejects_missing_entries(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 1}))
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_empty_baseline_absorbs_nothing(self):
-        baseline = Baseline([])
-        assert baseline.entry_count() == 0
-        assert baseline.stale_entries() == []
-
-
 # ------------------------------------------------------------------ policy
 
 
@@ -256,15 +168,14 @@ class TestReporters:
     def test_json_schema(self, tmp_path, capsys):
         mod = tmp_path / "mod.py"
         mod.write_text(WALL_READ)
-        code = main(["lint", str(mod), "--json", "--no-baseline"])
+        code = main(["lint", str(mod), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert payload["schema_version"] == JSON_SCHEMA_VERSION
+        assert payload["schema_version"] == JSON_SCHEMA_VERSION == 2
         assert payload["tool"] == "repro-lint"
         assert set(payload) == {
-            "schema_version", "tool", "files_scanned", "exit_code", "strict",
-            "findings", "counts_by_rule", "suppressed", "stale_baseline",
-            "parse_errors",
+            "schema_version", "tool", "files_scanned", "exit_code",
+            "findings", "counts_by_rule", "suppressed", "parse_errors",
         }
         assert payload["exit_code"] == 1
         assert payload["counts_by_rule"] == {"DET001": 1}
@@ -272,14 +183,14 @@ class TestReporters:
         assert set(finding) == {
             "path", "line", "col", "rule", "message", "snippet",
         }
-        assert set(payload["suppressed"]) == {"pragma", "baseline"}
+        assert set(payload["suppressed"]) == {"pragma"}
 
     def test_json_is_byte_deterministic(self, tmp_path, capsys):
         mod = tmp_path / "mod.py"
         mod.write_text(WALL_READ)
-        main(["lint", str(mod), "--json", "--no-baseline"])
+        main(["lint", str(mod), "--json"])
         first = capsys.readouterr().out
-        main(["lint", str(mod), "--json", "--no-baseline"])
+        main(["lint", str(mod), "--json"])
         assert capsys.readouterr().out == first
 
 
@@ -290,59 +201,22 @@ class TestCliContract:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
         mod = tmp_path / "mod.py"
         mod.write_text("X = 1\n")
-        assert main(["lint", str(mod), "--no-baseline"]) == 0
+        assert main(["lint", str(mod)]) == 0
         assert "CLEAN" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         mod = tmp_path / "mod.py"
         mod.write_text(WALL_READ)
-        assert main(["lint", str(mod), "--no-baseline"]) == 1
+        assert main(["lint", str(mod)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
     def test_exit_two_on_missing_path(self, capsys):
-        assert main(["lint", "no/such/dir", "--no-baseline"]) == 2
+        assert main(["lint", "no/such/dir"]) == 2
 
     def test_exit_two_on_syntax_error(self, tmp_path, capsys):
         mod = tmp_path / "mod.py"
         mod.write_text("def broken(:\n")
-        assert main(["lint", str(mod), "--no-baseline"]) == 2
-
-    def test_exit_two_on_unreadable_baseline(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text("X = 1\n")
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        assert main(["lint", str(mod), "--baseline", str(bad)]) == 2
-
-    def test_exit_two_on_missing_explicit_baseline(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text("X = 1\n")
-        missing = tmp_path / "nope.json"
-        assert main(["lint", str(mod), "--baseline", str(missing)]) == 2
-
-    def test_baseline_flag_round_trip(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(WALL_READ)
-        findings = run_lint([mod]).findings
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, findings)
-        code = main(["lint", str(mod), "--baseline", str(baseline_file),
-                     "--strict"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "1 baselined" in out
-
-    def test_strict_fails_stale_baseline(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(WALL_READ)
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, run_lint([mod]).findings)
-        mod.write_text("X = 1\n")
-        args = ["lint", str(mod), "--baseline", str(baseline_file)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args + ["--strict"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
+        assert main(["lint", str(mod)]) == 2
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

@@ -1,21 +1,19 @@
 """The tree must satisfy its own determinism contract.
 
-This is the in-process equivalent of CI's ``repro lint src --strict``
-gate: zero unsuppressed findings, no stale baseline entries, and every
-pragma suppression in ``src/`` carries a written reason.
+This is the in-process equivalent of CI's ``repro lint src`` gate:
+zero unsuppressed findings, and every pragma suppression in ``src/``
+carries a written reason.
 """
 
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE_PATH, load_baseline
 from repro.analysis.engine import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _lint_src():
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE_PATH)
-    return run_lint([REPO_ROOT / "src"], baseline=baseline)
+    return run_lint([REPO_ROOT / "src"])
 
 
 def test_src_lints_clean_under_strict():
@@ -25,10 +23,7 @@ def test_src_lints_clean_under_strict():
         f"{f.location()}: {f.rule}: {f.message}" for f in result.findings
     )
     assert not result.findings, f"determinism lint found:\n{report}"
-    assert not result.stale_baseline, (
-        "stale baseline entries — regenerate with tools/regen_lint_baseline.py"
-    )
-    assert result.exit_code(strict=True) == 0
+    assert result.exit_code() == 0
     assert result.files_scanned > 50
 
 
