@@ -71,7 +71,9 @@ from repro.query.groundtruth import (
     compute_grouped_stats,
     identity_moments,
 )
-from repro.query.model import AggFunc, AggQuery, BinDimension, BinKey, BinKind
+from repro.query.model import (
+    AggFunc, AggQuery, BinDimension, BinKey, BinKind, QueryResult,
+)
 
 
 class _PackingOverflow(Exception):
@@ -307,7 +309,9 @@ class CompiledQueryKernel:
             for j, agg in enumerate(query.aggregates):
                 if agg.func is not AggFunc.COUNT:
                     self._agg_values[j] = dataset.float64_column(agg.field)
-        self._exact_stats: Optional[GroupedStats] = None
+        #: ``evaluate_exact``'s memo: the exact answer, built from
+        #: ``exact_stats()`` on first use.
+        self.exact_answer: Optional[QueryResult] = None
 
     # ------------------------------------------------------------------
     @property
@@ -363,10 +367,8 @@ class CompiledQueryKernel:
         return accumulator.grid()
 
     def exact_stats(self) -> GroupedStats:
-        """The memoized full-table stats an exact answer reads (no ``sumsqs``)."""
-        if self._exact_stats is None:
-            self._exact_stats = self._fold(None, exact=True)
-        return self._exact_stats
+        """The full-table stats an exact answer reads (no ``sumsqs``)."""
+        return self._fold(None, exact=True)
 
     def _fold(self, rows: Optional[np.ndarray], exact=False) -> GroupedStats:
         """``rows`` from scratch; in fallback mode, through the reference."""

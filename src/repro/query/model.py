@@ -369,6 +369,16 @@ class BinColumns:
         """Euclidean norm of each value row."""
         return tuple(math.sqrt(row.dot(row)) for row in self.values)
 
+    @cached_property
+    def all_nonzero(self) -> Tuple[bool, ...]:
+        """Whether each value row holds no zero cell (what scoring against
+        this answer as the ground truth reads of it)."""
+        return tuple(bool(row.all()) for row in self.values)
+
+    #: ``compute_metrics``'s score of this exact answer against itself,
+    #: set on first use (a blocking engine hands out the truth itself).
+    self_score = None
+
 
 class QueryResult:
     """The (possibly approximate) answer to an :class:`AggQuery`.

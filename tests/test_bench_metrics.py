@@ -2,18 +2,21 @@
 
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.bench.metrics import QueryMetrics, compute_metrics
+from repro.bench.metrics import QueryMetrics, _mean, compute_metrics
 from repro.common.errors import BenchmarkError
+from repro.engines.kernel_cache import kernel_cache
 from repro.query.groundtruth import evaluate_exact
 from repro.query.model import (
     AggFunc,
     Aggregate,
     AggQuery,
+    BinColumns,
     BinDimension,
     BinKind,
     QueryResult,
@@ -278,9 +281,287 @@ class TestColumnsAndDictsScoreAlike:
         assert math.isnan(counted.margin_avg)
 
     def test_ground_truth_memo_is_built_once(self):
-        truth = _ground_truth({("a",): (3.0,), ("b",): (4.0,)})
+        truth = _ground_truth({("a",): (3.0,), ("b",): (-4.0,)})
         compute_metrics(_approx({("b",): (4.0,)}), truth)
-        index, norms = truth.columns.index, truth.columns.norms
-        assert norms == (5.0,)
         compute_metrics(_approx({("a",): (3.0,), ("b",): (4.0,)}), truth)
-        assert truth.columns.index is index and truth.columns.norms is norms
+        names = ("index", "norms", "all_nonzero")
+        memos = [getattr(truth.columns, name) for name in names]
+        assert memos[1:] == [(5.0,), (True,)]
+        compute_metrics(_approx({("a",): (3.0,), ("b",): (4.0,)}), truth)
+        assert all(getattr(truth.columns, n) is m for n, m in zip(names, memos))
+
+
+class TestAggregateRowsMustMatch:
+    """An answer with another number of aggregate rows than its ground
+    truth cannot be scored bin for bin: a typed error, never a bare
+    ``IndexError`` or a score of the rows that happen to line up."""
+
+    def test_fewer_rows_than_the_truth(self):
+        truth = _ground_truth({("a",): (10.0, 1.0)}, num_aggs=2)
+        with pytest.raises(BenchmarkError, match="1 aggregate rows.* 2"):
+            compute_metrics(_approx({("a",): (10.0,)}), truth)
+
+    def test_more_rows_than_the_truth(self):
+        truth = _ground_truth({("a",): (10.0,)})
+        with pytest.raises(BenchmarkError, match="2 aggregate rows.* 1"):
+            compute_metrics(_approx({("a",): (10.0, 5.0)}, num_aggs=2), truth)
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the columnar ``compute_metrics`` as it stood
+# before its alignment and truth-side fast paths, kept here (not under
+# src/) as the reference every fast path must match bit for bit.
+# ----------------------------------------------------------------------
+
+
+def _reference_mean(cells):
+    if len(cells) == 1:
+        return cells[0] + 0.0
+    return float(np.mean(cells)) if cells else float("nan")
+
+
+def _reference_mean_std(cells):
+    mean = np.add.reduce(cells) / len(cells)
+    deviations = cells - mean
+    return float(mean), math.sqrt(np.add.reduce(deviations * deviations) / len(cells))
+
+
+def _reference_compute_metrics(result, ground_truth):
+    if not ground_truth.exact:
+        raise BenchmarkError("ground truth must be an exact result")
+    truth = ground_truth.columns
+    bins_in_gt = len(truth.keys)
+    if result is None:
+        return QueryMetrics.violated(bins_in_gt)
+    answer = result.columns
+
+    index = {key: i for i, key in enumerate(truth.keys)}
+    position = np.array([index.get(key, -1) for key in answer.keys], dtype=np.intp)
+    rows = position.argsort(kind="stable")[np.count_nonzero(position < 0):]
+    position = position[rows]
+    delivered = len(rows)
+    complete = delivered == bins_in_gt
+    norms = [math.sqrt(row.dot(row)) for row in truth.values]
+
+    rel_means, rel_stds, smapes, cosines, relative_margins, biases = (
+        [], [], [], [], [], []
+    )
+    out_of_margin = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(len(ground_truth.query.aggregates)):
+            estimates = answer.values[j][rows]
+            if complete:
+                truths, zero_filled = truth.values[j], estimates
+            else:
+                truths = truth.values[j][position]
+                zero_filled = np.zeros(bins_in_gt)
+                zero_filled[position] = estimates
+            norm_f = math.sqrt(zero_filled.dot(zero_filled))
+            norm_a = norms[j]
+            if norm_f == 0.0 and norm_a == 0.0:
+                cosines.append(0.0)
+            elif norm_f == 0.0 or norm_a == 0.0:
+                cosines.append(1.0)
+            else:
+                cosine = float(zero_filled.dot(truth.values[j]) / (norm_f * norm_a))
+                cosines.append(float(min(max(1.0 - cosine, 0.0), 2.0)))
+            if not delivered:
+                continue
+            errors = np.abs(estimates - truths)
+            magnitudes = np.abs(truths)
+            nonzero = truths != 0
+            rel = errors[nonzero] / magnitudes[nonzero]
+            if len(rel):
+                rel_mean, rel_std = _reference_mean_std(rel)
+                rel_means.append(rel_mean)
+                rel_stds.append(rel_std)
+            denom = np.abs(estimates) + magnitudes
+            smape_terms = np.where(denom > 0, errors / denom, 0.0)
+            smapes.append(float(np.add.reduce(smape_terms) / delivered))
+            truth_sum = float(truths.sum())
+            if truth_sum != 0.0:
+                biases.append(float(estimates.sum()) / truth_sum)
+            if answer.margins is None:
+                continue
+            margins, bounded = answer.margins[j][rows], answer.bounded[j][rows]
+            margins, errors = margins[bounded], errors[bounded]
+            estimates = estimates[bounded]
+            sizable = np.abs(estimates) > 1e-12
+            relative = np.abs(margins) / np.abs(estimates)
+            if not sizable.all():
+                relative = np.where(sizable, relative, 0.0)[sizable | (margins == 0.0)]
+            relative_margins.append(relative)
+            out_of_margin += np.count_nonzero(errors > margins + 1e-12)
+
+    margin_avg = margin_stdev = float("nan")
+    if relative_margins:
+        margin_values = np.concatenate(relative_margins)
+        if len(margin_values):
+            margin_avg, margin_stdev = _reference_mean_std(margin_values)
+    return QueryMetrics(
+        tr_violated=False,
+        bins_delivered=len(answer.keys),
+        bins_in_gt=bins_in_gt,
+        missing_bins=(bins_in_gt - delivered) / bins_in_gt if bins_in_gt else 0.0,
+        rel_error_avg=_reference_mean(rel_means),
+        rel_error_stdev=_reference_mean(rel_stds),
+        smape=_reference_mean(smapes),
+        cosine_distance=_reference_mean(cosines),
+        margin_avg=margin_avg,
+        margin_stdev=margin_stdev,
+        bins_out_of_margin=int(out_of_margin),
+        bias=_reference_mean(biases),
+    )
+
+
+#: Cells every scoring branch turns on: signed zeros, NaN, ±inf, and
+#: estimates within 1e-12 of 0 (sized out of the relative margins).
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-13, -5e-13, 1e-12)
+_cells = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_margins = st.one_of(st.none(), st.just(math.nan), st.floats(0.0, 1e6), _cells)
+_AGGREGATES = (
+    Aggregate(AggFunc.COUNT), Aggregate(AggFunc.AVG, "v"), Aggregate(AggFunc.SUM, "w"),
+)
+
+
+@st.composite
+def _scored_pairs(draw):
+    """``(answer, truth)``: 1–3 aggregates, answers missing truth bins,
+    holding bins the truth lacks, in the truth's order (sometimes the
+    truth's own key list), an ordered subset of it or a permutation —
+    or the truth itself."""
+    num_aggs = draw(st.integers(1, 3))
+    query = AggQuery(
+        "t", bins=(BinDimension("g", BinKind.NOMINAL),),
+        aggregates=_AGGREGATES[:num_aggs],
+    )
+    num_bins = draw(st.integers(0, 9))
+    truth_keys = [(f"k{i}",) for i in range(num_bins)]
+
+    def rows(n):
+        return [
+            np.array(draw(st.lists(_cells, min_size=n, max_size=n)))
+            for _ in range(num_aggs)
+        ]
+
+    truth_rows = rows(num_bins)
+    if draw(st.booleans()):  # a truth row of zeros only
+        truth_rows[0] = np.zeros(num_bins)
+    truth = QueryResult(query, columns=BinColumns(truth_keys, truth_rows), exact=True)
+    layout = draw(st.sampled_from(["self", "own_keys", "subset", "shuffled"]))
+    if layout == "self":
+        return truth, truth
+    if layout == "own_keys":
+        keys = truth.columns.keys
+    else:
+        kept = [key for key in truth_keys if draw(st.booleans())]
+        if layout == "shuffled":
+            kept += [(f"x{i}",) for i in range(draw(st.integers(0, 2)))]
+            kept = draw(st.permutations(kept))
+        keys = list(kept)
+    margins = bounded = None
+    if draw(st.booleans()):
+        cells = [draw(st.lists(_margins, min_size=len(keys), max_size=len(keys)))
+                 for _ in range(num_aggs)]
+        margins = [np.array([math.nan if c is None else c for c in row]) for row in cells]
+        bounded = [np.array([c is not None for c in row], dtype=bool) for row in cells]
+    answer = QueryResult(
+        query, columns=BinColumns(keys, rows(len(keys)), margins, bounded),
+        rows_processed=10, fraction=0.1,
+    )
+    return answer, truth
+
+
+@hyp_settings(max_examples=400, deadline=None)
+@given(pair=_scored_pairs(), again=st.booleans())
+def test_fast_paths_match_the_reference(pair, again):
+    """Every alignment and truth-side fast path scores bit for bit what
+    the reference does, on a fresh truth and on one whose memos a first
+    scoring built (``again``)."""
+    answer, truth = pair
+    with np.errstate(all="ignore"):  # overflow and inf - inf are cells here
+        if again:
+            compute_metrics(answer, truth)
+        expected = regen.metrics_digest(_reference_compute_metrics(answer, truth))
+        assert regen.metrics_digest(compute_metrics(answer, truth)) == expected
+
+
+_mean_cells = st.lists(
+    st.one_of(
+        st.sampled_from(
+            (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.7e308, 1e16, 1.0, 0.1)
+        ),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=9,
+)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(cells=_mean_cells)
+def test_mean_is_numpys_bit_for_bit(cells):
+    """``_mean``'s Python fold equals ``float(np.mean(cells))`` in every
+    bit — signed zeros, NaN payloads, ±inf and overflow — compared with
+    the numpy installed, so a numpy that changes its reduce fails here."""
+    with np.errstate(all="ignore"):  # eight cells and up are numpy's
+        expected = float(np.mean(cells)) if cells else math.nan
+        assert struct.pack("<d", _mean(cells)) == struct.pack("<d", expected)
+
+
+@pytest.mark.parametrize("cells", [
+    [-0.0], [-0.0, -0.0], [1e16, 1.0, 1.0], [1.7e308, 1.7e308], [math.inf, -math.inf],
+    [math.nan, -math.nan], [-math.nan, 1.0, math.nan], [0.1] * 7, [0.1] * 8,
+])
+def test_mean_edge_cells(cells):
+    with np.errstate(all="ignore"):
+        expected = float(np.mean(cells))
+        assert struct.pack("<d", _mean(cells)) == struct.pack("<d", expected)
+
+
+class TestExactAnswerIdentity:
+    """The exact answer is memoized on its kernel, so a blocking
+    engine's answer is the oracle's ground truth object; its score
+    against itself is memoized on it, and neither memo changes a byte."""
+
+    def test_equal_queries_share_one_answer_while_cached(
+        self, flights_dataset, carrier_count_query
+    ):
+        equal = AggQuery.from_dict(carrier_count_query.to_dict())
+        assert equal is not carrier_count_query
+        truth = evaluate_exact(flights_dataset, carrier_count_query)
+        assert evaluate_exact(flights_dataset, equal) is truth
+
+    def test_self_score_is_memoized_and_handed_out_as_copies(
+        self, flights_dataset, delay_avg_query
+    ):
+        truth = evaluate_exact(flights_dataset, delay_avg_query)
+        first = compute_metrics(truth, truth)
+        memo = truth.columns.self_score
+        second = compute_metrics(truth, truth)
+        assert truth.columns.self_score is memo
+        assert first == second == memo
+        assert first is not second  # records never share one object
+        expected = regen.metrics_digest(_reference_compute_metrics(truth, truth))
+        assert regen.metrics_digest(second) == expected
+
+    def test_pickled_truth_scores_alike(self, flights_dataset, delay_avg_query):
+        truth = evaluate_exact(flights_dataset, delay_avg_query)
+        stored = pickle.loads(pickle.dumps(truth))
+        expected = regen.metrics_digest(compute_metrics(truth, truth))
+        assert regen.metrics_digest(compute_metrics(stored, stored)) == expected
+        assert regen.metrics_digest(compute_metrics(stored, truth)) == expected
+
+    def test_recompiled_kernel_answers_anew_and_scores_alike(
+        self, flights_dataset, delay_avg_query
+    ):
+        truth = evaluate_exact(flights_dataset, delay_avg_query)
+        expected = regen.metrics_digest(compute_metrics(truth, truth))
+        kernel_cache().clear()
+        fresh = evaluate_exact(flights_dataset, delay_avg_query)
+        assert fresh is not truth and fresh == truth
+        assert regen.metrics_digest(compute_metrics(fresh, fresh)) == expected
+        assert regen.metrics_digest(compute_metrics(fresh, truth)) == expected

@@ -213,6 +213,8 @@ REQUIRED_SECTIONS = {
         "Dataset.encoded_column",
         "### Answers are columns",
         "## Cold start and footprint",
+        "test_fast_paths_match_the_reference",
+        "test_mean_is_numpys_bit_for_bit",
     ],
     "docs/paper-mapping.md": [
         "_LazyInteractions",
