@@ -84,6 +84,9 @@ def _mean(cells: List[float]) -> float:
     Below eight cells numpy's add-reduce is a plain loop that starts from
     ``+0.0`` (so the mean of a lone ``-0.0`` is ``+0.0``); folding here
     gives the same bits without the ~9 µs of ``np.mean``'s dispatch.
+    Where two NaNs meet, which one a Python ``+`` returns depends on the
+    interpreter's state (a profiler or a cold process differs from a
+    warm one), so a NaN total is left to numpy.
     """
     if not cells:
         return float("nan")
@@ -92,6 +95,9 @@ def _mean(cells: List[float]) -> float:
     total = 0.0
     for cell in cells:
         total += cell
+    if total != total:
+        with np.errstate(invalid="ignore"):  # inf - inf is a cell here
+            return float(np.mean(cells))
     return total / len(cells)
 
 

@@ -92,6 +92,7 @@ class NetClient:
         self.frame_log: List[str] = [] if log_frames else None
         self._sock: Optional[socket.socket] = None
         self._buffer = b""
+        self._offset = 0  # where the next frame in ``_buffer`` starts
         self._correlated = False
 
     # ------------------------------------------------------------------
@@ -131,9 +132,9 @@ class NetClient:
         if self._sock is None:
             raise ProtocolError("client is not connected")
         while True:
-            split = split_frame(self._buffer)
+            split = split_frame(self._buffer, self._offset)
             if split is not None:
-                body, self._buffer = split
+                body, self._offset = split
                 if self.frame_log is not None:
                     self.frame_log.append(body.decode("utf-8"))
                 message = decode_body(body)
@@ -153,7 +154,8 @@ class NetClient:
             chunk = self._sock.recv(65536)
             if not chunk:
                 raise ProtocolError("connection closed mid-frame")
-            self._buffer += chunk
+            self._buffer = self._buffer[self._offset:] + chunk
+            self._offset = 0
 
     def drain(self, timeout: float = 0.2) -> List[Message]:
         """Read whatever frames are already in flight (REPL convenience)."""

@@ -800,25 +800,27 @@ def decode_message(data: object) -> Message:
     return message_cls.from_payload(data)
 
 
-def split_frame(buffer: bytes) -> Optional[tuple]:
-    """Split ``(body, rest)`` off a byte buffer, or None if incomplete.
+def split_frame(buffer: bytes, start: int = 0) -> Optional[tuple]:
+    """``(body, end)`` of the frame at ``buffer[start:]``, or None if
+    it is incomplete.
 
     The incremental decoder for blocking sockets: feed accumulated bytes,
-    get back the first complete frame body and the unconsumed remainder.
+    get back the first complete frame body and the offset just past it,
+    so a burst of many frames splits without copying its remainder.
     Raises :class:`ProtocolError` on an oversized length prefix.
     """
-    if len(buffer) < _HEADER.size:
+    if len(buffer) - start < _HEADER.size:
         return None
-    (length,) = _HEADER.unpack_from(buffer)
+    (length,) = _HEADER.unpack_from(buffer, start)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame length prefix of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    end = _HEADER.size + length
+    end = start + _HEADER.size + length
     if len(buffer) < end:
         return None
-    return buffer[_HEADER.size:end], buffer[end:]
+    return buffer[start + _HEADER.size:end], end
 
 
 async def read_frame_async(reader) -> bytes:

@@ -505,24 +505,31 @@ class TcpSessionServer:
                 self._session_ended()
 
     async def _send(self, writer, message: Message) -> None:
+        await self._write(writer, self._frame(message))
+
+    def _frame(self, message: Message) -> bytes:
+        """``message`` encoded as one frame, counted as sent."""
         profiler = get_profiler()
-        if profiler.enabled:
-            with profiler.stage(STAGE_FRAME_IO):
-                payload = encode_message(message)
-                writer.write(payload)
-                await writer.drain()
-            metrics = get_metrics()
-            metrics.counter(
-                "repro_frames_sent_total",
-                labels={"type": message.TYPE},
-                help="Wire frames sent by the server.",
-            ).inc()
-            metrics.counter(
-                "repro_frame_bytes_sent_total",
-                help="Wire bytes sent by the server (including prefixes).",
-            ).inc(len(payload))
-        else:
-            writer.write(encode_message(message))
+        if not profiler.enabled:
+            return encode_message(message)
+        with profiler.stage(STAGE_FRAME_IO):
+            payload = encode_message(message)
+        metrics = get_metrics()
+        metrics.counter(
+            "repro_frames_sent_total",
+            labels={"type": message.TYPE},
+            help="Wire frames sent by the server.",
+        ).inc()
+        metrics.counter(
+            "repro_frame_bytes_sent_total",
+            help="Wire bytes sent by the server (including prefixes).",
+        ).inc(len(payload))
+        return payload
+
+    async def _write(self, writer, payload: bytes) -> None:
+        """One transport write of one or more frames, then a drain."""
+        with get_profiler().stage(STAGE_FRAME_IO):
+            writer.write(payload)
             await writer.drain()
 
     async def _recv(self, reader) -> Message:
@@ -583,7 +590,8 @@ class TcpSessionServer:
         )
         if source is not None:
             self._client_counter += 1
-        hook = _WireHook(self, reader, writer, spec.session_id, source)
+        hook = _WireHook(self, reader, writer, spec.session_id, source,
+                         batched=attach.accel is None)
         manager = SessionManager(
             [spec],
             self._oracle,
@@ -606,7 +614,11 @@ class TcpSessionServer:
                 session_id=spec.session_id, event="attached", payload=payload
             ),
         )
-        (result,) = await manager.run_async()
+        try:
+            (result,) = await manager.run_async()
+        except BenchmarkError:  # ProtocolError included
+            await hook.write_queued()  # the records before it, then ERROR
+            raise
         if not hook.abandoned:
             await hook.detach(result.records)
 
@@ -844,11 +856,17 @@ class _WireHook(SessionTurnHook):
     fed from the socket in :meth:`wait_input`. A vanished peer becomes
     :class:`SessionAbandoned`: the manager retires exactly this session,
     cancelling its in-flight queries (the departed user never saw them).
+
+    An isolated unpaced session's hook is ``batched``: it queues frames
+    and writes them with one write + drain at each flush point (before a
+    read from the peer, the DETACH or an ERROR, and at the transport's
+    write high-water mark), so a vanished peer shows at the next flush.
     """
 
     def __init__(self, server: TcpSessionServer, reader, writer,
                  session_id: str,
-                 source: Optional[ExternalInteractionSource] = None):
+                 source: Optional[ExternalInteractionSource] = None,
+                 batched: bool = False):
         self.server = server
         self.reader = reader
         self.writer = writer
@@ -857,6 +875,12 @@ class _WireHook(SessionTurnHook):
         self.seq = 0
         self.workflow = 0
         self.abandoned = False
+        #: Encoded frames awaiting the next flush, and the queued size
+        #: that forces one (0 unbatched: each frame is written when made).
+        self._queued = bytearray()
+        self._high_water = (
+            writer.transport.get_write_buffer_limits()[1] if batched else 0
+        )
 
     # -- SessionTurnHook interface -------------------------------------
     async def wait_input(self, driver) -> None:
@@ -864,7 +888,9 @@ class _WireHook(SessionTurnHook):
         if not (source.buffered or source.finished):
             # Frames absorbed while awaiting an earlier acknowledgement
             # (pipelined replay clients) are already queued; read the
-            # socket only when none are.
+            # socket only when none are, after sending every record due
+            # so far (a lock-step client waits for them).
+            await self._flush()
             message = await self._read()
             if not self._feed(message):
                 await self._reject(message)
@@ -896,14 +922,20 @@ class _WireHook(SessionTurnHook):
 
     async def detach(self, records) -> None:
         """Close the completed session with its DETACH summary."""
-        await self.server._send(
-            self.writer,
-            Detach(
-                session_id=self.session_id,
-                queries=len(records),
-                makespan=max((r.end_time for r in records), default=0.0),
-            ),
+        summary = Detach(
+            session_id=self.session_id,
+            queries=len(records),
+            makespan=max((r.end_time for r in records), default=0.0),
         )
+        self._queued += self.server._frame(summary)
+        await self.write_queued()
+
+    async def write_queued(self) -> None:
+        """Write every queued frame with one write + drain."""
+        if self._queued:
+            # Swapped, not cleared: the transport may keep a view of it.
+            payload, self._queued = self._queued, bytearray()
+            await self.server._write(self.writer, payload)
 
     # -- internals -----------------------------------------------------
     def _feed(self, message: Message) -> bool:
@@ -924,8 +956,13 @@ class _WireHook(SessionTurnHook):
         )
 
     async def _send(self, message: Message) -> None:
+        self._queued += self.server._frame(message)
+        if len(self._queued) >= self._high_water:
+            await self._flush()
+
+    async def _flush(self) -> None:
         try:
-            await self.server._send(self.writer, message)
+            await self.write_queued()
         except (ConnectionError, OSError):
             self._gone()
 

@@ -50,7 +50,6 @@ from repro.obs.profile import (
     set_profiler,
 )
 from repro.obs.sink import (
-    JsonlSink,
     RingBuffer,
     csv_summary,
     entry_line,
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_VT_BUCKETS",
     "DEFAULT_WINDOW",
-    "JsonlSink",
     "KNOWN_STAGES",
     "MetricsRegistry",
     "RingBuffer",

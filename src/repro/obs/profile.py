@@ -97,12 +97,6 @@ class StageProfiler:
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         self._counts[name] = self._counts.get(name, 0) + count
 
-    def totals(self) -> Dict[str, float]:
-        return dict(self._seconds)
-
-    def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
     def rows(self) -> List[Tuple[str, int, float]]:
         """(stage, entries, wall seconds), sorted by descending seconds."""
         return sorted(
@@ -139,10 +133,6 @@ class StageProfiler:
             )
         lines.append(f"{'total':<{width}}  {'':>8}  {total:>10.4f}")
         return "\n".join(lines) + "\n"
-
-    def clear(self) -> None:
-        self._seconds.clear()
-        self._counts.clear()
 
 
 #: Process-wide profiler; disabled until observability is switched on

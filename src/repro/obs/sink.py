@@ -217,38 +217,3 @@ def render_summary_table(entries: Iterable[dict]) -> str:
             f"{row['vt_total']:>12.6f}  {row['vt_first']:>10.6f}  {row['vt_last']:>10.6f}"
         )
     return "\n".join(lines) + "\n"
-
-
-class JsonlSink:
-    """Stream entries straight to an open JSONL file as they are recorded.
-
-    Used for long server runs where buffering the whole trace in memory
-    is undesirable. The file is written in binary mode; call
-    :meth:`close` (or use as a context manager) to flush.
-    """
-
-    def __init__(self, path: Union[str, Path], virtual_only: bool = False):
-        self.path = Path(path)
-        self.virtual_only = virtual_only
-        self.count = 0
-        self._handle: Optional[object] = open(self.path, "wb")
-
-    def __call__(self, entry: dict) -> None:
-        if self._handle is None:
-            raise BenchmarkError(f"trace sink {self.path} is closed")
-        self._handle.write(
-            entry_line(entry, virtual_only=self.virtual_only).encode("utf-8")
-        )
-        self._handle.write(b"\n")
-        self.count += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,8 +1,13 @@
 """Tests for the §4.7 metric suite."""
 
+import json
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,14 +517,57 @@ def test_mean_is_numpys_bit_for_bit(cells):
         assert struct.pack("<d", _mean(cells)) == struct.pack("<d", expected)
 
 
-@pytest.mark.parametrize("cells", [
+_MEAN_EDGE_CELLS = [
     [-0.0], [-0.0, -0.0], [1e16, 1.0, 1.0], [1.7e308, 1.7e308], [math.inf, -math.inf],
     [math.nan, -math.nan], [-math.nan, 1.0, math.nan], [0.1] * 7, [0.1] * 8,
-])
+]
+
+
+def _numpy_mean_bits(cells):
+    with np.errstate(all="ignore"):
+        return struct.pack("<d", float(np.mean(cells))).hex()
+
+
+@pytest.mark.parametrize("cells", _MEAN_EDGE_CELLS)
 def test_mean_edge_cells(cells):
     with np.errstate(all="ignore"):
         expected = float(np.mean(cells))
         assert struct.pack("<d", _mean(cells)) == struct.pack("<d", expected)
+
+
+def test_mean_edge_cells_under_a_profiler():
+    """A profile hook keeps CPython from specializing ``_mean``'s add,
+    and the generic add picks the other NaN where two meet."""
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        got = [struct.pack("<d", _mean(cells)).hex() for cells in _MEAN_EDGE_CELLS]
+    finally:
+        sys.setprofile(previous)
+    assert got == [_numpy_mean_bits(cells) for cells in _MEAN_EDGE_CELLS]
+
+
+def test_mean_edge_cells_cold_in_a_fresh_process():
+    """Every edge case on a never-run copy of ``_mean`` (a fresh code
+    object starts unspecialized), in a process that scored nothing."""
+    script = (
+        "import json, math, struct, sys, types\n"
+        "from repro.bench.metrics import _mean\n"
+        "cells = json.loads(sys.stdin.read())\n"
+        "for case in cells:\n"
+        "    cold = types.FunctionType(_mean.__code__.replace(), _mean.__globals__)\n"
+        "    case = [struct.unpack('<d', bytes.fromhex(c))[0] for c in case]\n"
+        "    print(struct.pack('<d', cold(case)).hex())\n"
+    )
+    cases = json.dumps([  # as bit patterns: a NaN's sign does not survive repr
+        [struct.pack("<d", c).hex() for c in cells] for cells in _MEAN_EDGE_CELLS
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=cases, capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.split() == [_numpy_mean_bits(cells) for cells in _MEAN_EDGE_CELLS]
 
 
 class TestExactAnswerIdentity:

@@ -14,10 +14,12 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.bench.driver import QueryRecord
 from repro.bench.metrics import QueryMetrics
 from repro.common.errors import ProtocolError
+from repro.net.client import NetClient
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     MESSAGE_TYPES,
@@ -216,16 +218,16 @@ class TestRoundTripFuzz:
             originals.append(encode_body(message))
             stream += encode_message(message)
         # Re-split the concatenated stream in awkward chunk sizes.
-        bodies, buffer = [], b""
+        bodies, buffer, offset = [], b"", 0
         for i in range(0, len(stream), 13):
             buffer += stream[i:i + 13]
             while True:
-                split = split_frame(buffer)
+                split = split_frame(buffer, offset)
                 if split is None:
                     break
-                body, buffer = split
+                body, offset = split
                 bodies.append(bytes(body))
-        assert buffer == b""
+        assert buffer[offset:] == b""
         assert bodies == originals
 
     def test_record_dict_roundtrip_preserves_nan_exactly(self):
@@ -366,3 +368,93 @@ class TestCatalog:
         assert encode_body(message) == encode_body(message)
         # sorted keys: "a" before "b" regardless of insertion order
         assert encode_body(message).index(b'"a"') < encode_body(message).index(b'"b"')
+
+
+# ----------------------------------------------------------------------
+# Client: one receive may hold many frames, or part of one
+# ----------------------------------------------------------------------
+
+class _ScriptedSocket:
+    """Delivers a byte stream in the given receives, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    def recv(self, size):
+        if not self._chunks:
+            return b""
+        chunk = self._chunks.pop(0)
+        assert len(chunk) <= size
+        return chunk
+
+
+def _received(chunks, count):
+    """The frame log of a client reading ``count`` frames from ``chunks``."""
+    client = NetClient("unused", 0, log_frames=True, auto_ack=False)
+    client._sock = _ScriptedSocket(chunks)
+    messages = [client.read_message() for _ in range(count)]
+    assert [type(m) for m in messages] == [
+        type(decode_body(body.encode())) for body in client.frame_log
+    ]
+    return client.frame_log
+
+
+def _burst_frames(seed, count):
+    rng = random.Random(seed)
+    frames = []
+    while len(frames) < count:
+        message = _message(rng)
+        if not isinstance(message, ErrorMessage):  # the client raises those
+            frames.append(encode_message(message))
+    return frames
+
+
+def _cut(stream, offsets, limit=65536):
+    """``stream`` cut at ``offsets``, no receive longer than ``limit``."""
+    bounds = sorted({0, len(stream), *offsets})
+    chunks = []
+    for start, end in zip(bounds, bounds[1:]):
+        chunks.extend(stream[i:min(i + limit, end)] for i in range(start, end, limit))
+    return chunks
+
+
+class TestClientSplitsBursts:
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(1, 30),
+        cuts=st.lists(st.floats(0, 1), max_size=40),
+    )
+    def test_any_receive_boundaries_yield_the_same_frames(self, seed, count, cuts):
+        frames = _burst_frames(seed, count)
+        stream = b"".join(frames)
+        offsets = [int(cut * len(stream)) for cut in cuts]
+        assert _received(_cut(stream, offsets), count) == _received(frames, count)
+
+    def test_a_64k_burst_and_cuts_inside_length_prefixes(self):
+        frames = _burst_frames(3, 1000)
+        stream = b"".join(frames)
+        assert len(stream) > 2 * 65536
+        starts = [sum(len(f) for f in frames[:i]) for i in range(len(frames))]
+        # One full-size receive, then receives ending 1, 2 and 3 bytes
+        # into the prefixes of every seventh frame after it.
+        offsets = [65536] + [
+            start + (i % 3) + 1 for i, start in enumerate(starts)
+            if i % 7 == 0 and start > 65536
+        ]
+        chunks = _cut(stream, offsets)
+        assert len(chunks[0]) == 65536
+        assert _received(chunks, len(frames)) == _received(frames, len(frames))
+
+    @pytest.mark.parametrize("split_at", [0, 1, 2, 3, 4, 5])
+    def test_oversized_prefix_still_rejected(self, split_at):
+        good = encode_message(Hello())
+        bad = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x" * 8
+        stream = good + good + bad
+        cut = 2 * len(good) + split_at
+        client = NetClient("unused", 0, auto_ack=False)
+        client._sock = _ScriptedSocket([stream[:cut], stream[cut:]])
+        assert isinstance(client.read_message(), Hello)
+        assert isinstance(client.read_message(), Hello)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            client.read_message()

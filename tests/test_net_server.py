@@ -8,6 +8,8 @@ scripted and client-driven sessions reassemble reports byte-identical to
 their in-process equivalents.
 """
 
+import asyncio
+import json
 import socket
 import struct
 
@@ -27,10 +29,13 @@ from repro.net.protocol import (
     Detach,
     Hello,
     Message,
+    Record,
     encode_message,
 )
-from repro.net.server import ServerThread, TcpSessionServer
+from repro.net.server import ServerThread, TcpSessionServer, _WireHook
+from repro.bench.codec import record_to_dict
 from repro.server import SessionManager
+from repro.server.manager import SessionTurnHook
 from repro.workflow.policy import (
     PENDING,
     ExternalInteractionSource,
@@ -412,3 +417,255 @@ class TestExternalSource:
         source.finish()
         driver.resume()
         assert driver.finished
+
+
+# ----------------------------------------------------------------------
+# Frame batching: an isolated, unpaced session writes at flush points
+# ----------------------------------------------------------------------
+
+class _CountingWriter:
+    """A stream writer that records every transport write it is given."""
+
+    def __init__(self, writer, high_water=None):
+        self._writer = writer
+        self.writes = []
+        if high_water is not None:
+            writer.transport.set_write_buffer_limits(high=high_water)
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        self._writer.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._writer, name)
+
+
+class _CountingServer(TcpSessionServer):
+    """Wraps each connection's writer in a :class:`_CountingWriter`."""
+
+    def __init__(self, ctx, high_water=None):
+        super().__init__(ctx, "idea-sim")
+        self.high_water = high_water
+        self.writers = []
+
+    async def _handle(self, reader, writer):
+        counting = _CountingWriter(writer, self.high_water)
+        self.writers.append(counting)
+        await super()._handle(reader, counting)
+
+
+def _frames(frame_log):
+    """The wire frames a logging client received, prefixes included."""
+    bodies = [body.encode("utf-8") for body in frame_log]
+    return [struct.pack(">I", len(body)) + body for body in bodies]
+
+
+def _scripted_over_counting_server(ctx, accel=None, high_water=None):
+    """(frames received, writes made) of one scripted two-workflow session."""
+    server = _CountingServer(ctx, high_water)
+    with ServerThread(server) as (host, port):
+        with NetClient(host, port, log_frames=True) as client:
+            client.hello()
+            client.attach_scripted(0, per_session=2, accel=accel)
+            client.collect()
+    (writer,) = server.writers
+    return _frames(client.frame_log), writer.writes
+
+
+class TestFrameBatching:
+    def test_unpaced_session_writes_once_per_flush_point(self, server_ctx):
+        frames, writes = _scripted_over_counting_server(server_ctx)
+        # HELLO and the attached PROGRESS answer the client at once; the
+        # records, the workflow PROGRESS and the DETACH leave in one
+        # write at the session's only flush point, the DETACH.
+        assert len(b"".join(frames[2:])) < 64 * 1024
+        assert writes == frames[:2] + [b"".join(frames[2:])]
+        assert any(b'"event":"workflow"' in frame for frame in frames)
+
+    def test_paced_session_writes_once_per_frame_of_the_same_stream(
+        self, server_ctx
+    ):
+        unpaced, _ = _scripted_over_counting_server(server_ctx)
+        frames, writes = _scripted_over_counting_server(server_ctx, accel=1e4)
+        assert writes == frames == unpaced
+
+    def test_queue_past_the_high_water_mark_flushes_early(self, server_ctx):
+        high = 2048
+        frames, writes = _scripted_over_counting_server(
+            server_ctx, high_water=high
+        )
+        assert b"".join(writes) == b"".join(frames)
+        batches = writes[2:]
+        assert len(batches) > 2
+        sizes = iter(len(frame) for frame in frames[2:])
+        for batch in batches[:-1]:
+            # Whole frames, queued until they reach the mark, not beyond.
+            total = last = 0
+            while total < len(batch):
+                last = next(sizes)
+                total += last
+            assert total == len(batch)
+            assert total - last < high <= total
+        assert len(batches[-1]) - len(frames[-1]) < high
+
+    def test_lock_step_client_sees_each_record_before_it_sends_more(
+        self, server_ctx, reference
+    ):
+        # A client that waits for an interaction's records before it
+        # sends the next one: the server must flush before it reads, or
+        # both ends wait forever.
+        workflow = reference[0].spec.workflows[0]
+        due = {}
+        for record in reference[0].records:
+            due[record.start_time] = due.get(record.start_time, 0) + 1
+        think = server_ctx.settings.think_time
+        collected = []
+        with ServerThread(_server(server_ctx)) as (host, port):
+            with NetClient(host, port, timeout=10) as client:
+                client.hello()
+                client.attach_client(
+                    name=workflow.name,
+                    workflow_type=workflow.workflow_type.value,
+                )
+                for index, interaction in enumerate(workflow.interactions):
+                    client.send_interaction(interaction)
+                    if index == len(workflow.interactions) - 1:
+                        break
+                    for _ in range(due.get(index * think, 0)):
+                        message = client.read_message()
+                        while not isinstance(message, Record):
+                            message = client.read_message()
+                        collected.append(message.record)
+                client.detach()
+                tail, _ = client.collect()
+        assert sum(due.values()) > len(tail)
+        assert records_csv_text(collected + tail) == reference[0].csv_text()
+
+    def test_session_error_follows_every_record_before_it(self, server_ctx):
+        # A scripted session's engine fails mid-run. Nothing flushed its
+        # queue before, so the ERROR's flush carries every record the
+        # session evaluated, in order, and then the ERROR.
+        server = _server(server_ctx)
+        server._new_engine = _failing_on_submit(server._new_engine, 6)
+        with ServerThread(server) as (host, port):
+            with NetClient(host, port, log_frames=True) as client:
+                client.hello()
+                client.attach_scripted(0)
+                with pytest.raises(ProtocolError, match="engine failed"):
+                    client.collect()
+        frames = [json.loads(body) for body in client.frame_log]
+        assert [frame["type"] for frame in frames[-1:]] == ["error"]
+        received = [frame["record"] for frame in frames[2:-1]]
+
+        class Collect(SessionTurnHook):
+            async def on_step(self, event_time, records, driver):
+                evaluated.extend(record_to_dict(r) for r in records)
+
+        evaluated = []
+        spec, policy, _ = server._session_for(Attach(mode="scripted"), "")
+        manager = SessionManager(
+            [spec], server._oracle, server_ctx.settings,
+            engines=[_failing_on_submit(server._new_engine, 6)()],
+            policies=[policy], turn_hooks={0: Collect()},
+        )
+        with pytest.raises(BenchmarkError, match="engine failed"):
+            manager.run()
+        assert evaluated
+        def text(records):  # NaN-safe: NaN == NaN only as text
+            return [json.dumps(record, sort_keys=True) for record in records]
+
+        assert text(evaluated) == text(received)
+
+    def test_vanished_peer_is_abandoned_at_the_next_flush(self, server_ctx):
+        server = _server(server_ctx)
+        spec, policy, _ = server._session_for(
+            Attach(mode="scripted", per_session=2), "unused"
+        )
+        writer = _VanishedPeer(high_water=4096)
+        hook = _WireHook(
+            server, None, writer, spec.session_id, batched=True
+        )
+        manager = SessionManager(
+            [spec], server._oracle, server_ctx.settings,
+            engines=[server._new_engine()], policies=[policy],
+            turn_hooks={0: hook},
+        )
+        (result,) = asyncio.run(manager.run_async())
+        assert manager.abandoned == [spec.session_id]
+        assert hook.abandoned
+        # One batch reached the dead socket; the session stopped there.
+        (batch,) = writer.writes
+        assert len(batch) >= 4096
+        assert 0 < len(result.records) < _full_session_queries(server_ctx)
+
+    def test_frame_counters_and_stage_cover_every_frame(self, server_ctx):
+        from repro.obs import get_metrics, get_profiler, observed
+
+        for accel in (None, 1e4):
+            with observed(enabled=True):
+                frames, writes = _scripted_over_counting_server(
+                    server_ctx, accel=accel
+                )
+                metrics = get_metrics().snapshot()["metrics"]
+                stages = {name: count for name, count, _ in get_profiler().rows()}
+            sent = {
+                entry["labels"].get("type", ""): entry["value"]
+                for entry in metrics
+                if entry["name"] == "repro_frames_sent_total"
+            }
+            (sent_bytes,) = [
+                entry["value"] for entry in metrics
+                if entry["name"] == "repro_frame_bytes_sent_total"
+            ]
+            types = {}
+            for frame in frames:
+                kind = json.loads(frame[4:])["type"]
+                types[kind] = types.get(kind, 0) + 1
+            assert sent == types
+            assert sent_bytes == sum(len(frame) for frame in frames)
+            # One entry per encode and one per transport write.
+            assert stages["frame_io"] == len(frames) + len(writes)
+
+
+def _failing_on_submit(new_engine, calls):
+    """An engine factory whose engines raise on their ``calls``-th submit."""
+
+    def build():
+        engine = new_engine()
+        submit = engine.submit
+        made = []
+
+        def failing(query):
+            made.append(query)
+            if len(made) == calls:
+                raise BenchmarkError("engine failed")
+            return submit(query)
+
+        engine.submit = failing
+        return engine
+
+    return build
+
+
+class _VanishedPeer:
+    """A writer whose peer is gone: every drain fails."""
+
+    def __init__(self, high_water):
+        self.writes = []
+        self.transport = self
+        self._high_water = high_water
+
+    def get_write_buffer_limits(self):
+        return 0, self._high_water
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        raise ConnectionResetError("peer vanished")
+
+
+def _full_session_queries(ctx):
+    """Queries of scripted session 0 (two workflows) run to the end."""
+    (result,) = SessionManager.for_engine(ctx, "idea-sim", 1, per_session=2).run()
+    return result.num_queries

@@ -237,6 +237,7 @@ REQUIRED_SECTIONS = {
         "supported_versions",
         "tests/golden/tcp_session.txt",
         "tests/golden/tcp_shared.txt",
+        "test_unpaced_session_writes_once_per_flush_point",
         "stats_request",
         "### Stats probes",
         "### Streaming telemetry",
