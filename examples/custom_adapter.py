@@ -11,8 +11,9 @@ It demonstrates the full integration surface a third party needs:
 
 * receiving the benchmark's queries as **SQL text** and parsing them back
   (:func:`repro.query.parse_sql` — the same statements Fig. 4 shows);
-* computing answers with its own means (here: the grouped-statistics
-  kernel over its private sample);
+* computing answers with its own means (here: a compiled query kernel,
+  ``get_kernel(dataset, query).evaluate(rows)``, over its private
+  sample);
 * reporting results and margins back through an adapter.
 
 Run with::
@@ -27,7 +28,8 @@ from repro.bench.metrics import compute_metrics
 from repro.common.rng import derive_rng
 from repro.bench.experiments import ExperimentContext
 from repro.engines.estimators import srs_estimate
-from repro.query.groundtruth import GroundTruthOracle, compute_grouped_stats
+from repro.engines.kernel_cache import get_kernel
+from repro.query.groundtruth import GroundTruthOracle
 from repro.query.model import QueryResult
 from repro.query.sql import query_to_sql
 from repro.query.sql_parser import parse_sql
@@ -49,7 +51,7 @@ class TinySampleSystem:
     def execute_sql(self, sql: str) -> QueryResult:
         """The system's only entry point: SQL in, result out."""
         query = parse_sql(sql)  # ← the round-trip parser at work
-        stats = compute_grouped_stats(self._dataset, query, self._rows)
+        stats = get_kernel(self._dataset, query).evaluate(self._rows)
         values, margins = srs_estimate(
             stats, len(self._rows), self._dataset.num_fact_rows, 0.95
         )

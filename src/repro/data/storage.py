@@ -308,8 +308,7 @@ def _infer_column(values: List[str]) -> np.ndarray:
     return np.array(values, dtype=str)
 
 
-#: Mixed-radix packing (of a string's code points here, of 2-D bin codes
-#: in :mod:`repro.query.kernels`) must stay inside int64.
+#: Mixed-radix packing of a string's code points must stay inside int64.
 _PACK_LIMIT = 2 ** 62
 
 #: :func:`unique_inverse` counts while the code span is at most this many

@@ -30,11 +30,11 @@ attributes always, and mirrored into the ``obs`` metrics registry
 (``repro_kernel_cache_*_total``) while observability is enabled; compile
 time lands in the profiler's ``compile`` stage.
 
-There is no off switch: :func:`get_kernel` always returns a kernel, the
-only way library code computes grouped statistics. A kernel whose 2-D
-packing overflows runs the uncompiled, sort-based evaluation behind the
-same interface (fallback mode), which makes that path the differential
-reference (``tests/conftest.py`` forces kernels into it).
+There is no off switch: :func:`get_kernel` always returns a compiled
+kernel, the only way library code computes grouped statistics. Every
+query compiles; the sort-based evaluation the kernels are held to lives
+in the test tree (``tests/reference_kernels.py``), and
+``tests/conftest.py`` can route kernels' folds through it.
 """
 
 from __future__ import annotations

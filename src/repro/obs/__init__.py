@@ -38,11 +38,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     KNOWN_STAGES,
-    STAGE_BINNING,
     STAGE_ENGINE_STEP,
     STAGE_FRAME_IO,
     STAGE_PENDING_STALL,
-    STAGE_PREDICATE_EVAL,
     STAGE_SCHEDULER,
     STAGE_TURN_GRANT,
     StageProfiler,
@@ -80,11 +78,9 @@ __all__ = [
     "KNOWN_STAGES",
     "MetricsRegistry",
     "RingBuffer",
-    "STAGE_BINNING",
     "STAGE_ENGINE_STEP",
     "STAGE_FRAME_IO",
     "STAGE_PENDING_STALL",
-    "STAGE_PREDICATE_EVAL",
     "STAGE_SCHEDULER",
     "STAGE_TURN_GRANT",
     "SloRule",

@@ -2,7 +2,7 @@
 
 Answers "where does *wall* time go inside a §5-style run?" — the
 question the end-of-run CSVs cannot: how much real time the process spent in engine
-step kernels vs. predicate evaluation vs. binning vs. scheduler
+step kernels vs. query-kernel compilation vs. scheduler
 arbitration vs. turn-grant round-trips vs. PENDING stalls. This is the
 before/after lens for every subsequent performance PR (ROADMAP:
 vectorized engine core, timing-wheel scheduler).
@@ -27,8 +27,6 @@ from repro.common.clock import perf_seconds
 #: The canonical stage taxonomy (docs/observability.md). Call sites may
 #: introduce new stages freely; these are the ones wired in today.
 STAGE_ENGINE_STEP = "engine_step"            # progressive-engine estimate kernels
-STAGE_PREDICATE_EVAL = "predicate_eval"      # filter/predicate mask evaluation
-STAGE_BINNING = "binning"                    # group-by bin assignment
 STAGE_COMPILE = "compile"                    # query-kernel compilation (docs/kernels.md)
 STAGE_SCHEDULER = "scheduler_arbitration"    # processor-sharing settle loops
 STAGE_TURN_GRANT = "turn_grant"              # shared-TCP grant→TURN_DONE round-trips
@@ -37,8 +35,6 @@ STAGE_FRAME_IO = "frame_io"                  # wire frame encode/send/receive
 
 KNOWN_STAGES = (
     STAGE_ENGINE_STEP,
-    STAGE_PREDICATE_EVAL,
-    STAGE_BINNING,
     STAGE_COMPILE,
     STAGE_SCHEDULER,
     STAGE_TURN_GRANT,

@@ -8,9 +8,11 @@ to evaluate them:
   functions, filter) and :class:`QueryResult` over its ``BinColumns``;
 * :mod:`repro.query.filters` — predicate trees and their vectorized
   evaluation to boolean masks;
-* :mod:`repro.query.binning` — 1-D/2-D, nominal/quantitative binning;
-* :mod:`repro.query.groundtruth` — the exact grouped-statistics kernel
-  shared by the ground-truth oracle and every engine simulator;
+* :mod:`repro.query.binning` — quantitative bin codes;
+* :mod:`repro.query.kernels` — compiled queries: 1-D/2-D grouping and
+  the grouped statistics every engine simulator reads;
+* :mod:`repro.query.groundtruth` — exact answers and the ground-truth
+  oracle;
 * :mod:`repro.query.sql` / :mod:`repro.query.sql_parser` — translation of
   queries to the SQL of the paper's Fig. 4, and a round-trip parser.
 """
@@ -33,7 +35,7 @@ from repro.query.model import (
     BinKind,
     QueryResult,
 )
-from repro.query.groundtruth import GroundTruthOracle, compute_grouped_stats, evaluate_exact
+from repro.query.groundtruth import GroundTruthOracle, evaluate_exact
 from repro.query.kernels import CompiledQueryKernel, KernelAccumulator, PrefixKernelRun
 from repro.query.sql import query_to_sql
 from repro.query.sql_parser import parse_sql
@@ -55,7 +57,6 @@ __all__ = [
     "QueryResult",
     "RangePredicate",
     "SetPredicate",
-    "compute_grouped_stats",
     "evaluate_exact",
     "evaluate_filter",
     "filter_from_dict",

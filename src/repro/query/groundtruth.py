@@ -1,4 +1,4 @@
-"""Exact query evaluation and the reference grouped statistics.
+"""Exact query evaluation and the grouped statistics it reads.
 
 * the **ground-truth oracle** — every metric of §4.7 compares an engine's
   answer against the exact answer on the full dataset; the oracle caches
@@ -6,26 +6,19 @@
   queries, e.g. when a filter is cleared);
 * the **sufficient statistics** engines estimate from — per bin, the
   count and the moments each aggregate reads (:class:`GroupedStats`, or a
-  :class:`StrataGrid` of them for a stratified sample), which library
-  code gets from a compiled kernel (:mod:`repro.query.kernels`);
-* :func:`compute_grouped_stats` — the uncompiled, sort-based evaluation
-  of one query over one row subset, in one library role: what a
-  fallback-mode kernel runs. That makes it the differential reference
-  the kernel tests hold every compiled answer to.
+  :class:`StrataGrid` of them for a stratified sample), which every
+  caller gets from a compiled kernel (:mod:`repro.query.kernels`), exact
+  answers included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import QueryError
 from repro.data.storage import Dataset
-from repro.obs.profile import STAGE_BINNING, STAGE_PREDICATE_EVAL, get_profiler
-from repro.query.binning import GroupedRows, group_rows
-from repro.query.filters import evaluate_filter
 from repro.query.model import AggFunc, AggQuery, BinColumns, BinKey, QueryResult
 
 
@@ -86,35 +79,6 @@ class StrataGrid:
     mins: Dict[int, np.ndarray]
     maxs: Dict[int, np.ndarray]
 
-    @classmethod
-    def from_stats(
-        cls, query: AggQuery, strata: Sequence[GroupedStats]
-    ) -> "StrataGrid":
-        """Lay per-stratum statistics out on the union of their keys
-        (first-seen order), absent cells zero / ``±inf``."""
-        column: Dict[BinKey, int] = {}
-        for stats in strata:
-            for key in stats.keys:
-                column.setdefault(key, len(column))
-        shape = (len(strata), len(column))
-        grid = cls(
-            list(column),
-            np.zeros(shape, dtype=np.int64),
-            *identity_moments(query, shape),
-        )
-        for h, stats in enumerate(strata):
-            columns = [column[key] for key in stats.keys]
-            grid.counts[h, columns] = stats.counts
-            for cells, held in (
-                (grid.sums, stats.sums),
-                (grid.sumsqs, stats.sumsqs),
-                (grid.mins, stats.mins),
-                (grid.maxs, stats.maxs),
-            ):
-                for j, values in held.items():
-                    cells[j][h, columns] = values
-        return grid
-
 
 def identity_moments(query: AggQuery, shape, exact: bool = False) -> Tuple[
     Dict[int, np.ndarray], Dict[int, np.ndarray],
@@ -138,95 +102,6 @@ def identity_moments(query: AggQuery, shape, exact: bool = False) -> Tuple[
         elif agg.func is AggFunc.MAX:
             maxs[j] = np.full(shape, -np.inf)
     return sums, sumsqs, mins, maxs
-
-
-def compute_grouped_stats(
-    dataset: Dataset,
-    query: AggQuery,
-    row_indices: Optional[np.ndarray] = None,
-) -> GroupedStats:
-    """Aggregate ``query`` over ``dataset`` (optionally only ``row_indices``).
-
-    The uncompiled reference: a fallback-mode kernel runs it, and the
-    differential tests hold every compiled answer to it bit for bit.
-    ``None`` aggregates every row (exact).
-    """
-    if not query.is_resolved:
-        raise QueryError(
-            "query has unresolved bin dimensions; call resolve_query first"
-        )
-
-    # One gather per distinct column, not per use: a field that appears
-    # as both bin and aggregate (or in several predicates) used to pay
-    # the full gather — an FK dereference on normalized schemas — twice
-    # per poll.
-    resolved: Dict[str, np.ndarray] = {}
-
-    def get_column(name: str) -> np.ndarray:
-        column = resolved.get(name)
-        if column is None:
-            column = dataset.gather_column(name)
-            if row_indices is not None:
-                column = column[row_indices]
-            resolved[name] = column
-        return column
-
-    num_rows = (
-        len(row_indices) if row_indices is not None else dataset.num_fact_rows
-    )
-    profiler = get_profiler()
-    with profiler.stage(STAGE_PREDICATE_EVAL):
-        mask = evaluate_filter(query.filter, get_column, num_rows)
-    with profiler.stage(STAGE_BINNING):
-        bin_columns = [get_column(dim.field)[mask] for dim in query.bins]
-        grouped: GroupedRows = group_rows(query.bins, bin_columns)
-
-    counts = (
-        np.bincount(grouped.inverse, minlength=grouped.num_groups).astype(np.int64)
-        if grouped.num_groups
-        else np.zeros(0, dtype=np.int64)
-    )
-
-    sums: Dict[int, np.ndarray] = {}
-    sumsqs: Dict[int, np.ndarray] = {}
-    mins: Dict[int, np.ndarray] = {}
-    maxs: Dict[int, np.ndarray] = {}
-    with np.errstate(invalid="ignore"):  # NaN cells propagate by design
-        for j, agg in enumerate(query.aggregates):
-            if agg.func is AggFunc.COUNT:
-                continue
-            values = get_column(agg.field)[mask].astype(np.float64)
-            if agg.func.reads_sums:
-                if grouped.num_groups == 0:
-                    sums[j] = np.zeros(0)
-                    sumsqs[j] = np.zeros(0)
-                    continue
-                sums[j] = np.bincount(
-                    grouped.inverse, weights=values, minlength=grouped.num_groups
-                )
-                sumsqs[j] = np.bincount(
-                    grouped.inverse,
-                    weights=values * values,
-                    minlength=grouped.num_groups,
-                )
-            elif agg.func is AggFunc.MIN:
-                mins[j] = np.full(grouped.num_groups, np.inf)
-                np.minimum.at(mins[j], grouped.inverse, values)
-            else:
-                maxs[j] = np.full(grouped.num_groups, -np.inf)
-                np.maximum.at(maxs[j], grouped.inverse, values)
-
-    return GroupedStats(
-        query=query,
-        keys=grouped.keys,
-        counts=counts,
-        sums=sums,
-        sumsqs=sumsqs,
-        mins=mins,
-        maxs=maxs,
-        rows_aggregated=int(mask.sum()),
-        rows_scanned=num_rows,
-    )
 
 
 def stats_to_exact_values(stats: GroupedStats) -> BinColumns:

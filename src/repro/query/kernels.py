@@ -2,12 +2,11 @@
 
 Progressive engines (§5's IDEA/XDB stand-ins) poll estimates "at any
 point in time", and every poll used to re-run the full
-predicate→bin→moments pipeline of
-:func:`repro.query.groundtruth.compute_grouped_stats` over the whole
-sample prefix, so a progressively polled query cost O(n²) row-touches per
-session. Compiling an :class:`~repro.query.model.AggQuery` against a
-dataset hoists everything that does not depend on the polled row subset
-out of the poll loop:
+predicate→bin→moments pipeline over the whole sample prefix, so a
+progressively polled query cost O(n²) row-touches per session. Compiling
+an :class:`~repro.query.model.AggQuery` against a dataset hoists
+everything that does not depend on the polled row subset out of the poll
+loop:
 
 * every referenced logical column is gathered **once** (FK dereference on
   normalized schemas included);
@@ -17,7 +16,8 @@ out of the poll loop:
   :class:`BinningPlan`) and ``-1`` marks the rows the filter fails (a
   :class:`Grouping`), yielding a per-row *global group id* and the
   decoded keys in canonical order (sorted codes / lexicographic for
-  2-D), of which every subset's naive grouping is a restriction;
+  2-D, whatever the codes span), of which every subset's grouping is a
+  restriction;
 * aggregate columns are read as ``float64`` through the dataset's shared
   cast.
 
@@ -42,15 +42,15 @@ are aggregated, turning per-session cost into O(n). A stratified sample
 is aggregated in **one pass** too — :meth:`CompiledQueryKernel.evaluate_strata`
 scatters every stratum's rows into cells ``stratum * num_groups + gid``.
 
-Determinism contract (pinned by ``tests/test_kernels_differential.py``):
-compiled results are **bitwise identical** to the uncompiled path, which
-survives in one library role — a kernel whose 2-D packing overflows
-compiles in **fallback mode** and runs it behind the same interface —
-and is therefore the differential reference. The accumulators use
-unbuffered ``ufunc.at`` scatters, which apply updates sequentially in row
-order — exactly the fold ``np.bincount(weights=...)`` performs — so
-continuing a running sum over delta rows reproduces the from-scratch
-IEEE-754 operation sequence bit for bit.
+Every query compiles; there is no other path. Determinism contract
+(pinned by ``tests/test_kernels_differential.py``): compiled results are
+**bitwise identical** to a sort-based evaluation that groups only the
+rows it is given, kept in the test tree as the differential reference.
+The accumulators use unbuffered ``ufunc.at`` scatters, which apply
+updates sequentially in row order — exactly the fold
+``np.bincount(weights=...)`` performs — so continuing a running sum over
+delta rows reproduces the from-scratch IEEE-754 operation sequence bit
+for bit.
 """
 
 from __future__ import annotations
@@ -62,24 +62,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.data.storage import _PACK_LIMIT, unique_inverse
+from repro.data.storage import unique_inverse
 from repro.query.binning import compute_codes
 from repro.query.filters import evaluate_filter
-from repro.query.groundtruth import (
-    GroupedStats,
-    StrataGrid,
-    compute_grouped_stats,
-    identity_moments,
-)
+from repro.query.groundtruth import GroupedStats, StrataGrid, identity_moments
 from repro.query.model import (
     AggFunc, AggQuery, BinDimension, BinKey, BinKind, QueryResult,
 )
-
-
-class _PackingOverflow(Exception):
-    """2-D code packing would overflow int64 (``_PACK_LIMIT``: degenerate
-    bin widths, NaN-poisoned codes); the kernel compiles in fallback
-    mode, which delegates to the uncompiled path verbatim."""
 
 
 @dataclass(eq=False)
@@ -106,7 +95,6 @@ class Grouping:
     keys: List[BinKey]
     row_gid: np.ndarray
     num_passing: int
-    fallback: bool
 
 
 #: dataset -> the parts its live kernels are made of: plans by
@@ -133,50 +121,44 @@ def _shared(dataset, key: tuple, build: Callable[[], object]):
 
 
 def _dimension_codes(
-    dataset,
-    dim: BinDimension,
-    columns: Dict[str, np.ndarray],
-    rows: Optional[np.ndarray],
+    dataset, dim: BinDimension, columns: Dict[str, np.ndarray]
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Bin codes of ``rows`` (``None``: every row) under ``dim``, and the
-    categories they index (``None``: a quantitative code is its own key).
+    """Every row's bin code under ``dim``, and the categories they index
+    (``None``: a quantitative code is its own key).
 
-    Nominal codes are a gather from the dataset's dictionary: they index
-    *all* of the column's sorted categories rather than those present
-    among ``rows``, which numbers the groups identically because both are
-    monotone in the category order.
+    Nominal codes are the dataset's dictionary codes: they index *all* of
+    the column's sorted categories rather than those some passing row
+    holds, which numbers the groups identically because both are monotone
+    in the category order.
     """
     if dim.kind is BinKind.NOMINAL:
         categories, codes = dataset.encoded_column(dim.field)
-        return (codes if rows is None else codes[rows]), categories
-    values = columns[dim.field]
-    return compute_codes(dim, values if rows is None else values[rows]).codes, None
+        return codes, categories
+    return compute_codes(dim, columns[dim.field]), None
 
 
 def _decoded(codes: np.ndarray, categories: Optional[np.ndarray]) -> list:
     """Key coordinates of ``codes``: Python ``int`` bin indices or ``str``
-    categories, as :class:`~repro.query.binning.DimensionCodes` decodes."""
+    categories."""
     return (codes if categories is None else categories[codes]).tolist()
 
 
 def _build_groups(
-    dataset,
-    bins: Tuple[BinDimension, ...],
-    columns: Dict[str, np.ndarray],
-    rows: Optional[np.ndarray],
+    dataset, bins: Tuple[BinDimension, ...], columns: Dict[str, np.ndarray]
 ) -> Tuple[List[BinKey], np.ndarray]:
-    """Group structure of ``rows`` (``None``: every row) under ``bins``.
+    """Group structure of every row under ``bins``: the keys in canonical
+    order (ascending codes; lexicographic in 2-D) and each row's index
+    among them.
 
-    Mirrors :func:`repro.query.binning.group_rows` exactly, except the
-    grouping is computed once over every candidate row instead of per
-    subset and without sorting, and may hold groups no row reaches: in
-    1-D the codes themselves number the groups (every category; every
+    Computed without sorting, and may hold groups no row reaches: in 1-D
+    the codes themselves number the groups (every category; every
     quantitative code in ``[min, max]`` unless that span outnumbers the
-    rows, where the distinct codes do), in 2-D the distinct mixed-radix
-    packed codes (monotone lexicographic, so subset orderings are
-    restrictions).
+    rows, where the distinct codes do). In 2-D each dimension's codes are
+    dense-ranked and the ranks packed as ``r1 * n2 + r2``: ranks are below
+    the row count, so the packing fits int64 whatever the codes span
+    (NaN codes sit at the int64 extremes), and rank order is code order.
     """
-    per_dim = [_dimension_codes(dataset, dim, columns, rows) for dim in bins]
+    per_dim = [_dimension_codes(dataset, dim, columns) for dim in bins]
     if len(per_dim) == 1:
         codes, categories = per_dim[0]
         if categories is not None:
@@ -189,19 +171,16 @@ def _build_groups(
         unique_codes, gid = unique_inverse(codes)
         return list(zip(unique_codes.tolist())), gid
     (first, first_categories), (second, second_categories) = per_dim
-    first_min = int(first.min())
-    first_max = int(first.max())
-    second_min = int(second.min())
-    second_span = int(second.max()) - second_min + 1
-    if (first_max - first_min) * second_span + (second_span - 1) > _PACK_LIMIT:
-        raise _PackingOverflow
+    first_codes, first_rank = unique_inverse(first)
+    second_codes, second_rank = unique_inverse(second)
+    num_second = len(second_codes)
     unique_packed, gid = unique_inverse(
-        (first - first_min) * second_span + (second - second_min)
+        first_rank.astype(np.int64) * num_second + second_rank
     )
-    first_codes, second_codes = np.divmod(unique_packed, second_span)
+    first_index, second_index = np.divmod(unique_packed, num_second)
     keys = zip(
-        _decoded(first_codes + first_min, first_categories),
-        _decoded(second_codes + second_min, second_categories),
+        _decoded(first_codes[first_index], first_categories),
+        _decoded(second_codes[second_index], second_categories),
     )
     return list(keys), gid
 
@@ -225,39 +204,28 @@ def _build_grouping(
         # A plan covers rows no query may have asked about: their NaNs
         # cast to the int64 extremes (see unique_inverse) unwarned.
         with np.errstate(invalid="ignore"):
-            keys, gid = _build_groups(dataset, query.bins, columns, None)
+            keys, gid = _build_groups(dataset, query.bins, columns)
         gid.setflags(write=False)
         return BinningPlan(keys, gid)
 
     mask = _shared(dataset, ("masks", query.filter), build_mask)
     num_passing = int(np.count_nonzero(mask))
-    plan, keys, row_gid, fallback = None, [], None, False
-    if num_passing:
-        try:
-            plan = _shared(dataset, ("plans", query.bins), build_plan)
-        except _PackingOverflow:
-            # No plan to share: group the passing rows alone, whose
-            # narrower code spans a filter may have brought back in range.
-            rows = mask.nonzero()[0]
-            try:
-                keys, gid = _build_groups(dataset, query.bins, columns, rows)
-                row_gid = np.full(num_rows, -1, dtype=np.int32)
-                row_gid[rows] = gid
-            except _PackingOverflow:
-                fallback = True
-        else:
-            keys, row_gid = plan.keys, plan.gid
-            if num_passing < num_rows:
-                # (gid + 1) * mask - 1, not np.where, which mispredicts on
-                # a random mask; int32 ones keep the plan's dtype under
-                # numpy 1.x and NEP 50 alike.
-                row_gid = plan.gid + np.int32(1)
-                row_gid *= mask
-                row_gid -= np.int32(1)
-    if row_gid is None:
+    if not num_passing:
+        # No plan: a dimension error no passing row reaches stays unraised.
+        plan, keys = None, []
         row_gid = np.full(num_rows, -1, dtype=np.int32)
+    else:
+        plan = _shared(dataset, ("plans", query.bins), build_plan)
+        keys, row_gid = plan.keys, plan.gid
+        if num_passing < num_rows:
+            # (gid + 1) * mask - 1, not np.where, which mispredicts on
+            # a random mask; int32 ones keep the plan's dtype under
+            # numpy 1.x and NEP 50 alike.
+            row_gid = plan.gid + np.int32(1)
+            row_gid *= mask
+            row_gid -= np.int32(1)
     row_gid.setflags(write=False)
-    return Grouping(mask, plan, keys, row_gid, num_passing, fallback)
+    return Grouping(mask, plan, keys, row_gid, num_passing)
 
 
 class CompiledQueryKernel:
@@ -294,21 +262,17 @@ class CompiledQueryKernel:
         )
         self._keys = grouping.keys
         self._row_gid = grouping.row_gid
-        self._fallback = grouping.fallback
         #: The filter passes every row, so every row has a group id and
-        #: accumulating needs no compress (never in fallback mode, where
-        #: no row has one).
-        self.all_rows_pass = (
-            not self._fallback and grouping.num_passing == self.num_rows
-        )
+        #: accumulating needs no compress.
+        self.all_rows_pass = grouping.num_passing == self.num_rows
 
         #: aggregate index -> full-table float64 value array, shared with
         #: every other kernel aggregating the same column of the dataset.
-        self._agg_values: Dict[int, np.ndarray] = {}
-        if not self._fallback:
-            for j, agg in enumerate(query.aggregates):
-                if agg.func is not AggFunc.COUNT:
-                    self._agg_values[j] = dataset.float64_column(agg.field)
+        self._agg_values: Dict[int, np.ndarray] = {
+            j: dataset.float64_column(agg.field)
+            for j, agg in enumerate(query.aggregates)
+            if agg.func is not AggFunc.COUNT
+        }
         #: ``evaluate_exact``'s memo: the exact answer, built from
         #: ``exact_stats()`` on first use.
         self.exact_answer: Optional[QueryResult] = None
@@ -319,30 +283,17 @@ class CompiledQueryKernel:
         return len(self._keys)
 
     @property
-    def supports_incremental(self) -> bool:
-        """Whether running accumulators are available (False in fallback)."""
-        return not self._fallback
-
-    @property
     def full_mask(self) -> np.ndarray:
         """The full-table boolean filter mask (read-only)."""
         return self._grouping.mask
 
     # ------------------------------------------------------------------
     def new_accumulator(self, num_strata: int = 1) -> "KernelAccumulator":
-        """A fresh running aggregation (raises in fallback mode)."""
-        if self._fallback:
-            raise QueryError(
-                "kernel compiled in fallback mode has no incremental path"
-            )
+        """A fresh running aggregation."""
         return KernelAccumulator(self, num_strata)
 
     def evaluate(self, row_indices: Optional[np.ndarray] = None) -> GroupedStats:
-        """Aggregate ``row_indices`` (or everything) from scratch.
-
-        Bitwise identical to ``compute_grouped_stats(dataset, query,
-        row_indices)`` — the differential suite pins this.
-        """
+        """Aggregate ``row_indices`` (or everything) from scratch."""
         return self._fold(_positions(row_indices))
 
     def evaluate_strata(
@@ -353,17 +304,10 @@ class CompiledQueryKernel:
         ``rows`` concatenates the strata and ``stratum_of_row[i]`` names
         the stratum of ``rows[i]``. Row ``h`` of the result is bitwise
         what ``evaluate`` returns for stratum ``h``'s rows alone, spread
-        over all of the kernel's groups — in fallback mode, over the
-        groups some stratum holds, one uncompiled pass per stratum.
+        over all of the kernel's groups.
         """
-        rows = _positions(rows)
-        if self._fallback:
-            return StrataGrid.from_stats(
-                self.query,
-                [self._fold(rows[stratum_of_row == h]) for h in range(num_strata)],
-            )
         accumulator = self.new_accumulator(num_strata)
-        accumulator.update(rows, stratum_of_row)
+        accumulator.update(_positions(rows), stratum_of_row)
         return accumulator.grid()
 
     def exact_stats(self) -> GroupedStats:
@@ -371,9 +315,7 @@ class CompiledQueryKernel:
         return self._fold(None, exact=True)
 
     def _fold(self, rows: Optional[np.ndarray], exact=False) -> GroupedStats:
-        """``rows`` from scratch; in fallback mode, through the reference."""
-        if self._fallback:
-            return compute_grouped_stats(self._dataset, self.query, rows)
+        """``rows`` (``None``: every row) from scratch."""
         accumulator = KernelAccumulator(self, exact=exact)
         accumulator.update(rows)
         return accumulator.stats()
@@ -537,9 +479,6 @@ class PrefixKernelRun:
     def poll(self, n: int) -> GroupedStats:
         """Stats of the first ``n`` prefix rows (``0 <= n <= rows``)."""
         n = min(n, self._rows)
-        if not self._kernel.supports_incremental:
-            self._n = n
-            return self._kernel.evaluate(self._slice(0, n))
         if self._accumulator is None or n < self._n:
             self._accumulator = self._kernel.new_accumulator()
             self._accumulator.update(self._slice(0, n))

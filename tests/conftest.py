@@ -9,7 +9,9 @@ clocks are function-scoped because they are stateful.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from repro.query.model import (
     BinDimension,
     BinKind,
 )
+
+import reference_kernels
 
 
 @pytest.fixture(scope="session")
@@ -101,34 +105,55 @@ def rng():
 
 @contextlib.contextmanager
 def _fallback_kernels():
-    def overflow(*_args):
-        raise kernels._PackingOverflow
+    entries = collections.Counter()
 
-    def forget_compiled():
-        kernels._PARTS.clear()
-        clear_kernel_cache()
+    def fold(kernel, rows, exact=False):
+        entries["fold"] += 1
+        return reference_kernels.compute_grouped_stats(
+            kernel._dataset, kernel.query, rows
+        )
 
-    forget_compiled()
-    compiled, kernels._build_groups = kernels._build_groups, overflow
+    def evaluate_strata(kernel, rows, stratum_of_row, num_strata):
+        entries["evaluate_strata"] += 1
+        rows = kernels._positions(rows)
+        return reference_kernels.grid_from_stats(
+            kernel.query,
+            [fold(kernel, rows[stratum_of_row == h]) for h in range(num_strata)],
+        )
+
+    def poll(run, n):
+        entries["poll"] += 1
+        run._n = n = min(n, run._rows)
+        return run._kernel.evaluate(run._slice(0, n))
+
+    clear_kernel_cache()
     try:
-        yield
+        with contextlib.ExitStack() as patches:
+            for owner, name, replacement in (
+                (kernels.CompiledQueryKernel, "_fold", fold),
+                (kernels.CompiledQueryKernel, "evaluate_strata", evaluate_strata),
+                (kernels.PrefixKernelRun, "poll", poll),
+            ):
+                patches.enter_context(mock.patch.object(owner, name, replacement))
+            yield entries
     finally:
-        kernels._build_groups = compiled
-        forget_compiled()
+        clear_kernel_cache()
 
 
 @pytest.fixture
 def fallback_kernels():
     """The differential reference, as a context manager.
 
-    Inside ``with fallback_kernels():`` every kernel compiles in fallback
-    mode — its grouping "overflows", so ``evaluate``, ``evaluate_strata``
-    and ``PrefixKernelRun.poll`` all run the uncompiled, sort-based
-    ``compute_grouped_stats`` behind the unchanged kernel interface
-    (cache lookups and counters included). Whatever was compiled before
-    is forgotten on entry, and the fallback kernels on exit, so neither
-    side answers from the other's cache. A test runs the same drive on
-    both sides and demands equal bytes.
+    Inside ``with fallback_kernels() as entries:`` every kernel still
+    compiles and passes through the cache (lookups and counters
+    included), but its folds run the sort-based reference of
+    ``reference_kernels.py``: ``evaluate`` and ``exact_stats`` call
+    ``compute_grouped_stats``, ``evaluate_strata`` lays one such call per
+    stratum on a grid, and ``PrefixKernelRun.poll`` re-evaluates the
+    whole prefix. ``entries`` counts the calls by entry point. The kernel
+    cache is cleared on entry and on exit — kernels memoize their exact
+    answers — so neither side answers from the other's kernels. A test
+    runs the same drive on both sides and demands equal bytes.
     """
     return _fallback_kernels
 

@@ -15,10 +15,11 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from repro.common.errors import EngineError
 from repro.data.storage import Dataset, Table
 from repro.engines.estimators import srs_estimate, stratified_estimate, z_value
-from repro.query.groundtruth import compute_grouped_stats, evaluate_exact
+from repro.query.groundtruth import evaluate_exact
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 import test_estimator_pins as pins
+from reference_kernels import compute_grouped_stats
 
 
 @pytest.fixture(scope="module")

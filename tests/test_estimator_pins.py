@@ -8,8 +8,8 @@ must reproduce the loop bit for bit. Two nets hold it there:
   from the loop's output at the commit before the rewrite.
   ``test_golden_reports`` replays them through compiled kernels (the
   one-pass ``evaluate_strata`` grid); this module replays them through
-  fallback kernels (the grid ``StrataGrid.from_stats`` lays out from
-  per-stratum ``compute_grouped_stats``).
+  the reference (the grid ``grid_from_stats`` of ``reference_kernels.py``
+  lays out from per-stratum ``compute_grouped_stats``).
 * The deleted loop itself, moved here verbatim as
   ``reference_stratified_estimate``, and a hypothesis property comparing
   the two on random strata: keys and their order, value and margin bits,
@@ -29,7 +29,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from repro.common.errors import EngineError
 from repro.engines.estimators import StrataMoments, stratified_estimate, z_value
-from repro.query.groundtruth import GroupedStats, StrataGrid
+from repro.query.groundtruth import GroupedStats
 from repro.query.model import (
     AggFunc,
     Aggregate,
@@ -39,12 +39,14 @@ from repro.query.model import (
     BinKind,
 )
 
+from reference_kernels import grid_from_stats
 from test_golden_reports import GOLDEN_DIR, regen
 
 
 def test_pins_hold_with_kernels_disabled(fallback_kernels):
-    with fallback_kernels():
+    with fallback_kernels() as entries:
         rebuilt = regen.case_estimator_pins(None)
+    assert entries["evaluate_strata"]
     assert rebuilt.encode("utf-8") == (GOLDEN_DIR / "estimator_pins.txt").read_bytes()
 
 
@@ -70,7 +72,7 @@ class Stratum:
 def strata_moments(query: AggQuery, strata: List[Stratum]) -> StrataMoments:
     """The same strata in ``stratified_estimate``'s input form."""
     return StrataMoments(
-        StrataGrid.from_stats(query, [stratum.stats for stratum in strata]),
+        grid_from_stats(query, [stratum.stats for stratum in strata]),
         weights=[stratum.weight for stratum in strata],
         sample_sizes=[stratum.sample_size for stratum in strata],
     )

@@ -67,10 +67,15 @@ def test_replay_is_byte_identical(server_ctx, name):
 def test_replay_is_byte_identical_through_fallback_kernels(
     server_ctx, name, fallback_kernels
 ):
-    """The A/B side: the same bytes, unmasked, when every kernel runs the
-    uncompiled reference (the series' kernel-cache counters included —
-    fallback kernels pass through the cache like any other)."""
+    """The A/B side: the same bytes, unmasked, when every kernel folds
+    through the sort-based reference (the series' kernel-cache counters
+    included — such kernels pass through the cache like any other). The
+    shared context's oracles are cleared first, so its ground truth is
+    recomputed through the reference too, not read from answers the
+    compiled side cached."""
     with fallback_kernels():
+        for oracle in server_ctx._oracles.values():
+            oracle.clear()
         rebuilt = regen.GOLDEN_CASES[name](server_ctx).encode("utf-8")
     assert rebuilt == (GOLDEN_DIR / name).read_bytes()
 

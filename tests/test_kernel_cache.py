@@ -37,11 +37,7 @@ from repro.engines.kernel_cache import (
 from repro.obs import get_metrics, get_tracer, observed
 from repro.query import kernels
 from repro.query.filters import Comparison, RangePredicate
-from repro.query.groundtruth import (
-    GroundTruthOracle,
-    compute_grouped_stats,
-    query_cache_key,
-)
+from repro.query.groundtruth import GroundTruthOracle, query_cache_key
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 from repro.workflow.spec import (
@@ -51,6 +47,8 @@ from repro.workflow.spec import (
     Workflow,
     WorkflowType,
 )
+
+from reference_kernels import compute_grouped_stats
 
 
 def _toy_dataset(name="toy", values=(1.0, 2.0, 3.0, 4.0)):
@@ -371,18 +369,19 @@ class TestProcessWideToggles:
         dataset = _toy_dataset()
         query = _query()
         compiled = get_kernel(dataset, query)
-        assert compiled.supports_incremental
-        with fallback_kernels():
+        with fallback_kernels() as entries:
             assert kernel_cache().stats()["entries"] == 0
             kernel = get_kernel(dataset, query)
             assert isinstance(kernel, CompiledQueryKernel)
-            assert not kernel.supports_incremental
+            assert kernel is not compiled
             assert get_kernel(dataset, query) is kernel
             stats = kernel_cache().stats()
             assert (stats["misses"], stats["hits"]) == (1, 1)
             assert kernel.evaluate(None).sums[0].tolist() == [4.0, 6.0]
+            assert entries["fold"] == 1
         assert kernel_cache().stats()["entries"] == 0
-        assert get_kernel(dataset, query).supports_incremental
+        get_kernel(dataset, query).evaluate(None)
+        assert entries["fold"] == 1  # folds compile again
 
     def test_configure_replaces_process_cache(self):
         original = kernel_cache()

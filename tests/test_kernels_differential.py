@@ -1,9 +1,10 @@
-"""Differential test layer: compiled kernels ≡ the uncompiled path, bit for bit.
+"""Differential test layer: compiled kernels ≡ the reference, bit for bit.
 
-The compiled-query kernel (``repro.query.kernels``) exists purely as an
-optimization; its contract is that every result it produces — keys,
-counts, per-group moment arrays, estimator outputs — is **bitwise
-identical** to ``compute_grouped_stats``. A seeded generator produces
+Every query compiles (``repro.query.kernels``); its contract is that
+every result it produces — keys, counts, per-group moment arrays,
+estimator outputs — is **bitwise identical** to the reference
+``compute_grouped_stats`` of ``reference_kernels.py``, which groups only
+the rows it is given and sorts to do it. A seeded generator produces
 hundreds of random resolved queries spanning every filter shape, bin
 type and aggregate mix (plus empty-result and NaN/inf edges), and each
 one is checked over the full table and random row-index prefixes.
@@ -28,14 +29,11 @@ from repro.query.filters import (
     RangePredicate,
     SetPredicate,
 )
-from repro.query.groundtruth import (
-    StrataGrid,
-    compute_grouped_stats,
-    evaluate_exact,
-    stats_to_exact_values,
-)
+from repro.query.groundtruth import evaluate_exact, stats_to_exact_values
 from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+
+from reference_kernels import compute_grouped_stats, grid_from_stats
 
 #: How many random queries the fuzz sweep draws (ISSUE 7: >= 300).
 FUZZ_CASES = 320
@@ -313,39 +311,43 @@ def test_unresolved_query_rejected(flights_dataset, flights_table):
         CompiledQueryKernel(flights_dataset, query)
 
 
-def test_packing_overflow_falls_back_to_naive_path():
-    """Huge 2-D code spans compile in fallback mode yet stay equivalent.
+#: Two quantitative dimensions whose codes span 2**32 + 2 and 2**30: the
+#: product of the spans passes 2**62, yet their dense ranks pack small.
+WIDE_TABLE = Table(
+    "wide",
+    {
+        "a": np.array([0.0, float(2**32 + 1), 0.0, 5.0]),
+        "b": np.array([0.0, float(2**30 - 1), float(2**30 - 1), 7.0]),
+        "m": np.array([1.0, 2.0, 3.0, 4.0]),
+    },
+)
+WIDE_BINS = (
+    BinDimension(field="a", kind=BinKind.QUANTITATIVE, width=1.0, reference=0.0),
+    BinDimension(field="b", kind=BinKind.QUANTITATIVE, width=1.0, reference=0.0),
+)
 
-    Spans are chosen in the gap between the kernel's conservative 2**62
-    packing guard and the true int64 limit, so the uncompiled path still
-    produces a valid answer to compare against: first span 2**32 + 2,
-    second span 2**30 gives a maximum packed code just above 2**62.
-    """
-    table = Table(
-        "wide",
-        {
-            "a": np.array([0.0, float(2**32 + 1), 0.0, 5.0]),
-            "b": np.array([0.0, float(2**30 - 1), float(2**30 - 1), 7.0]),
-            "m": np.array([1.0, 2.0, 3.0, 4.0]),
-        },
-    )
-    dataset = Dataset.from_table(table)
+
+def test_wide_code_spans_compile_and_match_the_reference():
+    """Code spans whose product passes 2**62 compile like any other 2-D
+    query: lexicographic keys, incremental polls, the reference's bytes."""
+    dataset = Dataset.from_table(WIDE_TABLE)
     query = AggQuery(
-        table="wide",
-        bins=(
-            BinDimension(field="a", kind=BinKind.QUANTITATIVE, width=1.0, reference=0.0),
-            BinDimension(field="b", kind=BinKind.QUANTITATIVE, width=1.0, reference=0.0),
-        ),
-        aggregates=(Aggregate(func=AggFunc.SUM, field="m"),),
+        table="wide", bins=WIDE_BINS, aggregates=(Aggregate(func=AggFunc.SUM, field="m"),)
     )
     kernel = CompiledQueryKernel(dataset, query)
-    assert not kernel.supports_incremental
-    naive = compute_grouped_stats(dataset, query)
-    assert_stats_equal(kernel.evaluate(None), naive)
+    assert kernel.all_rows_pass
+    assert kernel._keys == [(0, 0), (0, 2**30 - 1), (5, 7), (2**32 + 1, 2**30 - 1)]
+    assert_stats_equal(kernel.evaluate(None), compute_grouped_stats(dataset, query))
     prefix = np.array([1, 3, 0], dtype=np.int64)
     assert_stats_equal(
         kernel.evaluate(prefix), compute_grouped_stats(dataset, query, prefix)
     )
+    run = PrefixKernelRun(kernel, prefix, offset=0)
+    for n in (1, 2, 3):
+        assert_stats_equal(
+            run.poll(n), compute_grouped_stats(dataset, query, prefix[:n])
+        )
+    assert run.rebuilds == 0
 
 
 # ----------------------------------------------------------------------
@@ -375,9 +377,9 @@ WHOLE_GROUPS_BINS = (
     (_quant_dim("DEP_DELAY", 20.0),),
     (_quant_dim("NAN_DELAY", 25.0),),
     (_quant_dim("MONTH", 2.0), BinDimension(field="UNIQUE_CARRIER", kind=BinKind.NOMINAL)),
-    # Its all-rows packing overflows on the NaN codes: a filter removing
-    # the NaN rows groups the passing rows alone, any other falls back.
+    # NaN codes sit at the int64 minimum, in either dimension: ranks pack them.
     (_quant_dim("NAN_DELAY", 40.0), BinDimension(field="ORIGIN_STATE", kind=BinKind.NOMINAL)),
+    (BinDimension(field="ORIGIN_STATE", kind=BinKind.NOMINAL), _quant_dim("NAN_DELAY", 40.0)),
 )
 _WHOLE_GROUP_FILTERS = st.one_of(
     st.lists(st.sampled_from(WHOLE_GROUPS_CARRIERS), min_size=1, max_size=4).map(
@@ -457,7 +459,7 @@ def test_filters_removing_whole_groups_match_the_reference(
             assert_stats_equal(run.poll(n), compute_grouped_stats(dataset, query, rows))
 
         grid = kernel.evaluate_strata(sample, stratum_of_row, 3)
-        reference = StrataGrid.from_stats(
+        reference = grid_from_stats(
             query,
             [
                 compute_grouped_stats(dataset, query, sample[stratum_of_row == h])
@@ -474,6 +476,63 @@ def test_filters_removing_whole_groups_match_the_reference(
                     for cells in (grid, reference)
                 )
             )
+
+
+INT64_MIN = int(np.iinfo(np.int64).min)
+NAN_DELAY_40 = _quant_dim("NAN_DELAY", 40.0)
+ORIGIN_STATE = BinDimension(field="ORIGIN_STATE", kind=BinKind.NOMINAL)
+
+
+def test_nan_codes_in_the_first_dimension_key_as_in_one_dimension():
+    """A NaN first coordinate used to wrap the mixed-radix packing into
+    keys that were not even int64. Now the keys' first coordinates are
+    the true codes, the NaN rows sit under the int64-minimum key as they
+    do in 1-D, and summing the 2-D counts over the second dimension gives
+    the 1-D answer."""
+    dataset = WHOLE_GROUPS_DATASET
+    count = (Aggregate(func=AggFunc.COUNT),)
+    two_d = evaluate_exact(
+        dataset, AggQuery(table="flights", bins=(NAN_DELAY_40, ORIGIN_STATE), aggregates=count)
+    ).columns
+    one_d = evaluate_exact(
+        dataset, AggQuery(table="flights", bins=(NAN_DELAY_40,), aggregates=count)
+    ).columns
+    delays = WHOLE_GROUPS_TABLE["NAN_DELAY"]
+    true_codes = set(np.floor(delays[~np.isnan(delays)] / 40.0).astype(np.int64).tolist())
+    assert {key[0] for key in two_d.keys} == true_codes | {INT64_MIN}
+    assert [key[0] for key in one_d.keys] == sorted(true_codes | {INT64_MIN})
+    marginal = dict.fromkeys((key[0] for key in one_d.keys), 0.0)
+    for key, rows in zip(two_d.keys, two_d.values[0].tolist()):
+        marginal[key[0]] += rows
+    assert list(marginal.values()) == one_d.values[0].tolist()
+    assert marginal[INT64_MIN] == np.isnan(delays).sum()
+
+
+def test_nan_codes_in_the_second_dimension_compile_incrementally():
+    """A NaN second coordinate used to raise ``OverflowError``. Now the
+    query compiles, polls incrementally and matches the reference value
+    for value."""
+    dataset = WHOLE_GROUPS_DATASET
+    query = AggQuery(
+        table="flights",
+        bins=(ORIGIN_STATE, NAN_DELAY_40),
+        aggregates=_WHOLE_GROUP_AGGREGATES,
+    )
+    kernel = CompiledQueryKernel(dataset, query)
+    assert INT64_MIN in {key[1] for key in kernel._keys}
+    permutation = np.random.default_rng(38).permutation(dataset.num_fact_rows)
+    run = PrefixKernelRun(kernel, permutation, offset=123)
+    with np.errstate(invalid="ignore"):  # the reference casts NaN codes
+        for n in (40, 200, 500):
+            rows = np.roll(permutation, -123)[:n]
+            assert_stats_equal(run.poll(n), compute_grouped_stats(dataset, query, rows))
+        assert run.rebuilds == 0
+        reference = stats_to_exact_values(compute_grouped_stats(dataset, query))
+    exact = evaluate_exact(dataset, query).columns
+    assert list(exact.keys) == list(reference.keys)
+    assert [row.tobytes() for row in exact.values] == [
+        row.tobytes() for row in reference.values
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,10 @@ from repro.engines.estimators import srs_estimate
 from repro.engines.kernel_cache import get_kernel
 from repro.engines.onlineagg import OnlineAggEngine
 from repro.engines.progressive import ProgressiveEngine
-from repro.query.groundtruth import compute_grouped_stats
 from repro.query.kernels import PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+
+from reference_kernels import compute_grouped_stats
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +105,6 @@ def filtered_query():
 class TestPrefixKernelRunSchedules:
     def _check_schedule(self, dataset, query, offset, schedule):
         kernel = get_kernel(dataset, query)
-        assert kernel.supports_incremental
         permutation = np.random.default_rng(23).permutation(dataset.num_fact_rows)
         run = PrefixKernelRun(kernel, permutation, offset)
         for n in schedule:
@@ -270,8 +270,8 @@ class TestEngineIncremental:
     def test_kernels_disabled_bitwise_identical_results(
         self, flights_dataset, tiny_settings, filtered_query, fallback_kernels
     ):
-        """The A/B switch: an engine whose kernels all run the uncompiled
-        reference answers identically."""
+        """The A/B switch: an engine whose kernels all fold through the
+        sort-based reference answers identically."""
 
         def drive():
             engine = ProgressiveEngine(flights_dataset, tiny_settings, VirtualClock())
@@ -286,11 +286,9 @@ class TestEngineIncremental:
             return results
 
         fast = drive()
-        with fallback_kernels():
-            assert not get_kernel(
-                flights_dataset, filtered_query
-            ).supports_incremental
+        with fallback_kernels() as entries:
             slow = drive()
+        assert entries["poll"]
         assert any(result is not None for result in fast)
         for a, b in zip(fast, slow):
             if a is None or b is None:

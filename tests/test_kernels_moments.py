@@ -25,12 +25,18 @@ from repro.data.storage import Dataset, Table
 from repro.engines.estimators import stratified_estimate
 from repro.engines.sampling import StratifiedSamplingEngine
 from repro.query.filters import Comparison, RangePredicate
-from repro.query.groundtruth import StrataGrid, compute_grouped_stats
+from repro.query.groundtruth import StrataGrid
 from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 import test_estimator_pins as pins
-from test_kernels_differential import assert_exact_equal, assert_stats_equal
+from reference_kernels import compute_grouped_stats
+from test_kernels_differential import (
+    WIDE_BINS,
+    WIDE_TABLE,
+    assert_exact_equal,
+    assert_stats_equal,
+)
 
 ALL_FUNCS = (
     Aggregate(AggFunc.COUNT),
@@ -146,46 +152,28 @@ def test_strata_grid_equals_per_stratum_evaluate_nan_column(
     assert_grid_equals_per_stratum(CompiledQueryKernel(edge_dataset, query))
 
 
-def test_fallback_kernels_lay_the_reference_on_a_grid(tiny_settings):
-    # A 2-D code span past the packing guard compiles in fallback mode
-    # (see test_packing_overflow_falls_back_to_naive_path).
-    table = Table(
-        "wide",
-        {
-            "a": np.array([0.0, float(2**32 + 1), 0.0, 5.0]),
-            "b": np.array([0.0, float(2**30 - 1), float(2**30 - 1), 7.0]),
-            "m": np.array([1.0, 2.0, 3.0, 4.0]),
-        },
-    )
-    dataset = Dataset.from_table(table)
+def test_wide_code_spans_lay_strata_in_one_pass(tiny_settings):
+    # Code spans whose product passes 2**62 compile like any other 2-D
+    # query (see test_wide_code_spans_compile_and_match_the_reference).
+    dataset = Dataset.from_table(WIDE_TABLE)
     query = AggQuery(
         "wide",
-        bins=(
-            BinDimension("a", BinKind.QUANTITATIVE, width=1.0),
-            BinDimension("b", BinKind.QUANTITATIVE, width=1.0),
-        ),
+        bins=WIDE_BINS,
         aggregates=(Aggregate(AggFunc.COUNT), Aggregate(AggFunc.AVG, "m")),
     )
     kernel = CompiledQueryKernel(dataset, query)
-    assert not kernel.supports_incremental and not kernel.all_rows_pass
+    assert kernel.all_rows_pass
 
-    # Its grid is the reference, stratum by stratum (stratum 1 is empty).
+    # Its one-pass grid holds the reference, stratum by stratum (stratum 1
+    # is empty), on the kernel's canonical keys.
     samples = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([2, 3])]
     grid = kernel.evaluate_strata(
         np.concatenate(samples), np.array([0, 0, 2, 2]), len(samples)
     )
-    reference = StrataGrid.from_stats(
-        query, [compute_grouped_stats(dataset, query, rows) for rows in samples]
-    )
-    assert grid.keys == reference.keys and len(grid.keys) == 4
-    assert grid.counts.tolist() == [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]
-    assert grid.counts.dtype == reference.counts.dtype
-    for name in ("sums", "sumsqs", "mins", "maxs"):
-        cells, expected = getattr(grid, name), getattr(reference, name)
-        assert sorted(cells) == sorted(expected)
-        for j in expected:
-            assert cells[j].dtype == expected[j].dtype
-            assert cells[j].tobytes() == expected[j].tobytes()
+    assert grid.keys == kernel._keys and len(grid.keys) == 4
+    assert grid.counts.tolist() == [[1, 0, 0, 1], [0, 0, 0, 0], [0, 1, 1, 0]]
+    for h, rows in enumerate(samples):
+        assert_grid_row_equals(grid, h, compute_grouped_stats(dataset, query, rows))
 
     # ...and the engine answers from it what the reference answers.
     engine = StratifiedSamplingEngine(
@@ -382,8 +370,8 @@ def test_fast_path_equals_compress_path_on_the_same_kernel(edge_dataset):
 def test_row_positions_must_be_integers(edge_dataset, fallback_kernels):
     """``take`` would read a boolean mask as positions 0 and 1 (and the
     reference would select by it, counting every mask cell as scanned):
-    both modes refuse anything but integer positions, and read a list as
-    the positions it holds."""
+    compiled folds and folds through the reference refuse anything but
+    integer positions, and read a list as the positions it holds."""
     query = _edge_query(Comparison("id", "!=", 17))
     mask = np.arange(400) % 3 == 0
     strata = np.arange(400) % 2
@@ -404,10 +392,7 @@ def test_row_positions_must_be_integers(edge_dataset, fallback_kernels):
         assert listed.keys == expected.keys
         assert listed.counts.tobytes() == expected.counts.tobytes()
 
-    compiled = CompiledQueryKernel(edge_dataset, query)
-    assert compiled.supports_incremental
-    check(compiled)
-    with fallback_kernels():
-        fallback = CompiledQueryKernel(edge_dataset, query)
-        assert not fallback.supports_incremental
-        check(fallback)
+    check(CompiledQueryKernel(edge_dataset, query))
+    with fallback_kernels() as entries:
+        check(CompiledQueryKernel(edge_dataset, query))
+    assert entries["fold"] and entries["evaluate_strata"]

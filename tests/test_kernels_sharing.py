@@ -7,7 +7,7 @@ pins the three things that makes safe:
 
 * whatever order queries compile in, and whichever parts happen to be
   alive when they do, every kernel answers bit for bit what a solitary
-  cold compile and ``compute_grouped_stats`` answer;
+  cold compile and the reference ``compute_grouped_stats`` answer;
 * the sharing is real (``is``) and every shared array is read-only;
 * a part dies with the last kernel holding it, a failed build leaves
   nothing behind, and a re-compile after eviction returns the same bytes.
@@ -36,12 +36,14 @@ from repro.engines.kernel_cache import (
 from repro.engines.estimators import StrataMoments, stratified_estimate
 from repro.query import kernels as kernels_module
 from repro.query.filters import And, Comparison, Or, RangePredicate, SetPredicate
-from repro.query.groundtruth import compute_grouped_stats
 from repro.query.kernels import PART_BUILDS, CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
+from reference_kernels import compute_grouped_stats
 from test_kernels_differential import (
     EXACT_MOMENTS,
+    WIDE_BINS,
+    WIDE_TABLE,
     _counting_dataset,
     assert_exact_equal,
     assert_stats_equal,
@@ -113,7 +115,6 @@ def _snapshot(kernel: CompiledQueryKernel):
     observed = {
         "qualifying_fraction": kernel.qualifying_fraction,
         "all_rows_pass": kernel.all_rows_pass,
-        "supports_incremental": kernel.supports_incremental,
         "num_groups": kernel.num_groups,
         "mask": kernel.full_mask.tobytes(),
     }
@@ -128,9 +129,8 @@ def _snapshot(kernel: CompiledQueryKernel):
             stats.rows_aggregated,
             stats.rows_scanned,
         )
-    if kernel.supports_incremental:
-        grid = kernel.evaluate_strata(SAMPLE, STRATUM_OF_ROW, 3)
-        observed["grid"] = (grid.keys, grid.counts.tobytes(), _moment_bytes(grid))
+    grid = kernel.evaluate_strata(SAMPLE, STRATUM_OF_ROW, 3)
+    observed["grid"] = (grid.keys, grid.counts.tobytes(), _moment_bytes(grid))
     return observed
 
 
@@ -272,7 +272,7 @@ class TestEdges:
             kernel = CompiledQueryKernel(empty, query)
             assert kernel._grouping.plan is None  # nothing to plan over
             assert kernel.num_groups == 0 and kernel.qualifying_fraction == 0.0
-            assert kernel.all_rows_pass and kernel.supports_incremental
+            assert kernel.all_rows_pass
             assert_stats_equal(kernel.evaluate(None), compute_grouped_stats(empty, query))
 
     def test_filter_passing_nothing_builds_no_plan(self):
@@ -313,31 +313,25 @@ class TestEdges:
         assert sorted(estimate.keys) == sorted(filled)
         assert_exact_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
 
-    def test_overflowing_plan_is_not_shared_and_a_filter_rescues(self):
-        table = Table(
-            "wide",
-            {
-                "a": np.array([0.0, float(2**32 + 1), 0.0, 5.0]),
-                "b": np.array([0.0, float(2**30 - 1), float(2**30 - 1), 7.0]),
-                "m": np.array([1.0, 2.0, 3.0, 4.0]),
-            },
-        )
-        dataset = Dataset.from_table(table)
-        bins = (_quant("a", 1.0), _quant("b", 1.0))
+    def test_wide_span_plan_is_built_once_and_shared(self):
+        # Code spans whose product passes 2**62 pack their ranks: one plan,
+        # shared by every filter like any other.
+        dataset = Dataset.from_table(WIDE_TABLE)
         aggregates = (Aggregate(AggFunc.SUM, "m"),)
         before = PART_BUILDS["plans"]
-        unfiltered = CompiledQueryKernel(dataset, _query(bins, None, aggregates, "wide"))
-        rescued_query = _query(bins, RangePredicate("a", None, 10.0), aggregates, "wide")
-        rescued = CompiledQueryKernel(dataset, rescued_query)
-        still_wide_query = _query(bins, RangePredicate("m", None, 2.5), aggregates, "wide")
-        still_wide = CompiledQueryKernel(dataset, still_wide_query)
-        assert PART_BUILDS["plans"] == before  # tried each time, never registered
-        assert not unfiltered.supports_incremental and not unfiltered.all_rows_pass
-        assert not still_wide.supports_incremental
-        assert rescued.supports_incremental and rescued._grouping.plan is None
-        assert rescued._keys == [(0, 0), (0, 2**30 - 1), (5, 7)]
+        kernels = [
+            CompiledQueryKernel(dataset, _query(WIDE_BINS, filter_expr, aggregates, "wide"))
+            for filter_expr in (
+                None, RangePredicate("a", None, 10.0), RangePredicate("m", None, 2.5)
+            )
+        ]
+        assert PART_BUILDS["plans"] == before + 1
+        plan = kernels[0]._grouping.plan
+        assert kernels[0].all_rows_pass and kernels[0]._row_gid is plan.gid
+        assert plan.keys == [(0, 0), (0, 2**30 - 1), (5, 7), (2**32 + 1, 2**30 - 1)]
         prefix = np.array([3, 0, 2], dtype=np.int64)
-        for kernel in (unfiltered, rescued, still_wide):
+        for kernel in kernels:
+            assert kernel._grouping.plan is plan and kernel._keys is plan.keys
             _assert_read_only(kernel._row_gid)
             for rows in (None, prefix):
                 assert_stats_equal(

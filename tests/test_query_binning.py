@@ -1,30 +1,39 @@
-"""Tests for vectorized binning and grouping."""
+"""Tests for quantitative bin codes, and for the reference's grouping.
+
+``compute_codes`` is the library's; ``dimension_codes`` and
+``group_rows`` are the sort-based reference of ``reference_kernels.py``
+the compiled kernels are held to, checked here on their own.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.common.errors import QueryError
-from repro.query.binning import compute_codes, group_rows
+from repro.query.binning import compute_codes
 from repro.query.model import BinDimension, BinKind
+
+from reference_kernels import dimension_codes, group_rows
 
 
 class TestComputeCodes:
     def test_quantitative_floor_semantics(self):
         dim = BinDimension("v", BinKind.QUANTITATIVE, width=10.0, reference=0.0)
         values = np.array([-10.0, -0.1, 0.0, 9.99, 10.0, 25.0])
-        codes = compute_codes(dim, values).codes
+        codes = compute_codes(dim, values)
         assert list(codes) == [-1, -1, 0, 0, 1, 2]
 
     def test_quantitative_reference_shift(self):
         dim = BinDimension("v", BinKind.QUANTITATIVE, width=5.0, reference=2.0)
-        codes = compute_codes(dim, np.array([2.0, 6.9, 7.0])).codes
+        codes = compute_codes(dim, np.array([2.0, 6.9, 7.0]))
         assert list(codes) == [0, 0, 1]
 
     def test_quantitative_decode_is_identity(self):
         dim = BinDimension("v", BinKind.QUANTITATIVE, width=1.0)
-        result = compute_codes(dim, np.array([3.5]))
-        assert result.decode(result.codes[0]) == 3
+        codes = compute_codes(dim, np.array([3.5]))
+        assert codes.dtype == np.int64 and codes.tolist() == [3]
+        codes, decode = dimension_codes(dim, np.array([3.5]))
+        assert decode(codes[0]) == 3 and type(decode(codes[0])) is int
 
     def test_unresolved_dimension_rejected(self):
         dim = BinDimension("v", BinKind.QUANTITATIVE, bin_count=10)
@@ -38,9 +47,9 @@ class TestComputeCodes:
 
     def test_nominal_codes_and_decode(self):
         dim = BinDimension("c", BinKind.NOMINAL)
-        result = compute_codes(dim, np.array(["b", "a", "b"]))
-        decoded = [result.decode(code) for code in result.codes]
-        assert decoded == ["b", "a", "b"]
+        codes, decode = dimension_codes(dim, np.array(["b", "a", "b"]))
+        assert codes.tolist() == [1, 0, 1]
+        assert [decode(code) for code in codes] == ["b", "a", "b"]
 
 
 class TestGroupRows:
@@ -74,6 +83,21 @@ class TestGroupRows:
             [np.array([-5.0, -5.0, 3.0]), np.array([-2.0, 7.0, -2.0])],
         )
         assert set(grouped.keys) == {(-5, -2), (-5, 7), (3, -2)}
+
+    def test_2d_extreme_codes_do_not_wrap(self):
+        # NaN codes sit at the int64 minimum; grouping 2-D codes as rows
+        # packs nothing, so they key as they are, in either dimension.
+        dims = [
+            BinDimension("a", BinKind.QUANTITATIVE, width=1.0),
+            BinDimension("b", BinKind.QUANTITATIVE, width=1.0),
+        ]
+        lowest = int(np.iinfo(np.int64).min)
+        with np.errstate(invalid="ignore"):
+            grouped = group_rows(
+                dims, [np.array([np.nan, 0.0, 3.0]), np.array([1.0, np.nan, 1.0])]
+            )
+        assert grouped.keys == [(lowest, 1), (0, lowest), (3, 1)]
+        assert grouped.inverse.tolist() == [0, 1, 2]
 
     def test_empty_rows(self):
         dim = BinDimension("v", BinKind.QUANTITATIVE, width=1.0)

@@ -6,12 +6,8 @@ import pytest
 from repro.common.errors import QueryError
 from repro.data.storage import Dataset, Table
 from repro.query.filters import Comparison, RangePredicate, SetPredicate
-from repro.query.groundtruth import (
-    GroundTruthOracle,
-    compute_grouped_stats,
-    evaluate_exact,
-    query_cache_key,
-)
+from repro.query.groundtruth import GroundTruthOracle, evaluate_exact, query_cache_key
+from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import (
     AggFunc,
     Aggregate,
@@ -119,9 +115,14 @@ class TestEvaluateExact:
             evaluate_exact(toy_dataset, query)
 
 
+def _kernel_stats(dataset, query, row_indices=None):
+    """Grouped statistics as library code gets them: from a compiled kernel."""
+    return CompiledQueryKernel(dataset, query).evaluate(row_indices)
+
+
 class TestGroupedStatsOnSubset:
     def test_subset_stats(self, toy_dataset):
-        stats = compute_grouped_stats(
+        stats = _kernel_stats(
             toy_dataset,
             _query((Aggregate(AggFunc.SUM, "value"),)),
             row_indices=np.array([0, 2, 3]),
@@ -134,7 +135,7 @@ class TestGroupedStatsOnSubset:
 
     def test_sumsq_and_extrema(self, toy_dataset):
         # Each aggregate carries only the moments its function reads.
-        stats = compute_grouped_stats(
+        stats = _kernel_stats(
             toy_dataset,
             _query(
                 (
@@ -153,13 +154,13 @@ class TestGroupedStatsOnSubset:
         assert list(stats.mins) == [1] and list(stats.maxs) == [2]
 
     def test_count_aggregate_has_no_moment_arrays(self, toy_dataset):
-        stats = compute_grouped_stats(
+        stats = _kernel_stats(
             toy_dataset, _query((Aggregate(AggFunc.COUNT),))
         )
         assert stats.sums == {}
 
     def test_empty_subset(self, toy_dataset):
-        stats = compute_grouped_stats(
+        stats = _kernel_stats(
             toy_dataset,
             _query((Aggregate(AggFunc.COUNT),)),
             row_indices=np.array([], dtype=np.int64),

@@ -267,6 +267,9 @@ REQUIRED_SECTIONS = {
         "fallback_kernels",
         "tests/test_kernels_differential.py",
         "test_filters_removing_whole_groups_match_the_reference",
+        "test_nan_codes_in_the_first_dimension_key_as_in_one_dimension",
+        "test_nan_codes_in_the_second_dimension_compile_incrementally",
+        "tests/reference_kernels.py",
         "test_exact_answers_fold_no_sums_of_squares",
         "REPRO_KERNEL_CACHE_SIZE",
         "bitwise equality",

@@ -822,8 +822,9 @@ GOLDEN_CASES = {
     "data_pins.txt": case_data_pins,
 }
 
-#: Cases that run no query: rebuilding them through fallback kernels
-#: would repeat the plain rebuild and compare nothing new.
+#: Cases that run no query: rebuilding them with kernels folding through
+#: the test-tree reference would repeat the plain rebuild and compare
+#: nothing new.
 KERNEL_FREE_CASES = frozenset({"data_pins.txt"})
 
 
