@@ -50,6 +50,9 @@ from repro.runtime import (
     ArtifactStore,
     DEFAULT_CACHE_BUDGET_BYTES,
     MatrixExecutor,
+    RunSpec,
+    ServingSelector,
+    WorkflowSelector,
     plan_matrix,
     render_matrix,
     write_matrix_csv,
@@ -250,17 +253,14 @@ def _make_store(cache_dir: Optional[str], budget: Optional[int]) -> Optional[Art
     return ArtifactStore(cache_dir, max_bytes=max_bytes)
 
 
-def _check_engines(engines: List[str]) -> bool:
-    """Print a stderr message and return False on unknown engine names."""
+def _check_engines(engines: List[str]) -> None:
+    """Raise a typed error naming any unknown engine."""
     unknown = [engine for engine in engines if engine not in ENGINE_CHOICES]
     if unknown:
-        print(
+        raise BenchmarkError(
             f"unknown engines: {', '.join(unknown)} "
-            f"(choose from {', '.join(ENGINE_CHOICES)})",
-            file=sys.stderr,
+            f"(choose from {', '.join(ENGINE_CHOICES)})"
         )
-        return False
-    return True
 
 
 def _cmd_run_matrix(args) -> int:
@@ -271,8 +271,7 @@ def _cmd_run_matrix(args) -> int:
         workflows_per_type=args.per_type,
     )
     engines = _split(args.engines)
-    if not _check_engines(engines):
-        return 1
+    _check_engines(engines)
     specs = plan_matrix(
         settings,
         engines=engines,
@@ -349,18 +348,26 @@ def _parse_address(text: str) -> Optional[tuple]:
     return host, port
 
 
+def _refuse_combination(blocked, reason: str) -> None:
+    """Raise ``FLAGS cannot combine with REASON`` naming every used flag
+    of ``blocked``, a list of ``(used, flag)`` pairs."""
+    offending = [flag for used, flag in blocked if used]
+    if offending:
+        raise BenchmarkError(
+            f"{', '.join(offending)} cannot combine with {reason}"
+        )
+
+
 def _cmd_serve_tcp(args, settings) -> int:
     """``repro serve --tcp``: expose the session server over a socket."""
     from repro.net.server import TcpSessionServer
 
     address = _parse_address(args.tcp)
     if address is None:
-        print(
+        raise BenchmarkError(
             f"--tcp expects HOST:PORT (port 0 picks an ephemeral port), "
-            f"got {args.tcp!r}",
-            file=sys.stderr,
+            f"got {args.tcp!r}"
         )
-        return 1
     blocked = [
         (args.verify, "--verify"),
         (args.arrivals is not None, "--arrivals"),
@@ -384,34 +391,31 @@ def _cmd_serve_tcp(args, settings) -> int:
             (args.stats_window is not None, "--stats-window"),
             (bool(args.slo), "--slo"),
         ]
-    offending = [flag for used, flag in blocked if used]
-    if offending:
-        print(
-            f"{', '.join(offending)} cannot combine with --tcp: "
-            + (
-                "a shared-engine run is configured server-side "
-                "(--sessions/--per-session/--workflow-type/--policy), "
-                "its reports are reassembled client-side, and the whole "
-                "population rides one unpaced virtual timeline "
-                "(docs/protocol.md)"
-                if args.share_engine
-                else "sessions are isolated, their workload (suite "
-                "size, workflow type, policy, pacing) is configured per "
-                "connection at ATTACH (`repro connect` flags), and "
-                "reports are reassembled on the client side "
-                "(docs/protocol.md)"
-            ),
-            file=sys.stderr,
-        )
-        return 1
+    _refuse_combination(blocked, "--tcp: " + (
+        "a shared-engine run is configured server-side "
+        "(--sessions/--per-session/--workflow-type/--policy), "
+        "its reports are reassembled client-side, and the whole "
+        "population rides one unpaced virtual timeline "
+        "(docs/protocol.md)"
+        if args.share_engine
+        else "sessions are isolated, their workload (suite "
+        "size, workflow type, policy, pacing) is configured per "
+        "connection at ATTACH (`repro connect` flags), and "
+        "reports are reassembled on the client side "
+        "(docs/protocol.md)"
+    ))
+    _refuse_combination(
+        [(bool(args.slo) and args.stats_window is None, "--slo")],
+        "--tcp without --stats-window: the SLO watchdog judges the "
+        "windowed telemetry series, so without a window its rules "
+        "would be silently ignored",
+    )
     if args.share_engine and args.sessions < 1:
-        print(
+        raise BenchmarkError(
             "--tcp --share-engine needs --sessions N (N >= 1): the "
             "shared run's global virtual timeline must know its whole "
-            "population before the first turn grant",
-            file=sys.stderr,
+            "population before the first turn grant"
         )
-        return 1
     host, port = address
     if args.slo:
         from repro.obs.slo import parse_rule
@@ -449,7 +453,7 @@ def _cmd_serve_tcp(args, settings) -> int:
         speculation=args.speculation,
         share_engine=args.share_engine,
         per_session=args.per_session,
-        workflow_type=WorkflowType(args.workflow_type),
+        workflow_type=args.workflow_type,
         policy=args.policy,
         stats_window=args.stats_window,
         slo_rules=tuple(args.slo or ()),
@@ -477,13 +481,10 @@ def _cmd_serve_tcp(args, settings) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.runtime.executor import serving_manager
     from repro.server import (
-        ArrivalProcess,
         FollowPrinter,
-        OpenSystemManager,
-        RateSchedule,
         RecordSpool,
-        SessionManager,
         render_aggregate_report,
         render_session_table,
         serial_baseline,
@@ -493,95 +494,65 @@ def _cmd_serve(args) -> int:
     settings = _settings_from_args(args)
     if args.tcp is not None:
         return _cmd_serve_tcp(args, settings)
-    adaptive = args.policy in ("markov", "uncertainty", "load-adaptive")
-    if args.arrivals is None and (
-        args.horizon is not None
-        or args.residence is not None
-        or args.arrival_schedule is not None
-    ):
-        print(
-            "--horizon/--residence/--arrival-schedule configure the "
-            "open-system arrival process and need --arrivals RATE; "
-            "without it the run is a closed system and they would be "
-            "silently ignored",
-            file=sys.stderr,
-        )
-        return 1
+    _refuse_combination(
+        [(args.stats_window is not None, "--stats-window"),
+         (bool(args.slo), "--slo")],
+        "in-process serving: windowed telemetry and its SLO rules are "
+        "streamed only by `repro serve --tcp --share-engine` "
+        "(docs/observability.md), so here they would be silently ignored",
+    )
+    open_system = args.arrivals is not None
+    spec = RunSpec(
+        engine=args.engine,
+        settings=settings,
+        workflows=WorkflowSelector(
+            workflow_type=args.workflow_type, count=args.per_session
+        ),
+        speculation=args.speculation,
+        mode="serve",
+        serving=ServingSelector(
+            args.sessions,
+            share_engine=args.share_engine,
+            policy=args.policy or "scripted",
+            churn="open" if open_system else "closed",
+            arrival_rate=args.arrivals,
+            horizon=120.0 if open_system and args.horizon is None else args.horizon,
+            residence=args.residence,
+            arrival_schedule=args.arrival_schedule,
+        ),
+    )
+    serving = spec.serving
     if args.verify and args.share_engine:
-        print(
+        raise BenchmarkError(
             "--verify needs isolated sessions (omit --share-engine): "
             "under a shared engine sessions contend, so per-session "
-            "reports legitimately differ from serial runs",
-            file=sys.stderr,
+            "reports legitimately differ from serial runs"
         )
-        return 1
-    if args.verify and (adaptive or args.arrivals is not None):
-        print(
+    if args.verify and (
+        serving.policy not in ("scripted", "replay") or open_system
+    ):
+        raise BenchmarkError(
             "--verify compares against pre-generated serial runs, which "
             "adaptive policies and open-system arrivals do not have; "
             "determinism of those modes is checked by "
-            "tests/test_server_adaptive.py and the golden corpus",
-            file=sys.stderr,
+            "tests/test_server_adaptive.py and the golden corpus"
         )
-        return 1
     if args.spill is not None:
-        blocked = [
-            flag
-            for used, flag in [
-                (args.verify, "--verify"),
-                (args.out is not None, "--out"),
-            ]
-            if used
-        ]
-        if blocked:
-            print(
-                f"{', '.join(blocked)} cannot combine with --spill: "
-                "spooled serving streams records to disk instead of "
-                "retaining them, so per-session reports are not "
-                "available after the run (read the spill file back "
-                "with repro.server.iter_spool)",
-                file=sys.stderr,
-            )
-            return 1
+        _refuse_combination(
+            [(args.verify, "--verify"), (args.out is not None, "--out")],
+            "--spill: spooled serving streams records to disk instead of "
+            "retaining them, so per-session reports are not available "
+            "after the run (read the spill file back with "
+            "repro.server.iter_spool)",
+        )
     ctx = ExperimentContext(settings)
-    workflow_type = WorkflowType(args.workflow_type)
-    on_record = None
-    follow = None
-    if args.follow:
-        # Per-query lines for small populations; periodic aggregate
-        # lines at scale (repro.server.report.FOLLOW_AGGREGATE_THRESHOLD).
-        follow = FollowPrinter(args.sessions)
-        on_record = follow
+    # Per-query lines for small populations; periodic aggregate lines at
+    # scale (repro.server.report.FOLLOW_AGGREGATE_THRESHOLD).
+    follow = FollowPrinter(args.sessions) if args.follow else None
+    manager = serving_manager(ctx, spec, accel=args.accel, on_record=follow)
     mode = "shared engine" if args.share_engine else "isolated engines"
     pacing = f", paced at {args.accel:g}x" if args.accel else ""
-    users = args.policy or "scripted"
-    if args.arrivals is not None:
-        horizon = args.horizon if args.horizon is not None else 120.0
-        rate_schedule = None
-        if args.arrival_schedule is not None:
-            rate_schedule = RateSchedule.parse(
-                args.arrival_schedule, args.arrivals, horizon
-            )
-        arrivals = ArrivalProcess(
-            args.arrivals,
-            horizon,
-            seed=settings.seed,
-            mean_residence=args.residence,
-            max_sessions=args.sessions,
-            rate_schedule=rate_schedule,
-        )
-        manager = OpenSystemManager.for_engine(
-            ctx,
-            args.engine,
-            arrivals,
-            policy=args.policy,
-            per_session=args.per_session,
-            workflow_type=workflow_type,
-            share_engine=args.share_engine,
-            accel=args.accel,
-            speculation=args.speculation,
-            on_record=on_record,
-        )
+    if open_system:
         shape = (
             f"{args.arrival_schedule} schedule @ base {args.arrivals:g}/s"
             if args.arrival_schedule is not None
@@ -589,25 +560,13 @@ def _cmd_serve(args) -> int:
         )
         print(
             f"open system: {shape} arrivals over "
-            f"{horizon:g}s (≤{args.sessions} sessions, "
-            f"{users} users) on {args.engine} ({mode}{pacing})"
+            f"{serving.horizon:g}s (≤{args.sessions} sessions, "
+            f"{serving.policy} users) on {args.engine} ({mode}{pacing})"
         )
     else:
-        manager = SessionManager.for_engine(
-            ctx,
-            args.engine,
-            args.sessions,
-            per_session=args.per_session,
-            workflow_type=workflow_type,
-            share_engine=args.share_engine,
-            accel=args.accel,
-            speculation=args.speculation,
-            on_record=on_record,
-            policy=args.policy,
-        )
         print(
             f"serving {args.sessions} sessions × {args.per_session} "
-            f"{workflow_type.value} workflows ({users} users) on "
+            f"{args.workflow_type} workflows ({serving.policy} users) on "
             f"{args.engine} ({mode}{pacing})"
         )
     # Attached last: RecordSpool truncates its file, so the manager has
@@ -718,8 +677,7 @@ def _cmd_bench_sessions(args) -> int:
     from repro.server import BENCH_COLUMNS, render_session_bench, serving_csv_text
 
     engines = _split(args.engines)
-    if not _check_engines(engines):
-        return 1
+    _check_engines(engines)
     modes = _split(args.modes)
     settings = _settings_from_args(args)
     session_counts = _session_counts(args.sessions)

@@ -225,11 +225,7 @@ class TcpSessionServer:
         self.speculation = speculation
         self.share_engine = share_engine
         self.per_session = per_session
-        self.workflow_type = (
-            workflow_type
-            if isinstance(workflow_type, WorkflowType)
-            else WorkflowType(workflow_type)
-        )
+        self.workflow_type = WorkflowType.parse(workflow_type)
         self.policy = policy
         if turn_timeout <= 0:
             raise BenchmarkError(

@@ -165,17 +165,15 @@ SERVING_FIELDS = (
 )
 
 
-def _serve(ctx, spec: RunSpec) -> Dict[str, Any]:
-    """Serve one ``serve`` cell, spooled; the aggregate's report fields.
+def serving_manager(ctx, spec: RunSpec, **presentation):
+    """The manager serving ``spec``, for sweep cells and ``repro serve``.
 
-    Every cell runs in constant memory, and its numbers come from the
-    manager's live :class:`~repro.server.spool.ServingAggregate`, which
-    folds records in global virtual-time order — deterministic for a
-    configuration, so every cell is cacheable.
+    A closed cell gets a :class:`~repro.server.manager.SessionManager`, an
+    open one an :class:`~repro.server.manager.OpenSystemManager`.
+    ``presentation`` (``accel``, ``on_record``, ``spool``) paces or shows
+    the run and never changes its records.
     """
     from repro.server.manager import OpenSystemManager, SessionManager
-    from repro.server.spool import RecordSpool
-    from repro.workflow.policy import interaction_mix
 
     if ctx.settings != spec.settings:
         # ``for_engine`` reads ``ctx.settings``, and contexts are shared by
@@ -189,16 +187,30 @@ def _serve(ctx, spec: RunSpec) -> Dict[str, Any]:
         workflow_type=WorkflowType(spec.workflows.workflow_type),
         share_engine=serving.share_engine,
         policy=None if serving.policy == "scripted" else serving.policy,
-        spool=RecordSpool(),
+        speculation=spec.speculation,
+        **presentation,
     )
     if serving.churn == "open":
-        manager = OpenSystemManager.for_engine(
+        return OpenSystemManager.for_engine(
             ctx, spec.engine, serving.arrivals(spec.settings.seed), **options
         )
-    else:
-        manager = SessionManager.for_engine(
-            ctx, spec.engine, serving.sessions, **options
-        )
+    return SessionManager.for_engine(
+        ctx, spec.engine, serving.sessions, **options
+    )
+
+
+def _serve(ctx, spec: RunSpec) -> Dict[str, Any]:
+    """Serve one ``serve`` cell, spooled; the aggregate's report fields.
+
+    Every cell runs in constant memory, and its numbers come from the
+    manager's live :class:`~repro.server.spool.ServingAggregate`, which
+    folds records in global virtual-time order — deterministic for a
+    configuration, so every cell is cacheable.
+    """
+    from repro.server.spool import RecordSpool
+    from repro.workflow.policy import interaction_mix
+
+    manager = serving_manager(ctx, spec, spool=RecordSpool())
     manager.run()
     aggregate = manager.aggregate
     fields = {name: getattr(aggregate, name) for name in SERVING_FIELDS}

@@ -31,7 +31,6 @@ from repro.runtime.spec import (
     ServingSelector,
     WorkflowSelector,
 )
-from repro.workflow.policy import POLICY_NAMES
 
 #: Schema layout labels accepted by :func:`plan_matrix`.
 SCHEMA_LAYOUTS = ("denormalized", "normalized")
@@ -293,13 +292,6 @@ def plan_adaptive(
     Closed cells carry no arrival parameters (see
     :class:`~repro.runtime.spec.ServingSelector`).
     """
-    known = ("scripted",) + POLICY_NAMES
-    unknown = [policy for policy in policies if policy not in known]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown policies: {', '.join(unknown)} "
-            f"(choose from {', '.join(known)})"
-        )
     workflows = WorkflowSelector(workflow_type=workflow_type, count=per_session)
     return [
         RunSpec(

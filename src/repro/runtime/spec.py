@@ -26,6 +26,7 @@ from repro.common.config import BenchmarkSettings
 from repro.common.errors import ConfigurationError
 from repro.common.fingerprint import CACHE_SCHEMA_VERSION, stable_digest
 from repro.common.rng import derive_cell_seed
+from repro.workflow.policy import POLICY_NAMES
 from repro.workflow.spec import WorkflowType
 
 #: Workflow sources a selector can name.
@@ -61,14 +62,12 @@ class WorkflowSelector:
                 f"expected one of {SELECTOR_KINDS}"
             )
         if self.kind == "generated":
-            valid = tuple(member.value for member in WorkflowType)
-            if self.workflow_type not in valid:
-                raise ConfigurationError(
-                    f"unknown workflow type {self.workflow_type!r}; "
-                    f"expected one of {valid}"
-                )
+            WorkflowType.parse(self.workflow_type)
         if self.count < 1:
-            raise ConfigurationError(f"selector count must be >= 1, got {self.count!r}")
+            raise ConfigurationError(
+                f"selector count must be >= 1 (per_session in a serve "
+                f"cell), got {self.count!r}"
+            )
         if self.start < 0:
             raise ConfigurationError(f"selector start must be >= 0, got {self.start!r}")
 
@@ -98,10 +97,13 @@ class ServingSelector:
 
     ``closed`` cells serve exactly ``sessions`` users from time zero;
     ``open`` cells draw Poisson arrivals (``arrival_rate`` per virtual
-    second until ``horizon``, mean stay ``residence``) capped at
+    second until ``horizon``, mean stay ``residence``, optionally shaped
+    by an ``arrival_schedule`` such as ``"diurnal"``) capped at
     ``sessions``. ``policy`` is ``"scripted"`` or an adaptive user model.
-    Closed cells never consult the arrival fields, so planners leave them
-    ``None`` there and tuning arrivals never re-keys a closed cell.
+    Closed cells take no arrival fields, so tuning arrivals never re-keys
+    a closed cell. Construction is the one place an invalid serving
+    configuration is rejected, for planned sweeps and ``repro serve``
+    alike.
     """
 
     sessions: int
@@ -111,15 +113,32 @@ class ServingSelector:
     arrival_rate: Optional[float] = None
     horizon: Optional[float] = None
     residence: Optional[float] = None
+    arrival_schedule: Optional[str] = None
 
     def __post_init__(self):
         if self.sessions < 1:
             raise ConfigurationError(
                 f"serving cells need >= 1 session, got {self.sessions!r}"
             )
+        known = ("scripted",) + POLICY_NAMES
+        if self.policy not in known:
+            raise ConfigurationError(
+                f"unknown policies: {self.policy} "
+                f"(choose from {', '.join(known)})"
+            )
         if self.churn not in CHURN_MODES:
             raise ConfigurationError(
                 f"unknown churn mode {self.churn!r} (choose from: closed, open)"
+            )
+        if self.churn == "closed" and any(value is not None for value in (
+            self.arrival_rate, self.horizon, self.residence,
+            self.arrival_schedule,
+        )):
+            raise ConfigurationError(
+                "--horizon/--residence/--arrival-schedule configure the "
+                "open-system arrival process and need --arrivals RATE; "
+                "without it the run is a closed system and they would be "
+                "silently ignored"
             )
         if self.churn == "open":
             if self.arrival_rate is None or self.horizon is None:
@@ -130,15 +149,25 @@ class ServingSelector:
 
     def arrivals(self, seed: int):
         """The open cell's :class:`~repro.server.manager.ArrivalProcess`."""
-        from repro.server.manager import ArrivalProcess
+        from repro.server.manager import ArrivalProcess, RateSchedule
 
         return ArrivalProcess(
             self.arrival_rate, self.horizon, seed=seed,
             mean_residence=self.residence, max_sessions=self.sessions,
+            rate_schedule=None if self.arrival_schedule is None else (
+                RateSchedule.parse(
+                    self.arrival_schedule, self.arrival_rate, self.horizon
+                )
+            ),
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = asdict(self)
+        # Only when set: every serve cell planned before schedules were a
+        # field keeps its fingerprint (and its cached result).
+        if self.arrival_schedule is None:
+            del data["arrival_schedule"]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServingSelector":

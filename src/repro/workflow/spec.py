@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.common.errors import WorkflowError
+from repro.common.errors import ConfigurationError, WorkflowError
 from repro.query.filters import Filter, filter_from_dict
 from repro.query.model import Aggregate, AggQuery, BinDimension, BinKey
 
@@ -33,6 +33,17 @@ class WorkflowType(Enum):
     N_TO_ONE = "n_to_1"
     MIXED = "mixed"
     CUSTOM = "custom"
+
+    @classmethod
+    def parse(cls, name: Union[str, "WorkflowType"]) -> "WorkflowType":
+        """The member named ``name``; a typed error for any other name."""
+        try:
+            return cls(name)
+        except ValueError:
+            valid = tuple(member.value for member in cls)
+            raise ConfigurationError(
+                f"unknown workflow type {name!r}; expected one of {valid}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,16 @@ COMMON = ["--size", "S", "--scale", "50000", "--seed", "5", "--tr", "1"]
 
 
 @pytest.fixture()
+def refuse_to_listen(monkeypatch):
+    """A rejected ``serve --tcp`` must fail, not sit waiting for clients."""
+
+    def run(self):
+        pytest.fail("the server started instead of rejecting its flags")
+
+    monkeypatch.setattr(TcpSessionServer, "run", run)
+
+
+@pytest.fixture()
 def tcp_server(server_ctx):
     """A loopback TCP server on an ephemeral port; yields HOST:PORT."""
     server = TcpSessionServer(server_ctx, "idea-sim")
@@ -91,7 +101,8 @@ class TestServeTcp:
         "flag", [["--verify"], ["--follow"],
                  ["--arrivals", "0.2"], ["--policy", "markov"],
                  ["--accel", "2"], ["--per-session", "3"],
-                 ["--arrival-schedule", "diurnal"], ["--horizon", "10"]]
+                 ["--arrival-schedule", "diurnal"], ["--horizon", "10"],
+                 ["--stats-window", "5"], ["--slo", "pct_tr_violated>25"]]
     )
     def test_incompatible_flags_rejected(self, capsys, flag):
         code = main(
@@ -103,9 +114,12 @@ class TestServeTcp:
 
     @pytest.mark.parametrize(
         "flag", [["--verify"], ["--follow"], ["--accel", "2"],
-                 ["--arrivals", "0.2"], ["--out", "x"]]
+                 ["--arrivals", "0.2"], ["--out", "x"],
+                 ["--slo", "pct_tr_violated>25"]]
     )
-    def test_shared_mode_still_rejects_run_level_flags(self, capsys, flag):
+    def test_shared_mode_still_rejects_run_level_flags(
+        self, capsys, refuse_to_listen, flag
+    ):
         # --share-engine unblocks the workload flags (--per-session,
         # --workflow-type, --policy) but the run-level ones stay blocked.
         code = main(
@@ -114,6 +128,18 @@ class TestServeTcp:
         )
         assert code == 1
         assert "cannot combine with --tcp" in capsys.readouterr().err
+
+    def test_shared_mode_rejects_unknown_workflow_type(
+        self, capsys, refuse_to_listen
+    ):
+        code = main(
+            ["serve", "--tcp", "127.0.0.1:0", "--sessions", "1",
+             "--share-engine", "--workflow-type", "bogus"] + COMMON
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "unknown workflow type 'bogus'; expected one of (" in err
 
     def test_shared_mode_serves_one_run_then_exits(self, server_ctx):
         # End-to-end `repro serve --tcp --share-engine`: two concurrent

@@ -8,6 +8,33 @@ from repro.cli import main
 #: Small-but-honest configuration shared by all CLI invocations here.
 COMMON = ["--size", "S", "--scale", "50000", "--seed", "5", "--tr", "1"]
 
+#: Every rejected ``repro serve`` combination, with a substring of its
+#: one-line error. Ids stay ``counts<i>`` as the list grows.
+REJECTED_SERVES = [
+    (["--sessions", "0"], "session, got 0"),
+    (["--sessions", "2", "--per-session", "0"], "per_session"),
+    (["--sessions", "2", "--arrivals", "1", "--per-session", "0"],
+     "per_session"),
+    (["--verify", "--share-engine"], "--verify needs isolated sessions"),
+    (["--verify", "--policy", "markov"], "adaptive policies"),
+    (["--verify", "--arrivals", "0.2"], "open-system arrivals"),
+    (["--verify"], "--verify cannot combine with --spill"),
+    (["--out", "reports"], "--out cannot combine with --spill"),
+    (["--horizon", "40"], "need --arrivals"),
+    (["--residence", "25"], "need --arrivals"),
+    (["--arrival-schedule", "diurnal"], "need --arrivals"),
+    (["--arrivals", "1", "--arrival-schedule", "bogus"],
+     "unknown arrival schedule kind 'bogus'"),
+    (["--arrivals", "0"], "arrival rate must be positive"),
+    (["--arrivals", "1", "--residence", "-1"],
+     "mean residence must be positive"),
+    (["--accel", "-1"], "accel must be positive"),
+    (["--workflow-type", "bogus"], "unknown workflow type 'bogus'"),
+    (["--sessions", "1", "--per-session", "1", "--stats-window", "5",
+      "--slo", "pct_tr_violated>25"],
+     "--stats-window, --slo cannot combine with in-process serving"),
+]
+
 
 class TestServe:
     def test_serve_verify_and_out(self, tmp_path, capsys):
@@ -161,7 +188,10 @@ class TestServeAdaptive:
         assert code == 1
         assert "open-system arrivals" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--residence", "25"], ["--horizon", "40"]])
+    @pytest.mark.parametrize("flag", [
+        ["--residence", "25"], ["--horizon", "40"],
+        ["--arrival-schedule", "diurnal"],
+    ])
     def test_churn_flags_without_arrivals_rejected(self, capsys, flag):
         code = main(["serve", "--sessions", "2"] + flag + COMMON)
         assert code == 1
@@ -195,16 +225,15 @@ class TestServeSpill:
         assert "unknown arrival schedule kind" in capsys.readouterr().err
         assert spill.read_bytes() == b"precious earlier run\n"
 
-    @pytest.mark.parametrize("counts", [
-        ["--sessions", "0"],
-        ["--sessions", "2", "--per-session", "0"],
-        ["--sessions", "2", "--arrivals", "1", "--per-session", "0"],
+    @pytest.mark.parametrize("counts, message", [
+        pytest.param(*case, id=f"counts{index}")
+        for index, case in enumerate(REJECTED_SERVES)
     ])
     def test_invalid_counts_leave_spill_file_untouched(
-        self, tmp_path, capsys, counts
+        self, tmp_path, capsys, counts, message
     ):
-        """Either manager validates its counts before the spool exists, and
-        its error is one stderr line, not a traceback."""
+        """Every rejected combination is refused before the spool exists,
+        and its error is one stderr line, not a traceback."""
         spill = tmp_path / "records.jsonl"
         spill.write_bytes(b"precious earlier run\n")
         code = main(["serve"] + counts + ["--spill", str(spill)] + COMMON)
@@ -213,8 +242,7 @@ class TestServeSpill:
         assert spill.read_bytes() == b"precious earlier run\n"
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
-        if "--per-session" in counts:
-            assert "per_session" in err
+        assert message in err
 
     def test_spill_closed_when_the_run_fails(self, tmp_path, monkeypatch):
         from repro.server import RecordSpool, SessionManager
@@ -237,6 +265,73 @@ class TestServeSpill:
                  "--spill", str(tmp_path / "records.jsonl")] + COMMON
             )
         assert [spool._closed for spool in opened] == [True]
+
+
+class TestServeIsOneCell:
+    """`repro serve` builds a serve cell and serves it through the same
+    manager builder as the sweeps' cells, so both give one answer."""
+
+    @pytest.mark.parametrize("flags, serving", [
+        ([], dict()),
+        (["--arrivals", "0.2"],
+         dict(churn="open", arrival_rate=0.2, horizon=120.0)),
+    ])
+    def test_printed_aggregate_is_the_cells_answer(
+        self, tmp_path, capsys, monkeypatch, server_ctx, flags, serving
+    ):
+        import repro.runtime.executor as executor
+        from repro.runtime import RunSpec, ServingSelector, WorkflowSelector
+
+        built = []
+        original = executor.serving_manager
+
+        def capture(ctx, spec, **presentation):
+            built.append(spec)
+            return original(ctx, spec, **presentation)
+
+        monkeypatch.setattr(executor, "serving_manager", capture)
+        code = main(
+            ["serve", "--sessions", "2", "--per-session", "1",
+             "--spill", str(tmp_path / "records.jsonl")] + flags + COMMON
+        )
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        spec = RunSpec(
+            engine="idea-sim", settings=server_ctx.settings,
+            workflows=WorkflowSelector(count=1), mode="serve",
+            serving=ServingSelector(2, **serving),
+        )
+        assert built == [spec]
+        cell = executor.execute_cell(server_ctx, spec)["serving"]
+        departed = cell["sessions_departed"]
+        for line in [
+            f"sessions served      : {cell['sessions_served']}"
+            + (f" ({departed} departed mid-run)" if departed else ""),
+            f"queries evaluated    : {cell['num_queries']}",
+            f"%TR violated         : {cell['pct_tr_violated']:.1f}%",
+            f"mean latency (ans.)  : {cell['mean_latency_answered']:.3f}s",
+            f"virtual makespan     : {cell['virtual_makespan']:.1f}s",
+        ]:
+            assert line in printed
+
+    def test_speculation_reaches_the_engine(self, server_ctx, monkeypatch):
+        import repro.bench.experiments as experiments
+        from repro.runtime import RunSpec, ServingSelector, execute_cell
+
+        flags = []
+        original = experiments.make_engine
+
+        def recording(name, dataset, settings, clock, speculation=False):
+            flags.append(speculation)
+            return original(name, dataset, settings, clock, speculation)
+
+        monkeypatch.setattr(experiments, "make_engine", recording)
+        spec = RunSpec(
+            engine="idea-sim", settings=server_ctx.settings,
+            speculation=True, mode="serve", serving=ServingSelector(2),
+        )
+        execute_cell(server_ctx, spec)
+        assert flags == [True, True]
 
 
 class TestBenchAdaptive:

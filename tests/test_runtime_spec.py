@@ -1,5 +1,7 @@
 """Tests for run-spec identity, serialization and planning."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import BenchmarkSettings, DataSize
@@ -162,6 +164,20 @@ class TestFrozenFingerprints:
             "dbc9e75ee014c7e6a0a784faeab293427ad0d87008fde90c1a5b3a775e177401",
         ]
 
+    def test_serve_fingerprints_are_pinned(self, pinned_settings):
+        # Serve cells key every cached bench-sessions / bench-adaptive
+        # result; these values were generated before `repro serve` built
+        # its managers through the executor's builder.
+        s = pinned_settings
+        closed = plan_sessions(s, ["idea-sim"], [2])[0]
+        open_cell = plan_adaptive(
+            s, "idea-sim", ["markov"], [2], churn_modes=("open",)
+        )[0]
+        assert [closed.fingerprint(), open_cell.fingerprint()] == [
+            "9433535c014d6d8c65ae474770b45de24c0dc97767a57cafd818c8b70b8f9fcf",
+            "cd61a914d4806b934093ad24f8f298d4881b27a277d6cd34f5d7e315829eccbb",
+        ]
+
     def test_only_serve_cells_carry_a_serving_key(self, pinned_settings):
         overall = plan_overall(pinned_settings, ["idea-sim"], [3.0], 2, DataSize.S)
         assert "serving" not in overall[0].to_dict()
@@ -179,6 +195,25 @@ class TestServeSpecs:
             restored = RunSpec.from_dict(spec.to_dict())
             assert restored == spec
             assert restored.fingerprint() == spec.fingerprint()
+
+    def test_arrival_schedule_round_trips(self, settings):
+        selector = ServingSelector(
+            3, churn="open", arrival_rate=0.2, horizon=40.0,
+            arrival_schedule="diurnal",
+        )
+        assert ServingSelector.from_dict(selector.to_dict()) == selector
+        assert selector.arrivals(seed=5).rate_schedule is not None
+        spec = RunSpec(
+            engine="idea-sim", settings=settings, mode="serve",
+            serving=selector,
+        )
+        restored = RunSpec.from_dict(spec.to_dict())
+        assert restored == spec
+        assert restored.fingerprint() == spec.fingerprint()
+        # Left out when unset, so schedule-free cells keep their keys.
+        flat = replace(selector, arrival_schedule=None)
+        assert "arrival_schedule" not in flat.to_dict()
+        assert replace(spec, serving=flat).fingerprint() != spec.fingerprint()
 
     def test_plan_sessions_order_and_shape(self, settings):
         specs = plan_sessions(
@@ -234,6 +269,8 @@ class TestServeSpecs:
         dict(sessions=1, churn="open", arrival_rate=0.2, horizon=-1.0),
         dict(sessions=1, churn="open", arrival_rate=0.2, horizon=40.0,
              residence=0.0),
+        dict(sessions=1, policy="telepathy"),
+        dict(sessions=1, churn="closed", horizon=40.0),
     ])
     def test_bad_serving_selectors_rejected(self, kwargs):
         with pytest.raises(BenchmarkError):
