@@ -5,7 +5,8 @@ to a few passes over the referenced columns: a filter mask, a binning
 plan and its group ids with the failing rows marked, each built only when no
 cached kernel of the dataset already holds it — the parts are weakly
 registered in :mod:`repro.query.kernels` and die with the last kernel
-using them, so this cache's capacity is their only bound too.
+using them, so this cache's capacity is their only bound too — and that
+of the exact answers memoized on kernels, the oracle's ground truth.
 Interactive workloads re-issue structurally identical queries constantly
 (§2.2's linked-visualization updates repeat on every selection change,
 and clearing a filter restores a previous query), and the session server
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import BenchmarkError
 from repro.obs.metrics import get_metrics
@@ -113,6 +114,10 @@ class KernelCache:
             self.evictions += 1
             self._publish("evictions")
         return kernel
+
+    def peek(self, dataset, query: AggQuery) -> Optional[CompiledQueryKernel]:
+        """The cached kernel, or ``None``: no compile, count or LRU move."""
+        return self._entries.get(self.key_for(dataset, query))
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -1,9 +1,9 @@
 """Exact query evaluation and the grouped statistics it reads.
 
 * the **ground-truth oracle** — every metric of §4.7 compares an engine's
-  answer against the exact answer on the full dataset; the oracle caches
-  those exact answers per query (workloads re-issue many identical
-  queries, e.g. when a filter is cleared);
+  answer against the exact answer on the full dataset, memoized on its
+  compiled kernel (workloads re-issue many identical queries, e.g. when
+  a filter is cleared);
 * the **sufficient statistics** engines estimate from — per bin, the
   count and the moments each aggregate reads (:class:`GroupedStats`, or a
   :class:`StrataGrid` of them for a stratified sample), which every
@@ -122,16 +122,8 @@ def stats_to_exact_values(stats: GroupedStats) -> BinColumns:
     return BinColumns(stats.keys, rows)
 
 
-def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
-    """Exact (blocking-engine / ground-truth) evaluation of a query.
-
-    Routed through the compiled-kernel cache and memoized on the kernel:
-    while it is cached, every oracle and blocking engine in the process
-    shares one evaluation and one answer object per query.
-    """
-    from repro.engines.kernel_cache import get_kernel  # deferred: layering
-
-    kernel = get_kernel(dataset, query)
+def _exact_answer(kernel) -> QueryResult:
+    """``kernel``'s exact answer, computed once and memoized on it."""
     if kernel.exact_answer is None:
         stats = kernel.exact_stats()
         kernel.exact_answer = QueryResult(
@@ -144,36 +136,38 @@ def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
     return kernel.exact_answer
 
 
+def evaluate_exact(dataset: Dataset, query: AggQuery) -> QueryResult:
+    """Exact (blocking-engine / ground-truth) evaluation of a query.
+
+    Routed through the compiled-kernel cache and memoized on the kernel:
+    while it is cached, every oracle and blocking engine in the process
+    shares one evaluation and one answer object per query.
+    """
+    from repro.engines.kernel_cache import get_kernel  # deferred: layering
+
+    return _exact_answer(get_kernel(dataset, query))
+
+
 class GroundTruthOracle:
-    """Caches exact answers; the reference all metrics compare against.
+    """Serves exact answers; the reference all metrics compare against.
 
-    Workloads re-issue structurally identical queries (clearing a filter
-    restores a previous query; linked updates repeat on every selection
-    change), so caching exact answers speeds benchmark runs up considerably
-    without changing any measured quantity — ground truth is computed
-    outside the simulated clock.
-
-    The in-memory map is keyed on the query value (``hash`` + ``==``), like
-    the kernel cache. When ``store`` (an
-    :class:`repro.runtime.store.ArtifactStore`-compatible object) is given,
-    answers additionally persist on disk under the dataset's content
-    fingerprint and the stable digest of :func:`query_cache_key` — computed
+    The oracle holds no answer itself: each lives on its compiled kernel
+    (:func:`evaluate_exact`), so the kernel cache bounds them, and
+    :meth:`answer` finds them by query value without counting a kernel hit
+    or reordering the LRU. With ``store`` (an ``ArtifactStore``-compatible
+    object) the answers it computes also persist on disk under the
+    dataset's content fingerprint and :func:`query_cache_key` — computed
     only after an in-memory miss — so a cell computed by one worker warms
     every other worker and every later run.
     """
 
     def __init__(self, dataset: Dataset, store=None, dataset_key: Optional[str] = None):
         self._dataset = dataset
-        self._cache: Dict[AggQuery, QueryResult] = {}
         self._store = store
         self._dataset_key = dataset_key
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
-
-    @property
-    def dataset(self) -> Dataset:
-        return self._dataset
 
     @property
     def dataset_key(self) -> Optional[str]:
@@ -182,34 +176,35 @@ class GroundTruthOracle:
             self._dataset_key = self._dataset.fingerprint()
         return self._dataset_key
 
-    def _store_key(self, query: AggQuery) -> tuple:
-        return ("ground-truth", self.dataset_key, query_cache_key(query))
-
     def answer(self, query: AggQuery) -> QueryResult:
-        """Exact result for ``query`` (cached in memory, then on disk)."""
-        cached = self._cache.get(query)
-        if cached is not None:
+        """Exact result for ``query`` (memoized on its kernel, then on disk)."""
+        from repro.engines.kernel_cache import kernel_cache  # deferred: layering
+
+        kernel = kernel_cache().peek(self._dataset, query)
+        if kernel is not None and kernel.exact_answer is not None:
             self.hits += 1
-            return cached
+            return kernel.exact_answer
         store_key = None
         if self._store is not None:
-            store_key = self._store_key(query)
+            store_key = ("ground-truth", self.dataset_key, query_cache_key(query))
             persisted = self._store.get(store_key)
             if persisted is not None:
                 self.hits += 1
                 self.store_hits += 1
-                self._cache[query] = persisted
+                if kernel is not None:
+                    kernel.exact_answer = persisted
                 return persisted
         self.misses += 1
-        result = evaluate_exact(self._dataset, query)
-        self._cache[query] = result
+        if kernel is None:
+            result = evaluate_exact(self._dataset, query)
+        else:
+            result = _exact_answer(kernel)
         if store_key is not None:
             self._store.put(store_key, result)
         return result
 
     def clear(self) -> None:
-        """Drop all in-memory cached answers (e.g. after switching datasets)."""
-        self._cache.clear()
+        """Reset the counters; ``clear_kernel_cache()`` drops the answers."""
         self.hits = 0
         self.misses = 0
         self.store_hits = 0

@@ -407,6 +407,10 @@ class QueryResult:
         whether the answer is exact (ground truth semantics).
     """
 
+    #: The pickled state: the dataclass's fields in its order, so store
+    #: artifacts stay byte-equal and older ones load.
+    _STATE = ("query", "values", "margins", "rows_processed", "fraction", "exact")
+
     def __init__(
         self,
         query: AggQuery,
@@ -439,13 +443,7 @@ class QueryResult:
         return self.values[key][aggregate_index]
 
     def __getstate__(self) -> dict:
-        # The dict layout the dataclass pickled: store artifacts stay
-        # byte-equal and older ones load.
-        return dict(
-            query=self.query, values=self.values, margins=self.margins,
-            rows_processed=self.rows_processed, fraction=self.fraction,
-            exact=self.exact,
-        )
+        return {name: getattr(self, name) for name in self._STATE}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)

@@ -106,6 +106,21 @@ class TestLRUSemantics:
         cache.get(dataset, q_avg)  # evicted above, so this recompiles
         assert cache.stats()["misses"] == 4
 
+    def test_peek_neither_compiles_counts_nor_reorders(self):
+        cache = KernelCache(capacity=2)
+        dataset = _toy_dataset()
+        q_sum = _query(func=AggFunc.SUM)
+        q_avg = _query(func=AggFunc.AVG)
+        assert cache.peek(dataset, q_sum) is None
+        k_sum = cache.get(dataset, q_sum)
+        cache.get(dataset, q_avg)
+        assert cache.peek(dataset, q_sum) is k_sum
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 2)
+        # SUM stays the least recently used entry: the overflow evicts it.
+        cache.get(dataset, _query(func=AggFunc.COUNT))
+        assert cache.peek(dataset, q_sum) is None
+        assert cache.peek(dataset, q_avg) is not None
+
     def test_clear_resets_entries_and_counters(self):
         cache = KernelCache(capacity=2)
         dataset = _toy_dataset()
@@ -332,7 +347,9 @@ class TestValueIdentity:
         oracle = GroundTruthOracle(flights_dataset)
         first = run(ints, oracle)
         compiled = (kernel_cache().misses, oracle.misses)
-        assert compiled == (2, 2)
+        # The blocking engine computed both answers on their kernels
+        # before the oracle asked, so the oracle computed none itself.
+        assert compiled == (2, 0)
         # The other spelling compiles nothing and computes no answer...
         assert run(floats, oracle) == first
         assert (kernel_cache().misses, oracle.misses) == compiled

@@ -5,6 +5,12 @@ import pytest
 
 from repro.common.errors import QueryError
 from repro.data.storage import Dataset, Table
+from repro.engines.kernel_cache import (
+    clear_kernel_cache,
+    configure_kernel_cache,
+    get_kernel,
+    kernel_cache,
+)
 from repro.query.filters import Comparison, RangePredicate, SetPredicate
 from repro.query.groundtruth import GroundTruthOracle, evaluate_exact, query_cache_key
 from repro.query.kernels import CompiledQueryKernel
@@ -200,6 +206,14 @@ class TestAgainstNumpyReference:
             assert got_avg == pytest.approx(total / count)
 
 
+@pytest.fixture
+def fresh_process():
+    """Answers live on the process-wide kernel cache: an oracle modelling
+    a fresh process or worker starts from an empty one."""
+    clear_kernel_cache()
+
+
+@pytest.mark.usefixtures("fresh_process")
 class TestOracle:
     def test_caches_answers(self, toy_dataset):
         oracle = GroundTruthOracle(toy_dataset)
@@ -218,11 +232,36 @@ class TestOracle:
 
     def test_clear(self, toy_dataset):
         oracle = GroundTruthOracle(toy_dataset)
-        oracle.answer(_query((Aggregate(AggFunc.COUNT),)))
+        answer = oracle.answer(_query((Aggregate(AggFunc.COUNT),)))
         oracle.clear()
         assert oracle.hits == 0 and oracle.misses == 0
-        oracle.answer(_query((Aggregate(AggFunc.COUNT),)))
+        # clear() resets the counters only; the answer stays on its kernel...
+        assert oracle.answer(_query((Aggregate(AggFunc.COUNT),))) is answer
+        assert (oracle.hits, oracle.misses) == (1, 0)
+        # ...until clearing the kernel cache drops it.
+        clear_kernel_cache()
+        assert oracle.answer(_query((Aggregate(AggFunc.COUNT),))) is not answer
         assert oracle.misses == 1
+
+    def test_answers_are_bounded_by_the_kernel_cache(self, toy_dataset):
+        """The oracle holds no answer of its own: one whose kernel was
+        evicted is computed again, and looking answers up neither counts
+        as a kernel hit nor moves the kernel in the LRU order."""
+        capacity = kernel_cache().capacity
+        configure_kernel_cache(1)
+        try:
+            oracle = GroundTruthOracle(toy_dataset)
+            count = _query((Aggregate(AggFunc.COUNT),))
+            first = oracle.answer(count)
+            assert oracle.answer(count) is first
+            assert kernel_cache().stats()["hits"] == 0
+            oracle.answer(_query((Aggregate(AggFunc.SUM, "value"),)))
+            assert kernel_cache().stats()["evictions"] == 1
+            again = oracle.answer(count)
+            assert again is not first and again == first
+            assert (oracle.hits, oracle.misses) == (1, 3)
+        finally:
+            configure_kernel_cache(capacity)
 
     def test_int_float_and_signed_zero_spellings_share_an_answer(
         self, toy_dataset
@@ -243,6 +282,7 @@ class TestOracle:
         answer = oracle.answer(ints)
         assert oracle.answer(floats) is answer
         assert (oracle.misses, oracle.hits) == (1, 1)
+        clear_kernel_cache()
         alone = GroundTruthOracle(toy_dataset).answer(floats)
         assert alone.values == answer.values == {
             (0,): (6.0,), (1,): (10.0,), (2,): (20.0,),
@@ -367,7 +407,8 @@ class TestPortableCacheKeys:
 class TestDigestOnlyAtTheStore:
     """In-memory caches key on query values: a run digests no query
     without a store, and at most once per distinct query with one (the
-    store key, after an in-memory miss)."""
+    store key, after an in-memory miss). The stored run models a fresh
+    worker, so it starts from an empty kernel cache."""
 
     @pytest.fixture
     def digests(self, monkeypatch):
@@ -403,8 +444,11 @@ class TestDigestOnlyAtTheStore:
         from repro.common.config import DataSize
         from repro.runtime import MatrixExecutor, plan_overall
 
+        # The progressive engine runs first, so the oracle computes the
+        # answers: a blocking engine first would leave them on their
+        # kernels, and the oracle would never reach the store.
         specs = plan_overall(
-            settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), 1, DataSize.S
+            settings, ("idea-sim", "monetdb-sim"), (0.5, 3.0), 1, DataSize.S
         )
         results = MatrixExecutor(jobs=1, store=store).run(specs)
         assert all(result.records for result in results)
@@ -416,6 +460,7 @@ class TestDigestOnlyAtTheStore:
         self._serve(server_ctx)
         assert digests == [] and answered
         answered.clear()
+        clear_kernel_cache()
         stored = ExperimentContext(
             server_ctx.settings, store=ArtifactStore(tmp_path / "cache")
         )
@@ -429,10 +474,12 @@ class TestDigestOnlyAtTheStore:
         self._matrix(settings)
         assert digests == [] and answered
         answered.clear()
+        clear_kernel_cache()
         self._matrix(settings, ArtifactStore(tmp_path / "cache"))
         assert 0 < len(digests) <= len(answered)
 
 
+@pytest.mark.usefixtures("fresh_process")
 class TestOracleStoreBacking:
     def test_answers_shared_through_store(self, toy_dataset, tmp_path, monkeypatch):
         from repro.runtime.store import ArtifactStore
@@ -445,6 +492,7 @@ class TestOracleStoreBacking:
 
         # A second oracle (fresh in-memory cache, e.g. another worker)
         # must load the persisted answer instead of recomputing.
+        clear_kernel_cache()
         second = GroundTruthOracle(toy_dataset, store=store)
         import repro.query.groundtruth as groundtruth_module
 
@@ -455,6 +503,23 @@ class TestOracleStoreBacking:
         result = second.answer(query)
         assert result.values == {("a",): (2.0,), ("b",): (3.0,), ("c",): (1.0,)}
         assert second.store_hits == 1 and second.misses == 0
+
+    def test_a_stored_answer_moves_onto_its_resident_kernel(
+        self, toy_dataset, tmp_path
+    ):
+        from repro.runtime.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "cache")
+        query = _query((Aggregate(AggFunc.COUNT),))
+        GroundTruthOracle(toy_dataset, store=store).answer(query)
+        clear_kernel_cache()
+        kernel = get_kernel(toy_dataset, query)  # compiled by an engine
+        oracle = GroundTruthOracle(toy_dataset, store=store)
+        answer = oracle.answer(query)
+        assert kernel.exact_answer is answer
+        # Asked again, it is read from the kernel, not from disk.
+        assert oracle.answer(query) is answer
+        assert (store.hits, oracle.store_hits, oracle.hits) == (1, 1, 2)
 
     def test_store_is_keyed_by_query_cache_key(self, toy_dataset, tmp_path):
         from repro.runtime.store import ArtifactStore
@@ -477,6 +542,7 @@ class TestOracleStoreBacking:
         assert stored == answer
         # On disk the digest is the identity: the float spelling has its
         # own key, so a fresh oracle misses the store and recomputes it.
+        clear_kernel_cache()
         fresh = GroundTruthOracle(toy_dataset, store=store)
         assert fresh.answer(floats).values == answer.values
         assert (fresh.store_hits, fresh.misses) == (0, 1)

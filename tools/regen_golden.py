@@ -327,10 +327,11 @@ def case_timeseries_serial(ctx) -> str:
         ).run()
 
     # The kernel hit/miss deltas depend on process state: the context's
-    # lazy computations (oracle, scaled tables) touch the cache on first
-    # use. One throwaway run warms all of it; measuring then starts from
-    # a cleared cache — the same two steps a rebuild in any process must
-    # take to reproduce these bytes.
+    # lazy computations (scaled tables, profiles) touch the cache on first
+    # use. One throwaway run warms them; measuring then starts from a
+    # cleared cache, which also drops the exact answers the throwaway run
+    # memoized on its kernels — the same two steps a rebuild in any
+    # process must take to reproduce these bytes.
     shared_run()
     clear_kernel_cache()
     series = TimeSeries(window=5.0)
