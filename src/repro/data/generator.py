@@ -41,6 +41,9 @@ DEFAULT_FIT_SAMPLE = 20_000
 #: Generation proceeds in batches to bound peak memory for large outputs.
 DEFAULT_BATCH_ROWS = 200_000
 
+#: Rows per block of Φ's transposing write: the strided reads stay in L2.
+_PROBIT_BLOCK_ROWS = 4096
+
 
 @dataclass
 class CopulaScaler:
@@ -125,18 +128,21 @@ class CopulaScaler:
             batch = min(remaining, batch_rows)
             batches.append(self._generate_batch(batch, rng))
             remaining -= batch
-        return Table.concat(self.table_name, batches)
+        return batches[0] if len(batches) == 1 else Table.concat(self.table_name, batches)
 
     def _generate_batch(self, num_rows: int, rng: np.random.Generator) -> Table:
         k = len(self.column_names)
-        # No name for the normals or the correlated matrix: each
-        # (num_rows × k) buffer is freed as soon as the next one exists.
-        uniforms = gaussian_to_uniform(
-            rng.standard_normal(size=(num_rows, k)) @ self.cholesky.T
-        )
+        # At most two (num_rows × k) buffers live at once. Φ writes one
+        # (k × num_rows), block by block, so each inverse CDF reads a row.
+        correlated = rng.standard_normal(size=(num_rows, k)) @ self.cholesky.T
+        uniforms = np.empty((k, num_rows))
+        for start in range(0, num_rows, _PROBIT_BLOCK_ROWS):
+            block = slice(start, start + _PROBIT_BLOCK_ROWS)
+            gaussian_to_uniform(correlated[block].T, out=uniforms[:, block])
+        del correlated
         columns: Dict[str, np.ndarray] = {}
         for j, name in enumerate(self.column_names):
-            u = uniforms[:, j]
+            u = uniforms[j]
             if name in self.numeric_cdfs:
                 columns[name] = self.numeric_cdfs[name].apply(u)
             else:

@@ -16,8 +16,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import QueryError
-from repro.data.storage import Dataset, Table, dictionary_encode
+from repro.common.errors import DataGenerationError, QueryError
+from repro.data.storage import Dataset, Table, categories_by_frequency
 
 
 class ColumnKind(Enum):
@@ -67,26 +67,41 @@ class ColumnProfile:
         return float(self.maximum - self.minimum)
 
 
+def _sorted_percentiles(ordered: np.ndarray) -> np.ndarray:
+    """``np.percentile(ordered, range(101))`` of a sorted column, without
+    the partition: numpy's linear-method indices and ``_lerp``, op for op."""
+    last = len(ordered) - 1
+    virtual = last * np.true_divide(np.arange(101), 100)
+    lower, upper = np.floor(virtual), np.floor(virtual) + 1
+    lower[virtual >= last] = upper[virtual >= last] = -1
+    gamma = virtual - lower
+    below, above = ordered[lower.astype(np.intp)], ordered[upper.astype(np.intp)]
+    step = above - below
+    result = below + step * gamma
+    np.subtract(above, step * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
 def profile_column(name: str, values: np.ndarray) -> ColumnProfile:
-    """Profile a single column array."""
+    """Profile a single column array (one sort serves min, max, quantiles)."""
     if values.dtype.kind in ("i", "f"):
+        if not len(values):
+            raise DataGenerationError(f"column {name!r} has no rows to profile")
+        ordered = np.sort(values)
+        # NaN sorts last; numpy's min, max and every percentile return it.
+        ordered = ordered[-1:] if np.isnan(ordered[-1]) else ordered
         return ColumnProfile(
             name=name,
             kind=ColumnKind.QUANTITATIVE,
-            minimum=float(np.min(values)),
-            maximum=float(np.max(values)),
+            minimum=float(ordered[0]),
+            maximum=float(ordered[-1]),
             std=float(np.std(values)),
-            quantiles=tuple(
-                float(q) for q in np.percentile(values, np.arange(101))
-            ),
+            quantiles=tuple(_sorted_percentiles(ordered).tolist()),
         )
-    categories, codes = dictionary_encode(values)
-    counts = np.bincount(codes, minlength=len(categories))
-    order = np.argsort(-counts, kind="stable")
     return ColumnProfile(
         name=name,
         kind=ColumnKind.NOMINAL,
-        categories=tuple(categories[order].tolist()),
+        categories=tuple(categories_by_frequency(values)[0].tolist()),
     )
 
 

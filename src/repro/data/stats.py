@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from repro.common.errors import DataGenerationError
+from repro.data.storage import categories_by_frequency, dictionary_encode
 
 
 def normal_scores(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -42,7 +43,12 @@ def normal_scores(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # of ``np.lexsort((jitter, values))`` from one single-key sort.
     by_jitter = np.empty(n, dtype=np.intp)
     by_jitter[jitter] = np.arange(n)
-    order = by_jitter[np.argsort(values[by_jitter], kind="stable")]
+    keys = values[by_jitter]
+    # Exact int16 keys (integer columns, codes): same order, by radix sort.
+    if -(2**15) <= keys.min() <= keys.max() < 2**15:
+        small = keys.astype(np.int16)
+        keys = small if (small == keys).all() else keys
+    order = by_jitter[np.argsort(keys, kind="stable")]
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(n, dtype=np.float64)
     return ndtri((ranks + 0.5) / n)
@@ -87,6 +93,8 @@ class NumericInverseCdf:
     @classmethod
     def fit(cls, values: np.ndarray) -> "NumericInverseCdf":
         array = np.asarray(values, dtype=np.float64)
+        if not len(array):
+            raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
         return cls(np.sort(array), bool(np.asarray(values).dtype.kind == "i"))
 
     def apply(self, uniforms: np.ndarray) -> np.ndarray:
@@ -119,9 +127,9 @@ class NominalInverseCdf:
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "NominalInverseCdf":
-        categories, counts = np.unique(np.asarray(values, dtype=str), return_counts=True)
-        order = np.argsort(-counts, kind="stable")
-        categories, counts = categories[order], counts[order]
+        if not len(values):
+            raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
+        categories, counts = categories_by_frequency(values)
         cumulative = np.cumsum(counts) / counts.sum()
         return cls(categories, cumulative)
 
@@ -132,17 +140,17 @@ class NominalInverseCdf:
 
     def code_of(self, values: np.ndarray) -> np.ndarray:
         """Frequency-rank codes of ``values`` (0 = most common)."""
-        values = np.asarray(values, dtype=str)
+        distinct, codes = dictionary_encode(np.asarray(values))
         by_name = np.argsort(self.categories)
         names = self.categories[by_name]
-        slots = np.minimum(np.searchsorted(names, values), len(names) - 1)
-        known = names[slots] == values
+        slots = np.minimum(np.searchsorted(names, distinct), len(names) - 1)
+        known = (names[slots] == distinct)[codes]
         if not known.all():
             raise DataGenerationError(
-                f"value {str(values[np.argmin(known)])!r} not present in "
-                "fitted categories"
+                f"value {str(distinct[codes[np.argmin(known)]])!r} not present "
+                "in fitted categories"
             )
-        return by_name[slots].astype(np.int64, copy=False)
+        return by_name[slots][codes].astype(np.int64, copy=False)
 
 
 def correlation_of_scores(scores: np.ndarray) -> np.ndarray:
@@ -162,9 +170,11 @@ def correlation_of_scores(scores: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def gaussian_to_uniform(samples: np.ndarray) -> np.ndarray:
+def gaussian_to_uniform(
+    samples: np.ndarray, out: "np.ndarray | None" = None
+) -> np.ndarray:
     """Probit inverse: map correlated N(0,1) samples to uniforms (Φ)."""
-    return ndtr(samples)
+    return ndtr(samples, out=out)
 
 
 def empirical_correlation(x: np.ndarray, y: np.ndarray) -> float:

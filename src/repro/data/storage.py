@@ -379,6 +379,15 @@ def dictionary_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return digits.view(strings.dtype).ravel(), codes.astype(np.int64, copy=False)
 
 
+def categories_by_frequency(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` as strings, most common first (equal counts in
+    sorted order), with their counts: :func:`dictionary_encode` counted."""
+    categories, codes = dictionary_encode(np.asarray(values))
+    counts = np.bincount(codes, minlength=len(categories))
+    order = np.argsort(-counts, kind="stable")
+    return categories[order], counts[order]
+
+
 @dataclass(frozen=True)
 class ForeignKey:
     """A foreign-key edge of a star schema.

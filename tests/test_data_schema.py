@@ -1,9 +1,11 @@
 """Tests for column profiling."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.common.errors import QueryError
+from repro.common.errors import DataGenerationError, QueryError
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
 from repro.data.schema import (
     ColumnKind,
@@ -62,6 +64,11 @@ class TestProfileColumn:
         profile = profile_column("v", np.array([1, 2]))
         assert profile.categories == ()
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_empty_numeric_column_rejected(self, dtype):
+        with pytest.raises(DataGenerationError, match="'v'"):
+            profile_column("v", np.array([], dtype=dtype))
+
 
 class TestProfileTable:
     def test_profiles_every_column(self, flights_table):
@@ -83,6 +90,13 @@ class TestProfileTable:
         profiles = profile_table(flights_table)
         assert profiles["DEP_DELAY"].kind is ColumnKind.QUANTITATIVE
         assert profiles["ORIGIN"].kind is ColumnKind.NOMINAL
+
+    def test_header_only_csv_names_the_empty_column(self):
+        """Zero rows load as an empty int64 column: a typed error, not
+        numpy's untyped zero-size reduction error."""
+        table = Table.from_csv(io.StringIO("DEP_DELAY\n"))
+        with pytest.raises(DataGenerationError, match="'DEP_DELAY'"):
+            profile_table(table)
 
 
 class TestProfileDataset:

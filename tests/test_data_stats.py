@@ -100,6 +100,12 @@ class TestNumericInverseCdf:
         assert cdf.apply(np.array([-0.5]))[0] == pytest.approx(10.0)
         assert cdf.apply(np.array([1.5]))[0] == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_empty_sample_rejected(self, dtype):
+        """Caught at fit, not as an IndexError on the first ``apply``."""
+        with pytest.raises(DataGenerationError, match="empty sample"):
+            NumericInverseCdf.fit(np.array([], dtype=dtype))
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_output_within_sample_range(self, values):
         cdf = NumericInverseCdf.fit(np.array(values))
@@ -122,6 +128,11 @@ class TestNominalInverseCdf:
         values = np.array(["rare"] + ["common"] * 9)
         cdf = NominalInverseCdf.fit(values)
         assert list(cdf.categories) == ["common", "rare"]
+
+    @pytest.mark.parametrize("values", [np.array([], dtype=str), []])
+    def test_empty_sample_rejected(self, values):
+        with pytest.raises(DataGenerationError, match="empty sample"):
+            NominalInverseCdf.fit(values)
 
     def test_code_of_round_trips(self):
         values = np.array(["x", "y", "x", "z"])
