@@ -319,27 +319,42 @@ _COUNTING_SLOTS_PER_ROW = 4
 _COUNTING_MIN_SLOTS = 1024
 
 
+def index_dtype(count: int) -> np.dtype:
+    """The narrowest signed integer type whose maximum is at least
+    ``count``: ``int8`` up to 127, ``int16`` up to 32,767, else ``int32``.
+
+    Every row-sized array indexing ``count`` groups or categories takes
+    it: a poll's gather of it moves 1, 2 or 4 bytes a row, and an index
+    plus one still fits (the ``-1`` marking of rows a filter fails).
+    """
+    if count <= 127:
+        return np.dtype(np.int8)
+    return np.dtype(np.int16 if count <= 32_767 else np.int32)
+
+
 def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort-free ``np.unique(codes, return_inverse=True)``.
 
-    ``codes`` is a non-empty ``int64`` array. Bin codes are dense small
+    ``codes`` is a non-empty integer array. Bin codes are dense small
     integers, so the distinct ones are read off a presence bitmap over
     ``[min, max]`` in O(rows + span) and each row's rank is a table
     lookup. Spans that do not fit the bound above (NaN-poisoned or
     degenerate-width codes reach the int64 extremes) take the sort.
-    Ranks are ``int32`` on the counting path (they are below the span,
-    which the bound keeps under 2**31 below half a billion rows): half
-    the bytes for every later gather of them.
+    Ranks take :func:`index_dtype` of the distinct count; the counting
+    path builds its rank table in that type, so no pass widens them.
+    Narrow input codes are shifted into ``intp``: numpy indexes with
+    anything else several times slower.
     """
     lowest = int(codes.min())
     span = int(codes.max()) - lowest + 1
     if span > max(_COUNTING_MIN_SLOTS, _COUNTING_SLOTS_PER_ROW * codes.size):
-        return np.unique(codes, return_inverse=True)
-    shifted = codes - lowest
+        unique, inverse = np.unique(codes, return_inverse=True)
+        return unique, inverse.astype(index_dtype(len(unique)))
+    shifted = np.subtract(codes, lowest, dtype=np.intp)
     present = np.zeros(span, dtype=bool)
     present[shifted] = True
     unique = np.flatnonzero(present)
-    rank = np.empty(span, dtype=np.int32)
+    rank = np.empty(span, dtype=index_dtype(len(unique)))
     rank[unique] = np.arange(len(unique))
     return unique + lowest, rank[shifted]
 
@@ -509,12 +524,14 @@ class Dataset:
 
         Returns ``(categories, codes)``: the sorted distinct values of
         ``gather_column(name).astype(str)`` and, per fact row, the
-        ``int64`` index of its value among them — so codes are monotone
-        in the categories and ``categories[codes]`` reconstructs the
-        string column. FK-reachable columns are encoded at dimension-
-        table size and dereferenced through the key, so ``categories``
-        may hold values no fact row references. Built by counting
-        (:func:`dictionary_encode`), not by sorting.
+        index of its value among them — so codes are monotone in the
+        categories and ``categories[codes]`` reconstructs the string
+        column. Codes take :func:`index_dtype` of the category count
+        (``int8`` for the ≤ 60 categories of a flights column: 1 byte a
+        row, not 8). FK-reachable columns are encoded and narrowed at
+        dimension-table size and dereferenced through the key, so
+        ``categories`` may hold values no fact row references. Built by
+        counting (:func:`dictionary_encode`), not by sorting.
 
         Memoized like :meth:`fingerprint` (tables are immutable-by-
         convention) and shared by every compiled kernel and the
@@ -524,6 +541,7 @@ class Dataset:
         if encoded is None:
             table_name, physical, fk = self.resolve_column(name)
             categories, codes = dictionary_encode(self.tables[table_name][physical])
+            codes = codes.astype(index_dtype(len(categories)))
             if fk is not None:
                 codes = codes[self.fact[fk.fact_column]]
             categories.setflags(write=False)

@@ -107,10 +107,11 @@ class StratifiedSamplingEngine(Engine):
             weights = [self.actual_rows / len(indices)]
         else:
             # One stable pass cuts every stratum: rows ordered by code
-            # (uint8 takes numpy's radix sort; _MAX_STRATA fits) stay
-            # ascending within each code, as flatnonzero gave them.
+            # (int8 codes, as _MAX_STRATA keeps them, take numpy's radix
+            # sort) stay ascending within each code, as flatnonzero gave
+            # them.
             categories, codes = self.dataset.encoded_column(column)
-            by_stratum = np.argsort(codes.astype(np.uint8), kind="stable")
+            by_stratum = np.argsort(codes, kind="stable")
             sizes = np.bincount(codes, minlength=len(categories))
             samples, weights = [], []
             for stratum_rows in np.split(by_stratum, np.cumsum(sizes)[:-1]):

@@ -42,6 +42,9 @@ class Filter:
         With ``get_encoding``, predicates over string values are decided
         once per category and gathered through the codes instead of
         stringifying the whole column; the mask is the same either way.
+        The gather is ``take``: codes are narrow (``int8`` for up to 127
+        categories), and fancy indexing with a non-``intp`` index costs
+        several times more.
         """
         raise NotImplementedError
 
@@ -114,7 +117,7 @@ class SetPredicate(Filter):
         wanted = sorted(self.values)
         if get_encoding is not None:
             categories, codes = get_encoding(self.field)
-            return np.isin(categories, wanted)[codes]
+            return np.isin(categories, wanted).take(codes)
         return np.isin(get_column(self.field).astype(str), wanted)
 
     def fields(self) -> Tuple[str, ...]:
@@ -174,7 +177,7 @@ class Comparison(Filter):
         if isinstance(value, str):
             if get_encoding is not None:
                 categories, codes = get_encoding(self.field)
-                return compare(categories, value)[codes]
+                return compare(categories, value).take(codes)
             return compare(get_column(self.field).astype(str), value)
         column = get_column(self.field)
         if column.dtype.kind not in ("i", "f"):

@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.data.storage import unique_inverse
+from repro.data.storage import index_dtype, unique_inverse
 from repro.query.binning import compute_codes
 from repro.query.filters import evaluate_filter
 from repro.query.groundtruth import GroupedStats, StrataGrid, identity_moments
@@ -157,16 +157,18 @@ def _build_groups(
     dense-ranked and the ranks packed as ``r1 * n2 + r2``: ranks are below
     the row count, so the packing fits int64 whatever the codes span
     (NaN codes sit at the int64 extremes), and rank order is code order.
+    Group ids take :func:`index_dtype` of the group count, built so in
+    the pass that makes them (a nominal plan adopts the dataset's codes).
     """
     per_dim = [_dimension_codes(dataset, dim, columns) for dim in bins]
     if len(per_dim) == 1:
         codes, categories = per_dim[0]
         if categories is not None:
-            return list(zip(categories.tolist())), codes.astype(np.int32)
+            return list(zip(categories.tolist())), codes
         lowest = int(codes.min())
         span = int(codes.max()) - lowest + 1
         if span <= codes.size:
-            gid = (codes - lowest).astype(np.int32)
+            gid = (codes - lowest).astype(index_dtype(span))
             return list(zip(range(lowest, lowest + span))), gid
         unique_codes, gid = unique_inverse(codes)
         return list(zip(unique_codes.tolist())), gid
@@ -213,17 +215,19 @@ def _build_grouping(
     if not num_passing:
         # No plan: a dimension error no passing row reaches stays unraised.
         plan, keys = None, []
-        row_gid = np.full(num_rows, -1, dtype=np.int32)
+        row_gid = np.full(num_rows, -1, dtype=np.int8)
     else:
         plan = _shared(dataset, ("plans", query.bins), build_plan)
         keys, row_gid = plan.keys, plan.gid
         if num_passing < num_rows:
             # (gid + 1) * mask - 1, not np.where, which mispredicts on
-            # a random mask; int32 ones keep the plan's dtype under
-            # numpy 1.x and NEP 50 alike.
-            row_gid = plan.gid + np.int32(1)
+            # a random mask; a one of the plan's dtype keeps it under
+            # numpy 1.x and NEP 50 alike, and the dtype holds the group
+            # count, so the + 1 fits.
+            one = plan.gid.dtype.type(1)
+            row_gid = plan.gid + one
             row_gid *= mask
-            row_gid -= np.int32(1)
+            row_gid -= one
     row_gid.setflags(write=False)
     return Grouping(mask, plan, keys, row_gid, num_passing)
 

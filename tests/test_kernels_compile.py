@@ -271,12 +271,15 @@ class TestEncodedColumn:
         assert len(sorts) == 1
 
     def test_reconstructs_the_string_column(self, flights_dataset):
-        # nominal, and numeric (int and float) read as strings
-        for name in ("ORIGIN_STATE", "MONTH", "DEP_DELAY"):
+        # nominal, and numeric (int and float) read as strings; codes take
+        # the narrowest type holding the category count (35, 12 and 200)
+        for name, dtype in (
+            ("ORIGIN_STATE", np.int8), ("MONTH", np.int8), ("DEP_DELAY", np.int16)
+        ):
             categories, codes = flights_dataset.encoded_column(name)
             strings = flights_dataset.gather_column(name).astype(str)
             assert categories.tolist() == sorted(set(strings.tolist()))
-            assert codes.dtype == np.int64
+            assert codes.dtype == dtype
             assert np.array_equal(categories[codes], strings)
 
     def test_memoized(self, flights_dataset):

@@ -12,6 +12,7 @@ one is checked over the full table and random row-index prefixes.
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 
@@ -588,3 +589,122 @@ def test_compiled_kernel_gathers_only_at_compile_time(flights_dataset, flights_t
     for n in (100, 500, 2000):
         kernel.evaluate(np.arange(n))
     assert calls == compile_calls  # zero per-poll gathers
+
+
+# ----------------------------------------------------------------------
+# Group-id dtypes at their boundaries: 127/128 and 32,767/32,768 groups
+# ----------------------------------------------------------------------
+#: Group count -> the dtype the narrowest-index rule gives its ids.
+BOUNDARY_DTYPES = {127: np.int8, 128: np.int16, 32_767: np.int16, 32_768: np.int32}
+#: Rows past the first ``groups`` (which reach every group once).
+_BOUNDARY_EXTRA_ROWS = 1_000
+#: In 2-D the first dimension is ``k // 64`` and the second ``k % 64``
+#: (as a string), so each stays narrow while their pack crosses.
+_PACK_WIDTH = 64
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_dataset(groups: int) -> Dataset:
+    """Every row's group ``k`` in ``[0, groups)``, each reached at least
+    once, as a quantitative code (``q``), a category (``s``) and a
+    (quantitative, category) pair (``hi``, ``lo``), plus a metric ``m``
+    that range filters cut."""
+    rng = np.random.default_rng(groups)
+    k = np.concatenate(
+        [rng.permutation(groups), rng.integers(0, groups, _BOUNDARY_EXTRA_ROWS)]
+    )
+    return Dataset.from_table(
+        Table(
+            "boundary",
+            {
+                "q": k + 0.5,
+                "s": np.char.add("c", np.char.zfill(k.astype(str), 5)),
+                "hi": (k // _PACK_WIDTH).astype(np.float64),
+                "lo": np.char.add("d", (k % _PACK_WIDTH).astype(str)),
+                "m": rng.normal(0.0, 1.0, len(k)),
+            },
+        )
+    )
+
+
+BOUNDARY_BINS = {
+    "quantitative": (_quant_dim("q", 1.0),),
+    "nominal": (BinDimension(field="s", kind=BinKind.NOMINAL),),
+    "2-D pack": (
+        _quant_dim("hi", 1.0),
+        BinDimension(field="lo", kind=BinKind.NOMINAL),
+    ),
+}
+BOUNDARY_AGGREGATES = (
+    Aggregate(func=AggFunc.COUNT),
+    Aggregate(func=AggFunc.AVG, field="m"),
+    Aggregate(func=AggFunc.MIN, field="q"),
+)
+
+
+@pytest.mark.parametrize("groups", sorted(BOUNDARY_DTYPES))
+@pytest.mark.parametrize("bins", sorted(BOUNDARY_BINS))
+@hyp_settings(max_examples=3, deadline=None)
+@given(
+    cut=st.tuples(st.floats(-2.0, 0.5), st.floats(0.1, 3.0)),
+    fractions=st.tuples(*(st.floats(0.0, 1.0) for _ in range(4))),
+    seed=st.integers(0, 2**16),
+)
+def test_group_id_dtype_boundaries_match_the_reference(
+    groups, bins, cut, fractions, seed
+):
+    """At each dtype boundary the plan's and the filtered grouping's ids
+    take exactly the rule's dtype, and every answer — from scratch, by
+    wrapping and shrinking prefix polls, by strata — is bitwise the
+    reference's."""
+    dataset = boundary_dataset(groups)
+    rows = dataset.num_fact_rows
+    low, width = cut
+    query = AggQuery(
+        table="boundary",
+        bins=BOUNDARY_BINS[bins],
+        aggregates=BOUNDARY_AGGREGATES,
+        filter=RangePredicate("m", low, low + width),
+    )
+    kernel = CompiledQueryKernel(dataset, query)
+    assert kernel.num_groups == groups
+    assert not kernel.all_rows_pass
+    assert kernel._grouping.plan.gid.dtype == BOUNDARY_DTYPES[groups]
+    assert kernel._row_gid.dtype == BOUNDARY_DTYPES[groups]
+
+    permutation = np.random.default_rng(seed).permutation(rows)
+    sample = permutation[:600]
+    for subset in (None, sample):
+        assert_stats_equal(
+            kernel.evaluate(subset), compute_grouped_stats(dataset, query, subset)
+        )
+
+    # A poll that wraps past the permutation's end, then one that shrinks.
+    offset_f, first_f, wrap_f, shrink_f = fractions
+    offset = 1 + int(offset_f * (rows - 2))
+    wrap = rows - offset + 1 + int(wrap_f * (offset - 1))
+    run = PrefixKernelRun(kernel, permutation, offset)
+    rotation = np.roll(permutation, -offset)
+    for n in (int(first_f * wrap), wrap, int(shrink_f * (wrap - 1))):
+        assert_stats_equal(run.poll(n), compute_grouped_stats(dataset, query, rotation[:n]))
+    assert run.rebuilds == 1
+
+    stratum_of_row = np.arange(len(sample)) % 3
+    grid = kernel.evaluate_strata(sample, stratum_of_row, 3)
+    reference = grid_from_stats(
+        query,
+        [
+            compute_grouped_stats(dataset, query, sample[stratum_of_row == h])
+            for h in range(3)
+        ],
+    )
+    assert grid.counts.any() == reference.counts.any()
+    if reference.counts.any():
+        _assert_columns_equal(
+            *(
+                stratified_estimate(
+                    query, StrataMoments(cells, [0.5, 0.3, 0.2], [200, 200, 200]), 0.95
+                )
+                for cells in (grid, reference)
+            )
+        )

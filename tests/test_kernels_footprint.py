@@ -1,0 +1,115 @@
+"""Footprint guard: row-sized index arrays stay as narrow as their counts.
+
+Every row-sized array that indexes groups or categories — a dataset's
+dictionary codes, a binning plan's group ids, a grouping's filtered ids
+and an empty grouping's ``-1`` array — takes the narrowest signed integer
+type whose maximum is at least its group or category count
+(:func:`repro.data.storage.index_dtype`). A poll gathers one of them per
+sampled row, so each byte of width is a byte of cache traffic per row;
+these assertions fail if a later change widens any of them again.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
+from repro.data.storage import index_dtype
+from repro.query.filters import RangePredicate
+from repro.query.kernels import CompiledQueryKernel
+from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+
+
+def rule_itemsize(count: int) -> int:
+    """Bytes per row the rule allows for ``count`` groups or categories."""
+    return 1 if count <= 127 else 2 if count <= 32_767 else 4
+
+
+def _nominal_names(table):
+    return [name for name in table.column_names if not table.is_numeric(name)]
+
+
+def _query(bins, filter_expr=None):
+    return AggQuery(
+        table="flights",
+        bins=bins,
+        aggregates=(Aggregate(AggFunc.COUNT), Aggregate(AggFunc.SUM, "DISTANCE")),
+        filter=filter_expr,
+    )
+
+
+def _nominal(field):
+    return BinDimension(field, BinKind.NOMINAL)
+
+
+def _quant(field, width):
+    return BinDimension(field, BinKind.QUANTITATIVE, width=width, reference=0.0)
+
+
+#: 1-D nominal, 1-D quantitative on both sides of the int8 boundary
+#: (12 months; 2,362 one-mile distance bins), and 2-D packs (396 and 827
+#: groups on the 6,000-row fixture).
+PLAN_BINS = (
+    (_nominal("UNIQUE_CARRIER"),),
+    (_nominal("ORIGIN"),),
+    (_quant("MONTH", 1.0),),
+    (_quant("DISTANCE", 1.0),),
+    (_nominal("ORIGIN_STATE"), _quant("MONTH", 1.0)),
+    (_quant("DEP_DELAY", 5.0), _nominal("DEST")),
+)
+BRUSH = RangePredicate("DEP_DELAY", -5.0, 45.0)
+NOTHING = RangePredicate("DISTANCE", 1e9, None)
+
+
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 32_767, 32_768, 2**31 - 1])
+def test_index_dtype_is_the_rule(count):
+    dtype = index_dtype(count)
+    assert dtype.kind == "i" and dtype.itemsize == rule_itemsize(count)
+    assert np.iinfo(dtype).max >= count
+
+
+def test_dictionary_codes_are_narrow(flights_table, flights_dataset):
+    names = _nominal_names(flights_table)
+    assert names
+    for name in names:
+        categories, codes = flights_dataset.encoded_column(name)
+        assert codes.dtype.kind == "i"
+        assert codes.itemsize == rule_itemsize(len(categories)) == 1, name
+
+
+def test_fk_reachable_codes_are_narrow(flights_table):
+    star = normalize(flights_table, FLIGHTS_STAR_SPEC)
+    fk_columns = [
+        name for fk in star.foreign_keys for name in fk.denormalized_columns()
+    ]
+    assert "ORIGIN_STATE" in fk_columns
+    for name in fk_columns:
+        assert star.resolve_column(name)[2] is not None
+        categories, codes = star.encoded_column(name)
+        assert len(codes) == star.num_fact_rows
+        assert codes.itemsize == rule_itemsize(len(categories)) == 1, name
+    kernel = CompiledQueryKernel(star, _query((_nominal("ORIGIN_STATE"),), BRUSH))
+    assert kernel._row_gid.itemsize == rule_itemsize(kernel.num_groups) == 1
+
+
+@pytest.mark.parametrize("bins", PLAN_BINS, ids=lambda bins: "x".join(d.field for d in bins))
+def test_plans_and_groupings_are_narrow(flights_dataset, bins):
+    whole = CompiledQueryKernel(flights_dataset, _query(bins))
+    brushed = CompiledQueryKernel(flights_dataset, _query(bins, BRUSH))
+    assert whole.all_rows_pass and not brushed.all_rows_pass
+    plan = brushed._grouping.plan
+    assert whole._grouping.plan is plan
+    itemsize = rule_itemsize(whole.num_groups)
+    for ids in (plan.gid, whole._row_gid, brushed._row_gid):
+        assert ids.dtype.kind == "i"
+        assert ids.itemsize == itemsize, (ids.dtype, whole.num_groups)
+    assert brushed._row_gid.min() == -1
+
+
+def test_empty_grouping_is_int8(flights_dataset):
+    kernel = CompiledQueryKernel(flights_dataset, _query(PLAN_BINS[3], NOTHING))
+    assert kernel.num_groups == 0
+    assert kernel._row_gid.dtype == np.int8
+    assert len(kernel._row_gid) == flights_dataset.num_fact_rows
+    assert (kernel._row_gid == -1).all()

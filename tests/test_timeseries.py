@@ -433,9 +433,10 @@ def _reference_run(server_ctx):
     return series.windows, results[0].csv_text()
 
 
-def _streamed_run(server_ctx, slo_rules=()):
+def _streamed_run(server_ctx, slo_rules=(), probe=None):
     """One shared TCP run with a probe subscribed before the population:
-    ``(pushes, slot 0's detailed CSV)``."""
+    ``(what the probe returned, slot 0's detailed CSV)``. The probe is
+    ``probe(host, port)``, by default :func:`stream_server_stats`."""
     from repro.engines.kernel_cache import clear_kernel_cache
     from repro.net.client import (
         fetch_scripted_session,
@@ -443,6 +444,8 @@ def _streamed_run(server_ctx, slo_rules=()):
         stream_server_stats,
     )
     from repro.net.server import ServerThread, TcpSessionServer
+
+    probe = probe or stream_server_stats
 
     clear_kernel_cache()
     server = TcpSessionServer(
@@ -456,11 +459,10 @@ def _streamed_run(server_ctx, slo_rules=()):
     )
     pushes = []
     with ServerThread(server) as (host, port):
-        probe = threading.Thread(
-            target=lambda: pushes.extend(stream_server_stats(host, port)),
-            daemon=True,
+        prober = threading.Thread(
+            target=lambda: pushes.extend(probe(host, port)), daemon=True
         )
-        probe.start()
+        prober.start()
         peer = threading.Thread(
             target=fetch_scripted_session,
             args=(host, port, 1),
@@ -470,8 +472,8 @@ def _streamed_run(server_ctx, slo_rules=()):
         peer.start()
         _, records, _ = fetch_scripted_session(host, port, 0, per_session=1)
         peer.join(120)
-        probe.join(120)
-    assert not probe.is_alive(), "probe never saw the final frame"
+        prober.join(120)
+    assert not prober.is_alive(), "probe never saw the final frame"
     return pushes, records_csv_text(records)
 
 
@@ -566,6 +568,37 @@ class TestStreamingEndToEnd:
 # ----------------------------------------------------------------------
 # repro top: wall-throttled rendering over deterministic payloads
 # ----------------------------------------------------------------------
+
+class TestRunTop:
+    def test_renders_the_pushed_stream_of_a_shared_run(self, primed_ctx):
+        """``run_top`` against a live shared-engine server returns the
+        in-process series' windows byte for byte and renders every other
+        one: a fake clock steps half the interval per frame."""
+        import io
+
+        from repro.net.top import _HEADER, format_window, run_top
+
+        reference = series_lines(_reference_run(primed_ctx)[0])
+        out = io.StringIO()
+        ticks = iter(0.5 * i for i in range(10_000))
+        windows, _ = _streamed_run(
+            primed_ctx,
+            probe=lambda host, port: run_top(
+                host, port, interval=1.0, out=out, clock=lambda: next(ticks)
+            ),
+        )
+        assert len(windows) > 2
+        assert [canonical_json(window) for window in windows] == reference
+        shown = windows[::2]
+        if len(windows) % 2 == 0:  # the last window was dropped: close shows it
+            shown.append(windows[-1])
+        dropped = len(windows) // 2
+        assert out.getvalue().splitlines() == [
+            _HEADER,
+            *(format_window(window) for window in shown),
+            f"-- stream ended: {len(shown)} rendered, {dropped} dropped, 0 alerts --",
+        ]
+
 
 class TestTopView:
     def _view(self, interval=1.0):
