@@ -20,8 +20,9 @@ the scheduler's service histories plus seeded sampling permutations.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +38,11 @@ from repro.engines.scheduler import ProcessorSharingScheduler
 from repro.query.filters import Filter
 from repro.query.kernels import PrefixKernelRun
 from repro.query.model import AggQuery, QueryResult
+
+
+#: dataset -> {key: offline sample} (:meth:`Engine._prepared_sample`): weak
+#: on the dataset, strong on the samples, whose arrays are read-only.
+_SAMPLES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,9 @@ class Engine:
         raise NotImplementedError
 
     def _do_prepare(self) -> List[Tuple[str, float]]:
-        """Build engine-side structures; returns extra prep components."""
+        """Build engine-side structures; returns extra prep components.
+
+        Host work goes through :meth:`_prepared_sample`, once per dataset."""
         return []
 
     def _do_submit(self, state: _HandleState) -> None:
@@ -295,9 +303,27 @@ class Engine:
         return fraction
 
     def _shuffled_indices(self, stream: object = "shuffle") -> np.ndarray:
-        """A seeded random permutation of all row indices (sampling order)."""
-        rng = derive_rng(self.settings.seed, self.name, stream)
-        return rng.permutation(self.actual_rows)
+        """A seeded random permutation of all row indices (sampling order),
+        drawn once per live dataset and ``(seed, engine name, stream)``
+        and shared read-only."""
+
+        def draw() -> np.ndarray:
+            rng = derive_rng(self.settings.seed, self.name, stream)
+            permutation = rng.permutation(self.actual_rows)
+            permutation.setflags(write=False)
+            return permutation
+
+        return self._prepared_sample((self.settings.seed, self.name, stream), draw)
+
+    def _prepared_sample(self, key: tuple, build: Callable[[], object]):
+        """The dataset's offline sample under ``key``, every input ``build``
+        reads besides the dataset; built, and only then registered, if there
+        is none — a build that raises leaves nothing."""
+        samples = _SAMPLES.setdefault(self.dataset, {})
+        sample = samples.get(key)
+        if sample is None:
+            sample = samples[key] = build()
+        return sample
 
     def _get(self, handle: int) -> _HandleState:
         try:

@@ -42,7 +42,7 @@ from repro.engines.cost import (
 )
 from repro.engines.estimators import StrataMoments, stratified_estimate
 from repro.engines.kernel_cache import get_kernel
-from repro.query.model import BinColumns, QueryResult
+from repro.query.model import AggQuery, BinColumns, QueryResult
 
 #: Strata with more categories than this are unusable for stratification.
 _MAX_STRATA = 64
@@ -79,11 +79,14 @@ class StratifiedSamplingEngine(Engine):
         #: the design choice the paper's §6 discussion credits for System
         #: X's rare-group coverage.
         self.stratify = stratify
+        #: Every input the sample's draw reads besides the dataset: (seed,
+        #: engine name, sampling_rate, stratify).
+        self._sample_key = (self.settings.seed, self.name, sampling_rate, stratify)
         #: The sample: every stratum's row indices back to back, the
         #: stratum of each, and the per-stratum (indices, weight) views.
         self._sample_index = np.empty(0, dtype=np.int64)
         self._stratum_of_row = np.empty(0, dtype=np.int64)
-        self._strata: List[Tuple[np.ndarray, float]] = []
+        self._strata: Tuple[Tuple[np.ndarray, float], ...] = ()
         self._sample_rows = 0
 
     def _default_cost(self) -> EngineCostModel:
@@ -94,7 +97,15 @@ class StratifiedSamplingEngine(Engine):
 
     # ------------------------------------------------------------------
     def _do_prepare(self) -> List[Tuple[str, float]]:
-        """Build the stratified sample (the §5.2 offline step)."""
+        """Fetch the stratified sample (the §5.2 offline step), drawn once per
+        live dataset and ``_sample_key`` and shared read-only."""
+        sample = self._prepared_sample(self._sample_key, self._draw_sample)
+        self._sample_index, self._stratum_of_row, self._strata, self._sample_rows = sample
+        return []
+
+    def _draw_sample(self) -> tuple:
+        """Draw the sample: its index, each row's stratum, the per-stratum
+        ``(indices, weight)`` views and its row count, all read-only."""
         column = self._stratification_column() if self.stratify else None
         rng = derive_rng(self.settings.seed, self.name, "sample")
         if column is None:
@@ -124,13 +135,12 @@ class StratifiedSamplingEngine(Engine):
                 samples.append(np.sort(chosen))
                 weights.append(len(stratum_rows) / quota)
         quotas = [len(sample) for sample in samples]
-        self._sample_index = np.concatenate(samples)
-        self._stratum_of_row = np.repeat(np.arange(len(samples)), quotas)
-        self._strata = list(
-            zip(np.split(self._sample_index, np.cumsum(quotas)[:-1]), weights)
-        )
-        self._sample_rows = len(self._sample_index)
-        return []
+        sample_index = np.concatenate(samples)
+        sample_index.setflags(write=False)  # before the views are cut
+        stratum_of_row = np.repeat(np.arange(len(samples)), quotas)
+        stratum_of_row.setflags(write=False)
+        strata = tuple(zip(np.split(sample_index, np.cumsum(quotas)[:-1]), weights))
+        return sample_index, stratum_of_row, strata, len(sample_index)
 
     def _stratification_column(self) -> Optional[str]:
         """Lowest-cardinality nominal column usable for stratification."""
@@ -179,8 +189,16 @@ class StratifiedSamplingEngine(Engine):
         return state.extra["result"]
 
     def _estimate(self, state: _HandleState) -> QueryResult:
+        """The sample's answer, memoized on the kernel for every TR."""
+        kernel = get_kernel(self.dataset, state.query)
+        key = self._sample_key + (self.settings.confidence_level,)
+        if kernel.sample_answer is None or kernel.sample_answer[0] != key:
+            kernel.sample_answer = (key, self._answer(kernel, state.query))
+        return kernel.sample_answer[1]
+
+    def _answer(self, kernel, query: AggQuery) -> QueryResult:
         # One kernel pass over the sample aggregates every stratum.
-        grid = get_kernel(self.dataset, state.query).evaluate_strata(
+        grid = kernel.evaluate_strata(
             self._sample_index, self._stratum_of_row, len(self._strata)
         )
         if grid.counts.any():
@@ -190,12 +208,12 @@ class StratifiedSamplingEngine(Engine):
                 sample_sizes=[len(indices) for indices, _ in self._strata],
             )
             columns = stratified_estimate(
-                state.query, strata, self.settings.confidence_level
+                query, strata, self.settings.confidence_level
             )
         else:  # no qualifying sample row, nothing to estimate
-            columns = BinColumns([], [np.zeros(0)] * len(state.query.aggregates))
+            columns = BinColumns([], [np.zeros(0)] * len(query.aggregates))
         return QueryResult(
-            query=state.query,
+            query=query,
             columns=columns,
             rows_processed=self._sample_rows,
             fraction=self._sample_rows / self.actual_rows,

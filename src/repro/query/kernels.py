@@ -280,6 +280,8 @@ class CompiledQueryKernel:
         #: ``evaluate_exact``'s memo: the exact answer, built from
         #: ``exact_stats()`` on first use.
         self.exact_answer: Optional[QueryResult] = None
+        #: System X's memo: (its sample's key plus confidence level, answer).
+        self.sample_answer: Optional[Tuple[tuple, QueryResult]] = None
 
     # ------------------------------------------------------------------
     @property

@@ -321,10 +321,12 @@ class MatrixExecutor:
     def run(self, specs: Sequence[RunSpec]) -> List[CellResult]:
         """Execute every cell; results align with ``specs`` order."""
         specs = list(specs)
+        # One store key per cell, for both its lookup and its write.
+        keys = [None if self.store is None else result_key(spec) for spec in specs]
         results: List[Optional[CellResult]] = [None] * len(specs)
         pending: List[int] = []
         for index, spec in enumerate(specs):
-            restored = self._restore(spec)
+            restored = self._restore(spec, keys[index])
             if restored is not None:
                 results[index] = restored
                 self._report(f"[cache] {spec.describe()}")
@@ -338,7 +340,7 @@ class MatrixExecutor:
                 jobs=self.jobs,
             )
             if self.jobs == 1 or len(pending) == 1:
-                self._run_serial(specs, pending, results)
+                self._run_serial(specs, keys, pending, results)
             else:
                 self._run_parallel(specs, pending, results)
         missing = [i for i, result in enumerate(results) if result is None]
@@ -352,10 +354,10 @@ class MatrixExecutor:
         return list(results)
 
     # ------------------------------------------------------------------
-    def _restore(self, spec: RunSpec) -> Optional[CellResult]:
+    def _restore(self, spec: RunSpec, key: Optional[tuple]) -> Optional[CellResult]:
         if self.store is None or not self.reuse_results:
             return None
-        payload = self.store.get(result_key(spec))
+        payload = self.store.get(key)
         if payload is None:
             return None
         return CellResult.from_payload(spec, payload, from_cache=True)
@@ -376,6 +378,7 @@ class MatrixExecutor:
     def _run_serial(
         self,
         specs: List[RunSpec],
+        keys: List[Optional[tuple]],
         pending: List[int],
         results: List[Optional[CellResult]],
     ) -> None:
@@ -385,7 +388,7 @@ class MatrixExecutor:
             payload = execute_cell(self._context_for(spec), spec)
             elapsed = perf_seconds() - started
             if self.store is not None:
-                self.store.put(result_key(spec), payload)
+                self.store.put(keys[index], payload)
             results[index] = CellResult.from_payload(
                 spec, payload, elapsed=elapsed
             )

@@ -17,7 +17,10 @@ Properties the runtime relies on:
   :data:`~repro.common.fingerprint.CACHE_SCHEMA_VERSION`, so bumping the
   version orphans (rather than corrupts) stale entries;
 * **bounded size** — an optional ``max_bytes`` budget evicts the least
-  recently used artifacts (mtime is refreshed on every hit);
+  recently used artifacts (mtime is refreshed on every hit). ``put``
+  scans only when the last scan's total plus this instance's writes since
+  could pass the budget, so other processes can push the directory over
+  it by at most what they wrote since this instance's last scan;
 * **resumability** — a crashed run-matrix leaves every completed cell's
   report behind; the next run loads them in milliseconds.
 """
@@ -51,6 +54,8 @@ class ArtifactStore:
         self.misses = 0
         self.puts = 0
         self.evictions = 0
+        #: Bytes at the last scan (inf: none yet) and bytes written since.
+        self._scanned, self._written = float("inf"), 0
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -102,13 +107,15 @@ class ArtifactStore:
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                self._written += handle.tell()
             os.replace(temp_name, path)
         except BaseException:
             _remove_quietly(Path(temp_name))
             raise
         self.puts += 1
         if self.max_bytes is not None:
-            self.evict(self.max_bytes)
+            if self._scanned + self._written > self.max_bytes:
+                self.evict(self.max_bytes)
         return path
 
     def get_or_create(self, key: Any, build: Callable[[], Any]) -> Any:
@@ -157,6 +164,7 @@ class ArtifactStore:
             total -= size
             removed += 1
         self.evictions += removed
+        self._scanned, self._written = total, 0
         return removed
 
     def clear(self) -> int:

@@ -114,6 +114,22 @@ class TestCachingAndResume:
         assert all(r.from_cache for r in second)
         assert _csv(first) == _csv(second)
 
+    def test_cold_store_digests_each_cell_once(self, specs, tmp_path, monkeypatch):
+        # The restore lookup and the write-back share one result key.
+        calls = []
+        fingerprint = RunSpec.fingerprint
+
+        def counting(spec):
+            calls.append(spec)
+            return fingerprint(spec)
+
+        monkeypatch.setattr(RunSpec, "fingerprint", counting)
+        results = MatrixExecutor(jobs=1, store=ArtifactStore(tmp_path / "cache")).run(
+            specs
+        )
+        assert all(not r.from_cache for r in results)
+        assert calls == list(specs)
+
     def test_cached_run_executes_nothing(self, specs, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path / "cache")
         MatrixExecutor(jobs=1, store=store).run(specs)

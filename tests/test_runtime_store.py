@@ -99,3 +99,30 @@ class TestEviction:
             store.put(("blob", index), b"z" * 1000)
         assert store.total_bytes() <= 3_000
         assert store.evictions > 0
+
+    def test_puts_under_the_budget_scan_once(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "cache", max_bytes=1_000_000)
+        scans = []
+        entries = ArtifactStore._entries
+
+        def counting(self):
+            scans.append(1)
+            return entries(self)
+
+        monkeypatch.setattr(ArtifactStore, "_entries", counting)
+        for index in range(50):
+            store.put(("blob", index), b"w" * 100)
+        assert len(scans) == 1
+        assert store.evictions == 0 and len(store) == 50
+
+    def test_a_put_that_could_pass_the_budget_rescans(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache", max_bytes=3_000)
+        store.put(("blob", 0), b"z" * 1000)
+        # Another writer fills the directory behind this instance's back.
+        other = ArtifactStore(tmp_path / "cache")
+        for index in range(1, 4):
+            other.put(("blob", index), b"z" * 1000)
+        store.put(("blob", 4), b"z" * 1000)
+        assert store.total_bytes() > 3_000  # over by the other's writes only
+        store.put(("blob", 5), b"z" * 1000)
+        assert store.total_bytes() <= 3_000
