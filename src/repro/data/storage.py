@@ -319,17 +319,46 @@ _COUNTING_SLOTS_PER_ROW = 4
 _COUNTING_MIN_SLOTS = 1024
 
 
+#: The narrow signed integer types, narrowest first.
+_NARROW_INTS = [(np.dtype(t), np.iinfo(t)) for t in (np.int8, np.int16, np.int32)]
+
+
+def int_dtype(low: int, high: int) -> np.dtype:
+    """The narrowest signed integer type holding every integer in
+    ``[low, high]``: ``int8``, then ``int16``, then ``int32``, else
+    ``int64``. The one width rule of row-sized integer arrays."""
+    for dtype, info in _NARROW_INTS:
+        if info.min <= low and high <= info.max:
+            return dtype
+    return np.dtype(np.int64)
+
+
 def index_dtype(count: int) -> np.dtype:
     """The narrowest signed integer type whose maximum is at least
-    ``count``: ``int8`` up to 127, ``int16`` up to 32,767, else ``int32``.
+    ``count`` (:func:`int_dtype` of ``[-1, count]``): ``int8`` up to
+    127, ``int16`` up to 32,767, else ``int32``.
 
     Every row-sized array indexing ``count`` groups or categories takes
     it: a poll's gather of it moves 1, 2 or 4 bytes a row, and an index
     plus one still fits (the ``-1`` marking of rows a filter fails).
     """
-    if count <= 127:
-        return np.dtype(np.int8)
-    return np.dtype(np.int16 if count <= 32_767 else np.int32)
+    return int_dtype(-1, count)
+
+
+def narrowest_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as an aggregate folds them, exactly: an integer column
+    at the narrowest type holding its ``[min, max]`` (:func:`int_dtype`;
+    itself, uncopied, when that type is no narrower), anything else as
+    ``float64`` (a float column uncopied).
+
+    A fold widens only the rows it gathers; an integer's ``float64`` is
+    the same double whether cast before or after the gather.
+    """
+    if values.dtype.kind not in "iu":
+        return values.astype(np.float64, copy=False)
+    low, high = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    dtype = int_dtype(low, high)
+    return values if values.itemsize <= dtype.itemsize else values.astype(dtype)
 
 
 def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -435,8 +464,8 @@ class Dataset:
     Tables are immutable-by-convention, so data derived from them is
     memoized on the dataset and shared by every query compiled against
     it: the content :meth:`fingerprint`, each column's dictionary
-    encoding (:meth:`encoded_column`) and its ``float64`` cast
-    (:meth:`float64_column`).
+    encoding (:meth:`encoded_column`) and the values its aggregates fold
+    (:meth:`value_column`: integers at their narrowest exact width).
     """
 
     def __init__(
@@ -464,8 +493,8 @@ class Dataset:
         self._fingerprint: Optional[str] = None
         #: logical column -> (sorted categories, fact-granularity codes).
         self._encoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        #: logical column -> fact-granularity float64 values.
-        self._float64: Dict[str, np.ndarray] = {}
+        #: logical column -> fact-granularity values, narrowest exact type.
+        self._values: Dict[str, np.ndarray] = {}
 
     @property
     def fact(self) -> Table:
@@ -549,18 +578,24 @@ class Dataset:
             encoded = self._encoded[name] = (categories, codes)
         return encoded
 
-    def float64_column(self, name: str) -> np.ndarray:
-        """Logical column ``name`` at fact granularity as read-only ``float64``.
+    def value_column(self, name: str) -> np.ndarray:
+        """Logical column ``name`` at fact granularity, read-only, as its
+        aggregates fold it (:func:`narrowest_values`): the nine flights
+        columns take 1 or 2 bytes a row, not ``float64``'s 8.
 
         Memoized, so every kernel aggregating the column shares one
-        array; a fact column that already is ``float64`` is shared as a
-        read-only view, not copied.
+        array. FK-reachable columns are narrowed at dimension-table size
+        and dereferenced, like :meth:`encoded_column`'s codes.
         """
-        values = self._float64.get(name)
+        values = self._values.get(name)
         if values is None:
-            values = self.gather_column(name).astype(np.float64, copy=False).view()
+            table_name, physical, fk = self.resolve_column(name)
+            values = narrowest_values(self.tables[table_name][physical])
+            if fk is not None:
+                values = values[self.fact[fk.fact_column]]
+            values = values.view()  # lock this array, not the table's
             values.setflags(write=False)
-            self._float64[name] = values
+            self._values[name] = values
         return values
 
     def column_is_numeric(self, name: str) -> bool:
@@ -600,17 +635,17 @@ class Dataset:
         return self._fingerprint
 
     def __getstate__(self) -> dict:
-        # The memoized encodings and casts are derived data: leaving
+        # The memoized encodings and value columns are derived data: leaving
         # them out keeps a warmed dataset's pickle (ArtifactStore, matrix
         # workers) byte-equal to a cold one's.
         state = dict(self.__dict__)
-        del state["_encoded"], state["_float64"]
+        del state["_encoded"], state["_values"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._encoded = {}
-        self._float64 = {}
+        self._values = {}
 
     def __repr__(self) -> str:
         kind = "star" if self.is_normalized else "denormalized"

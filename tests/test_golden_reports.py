@@ -90,3 +90,33 @@ def test_adaptive_differs_from_scripted():
 def test_churn_corpus_records_departures():
     churn = (GOLDEN_DIR / "open_churn.txt").read_bytes()
     assert b"departed_at=" in churn
+
+
+def test_check_reports_drift_and_writes_nothing(
+    server_ctx, tmp_path, monkeypatch, capsys
+):
+    """``--check`` on a tampered copy of one file exits 1, names the file
+    and leaves its bytes alone; on an intact copy it exits 0; an unknown
+    argument exits 2 before anything is built or written."""
+    name = "timeseries_serial.jsonl"
+    copy = tmp_path / name
+    tampered = (GOLDEN_DIR / name).read_bytes() + b"tampered\n"
+    copy.write_bytes(tampered)
+    monkeypatch.setattr(regen, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(regen, "GOLDEN_CASES", {name: regen.GOLDEN_CASES[name]})
+    monkeypatch.setattr(regen, "build_context", lambda: server_ctx)
+
+    assert regen.main(["--check"]) == 1
+    assert copy.read_bytes() == tampered
+    assert f"would change: {name}" in capsys.readouterr().out
+
+    with pytest.raises(SystemExit) as refused:
+        regen.main(["--help-me"])
+    assert refused.value.code == 2
+    assert copy.read_bytes() == tampered
+
+    assert regen.main([]) == 0  # the rebuild restores the golden bytes
+    assert copy.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    assert regen.main(["--check"]) == 0
+    assert f"unchanged: {name}" in capsys.readouterr().out.splitlines()[-1]

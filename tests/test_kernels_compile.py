@@ -286,8 +286,8 @@ class TestEncodedColumn:
         first = flights_dataset.encoded_column("ORIGIN")
         assert flights_dataset.encoded_column("ORIGIN") is first
         assert (
-            flights_dataset.float64_column("DISTANCE")
-            is flights_dataset.float64_column("DISTANCE")
+            flights_dataset.value_column("DISTANCE")
+            is flights_dataset.value_column("DISTANCE")
         )
 
     def test_fk_columns_encode_at_dimension_size(self, flights_table):
@@ -298,14 +298,14 @@ class TestEncodedColumn:
             categories[codes], flights_table["ORIGIN_STATE"].astype(str)
         )
 
-    def test_float64_column_shares_float_storage(self):
+    def test_value_column_narrows_ints_and_shares_float_storage(self):
         table = Table("t", {"f": [0.5, 1.5, -2.0], "i": [1, 2, 3]})
         dataset = Dataset.from_table(table)
-        assert np.shares_memory(dataset.float64_column("f"), table["f"])
+        assert np.shares_memory(dataset.value_column("f"), table["f"])
         assert table["f"].flags.writeable  # only the shared view is locked
-        as_float = dataset.float64_column("i")
-        assert as_float.dtype == np.float64
-        assert as_float.tolist() == [1.0, 2.0, 3.0]
+        narrow = dataset.value_column("i")
+        assert table["i"].dtype == np.int64 and narrow.dtype == np.int8
+        assert narrow.tolist() == [1, 2, 3]
 
     def test_shared_arrays_are_read_only(self, flights_dataset):
         kernel = CompiledQueryKernel(
@@ -316,7 +316,7 @@ class TestEncodedColumn:
         for shared in (
             categories,
             codes,
-            flights_dataset.float64_column("DEP_DELAY"),
+            flights_dataset.value_column("DEP_DELAY"),
             kernel.full_mask,
             kernel._row_gid,
             kernel._agg_values[1],
@@ -334,17 +334,24 @@ class TestPickleHygiene:
             dataset,
             _nominal_query(filter_expr=SetPredicate("ORIGIN_STATE", frozenset(["CA"]))),
         )
-        assert dataset._encoded and dataset._float64
+        assert dataset._encoded
+        delays = dataset._values["DEP_DELAY"]  # the AVG's memo: narrow, exact
+        assert delays.dtype == np.int16
+        assert np.array_equal(delays, flights_table["DEP_DELAY"])
         assert pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL) == cold
 
     def test_round_trip_starts_cold_and_works(self, flights_dataset):
         flights_dataset.encoded_column("ORIGIN")
+        flights_dataset.value_column("DISTANCE")
         clone = pickle.loads(pickle.dumps(flights_dataset))
-        assert clone._encoded == {} and clone._float64 == {}
+        assert clone._encoded == {} and clone._values == {}
         assert np.array_equal(
             clone.encoded_column("ORIGIN")[1],
             flights_dataset.encoded_column("ORIGIN")[1],
         )
+        distances = clone.value_column("DISTANCE")
+        assert distances.dtype == np.int16
+        assert distances.tobytes() == flights_dataset.value_column("DISTANCE").tobytes()
 
     def test_store_writes_the_same_bytes_warm_or_cold(self, flights_table, tmp_path):
         dataset = Dataset.from_table(flights_table)
@@ -496,7 +503,7 @@ def test_unreferenced_dimension_categories_do_not_become_groups():
     assert_stats_equal(kernel.evaluate(None), compute_grouped_stats(star, query))
 
 
-def test_cached_kernels_share_one_float64_column(flights_dataset):
+def test_cached_kernels_share_one_value_column(flights_dataset):
     cache = KernelCache(capacity=8)
     aggregates = (Aggregate(AggFunc.COUNT), Aggregate(AggFunc.SUM, "DISTANCE"))
     kernel_a = cache.get(flights_dataset, _nominal_query(aggregates=aggregates))

@@ -4,9 +4,12 @@ Every row-sized array that indexes groups or categories — a dataset's
 dictionary codes, a binning plan's group ids, a grouping's filtered ids
 and an empty grouping's ``-1`` array — takes the narrowest signed integer
 type whose maximum is at least its group or category count
-(:func:`repro.data.storage.index_dtype`). A poll gathers one of them per
-sampled row, so each byte of width is a byte of cache traffic per row;
-these assertions fail if a later change widens any of them again.
+(:func:`repro.data.storage.index_dtype`), and every integer column an
+aggregate reads is held at the narrowest type holding its values
+(:meth:`repro.data.storage.Dataset.value_column`). A poll gathers one of
+each per sampled row, so each byte of width is a byte of cache traffic
+per row; these assertions fail if a later change widens any of them
+again.
 """
 
 from __future__ import annotations
@@ -113,3 +116,26 @@ def test_empty_grouping_is_int8(flights_dataset):
     assert kernel._row_gid.dtype == np.int8
     assert len(kernel._row_gid) == flights_dataset.num_fact_rows
     assert (kernel._row_gid == -1).all()
+
+
+#: Bytes a row of each flights value column takes on the 6,000-row
+#: fixture: its span fits int8 (MONTH 1-12, DAY_OF_WEEK 1-7) or int16.
+VALUE_ITEMSIZES = {
+    "MONTH": 1, "DAY_OF_WEEK": 1, "DEP_TIME": 2, "ARR_TIME": 2, "DEP_DELAY": 2,
+    "ARR_DELAY": 2, "AIR_TIME": 2, "DISTANCE": 2, "ELAPSED_TIME": 2,
+}
+
+
+def test_flights_value_columns_are_narrow(flights_table, flights_dataset):
+    numeric = [name for name in flights_table.column_names if flights_table.is_numeric(name)]
+    assert sorted(numeric) == sorted(VALUE_ITEMSIZES)
+    star = normalize(flights_table, FLIGHTS_STAR_SPEC)
+    for name, itemsize in VALUE_ITEMSIZES.items():
+        column = flights_table[name]
+        assert column.dtype == np.int64
+        for dataset in (flights_dataset, star):
+            values = dataset.value_column(name)
+            assert values.dtype.kind == "i" and values.itemsize == itemsize, name
+            assert np.array_equal(values, column)
+    kernel = CompiledQueryKernel(flights_dataset, _query(PLAN_BINS[0], BRUSH))
+    assert kernel._agg_values[1] is flights_dataset.value_column("DISTANCE")

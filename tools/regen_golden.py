@@ -16,7 +16,13 @@ diff, not discovered downstream. ``tests/test_golden_reports.py``
 re-executes the same builders in-process and asserts byte identity
 against the checked-in files.
 
-After an *intentional* behavior change, refresh the corpus with::
+To verify that a change moves no golden byte, run::
+
+    PYTHONPATH=src python tools/regen_golden.py --check
+
+which writes nothing, lists each file that would change and exits 1 if
+any would. After an *intentional* behavior change, refresh the corpus
+with::
 
     PYTHONPATH=src python tools/regen_golden.py
 
@@ -27,6 +33,7 @@ actual rows, TR 1 s) so regeneration and the test both run in seconds.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -829,19 +836,34 @@ GOLDEN_CASES = {
 KERNEL_FREE_CASES = frozenset({"data_pins.txt"})
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Rebuild the golden corpus under tests/golden/."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; list each file that would change and exit 1 "
+        "if any would",
+    )
+    args = parser.parse_args(argv)  # an unknown argument exits 2 here
     ctx = build_context()
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    drifted = 0
     for name, builder in GOLDEN_CASES.items():
         path = GOLDEN_DIR / name
         # Binary I/O end to end: the corpus pins exact bytes, so no
         # platform newline translation may touch it.
         data = builder(ctx).encode("utf-8")
         changed = not path.exists() or path.read_bytes() != data
-        path.write_bytes(data)
-        status = "updated" if changed else "unchanged"
+        drifted += changed
+        if args.check:
+            status = "would change" if changed else "unchanged"
+        else:
+            path.write_bytes(data)
+            status = "updated" if changed else "unchanged"
         print(f"{status}: {path.relative_to(REPO_ROOT)} ({len(data)} bytes)")
-    return 0
+    return 1 if args.check and drifted else 0
 
 
 if __name__ == "__main__":
