@@ -211,12 +211,23 @@ _CHAINS: Dict[WorkflowType, MarkovChain] = {
 }
 
 
-class _Builder:
-    """Accumulates interactions while mirroring them on a shadow graph."""
+class WorkflowWalk:
+    """One workflow's walk: its budget, what it emitted, the dashboard.
 
-    def __init__(self, generator: "WorkflowGenerator", budget: int):
-        self.generator = generator
-        self.budget = budget
+    Its fill (a generator function over the walk, held by the consumer
+    so the two form no reference cycle) samples one action per
+    ``next()`` and emits its one or two interactions; the consumer
+    applies them to :attr:`graph` before the next step reads it.
+    Offline the graph is a shadow the walk owns
+    (:class:`_LazyInteractions`); a policy points it at the session's
+    live dashboard, which the session driver applies to
+    (:mod:`repro.workflow.policy`).
+    """
+
+    def __init__(self, config: WorkloadConfig, rng: np.random.Generator):
+        self.budget = int(
+            rng.integers(config.interactions_min, config.interactions_max + 1)
+        )
         self.interactions: List[Interaction] = []
         self.graph = VizGraph()
         self._viz_counter = 0
@@ -228,7 +239,6 @@ class _Builder:
     def emit(self, interaction: Interaction) -> None:
         if self.remaining <= 0:
             raise WorkflowError("interaction budget exhausted")
-        self.graph.apply(interaction)
         self.interactions.append(interaction)
 
     def next_viz_name(self) -> str:
@@ -254,27 +264,30 @@ class _LazyInteractions(Sequence):
     materialized prefix intact.
     """
 
-    __slots__ = ("_builder", "_fill")
+    __slots__ = ("_walk", "_fill")
 
-    def __init__(self, builder: _Builder, fill: Iterator[None]):
-        self._builder = builder
+    def __init__(self, walk: WorkflowWalk, fill: Iterator[None]):
+        self._walk = walk
         self._fill = fill
 
     def __len__(self) -> int:
-        return self._builder.budget
+        return self._walk.budget
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(len(self))[index])
         index = range(len(self))[index]  # wraps negatives, IndexError outside
-        done = self._builder.interactions
+        walk = self._walk
+        done = walk.interactions
         while len(done) <= index:
-            try:
-                next(self._fill)
-            except StopIteration:
+            start = len(done)
+            next(self._fill, None)
+            if len(done) == start:
                 raise WorkflowError(
                     f"fill stopped at {len(done)} of {len(self)} interactions"
-                ) from None
+                )
+            for interaction in done[start:]:  # validates as it mirrors
+                walk.graph.apply(interaction)
         return done[index]
 
     def __eq__(self, other) -> bool:
@@ -289,7 +302,7 @@ class _LazyInteractions(Sequence):
         return tuple, (tuple(self),)
 
     def __repr__(self) -> str:
-        done = len(self._builder.interactions)
+        done = len(self._walk.interactions)
         return f"<{len(self)} interactions, {done} materialized>"
 
 
@@ -349,22 +362,30 @@ class WorkflowGenerator:
         never pays for the interactions it did not fire.
         """
         rng = derive_rng(self.seed, "workflow", workflow_type.value, index)
-        budget = int(
-            rng.integers(self.config.interactions_min, self.config.interactions_max + 1)
-        )
-        builder = _Builder(self, budget)
-        if workflow_type is WorkflowType.MIXED:
-            fill = self._fill_mixed(builder, rng)
-        elif workflow_type in _CHAINS:
-            fill = self._fill_typed(builder, rng, workflow_type)
-        else:
-            raise WorkflowError(
-                f"cannot generate workflows of type {workflow_type.value!r}"
-            )
         return Workflow(
             name=f"{workflow_type.value}_{index}",
             workflow_type=workflow_type,
-            interactions=_LazyInteractions(builder, fill),
+            interactions=_LazyInteractions(*self.walk(rng, workflow_type)),
+        )
+
+    def walk(
+        self, rng: np.random.Generator, workflow_type: WorkflowType
+    ) -> Tuple[WorkflowWalk, Iterator[None]]:
+        """Start one workflow of ``workflow_type`` on ``rng``'s stream.
+
+        Draws the budget now and returns the walk with its fill; each
+        ``next()`` of the fill samples one action — the type's chain walk
+        with its anchored actions, or :meth:`_fill_mixed`'s segments.
+        :meth:`generate` and the markov policies
+        (:mod:`repro.workflow.policy`) are its two callers.
+        """
+        walk = WorkflowWalk(self.config, rng)
+        if workflow_type is WorkflowType.MIXED:
+            return walk, self._fill_mixed(walk, rng)
+        if workflow_type in _CHAINS:
+            return walk, self._fill_segment(walk, rng, workflow_type, walk.budget)
+        raise WorkflowError(
+            f"cannot generate workflows of type {workflow_type.value!r}"
         )
 
     def generate_suite(
@@ -402,34 +423,8 @@ class WorkflowGenerator:
     # ------------------------------------------------------------------
     # Type-specific fills
     # ------------------------------------------------------------------
-    def _fill_typed(
-        self,
-        builder: _Builder,
-        rng: np.random.Generator,
-        workflow_type: WorkflowType,
-        anchor: Optional[str] = None,
-    ) -> Iterator[None]:
-        """Run one typed segment until the budget is hit.
-
-        Like every fill, a generator function: it yields after each
-        sampled action (one or two emitted interactions).
-        """
-        chain = _CHAINS[workflow_type]
-        walker = chain.iter_walk(rng)
-        while builder.remaining > 0:
-            action = next(walker)
-            if workflow_type is WorkflowType.INDEPENDENT:
-                self._independent_action(builder, rng, action)
-            elif workflow_type is WorkflowType.SEQUENTIAL:
-                anchor = self._sequential_action(builder, rng, action, anchor)
-            elif workflow_type is WorkflowType.ONE_TO_N:
-                anchor = self._one_to_n_action(builder, rng, action, anchor)
-            elif workflow_type is WorkflowType.N_TO_ONE:
-                anchor = self._n_to_one_action(builder, rng, action, anchor)
-            yield
-
     def _fill_mixed(
-        self, builder: _Builder, rng: np.random.Generator
+        self, walk: WorkflowWalk, rng: np.random.Generator
     ) -> Iterator[None]:
         """Mixed workflows: consecutive segments of the four base types.
 
@@ -437,109 +432,105 @@ class WorkflowGenerator:
         workflow types". The budget is split into three or four segments,
         each running one base type's sampler on the shared dashboard.
         """
-        base_types = [
-            WorkflowType.INDEPENDENT,
-            WorkflowType.SEQUENTIAL,
-            WorkflowType.ONE_TO_N,
-            WorkflowType.N_TO_ONE,
-        ]
+        base_types = list(_CHAINS)
         rng.shuffle(base_types)
         num_segments = int(rng.integers(3, 5))
         segments = base_types[:num_segments]
-        while builder.remaining > 0:
+        while walk.remaining > 0:
             for segment_type in segments:
-                if builder.remaining <= 0:
+                if walk.remaining <= 0:
                     break
                 segment_budget = max(
-                    2, min(builder.remaining, builder.budget // num_segments)
+                    2, min(walk.remaining, walk.budget // num_segments)
                 )
                 yield from self._fill_segment(
-                    builder, rng, segment_type, segment_budget
+                    walk, rng, segment_type, segment_budget
                 )
             # Occasionally tidy up the dashboard, as real users do.
-            if builder.remaining > 0 and len(builder.graph) > 4 and rng.random() < 0.4:
-                victim = self._pick_leaf(builder, rng)
+            if walk.remaining > 0 and len(walk.graph) > 4 and rng.random() < 0.4:
+                victim = self._pick_leaf(walk, rng)
                 if victim is not None:
-                    builder.emit(DiscardViz(victim))
+                    walk.emit(DiscardViz(victim))
                     yield
 
     def _fill_segment(
         self,
-        builder: _Builder,
+        walk: WorkflowWalk,
         rng: np.random.Generator,
         workflow_type: WorkflowType,
         segment_budget: int,
     ) -> Iterator[None]:
-        chain = _CHAINS[workflow_type]
-        walker = chain.iter_walk(rng)
-        stop_at = len(builder.interactions) + segment_budget
+        """Walk one base type's chain for ``segment_budget`` interactions.
+
+        Like every fill, a generator function: it yields after each
+        sampled action (one or two emitted interactions). The typed
+        action carries its anchor (chain tail, hub or sink) from step to
+        step.
+        """
+        walker = _CHAINS[workflow_type].iter_walk(rng)
+        typed_action = self._TYPED_ACTIONS[workflow_type]
+        stop_at = len(walk.interactions) + segment_budget
         anchor: Optional[str] = None
-        while builder.remaining > 0 and len(builder.interactions) < stop_at:
-            action = next(walker)
-            if workflow_type is WorkflowType.INDEPENDENT:
-                self._independent_action(builder, rng, action)
-            elif workflow_type is WorkflowType.SEQUENTIAL:
-                anchor = self._sequential_action(builder, rng, action, anchor)
-            elif workflow_type is WorkflowType.ONE_TO_N:
-                anchor = self._one_to_n_action(builder, rng, action, anchor)
-            elif workflow_type is WorkflowType.N_TO_ONE:
-                anchor = self._n_to_one_action(builder, rng, action, anchor)
+        while walk.remaining > 0 and len(walk.interactions) < stop_at:
+            anchor = typed_action(self, walk, rng, next(walker), anchor)
             yield
 
     # -- independent browsing (Fig. 3a) ---------------------------------
     def _independent_action(
-        self, builder: _Builder, rng: np.random.Generator, action: str
+        self, walk: WorkflowWalk, rng: np.random.Generator, action: str, _anchor
     ) -> None:
-        can_create = len(builder.graph) < self.config.max_vizs
-        if action == "create" and can_create or len(builder.graph) == 0:
-            builder.emit(CreateViz(self._sample_viz(builder, rng)))
+        can_create = len(walk.graph) < self.config.max_vizs
+        if action == "create" and can_create or len(walk.graph) == 0:
+            walk.emit(CreateViz(self._sample_viz(walk, rng)))
             return
-        viz_name = pick(rng, builder.graph.viz_names)
-        node = builder.graph.node(viz_name)
+        viz_name = pick(rng, walk.graph.viz_names)
+        node = walk.graph.node(viz_name)
         if node.own_filter is not None and rng.random() < 0.12:
-            builder.emit(SetFilter(viz_name, None))  # clear (undo)
+            walk.emit(SetFilter(viz_name, None))  # clear (undo)
             return
-        builder.emit(SetFilter(viz_name, self._sample_filter(rng, node.spec)))
+        walk.emit(SetFilter(viz_name, self._sample_filter(rng, node.spec)))
 
     # -- sequential linking (Fig. 3b) ------------------------------------
     def _sequential_action(
         self,
-        builder: _Builder,
+        walk: WorkflowWalk,
         rng: np.random.Generator,
         action: str,
         tail: Optional[str],
     ) -> Optional[str]:
-        chain_members = self._chain_members(builder, tail)
+        if tail not in walk.graph:  # never set, or discarded by a policy
+            tail = None
+        chain_members = self._chain_members(walk, tail)
         chain_full = len(chain_members) >= self.config.max_fanout
         if tail is None or (action == "extend" and not chain_full):
-            if builder.remaining < 2 and tail is not None:
+            if walk.remaining < 2 and tail is not None:
                 action = "select"  # no room for create+link
             else:
-                new_name = builder.next_viz_name()
-                builder.emit(CreateViz(self._sample_viz(builder, rng, new_name)))
+                new_name = walk.next_viz_name()
+                walk.emit(CreateViz(self._sample_viz(walk, rng, new_name)))
                 if tail is not None:
-                    if builder.remaining > 0:
-                        builder.emit(Link(tail, new_name))
+                    if walk.remaining > 0:
+                        walk.emit(Link(tail, new_name))
                 return new_name
         if action == "filter":
             target = pick(rng, chain_members)
-            node = builder.graph.node(target)
-            builder.emit(SetFilter(target, self._sample_filter(rng, node.spec)))
+            node = walk.graph.node(target)
+            walk.emit(SetFilter(target, self._sample_filter(rng, node.spec)))
             return tail
         # select: prefer non-tail members so descendants exist.
-        candidates = [m for m in chain_members if builder.graph.children(m)]
+        candidates = [m for m in chain_members if walk.graph.children(m)]
         target = pick(rng, candidates or chain_members)
-        node = builder.graph.node(target)
-        builder.emit(SelectBins(target, self._sample_selection(rng, node.spec)))
+        node = walk.graph.node(target)
+        walk.emit(SelectBins(target, self._sample_selection(rng, node.spec)))
         return tail
 
-    def _chain_members(self, builder: _Builder, tail: Optional[str]) -> List[str]:
+    def _chain_members(self, walk: WorkflowWalk, tail: Optional[str]) -> List[str]:
         if tail is None:
             return []
         members = [tail]
         current = tail
         while True:
-            parents = builder.graph.parents(current)
+            parents = walk.graph.parents(current)
             if not parents:
                 break
             current = parents[0]
@@ -549,76 +540,85 @@ class WorkflowGenerator:
     # -- 1:N linking (Fig. 3c) -------------------------------------------
     def _one_to_n_action(
         self,
-        builder: _Builder,
+        walk: WorkflowWalk,
         rng: np.random.Generator,
         action: str,
         hub: Optional[str],
     ) -> Optional[str]:
-        if hub is None or hub not in builder.graph:
-            name = builder.next_viz_name()
-            builder.emit(CreateViz(self._sample_viz(builder, rng, name)))
+        if hub not in walk.graph:
+            name = walk.next_viz_name()
+            walk.emit(CreateViz(self._sample_viz(walk, rng, name)))
             return name
-        targets = builder.graph.children(hub)
+        targets = walk.graph.children(hub)
         can_extend = (
             len(targets) < self.config.max_fanout
-            and len(builder.graph) < self.config.max_vizs
-            and builder.remaining >= 2
+            and len(walk.graph) < self.config.max_vizs
+            and walk.remaining >= 2
         )
         if (action == "extend" or not targets) and can_extend:
-            new_name = builder.next_viz_name()
-            builder.emit(CreateViz(self._sample_viz(builder, rng, new_name)))
-            builder.emit(Link(hub, new_name))
+            new_name = walk.next_viz_name()
+            walk.emit(CreateViz(self._sample_viz(walk, rng, new_name)))
+            walk.emit(Link(hub, new_name))
             return hub
-        hub_node = builder.graph.node(hub)
+        hub_node = walk.graph.node(hub)
         if action == "filter" or not targets:
             # Selections without descendants trigger nothing; prefer a
             # filter (which re-queries the hub itself) in that case.
-            builder.emit(SetFilter(hub, self._sample_filter(rng, hub_node.spec)))
+            walk.emit(SetFilter(hub, self._sample_filter(rng, hub_node.spec)))
         else:
-            builder.emit(SelectBins(hub, self._sample_selection(rng, hub_node.spec)))
+            walk.emit(SelectBins(hub, self._sample_selection(rng, hub_node.spec)))
         return hub
 
     # -- N:1 linking (Fig. 3d) ---------------------------------------------
     def _n_to_one_action(
         self,
-        builder: _Builder,
+        walk: WorkflowWalk,
         rng: np.random.Generator,
         action: str,
         target: Optional[str],
     ) -> Optional[str]:
-        if target is None or target not in builder.graph:
-            name = builder.next_viz_name()
-            builder.emit(CreateViz(self._sample_viz(builder, rng, name)))
+        if target not in walk.graph:
+            name = walk.next_viz_name()
+            walk.emit(CreateViz(self._sample_viz(walk, rng, name)))
             return name
-        sources = builder.graph.parents(target)
+        sources = walk.graph.parents(target)
         can_extend = (
             len(sources) < self.config.max_fanout
-            and len(builder.graph) < self.config.max_vizs
-            and builder.remaining >= 2
+            and len(walk.graph) < self.config.max_vizs
+            and walk.remaining >= 2
         )
         if (action == "extend" or not sources) and can_extend:
-            new_name = builder.next_viz_name()
-            builder.emit(CreateViz(self._sample_viz(builder, rng, new_name)))
-            builder.emit(Link(new_name, target))
+            new_name = walk.next_viz_name()
+            walk.emit(CreateViz(self._sample_viz(walk, rng, new_name)))
+            walk.emit(Link(new_name, target))
             return target
         if not sources:
             # No sources yet and no room to create one: act on the target.
-            target_node = builder.graph.node(target)
-            builder.emit(SetFilter(target, self._sample_filter(rng, target_node.spec)))
+            target_node = walk.graph.node(target)
+            walk.emit(SetFilter(target, self._sample_filter(rng, target_node.spec)))
             return target
         source = pick(rng, sources)
-        source_node = builder.graph.node(source)
+        source_node = walk.graph.node(source)
         if action == "filter":
-            builder.emit(SetFilter(source, self._sample_filter(rng, source_node.spec)))
+            walk.emit(SetFilter(source, self._sample_filter(rng, source_node.spec)))
         else:
-            builder.emit(SelectBins(source, self._sample_selection(rng, source_node.spec)))
+            walk.emit(SelectBins(source, self._sample_selection(rng, source_node.spec)))
         return target
 
-    def _pick_leaf(self, builder: _Builder, rng: np.random.Generator) -> Optional[str]:
+    #: The typed step of each base type: ``(walk, rng, action, anchor) →
+    #: anchor``.
+    _TYPED_ACTIONS = {
+        WorkflowType.INDEPENDENT: _independent_action,
+        WorkflowType.SEQUENTIAL: _sequential_action,
+        WorkflowType.ONE_TO_N: _one_to_n_action,
+        WorkflowType.N_TO_ONE: _n_to_one_action,
+    }
+
+    def _pick_leaf(self, walk: WorkflowWalk, rng: np.random.Generator) -> Optional[str]:
         """A viz with no outgoing links (safe to discard without orphaning)."""
         leaves = [
-            name for name in builder.graph.viz_names
-            if not builder.graph.children(name)
+            name for name in walk.graph.viz_names
+            if not walk.graph.children(name)
         ]
         if not leaves:
             return None
@@ -629,11 +629,11 @@ class WorkflowGenerator:
     # ------------------------------------------------------------------
     def _sample_viz(
         self,
-        builder: _Builder,
+        walk: WorkflowWalk,
         rng: np.random.Generator,
         name: Optional[str] = None,
     ) -> VizSpec:
-        name = name or builder.next_viz_name()
+        name = name or walk.next_viz_name()
         if rng.random() < self.config.two_dim_probability:
             first = self._sample_quantitative_dim(rng)
             if self._nominal and rng.random() < 0.5:
@@ -791,12 +791,6 @@ def generate_default_suite(
     """
     generator = WorkflowGenerator(profiles, table, config=config, seed=seed)
     suite: List[Workflow] = []
-    for workflow_type in (
-        WorkflowType.INDEPENDENT,
-        WorkflowType.SEQUENTIAL,
-        WorkflowType.ONE_TO_N,
-        WorkflowType.N_TO_ONE,
-        WorkflowType.MIXED,
-    ):
+    for workflow_type in (*_CHAINS, WorkflowType.MIXED):
         suite.extend(generator.generate_suite(workflow_type, workflows_per_type))
     return suite

@@ -10,16 +10,21 @@ session driver (:class:`repro.bench.driver.SessionDriver`) asks the
 policy for the next interaction, handing it a :class:`PolicyView` of the
 live dashboard and every metric record the session has observed so far.
 
-Three policies ship:
+Four policies ship:
 
 * :class:`ReplayPolicy` — replays a pre-generated workflow suite through
   the policy code path. Byte-identical to scripted execution (the golden
   corpus proves it), so it doubles as the regression anchor for the
   adaptive machinery.
-* :class:`MarkovPolicy` — samples the paper's workflow Markov chains
-  *online*, materializing each action against the live dashboard, and
+* :class:`MarkovPolicy` — walks the workflow generator's own §4.3 fills
+  *online* (:meth:`~repro.workflow.generator.WorkflowGenerator.walk`:
+  the typed, anchored chain actions, and for ``mixed`` its segments with
+  tidy-up discards) against the live dashboard, and between walk steps
   reacts to empty/low-cardinality results by clearing the offending
-  viz's filter before continuing the walk.
+  viz's filter. Without a reaction it emits the generator's
+  interactions exactly.
+* :class:`LoadAdaptivePolicy` — the same walk, plus backing off under
+  server strain: it discards the newest chart, or gives the workflow up.
 * :class:`UncertaintyChaserPolicy` — AIDE-style exploration: it chases
   the visualization with the widest relative margins of error (falling
   back to missing-bin mass when an engine reports no margins), drilling
@@ -38,13 +43,11 @@ configuration (docs/server.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.common.errors import WorkflowError
-from repro.common.rng import derive_rng, pick
-from repro.workflow.generator import _CHAINS, WorkflowGenerator
+from repro.common.rng import derive_rng
+from repro.workflow.generator import WorkflowGenerator, WorkflowWalk
 from repro.workflow.graph import VizGraph
 from repro.workflow.spec import (
     CreateViz,
@@ -71,6 +74,10 @@ PENDING = object()
 #: A result delivering this many bins or fewer counts as "empty/low
 #: cardinality" — the signal MarkovPolicy reacts to by re-filtering.
 LOW_CARDINALITY_BINS = 1
+
+#: A generative policy's reaction that ends the current workflow (the
+#: user gives up on the task).
+_GIVE_UP = object()
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,15 @@ class ExternalInteractionSource(InteractionPolicy):
 
 
 class _GenerativePolicy(InteractionPolicy):
-    """Shared machinery of the policies that synthesize interactions."""
+    """Shared machinery of the policies that synthesize interactions.
+
+    Each workflow is a :class:`~repro.workflow.generator.WorkflowWalk`
+    on the policy's own stream, stepped against the session's live
+    dashboard. Between walk steps (never inside one, so a create+link
+    pair stays whole) the user may :meth:`_react` to what it has seen;
+    a reaction counts against the workflow's budget like any other
+    interaction.
+    """
 
     def __init__(
         self,
@@ -247,83 +262,65 @@ class _GenerativePolicy(InteractionPolicy):
         self._generator = generator
         self._per_session = per_session
         self._rng = derive_rng(seed, "policy", self.name)
-        self._budget = 0
-        self._emitted = 0
-        self._queue: List[Interaction] = []
-        self._viz_counter = 0
+        self._walk: Optional[WorkflowWalk] = None
+        self._cursor = 0
 
-    # -- per-workflow state ------------------------------------------------
-    def _start_workflow(self) -> None:
-        config = self._generator.config
-        self._budget = int(
-            self._rng.integers(
-                config.interactions_min, config.interactions_max + 1
-            )
-        )
-        self._emitted = 0
-        self._queue = []
-        self._viz_counter = 0
-
-    def _next_name(self) -> str:
-        name = f"viz_{self._viz_counter}"
-        self._viz_counter += 1
-        return name
-
-    @property
-    def _room(self) -> int:
-        return self._budget - self._emitted - len(self._queue)
-
-    def _emit(self, interactions: List[Interaction]) -> Interaction:
-        first, rest = interactions[0], interactions[1:]
-        self._queue.extend(rest)
-        self._emitted += 1
-        return first
+    def begin_workflow(self, index: int) -> Optional[WorkflowPlan]:
+        if index >= self._per_session:
+            return None
+        self._walk = self._start_walk()
+        self._cursor = 0
+        return self._plan(index)
 
     def next_interaction(self, view: PolicyView) -> Optional[Interaction]:
-        if self._queue:
-            self._emitted += 1
-            return self._queue.pop(0)
-        if self._emitted >= self._budget:
-            return None
-        chosen = self._choose(view)
-        if not chosen:
-            return None
-        return self._emit(chosen)
+        walk = self._walk
+        walk.graph = view.graph
+        if self._cursor == len(walk.interactions):  # between walk steps
+            if walk.remaining <= 0:
+                return None
+            reaction = self._react(view)
+            if reaction is _GIVE_UP:
+                return None
+            if reaction is not None:
+                walk.emit(reaction)
+            else:
+                self._step(walk)
+                if self._cursor == len(walk.interactions):  # walk is done
+                    return None
+        interaction = walk.interactions[self._cursor]
+        self._cursor += 1
+        return interaction
 
-    def _choose(self, view: PolicyView) -> List[Interaction]:
+    def _start_walk(self) -> WorkflowWalk:
         raise NotImplementedError
 
-    # -- shared materializers ---------------------------------------------
-    def _create(self, rng: np.random.Generator) -> List[Interaction]:
-        name = self._next_name()
-        return [CreateViz(self._generator.sample_viz_spec(rng, name))]
+    def _step(self, walk: WorkflowWalk) -> None:
+        """Emit the walk's next action, or nothing once the walk is done."""
+        raise NotImplementedError
 
-    def _filter(self, graph: VizGraph, target: str) -> List[Interaction]:
-        node = graph.node(target)
-        return [
-            SetFilter(target, self._generator.sample_filter(self._rng, node.spec))
-        ]
+    def _plan(self, index: int) -> WorkflowPlan:
+        raise NotImplementedError
 
-    def _select(self, graph: VizGraph, target: str) -> List[Interaction]:
-        node = graph.node(target)
-        return [
-            SelectBins(
-                target, self._generator.sample_selection(self._rng, node.spec)
-            )
-        ]
+    def _react(self, view: PolicyView):
+        """The interaction to fire before the next walk step, ``None``
+        to walk on, or :data:`_GIVE_UP`."""
+        return None
 
 
 class MarkovPolicy(_GenerativePolicy):
-    """Samples the §4.3 workflow Markov chains online, reacting as it goes.
+    """Walks the §4.3 workflow generator online, reacting as it goes.
 
-    Each workflow picks one of the four Fig.-3 chains (or the configured
-    base type) and walks it one action at a time, materializing actions
-    against the *live* dashboard. Unlike the offline generator, the
-    policy sees the session's metric stream: when a query comes back
-    empty (or with :data:`LOW_CARDINALITY_BINS` or fewer bins), the
-    policy's next move is to clear that visualization's own filter — the
-    "that filtered everything away, undo it" reaction of a real user —
-    before resuming the chain walk.
+    Each workflow is the generator's own walk
+    (:meth:`WorkflowGenerator.walk`) for the configured type: the
+    type's Fig.-3 chain with its anchored actions (chain tail, 1:N hub,
+    N:1 sink), or for ``mixed`` three to four such segments with
+    tidy-up discards. With no reaction it emits exactly the interactions
+    ``generate`` would for an rng in the same state. Unlike the offline
+    generator, the policy sees the session's metric stream: when a query
+    comes back empty (or with :data:`LOW_CARDINALITY_BINS` or fewer
+    bins), the policy's next move is to clear that visualization's own
+    filter — the "that filtered everything away, undo it" reaction of a
+    real user — before resuming the walk.
     """
 
     name = "markov"
@@ -337,25 +334,21 @@ class MarkovPolicy(_GenerativePolicy):
     ):
         super().__init__(generator, per_session, seed)
         self._workflow_type = workflow_type
-        self._walker = None
+        self._fill: Iterator[None] = iter(())
         self._refilter: List[str] = []
 
-    def begin_workflow(self, index: int) -> Optional[WorkflowPlan]:
-        if index >= self._per_session:
-            return None
-        self._start_workflow()
+    def _start_walk(self) -> WorkflowWalk:
         self._refilter = []
-        base_types = sorted(_CHAINS, key=lambda t: t.value)
-        if self._workflow_type is WorkflowType.MIXED:
-            base = pick(self._rng, base_types)
-        elif self._workflow_type in _CHAINS:
-            base = self._workflow_type
-        else:
-            raise WorkflowError(
-                f"markov policy cannot run type {self._workflow_type.value!r}"
-            )
-        self._walker = _CHAINS[base].iter_walk(self._rng)
-        return WorkflowPlan(f"markov_{base.value}_{index}", base)
+        walk, self._fill = self._generator.walk(self._rng, self._workflow_type)
+        return walk
+
+    def _step(self, walk: WorkflowWalk) -> None:
+        next(self._fill, None)
+
+    def _plan(self, index: int) -> WorkflowPlan:
+        return WorkflowPlan(
+            f"markov_{self._workflow_type.value}_{index}", self._workflow_type
+        )
 
     def observe(self, record) -> None:
         metrics = record.metrics
@@ -366,39 +359,14 @@ class MarkovPolicy(_GenerativePolicy):
         ):
             self._refilter.append(record.viz_name)
 
-    def _choose(self, view: PolicyView) -> List[Interaction]:
+    def _react(self, view: PolicyView):
+        # Undo filters that emptied a chart.
         graph = view.graph
-        # Adaptive reaction first: undo filters that emptied a chart.
         while self._refilter:
             name = self._refilter.pop(0)
             if name in graph and graph.node(name).own_filter is not None:
-                return [SetFilter(name, None)]
-        config = self._generator.config
-        for _ in range(16):  # chain walks always reach a feasible action
-            action = next(self._walker)
-            names = graph.viz_names
-            can_create = len(graph) < config.max_vizs
-            if not names:
-                if not can_create:  # pragma: no cover - max_vizs >= 1
-                    return []
-                return self._create(self._rng)
-            if action == "create" and can_create:
-                return self._create(self._rng)
-            if action == "extend" and can_create and self._room >= 2:
-                source = pick(self._rng, names)
-                created = self._create(self._rng)
-                target = created[0].viz.name
-                return created + [Link(source, target)]
-            if action == "select":
-                candidates = [n for n in names if graph.children(n)] or names
-                return self._select(graph, pick(self._rng, candidates))
-            if action in ("filter", "create", "extend"):
-                target = pick(self._rng, names)
-                node = graph.node(target)
-                if node.own_filter is not None and self._rng.random() < 0.12:
-                    return [SetFilter(target, None)]  # clear (undo)
-                return self._filter(graph, target)
-        return []
+                return SetFilter(name, None)
+        return None
 
 
 class LoadAdaptivePolicy(MarkovPolicy):
@@ -450,15 +418,12 @@ class LoadAdaptivePolicy(MarkovPolicy):
         self._last_record = None
         self.backoffs = 0
 
-    def begin_workflow(self, index: int) -> Optional[WorkflowPlan]:
-        plan = super().begin_workflow(index)
-        if plan is None:
-            return None
+    def _plan(self, index: int) -> WorkflowPlan:
         # Strain is per task: a violated record at the end of the
         # previous workflow must not make the user give up on the next
         # one before it produced anything.
         self._last_record = None
-        return WorkflowPlan(f"load_adaptive_{index}", plan.workflow_type)
+        return WorkflowPlan(f"load_adaptive_{index}", self._workflow_type)
 
     def observe(self, record) -> None:
         super().observe(record)
@@ -481,7 +446,7 @@ class LoadAdaptivePolicy(MarkovPolicy):
         budget = last.time_requirement * self._backoff_fraction
         return view.last_latency > budget
 
-    def _choose(self, view: PolicyView) -> List[Interaction]:
+    def _react(self, view: PolicyView):
         names = view.graph.viz_names
         # An empty dashboard means the user just sat down: always start
         # working; back off only once there is something to shed.
@@ -492,9 +457,9 @@ class LoadAdaptivePolicy(MarkovPolicy):
                 # are viz_<n>, so the lexicographically-by-length-then-
                 # value max is the latest). Deterministic tie-break.
                 newest = max(names, key=lambda n: (len(n), n))
-                return [DiscardViz(newest)]
-            return []  # one chart left: the user gives up on this task
-        return super()._choose(view)
+                return DiscardViz(newest)
+            return _GIVE_UP  # one chart left: the user gives up on this task
+        return super()._react(view)
 
 
 class UncertaintyChaserPolicy(_GenerativePolicy):
@@ -528,11 +493,11 @@ class UncertaintyChaserPolicy(_GenerativePolicy):
         self._explore_every = explore_every
         self._uncertainty: Dict[str, float] = {}
 
-    def begin_workflow(self, index: int) -> Optional[WorkflowPlan]:
-        if index >= self._per_session:
-            return None
-        self._start_workflow()
+    def _start_walk(self) -> WorkflowWalk:
         self._uncertainty = {}
+        return WorkflowWalk(self._generator.config, self._rng)
+
+    def _plan(self, index: int) -> WorkflowPlan:
         return WorkflowPlan(f"uncertainty_{index}", WorkflowType.CUSTOM)
 
     def observe(self, record) -> None:
@@ -553,23 +518,27 @@ class UncertaintyChaserPolicy(_GenerativePolicy):
             key=lambda name: self._uncertainty.get(name, float("inf")),
         )
 
-    def _choose(self, view: PolicyView) -> List[Interaction]:
-        graph = view.graph
-        config = self._generator.config
-        can_create = len(graph) < config.max_vizs
+    def _step(self, walk: WorkflowWalk) -> None:
+        """One drill-in on the most uncertain viz, or a detail view."""
+        generator, rng, graph = self._generator, self._rng, walk.graph
         if not graph.viz_names:
-            return self._create(self._rng)
+            name = walk.next_viz_name()
+            walk.emit(CreateViz(generator.sample_viz_spec(rng, name)))
+            return
         target = self._chase_target(graph)
-        explore = (
-            self._emitted % self._explore_every == self._explore_every - 1
-        )
-        if explore and can_create and self._room >= 2:
-            created = self._create(self._rng)
-            detail = created[0].viz.name
-            return created + [Link(target, detail)]
+        every = self._explore_every
+        explore = len(walk.interactions) % every == every - 1
+        can_create = len(graph) < generator.config.max_vizs
+        if explore and can_create and walk.remaining >= 2:
+            detail = walk.next_viz_name()
+            walk.emit(CreateViz(generator.sample_viz_spec(rng, detail)))
+            walk.emit(Link(target, detail))
+            return
+        spec = graph.node(target).spec
         if graph.children(target):
-            return self._select(graph, target)
-        return self._filter(graph, target)
+            walk.emit(SelectBins(target, generator.sample_selection(rng, spec)))
+        else:
+            walk.emit(SetFilter(target, generator.sample_filter(rng, spec)))
 
 
 def make_policy(
@@ -591,27 +560,16 @@ def make_policy(
         if workflows is None:
             raise WorkflowError("replay policy requires pre-generated workflows")
         return ReplayPolicy(workflows)
-    if name == "markov":
-        if generator is None:
-            raise WorkflowError("markov policy requires a workflow generator")
-        return MarkovPolicy(
-            generator, per_session, workflow_type=workflow_type, seed=seed
+    if name not in POLICY_NAMES:
+        raise WorkflowError(
+            f"unknown policy {name!r} (choose from: {', '.join(POLICY_NAMES)})"
         )
+    if generator is None:
+        raise WorkflowError(f"{name} policy requires a workflow generator")
     if name == "uncertainty":
-        if generator is None:
-            raise WorkflowError("uncertainty policy requires a workflow generator")
         return UncertaintyChaserPolicy(generator, per_session, seed=seed)
-    if name == "load-adaptive":
-        if generator is None:
-            raise WorkflowError(
-                "load-adaptive policy requires a workflow generator"
-            )
-        return LoadAdaptivePolicy(
-            generator, per_session, workflow_type=workflow_type, seed=seed
-        )
-    raise WorkflowError(
-        f"unknown policy {name!r} (choose from: {', '.join(POLICY_NAMES)})"
-    )
+    walker = MarkovPolicy if name == "markov" else LoadAdaptivePolicy
+    return walker(generator, per_session, workflow_type=workflow_type, seed=seed)
 
 
 def interaction_mix(counts: Dict[str, int]) -> Dict[str, float]:

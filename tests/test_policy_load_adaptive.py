@@ -69,8 +69,8 @@ class TestBackoffSignals:
     def test_deep_queue_sheds_newest_viz(self, policy):
         policy.begin_workflow(0)
         graph = _graph_with(policy, 3)
-        chosen = policy._choose(_view(graph, queue_depth=5))
-        assert chosen == [DiscardViz("viz_2")]
+        chosen = policy.next_interaction(_view(graph, queue_depth=5))
+        assert chosen == DiscardViz("viz_2")
         assert policy.backoffs == 1
 
     def test_tr_violation_triggers_backoff(self, policy):
@@ -78,8 +78,8 @@ class TestBackoffSignals:
         graph = _graph_with(policy, 2)
         record = FakeRecord(violated=True)
         policy.observe(record)
-        chosen = policy._choose(_view(graph, records=[record]))
-        assert chosen == [DiscardViz("viz_1")]
+        chosen = policy.next_interaction(_view(graph, records=[record]))
+        assert chosen == DiscardViz("viz_1")
 
     def test_latency_overrun_triggers_backoff(self, policy):
         policy.begin_workflow(0)
@@ -87,7 +87,7 @@ class TestBackoffSignals:
         record = FakeRecord(latency=1.4, tr=1.0)
         policy.observe(record)
         view = _view(graph, records=[record], last_latency=1.4)
-        assert policy._choose(view) == [DiscardViz("viz_1")]
+        assert policy.next_interaction(view) == DiscardViz("viz_1")
 
     def test_exact_deadline_completion_is_not_overload(self, policy):
         # Progressive engines complete exactly at the deadline; that must
@@ -97,8 +97,8 @@ class TestBackoffSignals:
         record = FakeRecord(latency=1.0, tr=1.0)
         policy.observe(record)
         view = _view(graph, records=[record], last_latency=1.0)
-        chosen = policy._choose(view)
-        assert chosen != [DiscardViz("viz_1")]
+        chosen = policy.next_interaction(view)
+        assert chosen != DiscardViz("viz_1")
         assert policy.backoffs == 0
 
     def test_stale_record_from_prior_workflow_ignored(self, server_ctx):
@@ -116,30 +116,63 @@ class TestBackoffSignals:
         record = FakeRecord(violated=True)
         policy.observe(record)
         graph = _graph_with(policy, 2)
-        assert policy._choose(_view(graph, records=[record])) == [
-            DiscardViz("viz_1")
-        ]
+        assert policy.next_interaction(
+            _view(graph, records=[record])
+        ) == DiscardViz("viz_1")
         assert policy.begin_workflow(1) is not None
         fresh = _graph_with(policy, 1)
-        chosen = policy._choose(_view(fresh, records=[record]))
-        assert chosen != []  # keeps working: the strain was workflow 0's
+        chosen = policy.next_interaction(_view(fresh, records=[record]))
+        assert chosen is not None  # keeps working: the strain was workflow 0's
         assert policy.backoffs == 1
 
     def test_single_viz_under_load_ends_workflow(self, policy):
         policy.begin_workflow(0)
         graph = _graph_with(policy, 1)
-        assert policy._choose(_view(graph, queue_depth=9)) == []
+        assert policy.next_interaction(_view(graph, queue_depth=9)) is None
 
     def test_empty_dashboard_always_starts_working(self, policy):
         policy.begin_workflow(0)
         record = FakeRecord(violated=True)  # stale stress from workflow 0
-        chosen = policy._choose(_view(VizGraph(), records=[record]))
-        assert chosen and isinstance(chosen[0], CreateViz)
+        chosen = policy.next_interaction(_view(VizGraph(), records=[record]))
+        assert isinstance(chosen, CreateViz)
 
     def test_plan_names_are_load_adaptive(self, policy):
         plan = policy.begin_workflow(0)
         assert plan.name.startswith("load_adaptive_")
         assert policy.begin_workflow(1) is None
+
+
+class TestDiscardedAnchor:
+    """Backoff may discard the walk's anchor; the walk starts a new one."""
+
+    @pytest.mark.parametrize(
+        "workflow_type",
+        [WorkflowType.SEQUENTIAL, WorkflowType.ONE_TO_N, WorkflowType.N_TO_ONE],
+    )
+    def test_session_runs_to_completion(self, policy, workflow_type):
+        policy = LoadAdaptivePolicy(
+            policy._generator, per_session=1, workflow_type=workflow_type,
+            seed=9, backoff_depth=3,
+        )
+        policy.begin_workflow(0)
+        # A chart already on the dashboard (its short name sorts oldest)
+        # leaves the walk's first viz — its anchor — the newest to shed.
+        graph = VizGraph()
+        graph.apply(CreateViz(policy._generator.sample_viz_spec(policy._rng, "a")))
+        anchor = policy.next_interaction(_view(graph))
+        assert isinstance(anchor, CreateViz)
+        graph.apply(anchor)
+        shed = policy.next_interaction(_view(graph, queue_depth=3))
+        assert shed == DiscardViz(anchor.viz.name)
+        graph.apply(shed)
+        emitted = 2
+        while True:
+            interaction = policy.next_interaction(_view(graph))
+            if interaction is None:
+                break
+            graph.apply(interaction)  # raises on a dangling anchor
+            emitted += 1
+        assert emitted == policy._walk.budget
 
 
 class TestConstruction:

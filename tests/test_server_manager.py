@@ -268,7 +268,7 @@ class TestDepartedSessionsPayForWhatTheyFired:
         unbuilt = 0
         for result in results:
             (workflow,) = result.spec.workflows
-            built = len(workflow.interactions._builder.interactions)
+            built = len(workflow.interactions._walk.interactions)
             fired = sum(result.interaction_counts.values())
             # One sampled action may emit two interactions (create + link).
             assert fired <= built <= min(fired + 2, workflow.num_interactions)

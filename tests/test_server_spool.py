@@ -387,7 +387,10 @@ class TestIncrementalBench:
     def test_report_csv_bytes_pinned(self, server_ctx, tmp_path, cached):
         """Both reports, fresh and cache-restored: the bytes the pre-merge
         cell builders produced (hashed at the last commit that had them,
-        on both their retained and their incremental fold)."""
+        on both their retained and their incremental fold). The adaptive
+        report's two markov rows were re-hashed when the markov policy
+        began walking the workflow generator's fills; its scripted and
+        uncertainty rows are still the pre-merge bytes."""
         import hashlib
 
         from repro.runtime import (
@@ -431,7 +434,7 @@ class TestIncrementalBench:
         ]
         assert digests == [
             "dd55180e0df0874eab70dc32778480a9c0d9d425ab803d858cb80ff9ab86a9ef",
-            "b505e339f270cf0f5f7c7773a742cec05b1e8f3e89c70bdde732e918e4b1e094",
+            "a82aa04d5725e86482402a08d6edabc847c82571b166c9e5c7ae7ab3b919e7cb",
         ]
 
 

@@ -106,7 +106,7 @@ class TestStructuralValidity:
 
 def _materialized(workflow: Workflow) -> int:
     """Interactions the fill has emitted (and applied to its shadow graph)."""
-    return len(workflow.interactions._builder.interactions)
+    return len(workflow.interactions._walk.interactions)
 
 
 class TestLazyMaterialization:

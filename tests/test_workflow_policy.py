@@ -6,6 +6,7 @@ from repro.bench.driver import SessionDriver
 from repro.bench.experiments import make_engine
 from repro.common.clock import VirtualClock
 from repro.common.errors import BenchmarkError, WorkflowError
+from repro.common.rng import derive_rng
 from repro.workflow.graph import VizGraph
 from repro.workflow.policy import (
     LOW_CARDINALITY_BINS,
@@ -128,6 +129,68 @@ class TestMarkovPolicy:
         assert isinstance(reaction, SetFilter)
         assert reaction.viz_name == viz_name
         assert reaction.filter is None
+
+
+#: Every type the generator (and so the markov policy) can walk.
+WALKED_TYPES = (
+    WorkflowType.INDEPENDENT,
+    WorkflowType.SEQUENTIAL,
+    WorkflowType.ONE_TO_N,
+    WorkflowType.N_TO_ONE,
+    WorkflowType.MIXED,
+)
+
+
+def _drain(policy):
+    """Step one policy workflow to its end with no records observed."""
+    graph = VizGraph()
+    emitted = []
+    while True:
+        interaction = policy.next_interaction(
+            _view(graph, index=len(emitted))
+        )
+        if interaction is None:
+            return tuple(emitted)
+        graph.apply(interaction)
+        emitted.append(interaction)
+
+
+class TestMarkovWalksTheGenerator:
+    """Without a reaction, a markov workflow *is* the generator's walk."""
+
+    @pytest.mark.parametrize("workflow_type", WALKED_TYPES)
+    def test_unreacted_session_emits_generated_interactions(
+        self, generator, workflow_type
+    ):
+        # Hand the policy the rng generate() derives for workflow 0.
+        policy = MarkovPolicy(
+            generator, per_session=1, workflow_type=workflow_type
+        )
+        policy._rng = derive_rng(
+            generator.seed, "workflow", workflow_type.value, 0
+        )
+        plan = policy.begin_workflow(0)
+        assert plan.workflow_type is workflow_type
+        expected = generator.generate(workflow_type, 0).interactions
+        assert _drain(policy) == tuple(expected)
+
+    @pytest.mark.parametrize("workflow_type", WALKED_TYPES)
+    def test_later_workflows_continue_the_stream(
+        self, generator, workflow_type
+    ):
+        policy = MarkovPolicy(
+            generator, per_session=2, workflow_type=workflow_type, seed=4
+        )
+        rng = derive_rng(4, "policy", "markov")
+        for index in range(2):
+            policy.begin_workflow(index)
+            walk, fill = generator.walk(rng, workflow_type)
+            while walk.remaining > 0:
+                start = len(walk.interactions)
+                next(fill)
+                for interaction in walk.interactions[start:]:
+                    walk.graph.apply(interaction)
+            assert _drain(policy) == tuple(walk.interactions)
 
 
 class TestUncertaintyChaserPolicy:

@@ -395,6 +395,12 @@ def _open_pin(rate=0.2, horizon=40.0, residence=25.0, cap=4, seed_offset=0,
 #: the bytes (and the grant order) both implementations agreed on. The
 #: four ``churn_fuzz_*`` rows are the suite's ``random.Random(1000+i)``
 #: draws (rate, residence, cap, policy, topology), written out.
+#: Exception: the five markov rows (``closed_markov_monetdb_shared``,
+#: ``open_markov_churn_*``, ``churn_fuzz_1000`` and ``churn_fuzz_1003``)
+#: were regenerated by the calendar loop itself when the markov policy
+#: began walking the workflow generator's fills, so no second
+#: implementation vouches for them; their future oracle is the reference
+#: calendar that ROADMAP item 7 asks for.
 SCHEDULER_PIN_CASES = {
     "closed_scripted_isolated": _closed_pin(per_session=2),
     "closed_scripted_shared": _closed_pin(per_session=2, share_engine=True),
