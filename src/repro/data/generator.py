@@ -33,12 +33,13 @@ from repro.data.stats import (
     normal_scores,
     safe_cholesky,
 )
-from repro.data.storage import Table
+from repro.data.storage import Categorical, Table
 
 #: Default number of seed rows used for the copula fit.
 DEFAULT_FIT_SAMPLE = 20_000
 
-#: Generation proceeds in batches to bound peak memory for large outputs.
+#: Generation proceeds in batches to bound peak memory for large outputs:
+#: each batch is written into the preallocated output columns.
 DEFAULT_BATCH_ROWS = 200_000
 
 #: Rows per block of Φ's transposing write: the strided reads stay in L2.
@@ -83,11 +84,12 @@ class CopulaScaler:
         nominal_cdfs: Dict[str, NominalInverseCdf] = {}
         score_columns: List[np.ndarray] = []
         for name in sample.column_names:
-            values = sample[name]
             if sample.is_numeric(name):
+                values = sample[name]
                 numeric_cdfs[name] = NumericInverseCdf.fit(values)
                 score_basis = values.astype(np.float64)
             else:
+                values = sample.categorical(name)
                 cdf = NominalInverseCdf.fit(values)
                 nominal_cdfs[name] = cdf
                 # Frequency-rank codes put common categories at the center
@@ -122,15 +124,23 @@ class CopulaScaler:
         if num_rows < 1:
             raise DataGenerationError(f"num_rows must be >= 1, got {num_rows}")
         rng = derive_rng(self.seed_value, "copula-generate", self.table_name, stream)
-        batches: List[Table] = []
-        remaining = num_rows
-        while remaining > 0:
-            batch = min(remaining, batch_rows)
-            batches.append(self._generate_batch(batch, rng))
-            remaining -= batch
-        return batches[0] if len(batches) == 1 else Table.concat(self.table_name, batches)
+        cdfs = {**self.numeric_cdfs, **self.nominal_cdfs}
+        columns = {
+            name: np.empty(num_rows, dtype=cdfs[name].dtype)
+            for name in self.column_names
+        }
+        for start in range(0, num_rows, batch_rows):
+            rows = slice(start, min(start + batch_rows, num_rows))
+            uniforms = self._uniforms(rows.stop - rows.start, rng)
+            for j, name in enumerate(self.column_names):
+                columns[name][rows] = cdfs[name].apply(uniforms[j])
+            del uniforms  # before the next batch's two buffers
+        for name, cdf in self.nominal_cdfs.items():
+            columns[name] = Categorical(np.sort(cdf.categories), columns[name])
+        return Table(self.table_name, columns)
 
-    def _generate_batch(self, num_rows: int, rng: np.random.Generator) -> Table:
+    def _uniforms(self, num_rows: int, rng: np.random.Generator) -> np.ndarray:
+        """A batch's correlated uniforms, one row per column: (k × num_rows)."""
         k = len(self.column_names)
         # At most two (num_rows × k) buffers live at once. Φ writes one
         # (k × num_rows), block by block, so each inverse CDF reads a row.
@@ -139,15 +149,7 @@ class CopulaScaler:
         for start in range(0, num_rows, _PROBIT_BLOCK_ROWS):
             block = slice(start, start + _PROBIT_BLOCK_ROWS)
             gaussian_to_uniform(correlated[block].T, out=uniforms[:, block])
-        del correlated
-        columns: Dict[str, np.ndarray] = {}
-        for j, name in enumerate(self.column_names):
-            u = uniforms[j]
-            if name in self.numeric_cdfs:
-                columns[name] = self.numeric_cdfs[name].apply(u)
-            else:
-                columns[name] = self.nominal_cdfs[name].apply(u)
-        return Table(self.table_name, columns)
+        return uniforms
 
 
 def scale_dataset(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.common.errors import DataGenerationError, QueryError
-from repro.data.storage import Dataset, Table, categories_by_frequency
+from repro.data.storage import Categorical, Dataset, Table, categories_by_frequency
 
 
 class ColumnKind(Enum):
@@ -76,15 +76,18 @@ def _sorted_percentiles(ordered: np.ndarray) -> np.ndarray:
     lower[virtual >= last] = upper[virtual >= last] = -1
     gamma = virtual - lower
     below, above = ordered[lower.astype(np.intp)], ordered[upper.astype(np.intp)]
+    if ordered.dtype.kind == "i":  # a narrow type's step could wrap
+        below, above = below.astype(np.int64), above.astype(np.int64)
     step = above - below
     result = below + step * gamma
     np.subtract(above, step * (1 - gamma), out=result, where=gamma >= 0.5)
     return result
 
 
-def profile_column(name: str, values: np.ndarray) -> ColumnProfile:
-    """Profile a single column array (one sort serves min, max, quantiles)."""
-    if values.dtype.kind in ("i", "f"):
+def profile_column(name: str, values: Union[np.ndarray, Categorical]) -> ColumnProfile:
+    """Profile a single column array, or a nominal column as its table
+    stores it (one sort serves min, max, quantiles)."""
+    if not isinstance(values, Categorical) and values.dtype.kind in ("i", "f"):
         if not len(values):
             raise DataGenerationError(f"column {name!r} has no rows to profile")
         ordered = np.sort(values)
@@ -108,7 +111,10 @@ def profile_column(name: str, values: np.ndarray) -> ColumnProfile:
 def profile_table(table: Table) -> Dict[str, ColumnProfile]:
     """Profile every column of ``table`` (column name → profile)."""
     return {
-        name: profile_column(name, table[name]) for name in table.column_names
+        name: profile_column(
+            name, table[name] if table.is_numeric(name) else table.categorical(name)
+        )
+        for name in table.column_names
     }
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.errors import DataGenerationError
 from repro.common.rng import derive_rng
-from repro.data.storage import Table
+from repro.data.storage import Categorical, Table, index_dtype
 
 #: Columns of the seed table, in schema order (Fig. 2 of the paper).
 FLIGHTS_COLUMNS = (
@@ -201,13 +201,20 @@ def generate_flights_seed(num_rows: int = 100_000, seed: int = 42) -> Table:
         "AIR_TIME": np.rint(air_time).astype(np.int64),
         "DISTANCE": np.rint(distance).astype(np.int64),
         "ELAPSED_TIME": np.rint(elapsed).astype(np.int64),
-        "UNIQUE_CARRIER": carriers[carrier_idx],
-        "ORIGIN": airports[origin_idx],
-        "ORIGIN_STATE": airport_state[origin_idx],
-        "DEST": airports[dest_idx],
-        "DEST_STATE": airport_state[dest_idx],
+        "UNIQUE_CARRIER": _encoded(carriers, carrier_idx),
+        "ORIGIN": _encoded(airports, origin_idx),
+        "ORIGIN_STATE": _encoded(airport_state, origin_idx),
+        "DEST": _encoded(airports, dest_idx),
+        "DEST_STATE": _encoded(airport_state, dest_idx),
     }
     return Table("flights", {name: columns[name] for name in FLIGHTS_COLUMNS})
+
+
+def _encoded(names: np.ndarray, index: np.ndarray) -> Categorical:
+    """``names[index]`` as a table stores it, with no string per row."""
+    categories, rank = np.unique(names, return_inverse=True)
+    codes = rank.astype(index_dtype(len(categories))).take(index)
+    return Categorical(categories, codes)
 
 
 def _seasonality_weights() -> np.ndarray:

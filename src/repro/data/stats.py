@@ -17,12 +17,15 @@ inverse CDFs for both quantitative and nominal columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from repro.common.errors import DataGenerationError
-from repro.data.storage import categories_by_frequency, dictionary_encode
+from repro.data.storage import (
+    Categorical, categories_by_frequency, dictionary_encode, index_dtype, int_dtype,
+)
 
 
 def normal_scores(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -84,7 +87,8 @@ class NumericInverseCdf:
 
     ``apply`` maps uniforms in [0, 1] to sample quantiles — the last step
     of the §4.2 pipeline for quantitative columns. Integer columns are
-    rounded back to integers so the scaled data keeps the seed's dtype.
+    rounded back to integers, of the narrowest type holding the rounded
+    sample range (:attr:`dtype`), which every quantile lies in.
     """
 
     sorted_values: np.ndarray
@@ -97,6 +101,14 @@ class NumericInverseCdf:
             raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
         return cls(np.sort(array), bool(np.asarray(values).dtype.kind == "i"))
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The type ``apply`` returns."""
+        if not self.integral:
+            return np.dtype(np.float64)
+        low, high = np.rint(self.sorted_values[[0, -1]]).tolist()
+        return int_dtype(int(low), int(high))
+
     def apply(self, uniforms: np.ndarray) -> np.ndarray:
         positions = np.clip(uniforms, 0.0, 1.0) * (len(self.sorted_values) - 1)
         lower = np.floor(positions).astype(np.int64)
@@ -107,7 +119,7 @@ class NumericInverseCdf:
             + self.sorted_values[upper] * frac
         )
         if self.integral:
-            return np.rint(result).astype(np.int64)
+            return np.rint(result, out=result).astype(self.dtype)
         return result
 
 
@@ -120,27 +132,41 @@ class NominalInverseCdf:
     by frequency makes the probit scale meaningful for correlations: common
     categories sit near the center of the Gaussian, rare ones in the tail,
     which preserves monotone association between, e.g., carrier and delay.
+    ``apply`` returns codes into the categories sorted as ``np.unique``
+    sorts them, the order a stored nominal column's categories take.
     """
 
     categories: np.ndarray
     cumulative: np.ndarray
 
     @classmethod
-    def fit(cls, values: np.ndarray) -> "NominalInverseCdf":
-        if not len(values):
-            raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
+    def fit(cls, values: Union[np.ndarray, Categorical]) -> "NominalInverseCdf":
+        """Fit on string ``values``, or a stored nominal column."""
         categories, counts = categories_by_frequency(values)
+        if not len(categories):
+            raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
         cumulative = np.cumsum(counts) / counts.sum()
         return cls(categories, cumulative)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The type of the codes ``apply`` returns."""
+        return index_dtype(len(self.categories))
+
     def apply(self, uniforms: np.ndarray) -> np.ndarray:
         indices = np.searchsorted(self.cumulative, np.clip(uniforms, 0.0, 1.0))
-        indices = np.minimum(indices, len(self.categories) - 1)
-        return self.categories[indices]
+        np.minimum(indices, len(self.categories) - 1, out=indices)
+        # Frequency rank -> rank among the sorted categories.
+        sorted_rank = np.empty(len(self.categories), dtype=self.dtype)
+        sorted_rank[np.argsort(self.categories)] = np.arange(len(self.categories))
+        return sorted_rank.take(indices)
 
-    def code_of(self, values: np.ndarray) -> np.ndarray:
+    def code_of(self, values: Union[np.ndarray, Categorical]) -> np.ndarray:
         """Frequency-rank codes of ``values`` (0 = most common)."""
-        distinct, codes = dictionary_encode(np.asarray(values))
+        if isinstance(values, Categorical):
+            distinct, codes = values
+        else:
+            distinct, codes = dictionary_encode(np.asarray(values))
         by_name = np.argsort(self.categories)
         names = self.categories[by_name]
         slots = np.minimum(np.searchsorted(names, distinct), len(names) - 1)

@@ -4,9 +4,11 @@ The engine simulators in :mod:`repro.engines` execute real aggregations, so
 they need a real storage layer. This module provides a deliberately small
 column store:
 
-* a :class:`Table` is an ordered mapping of column name to a 1-D numpy
-  array, all of equal length; numeric columns are ``float64``/``int64``,
-  nominal columns are numpy unicode arrays;
+* a :class:`Table` is an ordered mapping of column name to a read-only
+  1-D column, all of equal length: integer columns at the narrowest type
+  holding their range (:func:`int_dtype`), float columns as ``float64``,
+  nominal columns dictionary-encoded (a :class:`Categorical`), which
+  ``table[name]`` decodes on demand, for cold paths;
 * a :class:`Dataset` is a set of tables plus foreign-key metadata — either
   a single de-normalized table or a star schema (fact + dimensions), the
   two layouts §4.6's *Using Joins* setting switches between.
@@ -23,45 +25,100 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.common.errors import DataGenerationError, QueryError
 
 
-def _as_column(values) -> np.ndarray:
-    """Coerce ``values`` into a 1-D column array with a supported dtype.
+class Categorical(NamedTuple):
+    """A nominal column, dictionary-encoded: its distinct strings, sorted
+    as ``np.unique`` sorts them, and each row's index among them."""
 
-    An ``int64``, ``float64`` or unicode array is adopted, not copied, as
-    a read-only view; writing to the original afterwards would leave the
-    memoized :meth:`Table.fingerprint` stale.
-    """
+    categories: np.ndarray
+    codes: np.ndarray
+
+
+#: Rows per block of a pass over a whole column that would otherwise
+#: widen it at once (numpy gathers through ``intp`` indexes).
+_BLOCK_ROWS = 1 << 16
+
+
+def _locked(column: np.ndarray, source) -> np.ndarray:
+    """``column`` read-only: a view when it is the caller's ``source``,
+    so locking it does not lock the caller's array."""
+    if column is source:
+        column = column.view()
+    column.setflags(write=False)
+    return column
+
+
+def _as_categorical(categories, codes) -> Categorical:
+    """The stored form of an encoded column: only the categories some code
+    names, renumbered, with :func:`index_dtype` codes; adopted uncopied
+    when it is already that."""
+    array = np.asarray(categories)
+    indexes = np.asarray(codes)
+    if indexes.ndim != 1 or indexes.dtype.kind not in "iu":
+        raise DataGenerationError("category codes must be a 1-D integer array")
+    if array.dtype.kind != "U" or (array[1:] <= array[:-1]).any():
+        raise DataGenerationError("categories must be distinct sorted strings")
+    if len(indexes) and (indexes.min() < 0 or indexes.max() >= len(array)):
+        raise DataGenerationError(f"category codes must lie in [0, {len(array)})")
+    used = np.zeros(len(array), dtype=bool)
+    for start in range(0, len(indexes), _BLOCK_ROWS):
+        used[indexes[start : start + _BLOCK_ROWS]] = True
+    if not used.all():
+        rank = (np.cumsum(used) - 1).astype(index_dtype(int(used.sum())))
+        array, indexes = array[used], rank.take(indexes)
+    narrow = indexes.astype(index_dtype(len(array)), copy=False)
+    return Categorical(_locked(array, categories), _locked(narrow, codes))
+
+
+def _as_column(values) -> Union[np.ndarray, Categorical]:
+    """The stored form of column ``values``, the one rule of how a base
+    column is held: integers (booleans too) at :func:`int_dtype` of their
+    range, floats as ``float64``, strings dictionary-encoded into a
+    :class:`Categorical`; read-only. A column already in its stored form
+    (another table's, a pickle's) is adopted, not copied."""
+    if isinstance(values, Categorical):
+        return _as_categorical(*values)
     array = np.asarray(values)
     if array.ndim != 1:
         raise DataGenerationError(
             f"columns must be 1-D, got array of shape {array.shape}"
         )
     if array.dtype.kind in ("i", "u", "b"):
-        column = array.astype(np.int64, copy=False)
-    elif array.dtype.kind == "f":
-        column = array.astype(np.float64, copy=False)
-    elif array.dtype.kind in ("U", "S", "O"):
-        column = array.astype(str, copy=False)
-    else:
-        raise DataGenerationError(f"unsupported column dtype {array.dtype!r}")
-    if column is values:
-        column = column.view()
-        column.setflags(write=False)
-    return column
+        low, high = (int(array.min()), int(array.max())) if len(array) else (0, 0)
+        if high > np.iinfo(np.int64).max:
+            raise DataGenerationError(f"integer column holds {high}, past int64")
+        return _locked(array.astype(int_dtype(low, high), copy=False), values)
+    if array.dtype.kind == "f":
+        return _locked(array.astype(np.float64, copy=False), values)
+    if array.dtype.kind in ("U", "S", "O"):
+        return _as_categorical(*dictionary_encode(array))
+    raise DataGenerationError(f"unsupported column dtype {array.dtype!r}")
+
+
+def _logical(array: np.ndarray, categories: Optional[np.ndarray]) -> np.ndarray:
+    """Stored ``array`` as logical values: integers as ``int64``, codes
+    decoded through ``categories``."""
+    if categories is not None:
+        return categories.take(array)
+    return array.astype(np.int64) if array.dtype.kind == "i" else array
 
 
 class Table:
-    """An immutable-by-convention columnar table.
+    """An immutable columnar table.
 
-    Columns are exposed through ``table[name]``; all mutating operations
+    Columns are exposed through ``table[name]``; all row-set operations
     return new :class:`Table` objects (``select``, ``take``, ``head``,
-    ``with_columns`` …) so engines can share tables safely.
+    ``with_columns`` …) so engines can share tables safely. Every column
+    is stored by :func:`_as_column`'s rule and read-only.
     """
 
     def __init__(self, name: str, columns: Dict[str, Iterable]):
@@ -70,12 +127,18 @@ class Table:
         if not columns:
             raise DataGenerationError(f"table {name!r} must have columns")
         self.name = name
+        #: column -> stored array (a nominal column's codes).
         self._columns: Dict[str, np.ndarray] = {}
+        #: nominal column -> its sorted categories.
+        self._categories: Dict[str, np.ndarray] = {}
         length: Optional[int] = None
         for column_name, values in columns.items():
             if not column_name:
                 raise DataGenerationError("column names must be non-empty")
             array = _as_column(values)
+            if isinstance(array, Categorical):
+                self._categories[column_name] = array.categories
+                array = array.codes
             if length is None:
                 length = len(array)
             elif len(array) != length:
@@ -86,6 +149,30 @@ class Table:
             self._columns[column_name] = array
         self._num_rows = int(length or 0)
         self._fingerprint: Optional[str] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickle from before tables were narrow holds int64 and unicode
+        # arrays: the constructor's rule stores them narrow (and adopts a
+        # narrow pickle's). The logical fingerprint carries over.
+        parts = dict(state["_columns"])
+        for column, categories in state.get("_categories", {}).items():
+            parts[column] = Categorical(categories, parts[column])
+        self.__init__(state["name"], parts)
+        self._fingerprint = state["_fingerprint"]
+
+    def _stored(
+        self, rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ) -> Dict[str, Union[np.ndarray, Categorical]]:
+        """Every column as the constructor adopts it back (an array, or a
+        :class:`Categorical`), ``rows`` picking rows of each stored array."""
+        parts = {}
+        for name, array in self._columns.items():
+            array = array if rows is None else rows(array)
+            categories = self._categories.get(name)
+            parts[name] = (
+                array if categories is None else Categorical(categories, array)
+            )
+        return parts
 
     # ------------------------------------------------------------------
     # Introspection
@@ -106,7 +193,7 @@ class Table:
     def __contains__(self, column: str) -> bool:
         return column in self._columns
 
-    def __getitem__(self, column: str) -> np.ndarray:
+    def _array(self, column: str) -> np.ndarray:
         try:
             return self._columns[column]
         except KeyError:
@@ -115,29 +202,52 @@ class Table:
                 f"available: {self.column_names}"
             ) from None
 
+    def __getitem__(self, column: str) -> np.ndarray:
+        """Logical ``column``: a numeric column's stored array (integers at
+        their narrowest exact type), a nominal column's strings decoded
+        afresh — a cold path; hot paths read :meth:`categorical`."""
+        array = self._array(column)
+        categories = self._categories.get(column)
+        return array if categories is None else categories.take(array)
+
+    def categorical(self, column: str) -> Categorical:
+        """Nominal ``column`` as stored: sorted categories and codes."""
+        codes = self._array(column)
+        if column not in self._categories:
+            raise QueryError(f"column {column!r} of table {self.name!r} is not nominal")
+        return Categorical(self._categories[column], codes)
+
     def is_numeric(self, column: str) -> bool:
         """Whether ``column`` holds numeric (quantitative-capable) data."""
-        return self[column].dtype.kind in ("i", "f")
+        self._array(column)
+        return column not in self._categories
 
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of all column arrays."""
-        return int(sum(array.nbytes for array in self._columns.values()))
+        """Memory footprint of all stored arrays, categories included."""
+        arrays = list(self._columns.values()) + list(self._categories.values())
+        return int(sum(array.nbytes for array in arrays))
 
     def fingerprint(self) -> str:
-        """Stable content digest of the table (names, dtypes and values).
+        """Stable content digest of the table's logical columns (names,
+        kinds and values, integers as ``int64`` and nominal columns as
+        strings, hashed block by block), whatever their stored form.
 
         Two tables with identical columns fingerprint identically in every
         process — the persistent ground-truth cache keys on this so answer
         artifacts computed by one worker are valid for all others.
-        Memoized (columns are immutable-by-convention): the compiled-kernel
-        cache consults dataset fingerprints on every query submission.
+        Memoized (tables are immutable): the compiled-kernel cache consults
+        dataset fingerprints on every query submission.
         """
         if self._fingerprint is None:
             hasher = hashlib.sha256()
             for column_name, array in self._columns.items():
+                categories = self._categories.get(column_name)
+                kind = array.dtype.kind if categories is None else categories.dtype.kind
                 hasher.update(column_name.encode("utf-8"))
-                hasher.update(str(array.dtype.kind).encode("utf-8"))
-                hasher.update(np.ascontiguousarray(array).tobytes())
+                hasher.update(kind.encode("utf-8"))
+                for start in range(0, len(array), _BLOCK_ROWS):
+                    block = array[start : start + _BLOCK_ROWS]
+                    hasher.update(_logical(block, categories).tobytes())
             self._fingerprint = hasher.hexdigest()[:32]
         return self._fingerprint
 
@@ -157,46 +267,37 @@ class Table:
             raise QueryError(
                 f"mask must be a boolean array of length {self._num_rows}"
             )
-        return Table(
-            self.name, {name: array[mask] for name, array in self._columns.items()}
-        )
+        return Table(self.name, self._stored(lambda array: array[mask]))
 
     def take(self, indices: np.ndarray) -> "Table":
         """Return the rows at ``indices`` (any integer fancy index)."""
         indices = np.asarray(indices)
-        return Table(
-            self.name,
-            {name: array[indices] for name, array in self._columns.items()},
-        )
+        return Table(self.name, self._stored(lambda array: array[indices]))
 
     def head(self, n: int) -> "Table":
         """Return the first ``n`` rows."""
-        return Table(
-            self.name, {name: array[:n] for name, array in self._columns.items()}
-        )
+        return Table(self.name, self._stored(lambda array: array[:n]))
 
     def with_columns(self, new_columns: Dict[str, Iterable]) -> "Table":
         """Return a copy with columns added or replaced."""
-        merged: Dict[str, Iterable] = dict(self._columns)
+        merged = self._stored()
         merged.update(new_columns)
         return Table(self.name, merged)
 
     def without_columns(self, names: Sequence[str]) -> "Table":
         """Return a copy with the given columns removed."""
-        remaining = {
-            name: array
-            for name, array in self._columns.items()
-            if name not in set(names)
-        }
-        return Table(self.name, remaining)
+        kept = self._stored()
+        for name in names:
+            kept.pop(name, None)
+        return Table(self.name, kept)
 
     def renamed(self, name: str) -> "Table":
         """Return the same columns under a different table name."""
-        return Table(name, dict(self._columns))
+        return Table(name, self._stored())
 
     def rows(self) -> Iterator[Tuple]:
         """Iterate over rows as tuples (test/debug helper; not fast)."""
-        arrays = list(self._columns.values())
+        arrays = [self[name] for name in self._columns]
         for i in range(self._num_rows):
             yield tuple(array[i] for array in arrays)
 
@@ -215,26 +316,6 @@ class Table:
                 return False
         return True
 
-    @classmethod
-    def concat(cls, name: str, parts: Sequence["Table"]) -> "Table":
-        """Vertically concatenate tables with identical column sets."""
-        if not parts:
-            raise DataGenerationError("cannot concatenate zero tables")
-        first = parts[0]
-        for part in parts[1:]:
-            if part.column_names != first.column_names:
-                raise DataGenerationError(
-                    "cannot concatenate tables with different columns: "
-                    f"{first.column_names} vs {part.column_names}"
-                )
-        return cls(
-            name,
-            {
-                column: np.concatenate([part[column] for part in parts])
-                for column in first.column_names
-            },
-        )
-
     # ------------------------------------------------------------------
     # CSV round-trips
     # ------------------------------------------------------------------
@@ -249,7 +330,7 @@ class Table:
     def _write_csv(self, handle) -> None:
         writer = csv.writer(handle)
         writer.writerow(self.column_names)
-        arrays = list(self._columns.values())
+        arrays = [self[name] for name in self._columns]
         for i in range(self._num_rows):
             writer.writerow([_format_csv_value(array[i]) for array in arrays])
 
@@ -345,22 +426,6 @@ def index_dtype(count: int) -> np.dtype:
     return int_dtype(-1, count)
 
 
-def narrowest_values(values: np.ndarray) -> np.ndarray:
-    """``values`` as an aggregate folds them, exactly: an integer column
-    at the narrowest type holding its ``[min, max]`` (:func:`int_dtype`;
-    itself, uncopied, when that type is no narrower), anything else as
-    ``float64`` (a float column uncopied).
-
-    A fold widens only the rows it gathers; an integer's ``float64`` is
-    the same double whether cast before or after the gather.
-    """
-    if values.dtype.kind not in "iu":
-        return values.astype(np.float64, copy=False)
-    low, high = (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    dtype = int_dtype(low, high)
-    return values if values.itemsize <= dtype.itemsize else values.astype(dtype)
-
-
 def unique_inverse(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort-free ``np.unique(codes, return_inverse=True)``.
 
@@ -423,10 +488,16 @@ def dictionary_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return digits.view(strings.dtype).ravel(), codes.astype(np.int64, copy=False)
 
 
-def categories_by_frequency(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def categories_by_frequency(
+    values: Union[np.ndarray, Categorical]
+) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct ``values`` as strings, most common first (equal counts in
-    sorted order), with their counts: :func:`dictionary_encode` counted."""
-    categories, codes = dictionary_encode(np.asarray(values))
+    sorted order), with their counts: a stored :class:`Categorical`, or
+    :func:`dictionary_encode` of an array, counted."""
+    if isinstance(values, Categorical):
+        categories, codes = values
+    else:
+        categories, codes = dictionary_encode(np.asarray(values))
     counts = np.bincount(codes, minlength=len(categories))
     order = np.argsort(-counts, kind="stable")
     return categories[order], counts[order]
@@ -461,11 +532,11 @@ class Dataset:
     query evaluation: it tells callers where a logical column lives and
     whether reaching it requires a join.
 
-    Tables are immutable-by-convention, so data derived from them is
-    memoized on the dataset and shared by every query compiled against
-    it: the content :meth:`fingerprint`, each column's dictionary
-    encoding (:meth:`encoded_column`) and the values its aggregates fold
-    (:meth:`value_column`: integers at their narrowest exact width).
+    Kernels read columns as the tables store them: a nominal column's
+    dictionary encoding (:meth:`encoded_column`) and a numeric column's
+    narrow values (:meth:`value_column`), both read-only and, for an
+    FK-reachable column, dereferenced through the key with ``take``.
+    Only the content :meth:`fingerprint` is memoized.
     """
 
     def __init__(
@@ -491,10 +562,6 @@ class Dataset:
         self.fact_table = fact_table
         self.foreign_keys = tuple(foreign_keys)
         self._fingerprint: Optional[str] = None
-        #: logical column -> (sorted categories, fact-granularity codes).
-        self._encoded: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        #: logical column -> fact-granularity values, narrowest exact type.
-        self._values: Dict[str, np.ndarray] = {}
 
     @property
     def fact(self) -> Table:
@@ -534,69 +601,56 @@ class Dataset:
         )
 
     def gather_column(self, name: str) -> np.ndarray:
-        """Materialize logical column ``name`` at fact-table granularity.
+        """Logical column ``name`` at fact-table granularity: a numeric
+        column's :meth:`value_column`, a nominal one's strings decoded
+        afresh (cold paths; kernels read :meth:`encoded_column`).
 
         For FK-reachable columns this performs the join by integer
         dereference (the simulators charge the *cost* of the join
         separately through their cost models — see
         :mod:`repro.engines.joins`).
         """
-        table_name, physical, fk = self.resolve_column(name)
-        if fk is None:
-            return self.tables[table_name][physical]
-        keys = self.fact[fk.fact_column]
-        dim = self.tables[fk.dim_table]
-        return dim[physical][keys]
+        if self.column_is_numeric(name):
+            return self.value_column(name)
+        categories, codes = self.encoded_column(name)
+        return categories.take(codes)
 
-    def encoded_column(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    def _through_fk(self, array: np.ndarray, fk: Optional[ForeignKey]) -> np.ndarray:
+        """A dimension-size ``array`` at fact granularity, read-only."""
+        if fk is None:
+            return array
+        gathered = array.take(self.fact[fk.fact_column])
+        gathered.setflags(write=False)
+        return gathered
+
+    def encoded_column(self, name: str) -> Categorical:
         """Dictionary encoding of logical column ``name`` read as strings.
 
         Returns ``(categories, codes)``: the sorted distinct values of
-        ``gather_column(name).astype(str)`` and, per fact row, the
-        index of its value among them — so codes are monotone in the
-        categories and ``categories[codes]`` reconstructs the string
-        column. Codes take :func:`index_dtype` of the category count
-        (``int8`` for the ≤ 60 categories of a flights column: 1 byte a
-        row, not 8). FK-reachable columns are encoded and narrowed at
-        dimension-table size and dereferenced through the key, so
-        ``categories`` may hold values no fact row references. Built by
-        counting (:func:`dictionary_encode`), not by sorting.
-
-        Memoized like :meth:`fingerprint` (tables are immutable-by-
-        convention) and shared by every compiled kernel and the
-        stratified sampler; both arrays are read-only.
+        ``gather_column(name).astype(str)`` and, per fact row, the index
+        of its value among them, of :func:`index_dtype` of the category
+        count (1 byte a row for a flights column); read-only. A nominal
+        column's are its table's stored arrays; an FK-reachable one's
+        codes are taken through the key, so ``categories`` may hold values
+        no fact row references. A numeric column is encoded on demand.
         """
-        encoded = self._encoded.get(name)
-        if encoded is None:
-            table_name, physical, fk = self.resolve_column(name)
-            categories, codes = dictionary_encode(self.tables[table_name][physical])
-            codes = codes.astype(index_dtype(len(categories)))
-            if fk is not None:
-                codes = codes[self.fact[fk.fact_column]]
-            categories.setflags(write=False)
-            codes.setflags(write=False)
-            encoded = self._encoded[name] = (categories, codes)
-        return encoded
+        table_name, physical, fk = self.resolve_column(name)
+        table = self.tables[table_name]
+        if table.is_numeric(physical):
+            categories, codes = _as_column(_logical(table[physical], None).astype(str))
+        else:
+            categories, codes = table.categorical(physical)
+        return Categorical(categories, self._through_fk(codes, fk))
 
     def value_column(self, name: str) -> np.ndarray:
-        """Logical column ``name`` at fact granularity, read-only, as its
-        aggregates fold it (:func:`narrowest_values`): the nine flights
-        columns take 1 or 2 bytes a row, not ``float64``'s 8.
-
-        Memoized, so every kernel aggregating the column shares one
-        array. FK-reachable columns are narrowed at dimension-table size
-        and dereferenced, like :meth:`encoded_column`'s codes.
-        """
-        values = self._values.get(name)
-        if values is None:
-            table_name, physical, fk = self.resolve_column(name)
-            values = narrowest_values(self.tables[table_name][physical])
-            if fk is not None:
-                values = values[self.fact[fk.fact_column]]
-            values = values.view()  # lock this array, not the table's
-            values.setflags(write=False)
-            self._values[name] = values
-        return values
+        """Numeric logical column ``name`` at fact granularity, read-only,
+        as its table stores it: a fold widens only the rows it gathers,
+        and an integer's ``float64`` is the same before or after."""
+        table_name, physical, fk = self.resolve_column(name)
+        table = self.tables[table_name]
+        if not table.is_numeric(physical):
+            raise QueryError(f"column {name!r} is nominal; aggregates need numbers")
+        return self._through_fk(table[physical], fk)
 
     def column_is_numeric(self, name: str) -> bool:
         """Whether logical column ``name`` holds numeric data."""
@@ -618,7 +672,7 @@ class Dataset:
     def fingerprint(self) -> str:
         """Stable content digest over all tables plus the FK metadata.
 
-        Memoized: tables are immutable-by-convention, and the compiled-
+        Memoized: tables are immutable, and the compiled-
         kernel cache keys every lookup on this digest, so hashing the
         column bytes more than once per dataset would dwarf the lookups
         it is meant to make cheap.
@@ -633,19 +687,6 @@ class Dataset:
                 hasher.update(repr(fk).encode("utf-8"))
             self._fingerprint = hasher.hexdigest()[:32]
         return self._fingerprint
-
-    def __getstate__(self) -> dict:
-        # The memoized encodings and value columns are derived data: leaving
-        # them out keeps a warmed dataset's pickle (ArtifactStore, matrix
-        # workers) byte-equal to a cold one's.
-        state = dict(self.__dict__)
-        del state["_encoded"], state["_values"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._encoded = {}
-        self._values = {}
 
     def __repr__(self) -> str:
         kind = "star" if self.is_normalized else "denormalized"

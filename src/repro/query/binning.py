@@ -20,7 +20,10 @@ from repro.query.model import BinDimension
 
 def compute_codes(dim: BinDimension, values: np.ndarray) -> np.ndarray:
     """Each value's bin code under the quantitative dimension ``dim``:
-    ``floor((x - reference) / width)`` as ``int64``."""
+    ``floor((x - reference) / width)`` as ``int64``, with ``x`` widened to
+    ``float64`` first: a narrow column minus a Python ``int`` keeps the
+    column's type (NEP 50) and could wrap. Integers below 2**53 give the
+    doubles an ``int64`` subtraction gave."""
     if dim.width is None:
         raise QueryError(
             f"dimension {dim.field!r} is unresolved (bin_count without "
@@ -30,4 +33,5 @@ def compute_codes(dim: BinDimension, values: np.ndarray) -> np.ndarray:
         raise QueryError(
             f"quantitative binning on non-numeric column {dim.field!r}"
         )
-    return np.floor((values - dim.reference) / dim.width).astype(np.int64)
+    widened = values.astype(np.float64, copy=False)
+    return np.floor((widened - dim.reference) / dim.width).astype(np.int64)

@@ -8,8 +8,9 @@ an :class:`~repro.query.model.AggQuery` against a dataset hoists
 everything that does not depend on the polled row subset out of the poll
 loop:
 
-* every referenced logical column is gathered **once** (FK dereference on
-  normalized schemas included);
+* columns are read as the dataset's tables store them — nominal ones as
+  dictionary codes, numeric ones at their narrowest exact type — with no
+  per-kernel copy (an FK-reachable column is taken through its key);
 * the filter mask is evaluated once over the full table — predicates are
   pointwise, so the mask of any row subset is a gather of the full mask;
 * bin codes and the group structure are built once over all rows (a
@@ -18,16 +19,15 @@ loop:
   decoded keys in canonical order (sorted codes / lexicographic for
   2-D, whatever the codes span), of which every subset's grouping is a
   restriction;
-* aggregate columns are read through the dataset's shared value column
-  (integers at their narrowest exact width), and a fold widens to
-  ``float64`` only the rows it gathers.
+* aggregate columns are the dataset's stored value columns, and a fold
+  widens to ``float64`` only the rows it gathers.
 
 IDE queries are built incrementally (§2.2, §4.3): a brush re-issues many
 queries whose bins are unchanged and one filter lands on many vizs. So a
 compile builds only what no live kernel of the dataset already holds —
 one plan per ``bins``, one mask per ``filter``, one grouping per pair —
 and none of it sorts: nominal codes and string predicates come from the
-dataset's memoized dictionary encoding
+tables' stored dictionary encoding
 (:meth:`repro.data.storage.Dataset.encoded_column`) and the distinct
 codes are found by counting (:func:`unique_inverse`, from ``repro.data``).
 
@@ -122,7 +122,7 @@ def _shared(dataset, key: tuple, build: Callable[[], object]):
 
 
 def _dimension_codes(
-    dataset, dim: BinDimension, columns: Dict[str, np.ndarray]
+    dataset, dim: BinDimension
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Every row's bin code under ``dim``, and the categories they index
     (``None``: a quantitative code is its own key).
@@ -135,7 +135,7 @@ def _dimension_codes(
     if dim.kind is BinKind.NOMINAL:
         categories, codes = dataset.encoded_column(dim.field)
         return codes, categories
-    return compute_codes(dim, columns[dim.field]), None
+    return compute_codes(dim, dataset.gather_column(dim.field)), None
 
 
 def _decoded(codes: np.ndarray, categories: Optional[np.ndarray]) -> list:
@@ -145,7 +145,7 @@ def _decoded(codes: np.ndarray, categories: Optional[np.ndarray]) -> list:
 
 
 def _build_groups(
-    dataset, bins: Tuple[BinDimension, ...], columns: Dict[str, np.ndarray]
+    dataset, bins: Tuple[BinDimension, ...]
 ) -> Tuple[List[BinKey], np.ndarray]:
     """Group structure of every row under ``bins``: the keys in canonical
     order (ascending codes; lexicographic in 2-D) and each row's index
@@ -161,7 +161,7 @@ def _build_groups(
     Group ids take :func:`index_dtype` of the group count, built so in
     the pass that makes them (a nominal plan adopts the dataset's codes).
     """
-    per_dim = [_dimension_codes(dataset, dim, columns) for dim in bins]
+    per_dim = [_dimension_codes(dataset, dim) for dim in bins]
     if len(per_dim) == 1:
         codes, categories = per_dim[0]
         if categories is not None:
@@ -188,9 +188,7 @@ def _build_groups(
     return list(keys), gid
 
 
-def _build_grouping(
-    dataset, query: AggQuery, columns: Dict[str, np.ndarray]
-) -> Grouping:
+def _build_grouping(dataset, query: AggQuery) -> Grouping:
     """The binning plan of ``query.bins`` with the rows its filter fails
     set to ``-1``: its keys stay, and a group no passing row reaches is
     an empty group, like one a sample prefix has not reached yet."""
@@ -198,7 +196,7 @@ def _build_grouping(
 
     def build_mask() -> np.ndarray:
         mask = evaluate_filter(
-            query.filter, columns.__getitem__, num_rows, dataset.encoded_column
+            query.filter, dataset.gather_column, num_rows, dataset.encoded_column
         )
         mask.setflags(write=False)
         return mask
@@ -207,7 +205,7 @@ def _build_grouping(
         # A plan covers rows no query may have asked about: their NaNs
         # cast to the int64 extremes (see unique_inverse) unwarned.
         with np.errstate(invalid="ignore"):
-            keys, gid = _build_groups(dataset, query.bins, columns)
+            keys, gid = _build_groups(dataset, query.bins)
         gid.setflags(write=False)
         return BinningPlan(keys, gid)
 
@@ -222,13 +220,11 @@ def _build_grouping(
         keys, row_gid = plan.keys, plan.gid
         if num_passing < num_rows:
             # (gid + 1) * mask - 1, not np.where, which mispredicts on
-            # a random mask; a one of the plan's dtype keeps it under
-            # numpy 1.x and NEP 50 alike, and the dtype holds the group
-            # count, so the + 1 fits.
-            one = plan.gid.dtype.type(1)
-            row_gid = plan.gid + one
+            # a random mask; the plan's dtype holds the group count, so
+            # the + 1 fits.
+            row_gid = plan.gid + 1
             row_gid *= mask
-            row_gid -= one
+            row_gid -= 1
     row_gid.setflags(write=False)
     return Grouping(mask, plan, keys, row_gid, num_passing)
 
@@ -252,14 +248,10 @@ class CompiledQueryKernel:
         self.query = query
         self._dataset = dataset
         self.num_rows = dataset.num_fact_rows
-        columns: Dict[str, np.ndarray] = {
-            name: dataset.gather_column(name)
-            for name in query.referenced_columns()
-        }
         self._grouping = grouping = _shared(
             dataset,
             ("groupings", query.bins, query.filter),
-            lambda: _build_grouping(dataset, query, columns),
+            lambda: _build_grouping(dataset, query),
         )
         # Equal to ``mask.mean()``: both divide the exact count once.
         self.qualifying_fraction = (
@@ -271,8 +263,8 @@ class CompiledQueryKernel:
         #: accumulating needs no compress.
         self.all_rows_pass = grouping.num_passing == self.num_rows
 
-        #: aggregate index -> full-table value array (narrowest exact
-        #: type), shared with every kernel aggregating the same column.
+        #: aggregate index -> the dataset's full-table value column
+        #: (narrowest exact type), shared with every kernel aggregating it.
         self._agg_values: Dict[int, np.ndarray] = {
             j: dataset.value_column(agg.field)
             for j, agg in enumerate(query.aggregates)

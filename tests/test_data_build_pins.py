@@ -9,6 +9,7 @@ a standard deviation changes one of these SHA-256 values.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments import SEED_ROWS
@@ -38,10 +39,15 @@ PINS = {
 
 
 def table_digest(table) -> str:
-    """SHA-256 over every column's name, dtype and bytes, in column order."""
+    """SHA-256 over every column's name, dtype and bytes, in column order,
+    taken of the logical columns: integers widened to ``int64`` and
+    nominal columns decoded to their ``<U`` strings, the form these pins
+    were frozen from (tables now store both narrow)."""
     digest = hashlib.sha256()
     for name in table.column_names:
         column = table[name]
+        if column.dtype.kind == "i":
+            column = column.astype(np.int64)
         digest.update(f"{name}:{column.dtype.str}:{len(column)}|".encode())
         digest.update(column.tobytes())
     return digest.hexdigest()

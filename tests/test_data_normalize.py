@@ -28,7 +28,7 @@ class TestFlightsStarSchema:
         fact = star.fact
         for fk_column in ("ORIGIN_KEY", "DEST_KEY", "CARRIER_KEY"):
             assert fk_column in fact
-            assert fact[fk_column].dtype == np.int64
+            assert fact[fk_column].dtype == np.int8  # < 128 dimension rows
         for moved in ("ORIGIN", "DEST", "UNIQUE_CARRIER", "ORIGIN_STATE", "DEST_STATE"):
             assert moved not in fact
 

@@ -93,7 +93,7 @@ class TestNumericInverseCdf:
     def test_integer_columns_stay_integer(self):
         cdf = NumericInverseCdf.fit(np.array([1, 2, 3], dtype=np.int64))
         out = cdf.apply(np.array([0.3, 0.9]))
-        assert out.dtype == np.int64
+        assert out.dtype == cdf.dtype == np.int8  # the sample range's type
 
     def test_clips_out_of_range_uniforms(self):
         cdf = NumericInverseCdf.fit(np.array([10.0, 20.0]))
@@ -118,7 +118,7 @@ class TestNominalInverseCdf:
     def test_preserves_marginals(self, rng):
         values = np.array(["a"] * 700 + ["b"] * 200 + ["c"] * 100)
         cdf = NominalInverseCdf.fit(values)
-        out = cdf.apply(rng.random(20_000))
+        out = np.sort(cdf.categories)[cdf.apply(rng.random(20_000))]
         frequencies = {c: (out == c).mean() for c in "abc"}
         assert frequencies["a"] == pytest.approx(0.7, abs=0.02)
         assert frequencies["b"] == pytest.approx(0.2, abs=0.02)

@@ -1,12 +1,13 @@
 """Tests for the columnar Table/Dataset storage layer."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.common.errors import DataGenerationError, QueryError
-from repro.data.storage import Dataset, ForeignKey, Table
+from repro.data.storage import Categorical, Dataset, ForeignKey, Table
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ class TestTableConstruction:
 
     def test_dtype_coercion(self):
         table = Table("t", {"b": np.array([True, False]), "s": ["p", "q"]})
-        assert table["b"].dtype == np.int64
+        assert table["b"].dtype == np.int8
         assert table["s"].dtype.kind == "U"
 
     def test_rejects_mismatched_lengths(self):
@@ -112,18 +113,89 @@ class TestTableOperations:
         other = small_table.with_columns({"x": [1, 2, 3, 99]})
         assert not small_table.equals(other)
 
-    def test_concat(self, small_table):
-        doubled = Table.concat("t2", [small_table, small_table])
-        assert doubled.num_rows == 8
+    def test_take_keeps_only_the_categories_rows_hold(self, small_table):
+        categories, codes = small_table.take(np.array([2, 3, 2])).categorical("label")
+        assert categories.tolist() == ["a", "c"]
+        assert codes.tolist() == [0, 1, 0] and codes.dtype == np.int8
 
-    def test_concat_rejects_mismatched_columns(self, small_table):
-        other = small_table.without_columns(["y"])
-        with pytest.raises(DataGenerationError):
-            Table.concat("bad", [small_table, other])
 
-    def test_concat_rejects_empty(self):
-        with pytest.raises(DataGenerationError):
-            Table.concat("bad", [])
+class TestNarrowStorage:
+    def test_columns_are_stored_narrow_and_read_only(self):
+        table = Table(
+            "t",
+            {
+                "small": np.array([-128, 127], dtype=np.int64),
+                "wide": np.array([-129, 40_000]),
+                "huge": np.array([0, 2**40]),
+                "f": np.array([0.5, 1.5], dtype=np.float32),
+                "s": np.array(["zz", "a"], dtype=object),
+            },
+        )
+        dtypes = {name: table[name].dtype for name in ("small", "wide", "huge", "f")}
+        assert dtypes == {
+            "small": np.int8, "wide": np.int32, "huge": np.int64, "f": np.float64,
+        }
+        categories, codes = table.categorical("s")
+        assert categories.tolist() == ["a", "zz"] and codes.tolist() == [1, 0]
+        for array in (table["small"], table["f"], categories, codes):
+            assert not array.flags.writeable
+        assert table["s"].tolist() == ["zz", "a"]
+
+    def test_adopts_a_stored_column_without_copying(self):
+        source = np.array([1, 2, 3], dtype=np.int8)
+        table = Table("t", {"x": source})
+        assert np.shares_memory(table["x"], source)
+        assert source.flags.writeable  # only the table's view is locked
+        again = Table("t2", {"x": table["x"], "s": table.with_columns(
+            {"s": ["a", "b", "a"]}).categorical("s")})
+        assert np.shares_memory(again["x"], source)
+
+    def test_categorical_input_is_validated(self):
+        with pytest.raises(DataGenerationError, match="sorted"):
+            Table("t", {"s": Categorical(np.array(["b", "a"]), np.array([0, 1]))})
+        with pytest.raises(DataGenerationError, match="lie in"):
+            Table("t", {"s": Categorical(np.array(["a", "b"]), np.array([0, 2]))})
+
+    def test_categorical_of_a_numeric_column_raises(self, small_table):
+        with pytest.raises(QueryError, match="not nominal"):
+            small_table.categorical("x")
+
+    def test_fingerprint_digests_logical_content(self, small_table):
+        wide = Table("t", {"x": np.array([1, 2, 3, 4]).astype(np.int32),
+                           "y": small_table["y"], "label": small_table["label"]})
+        assert wide.fingerprint() == small_table.fingerprint()
+        assert small_table.with_columns({"x": [1, 2, 3, 5]}).fingerprint() != (
+            small_table.fingerprint()
+        )
+
+    def test_wide_pickle_loads_narrow(self, small_table):
+        """A table pickled before columns were stored narrow (int64 and
+        unicode arrays, no categories) loads in the stored form."""
+        old = Table.__new__(Table)
+        old.__dict__.update(
+            name="t",
+            _columns={
+                "x": np.array([1, 2, 3, 4], dtype=np.int64),
+                "y": np.array([1.5, 2.5, 3.5, 4.5]),
+                "label": np.array(["a", "b", "a", "c"]),
+            },
+            _num_rows=4,
+            _fingerprint=small_table.fingerprint(),
+        )
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded["x"].dtype == np.int8
+        assert loaded.categorical("label").categories.tolist() == ["a", "b", "c"]
+        assert loaded.equals(small_table)
+        assert loaded.fingerprint() == small_table.fingerprint()
+        loaded._fingerprint = None
+        assert loaded.fingerprint() == small_table.fingerprint()
+
+    def test_narrow_pickle_round_trips(self, small_table):
+        small_table.fingerprint()
+        loaded = pickle.loads(pickle.dumps(small_table))
+        assert loaded.equals(small_table)
+        assert loaded.memory_bytes() == small_table.memory_bytes()
+        assert loaded.fingerprint() == small_table.fingerprint()
 
 
 class TestCsvRoundTrip:
@@ -144,7 +216,7 @@ class TestCsvRoundTrip:
     def test_dtype_inference(self):
         buffer = io.StringIO("i,f,s\n1,1.5,x\n2,2.5,y\n")
         table = Table.from_csv(buffer, name="t")
-        assert table["i"].dtype == np.int64
+        assert table["i"].dtype == np.int8
         assert table["f"].dtype == np.float64
         assert table["s"].dtype.kind == "U"
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.data.storage import Table
+from repro.data.storage import Categorical, Table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,23 +77,30 @@ def test_twelve_set_ups_retain_no_seed_table(probe):
 @pytest.mark.parametrize(
     "column",
     [
-        np.arange(5, dtype=np.int64),
+        np.arange(5, dtype=np.int8),
+        np.array([-(2**40), 2**40]),
         np.linspace(0.0, 1.0, 5),
-        np.array(["a", "bcd", "ef"], dtype="<U3"),
     ],
-    ids=["int64", "float64", "U3"],
+    ids=["int8", "int64", "float64"],
 )
-def test_table_adopts_a_column_that_has_its_dtype(column):
+def test_table_adopts_a_column_that_has_its_stored_dtype(column):
     stored = Table("t", {"a": column})["a"]
     assert np.shares_memory(stored, column)
     assert not stored.flags.writeable  # the table cannot write through
 
 
+def test_table_adopts_an_encoded_column():
+    encoded = Categorical(np.array(["a", "bcd"], dtype="<U3"), np.array([1, 0], dtype=np.int8))
+    stored = Table("t", {"a": encoded}).categorical("a")
+    for mine, given in zip(stored, encoded):
+        assert np.shares_memory(mine, given) and not mine.flags.writeable
+
+
 @pytest.mark.parametrize(
     "column, dtype",
     [
-        (np.arange(5, dtype=np.int32), np.int64),
-        (np.array([True, False, True]), np.int64),
+        (np.arange(5, dtype=np.int32), np.int8),
+        (np.array([True, False, True]), np.int8),
         (np.array(["a", "bcd", 5], dtype=object), "<U3"),
     ],
     ids=["int32", "bool", "object"],

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.common.clock import VirtualClock
+from repro.common.errors import QueryError
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
 from repro.data.schema import profile_column
 from repro.data.storage import Dataset, Table, dictionary_encode
@@ -282,13 +283,11 @@ class TestEncodedColumn:
             assert codes.dtype == dtype
             assert np.array_equal(categories[codes], strings)
 
-    def test_memoized(self, flights_dataset):
-        first = flights_dataset.encoded_column("ORIGIN")
-        assert flights_dataset.encoded_column("ORIGIN") is first
-        assert (
-            flights_dataset.value_column("DISTANCE")
-            is flights_dataset.value_column("DISTANCE")
-        )
+    def test_reads_the_stored_arrays(self, flights_table, flights_dataset):
+        categories, codes = flights_dataset.encoded_column("ORIGIN")
+        stored = flights_table.categorical("ORIGIN")
+        assert categories is stored.categories and codes is stored.codes
+        assert flights_dataset.value_column("DISTANCE") is flights_table["DISTANCE"]
 
     def test_fk_columns_encode_at_dimension_size(self, flights_table):
         star = normalize(flights_table, FLIGHTS_STAR_SPEC)
@@ -298,14 +297,15 @@ class TestEncodedColumn:
             categories[codes], flights_table["ORIGIN_STATE"].astype(str)
         )
 
-    def test_value_column_narrows_ints_and_shares_float_storage(self):
-        table = Table("t", {"f": [0.5, 1.5, -2.0], "i": [1, 2, 3]})
+    def test_value_column_is_the_stored_column(self):
+        table = Table("t", {"f": [0.5, 1.5, -2.0], "i": [1, 2, 3], "s": ["a", "b", "a"]})
         dataset = Dataset.from_table(table)
-        assert np.shares_memory(dataset.value_column("f"), table["f"])
-        assert table["f"].flags.writeable  # only the shared view is locked
+        assert dataset.value_column("f") is table["f"]
         narrow = dataset.value_column("i")
-        assert table["i"].dtype == np.int64 and narrow.dtype == np.int8
+        assert narrow is table["i"] and narrow.dtype == np.int8
         assert narrow.tolist() == [1, 2, 3]
+        with pytest.raises(QueryError, match="nominal"):
+            dataset.value_column("s")
 
     def test_shared_arrays_are_read_only(self, flights_dataset):
         kernel = CompiledQueryKernel(
@@ -334,17 +334,11 @@ class TestPickleHygiene:
             dataset,
             _nominal_query(filter_expr=SetPredicate("ORIGIN_STATE", frozenset(["CA"]))),
         )
-        assert dataset._encoded
-        delays = dataset._values["DEP_DELAY"]  # the AVG's memo: narrow, exact
-        assert delays.dtype == np.int16
-        assert np.array_equal(delays, flights_table["DEP_DELAY"])
         assert pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL) == cold
 
-    def test_round_trip_starts_cold_and_works(self, flights_dataset):
-        flights_dataset.encoded_column("ORIGIN")
-        flights_dataset.value_column("DISTANCE")
+    def test_round_trip_works(self, flights_dataset):
         clone = pickle.loads(pickle.dumps(flights_dataset))
-        assert clone._encoded == {} and clone._values == {}
+        assert clone.fingerprint() == flights_dataset.fingerprint()
         assert np.array_equal(
             clone.encoded_column("ORIGIN")[1],
             flights_dataset.encoded_column("ORIGIN")[1],

@@ -1,11 +1,15 @@
-"""Footprint guard: row-sized index arrays stay as narrow as their counts.
+"""Footprint guard: base tables and row-sized index arrays stay narrow.
 
-Every row-sized array that indexes groups or categories — a dataset's
+A table stores every integer column at the narrowest type holding its
+values and every nominal column as narrow codes plus its categories, so
+the flights table takes ~21 bytes a row (it took 120 with ``int64`` and
+unicode columns), and building it holds no second copy of the output.
+Every row-sized array that indexes groups or categories — a table's
 dictionary codes, a binning plan's group ids, a grouping's filtered ids
 and an empty grouping's ``-1`` array — takes the narrowest signed integer
 type whose maximum is at least its group or category count
 (:func:`repro.data.storage.index_dtype`), and every integer column an
-aggregate reads is held at the narrowest type holding its values
+aggregate reads is the table's narrow column
 (:meth:`repro.data.storage.Dataset.value_column`). A poll gathers one of
 each per sampled row, so each byte of width is a byte of cache traffic
 per row; these assertions fail if a later change widens any of them
@@ -14,9 +18,12 @@ again.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.data.generator import CopulaScaler
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
 from repro.data.storage import index_dtype
 from repro.query.filters import RangePredicate
@@ -132,10 +139,53 @@ def test_flights_value_columns_are_narrow(flights_table, flights_dataset):
     star = normalize(flights_table, FLIGHTS_STAR_SPEC)
     for name, itemsize in VALUE_ITEMSIZES.items():
         column = flights_table[name]
-        assert column.dtype == np.int64
+        assert column.dtype.kind == "i" and column.itemsize == itemsize, name
         for dataset in (flights_dataset, star):
             values = dataset.value_column(name)
-            assert values.dtype.kind == "i" and values.itemsize == itemsize, name
+            assert values.dtype == column.dtype, name
             assert np.array_equal(values, column)
     kernel = CompiledQueryKernel(flights_dataset, _query(PLAN_BINS[0], BRUSH))
-    assert kernel._agg_values[1] is flights_dataset.value_column("DISTANCE")
+    assert kernel._agg_values[1] is flights_table["DISTANCE"]
+
+
+#: Every flights column's stored type, on the 6,000-row fixture and on a
+#: scaled table: 2 bytes for the seven wider integer columns, 1 for the
+#: two calendar columns and for the codes of each ≤ 60-category column.
+STORED_DTYPES = {
+    **{name: np.dtype(f"i{size}") for name, size in VALUE_ITEMSIZES.items()},
+    **dict.fromkeys(
+        ("UNIQUE_CARRIER", "ORIGIN", "ORIGIN_STATE", "DEST", "DEST_STATE"),
+        np.dtype(np.int8),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_flights(flights_table):
+    return CopulaScaler.fit(flights_table, seed_value=5).generate(20_000, stream="S")
+
+
+def test_flights_tables_are_stored_narrow(flights_table, scaled_flights):
+    for table in (flights_table, scaled_flights):
+        assert {name: table._columns[name].dtype for name in table.column_names} == (
+            STORED_DTYPES
+        )
+        # codes plus categories: 21 bytes a row, and the categories' few kB
+        assert table.memory_bytes() <= 24 * table.num_rows
+
+
+def test_generate_holds_no_second_copy_of_its_output(flights_table):
+    """Above its output, a three-batch build peaks at a batch's two
+    (rows × columns) float64 buffers plus the inverse CDFs' row-sized
+    temporaries: batches are written into the preallocated output, which
+    a concatenation of kept batches would hold twice."""
+    scaler = CopulaScaler.fit(flights_table, fit_sample=2_000, seed_value=5)
+    batch = 40_000
+    buffer = batch * len(scaler.column_names) * 8
+    tracemalloc.start()
+    try:
+        table = scaler.generate(3 * batch, batch_rows=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.memory_bytes() < 2 * buffer + buffer // 4

@@ -1,8 +1,8 @@
 """Narrow value columns fold to the bytes of a ``float64`` cast.
 
-A dataset holds each integer column its aggregates read at the narrowest
-signed type holding its ``[min, max]`` (``Dataset.value_column``,
-``narrowest_values``), and a fold widens only the rows it gathers. An
+A table stores each integer column at the narrowest signed type holding
+its ``[min, max]`` (the ``Table`` constructor's rule, read through
+``Dataset.value_column``), and a fold widens only the rows it gathers. An
 integer's ``float64`` is the same double whether it is cast before or
 after the gather, so every fold must be **bitwise** what the same fold
 returns over the whole column cast to ``float64`` up front. Each case
@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.data.storage import (
-    Dataset, ForeignKey, Table, int_dtype, narrowest_values,
-)
+from repro.common.errors import DataGenerationError
+from repro.data.storage import Dataset, ForeignKey, Table, int_dtype
 from repro.query.filters import RangePredicate
 from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
@@ -134,31 +133,34 @@ def test_int_dtype_is_the_narrowest_holding_the_span(low, high):
     assert int_dtype(low, high) == _expected_dtype(low, high)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
-def test_a_column_no_wider_than_its_rule_is_used_uncopied(dtype):
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_a_column_no_wider_than_its_rule_is_stored_uncopied(dtype):
     info = np.iinfo(dtype)
     column = np.array([info.min, info.max], dtype=dtype)
-    assert narrowest_values(column) is column
+    assert np.shares_memory(Table("t", {"V": column})["V"], column)
 
 
 @pytest.mark.parametrize(
     "values, dtype",
     [
-        (np.array([0, 200], dtype=np.uint16), np.uint16),  # int16: no narrower
+        (np.array([0, 200], dtype=np.uint16), np.int16),
         (np.array([0, 200], dtype=np.uint32), np.int16),
         (np.array([0, 70_000], dtype=np.uint64), np.int32),
-        (np.array([5, 2**31], dtype=np.uint64), np.uint64),
-        (np.array([True, False]), np.float64),
+        (np.array([5, 2**31], dtype=np.uint64), np.int64),
+        (np.array([True, False]), np.int8),
         (np.array([0.5, np.nan]), np.float64),
         (np.array([], dtype=np.int64), np.int8),
     ],
 )
 def test_uint_bool_float_and_empty_columns(values, dtype):
-    narrow = narrowest_values(values)
-    assert narrow.dtype == dtype
-    assert narrow.astype(np.float64).tobytes() == values.astype(np.float64).tobytes()
-    if values.dtype == dtype:
-        assert narrow is values
+    stored = Table("t", {"V": values})["V"]
+    assert stored.dtype == dtype
+    assert stored.astype(np.float64).tobytes() == values.astype(np.float64).tobytes()
+
+
+def test_an_integer_column_past_int64_is_rejected():
+    with pytest.raises(DataGenerationError, match="past int64"):
+        Table("t", {"V": np.array([0, 2**63], dtype=np.uint64)})
 
 
 @hyp_settings(max_examples=120, deadline=None)
@@ -170,9 +172,8 @@ def test_value_column_holds_the_exact_values_at_the_rule(values, star):
     assert narrow.dtype == _expected_dtype(int(values.min()), int(values.max()))
     assert np.array_equal(narrow, gathered)
     assert not narrow.flags.writeable
-    if not star and narrow.dtype == np.int64:  # wider than int32: no copy
-        assert np.shares_memory(narrow, dataset.fact["V"])
-    assert dataset.value_column("V") is narrow
+    if not star:  # the table's own column, no copy
+        assert narrow is dataset.fact["V"] is dataset.value_column("V")
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_folds_over_narrow_ints_equal_folds_over_the_float64_cast(
     [
         np.array([0, 255, 3, 128, 7, 9], dtype=np.uint8),
         np.array([0, 60_000, 40_000, 1, 2, 3], dtype=np.uint16),
-        np.array([2**64 - 1, 2**53 + 1, 0, 5, 2**63, 1], dtype=np.uint64),
+        np.array([2**63 - 1, 2**53 + 1, 0, 5, 2**62, 1], dtype=np.uint64),
         np.array([True, False, True, True, False, False]),
         np.array([0.1, -2.5, np.nan, 1e12, -0.0, 3.0]),
     ],
@@ -203,12 +204,10 @@ def test_folds_over_narrow_ints_equal_folds_over_the_float64_cast(
 )
 @pytest.mark.parametrize("filtered", [False, True])
 def test_folds_over_uint_bool_and_float_columns(raw, filtered):
-    """Columns a ``Table`` would coerce, folded straight from the rule."""
-    dataset = _dataset(np.zeros(len(raw), dtype=np.int64), 3, star=False)
+    """Columns a ``Table`` coerces, folded as it stores them."""
+    dataset = _dataset(raw, 3, star=False)
     kernel = CompiledQueryKernel(dataset, _query(filtered))
-    _assert_every_fold_equal(
-        _over(kernel, narrowest_values(raw)), _over(kernel, raw.astype(np.float64)), 3
-    )
+    _assert_every_fold_equal(kernel, _over(kernel, raw.astype(np.float64)), 3)
 
 
 def test_folds_over_an_empty_column():
