@@ -15,7 +15,8 @@ per-call dispatch (7–9 µs for ``Generator.choice``) dwarfs the draw
 itself. :func:`pick`, :func:`choice_cdf` / :func:`pick_weighted` and
 :func:`uniform` are scalar forms that consume the *identical* stream and
 return the identical value as the numpy call they replace
-(docs/determinism.md, "Draw forms"; ``tests/test_common_rng.py``).
+(docs/determinism.md, "Draw forms"; ``tests/test_common_rng.py``), as
+does the array form :func:`choice_weighted`.
 """
 
 from __future__ import annotations
@@ -117,3 +118,35 @@ def uniform(rng: np.random.Generator, low: float, high: float) -> float:
     numpy computes ``low + (high - low) * next_double``.
     """
     return low + (high - low) * rng.random()
+
+
+def choice_weighted(rng: np.random.Generator, size: int, p: np.ndarray) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)``, which searches ``random(size)``
+    in ``choice_cdf(p)`` with ``side="right"``."""
+    return BucketedSearch(choice_cdf(p), "right")(rng.random(size)).astype(np.intp)
+
+
+class BucketedSearch:
+    """``np.searchsorted(edges, u, side)`` for ``u`` in [0, 1], exactly: a
+    table holds each 1/4096-wide bucket's answer, and only rows whose bucket
+    holds an edge search, about ``len(edges) / 4096`` of them. NaN (or ``u``
+    past 1) falls in an always-searched bucket, so it maps to ``len(edges)``
+    as in numpy. Answers take the narrowest unsigned type holding them."""
+
+    BUCKETS = 4096
+
+    def __init__(self, edges: Sequence[float], side: str) -> None:
+        self.edges, self.side = np.asarray(edges, dtype=np.float64), side
+        grid = np.arange(self.BUCKETS + 2) / self.BUCKETS
+        start = self.edges.searchsorted(grid[:-1], side)
+        inside = start != self.edges.searchsorted(grid[1:], "left")
+        # The last bucket (u past (BUCKETS + 1) / BUCKETS, NaN) always searches.
+        self.inside = np.append(inside, True)
+        self.start = np.append(start, 0).astype(np.min_scalar_type(len(self.edges)))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        bucket = np.fmin(u * self.BUCKETS, self.BUCKETS + 1).astype(np.intp)
+        found = self.start.take(bucket)
+        rows = self.inside.take(bucket).nonzero()[0]
+        found[rows] = self.edges.searchsorted(u.take(rows), self.side)
+        return found

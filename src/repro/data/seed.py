@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.common.errors import DataGenerationError
-from repro.common.rng import derive_rng
+from repro.common.rng import choice_weighted, derive_rng
 from repro.data.storage import Categorical, Table, index_dtype
 
 #: Columns of the seed table, in schema order (Fig. 2 of the paper).
@@ -126,12 +126,12 @@ def generate_flights_seed(num_rows: int = 100_000, seed: int = 42) -> Table:
     carrier_probs = _zipf_probabilities(NUM_CARRIERS, 1.35)
     airport_probs = _zipf_probabilities(NUM_AIRPORTS, 1.15)
 
-    carrier_idx = rng.choice(NUM_CARRIERS, size=num_rows, p=carrier_probs)
-    origin_idx = rng.choice(NUM_AIRPORTS, size=num_rows, p=airport_probs)
-    dest_idx = rng.choice(NUM_AIRPORTS, size=num_rows, p=airport_probs)
+    carrier_idx = choice_weighted(rng, num_rows, carrier_probs)
+    origin_idx = choice_weighted(rng, num_rows, airport_probs)
+    dest_idx = choice_weighted(rng, num_rows, airport_probs)
     # Avoid origin == destination: re-draw collisions once, then shift.
     collisions = origin_idx == dest_idx
-    dest_idx[collisions] = rng.choice(NUM_AIRPORTS, size=int(collisions.sum()), p=airport_probs)
+    dest_idx[collisions] = choice_weighted(rng, int(collisions.sum()), airport_probs)
     still = origin_idx == dest_idx
     dest_idx[still] = (dest_idx[still] + 1) % NUM_AIRPORTS
 
@@ -144,14 +144,14 @@ def generate_flights_seed(num_rows: int = 100_000, seed: int = 42) -> Table:
     air_time = np.clip(air_time, 20.0, None)
 
     # --- departure time: morning/midday/evening mixture -------------------
-    component = rng.choice(3, size=num_rows, p=[0.38, 0.27, 0.35])
+    component = choice_weighted(rng, num_rows, [0.38, 0.27, 0.35])
     means = np.array([7.6 * 60, 12.5 * 60, 18.1 * 60])
     stds = np.array([75.0, 95.0, 110.0])
     dep_time = rng.normal(means[component], stds[component])
     dep_time = np.clip(dep_time, 0.0, 1439.0)
 
     # --- delays: on-time mass + moderate + heavy tail ----------------------
-    delay_kind = rng.choice(3, size=num_rows, p=[0.62, 0.28, 0.10])
+    delay_kind = choice_weighted(rng, num_rows, [0.62, 0.28, 0.10])
     dep_delay = np.where(
         delay_kind == 0,
         rng.normal(-3.0, 4.5, size=num_rows),
@@ -179,20 +179,14 @@ def generate_flights_seed(num_rows: int = 100_000, seed: int = 42) -> Table:
     arr_time = np.mod(dep_time + elapsed, 1440.0)
 
     # --- calendar ----------------------------------------------------------
-    month = rng.choice(
-        np.arange(1, 13),
-        size=num_rows,
-        p=_seasonality_weights(),
-    )
-    day_of_week = rng.choice(
-        np.arange(1, 8),
-        size=num_rows,
-        p=np.array([0.155, 0.15, 0.15, 0.155, 0.16, 0.11, 0.12]),
+    month = 1 + choice_weighted(rng, num_rows, _seasonality_weights())
+    day_of_week = 1 + choice_weighted(
+        rng, num_rows, [0.155, 0.15, 0.15, 0.155, 0.16, 0.11, 0.12]
     )
 
     columns: Dict[str, np.ndarray] = {
-        "MONTH": month.astype(np.int64),
-        "DAY_OF_WEEK": day_of_week.astype(np.int64),
+        "MONTH": month,
+        "DAY_OF_WEEK": day_of_week,
         "DEP_TIME": np.rint(dep_time).astype(np.int64),
         # Round before wrapping: rint alone could produce exactly 1440.
         "ARR_TIME": np.mod(np.rint(arr_time), 1440.0).astype(np.int64),

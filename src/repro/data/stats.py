@@ -16,13 +16,15 @@ inverse CDFs for both quantitative and nominal columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from repro.common.errors import DataGenerationError
+from repro.common.rng import BucketedSearch
 from repro.data.storage import (
     Categorical, categories_by_frequency, dictionary_encode, index_dtype, int_dtype,
 )
@@ -52,9 +54,17 @@ def normal_scores(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         small = keys.astype(np.int16)
         keys = small if (small == keys).all() else keys
     order = by_jitter[np.argsort(keys, kind="stable")]
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.arange(n, dtype=np.float64)
-    return ndtri((ranks + 0.5) / n)
+    scores = np.empty(n, dtype=np.float64)
+    scores[order] = _rank_probits(n)
+    return scores
+
+
+@lru_cache(maxsize=4)
+def _rank_probits(n: int) -> np.ndarray:
+    """``ndtri((r + 0.5) / n)`` for ranks ``r = 0..n-1``, once per fit."""
+    probits = ndtri((np.arange(n, dtype=np.float64) + 0.5) / n)
+    probits.flags.writeable = False
+    return probits
 
 
 def safe_cholesky(matrix: np.ndarray, max_jitter: float = 1e-3) -> np.ndarray:
@@ -86,9 +96,9 @@ class NumericInverseCdf:
     """Empirical inverse CDF of a numeric sample (linear interpolation).
 
     ``apply`` maps uniforms in [0, 1] to sample quantiles — the last step
-    of the §4.2 pipeline for quantitative columns. Integer columns are
-    rounded back to integers, of the narrowest type holding the rounded
-    sample range (:attr:`dtype`), which every quantile lies in.
+    of the §4.2 pipeline for quantitative columns. An integer sample is
+    held, and its quantiles rounded back, at the narrowest type holding its
+    range (:attr:`dtype`); widening it to ``float64`` to interpolate is exact.
     """
 
     sorted_values: np.ndarray
@@ -96,18 +106,17 @@ class NumericInverseCdf:
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "NumericInverseCdf":
-        array = np.asarray(values, dtype=np.float64)
+        array = np.sort(values)
         if not len(array):
             raise DataGenerationError("cannot fit an inverse CDF to an empty sample")
-        return cls(np.sort(array), bool(np.asarray(values).dtype.kind == "i"))
+        if array.dtype.kind != "i":
+            return cls(array.astype(np.float64, copy=False), False)
+        return cls(array.astype(int_dtype(int(array[0]), int(array[-1]))), True)
 
     @property
     def dtype(self) -> np.dtype:
         """The type ``apply`` returns."""
-        if not self.integral:
-            return np.dtype(np.float64)
-        low, high = np.rint(self.sorted_values[[0, -1]]).tolist()
-        return int_dtype(int(low), int(high))
+        return self.sorted_values.dtype
 
     def apply(self, uniforms: np.ndarray) -> np.ndarray:
         positions = np.clip(uniforms, 0.0, 1.0) * (len(self.sorted_values) - 1)
@@ -138,6 +147,14 @@ class NominalInverseCdf:
 
     categories: np.ndarray
     cumulative: np.ndarray
+    _search: BucketedSearch = field(init=False, repr=False, compare=False)
+    _sorted_rank: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Frequency rank -> rank among the sorted categories; NaN -> the last.
+        rank = np.argsort(np.argsort(self.categories)).astype(self.dtype)
+        object.__setattr__(self, "_sorted_rank", np.append(rank, rank[-1]))
+        object.__setattr__(self, "_search", BucketedSearch(self.cumulative, "left"))
 
     @classmethod
     def fit(cls, values: Union[np.ndarray, Categorical]) -> "NominalInverseCdf":
@@ -154,12 +171,7 @@ class NominalInverseCdf:
         return index_dtype(len(self.categories))
 
     def apply(self, uniforms: np.ndarray) -> np.ndarray:
-        indices = np.searchsorted(self.cumulative, np.clip(uniforms, 0.0, 1.0))
-        np.minimum(indices, len(self.categories) - 1, out=indices)
-        # Frequency rank -> rank among the sorted categories.
-        sorted_rank = np.empty(len(self.categories), dtype=self.dtype)
-        sorted_rank[np.argsort(self.categories)] = np.arange(len(self.categories))
-        return sorted_rank.take(indices)
+        return self._sorted_rank.take(self._search(np.clip(uniforms, 0.0, 1.0)))
 
     def code_of(self, values: Union[np.ndarray, Categorical]) -> np.ndarray:
         """Frequency-rank codes of ``values`` (0 = most common)."""

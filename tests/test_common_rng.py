@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.common.errors import WorkflowError
 from repro.common.rng import (
+    BucketedSearch,
     choice_cdf,
+    choice_weighted,
     derive_rng,
     derive_seed,
     derive_session_seed,
@@ -14,6 +16,7 @@ from repro.common.rng import (
     pick_weighted,
     uniform,
 )
+from repro.data.seed import NUM_AIRPORTS, NUM_CARRIERS, _seasonality_weights, _zipf_probabilities
 from repro.workflow.generator import _CHAINS, WorkloadConfig
 
 #: Every draw form must match numpy on each of these seeds.
@@ -138,7 +141,77 @@ class TestDrawForms:
             assert uniform(form_rng, 0.05, 0.95) == numpy_rng.uniform(0.05, 0.95)
             assert _same_state(numpy_rng, form_rng)
 
+    #: The seed generator's eight weighted draws use the first six vectors;
+    #: the last two add zero weights (duplicate CDF edges) and 300
+    #: categories (a table wider than one byte).
+    WEIGHTS = (
+        _zipf_probabilities(NUM_CARRIERS, 1.35),
+        _zipf_probabilities(NUM_AIRPORTS, 1.15),
+        [0.38, 0.27, 0.35],
+        [0.62, 0.28, 0.10],
+        _seasonality_weights(),
+        [0.155, 0.15, 0.15, 0.155, 0.16, 0.11, 0.12],
+        [0.0, 0.5, 0.0, 0.5],
+        np.arange(300) % 7,
+    )
+
+    @pytest.mark.parametrize("weights", WEIGHTS, ids=range(len(WEIGHTS)))
+    def test_choice_weighted_is_choice_with_p(self, weights):
+        p = np.asarray(weights, dtype=np.float64)
+        p /= p.sum()
+        for seed in SEEDS:
+            numpy_rng, form_rng = _twins(seed)
+            for size in (0, 1, 257, 5_000):
+                expected = numpy_rng.choice(len(p), size=size, p=p)
+                drawn = choice_weighted(form_rng, size, p)
+                assert drawn.dtype == expected.dtype
+                np.testing.assert_array_equal(drawn, expected)
+                assert _same_state(numpy_rng, form_rng)
+
     def test_unknown_state_still_raises(self):
         chain = next(iter(_CHAINS.values()))
         with pytest.raises(WorkflowError, match="unknown state"):
             chain.step("ghost", np.random.default_rng(0))
+
+
+#: Points on and next to bucket boundaries j / 4096, and the ends.
+_BOUNDARY = st.integers(0, 4097).flatmap(
+    lambda j: st.sampled_from(
+        [j / 4096, np.nextafter(j / 4096, 0.0), np.nextafter(j / 4096, 2.0)]
+    )
+)
+_UNIT = st.one_of(st.floats(0.0, 1.0), _BOUNDARY, st.sampled_from([0.0, 1.0]))
+
+
+class TestBucketedSearch:
+    """:class:`BucketedSearch` answers what ``np.searchsorted`` answers for
+    every ``u`` in [0, 1], and maps NaN to ``len(edges)`` as numpy does."""
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(_UNIT, max_size=40).flatmap(
+            # duplicate some edges
+            lambda xs: st.lists(st.sampled_from(xs), max_size=10).map(
+                lambda extra: sorted(xs + extra)
+            ) if xs else st.just([])
+        ),
+        u=st.lists(st.one_of(_UNIT, st.just(float("nan"))), max_size=60),
+        side=st.sampled_from(["left", "right"]),
+    )
+    def test_matches_searchsorted(self, edges, u, side):
+        u = np.array(u, dtype=np.float64)
+        found = BucketedSearch(edges, side)(u)
+        np.testing.assert_array_equal(found, np.searchsorted(edges, u, side))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_nan_maps_past_the_last_edge(self, side):
+        edges = np.array([0.25, 0.5, 1.0])
+        found = BucketedSearch(edges, side)(np.array([np.nan, 0.0, 1.0, np.nan]))
+        assert found.tolist() == [3, 0, 3 if side == "right" else 2, 3]
+
+    def test_only_buckets_holding_an_edge_search(self):
+        search = BucketedSearch([0.1, 0.2, 0.3, 0.3, 0.5, 1.0], "left")
+        # four distinct edges inside [0, 1]; 1.0 opens the top bucket, and
+        # the last bucket (past 1, NaN) always searches
+        assert int(search.inside.sum()) == 6
+        assert search.start.dtype == np.uint8

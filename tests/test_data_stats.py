@@ -95,6 +95,35 @@ class TestNumericInverseCdf:
         out = cdf.apply(np.array([0.3, 0.9]))
         assert out.dtype == cdf.dtype == np.int8  # the sample range's type
 
+    @pytest.mark.parametrize(
+        ("low", "high", "dtype"),
+        [(-128, 127, np.int8), (-129, 5, np.int16), (0, 32_768, np.int32)],
+    )
+    def test_integer_sample_is_held_at_its_type(self, low, high, dtype):
+        cdf = NumericInverseCdf.fit(np.array([high, low, 0], dtype=np.int64))
+        assert cdf.sorted_values.dtype == cdf.dtype == dtype
+        assert cdf.sorted_values.tolist() == [low, 0, high]
+
+    @hyp_settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(-40_000, 40_000), min_size=1, max_size=60),
+        uniforms=st.lists(st.floats(0.0, 1.0), max_size=40),
+    )
+    def test_narrow_sample_applies_as_float64(self, values, uniforms):
+        """Widening an integer to float64 is exact, so holding the sample
+        narrow moves no output bit: the float64-sample formula, verbatim."""
+        cdf = NumericInverseCdf.fit(np.array(values, dtype=np.int64))
+        sample = np.sort(np.array(values, dtype=np.float64))
+        u = np.array(uniforms, dtype=np.float64)
+        positions = np.clip(u, 0.0, 1.0) * (len(sample) - 1)
+        lower = np.floor(positions).astype(np.int64)
+        upper = np.minimum(lower + 1, len(sample) - 1)
+        frac = positions - lower
+        expected = np.rint(sample[lower] * (1.0 - frac) + sample[upper] * frac)
+        out = cdf.apply(u)
+        assert out.dtype == cdf.dtype
+        assert np.array_equal(out, expected.astype(cdf.dtype))
+
     def test_clips_out_of_range_uniforms(self):
         cdf = NumericInverseCdf.fit(np.array([10.0, 20.0]))
         assert cdf.apply(np.array([-0.5]))[0] == pytest.approx(10.0)

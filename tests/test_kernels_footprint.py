@@ -23,9 +23,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.bench.experiments import ExperimentContext
+from repro.common.config import BenchmarkSettings
 from repro.data.generator import CopulaScaler
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
-from repro.data.storage import index_dtype
+from repro.data.storage import index_dtype, int_dtype
 from repro.query.filters import RangePredicate
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
@@ -189,3 +191,29 @@ def test_generate_holds_no_second_copy_of_its_output(flights_table):
     finally:
         tracemalloc.stop()
     assert peak - table.memory_bytes() < 2 * buffer + buffer // 4
+
+
+def _array_bytes(obj, seen) -> int:
+    """Bytes of every ndarray reachable from ``obj``'s attributes."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(value, seen) for value in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(value, seen) for value in obj)
+    return _array_bytes(vars(obj), seen) if hasattr(obj, "__dict__") else 0
+
+
+def test_flights_scaler_is_narrow():
+    """The scaler each population-workload unit fits (60,000 seed rows, a
+    20,000-row sample): integer samples at their range's type, 0.37 MB of
+    arrays in all (1.45 MB with ``float64`` samples)."""
+    scaler = ExperimentContext(BenchmarkSettings(seed=5)).scaler
+    for name, cdf in scaler.numeric_cdfs.items():
+        low, high = cdf.sorted_values[[0, -1]].tolist()
+        assert cdf.sorted_values.dtype == int_dtype(low, high), name
+        assert cdf.sorted_values.itemsize == VALUE_ITEMSIZES[name], name
+    assert _array_bytes(scaler, set()) <= 400_000

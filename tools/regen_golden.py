@@ -741,7 +741,9 @@ DATA_PIN_SCALES = (1_000_000, 5_000, 625)
 
 def scaler_digest(scaler) -> str:
     """SHA-256 over a fitted scaler's Cholesky factor and every CDF
-    array, in column order (dtype, then raw bytes)."""
+    array, in column order (dtype, then raw bytes). A numeric sample is
+    hashed as ``float64``, its logical values, whatever width it is held
+    at."""
     import hashlib
 
     import numpy as np
@@ -749,7 +751,8 @@ def scaler_digest(scaler) -> str:
     arrays = [scaler.cholesky]
     for name in scaler.column_names:
         if name in scaler.numeric_cdfs:
-            arrays.append(scaler.numeric_cdfs[name].sorted_values)
+            sample = scaler.numeric_cdfs[name].sorted_values
+            arrays.append(sample.astype(np.float64))
         else:
             cdf = scaler.nominal_cdfs[name]
             arrays += [cdf.categories, cdf.cumulative]
