@@ -20,6 +20,80 @@ from repro.net.server import ServerThread, TcpSessionServer
 #: Small-but-honest configuration matching the server test fixtures.
 COMMON = ["--size", "S", "--scale", "50000", "--seed", "5", "--tr", "1"]
 
+ISOLATED = ["--tcp", "127.0.0.1:0", "--sessions", "1"]
+SHARED = ["--tcp", "127.0.0.1:0", "--sessions", "2", "--share-engine"]
+_ISOLATED_REASON = (
+    " cannot combine with --tcp: sessions are isolated, their workload "
+    "(suite size, workflow type, policy, pacing) is configured per "
+    "connection at ATTACH (`repro connect` flags), and reports are "
+    "reassembled on the client side (docs/protocol.md)"
+)
+_SHARED_REASON = (
+    " cannot combine with --tcp: a shared-engine run is configured "
+    "server-side (--sessions/--per-session/--workflow-type/--policy), its "
+    "reports are reassembled client-side, and the whole population rides "
+    "one unpaced virtual timeline (docs/protocol.md)"
+)
+
+#: Every rejected ``repro serve --tcp`` combination (before COMMON) with
+#: its whole stderr. Ids stay ``tcp<i>`` as the list grows.
+REJECTED_TCP_SERVES = [
+    (ISOLATED + ["--verify"], "--verify" + _ISOLATED_REASON),
+    (ISOLATED + ["--follow"], "--follow" + _ISOLATED_REASON),
+    (ISOLATED + ["--out", "x"], "--out" + _ISOLATED_REASON),
+    (ISOLATED + ["--accel", "2"], "--accel" + _ISOLATED_REASON),
+    (ISOLATED + ["--spill", "x"], "--spill" + _ISOLATED_REASON),
+    (ISOLATED + ["--arrivals", "0.2"], "--arrivals" + _ISOLATED_REASON),
+    (ISOLATED + ["--arrival-schedule", "diurnal"],
+     "--arrival-schedule" + _ISOLATED_REASON),
+    (ISOLATED + ["--horizon", "10"], "--horizon" + _ISOLATED_REASON),
+    (ISOLATED + ["--residence", "25"], "--residence" + _ISOLATED_REASON),
+    (ISOLATED + ["--policy", "markov"], "--policy" + _ISOLATED_REASON),
+    (ISOLATED + ["--per-session", "3"], "--per-session" + _ISOLATED_REASON),
+    (ISOLATED + ["--workflow-type", "bogus"],
+     "--workflow-type" + _ISOLATED_REASON),
+    (ISOLATED + ["--stats-window", "5"], "--stats-window" + _ISOLATED_REASON),
+    (ISOLATED + ["--slo", "pct_tr_violated>25"], "--slo" + _ISOLATED_REASON),
+    (ISOLATED + ["--stats-window", "5", "--slo", "pct_tr_violated>25"],
+     "--stats-window, --slo" + _ISOLATED_REASON),
+    (SHARED + ["--verify"], "--verify" + _SHARED_REASON),
+    (SHARED + ["--follow"], "--follow" + _SHARED_REASON),
+    (SHARED + ["--out", "x"], "--out" + _SHARED_REASON),
+    (SHARED + ["--accel", "2"], "--accel" + _SHARED_REASON),
+    (SHARED + ["--spill", "x"], "--spill" + _SHARED_REASON),
+    (SHARED + ["--arrivals", "0.2"], "--arrivals" + _SHARED_REASON),
+    (SHARED + ["--arrival-schedule", "diurnal"],
+     "--arrival-schedule" + _SHARED_REASON),
+    (SHARED + ["--horizon", "10"], "--horizon" + _SHARED_REASON),
+    (SHARED + ["--residence", "25"], "--residence" + _SHARED_REASON),
+    (SHARED + ["--workflow-type", "bogus"],
+     "unknown workflow type 'bogus'; expected one of ('independent', "
+     "'sequential', 'one_to_n', 'n_to_1', 'mixed', 'custom')"),
+    (SHARED + ["--slo", "pct_tr_violated>25"],
+     "--slo cannot combine with --tcp without --stats-window: the SLO "
+     "watchdog judges the windowed telemetry series, so without a window "
+     "its rules would be silently ignored"),
+    (SHARED + ["--stats-window", "5", "--slo", "bogus"],
+     "malformed SLO rule 'bogus' (expected METRIC>THRESHOLD or "
+     "METRIC<THRESHOLD over a window field, e.g. pct_tr_violated>75)"),
+    (SHARED + ["--stats-window", "0"],
+     "time-series window must be positive, got 0.0"),
+    (["--tcp", "127.0.0.1:0", "--sessions", "0", "--share-engine"],
+     "--tcp --share-engine needs --sessions N (N >= 1): the shared run's "
+     "global virtual timeline must know its whole population before the "
+     "first turn grant"),
+    (["--tcp", "127.0.0.1:0", "--sessions", "-1", "--share-engine"],
+     "--tcp --share-engine needs --sessions N (N >= 1): the shared run's "
+     "global virtual timeline must know its whole population before the "
+     "first turn grant"),
+    (["--tcp", "nonsense"],
+     "--tcp expects HOST:PORT (port 0 picks an ephemeral port), got "
+     "'nonsense'"),
+    (["--tcp", "127.0.0.1:99999"],
+     "--tcp expects HOST:PORT (port 0 picks an ephemeral port), got "
+     "'127.0.0.1:99999'"),
+]
+
 
 @pytest.fixture()
 def refuse_to_listen(monkeypatch):
@@ -97,49 +171,16 @@ class TestServeTcp:
         assert re.search(r"listening on 127\.0\.0\.1:\d+", captured["out"])
         assert csv_text.startswith("id,interaction")
 
-    @pytest.mark.parametrize(
-        "flag", [["--verify"], ["--follow"],
-                 ["--arrivals", "0.2"], ["--policy", "markov"],
-                 ["--accel", "2"], ["--per-session", "3"],
-                 ["--arrival-schedule", "diurnal"], ["--horizon", "10"],
-                 ["--stats-window", "5"], ["--slo", "pct_tr_violated>25"]]
-    )
-    def test_incompatible_flags_rejected(self, capsys, flag):
-        code = main(
-            ["serve", "--tcp", "127.0.0.1:0", "--sessions", "1"]
-            + flag + COMMON
-        )
-        assert code == 1
-        assert "cannot combine with --tcp" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag", [["--verify"], ["--follow"], ["--accel", "2"],
-                 ["--arrivals", "0.2"], ["--out", "x"],
-                 ["--slo", "pct_tr_violated>25"]]
-    )
-    def test_shared_mode_still_rejects_run_level_flags(
-        self, capsys, refuse_to_listen, flag
+    @pytest.mark.parametrize("flags, stderr", [
+        pytest.param(flags, stderr, id=f"tcp{index}")
+        for index, (flags, stderr) in enumerate(REJECTED_TCP_SERVES)
+    ])
+    def test_rejections_print_one_pinned_line(
+        self, capsys, refuse_to_listen, flags, stderr
     ):
-        # --share-engine unblocks the workload flags (--per-session,
-        # --workflow-type, --policy) but the run-level ones stay blocked.
-        code = main(
-            ["serve", "--tcp", "127.0.0.1:0", "--sessions", "2",
-             "--share-engine"] + flag + COMMON
-        )
+        code = main(["serve"] + flags + COMMON)
         assert code == 1
-        assert "cannot combine with --tcp" in capsys.readouterr().err
-
-    def test_shared_mode_rejects_unknown_workflow_type(
-        self, capsys, refuse_to_listen
-    ):
-        code = main(
-            ["serve", "--tcp", "127.0.0.1:0", "--sessions", "1",
-             "--share-engine", "--workflow-type", "bogus"] + COMMON
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert len(err.splitlines()) == 1
-        assert "unknown workflow type 'bogus'; expected one of (" in err
+        assert capsys.readouterr().err == stderr + "\n"
 
     def test_shared_mode_serves_one_run_then_exits(self, server_ctx):
         # End-to-end `repro serve --tcp --share-engine`: two concurrent
@@ -213,19 +254,6 @@ class TestServeTcp:
         ).run()
         for index, expected in enumerate(reference):
             assert results[index] == expected.csv_text()
-
-    def test_shared_mode_requires_fixed_session_count(self, capsys):
-        code = main(
-            ["serve", "--tcp", "127.0.0.1:0", "--sessions", "0",
-             "--share-engine"] + COMMON
-        )
-        assert code == 1
-        assert "--sessions" in capsys.readouterr().err
-
-    def test_malformed_address_rejected(self, capsys):
-        code = main(["serve", "--tcp", "nonsense"] + COMMON)
-        assert code == 1
-        assert "HOST:PORT" in capsys.readouterr().err
 
 
 class TestConnect:
