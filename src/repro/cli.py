@@ -29,6 +29,7 @@ Fig.-5-style summary from a detailed CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -358,9 +359,34 @@ def _refuse_combination(blocked, reason: str) -> None:
         )
 
 
+def _serve_spec(args, settings, sessions: int) -> RunSpec:
+    """The serve cell of ``repro serve``'s flags, in-process or over TCP."""
+    open_system = args.arrivals is not None
+    return RunSpec(
+        engine=args.engine,
+        settings=settings,
+        workflows=WorkflowSelector(
+            workflow_type=args.workflow_type, count=args.per_session
+        ),
+        speculation=args.speculation,
+        mode="serve",
+        serving=ServingSelector(
+            sessions,
+            share_engine=args.share_engine,
+            policy=args.policy or "scripted",
+            churn="open" if open_system else "closed",
+            arrival_rate=args.arrivals,
+            horizon=120.0 if open_system and args.horizon is None else args.horizon,
+            residence=args.residence,
+            arrival_schedule=args.arrival_schedule,
+        ),
+    )
+
+
 def _cmd_serve_tcp(args, settings) -> int:
     """``repro serve --tcp``: expose the session server over a socket."""
     from repro.net.server import TcpSessionServer
+    from repro.obs.tracer import get_tracer
 
     address = _parse_address(args.tcp)
     if address is None:
@@ -371,9 +397,6 @@ def _cmd_serve_tcp(args, settings) -> int:
     blocked = [
         (args.verify, "--verify"),
         (args.arrivals is not None, "--arrivals"),
-        (args.arrival_schedule is not None, "--arrival-schedule"),
-        (args.horizon is not None, "--horizon"),
-        (args.residence is not None, "--residence"),
         (args.follow, "--follow"),
         (args.out is not None, "--out"),
         (args.accel is not None, "--accel"),
@@ -382,14 +405,10 @@ def _cmd_serve_tcp(args, settings) -> int:
     if not args.share_engine:
         # Isolated serving: the workload is configured per connection at
         # ATTACH, so server-side workload flags would be silently dead.
-        # Streaming telemetry folds the ONE shared run's global timeline,
-        # so it is shared-engine-only too.
         blocked += [
             (args.policy is not None, "--policy"),
             (args.per_session != 2, "--per-session"),
             (args.workflow_type != "mixed", "--workflow-type"),
-            (args.stats_window is not None, "--stats-window"),
-            (bool(args.slo), "--slo"),
         ]
     _refuse_combination(blocked, "--tcp: " + (
         "a shared-engine run is configured server-side "
@@ -404,73 +423,40 @@ def _cmd_serve_tcp(args, settings) -> int:
         "reports are reassembled on the client side "
         "(docs/protocol.md)"
     ))
-    _refuse_combination(
-        [(bool(args.slo) and args.stats_window is None, "--slo")],
-        "--tcp without --stats-window: the SLO watchdog judges the "
-        "windowed telemetry series, so without a window its rules "
-        "would be silently ignored",
-    )
-    if args.share_engine and args.sessions < 1:
-        raise BenchmarkError(
-            "--tcp --share-engine needs --sessions N (N >= 1): the "
-            "shared run's global virtual timeline must know its whole "
-            "population before the first turn grant"
-        )
+    # --sessions 0 serves isolated sessions until interrupted: the same
+    # cell, checked whole, without the serving selector that bounds it.
+    forever = args.sessions == 0 and not args.share_engine
+    spec = _serve_spec(args, settings, 1 if forever else args.sessions)
+    if forever:
+        spec = dataclasses.replace(spec, mode="suite", serving=None)
     host, port = address
-    if args.slo:
-        from repro.obs.slo import parse_rule
-
-        for rule_text in args.slo:
-            parse_rule(rule_text)
-    ctx = ExperimentContext(settings)
-    max_sessions = args.sessions if args.sessions > 0 else None
-    # Correlation: a deterministic run id is stamped into spans and
-    # propagated to clients in HELLO — but only when telemetry is
-    # actually on, so plain serves keep byte-identical transcripts.
-    run_id = ""
-    if args.trace or args.stats_window is not None:
-        from repro.common.fingerprint import stable_digest
-
-        run_id = stable_digest({
-            "kind": "serve-tcp",
-            "engine": args.engine,
-            "sessions": args.sessions,
-            "per_session": args.per_session,
-            "workflow_type": args.workflow_type,
-            "seed": settings.seed,
-        })
-        from repro.obs.tracer import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.set_context(run=run_id, host="server")
+    # Correlation: the cell id is stamped into spans and propagated to
+    # clients in HELLO — but only when telemetry is actually on, so
+    # plain serves keep byte-identical transcripts.
     server = TcpSessionServer(
-        ctx,
-        args.engine,
+        ExperimentContext(settings),
+        spec,
         host=host,
         port=port,
-        max_sessions=max_sessions,
-        speculation=args.speculation,
-        share_engine=args.share_engine,
-        per_session=args.per_session,
-        workflow_type=args.workflow_type,
-        policy=args.policy,
         stats_window=args.stats_window,
         slo_rules=tuple(args.slo or ()),
-        run_id=run_id,
+        correlate=bool(args.trace) or args.stats_window is not None,
         on_ready=lambda h, p: print(
             f"listening on {h}:{p} ({args.engine}, "
             + (
-                f"ONE shared-engine run of {max_sessions} sessions"
+                f"ONE shared-engine run of {server.max_sessions} sessions"
                 if args.share_engine
-                else (f"up to {max_sessions} sessions" if max_sessions
-                      else "serving until interrupted")
+                else (f"up to {server.max_sessions} sessions"
+                      if server.max_sessions else "serving until interrupted")
             )
             + ") — connect with: repro connect "
             f"{h}:{p}",
             flush=True,
         ),
     )
+    tracer = get_tracer()
+    if server.run_id and tracer.enabled:
+        tracer.set_context(run=server.run_id, host="server")
     try:
         served = server.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
@@ -501,27 +487,9 @@ def _cmd_serve(args) -> int:
         "streamed only by `repro serve --tcp --share-engine` "
         "(docs/observability.md), so here they would be silently ignored",
     )
-    open_system = args.arrivals is not None
-    spec = RunSpec(
-        engine=args.engine,
-        settings=settings,
-        workflows=WorkflowSelector(
-            workflow_type=args.workflow_type, count=args.per_session
-        ),
-        speculation=args.speculation,
-        mode="serve",
-        serving=ServingSelector(
-            args.sessions,
-            share_engine=args.share_engine,
-            policy=args.policy or "scripted",
-            churn="open" if open_system else "closed",
-            arrival_rate=args.arrivals,
-            horizon=120.0 if open_system and args.horizon is None else args.horizon,
-            residence=args.residence,
-            arrival_schedule=args.arrival_schedule,
-        ),
-    )
+    spec = _serve_spec(args, settings, args.sessions)
     serving = spec.serving
+    open_system = serving.churn == "open"
     if args.verify and args.share_engine:
         raise BenchmarkError(
             "--verify needs isolated sessions (omit --share-engine): "

@@ -29,10 +29,10 @@ topology:
   bytes. An ATTACH with ``accel`` paces its session through the
   manager's :class:`~repro.server.clock.AsyncClock` (1.0 = real time,
   the original IDEBench driver's behavior) without changing results.
-* **shared** (``share_engine=True``, ``repro serve --tcp
+* **shared** (a serve cell with ``share_engine``, ``repro serve --tcp
   --share-engine``) — every connection is one session of *one*
   shared-engine manager, paced by :class:`_SharedTurnHook`: the server
-  waits until all ``max_sessions`` participants have attached (each
+  waits until all ``serving.sessions`` participants have attached (each
   ATTACH claims one ``session_index`` slot), broadcasts a BARRIER, and
   announces each step turn as a TURN_GRANT frame; the timeline is
   released only when the client's TURN_DONE arrives. A slow (or stalled
@@ -56,9 +56,9 @@ import asyncio
 import contextlib
 import re
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
-from repro.common.errors import BenchmarkError, ProtocolError
+from repro.common.errors import BenchmarkError, ConfigurationError, ProtocolError
 from repro.obs import stats_payload
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import (
@@ -68,13 +68,14 @@ from repro.obs.profile import (
 )
 from repro.obs.slo import SloWatchdog
 from repro.obs.timeseries import TimeSeries, set_timeseries
+from repro.runtime.executor import cell_context, serving_manager
+from repro.runtime.spec import RunSpec
 from repro.server.manager import (
     SessionAbandoned,
     SessionManager,
     SessionTurnHook,
     _engine_source,
     make_session,
-    shared_policy_generator,
 )
 from repro.server.session import SessionSpec
 from repro.net.protocol import (
@@ -141,37 +142,33 @@ class TcpSessionServer:
     ----------
     ctx:
         The :class:`~repro.bench.experiments.ExperimentContext` providing
-        settings, dataset, oracle and column profiles (shared across all
+        dataset, oracle and column profiles (shared across all
         connections; engines are per-connection).
-    engine_name:
-        Engine simulator each session runs against.
+    spec:
+        The :class:`~repro.runtime.spec.RunSpec` the server runs — the
+        cell in-process ``repro serve`` would run — and its only workload
+        input: engine, settings and ``speculation``. A ``mode="serve"``
+        spec's ``serving.sessions`` ends an isolated server after that
+        many sessions; with ``serving.share_engine`` it is the population
+        of ONE shared-engine run, whose sessions contend on a single
+        engine under per-session fair scheduling, paced by the wire-level
+        turn protocol, and every scripted ATTACH must ask for the spec's
+        ``workflows`` and ``serving.policy``; the server serves this one
+        run and stops. A spec without a serving selector, or a bare
+        engine name, serves isolated sessions until :meth:`request_stop`.
+        Open-system (``churn="open"``) cells are not served over TCP.
     host, port:
         Bind address. Port ``0`` picks an ephemeral port; the bound port
         is on :attr:`port` once running (and passed to ``on_ready``).
-    max_sessions:
-        Stop serving after this many sessions end (``None`` = serve until
-        :meth:`request_stop`). What ``repro serve --tcp --sessions N``
-        uses so benchmarks and tests terminate deterministically.
-        **Required** in shared mode: it is the shared run's population.
-    speculation:
-        Enable speculative execution on engines that support it.
-    share_engine:
-        Serve ONE shared-engine run instead of isolated sessions: all
-        ``max_sessions`` connections contend on a single engine under
-        per-session fair scheduling, paced by the wire-level turn
-        protocol. ``per_session``/``workflow_type``/``policy`` then fix
-        the scripted workload server-side (ATTACH frames must match),
-        exactly as ``repro serve --share-engine`` would; the server
-        serves this one run and stops.
     turn_timeout:
         Shared mode: wall seconds to wait for a client's TURN_DONE (or a
         stalled client-driven session's next frame) before abandoning
         it; also bounds each turn-protocol send to a non-reading peer.
     barrier_timeout:
-        Shared mode: wall seconds to wait for all ``max_sessions``
-        participants to attach before aborting the run with typed
-        errors (an attached-then-dead client would otherwise wedge the
-        barrier forever).
+        Shared mode: wall seconds to wait for the whole population to
+        attach before aborting the run with typed errors (an
+        attached-then-dead client would otherwise wedge the barrier
+        forever).
     stats_window:
         Enable streaming telemetry: the shared run folds a
         :class:`~repro.obs.timeseries.TimeSeries` with this virtual
@@ -182,13 +179,14 @@ class TcpSessionServer:
     slo_rules:
         ``METRIC>THRESHOLD`` strings (:func:`repro.obs.slo.parse_rule`)
         the streaming watchdog evaluates per window; alerts ride the
-        pushed frames (and the trace, when tracing is on).
-    run_id:
-        Optional deterministic run correlation id. When set, the
-        server's HELLO carries ``run``/``host`` fields that clients
-        stamp onto their trace entries (``repro trace merge``). Empty
-        (default) keeps handshake bytes identical to pre-correlation
-        servers.
+        pushed frames (and the trace, when tracing is on). They need a
+        ``stats_window``.
+    correlate:
+        Announce the spec's :attr:`~repro.runtime.spec.RunSpec.cell_id`
+        as the run correlation id (:attr:`run_id`): the server's HELLO
+        then carries ``run``/``host`` fields that clients stamp onto
+        their trace entries (``repro trace merge``). Off (default), the
+        handshake bytes are those of pre-correlation servers.
     on_ready:
         Optional callback ``(host, port)`` invoked once listening.
     """
@@ -196,37 +194,25 @@ class TcpSessionServer:
     def __init__(
         self,
         ctx,
-        engine_name: str = "idea-sim",
+        spec: Union[RunSpec, str],
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_sessions: Optional[int] = None,
-        speculation: bool = False,
-        share_engine: bool = False,
-        per_session: int = 1,
-        workflow_type: WorkflowType = WorkflowType.MIXED,
-        policy: Optional[str] = None,
         turn_timeout: float = DEFAULT_TURN_TIMEOUT,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
         stats_window: Optional[float] = None,
         slo_rules=(),
-        run_id: str = "",
+        correlate: bool = False,
         on_ready=None,
     ):
-        if max_sessions is not None and max_sessions < 1:
-            raise BenchmarkError(
-                f"max_sessions must be >= 1 or None, got {max_sessions!r}"
+        if isinstance(spec, str):
+            spec = RunSpec(spec, ctx.settings)
+        serving = spec.serving
+        if serving is not None and serving.churn != "closed":
+            raise ConfigurationError(
+                "TCP serving runs a closed population: an open-system cell "
+                "(arrival_rate, horizon, residence) is served in-process only"
             )
-        self.ctx = ctx
-        self.engine_name = engine_name
-        self.host = host
-        self.port = port
-        self.max_sessions = max_sessions
-        self.speculation = speculation
-        self.share_engine = share_engine
-        self.per_session = per_session
-        self.workflow_type = WorkflowType.parse(workflow_type)
-        self.policy = policy
         if turn_timeout <= 0:
             raise BenchmarkError(
                 f"turn_timeout must be positive, got {turn_timeout!r}"
@@ -235,15 +221,28 @@ class TcpSessionServer:
             raise BenchmarkError(
                 f"barrier_timeout must be positive, got {barrier_timeout!r}"
             )
-        self.turn_timeout = turn_timeout
-        self.barrier_timeout = barrier_timeout
-        self.run_id = run_id
-        if stats_window is not None and not share_engine:
+        self.share_engine = serving is not None and serving.share_engine
+        if stats_window is not None and not self.share_engine:
             raise BenchmarkError(
                 "streaming telemetry (stats_window) requires shared-"
                 "engine serving: windows are folded on the shared run's "
                 "global virtual timeline"
             )
+        if slo_rules and stats_window is None:
+            raise ConfigurationError(
+                "SLO rules need a telemetry window (stats_window, "
+                "--stats-window): the watchdog judges the windowed series, "
+                "so without a window its rules would be silently ignored"
+            )
+        self.spec = spec
+        self.ctx = cell_context(ctx, spec)
+        self.host = host
+        self.port = port
+        #: Sessions served before the server stops (``None``: no bound).
+        self.max_sessions = None if serving is None else serving.sessions
+        self.turn_timeout = turn_timeout
+        self.barrier_timeout = barrier_timeout
+        self.run_id = spec.cell_id if correlate else ""
         self._series: Optional[TimeSeries] = None
         self._watchdog: Optional[SloWatchdog] = None
         #: ``(window, alerts)`` pairs in flush order — the deterministic
@@ -252,33 +251,24 @@ class TcpSessionServer:
         self._push_queues: Set[asyncio.Queue] = set()
         self._push_done = False
         if stats_window is not None:
-            self._series = TimeSeries(window=stats_window)
             self._watchdog = SloWatchdog(slo_rules)
+            self._series = TimeSeries(window=stats_window)
             self._series.add_listener(self._on_window)
         self.sessions_served = 0
         self._on_ready = on_ready
-        self._oracle, self._new_engine = _engine_source(
-            ctx, engine_name, speculation
-        )
-        #: Built on the first adaptive session, then shared by all of
-        #: them (policies draw from per-session rng streams only).
-        self._policy_generator = None
         self._client_counter = 0
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._handlers: Set[asyncio.Task] = set()
         self._shared_run: Optional[_SharedRun] = None
-        if share_engine:
-            if max_sessions is None:
-                raise BenchmarkError(
-                    "shared-engine serving needs a fixed session count "
-                    "(max_sessions): the global virtual timeline must "
-                    "know its whole population before the first grant"
-                )
-            # One engine, one run: the population contends on it exactly
-            # as the in-process shared SessionManager would arrange.
-            self._shared_engine = self._new_engine()
-            self._shared_run = _SharedRun(self, max_sessions)
+        if self.share_engine:
+            # One run: its manager is built, as in-process serving builds
+            # it, once the whole population has attached.
+            self._shared_run = _SharedRun(self)
+        else:
+            self._oracle, self._new_engine = _engine_source(
+                self.ctx, spec.engine, spec.speculation
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -449,7 +439,7 @@ class TcpSessionServer:
                     version=PROTOCOL_VERSION,
                     role="server",
                     software=SERVER_SOFTWARE,
-                    engine=self.engine_name,
+                    engine=self.spec.engine,
                     capabilities=(
                         (CAP_SHARED_ENGINE,) if self.share_engine else ()
                     ),
@@ -547,47 +537,29 @@ class TcpSessionServer:
     # ------------------------------------------------------------------
     # Sessions
     # ------------------------------------------------------------------
-    def _session_for(self, attach: Attach, session_id: str):
-        """``(spec, policy, source)`` of the session an ATTACH asks for.
-
-        Scripted sessions come from :func:`make_session` (``session_id``
-        is unused: the index names them); a client-driven one is its own
-        policy, an external interaction source named ``session_id``.
-        """
-        try:
-            workflow_type = WorkflowType(attach.workflow_type)
-        except ValueError as error:
-            raise ProtocolError(
-                f"unknown workflow type {attach.workflow_type!r}"
-            ) from error
-        if attach.mode == "client":
-            source = ExternalInteractionSource(
-                plan_name=session_id, workflow_type=workflow_type
-            )
-            spec = SessionSpec(session_id=session_id, policy="external")
-            return spec, source, source
-        if attach.policy is not None and self._policy_generator is None:
-            self._policy_generator = shared_policy_generator(self.ctx)
-        spec, policy = make_session(
-            self.ctx,
-            attach.session_index,
-            per_session=attach.per_session,
-            workflow_type=workflow_type,
-            policy=attach.policy,
-            generator=self._policy_generator,
-        )
-        return spec, policy, None
-
     async def _serve_isolated(self, reader, writer, attach: Attach) -> None:
         """One connection, one session: a one-session manager on its own
         engine, paced by the ATTACH's ``accel``."""
-        spec, policy, source = self._session_for(
-            attach, attach.name or f"client-{self._client_counter}"
-        )
-        if source is not None:
+        workflow_type = _workflow_type(attach)
+        batched = attach.accel is None
+        if attach.mode == "client":
+            session_id = attach.name or f"client-{self._client_counter}"
             self._client_counter += 1
-        hook = _WireHook(self, reader, writer, spec.session_id, source,
-                         batched=attach.accel is None)
+            hook = _WireHook(
+                self, reader, writer, session_id,
+                ExternalInteractionSource(session_id, workflow_type), batched,
+            )
+            spec, policy = hook.session(None, None)  # the frontend is the source
+        else:
+            spec, policy = make_session(
+                self.ctx,
+                attach.session_index,
+                per_session=attach.per_session,
+                workflow_type=workflow_type,
+                policy=attach.policy,
+            )
+            hook = _WireHook(self, reader, writer, spec.session_id,
+                             batched=batched)
         manager = SessionManager(
             [spec],
             self._oracle,
@@ -599,10 +571,10 @@ class TcpSessionServer:
         )
         payload = {
             "mode": attach.mode,
-            "engine": self.engine_name,
+            "engine": self.spec.engine,
             "workflow_type": attach.workflow_type,
         }
-        if source is None:
+        if hook.source is None:
             payload.update(policy=attach.policy, per_session=attach.per_session)
         await self._send(
             writer,
@@ -620,7 +592,8 @@ class TcpSessionServer:
 
     async def _serve_shared(self, reader, writer, attach: Attach) -> None:
         """One slot of the shared run: attach, wait for the run, detach."""
-        hook = self._shared_run.register(attach, reader, writer)
+        run = self._shared_run
+        hook = run.register(attach, reader, writer)
         await self._send(
             writer,
             Progress(
@@ -628,17 +601,15 @@ class TcpSessionServer:
                 event="attached",
                 payload={
                     "mode": attach.mode,
-                    "engine": self.engine_name,
+                    "engine": self.spec.engine,
                     "shared": True,
-                    "sessions": self._shared_run.expected,
+                    "sessions": run.expected,
                     "session_index": attach.session_index,
-                    "per_session": self.per_session,
-                    "workflow_type": self.workflow_type.value,
-                    "policy": self.policy,
+                    **run.workload,
                 },
             ),
         )
-        self._shared_run.maybe_start()
+        run.maybe_start()
         await hook.done.wait()
         if hook.error is not None:
             await self._send_error(writer, "session", hook.error)
@@ -648,20 +619,43 @@ class TcpSessionServer:
             await hook.detach(hook.records)
 
 
+def _workflow_type(attach: Attach) -> WorkflowType:
+    try:
+        return WorkflowType(attach.workflow_type)
+    except ValueError as error:
+        raise ProtocolError(
+            f"unknown workflow type {attach.workflow_type!r}"
+        ) from error
+
+
 class _SharedRun:
     """Coordinates exactly one shared-engine run over TCP.
 
     Connections claim ``session_index`` slots at ATTACH; once all
     ``expected`` slots are filled the coordinator broadcasts a BARRIER,
-    builds the same shared-engine :class:`SessionManager` the in-process
-    ``repro serve --share-engine`` path builds, and runs it with one
-    :class:`_SharedTurnHook` per slot — which is precisely why the
+    builds the server's serve cell through
+    :func:`~repro.runtime.executor.serving_manager` — the builder
+    in-process ``repro serve --share-engine`` uses — and runs it with one
+    :class:`_SharedTurnHook` per slot, which is precisely why the
     per-session reports come out byte-identical to the in-process run.
+    A client-driven slot swaps its external source in for the slot's
+    scripted session (:meth:`_WireHook.session`).
     """
 
-    def __init__(self, server: "TcpSessionServer", expected: int):
+    def __init__(self, server: "TcpSessionServer"):
+        spec = server.spec
         self.server = server
-        self.expected = expected
+        self.expected = spec.serving.sessions
+        #: The scripted workload of the cell, as the ATTACH fields that
+        #: must ask for it (``policy`` ``None`` is a scripted user).
+        self.workload = {
+            "per_session": spec.workflows.count,
+            "workflow_type": spec.workflows.workflow_type,
+            "policy": (
+                None if spec.serving.policy == "scripted"
+                else spec.serving.policy
+            ),
+        }
         self.slots: Dict[int, _SharedTurnHook] = {}
         self.started = False
         self.aborted = False
@@ -706,21 +700,11 @@ class _SharedRun:
                 "timeline; per-session accel pacing is not available"
             )
         if attach.mode == "scripted":
-            mismatched = []
-            if attach.per_session != server.per_session:
-                mismatched.append(
-                    f"per_session={attach.per_session} "
-                    f"(server: {server.per_session})"
-                )
-            if attach.workflow_type != server.workflow_type.value:
-                mismatched.append(
-                    f"workflow_type={attach.workflow_type!r} "
-                    f"(server: {server.workflow_type.value!r})"
-                )
-            if attach.policy != server.policy:
-                mismatched.append(
-                    f"policy={attach.policy!r} (server: {server.policy!r})"
-                )
+            mismatched = [
+                f"{name}={getattr(attach, name)!r} (server: {value!r})"
+                for name, value in self.workload.items()
+                if getattr(attach, name) != value
+            ]
             if mismatched:
                 raise ProtocolError(
                     "shared-engine serving fixes the scripted workload "
@@ -728,7 +712,7 @@ class _SharedRun:
                     "configuration the report is deterministic for; "
                     "mismatched attach fields: " + ", ".join(mismatched)
                 )
-            session_id = f"session-{index}"
+            session_id, source = f"session-{index}", None
         else:
             session_id = attach.name or f"client-{index}"
             if _SCRIPTED_ID.fullmatch(session_id):
@@ -741,7 +725,10 @@ class _SharedRun:
                 raise ProtocolError(
                     f"session name {session_id!r} is already attached"
                 )
-        hook = _SharedTurnHook(server, attach, reader, writer, session_id)
+            source = ExternalInteractionSource(
+                session_id, _workflow_type(attach)
+            )
+        hook = _SharedTurnHook(server, reader, writer, session_id, source)
         self.slots[index] = hook
         return hook
 
@@ -806,26 +793,14 @@ class _SharedRun:
         )
         hooks = [self.slots[index] for index in range(self.expected)]
         try:
-            specs, policies = [], []
-            for hook in hooks:
-                spec, policy, hook.source = server._session_for(
-                    hook.attach, hook.session_id
-                )
-                specs.append(spec)
-                policies.append(policy)
             for hook in hooks:
                 # A peer dead already is abandoned at its first grant.
                 with contextlib.suppress(ConnectionError, OSError):
                     await server._send(
                         hook.writer, Barrier(sessions=self.expected)
                     )
-            manager = SessionManager(
-                specs,
-                server._oracle,
-                server.ctx.settings,
-                engine=server._shared_engine,
-                policies=policies,
-                turn_hooks=dict(enumerate(hooks)),
+            manager = serving_manager(
+                server.ctx, server.spec, turn_hooks=dict(enumerate(hooks))
             )
             results = await manager.run_async()
         except Exception as error:  # noqa: BLE001 - reported to every peer
@@ -879,6 +854,11 @@ class _WireHook(SessionTurnHook):
         )
 
     # -- SessionTurnHook interface -------------------------------------
+    def session(self, spec, policy):
+        if self.source is None:
+            return spec, policy
+        return SessionSpec(self.session_id, policy="external"), self.source
+
     async def wait_input(self, driver) -> None:
         source = self.source
         if not (source.buffered or source.finished):
@@ -984,14 +964,14 @@ class _SharedTurnHook(_WireHook):
     announced as a TURN_GRANT and released by the matching TURN_DONE;
     every read and send is bounded by the server's turn timeout, and a
     protocol violation is answered with a typed error before the session
-    is abandoned. The run coordinator keeps the slot's ATTACH here and
-    learns its outcome through ``done`` (``records`` or ``error``).
+    is abandoned. The run coordinator learns the slot's outcome through
+    ``done`` (``records`` or ``error``).
     """
 
-    def __init__(self, server: TcpSessionServer, attach: Attach, reader,
-                 writer, session_id: str):
-        super().__init__(server, reader, writer, session_id)
-        self.attach = attach
+    def __init__(self, server: TcpSessionServer, reader, writer,
+                 session_id: str,
+                 source: Optional[ExternalInteractionSource] = None):
+        super().__init__(server, reader, writer, session_id, source)
         self.turn = 0
         self.records: List = []
         self.done = asyncio.Event()
@@ -1096,7 +1076,7 @@ class ServerThread:
     clients — the tests, the perf ledger — talk to a loopback server
     inside one process::
 
-        server = TcpSessionServer(ctx, "idea-sim", max_sessions=2)
+        server = TcpSessionServer(ctx, "idea-sim")
         with ServerThread(server) as (host, port):
             records = fetch_scripted_session(host, port, 0)
     """

@@ -34,4 +34,19 @@ def compute_codes(dim: BinDimension, values: np.ndarray) -> np.ndarray:
             f"quantitative binning on non-numeric column {dim.field!r}"
         )
     widened = values.astype(np.float64, copy=False)
-    return np.floor((widened - dim.reference) / dim.width).astype(np.int64)
+    codes = np.floor((widened - dim.reference) / dim.width)
+    try:
+        with np.errstate(invalid="raise"):
+            return codes.astype(np.int64)
+    except FloatingPointError:
+        pass
+    # A reference and width from a client can push a finite value's code
+    # past int64, where the cast would wrap it into one bogus bin; a NaN
+    # or infinite value casts as it always did.
+    inside = (codes >= -(2.0**63)) & (codes < 2.0**63)
+    if (np.isfinite(widened) & ~inside).any():
+        raise QueryError(
+            f"bin codes of {dim.field!r} leave int64 under reference "
+            f"{dim.reference!r} and width {dim.width!r}"
+        )
+    return codes.astype(np.int64)

@@ -165,6 +165,20 @@ SERVING_FIELDS = (
 )
 
 
+def cell_context(ctx, spec: RunSpec):
+    """``ctx`` under the cell's own settings.
+
+    Contexts are shared by every cell with the same (dataset, seed,
+    scale), and session builders read ``ctx.settings``: a cell whose
+    settings differ gets a view that shares the cached artifacts.
+    """
+    if ctx.settings == spec.settings:
+        return ctx
+    view = copy.copy(ctx)
+    view.settings = spec.settings
+    return view
+
+
 def serving_manager(ctx, spec: RunSpec, **presentation):
     """The manager serving ``spec``, for sweep cells and ``repro serve``.
 
@@ -175,12 +189,7 @@ def serving_manager(ctx, spec: RunSpec, **presentation):
     """
     from repro.server.manager import OpenSystemManager, SessionManager
 
-    if ctx.settings != spec.settings:
-        # ``for_engine`` reads ``ctx.settings``, and contexts are shared by
-        # every cell with the same (dataset, seed, scale): serve under the
-        # cell's own settings on a view that shares the cached artifacts.
-        ctx = copy.copy(ctx)
-        ctx.settings = spec.settings
+    ctx = cell_context(ctx, spec)
     serving = spec.serving
     options = dict(
         per_session=spec.workflows.count,

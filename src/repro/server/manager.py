@@ -123,6 +123,14 @@ class SessionTurnHook:
             "not implement wait_input"
         )
 
+    def session(
+        self, spec: SessionSpec, policy: Optional[InteractionPolicy]
+    ) -> Tuple[SessionSpec, Optional[InteractionPolicy]]:
+        """The ``(spec, policy)`` the hooked slot runs, asked once when
+        the manager is built: the session built for the slot, unless the
+        hook's frontend is itself the interaction source."""
+        return spec, policy
+
     async def on_turn(self, event_time: float) -> None:
         """Called after the session won the timeline, before it steps."""
 
@@ -481,9 +489,11 @@ class SessionManager(_ManagerCore):
         adaptive users (docs/server.md).
     turn_hooks:
         Optional ``{spec index: SessionTurnHook}`` map. Hooked sessions
-        pace their step turns through the hook (the TCP turn protocol);
-        a hook raising :class:`SessionAbandoned` retires just that
-        session. Abandoned session ids accumulate on :attr:`abandoned`.
+        pace their step turns through the hook (the TCP turn protocol)
+        and may swap in their own session (:meth:`SessionTurnHook.session`:
+        a client-driven TCP slot); a hook raising
+        :class:`SessionAbandoned` retires just that session. Abandoned
+        session ids accumulate on :attr:`abandoned`.
     trace_capture:
         Opt-in step tracing. ``False`` (default) records nothing; ``True``
         keeps the newest :data:`DEFAULT_TRACE_CAPACITY` entries in a
@@ -524,9 +534,6 @@ class SessionManager(_ManagerCore):
         self._specs = list(specs)
         if not self._specs:
             raise BenchmarkError("session manager needs at least one session")
-        ids = [spec.session_id for spec in self._specs]
-        if len(set(ids)) != len(ids):
-            raise BenchmarkError(f"duplicate session ids: {ids}")
         self._policies = list(policies) if policies is not None else [None] * len(
             self._specs
         )
@@ -535,6 +542,20 @@ class SessionManager(_ManagerCore):
                 f"{len(self._specs)} sessions need {len(self._specs)} "
                 f"policies, got {len(self._policies)}"
             )
+        unknown = [
+            i for i in (turn_hooks or {}) if not 0 <= i < len(self._specs)
+        ]
+        if unknown:
+            raise BenchmarkError(
+                f"turn hooks reference unknown session indexes {unknown!r}"
+            )
+        for index, hook in (turn_hooks or {}).items():
+            self._specs[index], self._policies[index] = hook.session(
+                self._specs[index], self._policies[index]
+            )
+        ids = [spec.session_id for spec in self._specs]
+        if len(set(ids)) != len(ids):
+            raise BenchmarkError(f"duplicate session ids: {ids}")
         for spec, policy in zip(self._specs, self._policies):
             if policy is None and not spec.workflows:
                 raise BenchmarkError(
@@ -552,13 +573,6 @@ class SessionManager(_ManagerCore):
             raise BenchmarkError(
                 f"{len(self._specs)} sessions need {len(self._specs)} "
                 f"engines, got {len(self._engines)}"
-            )
-        unknown = [
-            i for i in (turn_hooks or {}) if not 0 <= i < len(self._specs)
-        ]
-        if unknown:
-            raise BenchmarkError(
-                f"turn hooks reference unknown session indexes {unknown!r}"
             )
         super().__init__(
             oracle, settings, engine=engine, accel=accel,
@@ -653,8 +667,8 @@ def shared_policy_generator(ctx) -> WorkflowGenerator:
 
     Adaptive policies of *every* session in a run share this generator
     (their randomness comes from per-session rng streams, never from
-    generator state), so building it once per run — in-process manager
-    or TCP shared run alike — keeps construction cost constant.
+    generator state), so building it once per run (:func:`_session_factory`)
+    keeps construction cost constant.
     """
     return WorkflowGenerator(
         ctx.profiles(ctx.settings.data_size),

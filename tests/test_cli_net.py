@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.net.server import ServerThread, TcpSessionServer
+from serve_cells import serve_cell
 
 #: Small-but-honest configuration matching the server test fixtures.
 COMMON = ["--size", "S", "--scale", "50000", "--seed", "5", "--tr", "1"]
@@ -34,6 +35,20 @@ _SHARED_REASON = (
     "reports are reassembled client-side, and the whole population rides "
     "one unpaced virtual timeline (docs/protocol.md)"
 )
+_NEED_ARRIVALS = (
+    "--horizon/--residence/--arrival-schedule configure the open-system "
+    "arrival process and need --arrivals RATE; without it the run is a "
+    "closed system and they would be silently ignored"
+)
+_STATS_SHARED_ONLY = (
+    "streaming telemetry (stats_window) requires shared-engine serving: "
+    "windows are folded on the shared run's global virtual timeline"
+)
+_SLO_NEEDS_WINDOW = (
+    "SLO rules need a telemetry window (stats_window, --stats-window): the "
+    "watchdog judges the windowed series, so without a window its rules "
+    "would be silently ignored"
+)
 
 #: Every rejected ``repro serve --tcp`` combination (before COMMON) with
 #: its whole stderr. Ids stay ``tcp<i>`` as the list grows.
@@ -44,54 +59,47 @@ REJECTED_TCP_SERVES = [
     (ISOLATED + ["--accel", "2"], "--accel" + _ISOLATED_REASON),
     (ISOLATED + ["--spill", "x"], "--spill" + _ISOLATED_REASON),
     (ISOLATED + ["--arrivals", "0.2"], "--arrivals" + _ISOLATED_REASON),
-    (ISOLATED + ["--arrival-schedule", "diurnal"],
-     "--arrival-schedule" + _ISOLATED_REASON),
-    (ISOLATED + ["--horizon", "10"], "--horizon" + _ISOLATED_REASON),
-    (ISOLATED + ["--residence", "25"], "--residence" + _ISOLATED_REASON),
+    (ISOLATED + ["--arrival-schedule", "diurnal"], _NEED_ARRIVALS),
+    (ISOLATED + ["--horizon", "10"], _NEED_ARRIVALS),
+    (ISOLATED + ["--residence", "25"], _NEED_ARRIVALS),
     (ISOLATED + ["--policy", "markov"], "--policy" + _ISOLATED_REASON),
     (ISOLATED + ["--per-session", "3"], "--per-session" + _ISOLATED_REASON),
     (ISOLATED + ["--workflow-type", "bogus"],
      "--workflow-type" + _ISOLATED_REASON),
-    (ISOLATED + ["--stats-window", "5"], "--stats-window" + _ISOLATED_REASON),
-    (ISOLATED + ["--slo", "pct_tr_violated>25"], "--slo" + _ISOLATED_REASON),
+    (ISOLATED + ["--stats-window", "5"], _STATS_SHARED_ONLY),
+    (ISOLATED + ["--slo", "pct_tr_violated>25"], _SLO_NEEDS_WINDOW),
     (ISOLATED + ["--stats-window", "5", "--slo", "pct_tr_violated>25"],
-     "--stats-window, --slo" + _ISOLATED_REASON),
+     _STATS_SHARED_ONLY),
     (SHARED + ["--verify"], "--verify" + _SHARED_REASON),
     (SHARED + ["--follow"], "--follow" + _SHARED_REASON),
     (SHARED + ["--out", "x"], "--out" + _SHARED_REASON),
     (SHARED + ["--accel", "2"], "--accel" + _SHARED_REASON),
     (SHARED + ["--spill", "x"], "--spill" + _SHARED_REASON),
     (SHARED + ["--arrivals", "0.2"], "--arrivals" + _SHARED_REASON),
-    (SHARED + ["--arrival-schedule", "diurnal"],
-     "--arrival-schedule" + _SHARED_REASON),
-    (SHARED + ["--horizon", "10"], "--horizon" + _SHARED_REASON),
-    (SHARED + ["--residence", "25"], "--residence" + _SHARED_REASON),
+    (SHARED + ["--arrival-schedule", "diurnal"], _NEED_ARRIVALS),
+    (SHARED + ["--horizon", "10"], _NEED_ARRIVALS),
+    (SHARED + ["--residence", "25"], _NEED_ARRIVALS),
     (SHARED + ["--workflow-type", "bogus"],
      "unknown workflow type 'bogus'; expected one of ('independent', "
      "'sequential', 'one_to_n', 'n_to_1', 'mixed', 'custom')"),
-    (SHARED + ["--slo", "pct_tr_violated>25"],
-     "--slo cannot combine with --tcp without --stats-window: the SLO "
-     "watchdog judges the windowed telemetry series, so without a window "
-     "its rules would be silently ignored"),
+    (SHARED + ["--slo", "pct_tr_violated>25"], _SLO_NEEDS_WINDOW),
     (SHARED + ["--stats-window", "5", "--slo", "bogus"],
      "malformed SLO rule 'bogus' (expected METRIC>THRESHOLD or "
      "METRIC<THRESHOLD over a window field, e.g. pct_tr_violated>75)"),
     (SHARED + ["--stats-window", "0"],
      "time-series window must be positive, got 0.0"),
     (["--tcp", "127.0.0.1:0", "--sessions", "0", "--share-engine"],
-     "--tcp --share-engine needs --sessions N (N >= 1): the shared run's "
-     "global virtual timeline must know its whole population before the "
-     "first turn grant"),
+     "serving cells need >= 1 session, got 0"),
     (["--tcp", "127.0.0.1:0", "--sessions", "-1", "--share-engine"],
-     "--tcp --share-engine needs --sessions N (N >= 1): the shared run's "
-     "global virtual timeline must know its whole population before the "
-     "first turn grant"),
+     "serving cells need >= 1 session, got -1"),
     (["--tcp", "nonsense"],
      "--tcp expects HOST:PORT (port 0 picks an ephemeral port), got "
      "'nonsense'"),
     (["--tcp", "127.0.0.1:99999"],
      "--tcp expects HOST:PORT (port 0 picks an ephemeral port), got "
      "'127.0.0.1:99999'"),
+    (["--tcp", "127.0.0.1:0", "--sessions", "-1"],
+     "serving cells need >= 1 session, got -1"),
 ]
 
 
@@ -170,6 +178,18 @@ class TestServeTcp:
         assert "served 1 TCP sessions" in captured["out"]
         assert re.search(r"listening on 127\.0\.0\.1:\d+", captured["out"])
         assert csv_text.startswith("id,interaction")
+
+    def test_shared_per_session_0_is_refused_before_listening(
+        self, capsys, refuse_to_listen
+    ):
+        # It used to listen, then answer every scripted client with
+        # "mismatched attach fields: per_session=1 (server: 0)".
+        code = main(["serve"] + SHARED + ["--per-session", "0"] + COMMON)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "selector count must be >= 1 (per_session in a serve cell), "
+            "got 0\n"
+        )
 
     @pytest.mark.parametrize("flags, stderr", [
         pytest.param(flags, stderr, id=f"tcp{index}")
@@ -254,6 +274,39 @@ class TestServeTcp:
         ).run()
         for index, expected in enumerate(reference):
             assert results[index] == expected.csv_text()
+
+
+class TestRunId:
+    """``serve --tcp --trace`` correlates on the serve cell's id."""
+
+    @pytest.fixture()
+    def run_id(self, monkeypatch, tmp_path):
+        ids = []
+
+        def run(self):
+            ids.append(self.run_id)
+            return 0
+
+        monkeypatch.setattr(TcpSessionServer, "run", run)
+
+        def run_id(*flags, trace=True):
+            traced = ["--trace", str(tmp_path / "trace.jsonl")] if trace else []
+            assert main(["serve"] + SHARED + traced + COMMON + list(flags)) == 0
+            return ids[-1]
+
+        return run_id
+
+    def test_equal_specs_share_an_id(self, run_id):
+        first = run_id("--policy", "markov")
+        assert first == run_id("--policy", "markov")
+        assert len(first) == 12
+
+    def test_the_policy_and_the_tr_are_part_of_it(self, run_id):
+        assert run_id("--policy", "markov") != run_id("--policy", "replay")
+        assert run_id("--tr", "1") != run_id("--tr", "2")
+
+    def test_untraced_serves_announce_none(self, run_id):
+        assert run_id(trace=False) == ""
 
 
 class TestConnect:
@@ -405,8 +458,8 @@ class TestClientProcesses:
         outs = [tmp_path / f"session-{i}.csv" for i in range(2)]
         traces = [tmp_path / f"client-{i}.jsonl" for i in range(2)]
         server = TcpSessionServer(
-            server_ctx, "idea-sim", share_engine=True, max_sessions=2,
-            per_session=1, run_id="two-client-processes",
+            server_ctx, serve_cell(server_ctx, 2, share_engine=True),
+            correlate=True,
         )
         with ServerThread(server) as (host, port):
             procs = [
@@ -445,7 +498,8 @@ class TestClientProcesses:
         # Both clients took the run id from the server's HELLO.
         lines = merged[0].splitlines()
         assert lines
-        assert all(b'"run":"two-client-processes"' in line for line in lines)
+        run = f'"run":"{server.run_id}"'.encode()
+        assert all(run in line for line in lines)
 
 
 class TestArrivalSchedule:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from repro.common.errors import QueryError
 from repro.data.storage import Table, int_dtype
 from repro.query.binning import compute_codes
 from repro.query.filters import Comparison, RangePredicate
@@ -121,8 +122,31 @@ def test_bin_codes_match_int64_arithmetic(data):
         )
     )
     dim = BinDimension("x", BinKind.QUANTITATIVE, width=width, reference=reference)
-    expected = np.floor((values - reference) / width).astype(np.int64)
-    np.testing.assert_array_equal(compute_codes(dim, narrow), expected)
+    exact = np.floor((values - reference) / width)
+    if ((exact >= -(2.0**63)) & (exact < 2.0**63)).all():
+        np.testing.assert_array_equal(compute_codes(dim, narrow), exact.astype(np.int64))
+    else:
+        with pytest.raises(QueryError, match="leave int64"):
+            compute_codes(dim, narrow)
+
+
+def test_codes_past_int64_raise_instead_of_wrapping():
+    """Both bounds of an int8 column, ``reference=-2**62``, ``width=0.5``:
+    every code is at least 2**63, which the cast used to turn into
+    ``INT64_MIN`` for both values, one bogus bin."""
+    narrow = _stored(np.int8, np.array([-128, 127], dtype=np.int64))
+    dim = BinDimension("x", BinKind.QUANTITATIVE, width=0.5, reference=-(2**62))
+    with pytest.raises(QueryError, match="leave int64"):
+        compute_codes(dim, narrow)
+
+
+def test_a_nan_value_casts_as_before():
+    """A NaN value is no code past int64: it casts to ``INT64_MIN`` with
+    numpy's warning, and the finite values beside it bin as usual."""
+    dim = BinDimension("x", BinKind.QUANTITATIVE, width=2, reference=0)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        codes = compute_codes(dim, np.array([np.nan, 3.0]))
+    assert codes.tolist() == [np.iinfo(np.int64).min, 1]
 
 
 @pytest.mark.parametrize("dtype", NARROW)

@@ -34,7 +34,7 @@ from repro.net.protocol import (
 )
 from repro.net.server import ServerThread, TcpSessionServer, _WireHook
 from repro.bench.codec import record_to_dict
-from repro.server import SessionManager
+from repro.server import SessionManager, make_session
 from repro.server.manager import SessionTurnHook
 from repro.workflow.policy import (
     PENDING,
@@ -42,6 +42,7 @@ from repro.workflow.policy import (
     PolicyView,
 )
 from repro.workflow.spec import CreateViz
+from serve_cells import serve_cell
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +53,11 @@ def reference(server_ctx):
     ).run()
 
 
-def _server(ctx, **kwargs):
-    kwargs.setdefault("max_sessions", None)
-    return TcpSessionServer(ctx, "idea-sim", **kwargs)
+def _server(ctx, sessions=None):
+    """An isolated server: unbounded, or stopping after ``sessions``."""
+    return TcpSessionServer(
+        ctx, "idea-sim" if sessions is None else serve_cell(ctx, sessions)
+    )
 
 
 class TestScriptedOverTcp:
@@ -120,7 +123,7 @@ class TestScriptedOverTcp:
             assert results[index] == expected.csv_text()
 
     def test_max_sessions_stops_the_server(self, server_ctx):
-        server = _server(server_ctx, max_sessions=1)
+        server = _server(server_ctx, 1)
         with ServerThread(server) as (host, port):
             scripted_csv_over_tcp(host, port, 0, per_session=1)
         assert server.sessions_served == 1
@@ -562,7 +565,7 @@ class TestFrameBatching:
                 evaluated.extend(record_to_dict(r) for r in records)
 
         evaluated = []
-        spec, policy, _ = server._session_for(Attach(mode="scripted"), "")
+        spec, policy = make_session(server_ctx, 0, per_session=1)
         manager = SessionManager(
             [spec], server._oracle, server_ctx.settings,
             engines=[_failing_on_submit(server._new_engine, 6)()],
@@ -578,9 +581,7 @@ class TestFrameBatching:
 
     def test_vanished_peer_is_abandoned_at_the_next_flush(self, server_ctx):
         server = _server(server_ctx)
-        spec, policy, _ = server._session_for(
-            Attach(mode="scripted", per_session=2), "unused"
-        )
+        spec, policy = make_session(server_ctx, 0, per_session=2)
         writer = _VanishedPeer(high_water=4096)
         hook = _WireHook(
             server, None, writer, spec.session_id, batched=True

@@ -33,6 +33,7 @@ from repro.net.protocol import (
 )
 from repro.net.server import ServerThread, TcpSessionServer
 from repro.server import SessionAbandoned, SessionManager, SessionTurnHook
+from serve_cells import serve_cell
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +74,10 @@ def abandoned_reference(server_ctx):
     return results
 
 
-def _shared_server(ctx, **kwargs):
-    kwargs.setdefault("max_sessions", 2)
-    kwargs.setdefault("per_session", 1)
-    return TcpSessionServer(ctx, "idea-sim", share_engine=True, **kwargs)
+def _shared_server(ctx, sessions=2, **kwargs):
+    return TcpSessionServer(
+        ctx, serve_cell(ctx, sessions, share_engine=True), **kwargs
+    )
 
 
 def _fetch_in_thread(host, port, index, out, errors):
@@ -171,7 +172,7 @@ class TestAttachValidation:
 
     def test_duplicate_slot_rejected(self, server_ctx):
         with ServerThread(
-            _shared_server(server_ctx, max_sessions=3)
+            _shared_server(server_ctx, 3)
         ) as (host, port):
             with NetClient(host, port) as first:
                 first.hello()
@@ -185,8 +186,16 @@ class TestAttachValidation:
         with ServerThread(_shared_server(server_ctx)) as (host, port):
             with NetClient(host, port) as client:
                 client.hello()
-                with pytest.raises(ProtocolError, match="mismatched"):
-                    client.attach_scripted(0, per_session=3)
+                with pytest.raises(
+                    ProtocolError,
+                    match=r"mismatched attach fields: per_session=3 \(server: "
+                    r"1\), workflow_type='sequential' \(server: 'mixed'\), "
+                    r"policy='markov' \(server: None\)$",
+                ):
+                    client.attach_scripted(
+                        0, per_session=3, workflow_type="sequential",
+                        policy="markov",
+                    )
 
     def test_accel_rejected(self, server_ctx):
         with ServerThread(_shared_server(server_ctx)) as (host, port):
@@ -194,6 +203,26 @@ class TestAttachValidation:
                 client.hello()
                 with pytest.raises(ProtocolError, match="accel"):
                     client.attach_scripted(0, per_session=1, accel=10.0)
+
+    def test_unknown_client_workflow_type_rejected_at_attach(
+        self, server_ctx, shared_reference
+    ):
+        # Refused on its own connection, before it claims a slot: the run
+        # used to fail for every participant after the barrier.
+        out, errors = {}, []
+        with ServerThread(_shared_server(server_ctx)) as (host, port):
+            with NetClient(host, port) as client:
+                client.hello()
+                with pytest.raises(ProtocolError, match="unknown workflow"):
+                    client.attach_client(workflow_type="sideways")
+            threads = [
+                _fetch_in_thread(host, port, index, out, errors)
+                for index in range(2)
+            ]
+            for thread in threads:
+                thread.join(60)
+        assert not errors
+        assert [out[0], out[1]] == [r.csv_text() for r in shared_reference]
 
     def test_reserved_client_name_rejected(self, server_ctx):
         with ServerThread(_shared_server(server_ctx)) as (host, port):

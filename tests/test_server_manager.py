@@ -33,6 +33,7 @@ from repro.server import (
     session_specs,
 )
 from repro.workflow.spec import WorkflowType
+from serve_cells import serve_cell
 
 # The shared ExperimentContext (S, scale=50 000, seed=5, TR=1 s) comes
 # from the session-scoped ``server_ctx`` fixture in conftest.py.
@@ -319,7 +320,7 @@ class TestIsolatedEnginesArePrivate:
         from repro.net.server import ServerThread, TcpSessionServer
 
         (spec,) = session_specs(server_ctx, 1, per_session=1)
-        server = TcpSessionServer(server_ctx, "idea-sim", max_sessions=2)
+        server = TcpSessionServer(server_ctx, serve_cell(server_ctx, 2))
         with ServerThread(server) as (host, port):
             # One interaction, then the peer vanishes: an abandon...
             ghost = NetClient(host, port).connect()

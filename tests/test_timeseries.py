@@ -44,6 +44,7 @@ from repro.obs.timeseries import (
     set_timeseries,
 )
 from repro.obs.tracer import Tracer, set_tracer
+from serve_cells import serve_cell
 
 
 # ----------------------------------------------------------------------
@@ -450,10 +451,7 @@ def _streamed_run(server_ctx, slo_rules=(), probe=None):
     clear_kernel_cache()
     server = TcpSessionServer(
         server_ctx,
-        "idea-sim",
-        share_engine=True,
-        max_sessions=2,
-        per_session=1,
+        serve_cell(server_ctx, 2, share_engine=True),
         stats_window=STREAM_WINDOW,
         slo_rules=slo_rules,
     )
@@ -518,10 +516,7 @@ class TestStreamingEndToEnd:
         clear_kernel_cache()
         server = TcpSessionServer(
             primed_ctx,
-            "idea-sim",
-            share_engine=True,
-            max_sessions=2,
-            per_session=1,
+            serve_cell(primed_ctx, 2, share_engine=True),
             stats_window=STREAM_WINDOW,
         )
         with ServerThread(server) as (host, port):
@@ -545,11 +540,7 @@ class TestStreamingEndToEnd:
         from repro.net.server import ServerThread, TcpSessionServer
 
         server = TcpSessionServer(
-            server_ctx,
-            "idea-sim",
-            share_engine=True,
-            max_sessions=2,
-            per_session=1,
+            server_ctx, serve_cell(server_ctx, 2, share_engine=True)
         )
         with ServerThread(server) as (host, port):
             with pytest.raises(ProtocolError, match="stats-window"):
@@ -561,7 +552,19 @@ class TestStreamingEndToEnd:
 
         with pytest.raises(BenchmarkError, match="shared-"):
             TcpSessionServer(
-                server_ctx, "idea-sim", max_sessions=1, stats_window=1.0
+                server_ctx, serve_cell(server_ctx, 1), stats_window=1.0
+            )
+
+    def test_slo_rules_require_a_window(self, server_ctx):
+        from repro.common.errors import ConfigurationError
+        from repro.net.server import TcpSessionServer
+
+        # Rules without a window used to be dropped without a word.
+        with pytest.raises(ConfigurationError, match="telemetry window"):
+            TcpSessionServer(
+                server_ctx,
+                serve_cell(server_ctx, 2, share_engine=True),
+                slo_rules=("pct_tr_violated>25",),
             )
 
 

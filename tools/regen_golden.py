@@ -155,6 +155,20 @@ def case_serving_sweeps(ctx) -> str:
     return "".join(parts)
 
 
+def _tcp_cell(ctx, sessions: int, share_engine: bool = False):
+    """The closed idea-sim serve cell of ``sessions`` one-workflow users
+    that ``repro serve --tcp --sessions N --per-session 1`` builds."""
+    from repro.runtime import RunSpec, ServingSelector, WorkflowSelector
+
+    return RunSpec(
+        "idea-sim",
+        ctx.settings,
+        workflows=WorkflowSelector(count=1),
+        mode="serve",
+        serving=ServingSelector(sessions, share_engine=share_engine),
+    )
+
+
 def case_tcp_session(ctx) -> str:
     """One scripted TCP session's server→client frames, newline-joined.
 
@@ -166,7 +180,7 @@ def case_tcp_session(ctx) -> str:
     from repro.net.client import NetClient
     from repro.net.server import ServerThread, TcpSessionServer
 
-    server = TcpSessionServer(ctx, "idea-sim", max_sessions=1)
+    server = TcpSessionServer(ctx, _tcp_cell(ctx, 1))
     with ServerThread(server) as (host, port):
         with NetClient(host, port, log_frames=True) as client:
             client.hello()
@@ -211,7 +225,7 @@ def case_tcp_isolated(ctx) -> str:
         "client_idle": idle,
     }
     parts = []
-    server = TcpSessionServer(ctx, "idea-sim", max_sessions=len(conversations))
+    server = TcpSessionServer(ctx, _tcp_cell(ctx, len(conversations)))
     with ServerThread(server) as (host, port):
         for name, converse in conversations.items():
             with NetClient(host, port, log_frames=True) as client:
@@ -237,9 +251,7 @@ def case_tcp_shared(ctx) -> str:
     from repro.net.client import NetClient, fetch_scripted_session
     from repro.net.server import ServerThread, TcpSessionServer
 
-    server = TcpSessionServer(
-        ctx, "idea-sim", share_engine=True, max_sessions=2, per_session=1
-    )
+    server = TcpSessionServer(ctx, _tcp_cell(ctx, 2, share_engine=True))
     with ServerThread(server) as (host, port):
         peer = threading.Thread(
             target=fetch_scripted_session,
@@ -292,9 +304,7 @@ def case_trace_tcp_shared(ctx) -> str:
     from repro.obs.sink import entry_line
 
     with observed(enabled=True) as tracer:
-        server = TcpSessionServer(
-            ctx, "idea-sim", share_engine=True, max_sessions=2, per_session=1
-        )
+        server = TcpSessionServer(ctx, _tcp_cell(ctx, 2, share_engine=True))
         with ServerThread(server) as (host, port):
             import threading
 
