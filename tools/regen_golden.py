@@ -10,9 +10,10 @@ windowed series, one SHA-256 per further serving configuration
 (``workflow_pins.txt``), one per System X estimate
 (``estimator_pins.txt``), one per scored answer (``metrics_pins.txt``)
 and the §4.2 data generator's output at three seeds × three scales
-(``data_pins.txt``), so any change to generator, engines, driver,
-server, policies or report rendering that shifts output is caught as a
-diff, not discovered downstream. ``tests/test_golden_reports.py``
+(``data_pins.txt``), plus one per serialized class's dict form, frame
+body or cell id (``codec_pins.txt``), so any change to generator,
+engines, driver, server, policies, codec or report rendering that shifts
+output is caught as a diff, not discovered downstream. ``tests/test_golden_reports.py``
 re-executes the same builders in-process and asserts byte identity
 against the checked-in files.
 
@@ -828,6 +829,153 @@ def case_data_pins(ctx) -> str:
     return "".join(lines)
 
 
+# ----------------------------------------------------------------------
+# Codec pins: every dict form's bytes, frozen from the hand-written
+# to_dict/to_payload bodies before they moved onto repro.common.codec
+# ----------------------------------------------------------------------
+
+def codec_pin_forms(ctx):
+    """``(name, bytes)`` of one instance of every serialized class.
+
+    Dict forms are dumped *unsorted*, so the pin covers key order (the
+    bytes of ``Workflow.to_json`` and ``WorkloadConfig.to_json`` depend
+    on it); wire messages are their canonical frame bodies.
+    """
+    import json
+    import tempfile
+
+    from repro.analysis.findings import Finding
+    from repro.bench.driver import QueryRecord
+    from repro.bench.metrics import QueryMetrics
+    from repro.common.config import BenchmarkSettings
+    from repro.data.normalize import DimensionSpec
+    from repro.net import protocol as p
+    from repro.query.filters import And, Comparison, Or, RangePredicate, SetPredicate
+    from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+    from repro.runtime import RunSpec, ServingSelector, WorkflowSelector
+    from repro.workflow.generator import WorkflowGenerator, WorkloadConfig
+    from repro.workflow.spec import (
+        CreateViz, DiscardViz, Link, SelectBins, SetFilter, VizSpec, WorkflowType,
+    )
+
+    nominal = BinDimension("CARRIER", BinKind.NOMINAL)
+    width = BinDimension("DEP_DELAY", BinKind.QUANTITATIVE, width=10.0, reference=-5.0)
+    counted = BinDimension("DISTANCE", BinKind.QUANTITATIVE, bin_count=25)
+    count = Aggregate(AggFunc.COUNT)
+    avg = Aggregate(AggFunc.AVG, "ARR_DELAY")
+    rng = RangePredicate("DEP_DELAY", None, 30.5)
+    in_ = SetPredicate("CARRIER", frozenset({"UA", "AA", "DL"}))
+    cmp_str = Comparison("ORIGIN", "!=", "JFK")
+    cmp_num = Comparison("DISTANCE", ">=", 250)
+    nested = And(rng, Or(in_, cmp_str), cmp_num)
+    viz = VizSpec("viz_0", "flights", (width, nominal), (count, avg))
+    record = QueryRecord(
+        query_id=3, interaction_id=2, viz_name="viz_0", driver="idea-sim",
+        data_size="S", think_time=1.0, time_requirement=0.5,
+        workflow="mixed_0", workflow_type="mixed", start_time=1.25,
+        end_time=1.75, metrics=QueryMetrics.violated(12), bin_dims=2,
+        binning_type="quantitative nominal", agg_type="count avg",
+        rows_processed=0, fraction=0.0, num_concurrent=1,
+        qualifying_fraction=float("nan"),
+    )
+    messages = {
+        "hello": p.Hello(role="server", engine="idea-sim", capabilities=(p.CAP_SHARED_ENGINE,)),
+        "hello_correlated": p.Hello(run="r1", host="client-a"),
+        "attach": p.Attach(mode="scripted", session_index=3, per_session=2,
+                           workflow_type="sequential", policy="markov", accel=2.5),
+        "submit_viz": p.SubmitViz(viz),
+        "interact": p.Interact(SetFilter("viz_0", nested)),
+        "record": p.Record("session-3", 7, record),
+        "progress": p.Progress("session-3", "workflow", {"workflow": 1}),
+        "barrier": p.Barrier(4),
+        "turn_grant": p.TurnGrant("session-3", 5, 12.5),
+        "turn_done": p.TurnDone(5, "session-3"),
+        "detach": p.Detach("session-3", 11, 40.25),
+        "stats_request": p.StatsRequest(),
+        "stats": p.Stats({"metrics": {"counters": {"a": 1}}}, sessions_served=2),
+        "stats_subscribe": p.StatsSubscribe(),
+        "stats_push": p.StatsPush(3, {"t0": 0.0, "records": 4}, ({"rule": "records>2"},)),
+        "stats_push_final": p.StatsPush(9, final=True),
+        "stats_unsubscribe": p.StatsUnsubscribe(),
+        "error": p.ErrorMessage("session", "engine failed", {"detail": [1, 2]}),
+        "version_error": p.version_error(1),
+    }
+    for name, message in messages.items():
+        yield f"message_{name}", p.encode_body(message)
+
+    def dumped(value) -> bytes:
+        return json.dumps(value.to_dict(), allow_nan=True).encode("utf-8")
+
+    interactions = {
+        "create_viz": CreateViz(viz),
+        "set_filter": SetFilter("viz_0", rng),
+        "link": Link("viz_0", "viz_1"),
+        "select_bins": SelectBins("viz_0", ((3, "UA"), (-1, "AA"))),
+        "discard_viz": DiscardViz("viz_1"),
+    }
+    for name, interaction in interactions.items():
+        yield f"interaction_{name}", dumped(interaction)
+    filters = {
+        "range_open_low": rng, "in": in_, "cmp_str": cmp_str,
+        "cmp_num": cmp_num, "and_or_nested": nested,
+    }
+    for name, node in filters.items():
+        yield f"filter_{name}", dumped(node)
+    yield "bin_nominal", dumped(nominal)
+    yield "bin_width", dumped(width)
+    yield "bin_count", dumped(counted)
+    yield "agg_count", dumped(count)
+    yield "agg_avg", dumped(avg)
+    yield "query_plain", dumped(AggQuery("flights", (counted,), (count,)))
+    yield "query_filtered", dumped(AggQuery("flights", (width, nominal), (count, avg), nested))
+    workflow = WorkflowGenerator(
+        ctx.profiles(ctx.settings.data_size), "flights", seed=42
+    ).generate(WorkflowType.MIXED, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value in (
+            ("workflow", workflow),
+            ("workload_config", WorkloadConfig()),
+            ("settings", BenchmarkSettings()),
+        ):
+            path = Path(tmp) / f"{name}.json"
+            value.to_json(path)
+            yield f"to_json_{name}", path.read_bytes()
+    yield "dimension_spec", dumped(DimensionSpec(
+        "airports", "ORIGIN_KEY", (("ORIGIN", "code"), ("ORIGIN_STATE", "state"))
+    ))
+    # The lint's only writer (the --json reporter) sorts keys.
+    finding = Finding("src/a.py", 3, 7, "DET003", "unordered", "x = {}")
+    yield "finding", json.dumps(finding.to_dict(), sort_keys=True).encode("utf-8")
+    settings = ctx.settings
+    specs = {
+        "suite": RunSpec("idea-sim", settings, WorkflowSelector(count=2, stop=1)),
+        "prepare": RunSpec("monetdb-sim", settings, normalized=True, mode="prepare"),
+        "serve_closed": RunSpec(
+            "idea-sim", settings, WorkflowSelector(count=1), mode="serve",
+            serving=ServingSelector(3, share_engine=True, policy="markov"),
+        ),
+        "serve_open_schedule": RunSpec(
+            "idea-sim", settings, WorkflowSelector(count=1), mode="serve",
+            serving=ServingSelector(
+                40, churn="open", arrival_rate=0.5, horizon=60.0,
+                residence=20.0, arrival_schedule="diurnal",
+            ),
+        ),
+    }
+    for name, spec in specs.items():
+        yield f"cell_id_{name}", spec.cell_id.encode("utf-8")
+
+
+def case_codec_pins(ctx) -> str:
+    """SHA-256 of every serialized class's bytes (see codec_pin_forms)."""
+    import hashlib
+
+    return "".join(
+        f"{name} {hashlib.sha256(data).hexdigest()}\n"
+        for name, data in codec_pin_forms(ctx)
+    )
+
+
 #: File name → builder. Each builder gets a fresh-or-shared context and
 #: returns the complete file content as text.
 GOLDEN_CASES = {
@@ -847,12 +995,13 @@ GOLDEN_CASES = {
     "estimator_pins.txt": case_estimator_pins,
     "metrics_pins.txt": case_metrics_pins,
     "data_pins.txt": case_data_pins,
+    "codec_pins.txt": case_codec_pins,
 }
 
 #: Cases that run no query: rebuilding them with kernels folding through
 #: the test-tree reference would repeat the plain rebuild and compare
 #: nothing new.
-KERNEL_FREE_CASES = frozenset({"data_pins.txt"})
+KERNEL_FREE_CASES = frozenset({"data_pins.txt", "codec_pins.txt"})
 
 
 def main(argv=None) -> int:
