@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common import codec
+
 
 @dataclass(frozen=True, order=True)
-class Finding:
+class Finding(codec.Codable):
     """One rule violation at one source location.
 
     ``path`` is the posix-style path the file was scanned under (relative
     paths stay relative, so output is stable across machines). ``snippet``
     is the stripped source line, shown under the finding in both
-    reports.
+    reports. ``to_dict`` is the ``--json`` reporter's schema.
     """
 
     path: str
@@ -32,14 +34,3 @@ class Finding:
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> dict:
-        """JSON-compatible form (the ``--json`` reporter's schema)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-        }

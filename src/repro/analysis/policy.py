@@ -72,6 +72,8 @@ class Policy:
 SERIALIZATION_TIER = TierRule(
     name="serialization",
     patterns=(
+        "*/common/codec.py",
+        "*/bench/codec.py",
         "*/net/protocol.py",
         "*/server/report.py",
         "*/server/spool.py",

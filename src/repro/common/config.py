@@ -20,12 +20,11 @@ original IDEBench driver's configuration files.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Union
 
+from repro.common import codec
 from repro.common.errors import ConfigurationError
 
 #: TRs used throughout the paper's evaluation (§5.1): 0.5s, 1s, 3s, 5s, 10s.
@@ -76,7 +75,7 @@ class DataSize(Enum):
 
 
 @dataclass(frozen=True)
-class BenchmarkSettings:
+class BenchmarkSettings(codec.Codable, error=ConfigurationError, strict=True):
     """All knobs of a benchmark run; immutable so runs cannot drift.
 
     Use :meth:`with_` (a thin wrapper over :func:`dataclasses.replace`) to
@@ -150,34 +149,18 @@ class BenchmarkSettings:
         """Return a copy with ``changes`` applied (validates again)."""
         return replace(self, **changes)
 
+    #: Settings files have always been written with sorted keys.
+    _json_sort_keys = True
+
+    # data_size is stored by name ("M"); DataSize.parse also reads "500m"
+    # and row counts.
     def to_dict(self) -> dict:
         """Serialize to a JSON-compatible dictionary."""
-        data = asdict(self)
-        data["data_size"] = self.data_size.name
-        return data
+        return {**super().to_dict(), "data_size": self.data_size.name}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkSettings":
         """Inverse of :meth:`to_dict`; unknown keys are rejected loudly."""
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown benchmark settings: {sorted(unknown)}"
-            )
-        payload = dict(data)
-        if "data_size" in payload:
-            payload["data_size"] = DataSize.parse(payload["data_size"])
-        return cls(**payload)
-
-    def to_json(self, path: Union[str, Path]) -> None:
-        """Write the settings to ``path`` as pretty-printed JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def from_json(cls, path: Union[str, Path]) -> "BenchmarkSettings":
-        """Load settings previously written with :meth:`to_json`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        if isinstance(data, dict) and "data_size" in data:
+            data = {**data, "data_size": DataSize.parse(data["data_size"])}
+        return super().from_dict(data)

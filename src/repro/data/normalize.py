@@ -18,18 +18,19 @@ role.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.common import codec
 from repro.common.errors import DataGenerationError
 from repro.data.storage import Dataset, ForeignKey, Table
 
 
 @dataclass(frozen=True)
-class DimensionSpec:
+class DimensionSpec(codec.Codable, error=DataGenerationError):
     """Describes one role of one dimension table.
 
     Attributes
@@ -48,7 +49,7 @@ class DimensionSpec:
 
     table: str
     fact_column: str
-    attribute_map: Tuple[Tuple[str, str], ...]
+    attribute_map: Tuple[Tuple[str, str], ...] = field(metadata=codec.key("attributes"))
 
     @property
     def denorm_columns(self) -> List[str]:
@@ -59,23 +60,6 @@ class DimensionSpec:
     def dim_columns(self) -> List[str]:
         """Dimension-table column names produced by this role."""
         return [dim for _, dim in self.attribute_map]
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "fact_column": self.fact_column,
-            "attributes": [list(pair) for pair in self.attribute_map],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DimensionSpec":
-        return cls(
-            table=data["table"],
-            fact_column=data["fact_column"],
-            attribute_map=tuple(
-                (str(denorm), str(dim)) for denorm, dim in data["attributes"]
-            ),
-        )
 
 
 #: Default star-schema specification for the flights dataset (§5.3): the

@@ -61,11 +61,12 @@ typed catalog (one dataclass per tag) mirrors the session lifecycle:
                 error carries ``data.supported_versions``.
 ==============  ======================================================
 
-Payloads reuse the existing ``to_dict``/``from_dict`` machinery of
-:mod:`repro.workflow.spec` for visualizations and interactions, and
-:func:`~repro.bench.codec.record_to_dict`/``record_from_dict`` for
-metric records, so everything that crosses the wire round-trips through
-exactly the serialization the on-disk formats already trust. JSON floats
+Every message, and every payload inside one (visualizations,
+interactions, §4.7 records), encodes and decodes through the shared
+:mod:`repro.common.codec`, so what crosses the wire round-trips through
+exactly the serialization the on-disk formats already trust, and a
+malformed field is a typed ``ProtocolError`` naming its path
+(``malformed record frame: seq: expected int, got null``). JSON floats
 round-trip exactly (``repr``-based encoding), including the NaN values a
 TR-violated record carries — byte-identical reports on the far side are
 therefore possible, and ``tests/test_net_protocol.py`` fuzzes the
@@ -77,13 +78,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Type
 
 from repro.bench import codec
-from repro.bench.codec import record_to_dict
+from repro.bench.codec import record_to_dict  # noqa: F401 - re-exported
 from repro.bench.driver import QueryRecord
-from repro.common.errors import ProtocolError, WorkflowError
+from repro.common.codec import OMIT_UNSET, Codable, union
+from repro.common.errors import ProtocolError
 from repro.workflow.spec import Interaction, VizSpec
 
 #: Version tag carried in every message; bumped on incompatible change.
@@ -127,17 +129,14 @@ def record_from_dict(data: dict) -> QueryRecord:
 # Message catalog
 # ----------------------------------------------------------------------
 
-class Message:
-    """Base of all wire messages; subclasses set :attr:`TYPE`."""
+class Message(Codable, error=ProtocolError):
+    """Base of all wire messages; subclasses set :attr:`TYPE`.
+
+    ``to_dict`` is the whole frame body (``v`` and ``type`` included) and
+    ``Message.from_dict`` reads any message by its ``type``.
+    """
 
     TYPE: str = ""
-
-    def to_payload(self) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Message":
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -162,43 +161,18 @@ class Hello(Message):
     #: trace entries so ``repro trace merge`` can stitch per-host files
     #: into one timeline. Empty strings are omitted from the payload —
     #: handshake bytes without correlation are unchanged from v2.0.
-    run: str = ""
-    host: str = ""
+    run: str = field(default="", metadata=OMIT_UNSET)
+    host: str = field(default="", metadata=OMIT_UNSET)
 
     TYPE = "hello"
 
-    def to_payload(self) -> dict:
-        payload = {
-            "version": self.version,
-            "role": self.role,
-            "software": self.software,
-            "engine": self.engine,
-            "capabilities": list(self.capabilities),
-        }
-        if self.run:
-            payload["run"] = self.run
-        if self.host:
-            payload["host"] = self.host
-        return payload
-
     @classmethod
-    def from_payload(cls, payload: dict) -> "Hello":
-        try:
-            # Fall back to the frame's version tag so a bare cross-version
-            # hello (no explicit "version" field) still reports what the
-            # peer speaks instead of failing the handshake with a KeyError.
-            version = payload.get("version", payload.get("v"))
-            return cls(
-                version=int(version) if version is not None else 0,
-                role=payload["role"],
-                software=payload.get("software", ""),
-                engine=payload.get("engine"),
-                capabilities=tuple(payload.get("capabilities") or ()),
-                run=str(payload.get("run", "") or ""),
-                host=str(payload.get("host", "") or ""),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(f"malformed hello payload: {error}") from error
+    def from_dict(cls, data: dict) -> "Hello":
+        # A bare cross-version hello (no "version") reports the frame's
+        # "v", so the mismatch can be answered with a typed error.
+        if isinstance(data, dict) and "version" not in data:
+            data = {**data, "version": data.get("v") or 0}
+        return super().from_dict(data)
 
 
 #: Session modes a client may attach in.
@@ -255,32 +229,6 @@ class Attach(Message):
                 f"session_index must be >= 0, got {self.session_index!r}"
             )
 
-    def to_payload(self) -> dict:
-        return {
-            "mode": self.mode,
-            "session_index": self.session_index,
-            "per_session": self.per_session,
-            "workflow_type": self.workflow_type,
-            "policy": self.policy,
-            "accel": self.accel,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Attach":
-        try:
-            return cls(
-                mode=payload.get("mode", "scripted"),
-                session_index=int(payload.get("session_index", 0)),
-                per_session=int(payload.get("per_session", 1)),
-                workflow_type=payload.get("workflow_type", "mixed"),
-                policy=payload.get("policy"),
-                accel=payload.get("accel"),
-                name=payload.get("name"),
-            )
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(f"malformed attach payload: {error}") from error
-
 
 @dataclass(frozen=True)
 class SubmitViz(Message):
@@ -290,16 +238,6 @@ class SubmitViz(Message):
 
     TYPE = "submit_viz"
 
-    def to_payload(self) -> dict:
-        return {"viz": self.viz.to_dict()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SubmitViz":
-        try:
-            return cls(viz=VizSpec.from_dict(payload["viz"]))
-        except (KeyError, TypeError, WorkflowError) as error:
-            raise ProtocolError(f"malformed viz payload: {error}") from error
-
 
 @dataclass(frozen=True)
 class Interact(Message):
@@ -308,18 +246,6 @@ class Interact(Message):
     interaction: Interaction
 
     TYPE = "interact"
-
-    def to_payload(self) -> dict:
-        return {"interaction": self.interaction.to_dict()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Interact":
-        try:
-            return cls(interaction=Interaction.from_dict(payload["interaction"]))
-        except (KeyError, TypeError, WorkflowError) as error:
-            raise ProtocolError(
-                f"malformed interaction payload: {error}"
-            ) from error
 
 
 @dataclass(frozen=True)
@@ -331,24 +257,6 @@ class Record(Message):
     record: QueryRecord
 
     TYPE = "record"
-
-    def to_payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "seq": self.seq,
-            "record": record_to_dict(self.record),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Record":
-        try:
-            return cls(
-                session_id=payload["session_id"],
-                seq=int(payload["seq"]),
-                record=record_from_dict(payload["record"]),
-            )
-        except KeyError as error:
-            raise ProtocolError(f"malformed record frame: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -362,27 +270,9 @@ class Progress(Message):
 
     session_id: str
     event: str
-    payload: dict
+    payload: dict = field(default_factory=dict)
 
     TYPE = "progress"
-
-    def to_payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "event": self.event,
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Progress":
-        try:
-            return cls(
-                session_id=payload["session_id"],
-                event=payload["event"],
-                payload=dict(payload.get("payload", {})),
-            )
-        except KeyError as error:
-            raise ProtocolError(f"malformed progress frame: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -402,19 +292,6 @@ class Barrier(Message):
 
     TYPE = "barrier"
 
-    def to_payload(self) -> dict:
-        return {"sessions": self.sessions, "event": self.event}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Barrier":
-        try:
-            return cls(
-                sessions=int(payload["sessions"]),
-                event=payload.get("event", "start"),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(f"malformed barrier frame: {error}") from error
-
 
 @dataclass(frozen=True)
 class TurnGrant(Message):
@@ -433,26 +310,6 @@ class TurnGrant(Message):
 
     TYPE = "turn_grant"
 
-    def to_payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "turn": self.turn,
-            "event_time": self.event_time,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TurnGrant":
-        try:
-            return cls(
-                session_id=payload["session_id"],
-                turn=int(payload["turn"]),
-                event_time=float(payload["event_time"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                f"malformed turn_grant frame: {error}"
-            ) from error
-
 
 @dataclass(frozen=True)
 class TurnDone(Message):
@@ -470,21 +327,6 @@ class TurnDone(Message):
 
     TYPE = "turn_done"
 
-    def to_payload(self) -> dict:
-        return {"turn": self.turn, "session_id": self.session_id}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TurnDone":
-        try:
-            return cls(
-                turn=int(payload["turn"]),
-                session_id=payload.get("session_id"),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                f"malformed turn_done frame: {error}"
-            ) from error
-
 
 @dataclass(frozen=True)
 class Detach(Message):
@@ -501,21 +343,6 @@ class Detach(Message):
 
     TYPE = "detach"
 
-    def to_payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "queries": self.queries,
-            "makespan": self.makespan,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Detach":
-        return cls(
-            session_id=payload.get("session_id"),
-            queries=payload.get("queries"),
-            makespan=payload.get("makespan"),
-        )
-
 
 @dataclass(frozen=True)
 class StatsRequest(Message):
@@ -528,13 +355,6 @@ class StatsRequest(Message):
     """
 
     TYPE = "stats_request"
-
-    def to_payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StatsRequest":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -555,23 +375,8 @@ class Stats(Message):
 
     TYPE = "stats"
 
-    def to_payload(self) -> dict:
-        return {"data": self.data, "sessions_served": self.sessions_served}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Stats":
-        try:
-            data = payload["data"]
-            if not isinstance(data, dict):
-                raise TypeError(f"stats data must be an object, got {type(data).__name__}")
-            return cls(
-                data=data,
-                sessions_served=int(payload.get("sessions_served", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(f"malformed stats frame: {error}") from error
-
-
+@dataclass(frozen=True)
 class StatsSubscribe(Message):
     """Client → server: stream windowed telemetry (``repro top``).
 
@@ -587,13 +392,6 @@ class StatsSubscribe(Message):
     """
 
     TYPE = "stats_subscribe"
-
-    def to_payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StatsSubscribe":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -616,38 +414,8 @@ class StatsPush(Message):
 
     TYPE = "stats_push"
 
-    def to_payload(self) -> dict:
-        return {
-            "seq": self.seq,
-            "window": self.window,
-            "alerts": list(self.alerts),
-            "final": self.final,
-        }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StatsPush":
-        try:
-            window = payload.get("window")
-            if window is not None and not isinstance(window, dict):
-                raise TypeError(
-                    f"stats_push window must be an object, "
-                    f"got {type(window).__name__}"
-                )
-            alerts = payload.get("alerts") or ()
-            if not all(isinstance(alert, dict) for alert in alerts):
-                raise TypeError("stats_push alerts must be objects")
-            return cls(
-                seq=int(payload["seq"]),
-                window=window,
-                alerts=tuple(alerts),
-                final=bool(payload.get("final", False)),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                f"malformed stats_push frame: {error}"
-            ) from error
-
-
+@dataclass(frozen=True)
 class StatsUnsubscribe(Message):
     """Subscriber → server: stop the stream before the run ends.
 
@@ -657,13 +425,6 @@ class StatsUnsubscribe(Message):
     """
 
     TYPE = "stats_unsubscribe"
-
-    def to_payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StatsUnsubscribe":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -676,23 +437,11 @@ class ErrorMessage(Message):
     what would have been accepted.
     """
 
-    code: str
-    message: str
+    code: str = "error"
+    message: str = ""
     data: Optional[dict] = None
 
     TYPE = "error"
-
-    def to_payload(self) -> dict:
-        return {"code": self.code, "message": self.message, "data": self.data}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ErrorMessage":
-        data = payload.get("data")
-        return cls(
-            code=payload.get("code", "error"),
-            message=payload.get("message", ""),
-            data=dict(data) if isinstance(data, dict) else None,
-        )
 
 
 def version_error(peer_version: object) -> ErrorMessage:
@@ -714,28 +463,14 @@ def version_error(peer_version: object) -> ErrorMessage:
     )
 
 
-#: Tag → message class; the complete catalog.
+#: Tag → message class; the complete catalog (every class above).
 MESSAGE_TYPES: Dict[str, Type[Message]] = {
-    cls.TYPE: cls
-    for cls in (
-        Hello,
-        Attach,
-        SubmitViz,
-        Interact,
-        Record,
-        Progress,
-        Barrier,
-        TurnGrant,
-        TurnDone,
-        Detach,
-        StatsRequest,
-        Stats,
-        StatsSubscribe,
-        StatsPush,
-        StatsUnsubscribe,
-        ErrorMessage,
-    )
+    cls.TYPE: cls for cls in Message.__subclasses__()
 }
+union(
+    Message, "type", MESSAGE_TYPES, noun="message", label="{} frame",
+    header={"v": PROTOCOL_VERSION},
+)
 
 
 # ----------------------------------------------------------------------
@@ -750,10 +485,8 @@ def encode_body(message: Message) -> bytes:
     test relies on. ``allow_nan`` stays on — TR-violated records carry
     NaN metrics and must cross the wire unchanged.
     """
-    body = {"v": PROTOCOL_VERSION, "type": message.TYPE}
-    body.update(message.to_payload())
     return json.dumps(
-        body, sort_keys=True, separators=(",", ":"), allow_nan=True
+        message.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=True
     ).encode("utf-8")
 
 
@@ -784,8 +517,8 @@ def decode_message(data: object) -> Message:
             f"frame body must be a JSON object, got {type(data).__name__}"
         )
     version = data.get("v")
-    tag = data.get("type")
-    if version not in SUPPORTED_VERSIONS and tag not in VERSION_EXEMPT_TYPES:
+    exempt = isinstance(data.get("type"), str) and data["type"] in VERSION_EXEMPT_TYPES
+    if version not in SUPPORTED_VERSIONS and not exempt:
         # Handshake and error frames decode across versions so the
         # mismatch can be *negotiated* (typed version error, clear
         # client exception) instead of dying in the codec.
@@ -794,10 +527,7 @@ def decode_message(data: object) -> Message:
             f"protocol version mismatch: peer speaks {version!r}, "
             f"this side supports {supported}"
         )
-    message_cls = MESSAGE_TYPES.get(tag)
-    if message_cls is None:
-        raise ProtocolError(f"unknown message type {tag!r}")
-    return message_cls.from_payload(data)
+    return Message.from_dict(data)
 
 
 def split_frame(buffer: bytes, start: int = 0) -> Optional[tuple]:

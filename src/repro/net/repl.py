@@ -139,7 +139,7 @@ class Repl:
             return
         try:
             workflow = Workflow.from_json(args[0])
-        except (OSError, ValueError, BenchmarkError) as error:
+        except (OSError, BenchmarkError) as error:
             self._print(f"cannot load {args[0]}: {error}")
             return
         self._queue.extend(workflow.interactions)

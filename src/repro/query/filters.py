@@ -19,6 +19,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
+from repro.common import codec
 from repro.common.errors import QueryError
 
 #: A function resolving a logical column name to its value array.
@@ -29,8 +30,9 @@ ColumnGetter = Callable[[str], np.ndarray]
 EncodingGetter = Callable[[str], Tuple[np.ndarray, np.ndarray]]
 
 
-class Filter:
-    """Base class for all predicate nodes."""
+class Filter(codec.Codable, error=QueryError):
+    """Base class for all predicate nodes; ``Filter.from_dict`` reads any
+    node by its ``"type"`` tag."""
 
     def evaluate(
         self,
@@ -52,10 +54,6 @@ class Filter:
         """All column names referenced (used for cost models and joins)."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        """JSON-compatible representation (inverse of :func:`filter_from_dict`)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class RangePredicate(Filter):
@@ -63,8 +61,8 @@ class RangePredicate(Filter):
     slider produces. Either bound may be None (unbounded)."""
 
     field: str
-    low: Union[float, None]
-    high: Union[float, None]
+    low: Union[float, None] = None
+    high: Union[float, None] = None
 
     def __post_init__(self):
         if self.low is None and self.high is None:
@@ -93,9 +91,6 @@ class RangePredicate(Filter):
 
     def fields(self) -> Tuple[str, ...]:
         return (self.field,)
-
-    def to_dict(self) -> dict:
-        return {"type": "range", "field": self.field, "low": self.low, "high": self.high}
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,6 @@ class SetPredicate(Filter):
         # derive rotation seeds from str(query), so the repr must be
         # canonical for runs to be reproducible across processes.
         return f"SetPredicate(field={self.field!r}, values={sorted(self.values)!r})"
-
-    def to_dict(self) -> dict:
-        return {"type": "in", "field": self.field, "values": sorted(self.values)}
 
 
 _COMPARISON_OPS: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
@@ -189,9 +181,6 @@ class Comparison(Filter):
     def fields(self) -> Tuple[str, ...]:
         return (self.field,)
 
-    def to_dict(self) -> dict:
-        return {"type": "cmp", "field": self.field, "op": self.op, "value": self.value}
-
 
 class _Combinator(Filter):
     """Shared machinery of :class:`And` / :class:`Or`."""
@@ -234,6 +223,23 @@ class _Combinator(Filter):
         inner = ", ".join(repr(child) for child in self._children)
         return f"{type(self).__name__}({inner})"
 
+    # The children are __init__'s varargs, held flattened, not a field;
+    # the tag is the class name ("and", "or").
+    def to_dict(self) -> dict:
+        tag = type(self).__name__.lower()
+        return {"type": tag, "children": [c.to_dict() for c in self._children]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "_Combinator":
+        return cls(*codec.decode(_Children, data).children)
+
+
+@dataclass(frozen=True)
+class _Children(codec.Codable, error=QueryError):
+    """What :meth:`_Combinator.from_dict` reads: the children list."""
+
+    children: Tuple[Filter, ...]
+
 
 class And(_Combinator):
     """Conjunction of predicates (the dominant form: incremental filtering)."""
@@ -248,9 +254,6 @@ class And(_Combinator):
             mask = mask & child.evaluate(get_column, get_encoding)
         return mask
 
-    def to_dict(self) -> dict:
-        return {"type": "and", "children": [c.to_dict() for c in self._children]}
-
 
 class Or(_Combinator):
     """Disjunction — selections of several bins OR their predicates."""
@@ -264,9 +267,6 @@ class Or(_Combinator):
         for child in self._children[1:]:
             mask = mask | child.evaluate(get_column, get_encoding)
         return mask
-
-    def to_dict(self) -> dict:
-        return {"type": "or", "children": [c.to_dict() for c in self._children]}
 
 
 def evaluate_filter(
@@ -286,22 +286,16 @@ def evaluate_filter(
     return mask
 
 
+codec.union(
+    Filter, "type",
+    {"range": RangePredicate, "in": SetPredicate, "cmp": Comparison, "and": And, "or": Or},
+    noun="filter node", label="{} filter",
+)
+
+
 def filter_from_dict(data: Union[dict, None]) -> Union[Filter, None]:
-    """Deserialize a predicate tree from its JSON form."""
-    if data is None:
-        return None
-    kind = data.get("type")
-    if kind == "range":
-        return RangePredicate(data["field"], data.get("low"), data.get("high"))
-    if kind == "in":
-        return SetPredicate(data["field"], frozenset(data["values"]))
-    if kind == "cmp":
-        return Comparison(data["field"], data["op"], data["value"])
-    if kind == "and":
-        return And(*[filter_from_dict(child) for child in data["children"]])
-    if kind == "or":
-        return Or(*[filter_from_dict(child) for child in data["children"]])
-    raise QueryError(f"unknown filter node type {kind!r}")
+    """Deserialize a predicate tree from its JSON form (``None`` is no filter)."""
+    return None if data is None else Filter.from_dict(data)
 
 
 def conjoin(parts: Sequence[Union[Filter, None]]) -> Union[Filter, None]:

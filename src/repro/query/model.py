@@ -18,6 +18,7 @@ at the configured confidence level.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,9 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.common import codec
 from repro.common.errors import EngineError, QueryError
 from repro.common.fingerprint import stable_digest
-from repro.query.filters import Filter, filter_from_dict
+from repro.query.filters import Filter
 
 #: One coordinate of a bin key.
 BinCoord = Union[int, str]
@@ -65,7 +67,7 @@ class AggFunc(Enum):
 
 
 @dataclass(frozen=True)
-class BinDimension:
+class BinDimension(codec.Codable, error=QueryError):
     """One bin dimension of a visualization.
 
     Quantitative dimensions support the two definitions of §2.2:
@@ -81,9 +83,9 @@ class BinDimension:
 
     field: str
     kind: BinKind
-    width: Optional[float] = None
+    width: Optional[float] = dataclasses.field(default=None, metadata=codec.OMIT_UNSET)
     reference: float = 0.0
-    bin_count: Optional[int] = None
+    bin_count: Optional[int] = dataclasses.field(default=None, metadata=codec.OMIT_UNSET)
 
     def __post_init__(self):
         if not self.field:
@@ -133,31 +135,18 @@ class BinDimension:
         return low, low + self.width
 
     def to_dict(self) -> dict:
-        data: dict = {"field": self.field, "kind": self.kind.value}
-        if self.width is not None:
-            data["width"] = self.width
-            data["reference"] = self.reference
-        if self.bin_count is not None:
-            data["bin_count"] = self.bin_count
+        data = super().to_dict()
+        if self.width is None:  # a reference boundary means nothing without a width
+            del data["reference"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinDimension":
-        return cls(
-            field=data["field"],
-            kind=BinKind(data["kind"]),
-            width=data.get("width"),
-            reference=data.get("reference", 0.0),
-            bin_count=data.get("bin_count"),
-        )
 
 
 @dataclass(frozen=True)
-class Aggregate:
+class Aggregate(codec.Codable, error=QueryError):
     """One aggregate function application, e.g. ``AVG(ARR_DELAY)``."""
 
     func: AggFunc
-    field: Optional[str] = None
+    field: Optional[str] = dataclasses.field(default=None, metadata=codec.OMIT_UNSET)
 
     def __post_init__(self):
         if self.func.needs_field and not self.field:
@@ -172,19 +161,9 @@ class Aggregate:
             return self.func.value
         return f"{self.func.value}_{self.field}"
 
-    def to_dict(self) -> dict:
-        data: dict = {"func": self.func.value}
-        if self.field is not None:
-            data["field"] = self.field
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Aggregate":
-        return cls(func=AggFunc(data["func"]), field=data.get("field"))
-
 
 @dataclass(frozen=True)
-class AggQuery:
+class AggQuery(codec.Codable, error=QueryError):
     """A complete binned aggregation query.
 
     ``table`` names the logical (de-normalized) relation; whether execution
@@ -261,23 +240,6 @@ class AggQuery:
         state = dict(self.__dict__)
         state.pop("digest", None)
         return state
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "bins": [dim.to_dict() for dim in self.bins],
-            "aggregates": [agg.to_dict() for agg in self.aggregates],
-            "filter": self.filter.to_dict() if self.filter else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggQuery":
-        return cls(
-            table=data["table"],
-            bins=tuple(BinDimension.from_dict(d) for d in data["bins"]),
-            aggregates=tuple(Aggregate.from_dict(a) for a in data["aggregates"]),
-            filter=filter_from_dict(data.get("filter")),
-        )
 
 
 #: The dict form of an answer: bin key → one cell per aggregate.

@@ -76,7 +76,7 @@ class CellResult:
         return self.spec.fingerprint()
 
     @classmethod
-    def from_payload(
+    def from_output(
         cls, spec: RunSpec, payload: Dict[str, Any], **kwargs
     ) -> "CellResult":
         return cls(
@@ -369,7 +369,7 @@ class MatrixExecutor:
         payload = self.store.get(key)
         if payload is None:
             return None
-        return CellResult.from_payload(spec, payload, from_cache=True)
+        return CellResult.from_output(spec, payload, from_cache=True)
 
     def _context_for(self, spec: RunSpec):
         from repro.bench.experiments import ExperimentContext
@@ -398,7 +398,7 @@ class MatrixExecutor:
             elapsed = perf_seconds() - started
             if self.store is not None:
                 self.store.put(keys[index], payload)
-            results[index] = CellResult.from_payload(
+            results[index] = CellResult.from_output(
                 spec, payload, elapsed=elapsed
             )
             self._report(f"[ran {elapsed:6.2f}s] {spec.describe()}")
@@ -428,7 +428,7 @@ class MatrixExecutor:
                     spec = specs[index]
                     payload = future.result()
                     elapsed = perf_seconds() - started[index]
-                    results[index] = CellResult.from_payload(
+                    results[index] = CellResult.from_output(
                         spec, payload, elapsed=elapsed
                     )
                     self._report(f"[ran {elapsed:6.2f}s] {spec.describe()}")

@@ -19,9 +19,10 @@ artifact-cache key and as the input to per-cell seed derivation
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.common import codec
 from repro.common.config import BenchmarkSettings
 from repro.common.errors import ConfigurationError
 from repro.common.fingerprint import CACHE_SCHEMA_VERSION, stable_digest
@@ -40,7 +41,7 @@ CHURN_MODES = ("closed", "open")
 
 
 @dataclass(frozen=True)
-class WorkflowSelector:
+class WorkflowSelector(codec.Codable, error=ConfigurationError):
     """Which workflows a cell runs, described declaratively.
 
     ``generated`` selects ``count`` workflows of ``workflow_type`` from the
@@ -71,28 +72,9 @@ class WorkflowSelector:
         if self.start < 0:
             raise ConfigurationError(f"selector start must be >= 0, got {self.start!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workflow_type": self.workflow_type,
-            "count": self.count,
-            "start": self.start,
-            "stop": self.stop,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkflowSelector":
-        return cls(
-            kind=data.get("kind", "generated"),
-            workflow_type=data.get("workflow_type", "mixed"),
-            count=data.get("count", 10),
-            start=data.get("start", 0),
-            stop=data.get("stop"),
-        )
-
 
 @dataclass(frozen=True)
-class ServingSelector:
+class ServingSelector(codec.Codable, error=ConfigurationError, strict=True):
     """How a ``mode="serve"`` cell serves its sessions.
 
     ``closed`` cells serve exactly ``sessions`` users from time zero;
@@ -113,7 +95,9 @@ class ServingSelector:
     arrival_rate: Optional[float] = None
     horizon: Optional[float] = None
     residence: Optional[float] = None
-    arrival_schedule: Optional[str] = None
+    #: Only written when set: every serve cell planned before schedules
+    #: were a field keeps its fingerprint (and its cached result).
+    arrival_schedule: Optional[str] = field(default=None, metadata=codec.OMIT_UNSET)
 
     def __post_init__(self):
         if self.sessions < 1:
@@ -161,21 +145,9 @@ class ServingSelector:
             ),
         )
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        # Only when set: every serve cell planned before schedules were a
-        # field keeps its fingerprint (and its cached result).
-        if self.arrival_schedule is None:
-            del data["arrival_schedule"]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingSelector":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(codec.Codable, error=ConfigurationError):
     """One cell of the run matrix — a hashable unit of benchmark work.
 
     ``mode="suite"`` runs the selected workflows on ``engine`` and yields
@@ -195,7 +167,9 @@ class RunSpec:
     speculation: bool = False
     mode: str = "suite"
     label: str = ""
-    serving: Optional[ServingSelector] = None
+    #: Only written when set: suite and prepare fingerprints (every cached
+    #: cell) stay exactly what they were before serve cells existed.
+    serving: Optional[ServingSelector] = field(default=None, metadata=codec.OMIT_UNSET)
 
     def __post_init__(self):
         if not self.engine:
@@ -251,39 +225,4 @@ class RunSpec:
             f"{self.engine} {self.workflows.workflow_type}×{self.workflows.count} "
             f"TR={self.settings.time_requirement}s "
             f"{self.settings.data_size.name}/{schema}"
-        )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        data = {
-            "engine": self.engine,
-            "settings": self.settings.to_dict(),
-            "workflows": self.workflows.to_dict(),
-            "normalized": self.normalized,
-            "speculation": self.speculation,
-            "mode": self.mode,
-            "label": self.label,
-        }
-        # Only when set: suite and prepare fingerprints (every cached
-        # cell) stay exactly what they were before serve cells existed.
-        if self.serving is not None:
-            data["serving"] = self.serving.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        return cls(
-            engine=data["engine"],
-            settings=BenchmarkSettings.from_dict(data["settings"]),
-            workflows=WorkflowSelector.from_dict(data.get("workflows", {})),
-            normalized=data.get("normalized", False),
-            speculation=data.get("speculation", False),
-            mode=data.get("mode", "suite"),
-            label=data.get("label", ""),
-            serving=(
-                ServingSelector.from_dict(data["serving"])
-                if "serving" in data else None
-            ),
         )

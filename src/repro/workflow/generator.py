@@ -23,14 +23,13 @@ is consistent with the paper's own Table 1 trace, which is dominated by
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common import codec
 from repro.common.errors import WorkflowError
 from repro.common.rng import choice_cdf, derive_rng, pick, pick_weighted, uniform
 from repro.data.schema import ColumnKind, ColumnProfile
@@ -52,7 +51,7 @@ from repro.workflow.spec import (
 
 
 @dataclass(frozen=True)
-class WorkloadConfig:
+class WorkloadConfig(codec.Codable, error=WorkflowError, strict=True):
     """Tunable probability distributions of the generator (§4.3).
 
     All values are defaults of the *default configuration*; research groups
@@ -120,56 +119,6 @@ class WorkloadConfig:
                 f"selectivity range must satisfy 0 < low <= high <= 1, got "
                 f"({low}, {high})"
             )
-
-    # -- serialization (the §3.2 "modifiable configurations") -----------
-    def to_dict(self) -> dict:
-        return {
-            "interactions_min": self.interactions_min,
-            "interactions_max": self.interactions_max,
-            "two_dim_probability": self.two_dim_probability,
-            "nominal_dim_probability": self.nominal_dim_probability,
-            "bin_count_probability": self.bin_count_probability,
-            "bin_count_choices": list(self.bin_count_choices),
-            "width_target_bins": list(self.width_target_bins),
-            "agg_distribution": [list(pair) for pair in self.agg_distribution],
-            "filter_selectivity_range": list(self.filter_selectivity_range),
-            "max_filter_categories": self.max_filter_categories,
-            "max_select_keys": self.max_select_keys,
-            "max_vizs": self.max_vizs,
-            "max_fanout": self.max_fanout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise WorkflowError(f"unknown workload config keys: {sorted(unknown)}")
-        payload = dict(data)
-        for key in ("bin_count_choices", "width_target_bins"):
-            if key in payload:
-                payload[key] = tuple(int(v) for v in payload[key])
-        if "agg_distribution" in payload:
-            payload["agg_distribution"] = tuple(
-                (str(name), float(weight))
-                for name, weight in payload["agg_distribution"]
-            )
-        if "filter_selectivity_range" in payload:
-            low, high = payload["filter_selectivity_range"]
-            payload["filter_selectivity_range"] = (float(low), float(high))
-        return cls(**payload)
-
-    def to_json(self, path) -> None:
-        """Write this configuration to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "WorkloadConfig":
-        """Load a configuration written by :meth:`to_json`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 _CHAINS: Dict[WorkflowType, MarkovChain] = {

@@ -5,22 +5,23 @@ vocabulary mirrors §4.3: *"Creating a visualization i.e., formulating and
 executing query, filtering/selecting, linking visualizations, and
 discarding a visualization."*
 
-Every class round-trips through plain dictionaries (and thus JSON files),
-which is the benchmark's on-disk workload format — generated workflow
-suites are written once and can be re-run, inspected with the viewer, or
-shared for reproducibility.
+Every class round-trips through plain dictionaries (and thus JSON files)
+via :mod:`repro.common.codec`, which is the benchmark's on-disk workload
+format — generated workflow suites are written once and can be re-run,
+inspected with the viewer, or shared for reproducibility.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.common import codec
 from repro.common.errors import ConfigurationError, WorkflowError
-from repro.query.filters import Filter, filter_from_dict
+from repro.query.filters import Filter
 from repro.query.model import Aggregate, AggQuery, BinDimension, BinKey
 
 
@@ -47,7 +48,7 @@ class WorkflowType(Enum):
 
 
 @dataclass(frozen=True)
-class VizSpec:
+class VizSpec(codec.Codable, error=WorkflowError):
     """A visualization: its data source, binning, and aggregates.
 
     The workload generator emits fully *resolved* bin dimensions (concrete
@@ -57,7 +58,7 @@ class VizSpec:
 
     name: str
     source: str
-    bins: Tuple[BinDimension, ...]
+    bins: Tuple[BinDimension, ...] = field(metadata=codec.key("binning"))
     aggregates: Tuple[Aggregate, ...]
 
     def __post_init__(self):
@@ -77,39 +78,12 @@ class VizSpec:
             filter=filter_expr,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "source": self.source,
-            "binning": [dim.to_dict() for dim in self.bins],
-            "aggregates": [agg.to_dict() for agg in self.aggregates],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VizSpec":
-        return cls(
-            name=data["name"],
-            source=data["source"],
-            bins=tuple(BinDimension.from_dict(d) for d in data["binning"]),
-            aggregates=tuple(Aggregate.from_dict(a) for a in data["aggregates"]),
-        )
-
-
-class Interaction:
-    """Base class of all user interactions."""
+class Interaction(codec.Codable, error=WorkflowError):
+    """Base class of all user interactions; ``Interaction.from_dict``
+    reads any of them by its ``"type"`` tag (the subclass's ``kind``)."""
 
     kind: str = ""
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_dict(data: dict) -> "Interaction":
-        kind = data.get("type")
-        parser = _INTERACTION_PARSERS.get(kind)
-        if parser is None:
-            raise WorkflowError(f"unknown interaction type {kind!r}")
-        return parser(data)
 
 
 @dataclass(frozen=True)
@@ -119,24 +93,14 @@ class CreateViz(Interaction):
     viz: VizSpec
     kind = "create_viz"
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "viz": self.viz.to_dict()}
-
 
 @dataclass(frozen=True)
 class SetFilter(Interaction):
     """Set (or clear, with ``filter=None``) a viz's own filter widget."""
 
-    viz_name: str
-    filter: Optional[Filter]
+    viz_name: str = field(metadata=codec.key("viz"))
+    filter: Optional[Filter] = None
     kind = "set_filter"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.kind,
-            "viz": self.viz_name,
-            "filter": self.filter.to_dict() if self.filter else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,9 +111,6 @@ class Link(Interaction):
     target: str
     kind = "link"
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "source": self.source, "target": self.target}
-
 
 @dataclass(frozen=True)
 class SelectBins(Interaction):
@@ -159,64 +120,45 @@ class SelectBins(Interaction):
     selection.
     """
 
-    viz_name: str
+    viz_name: str = field(metadata=codec.key("viz"))
     keys: Tuple[BinKey, ...]
     kind = "select_bins"
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.kind,
-            "viz": self.viz_name,
-            "keys": [list(key) for key in self.keys],
-        }
+    @classmethod
+    def from_dict(cls, data: dict) -> "SelectBins":
+        # Coordinates are coerced as they always were: finite numbers to
+        # int bin indexes, anything else to category strings.
+        keys = data.get("keys") if isinstance(data, dict) else None
+        if isinstance(keys, list) and all(isinstance(key, list) for key in keys):
+            data = {**data, "keys": [[_coordinate(c) for c in key] for key in keys]}
+        return super().from_dict(data)
+
+
+def _coordinate(value) -> Union[int, str]:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return int(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
 class DiscardViz(Interaction):
     """Remove a visualization (and its links) from the dashboard."""
 
-    viz_name: str
+    viz_name: str = field(metadata=codec.key("viz"))
     kind = "discard_viz"
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "viz": self.viz_name}
 
-
-def _parse_create(data: dict) -> CreateViz:
-    return CreateViz(VizSpec.from_dict(data["viz"]))
-
-
-def _parse_set_filter(data: dict) -> SetFilter:
-    return SetFilter(data["viz"], filter_from_dict(data.get("filter")))
-
-
-def _parse_link(data: dict) -> Link:
-    return Link(data["source"], data["target"])
-
-
-def _parse_select(data: dict) -> SelectBins:
-    keys = tuple(
-        tuple(int(c) if isinstance(c, (int, float)) and not isinstance(c, bool) else str(c) for c in key)
-        for key in data["keys"]
-    )
-    return SelectBins(data["viz"], keys)
-
-
-def _parse_discard(data: dict) -> DiscardViz:
-    return DiscardViz(data["viz"])
-
-
-_INTERACTION_PARSERS = {
-    "create_viz": _parse_create,
-    "set_filter": _parse_set_filter,
-    "link": _parse_link,
-    "select_bins": _parse_select,
-    "discard_viz": _parse_discard,
-}
+codec.union(
+    Interaction, "type",
+    {cls.kind: cls for cls in (CreateViz, SetFilter, Link, SelectBins, DiscardViz)},
+    noun="interaction", label="{} interaction",
+)
 
 
 @dataclass(frozen=True)
-class Workflow:
+class Workflow(codec.Codable, error=WorkflowError):
     """A named, typed sequence of interactions (one benchmark unit).
 
     ``interactions`` is a tuple for loaded and hand-built workflows and
@@ -225,7 +167,7 @@ class Workflow:
     """
 
     name: str
-    workflow_type: WorkflowType
+    workflow_type: WorkflowType = field(metadata=codec.key("type"))
     interactions: Sequence[Interaction]
 
     def __post_init__(self):
@@ -237,35 +179,6 @@ class Workflow:
     @property
     def num_interactions(self) -> int:
         return len(self.interactions)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.workflow_type.value,
-            "interactions": [interaction.to_dict() for interaction in self.interactions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Workflow":
-        return cls(
-            name=data["name"],
-            workflow_type=WorkflowType(data["type"]),
-            interactions=tuple(
-                Interaction.from_dict(item) for item in data["interactions"]
-            ),
-        )
-
-    def to_json(self, path: Union[str, Path]) -> None:
-        """Write this workflow to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
-
-    @classmethod
-    def from_json(cls, path: Union[str, Path]) -> "Workflow":
-        """Load a workflow previously written with :meth:`to_json`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def save_suite(workflows: Sequence[Workflow], directory: Union[str, Path]) -> List[Path]:

@@ -267,6 +267,45 @@ class TestRunAndReport:
         assert code == 0
 
 
+_BAD_WORKFLOWS = {
+    "unknown-type": (
+        {"name": "w", "type": "bogus", "interactions": [{"type": "link", "source": "a", "target": "b"}]},
+        "malformed Workflow: type: expected one of",
+    ),
+    "unknown-interaction": (
+        {"name": "w", "type": "custom", "interactions": [{"type": "bogus"}]},
+        "malformed Workflow: interactions[0].type: unknown interaction type 'bogus'",
+    ),
+    "non-object-interaction": (
+        {"name": "w", "type": "custom", "interactions": [["link", "a", "b"]]},
+        "malformed Workflow: interactions[0]: expected an object, got list",
+    ),
+}
+
+
+class TestMalformedWorkflowFiles:
+    """A bad workflow file is one stderr line and exit 1, never a
+    traceback, for every command that loads one."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_WORKFLOWS))
+    @pytest.mark.parametrize("command", ["view", "run"])
+    def test_one_stderr_line(self, tmp_path, capsys, command, case):
+        data, message = _BAD_WORKFLOWS[case]
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "w.json").write_text(json.dumps(data))
+        argv = (
+            ["view", str(suite / "w.json")] if command == "view" else [
+                "run", "--engine", "monetdb-sim", "--tr", "1", "--scale",
+                "5000", "--size", "S", "--workflows", str(suite),
+            ]
+        )
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+
+
 class TestCacheSubcommand:
     """repro cache {stats,clear,evict} — the artifact-store GC wiring."""
 

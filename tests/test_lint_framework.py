@@ -3,6 +3,8 @@ tiers, reporters, and the CLI exit-code contract."""
 
 import json
 
+import pytest
+
 from repro.analysis.engine import run_lint
 from repro.analysis.policy import DEFAULT_POLICY, Policy
 from repro.analysis.pragmas import parse_pragmas
@@ -111,9 +113,12 @@ class TestPragmas:
 
 
 class TestPolicyTiers:
-    def test_det003_fires_only_in_serialization_tier(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tiered", ["obs/mod.py", "common/codec.py", "bench/codec.py"]
+    )
+    def test_det003_fires_only_in_serialization_tier(self, tmp_path, tiered):
         body = "def f(d):\n    return [k for k in d.keys()]\n"
-        obs = tmp_path / "pkg" / "obs" / "mod.py"
+        obs = tmp_path / "pkg" / tiered
         other = tmp_path / "pkg" / "other" / "mod.py"
         for mod in (obs, other):
             mod.parent.mkdir(parents=True, exist_ok=True)

@@ -275,6 +275,10 @@ class TestMalformed:
         with pytest.raises(ProtocolError, match="version mismatch"):
             decode_body(body.encode())
 
+    def test_unhashable_type_with_a_foreign_version_is_a_mismatch(self):
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            decode_message({"v": PROTOCOL_VERSION + 1, "type": ["hello"]})
+
     def test_missing_version_rejected_for_session_frames(self):
         with pytest.raises(ProtocolError, match="version mismatch"):
             decode_message({"type": "attach"})
@@ -327,6 +331,23 @@ class TestMalformed:
         )
         with pytest.raises(ProtocolError):
             decode_body(body.encode())
+
+    @pytest.mark.parametrize("tag, fields, match", [
+        ("record", {"session_id": "s", "seq": None, "record": {}},
+         "malformed record frame: seq: expected int, got null"),
+        ("record", {"session_id": "s", "seq": "x", "record": {}},
+         "malformed record frame: seq: expected int, got str 'x'"),
+        ("progress", {"session_id": "s", "event": "e", "payload": [1, 2]},
+         "malformed progress frame: payload: expected an object, got list"),
+        ("detach", {"queries": "abc"},
+         "malformed detach frame: queries: expected int or null"),
+        ("error", {"code": "session", "message": 7},
+         "malformed error frame: message: expected str, got int"),
+    ], ids=["record-seq-null", "record-seq-str", "progress-list",
+            "detach-str-queries", "error-int-message"])
+    def test_ill_typed_fields_raise_protocol_errors(self, tag, fields, match):
+        with pytest.raises(ProtocolError, match=match):
+            decode_message({"v": PROTOCOL_VERSION, "type": tag, **fields})
 
     def test_attach_validates_mode(self):
         with pytest.raises(ProtocolError, match="unknown attach mode"):

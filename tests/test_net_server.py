@@ -308,8 +308,8 @@ class TestHandshake:
             def __init__(self, **fields):
                 self.fields = fields
 
-            def to_payload(self):
-                return self.fields
+            def to_dict(self):
+                return {"v": PROTOCOL_VERSION, "type": self.TYPE, **self.fields}
 
         bad = [
             {"accel": 0.0}, {"accel": -1.0}, {"accel": float("nan")},
@@ -326,6 +326,48 @@ class TestHandshake:
                         ProtocolError, match=rf"\[protocol\].*{field}"
                     ):
                         client.read_message()
+            _, csv_text = scripted_csv_over_tcp(host, port, 0, per_session=1)
+        assert csv_text == reference[0].csv_text()
+
+
+def _send_raw(client: NetClient, body: dict) -> None:
+    """Frame ``body`` by hand: input the typed message classes refuse."""
+    data = json.dumps(body).encode("utf-8")
+    client._sock.sendall(struct.pack(">I", len(data)) + data)
+
+
+_WEIRD_BIN_VIZ = {
+    "type": "create_viz",
+    "viz": {
+        "name": "v", "source": "flights",
+        "binning": [{"field": "DISTANCE", "kind": "weird"}],
+        "aggregates": [{"func": "count"}],
+    },
+}
+
+
+class TestMalformedClientFrames:
+    @pytest.mark.parametrize("interaction, path", [
+        ([], "interaction"),
+        (_WEIRD_BIN_VIZ, r"interaction\.viz\.binning\[0\]\.kind"),
+    ], ids=["non-object", "unknown-bin-kind"])
+    def test_malformed_interact_gets_typed_error_and_server_serves_on(
+        self, server_ctx, reference, interaction, path
+    ):
+        with ServerThread(_server(server_ctx)) as (host, port):
+            with NetClient(host, port) as client:
+                client.hello()
+                client.attach_client(name="bad")
+                _send_raw(client, {
+                    "v": PROTOCOL_VERSION, "type": "interact",
+                    "interaction": interaction,
+                })
+                with pytest.raises(
+                    ProtocolError,
+                    match=rf"\[protocol\]: malformed interact frame: {path}: ",
+                ):
+                    client.read_message()
+            # The connection handler survived: the next one is served.
             _, csv_text = scripted_csv_over_tcp(host, port, 0, per_session=1)
         assert csv_text == reference[0].csv_text()
 

@@ -944,7 +944,7 @@ def codec_pin_forms(ctx):
         "airports", "ORIGIN_KEY", (("ORIGIN", "code"), ("ORIGIN_STATE", "state"))
     ))
     # The lint's only writer (the --json reporter) sorts keys.
-    finding = Finding("src/a.py", 3, 7, "DET003", "unordered", "x = {}")
+    finding = Finding("src/repro/cli.py", 3, 7, "DET003", "unordered", "x = {}")
     yield "finding", json.dumps(finding.to_dict(), sort_keys=True).encode("utf-8")
     settings = ctx.settings
     specs = {
