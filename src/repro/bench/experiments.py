@@ -92,7 +92,7 @@ MAIN_ENGINES = ("monetdb-sim", "xdb-sim", "idea-sim", "system-x-sim")
 SEED_ROWS = 60_000
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _shared_scaler(seed: int, rows: int) -> CopulaScaler:
     """Process-wide memo of the fitted copula scaler (pure in its key).
 
@@ -100,7 +100,9 @@ def _shared_scaler(seed: int, rows: int) -> CopulaScaler:
     seed table it is fitted on is read by nothing else, so it lives for
     the fit and no longer, and scaled tables stay cached per context (and
     per artifact store), so a long-lived process sweeping large sizes
-    does not pin multi-GB tables for its lifetime.
+    does not pin multi-GB tables for its lifetime. One scaler is kept:
+    contexts of one seed share it, and a sweep over fresh seeds (one per
+    population unit) would only ever miss and keep the last few alive.
     """
     seed_table = generate_flights_seed(rows, seed=seed)
     return CopulaScaler.fit(seed_table, seed_value=seed)

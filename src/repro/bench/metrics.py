@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from typing import List, Optional, Tuple
@@ -115,28 +116,33 @@ def compute_metrics(
     """Evaluate one query's answer against its exact ground truth.
 
     ``result=None`` means nothing was available at the deadline — a TR
-    violation. A blocking engine's answer is the oracle's own object
+    violation. Engines hand one answer object out again: a blocking
+    engine's answer is the oracle's own object
     (:func:`repro.query.groundtruth.evaluate_exact` memoizes it on the
-    kernel), and its score against itself is memoized on the truth.
+    kernel), and System X memoizes its sample's answer on the kernel for
+    every TR. So an answer's score is memoized on it, and read while it
+    is scored against the same truth object.
     """
     if not ground_truth.exact:
         raise BenchmarkError("ground truth must be an exact result")
     truth = ground_truth.columns
     if result is None:
         return QueryMetrics.violated(len(truth.keys))
-    if result is ground_truth:
-        if truth.self_score is None:
-            truth.self_score = _score(truth, truth)
+    answer = result.columns
+    memo = answer.score_memo
+    if memo is not None and memo[0]() is truth:
         # A copy: records that shared one object would pickle it once,
         # and a stored cell's bytes would depend on the memo.
-        return copy.copy(truth.self_score)
-    answer = result.columns
+        return copy.copy(memo[1])
     if len(answer.values) != len(truth.values):
         raise BenchmarkError(
             f"answer holds {len(answer.values)} aggregate rows, its ground "
             f"truth {len(truth.values)}"
         )
-    return _score(answer, truth)
+    metrics = _score(answer, truth)
+    # Weak: an answer that is its own truth would otherwise be a cycle.
+    answer.score_memo = (weakref.ref(truth), metrics)
+    return metrics
 
 
 def _score(answer: BinColumns, truth: BinColumns) -> QueryMetrics:

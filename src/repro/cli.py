@@ -1350,11 +1350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args) -> int:
-    """Run the chosen subcommand; a :class:`BenchmarkError` it raises is
-    reported as one stderr line and exit code 1, never a traceback."""
+    """Run the chosen subcommand; a :class:`BenchmarkError` or an
+    ``OSError`` (a missing or unreadable file) it raises is reported as
+    one stderr line and exit code 1, never a traceback."""
     try:
         return args.func(args)
-    except BenchmarkError as error:
+    except (BenchmarkError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 1
 

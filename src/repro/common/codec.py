@@ -399,3 +399,52 @@ def unchecked(cls):
 
     _plans[cls] = _Plan(encode, checked_decode)
     return encode, raw_decode
+
+
+def checker(cls, error: type):
+    """``check(obj)`` for an instance of ``cls`` that an :func:`unchecked`
+    decode built: ``obj`` itself if every field holds its declared type,
+    else ``error`` naming the field path. For the boundary that reads a
+    peer's dicts; one class test per field, so the hot path can skip it."""
+    check = _instance_check(cls)
+
+    def checked(obj):
+        try:
+            check(obj)
+        except _Invalid as bad:
+            where = ".".join(str(step) for step in bad.path)
+            raise error(f"malformed {cls.__name__}: {where}: {bad.reason}") from None
+        return obj
+
+    return checked
+
+
+#: The classes a JSON value of each scalar type decodes to.
+_JSON_CLASSES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _instance_check(cls) -> Callable[[Any], None]:
+    hints = typing.get_type_hints(cls)
+    scalars, nested = [], []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        if dataclasses.is_dataclass(hint):
+            nested.append((field.name, _instance_check(hint)))
+        else:  # other hints fall through to their typed decoder
+            scalars.append((field.name, _JSON_CLASSES.get(hint, ()), _compile(hint).dec))
+
+    def check(obj) -> None:
+        for name, classes, dec in scalars:
+            value = getattr(obj, name)
+            if value.__class__ not in classes:
+                try:
+                    dec(value)
+                except _Invalid as bad:
+                    raise bad.at(name)
+        for name, inner in nested:
+            try:
+                inner(getattr(obj, name))
+            except _Invalid as bad:
+                raise bad.at(name)
+
+    return check

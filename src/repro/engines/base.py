@@ -29,7 +29,7 @@ import numpy as np
 from repro.common.clock import Clock, VirtualClock
 from repro.common.config import BenchmarkSettings
 from repro.common.errors import EngineError
-from repro.common.rng import derive_rng, derive_seed
+from repro.common.rng import derive_rng
 from repro.data.storage import Dataset
 from repro.engines.cost import EngineCostModel, PreparationModel
 from repro.engines.estimators import srs_estimate
@@ -340,34 +340,33 @@ class PrefixSamplingEngine(Engine):
     Every distinct query starts at its own deterministic rotation of one
     seeded whole-table permutation, so concurrent samples are
     decorrelated while re-executions of the *same* query extend the
-    *same* sample, and any prefix is an SRS of the table. One
-    :class:`PrefixKernelRun` per query aggregates it incrementally.
+    *same* sample, and any prefix is an SRS of the table. The query's
+    :class:`PrefixKernelRun` aggregates it incrementally; it lives on the
+    query's kernel, shared by every engine of this seed and name.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._permutation: Optional[np.ndarray] = None
-        #: query → incremental aggregation of its rotated prefix.
-        self._kernel_runs: Dict[AggQuery, PrefixKernelRun] = {}
+        #: query → its run, held weakly: a run dies with its evicted kernel.
+        self._kernel_runs = weakref.WeakValueDictionary()
 
     def _do_prepare(self) -> List[Tuple[str, float]]:
         self._permutation = self._shuffled_indices()
         return []
 
     def workflow_start(self) -> None:
-        """New workflow: the next polls re-aggregate from scratch
+        """New workflow: the next polls look their runs up again
         (bitwise-equivalent to continuing)."""
         self._kernel_runs.clear()
 
     def _kernel_run(self, query: AggQuery) -> PrefixKernelRun:
-        """The query's run; its rotation offset is hashed once, here."""
+        """The query's run on its kernel."""
         run = self._kernel_runs.get(query)
         if run is None:
-            offset = derive_seed(self.settings.seed, self.name, "rotation", query)
-            run = self._kernel_runs[query] = PrefixKernelRun(
-                get_kernel(self.dataset, query),
-                self._permutation,
-                offset % self.actual_rows,
+            kernel = get_kernel(self.dataset, query)
+            run = self._kernel_runs[query] = kernel.prefix_run(
+                self._permutation, self.settings.seed, self.name
             )
         return run
 

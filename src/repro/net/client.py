@@ -48,6 +48,7 @@ from repro.net.protocol import (
     SubmitViz,
     TurnDone,
     TurnGrant,
+    check_record,
     encode_message,
     decode_body,
     split_frame,
@@ -142,7 +143,9 @@ class NetClient:
                     raise ProtocolError(
                         f"server error [{message.code}]: {message.message}"
                     )
-                if isinstance(message, TurnGrant) and self.auto_ack:
+                if isinstance(message, Record):
+                    check_record(message.record)  # decoded unchecked
+                elif isinstance(message, TurnGrant) and self.auto_ack:
                     self.send(
                         TurnDone(
                             turn=message.turn,

@@ -84,7 +84,7 @@ from typing import Dict, Optional, Tuple, Type
 from repro.bench import codec
 from repro.bench.codec import record_to_dict  # noqa: F401 - re-exported
 from repro.bench.driver import QueryRecord
-from repro.common.codec import OMIT_UNSET, Codable, union
+from repro.common.codec import OMIT_UNSET, Codable, checker, union
 from repro.common.errors import ProtocolError
 from repro.workflow.spec import Interaction, VizSpec
 
@@ -117,12 +117,19 @@ _HEADER = struct.Struct(">I")
 # Record serialization (repro.bench.codec, typed for the wire)
 # ----------------------------------------------------------------------
 
+#: A record decoded unchecked (:mod:`repro.bench.codec`), returned if every
+#: field holds its declared type; else a :class:`ProtocolError`. A client
+#: reads a peer's records through it; the server's own spool does not.
+check_record = checker(QueryRecord, ProtocolError)
+
+
 def record_from_dict(data: dict) -> QueryRecord:
     """Rebuild the exact :class:`QueryRecord` a server evaluated."""
     try:
-        return codec.record_from_dict(data)
+        record = codec.record_from_dict(data)
     except (KeyError, TypeError) as error:
         raise ProtocolError(f"malformed record payload: {error}") from error
+    return check_record(record)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,10 @@ an estimate, for SUM/AVG; ``np.minimum.at`` for MIN, ``np.maximum.at`` for
 MAX). A kernel whose filter passes every row also skips the compress of
 rows without a group. :class:`PrefixKernelRun` makes polls over growing
 sample prefixes **incremental**: only the delta rows since the last poll
-are aggregated, turning per-session cost into O(n). A stratified sample
+are aggregated, turning per-session cost into O(n). Runs live on their
+kernel, one per sampling identity (:meth:`CompiledQueryKernel.prefix_run`),
+so every engine that samples a query the same way continues one fold and
+the kernel cache bounds runs as it bounds kernels. A stratified sample
 is aggregated in **one pass** too — :meth:`CompiledQueryKernel.evaluate_strata`
 scatters every stratum's rows into cells ``stratum * num_groups + gid``.
 
@@ -63,6 +66,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import QueryError
+from repro.common.rng import derive_seed
 from repro.data.storage import index_dtype, unique_inverse
 from repro.query.binning import compute_codes
 from repro.query.filters import evaluate_filter
@@ -275,6 +279,8 @@ class CompiledQueryKernel:
         self.exact_answer: Optional[QueryResult] = None
         #: System X's memo: (its sample's key plus confidence level, answer).
         self.sample_answer: Optional[Tuple[tuple, QueryResult]] = None
+        #: (seed, engine name) -> the prefix run of that sampling identity.
+        self._runs: Dict[Tuple[int, str], PrefixKernelRun] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -287,6 +293,19 @@ class CompiledQueryKernel:
         return self._grouping.mask
 
     # ------------------------------------------------------------------
+    def prefix_run(
+        self, permutation: np.ndarray, seed: int, name: str
+    ) -> "PrefixKernelRun":
+        """The run over ``permutation`` rotated as engine ``name`` at
+        ``seed`` rotates this query, shared by every engine sampling it so:
+        the seed and name fix both the permutation and the rotation
+        offset, which is hashed once, here."""
+        run = self._runs.get((seed, name))
+        if run is None:
+            offset = derive_seed(seed, name, "rotation", self.query)
+            run = self._runs[seed, name] = PrefixKernelRun(self, permutation, offset)
+        return run
+
     def new_accumulator(self, num_strata: int = 1) -> "KernelAccumulator":
         """A fresh running aggregation."""
         return KernelAccumulator(self, num_strata)
@@ -457,36 +476,51 @@ class PrefixKernelRun:
     ``permutation[offset:offset+n]`` (wrapping around). A run keeps the
     accumulator for the largest prefix polled so far and, on the next
     poll, folds in only the delta rows — a delta that wraps past the end
-    of the permutation included. Only a shrinking prefix (cancel/reissue
-    races) rebuilds from scratch, which is bitwise-equivalent, just
-    slower.
+    of the permutation included. A poll below that prefix (another engine
+    sharing the run, a later workflow, a cancel/reissue race) is folded
+    into a scratch accumulator, continued while such polls grow, and the
+    longest prefix is kept: bitwise the same answers, as continuing a
+    fold equals starting it from scratch.
+
+    The run reaches its kernel through a weak proxy: the kernel holds its
+    runs, and a strong reference back would keep an evicted kernel alive
+    until a cyclic collection.
     """
 
     def __init__(
         self, kernel: CompiledQueryKernel, permutation: np.ndarray, offset: int
     ):
-        self._kernel = kernel
+        self._kernel = weakref.proxy(kernel)
         self._permutation = permutation
         self._rows = len(permutation)
         self._offset = int(offset) % max(1, self._rows)
         self._accumulator: Optional[KernelAccumulator] = None
         self._n = 0
+        self._scratch: Optional[KernelAccumulator] = None
+        self._scratch_n = 0
+        self._polled_n = 0
         self.rebuilds = 0
 
     @property
     def polled_n(self) -> int:
         """The prefix length of the last poll."""
-        return self._n
+        return self._polled_n
 
     def poll(self, n: int) -> GroupedStats:
         """Stats of the first ``n`` prefix rows (``0 <= n <= rows``)."""
-        n = min(n, self._rows)
-        if self._accumulator is None or n < self._n:
-            self._accumulator = self._kernel.new_accumulator()
-            self._accumulator.update(self._slice(0, n))
-            if self._n:
+        self._polled_n = n = min(n, self._rows)
+        if n < self._n:
+            if self._scratch is None or n < self._scratch_n:
+                self._scratch = KernelAccumulator(self._kernel)
+                self._scratch_n = 0
                 self.rebuilds += 1
-        elif n > self._n:
+            if n > self._scratch_n:
+                self._scratch.update(self._slice(self._scratch_n, n))
+                self._scratch_n = n
+            return self._scratch.stats()
+        if self._accumulator is None:
+            self._accumulator = KernelAccumulator(self._kernel)
+        if n > self._n:
             self._accumulator.update(self._slice(self._n, n))
         self._n = n
         return self._accumulator.stats()

@@ -337,9 +337,10 @@ class BinColumns:
         this answer as the ground truth reads of it)."""
         return tuple(bool(row.all()) for row in self.values)
 
-    #: ``compute_metrics``'s score of this exact answer against itself,
-    #: set on first use (a blocking engine hands out the truth itself).
-    self_score = None
+    #: ``compute_metrics``'s last score of this answer: a weak reference
+    #: to the truth's columns and the metrics. A blocking engine hands out
+    #: the truth itself, and System X one memoized answer at every TR.
+    score_memo = None
 
 
 class QueryResult:

@@ -588,13 +588,21 @@ class TestExactAnswerIdentity:
     ):
         truth = evaluate_exact(flights_dataset, delay_avg_query)
         first = compute_metrics(truth, truth)
-        memo = truth.columns.self_score
+        memo = truth.columns.score_memo
         second = compute_metrics(truth, truth)
-        assert truth.columns.self_score is memo
-        assert first == second == memo
+        assert truth.columns.score_memo is memo
+        assert first == second == memo[1]
         assert first is not second  # records never share one object
         expected = regen.metrics_digest(_reference_compute_metrics(truth, truth))
         assert regen.metrics_digest(second) == expected
+
+    def test_truth_pickles_alike_scored_or_not(self, flights_dataset, delay_avg_query):
+        truth = pickle.loads(pickle.dumps(evaluate_exact(flights_dataset, delay_avg_query)))
+        unscored = pickle.dumps(truth)
+        compute_metrics(truth, truth)
+        compute_metrics(pickle.loads(unscored), truth)
+        assert truth.columns.score_memo is not None
+        assert pickle.dumps(truth) == unscored
 
     def test_pickled_truth_scores_alike(self, flights_dataset, delay_avg_query):
         truth = evaluate_exact(flights_dataset, delay_avg_query)

@@ -306,6 +306,14 @@ class TestMalformedWorkflowFiles:
         assert len(err.splitlines()) == 1
 
 
+    def test_missing_file_is_one_stderr_line(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such.json"
+        assert main(["view", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(missing) in err
+        assert len(err.splitlines()) == 1
+
+
 class TestCacheSubcommand:
     """repro cache {stats,clear,evict} — the artifact-store GC wiring."""
 

@@ -183,6 +183,49 @@ class TestSystemXAnswerMemo:
         assert answers[0] is not None
         assert answers[0] is answers[1]
 
+    def test_answer_scored_at_every_tr_is_scored_once(
+        self, dataset, tiny_settings, delay_avg_query, monkeypatch
+    ):
+        import pickle
+
+        from repro.bench import metrics
+        from repro.query.groundtruth import evaluate_exact
+
+        scored = []
+
+        def counting(answer, truth):
+            scored.append(answer)
+            return score(answer, truth)
+
+        score = metrics._score
+        monkeypatch.setattr(metrics, "_score", counting)
+        clear_kernel_cache()  # no answer or truth scored by earlier tests
+        truth = evaluate_exact(dataset, delay_avg_query)
+        first, second = (
+            metrics.compute_metrics(
+                _answer_at(
+                    _prepared(
+                        StratifiedSamplingEngine,
+                        dataset,
+                        tiny_settings.with_(time_requirement=tr),
+                    ),
+                    delay_avg_query,
+                ),
+                truth,
+            )
+            for tr in (0.5, 3.0)
+        )
+        assert len(scored) == 1
+        assert second == first and second is not first
+        # Another truth object, even an equal one, is scored anew.
+        answer = _answer_at(
+            _prepared(StratifiedSamplingEngine, dataset, tiny_settings),
+            delay_avg_query,
+        )
+        other = pickle.loads(pickle.dumps(truth))
+        assert metrics.compute_metrics(answer, other) == first
+        assert len(scored) == 2
+
     def test_confidence_level_gets_its_own_answer(
         self, dataset, tiny_settings, delay_avg_query
     ):

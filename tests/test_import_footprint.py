@@ -39,7 +39,10 @@ for seed in range(100, 112):
     ctx.profiles(size)
     ctx.oracle(size)
 gc.collect()
+hits = _shared_scaler.cache_info().hits
+ExperimentContext(BenchmarkSettings(data_size=size, scale=1_000_000, seed=seed)).scaler
 print(json.dumps({
+    "repeated_seed_hits": _shared_scaler.cache_info().hits - hits,
     "scipy_stats_imported": "scipy.stats" in sys.modules,
     "seed_tables_alive": sum(
         1 for o in gc.get_objects()
@@ -68,10 +71,15 @@ def test_set_up_never_imports_scipy_stats(probe):
 
 
 def test_twelve_set_ups_retain_no_seed_table(probe):
-    """Only the fitted scaler outlives a set-up (at most eight of them);
-    the 60 000-row table it was fitted on is gone with the fit."""
+    """Only the fitted scaler outlives a set-up (the last one alone); the
+    60 000-row table it was fitted on is gone with the fit."""
     assert probe["seed_tables_alive"] == 0
-    assert probe["scalers_memoized"] <= 8
+    assert probe["scalers_memoized"] <= 1
+
+
+def test_a_repeated_seed_reuses_its_scaler(probe):
+    """A context of the seed just set up fits nothing again."""
+    assert probe["repeated_seed_hits"] == 1
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.engines.cost import PROGRESSIVE_FIRST_QUERY_PENALTY
 from repro.engines.estimators import srs_estimate
-from repro.engines.kernel_cache import get_kernel
+from repro.engines.kernel_cache import clear_kernel_cache, get_kernel
 from repro.engines.onlineagg import OnlineAggEngine
 from repro.engines.progressive import ProgressiveEngine
-from repro.query.kernels import PrefixKernelRun
+from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 from reference_kernels import compute_grouped_stats
@@ -171,6 +172,50 @@ class TestPrefixKernelRunSchedules:
         assert_stats_equal(
             shrunk, compute_grouped_stats(flights_dataset, delay_avg_query, indices)
         )
+
+
+class TestSharedPrefixRuns:
+    """Runs live on their kernel, one per sampling identity: every engine
+    of one seed and name continues one fold."""
+
+    def test_engines_of_one_seed_and_name_share_a_run(
+        self, flights_dataset, tiny_settings, delay_avg_query
+    ):
+        def run_of(cls, settings):
+            engine = cls(flights_dataset, settings, VirtualClock())
+            engine.prepare()
+            return engine._kernel_run(delay_avg_query)
+
+        run = run_of(ProgressiveEngine, tiny_settings)
+        assert run_of(ProgressiveEngine, tiny_settings.with_(time_requirement=7.0)) is run
+        assert run_of(OnlineAggEngine, tiny_settings) is not run
+        assert run_of(ProgressiveEngine, tiny_settings.with_(seed=99)) is not run
+
+    @hyp_settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        offset=st.integers(0, 10 ** 6),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 10 ** 6)), max_size=16
+        ),
+    )
+    def test_interleaved_polls_equal_private_runs(
+        self, flights_dataset, filtered_query, offset, schedule
+    ):
+        rows = flights_dataset.num_fact_rows
+        kernel = CompiledQueryKernel(flights_dataset, filtered_query)
+        permutation = np.random.default_rng(31).permutation(rows)
+        shared = PrefixKernelRun(kernel, permutation, offset)
+        private = [PrefixKernelRun(kernel, permutation, offset) for _ in range(3)]
+        for engine, n in schedule:
+            # Engines poll growing prefixes of their own, from wherever
+            # the shared run already stands: polls below it come up too.
+            n %= rows + 1
+            assert_stats_equal(shared.poll(n), private[engine].poll(n))
+            assert shared.polled_n == n
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +368,7 @@ class TestEngineIncremental:
     ):
         """The rotation offset is a ``str(query)`` plus a SHA-256: paid
         when the query's run is built, not again on every poll."""
-        import repro.engines.base
+        import repro.query.kernels
         from repro.common.rng import derive_seed
 
         hashed = []
@@ -332,7 +377,8 @@ class TestEngineIncremental:
             hashed.append(parts)
             return derive_seed(*parts)
 
-        monkeypatch.setattr(repro.engines.base, "derive_seed", counting)
+        monkeypatch.setattr(repro.query.kernels, "derive_seed", counting)
+        clear_kernel_cache()  # runs live on cached kernels
         engine = OnlineAggEngine(flights_dataset, tiny_settings, VirtualClock())
         engine.prepare()
         engine.workflow_start()

@@ -316,6 +316,28 @@ class TestMalformed:
         with pytest.raises(ProtocolError, match="malformed record"):
             record_from_dict({"metrics": {}})
 
+    @pytest.mark.parametrize("path, value, match", [
+        (("start_time",), "x", r"start_time: expected a number, got str 'x'"),
+        (("metrics", "tr_violated"), 1, r"metrics\.tr_violated: expected bool, got int"),
+        (("query_id",), 1.5, r"query_id: expected int, got float"),
+    ])
+    def test_mistyped_record_frame_fails_typed_at_the_client(self, path, value, match):
+        body = json.loads(encode_body(Record("s0", 0, _record(random.Random(7)))))
+        fields = body["record"]
+        for step in path[:-1]:
+            fields = fields[step]
+        fields[path[-1]] = value
+        raw = json.dumps(body).encode()
+        # The codec copies a record's fields unchecked (the spool's hot path)...
+        assert isinstance(decode_body(raw), Record)
+        # ...and the client checks them as it reads the frame.
+        client = NetClient("unused", 0, auto_ack=False)
+        client._sock = _ScriptedSocket([struct.pack(">I", len(raw)) + raw])
+        with pytest.raises(ProtocolError, match="malformed QueryRecord: " + match):
+            client.read_message()
+        with pytest.raises(ProtocolError, match=match):
+            record_from_dict(body["record"])
+
     def test_record_codec_lives_below_the_wire(self):
         """net re-exports the bench-layer codec; only the typed error
         on the decode side is the wire's own."""

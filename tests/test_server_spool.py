@@ -340,6 +340,34 @@ class TestPopulationScale:
             resident = live_exact_answers() - held_elsewhere
             assert resident <= kernel_cache().capacity
 
+    def test_shared_engine_kernels_stay_within_the_kernel_cache(self, server_ctx):
+        """A shared engine's prefix runs live on their kernels and it holds
+        them weakly, so after 200 sessions, none of them still active, the
+        kernels left alive while the engine is number at most the kernel
+        cache's capacity (ROADMAP item 11)."""
+        import gc
+
+        from repro.engines.kernel_cache import clear_kernel_cache, kernel_cache
+        from repro.query.kernels import CompiledQueryKernel
+
+        def live_kernels():
+            gc.collect()
+            # Exact type: a run's weak proxy of its kernel passes isinstance.
+            return sum(
+                1 for obj in gc.get_objects() if type(obj) is CompiledQueryKernel
+            )
+
+        clear_kernel_cache()
+        held_elsewhere = live_kernels()
+        manager = SessionManager.for_engine(
+            server_ctx, "idea-sim", 200, per_session=1, share_engine=True,
+            spool=RecordSpool(),
+        )
+        manager.run()
+        assert manager.aggregate.sessions_served == 200
+        assert kernel_cache().evictions  # the engine polled past the capacity
+        assert live_kernels() - held_elsewhere <= kernel_cache().capacity
+
     def test_tr_violations_bend_as_shared_engine_saturates(self, scale_ctx):
         pct_violated = []
         for rate in (5.0, 15.0, 40.0):
