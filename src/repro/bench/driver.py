@@ -15,10 +15,11 @@ drivers, and generates reports". Concretely, for every workflow:
    run-time exceed TR are cancelled", §4.7), computes all metrics against
    the cached exact ground truth, and appends a row to the detailed
    report;
-4. on ``link`` interactions the driver hands the engine the speculative
-   queries every single-bin selection on the source would trigger
-   (the Exp.-3 extension; they are built only for an engine whose
-   ``speculates`` is set, or for a shared engine's ``delete_vizs``).
+4. on ``link`` interactions the driver hands an engine whose
+   ``speculates`` is set the queries every single-bin selection on the
+   source would trigger (the Exp.-3 extension), and hands exactly those
+   back through ``delete_vizs`` when the workflow ends on a shared engine
+   or the session is abandoned; for any other engine none is built.
 
 The event loop itself lives in :class:`SessionDriver` — a *steppable*
 discrete-event machine representing one simulated IDE session (one user,
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.clock import VirtualClock
@@ -53,7 +53,7 @@ from repro.common.errors import BenchmarkError
 from repro.bench.metrics import QueryMetrics, compute_metrics
 from repro.obs.metrics import DEFAULT_VT_BUCKETS, get_metrics
 from repro.obs.tracer import get_tracer
-from repro.query.filters import Filter, conjoin
+from repro.query.filters import conjoin
 from repro.query.groundtruth import GroundTruthOracle
 from repro.workflow.policy import (
     PENDING,
@@ -61,13 +61,12 @@ from repro.workflow.policy import (
     PolicyView,
     WorkflowPlan,
 )
-from repro.query.model import AggQuery, BinKey
+from repro.query.model import AggQuery
 from repro.workflow.graph import VizGraph, VizNode
 from repro.workflow.spec import (
     DiscardViz,
     Interaction,
     Link,
-    VizSpec,
     Workflow,
     WorkflowType,
 )
@@ -119,31 +118,6 @@ class _Deadline:
     query: AggQuery = field(compare=False)
     submitted_at: float = field(compare=False)
     num_concurrent: int = field(compare=False)
-
-
-@dataclass(eq=False)
-class _LinkHint:
-    """One link's speculative queries, as of the moment it was hinted.
-
-    The source's displayed bins, both specs and both filters are captured
-    then (the graph moves on); :attr:`queries` is built on first read.
-    """
-
-    keys: Sequence[BinKey]
-    source: VizSpec
-    target: VizSpec
-    target_filter: Optional[Filter]
-    upstream: Optional[Filter]
-
-    @cached_property
-    def queries(self) -> List[AggQuery]:
-        """The query of every single-bin selection on the source."""
-        speculative: List[AggQuery] = []
-        for key in self.keys:
-            selection = VizNode(spec=self.source, selection=(key,)).selection_filter()
-            effective = conjoin([self.target_filter, selection, self.upstream])
-            speculative.append(self.target.base_query(effective))
-        return speculative
 
 
 class SessionDriver:
@@ -239,7 +213,8 @@ class SessionDriver:
         self._graph = VizGraph()
         self._deadlines: List[_Deadline] = []
         self._sequence = 0
-        self._hints: List[_LinkHint] = []
+        #: Speculative queries linked to the engine, in link order.
+        self._hints: List[AggQuery] = []
         self._policy = policy
         self._plan: Optional[WorkflowPlan] = None
         self._pending: Optional[Interaction] = None
@@ -433,11 +408,7 @@ class SessionDriver:
         for deadline in self._deadlines:
             self.engine.cancel(deadline.handle)
         self._deadlines = []
-        if self.engine.speculates or not self.lifecycle:
-            # A lifecycle session's engine is private and retires with
-            # it: only hints it was actually handed need freeing.
-            self._free_hints()
-        self._hints = []
+        self._free_hints()
         if self.lifecycle and self._wf_start is not None:
             self.engine.workflow_end()
         self._finished = True
@@ -572,11 +543,11 @@ class SessionDriver:
         if self.lifecycle:
             self.engine.workflow_end()
         else:
-            # Without the workflow_end hook (shared-engine serving) the
-            # engine would never learn this workflow's speculation hints
+            # Without the workflow_end hook (shared-engine serving) a
+            # speculating engine would never learn this workflow's hints
             # are obsolete: stale speculative tasks would keep consuming
             # capacity and pin the engine's speculation cap for every
-            # other session. Free exactly what this session hinted.
+            # other session. Free exactly what this session linked.
             self._free_hints()
         self._hints = []
         self._wf_index += 1
@@ -632,35 +603,35 @@ class SessionDriver:
         return record
 
     def _hint_speculation(self, graph: VizGraph, link: Link) -> None:
-        """Record the single-bin-selection queries a link enables (§5.4).
+        """Link the single-bin-selection queries a link enables (§5.4).
 
         IDEA's experimental extension "executes queries for every possible
         single bin selection in the source visualization". The candidate
         bins come from the exact answer of the source's current query —
         the same bins the source visualization is displaying. That answer
         is read on every engine, so no oracle or kernel-cache counter
-        depends on the engine; the queries are built here only for an
-        engine that speculates, and otherwise only if a shared engine's
-        ``delete_vizs`` needs them (:meth:`_free_hints`).
+        depends on the engine; the queries are built only for an engine
+        that speculates.
         """
         source_result = self.oracle.answer(graph.query_for(link.source))
+        if not self.engine.speculates:
+            return
+        source = graph.node(link.source).spec
         target = graph.node(link.target)
-        hint = _LinkHint(
-            source_result.columns.keys[:MAX_SPECULATIVE_PER_LINK],
-            graph.node(link.source).spec,
-            target.spec,
-            target.own_filter,
-            graph.effective_filter(link.source),
-        )
-        self._hints.append(hint)
-        if self.engine.speculates:
-            self.engine.link_vizs(hint.queries)
+        upstream = graph.effective_filter(link.source)
+        queries = []
+        for key in source_result.columns.keys[:MAX_SPECULATIVE_PER_LINK]:
+            selection = VizNode(spec=source, selection=(key,)).selection_filter()
+            effective = conjoin([target.own_filter, selection, upstream])
+            queries.append(target.spec.base_query(effective))
+        self._hints.extend(queries)
+        self.engine.link_vizs(queries)
 
     def _free_hints(self) -> None:
-        """Hand the engine every query this session hinted, in link order."""
-        queries = [query for hint in self._hints for query in hint.queries]
-        if queries:
-            self.engine.delete_vizs(queries)
+        """Hand the engine back every query this session linked."""
+        if self._hints:
+            self.engine.delete_vizs(self._hints)
+        self._hints = []
 
 
 class BenchmarkDriver:

@@ -131,18 +131,33 @@ class BucketedSearch:
     table holds each 1/4096-wide bucket's answer, and only rows whose bucket
     holds an edge search, about ``len(edges) / 4096`` of them. NaN (or ``u``
     past 1) falls in an always-searched bucket, so it maps to ``len(edges)``
-    as in numpy. Answers take the narrowest unsigned type holding them."""
+    as in numpy. Answers take the narrowest unsigned type holding them.
+    ``edges`` are sorted and not NaN; building costs O(buckets + edges)."""
 
     BUCKETS = 4096
 
     def __init__(self, edges: Sequence[float], side: str) -> None:
         self.edges, self.side = np.asarray(edges, dtype=np.float64), side
-        grid = np.arange(self.BUCKETS + 2) / self.BUCKETS
-        start = self.edges.searchsorted(grid[:-1], side)
-        inside = start != self.edges.searchsorted(grid[1:], "left")
+        scaled = np.clip(self.edges * self.BUCKETS, -0.5, self.BUCKETS + 1.5)
+        # Grid point k / BUCKETS lies above an edge from k = floor(scaled) + 1
+        # on, and at or above it from k = ceil(scaled) on. Scaling by a power
+        # of two is exact, so these counts are what searchsorted answers.
+        below = self._counts(np.floor(scaled) + 1)
+        start = below if side == "left" else self._counts(np.ceil(scaled))
+        start = start[: self.BUCKETS + 1]
+        inside = start != below[1:]
         # The last bucket (u past (BUCKETS + 1) / BUCKETS, NaN) always searches.
         self.inside = np.append(inside, True)
         self.start = np.append(start, 0).astype(np.min_scalar_type(len(self.edges)))
+
+    @classmethod
+    def _counts(cls, first: np.ndarray) -> np.ndarray:
+        """Per grid point k = 0..BUCKETS + 1, how many of the nondecreasing
+        ``first`` (each in [0, BUCKETS + 2]) are at most k: a step function,
+        one run per edge."""
+        bounds = np.empty(len(first) + 2, np.intp)
+        bounds[0], bounds[1:-1], bounds[-1] = 0, first, cls.BUCKETS + 2
+        return np.arange(len(first) + 1).repeat(bounds[1:] - bounds[:-1])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         bucket = np.fmin(u * self.BUCKETS, self.BUCKETS + 1).astype(np.intp)

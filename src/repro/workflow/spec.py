@@ -13,7 +13,9 @@ inspected with the viewer, or shared for reproducibility.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -194,6 +196,15 @@ def save_suite(workflows: Sequence[Workflow], directory: Union[str, Path]) -> Li
 
 
 def load_suite(directory: Union[str, Path]) -> List[Workflow]:
-    """Load every ``*.json`` workflow in ``directory`` (sorted by name)."""
+    """Load every ``*.json`` workflow in ``directory`` (sorted by name).
+
+    A missing directory raises :class:`FileNotFoundError`, and one holding
+    no ``*.json`` file raises :class:`WorkflowError`: a run needs workflows.
+    """
     directory = Path(directory)
-    return [Workflow.from_json(path) for path in sorted(directory.glob("*.json"))]
+    if not directory.exists():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(directory))
+    paths = sorted(directory.glob("*.json"))
+    if not paths:
+        raise WorkflowError(f"no workflow (*.json) in {directory}")
+    return [Workflow.from_json(path) for path in paths]

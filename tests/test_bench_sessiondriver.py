@@ -343,8 +343,9 @@ class TestSpeculationHints:
         assert calls == [("link", queries) for queries in _pinned_links()]
 
     @pytest.mark.parametrize("engine_name", MAIN_ENGINES + ("system-y-sim",))
-    def test_shared_engine_frees_the_pinned_queries_at_workflow_end(
-        self, engine_name, flights_dataset, tiny_settings, flights_oracle
+    def test_non_speculating_shared_engine_gets_no_hint(
+        self, engine_name, flights_dataset, tiny_settings, flights_oracle,
+        hint_builds,
     ):
         engine = make_engine(engine_name, flights_dataset, tiny_settings, VirtualClock())
         engine.prepare()
@@ -353,14 +354,27 @@ class TestSpeculationHints:
             engine, flights_oracle, tiny_settings, [_hint_workflow()],
             lifecycle=False,
         ).run()
+        assert calls == [] and hint_builds == []
+
+    def test_speculating_shared_engine_frees_the_pinned_queries_at_workflow_end(
+        self, flights_dataset, tiny_settings, flights_oracle
+    ):
+        engine = self._idea(flights_dataset, tiny_settings, True)
+        calls = _spied(engine)
+        SessionDriver(
+            engine, flights_oracle, tiny_settings, [_hint_workflow()],
+            lifecycle=False,
+        ).run()
         first, second = _pinned_links()
-        assert calls == [("delete", first + second)]
+        assert calls == [("link", first), ("link", second), ("delete", first + second)]
 
     @pytest.mark.parametrize("links", [1, 2])
+    @pytest.mark.parametrize("speculation", [True, False])
     def test_shared_engine_frees_what_was_linked_on_abandon(
-        self, links, flights_dataset, tiny_settings, flights_oracle
+        self, links, speculation, flights_dataset, tiny_settings, flights_oracle,
+        hint_builds,
     ):
-        engine = self._idea(flights_dataset, tiny_settings, False)
+        engine = self._idea(flights_dataset, tiny_settings, speculation)
         calls = _spied(engine)
         driver = SessionDriver(
             engine, flights_oracle, tiny_settings, [_hint_workflow()],
@@ -369,7 +383,32 @@ class TestSpeculationHints:
         self._step_to_links(driver, links)
         driver.abandon()
         pinned = _pinned_links()[:links]
-        assert calls == [("delete", [q for queries in pinned for q in queries])]
+        linked = [("link", queries) for queries in pinned]
+        freed = [("delete", [q for queries in pinned for q in queries])]
+        assert calls == (linked + freed if speculation else [])
+        assert bool(hint_builds) == speculation
+
+    def test_shared_workflow_end_keeps_other_sessions_reuse(
+        self, flights_dataset, tiny_settings, flights_oracle, two_workflows
+    ):
+        """Session A's reuse head start for a query equal to one of B's
+        single-bin hints survives B's workflow end on a shared engine."""
+        settings = tiny_settings.with_(time_requirement=0.5)  # never the table
+        selecting = two_workflows[:1]  # its last query is a carrier selection
+
+        def reissued_rows(linkers):
+            engine = self._idea(flights_dataset, settings, False)
+            rows = []
+            for workflows in [selecting, *linkers, selecting]:
+                records = SessionDriver(
+                    engine, flights_oracle, settings, workflows, lifecycle=False
+                ).run()
+                rows.append(records[-1].rows_processed)
+            return rows[0], rows[-1]
+
+        first, reissued = reissued_rows([[_hint_workflow()]])
+        assert reissued == 2 * first > 0  # resumed from A's first deadline
+        assert reissued_rows([]) == (first, reissued)
 
     def test_private_engine_abandon_frees_only_linked_hints(
         self, flights_dataset, tiny_settings, flights_oracle, hint_builds

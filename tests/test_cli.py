@@ -313,6 +313,26 @@ class TestMalformedWorkflowFiles:
         assert "No such file or directory" in err and str(missing) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("present", [False, True])
+    def test_missing_or_empty_workflow_directory_is_one_stderr_line(
+        self, tmp_path, capsys, present
+    ):
+        suite = tmp_path / "suite"
+        if present:
+            suite.mkdir()
+            (suite / "notes.txt").write_text("not a workflow")
+        argv = [
+            "run", "--engine", "monetdb-sim", "--tr", "1", "--scale", "5000",
+            "--size", "S", "--workflows", str(suite),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        expected = (
+            f"no workflow (*.json) in {suite}" if present
+            else f"[Errno 2] No such file or directory: '{suite}'"
+        )
+        assert err == expected + "\n"
+
 
 class TestCacheSubcommand:
     """repro cache {stats,clear,evict} — the artifact-store GC wiring."""

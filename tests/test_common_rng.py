@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from repro.common.errors import WorkflowError
 from repro.common.rng import (
@@ -183,18 +183,35 @@ _BOUNDARY = st.integers(0, 4097).flatmap(
 _UNIT = st.one_of(st.floats(0.0, 1.0), _BOUNDARY, st.sampled_from([0.0, 1.0]))
 
 
+def _sorted_edges(element, max_size=40):
+    """Sorted lists of ``element``, some of them repeated."""
+    return st.lists(element, max_size=max_size).flatmap(
+        lambda xs: st.lists(st.sampled_from(xs), max_size=10).map(
+            lambda extra: sorted(xs + extra)
+        ) if xs else st.just([])
+    )
+
+
+#: Every grid point k / 4096 up to past the last bucket, each twice.
+_EVERY_GRID_POINT_TWICE = (np.repeat(np.arange(4099), 2) / 4096).tolist()
+
+
+def _searchsorted_tables(edges, side):
+    """The bucket tables built with two searchsorted calls over the grid."""
+    edges = np.asarray(edges, dtype=np.float64)
+    grid = np.arange(BucketedSearch.BUCKETS + 2) / BucketedSearch.BUCKETS
+    start = edges.searchsorted(grid[:-1], side)
+    inside = start != edges.searchsorted(grid[1:], "left")
+    return np.append(start, 0), np.append(inside, True)
+
+
 class TestBucketedSearch:
     """:class:`BucketedSearch` answers what ``np.searchsorted`` answers for
     every ``u`` in [0, 1], and maps NaN to ``len(edges)`` as numpy does."""
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(
-        edges=st.lists(_UNIT, max_size=40).flatmap(
-            # duplicate some edges
-            lambda xs: st.lists(st.sampled_from(xs), max_size=10).map(
-                lambda extra: sorted(xs + extra)
-            ) if xs else st.just([])
-        ),
+        edges=_sorted_edges(_UNIT),
         u=st.lists(st.one_of(_UNIT, st.just(float("nan"))), max_size=60),
         side=st.sampled_from(["left", "right"]),
     )
@@ -202,6 +219,26 @@ class TestBucketedSearch:
         u = np.array(u, dtype=np.float64)
         found = BucketedSearch(edges, side)(u)
         np.testing.assert_array_equal(found, np.searchsorted(edges, u, side))
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(
+        edges=_sorted_edges(
+            st.one_of(
+                _UNIT,
+                st.floats(-1.0, 2.0),
+                st.sampled_from([-np.inf, -1e300, 5e-324, 1e300, np.inf]),
+            ),
+            max_size=60,
+        ),
+        side=st.sampled_from(["left", "right"]),
+    )
+    @example(edges=_EVERY_GRID_POINT_TWICE, side="left")
+    @example(edges=_EVERY_GRID_POINT_TWICE, side="right")
+    def test_tables_equal_the_searchsorted_build(self, edges, side):
+        search = BucketedSearch(edges, side)
+        start, inside = _searchsorted_tables(edges, side)
+        np.testing.assert_array_equal(search.start, start)
+        np.testing.assert_array_equal(search.inside, inside)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_nan_maps_past_the_last_edge(self, side):

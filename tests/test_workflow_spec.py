@@ -107,3 +107,9 @@ class TestWorkflow:
         assert len(paths) == 2
         loaded = load_suite(tmp_path / "suite")
         assert loaded == [workflow, other]
+
+    def test_load_suite_needs_a_directory_of_workflows(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_suite(tmp_path / "missing")
+        with pytest.raises(WorkflowError, match="no workflow"):
+            load_suite(tmp_path)
