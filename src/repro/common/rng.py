@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import List, Sequence, TypeVar
+from functools import cached_property
+from typing import List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -123,32 +124,41 @@ def uniform(rng: np.random.Generator, low: float, high: float) -> float:
 def choice_weighted(rng: np.random.Generator, size: int, p: np.ndarray) -> np.ndarray:
     """``rng.choice(len(p), size=size, p=p)``, which searches ``random(size)``
     in ``choice_cdf(p)`` with ``side="right"``."""
-    return BucketedSearch(choice_cdf(p), "right")(rng.random(size)).astype(np.intp)
+    found = BucketedSearch(choice_cdf(p), "right")(rng.random(size))
+    return found.astype(np.intp, copy=False)
 
 
 class BucketedSearch:
-    """``np.searchsorted(edges, u, side)`` for ``u`` in [0, 1], exactly: a
-    table holds each 1/4096-wide bucket's answer, and only rows whose bucket
-    holds an edge search, about ``len(edges) / 4096`` of them. NaN (or ``u``
-    past 1) falls in an always-searched bucket, so it maps to ``len(edges)``
-    as in numpy. Answers take the narrowest unsigned type holding them.
-    ``edges`` are sorted and not NaN; building costs O(buckets + edges)."""
+    """``np.searchsorted(edges, u, side)`` for ``u`` in [0, 1], exactly.
+
+    A draw shorter than :attr:`BUCKETS` rows is that call. A longer one
+    reads :attr:`tables`, built on the first such draw: each 1/4096-wide
+    bucket's answer, and whether an edge lies in the bucket; only rows whose
+    bucket holds an edge search, about ``len(edges) / 4096`` of them. NaN (or
+    ``u`` past 1) falls in an always-searched bucket, so it maps to
+    ``len(edges)`` as in numpy. Table answers take the narrowest unsigned
+    type holding them. ``edges`` are sorted and not NaN; building costs
+    O(buckets + edges), more than a short draw's whole search."""
 
     BUCKETS = 4096
 
     def __init__(self, edges: Sequence[float], side: str) -> None:
         self.edges, self.side = np.asarray(edges, dtype=np.float64), side
+
+    @cached_property
+    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per bucket, plus one past 1 and NaN: ``(start, inside)``."""
         scaled = np.clip(self.edges * self.BUCKETS, -0.5, self.BUCKETS + 1.5)
         # Grid point k / BUCKETS lies above an edge from k = floor(scaled) + 1
         # on, and at or above it from k = ceil(scaled) on. Scaling by a power
         # of two is exact, so these counts are what searchsorted answers.
         below = self._counts(np.floor(scaled) + 1)
-        start = below if side == "left" else self._counts(np.ceil(scaled))
+        start = below if self.side == "left" else self._counts(np.ceil(scaled))
         start = start[: self.BUCKETS + 1]
         inside = start != below[1:]
         # The last bucket (u past (BUCKETS + 1) / BUCKETS, NaN) always searches.
-        self.inside = np.append(inside, True)
-        self.start = np.append(start, 0).astype(np.min_scalar_type(len(self.edges)))
+        start = np.append(start, 0).astype(np.min_scalar_type(len(self.edges)))
+        return start, np.append(inside, True)
 
     @classmethod
     def _counts(cls, first: np.ndarray) -> np.ndarray:
@@ -160,8 +170,11 @@ class BucketedSearch:
         return np.arange(len(first) + 1).repeat(bounds[1:] - bounds[:-1])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(u) < self.BUCKETS:
+            return self.edges.searchsorted(u, self.side)
+        start, inside = self.tables
         bucket = np.fmin(u * self.BUCKETS, self.BUCKETS + 1).astype(np.intp)
-        found = self.start.take(bucket)
-        rows = self.inside.take(bucket).nonzero()[0]
+        found = start.take(bucket)
+        rows = inside.take(bucket).nonzero()[0]
         found[rows] = self.edges.searchsorted(u.take(rows), self.side)
         return found

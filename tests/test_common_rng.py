@@ -235,10 +235,10 @@ class TestBucketedSearch:
     @example(edges=_EVERY_GRID_POINT_TWICE, side="left")
     @example(edges=_EVERY_GRID_POINT_TWICE, side="right")
     def test_tables_equal_the_searchsorted_build(self, edges, side):
-        search = BucketedSearch(edges, side)
-        start, inside = _searchsorted_tables(edges, side)
-        np.testing.assert_array_equal(search.start, start)
-        np.testing.assert_array_equal(search.inside, inside)
+        start, inside = BucketedSearch(edges, side).tables
+        expected_start, expected_inside = _searchsorted_tables(edges, side)
+        np.testing.assert_array_equal(start, expected_start)
+        np.testing.assert_array_equal(inside, expected_inside)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_nan_maps_past_the_last_edge(self, side):
@@ -247,8 +247,23 @@ class TestBucketedSearch:
         assert found.tolist() == [3, 0, 3 if side == "right" else 2, 3]
 
     def test_only_buckets_holding_an_edge_search(self):
-        search = BucketedSearch([0.1, 0.2, 0.3, 0.3, 0.5, 1.0], "left")
+        start, inside = BucketedSearch([0.1, 0.2, 0.3, 0.3, 0.5, 1.0], "left").tables
         # four distinct edges inside [0, 1]; 1.0 opens the top bucket, and
         # the last bucket (past 1, NaN) always searches
-        assert int(search.inside.sum()) == 6
-        assert search.start.dtype == np.uint8
+        assert int(inside.sum()) == 6
+        assert start.dtype == np.uint8
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("rows", [1, 100, 4_095, 4_096, 4_097, 20_000])
+    def test_short_and_long_draws_equal_searchsorted(self, rows, side):
+        """Draws shorter than ``BUCKETS`` rows search directly and build no
+        table; the first longer draw builds it, once."""
+        edges = np.cumsum(np.arange(1, 41)) / np.arange(1, 41).sum()
+        u = np.random.default_rng(rows).random(rows)
+        u[[0, rows // 2, rows - 1]] = [0.0, 1.0, np.nan]
+        search = BucketedSearch(edges, side)
+        np.testing.assert_array_equal(search(u), np.searchsorted(edges, u, side))
+        assert ("tables" in vars(search)) == (rows >= BucketedSearch.BUCKETS)
+        tables = vars(search).get("tables")
+        np.testing.assert_array_equal(search(u), np.searchsorted(edges, u, side))
+        assert vars(search).get("tables") is tables

@@ -10,10 +10,20 @@ import numpy as np
 import pytest
 
 from repro.common.errors import DataGenerationError
-from repro.data.generator import CopulaScaler, scale_dataset
+from repro.data.generator import _APPLY_ROWS, CopulaScaler, scale_dataset
 from repro.data.seed import generate_flights_seed
 from repro.data.stats import spearman_correlation
 from repro.data.storage import Table
+
+
+def stored_bytes(table):
+    """Every stored array of ``table``: its dtype and its bytes."""
+    arrays = []
+    for name in table.column_names:
+        numeric = table.is_numeric(name)
+        parts = (table[name],) if numeric else table.categorical(name)
+        arrays.extend((part.dtype.str, part.tobytes()) for part in parts)
+    return arrays
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +67,21 @@ class TestGenerate:
         one_batch = scaler.generate(1_000, batch_rows=2_000, stream="x")
         many_batches = scaler.generate(1_000, batch_rows=100, stream="x")
         assert one_batch.equals(many_batches)
+
+    @pytest.mark.parametrize("batch_rows", [4_096, 40_000, 200_000])
+    @pytest.mark.parametrize("num_rows", [1, 4_095, 4_097, _APPLY_ROWS + 1, 70_000])
+    def test_split_never_shows_in_the_bytes(self, scaler, num_rows, batch_rows):
+        """Batches, the correlating product's row blocks and the inverse
+        CDFs' chunks all split the rows; none may move a stored byte."""
+        whole = stored_bytes(scaler.generate(num_rows, batch_rows=num_rows))
+        split = stored_bytes(scaler.generate(num_rows, batch_rows=batch_rows))
+        assert split == whole
+
+    @pytest.mark.parametrize("batch_rows", [0, -5])
+    def test_rejects_batches_without_rows(self, scaler, batch_rows):
+        message = f"batch_rows must be >= 1, got {batch_rows}"
+        with pytest.raises(DataGenerationError, match=message):
+            scaler.generate(10, batch_rows=batch_rows)
 
     def test_streams_are_independent(self, scaler):
         a = scaler.generate(500, stream="a")

@@ -25,7 +25,7 @@ import pytest
 
 from repro.bench.experiments import ExperimentContext
 from repro.common.config import BenchmarkSettings
-from repro.data.generator import CopulaScaler
+from repro.data.generator import _APPLY_ROWS, CopulaScaler
 from repro.data.normalize import FLIGHTS_STAR_SPEC, normalize
 from repro.data.storage import index_dtype, int_dtype
 from repro.query.filters import RangePredicate
@@ -177,20 +177,26 @@ def test_flights_tables_are_stored_narrow(flights_table, scaled_flights):
 
 
 def test_generate_holds_no_second_copy_of_its_output(flights_table):
-    """Above its output, a three-batch build peaks at a batch's two
-    (rows × columns) float64 buffers plus the inverse CDFs' row-sized
-    temporaries: batches are written into the preallocated output, which
-    a concatenation of kept batches would hold twice."""
+    """Above its output, a three-batch build peaks at one batch's
+    (rows × columns) float64 buffer, one (columns × ``_APPLY_ROWS``)
+    buffer of uniforms and the inverse CDFs' chunk-sized temporaries
+    (6.5 float64 arrays of a chunk's length): the normals are correlated
+    in place, and every batch is written into the preallocated output,
+    which a concatenation of kept batches would hold twice. The batch is
+    several chunks long, so a second batch-sized buffer cannot hide in
+    the allowance."""
     scaler = CopulaScaler.fit(flights_table, fit_sample=2_000, seed_value=5)
-    batch = 40_000
-    buffer = batch * len(scaler.column_names) * 8
+    columns = len(scaler.column_names)
+    batch = 4 * _APPLY_ROWS
+    allowance = 8 * _APPLY_ROWS * 8
+    bound = (batch + _APPLY_ROWS) * columns * 8 + allowance
     tracemalloc.start()
     try:
         table = scaler.generate(3 * batch, batch_rows=batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.memory_bytes() < 2 * buffer + buffer // 4
+    assert peak - table.memory_bytes() < bound
 
 
 def _array_bytes(obj, seen) -> int:
