@@ -1189,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_connect.add_argument("--timeout", type=float, default=60.0,
                            help="socket timeout in seconds")
     p_connect.add_argument("--stats", action="store_true",
-                           help="pull the server's live metrics/profile "
+                           help="pull the server's live metrics "
                                 "snapshot (STATS message) instead of "
                                 "attaching a session; --out writes the "
                                 "canonical-JSON payload")

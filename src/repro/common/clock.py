@@ -20,7 +20,7 @@ This module is also the single place the codebase reads *measurement*
 wall time from: :func:`perf_seconds` wraps :func:`time.perf_counter`
 behind a swappable source, so every profiling/elapsed-time stamp
 (CLI timings, executor cell walls, server ``wall_seconds``, network
-bench walls, the :mod:`repro.obs` profiler) is monotonic and mockable
+bench walls, :func:`repro.obs.timed_stage`) is monotonic and mockable
 in tests via :func:`set_perf_source`.
 """
 

@@ -29,7 +29,7 @@ Eviction is LRU with a configurable capacity
 (``REPRO_KERNEL_CACHE_SIZE``). Hit/miss/eviction counts are kept as plain
 attributes always, and mirrored into the ``obs`` metrics registry
 (``repro_kernel_cache_*_total``) while observability is enabled; compile
-time lands in the profiler's ``compile`` stage.
+time lands in the ``compile`` stage (:func:`repro.obs.timed_stage`).
 
 There is no off switch: :func:`get_kernel` always returns a compiled
 kernel, the only way library code computes grouped statistics. Every
@@ -45,8 +45,8 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import BenchmarkError
+from repro.obs import timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import STAGE_COMPILE, get_profiler
 from repro.obs.tracer import get_tracer
 from repro.query.kernels import CompiledQueryKernel
 from repro.query.model import AggQuery
@@ -106,7 +106,7 @@ class KernelCache:
             return kernel
         self.misses += 1
         self._publish("misses")
-        with get_profiler().stage(STAGE_COMPILE):
+        with timed_stage("compile"):
             kernel = CompiledQueryKernel(dataset, query)
         self._entries[key] = kernel
         while len(self._entries) > self.capacity:

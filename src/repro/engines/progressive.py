@@ -39,8 +39,8 @@ from repro.engines.cost import (
     PROGRESSIVE_FIRST_QUERY_PENALTY,
     PROGRESSIVE_PREP,
 )
+from repro.obs import timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import STAGE_ENGINE_STEP, get_profiler
 from repro.obs.tracer import get_tracer
 from repro.query.model import AggQuery, QueryResult
 
@@ -159,14 +159,15 @@ class ProgressiveEngine(PrefixSamplingEngine):
         # lands in the engine_step stage; the trace event carries only
         # deterministic fields (virtual now + sample size).
         tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("engine.estimate", self.clock.now(), n=n)
-            get_metrics().counter(
-                "repro_engine_estimates_total",
-                labels={"engine": self.name},
-                help="Progressive estimate kernels executed.",
-            ).inc()
-        with get_profiler().stage(STAGE_ENGINE_STEP):
+        if not tracer.enabled:
+            return super()._estimate(query, n)
+        tracer.event("engine.estimate", self.clock.now(), n=n)
+        get_metrics().counter(
+            "repro_engine_estimates_total",
+            labels={"engine": self.name},
+            help="Progressive estimate kernels executed.",
+        ).inc()
+        with timed_stage("engine_step"):
             return super()._estimate(query, n)
 
     def _remember(self, query: AggQuery, n: int) -> None:

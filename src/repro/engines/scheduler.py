@@ -40,10 +40,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.clock import Clock, perf_seconds
+from repro.common.clock import Clock
 from repro.common.errors import EngineError
+from repro.obs import timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import STAGE_SCHEDULER, get_profiler
 from repro.obs.tracer import get_tracer
 
 
@@ -341,8 +341,25 @@ class ProcessorSharingScheduler:
             raise EngineError(
                 f"cannot settle scheduler backwards: {until} < {self._last_advance}"
             )
-        profiler = get_profiler()
-        started = perf_seconds() if profiler.enabled else 0.0
+        tracer = get_tracer()
+        if not tracer.enabled:
+            self._arbitrate(until)
+            return
+        # Arbitration cost: the settle loop re-queries the policy on
+        # every active-set change — the 100k-session frontier's hot
+        # spot (ROADMAP), so its wall time is attributed explicitly.
+        with timed_stage("scheduler_arbitration"):
+            policy_queries = self._arbitrate(until)
+        if policy_queries:
+            get_metrics().counter(
+                "repro_scheduler_policy_queries_total",
+                help="Policy rate() arbitrations inside settle loops.",
+            ).inc(policy_queries)
+            tracer.event("scheduler.settle", until, policy_queries=policy_queries)
+
+    def _arbitrate(self, until: float) -> int:
+        """Run every active task up to ``until``; returns how many times
+        the policy was asked for rates."""
         policy_queries = 0
         now = self._last_advance
         remaining_dt = until - now
@@ -376,21 +393,7 @@ class ProcessorSharingScheduler:
         for task in self._active.values():
             task.record(until)
         self._last_advance = until
-        if profiler.enabled:
-            # Arbitration cost: the settle loop re-queries the policy on
-            # every active-set change — the 100k-session frontier's hot
-            # spot (ROADMAP), so its wall time is attributed explicitly.
-            profiler.add(STAGE_SCHEDULER, perf_seconds() - started)
-            if policy_queries:
-                get_metrics().counter(
-                    "repro_scheduler_policy_queries_total",
-                    help="Policy rate() arbitrations inside settle loops.",
-                ).inc(policy_queries)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "scheduler.settle", until, policy_queries=policy_queries
-                    )
+        return policy_queries
 
     # ------------------------------------------------------------------
     # Queries

@@ -260,7 +260,7 @@ class NetClient:
         return self.read_message()  # Progress(attached)
 
     def stats(self) -> Stats:
-        """Pull the server's live metrics / profile snapshot.
+        """Pull the server's live metrics snapshot.
 
         Sent *instead of* an ATTACH after the HELLO exchange — a stats
         probe never joins the timeline, so it cannot perturb any

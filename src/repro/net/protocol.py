@@ -43,8 +43,9 @@ typed catalog (one dataclass per tag) mirrors the session lifecycle:
 ``stats_request``  client → server (instead of ``attach``): ask for the
                 server's live observability snapshot
 ``stats``       server → client: the snapshot — metrics registry
-                (counters/gauges/histograms) plus per-stage wall-time
-                profile, as produced by :func:`repro.obs.stats_payload`
+                (counters/gauges/histograms, per-stage wall-time
+                counters included), as produced by
+                :func:`repro.obs.stats_payload`
 ``stats_subscribe``  client → server (instead of ``attach``): stream the
                 windowed virtual-time series; like ``stats_request`` the
                 probe never joins the timeline. Requires the server's
@@ -366,14 +367,13 @@ class StatsRequest(Message):
 
 @dataclass(frozen=True)
 class Stats(Message):
-    """Server → client: live metrics + stage profile (``repro connect
-    --stats``).
+    """Server → client: live metrics (``repro connect --stats``).
 
     ``data`` is :func:`repro.obs.stats_payload` output: the canonical
     metrics snapshot (``data["metrics"]``, reloadable via
-    :meth:`repro.obs.MetricsRegistry.from_snapshot`) and the wall-time
-    stage attribution (``data["profile"]``). Wall-time values are
-    inherently nondeterministic — STATS frames are therefore never part
+    :meth:`repro.obs.MetricsRegistry.from_snapshot`), whose
+    ``repro_stage_*`` counters attribute wall time to stages. Wall-time
+    values are inherently nondeterministic — STATS frames are therefore never part
     of the golden transcripts.
     """
 

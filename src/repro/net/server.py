@@ -59,15 +59,11 @@ import threading
 from typing import Dict, List, Optional, Set, Union
 
 from repro.common.errors import BenchmarkError, ConfigurationError, ProtocolError
-from repro.obs import stats_payload
+from repro.obs import stats_payload, timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import (
-    STAGE_FRAME_IO,
-    STAGE_TURN_GRANT,
-    get_profiler,
-)
 from repro.obs.slo import SloWatchdog
 from repro.obs.timeseries import TimeSeries, set_timeseries
+from repro.obs.tracer import get_tracer
 from repro.runtime.executor import cell_context, serving_manager
 from repro.runtime.spec import RunSpec
 from repro.server.manager import (
@@ -456,8 +452,8 @@ class TcpSessionServer:
                 await self._serve_stats_stream(reader, writer)
                 return
             if isinstance(attach, StatsRequest):
-                # Observability probe: answer with the live metrics /
-                # profile snapshot and hang up. The probe never joins
+                # Observability probe: answer with the live metrics
+                # snapshot and hang up. The probe never joins
                 # the timeline (no ATTACH), so it cannot perturb any
                 # session's bytes — and it is not counted as a session.
                 await self._send(
@@ -495,10 +491,9 @@ class TcpSessionServer:
 
     def _frame(self, message: Message) -> bytes:
         """``message`` encoded as one frame, counted as sent."""
-        profiler = get_profiler()
-        if not profiler.enabled:
+        if not get_tracer().enabled:
             return encode_message(message)
-        with profiler.stage(STAGE_FRAME_IO):
+        with timed_stage("frame_io"):
             payload = encode_message(message)
         metrics = get_metrics()
         metrics.counter(
@@ -514,13 +509,13 @@ class TcpSessionServer:
 
     async def _write(self, writer, payload: bytes) -> None:
         """One transport write of one or more frames, then a drain."""
-        with get_profiler().stage(STAGE_FRAME_IO):
+        with timed_stage("frame_io"):
             writer.write(payload)
             await writer.drain()
 
     async def _recv(self, reader) -> Message:
         message = await read_message_async(reader)
-        if get_profiler().enabled:
+        if get_tracer().enabled:
             get_metrics().counter(
                 "repro_frames_received_total",
                 labels={"type": message.TYPE},
@@ -985,7 +980,7 @@ class _SharedTurnHook(_WireHook):
         await super().on_step(event_time, records, driver)
         # The grant→TURN_DONE round trip is where a shared run's wall
         # time goes when a frontend is slow; profile it as its own stage.
-        with get_profiler().stage(STAGE_TURN_GRANT):
+        with timed_stage("turn_grant"):
             await self._await_ack()
         self.turn += 1
 

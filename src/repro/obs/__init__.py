@@ -1,21 +1,23 @@
-"""Observability: deterministic tracing, metrics and wall-time profiling.
+"""Observability: deterministic tracing, metrics and wall-time stages.
 
 The instrument panel over the §4.4 event loop and §4.7 metric pipeline
 (docs/observability.md).
-Three cooperating singletons, all *disabled/empty by default* so the
+Two cooperating singletons, both *disabled/empty by default* so the
 simulation's golden-pinned output is untouched unless observability is
 explicitly switched on:
 
 * :mod:`repro.obs.tracer` — structured spans/events on two segregated
   time axes (deterministic virtual time, nondeterministic wall time);
+  its ``enabled`` flag is the one switch every instrument checks;
 * :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms
   with Prometheus text exposition and canonical-JSON snapshots (served
-  live over the wire via the STATS message);
-* :mod:`repro.obs.profile` — per-stage wall-time attribution (engine
-  step, predicate eval, binning, scheduler arbitration, turn grants,
-  PENDING stalls);
-* :mod:`repro.obs.sink` — JSONL trace files, bounded ring buffers, and
-  the deterministic ``repro trace summary`` aggregation.
+  live over the wire via the STATS message).
+
+:func:`timed_stage` attributes a block's wall time to a named stage
+(engine step, compile, scheduler arbitration, frame I/O, turn grants,
+PENDING stalls) as two ordinary registry counters.
+:mod:`repro.obs.sink` writes JSONL trace files and ring buffers and
+computes the deterministic ``repro trace summary`` aggregation.
 
 :func:`observed` is the one-stop switch the CLI flags (``--trace``,
 ``--metrics-out``) use: fresh instruments for the run, files written on
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
+from repro.common.clock import perf_seconds
 from repro.common.fingerprint import canonical_json
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -35,17 +38,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_metrics,
     set_metrics,
-)
-from repro.obs.profile import (
-    KNOWN_STAGES,
-    STAGE_ENGINE_STEP,
-    STAGE_FRAME_IO,
-    STAGE_PENDING_STALL,
-    STAGE_SCHEDULER,
-    STAGE_TURN_GRANT,
-    StageProfiler,
-    get_profiler,
-    set_profiler,
 )
 from repro.obs.sink import (
     RingBuffer,
@@ -75,17 +67,10 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_VT_BUCKETS",
     "DEFAULT_WINDOW",
-    "KNOWN_STAGES",
     "MetricsRegistry",
     "RingBuffer",
-    "STAGE_ENGINE_STEP",
-    "STAGE_FRAME_IO",
-    "STAGE_PENDING_STALL",
-    "STAGE_SCHEDULER",
-    "STAGE_TURN_GRANT",
     "SloRule",
     "SloWatchdog",
-    "StageProfiler",
     "TRACE_SCHEMA_VERSION",
     "TimeSeries",
     "Tracer",
@@ -94,7 +79,6 @@ __all__ = [
     "export_metrics_text",
     "filter_entries",
     "get_metrics",
-    "get_profiler",
     "get_timeseries",
     "get_tracer",
     "iter_jsonl",
@@ -106,56 +90,52 @@ __all__ = [
     "replay",
     "series_lines",
     "set_metrics",
-    "set_profiler",
     "set_timeseries",
     "set_tracer",
     "stats_payload",
     "summarize",
+    "timed_stage",
     "virtual_view",
     "write_jsonl",
 ]
 
 
-def _fold_profile_into(registry: MetricsRegistry, profiler: StageProfiler) -> None:
-    """Publish the profiler's stage table as ordinary metrics, so one
-    exposition (text or snapshot) carries both."""
-    for name, count, seconds in profiler.rows():
+@contextmanager
+def timed_stage(name: str) -> Iterator[None]:
+    """Attribute the block's wall time to stage ``name``: its seconds and
+    one entry go onto ``repro_stage_{wall_seconds,entries}_total{stage}``
+    of the current registry. Does nothing unless tracing is on."""
+    if not get_tracer().enabled:
+        yield
+        return
+    started = perf_seconds()
+    try:
+        yield
+    finally:
+        registry = get_metrics()
+        labels = {"stage": name}
         registry.counter(
             "repro_stage_wall_seconds_total",
-            labels={"stage": name},
+            labels=labels,
             help="Wall seconds attributed to each profiled stage.",
-        ).value = seconds
+        ).inc(perf_seconds() - started)
         registry.counter(
             "repro_stage_entries_total",
-            labels={"stage": name},
+            labels=labels,
             help="Entries into each profiled stage.",
-        ).value = float(count)
+        ).inc()
 
 
-def export_metrics_text(
-    registry: Optional[MetricsRegistry] = None,
-    profiler: Optional[StageProfiler] = None,
-) -> str:
-    """Prometheus text for a registry, stage profile folded in."""
+def export_metrics_text(registry: Optional[MetricsRegistry] = None) -> str:
+    """Prometheus text for a registry (the current one by default)."""
     registry = registry if registry is not None else get_metrics()
-    profiler = profiler if profiler is not None else get_profiler()
-    _fold_profile_into(registry, profiler)
     return registry.render_prometheus()
 
 
-def stats_payload(
-    registry: Optional[MetricsRegistry] = None,
-    profiler: Optional[StageProfiler] = None,
-) -> dict:
-    """The STATS wire message's ``data``: snapshot + stage attribution."""
+def stats_payload(registry: Optional[MetricsRegistry] = None) -> dict:
+    """The STATS wire message's ``data``: the registry's snapshot."""
     registry = registry if registry is not None else get_metrics()
-    profiler = profiler if profiler is not None else get_profiler()
-    _fold_profile_into(registry, profiler)
-    return {
-        "metrics": registry.snapshot(),
-        "profile": profiler.snapshot(),
-        "trace_schema": TRACE_SCHEMA_VERSION,
-    }
+    return {"metrics": registry.snapshot(), "trace_schema": TRACE_SCHEMA_VERSION}
 
 
 @contextmanager
@@ -169,13 +149,14 @@ def observed(
 
     This is what ``--trace PATH`` / ``--metrics-out PATH`` expand to:
 
-    * a fresh :class:`Tracer` (bounded by ``capacity`` if given), a fresh
-      :class:`MetricsRegistry` and a fresh enabled :class:`StageProfiler`
-      become the process singletons for the duration;
+    * a fresh :class:`Tracer` (bounded by ``capacity`` if given) and a
+      fresh :class:`MetricsRegistry` become the process singletons for
+      the duration;
     * on exit, the trace is written to ``trace_path`` as JSONL (both
       axes; strip with ``repro trace export --virtual-only``) and the
-      metrics + folded stage profile go to ``metrics_path`` (Prometheus
-      text, or a canonical-JSON stats payload for ``*.json`` paths);
+      metrics, stage counters included, go to ``metrics_path``
+      (Prometheus text, or a canonical-JSON stats payload for ``*.json``
+      paths);
     * the previous singletons are restored no matter what.
 
     With ``enabled=None`` the instruments activate only if at least one
@@ -185,10 +166,8 @@ def observed(
     active = enabled if enabled is not None else bool(trace_path or metrics_path)
     tracer = Tracer(enabled=active, capacity=capacity)
     registry = MetricsRegistry()
-    profiler = StageProfiler(enabled=active)
     prev_tracer = set_tracer(tracer)
     prev_metrics = set_metrics(registry)
-    prev_profiler = set_profiler(profiler)
     try:
         yield tracer
         if trace_path:
@@ -196,11 +175,10 @@ def observed(
         if metrics_path:
             path = Path(metrics_path)
             if path.suffix == ".json":
-                text = canonical_json(stats_payload(registry, profiler)) + "\n"
+                text = canonical_json(stats_payload(registry)) + "\n"
             else:
-                text = export_metrics_text(registry, profiler)
+                text = export_metrics_text(registry)
             path.write_bytes(text.encode("utf-8"))
     finally:
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)
-        set_profiler(prev_profiler)

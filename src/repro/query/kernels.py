@@ -108,8 +108,6 @@ class Grouping:
 #: last kernel holding it, so the kernel cache's capacity bounds these
 #: too. Their arrays are read-only: many kernels poll through each.
 _PARTS = weakref.WeakKeyDictionary()
-#: Parts built since import (none was alive to share), by kind.
-PART_BUILDS = {"plans": 0, "masks": 0, "groupings": 0}
 
 
 def _shared(dataset, key: tuple, build: Callable[[], object]):
@@ -121,7 +119,6 @@ def _shared(dataset, key: tuple, build: Callable[[], object]):
     part = parts.get(key)
     if part is None:
         part = parts[key] = build()
-        PART_BUILDS[key[0]] += 1
     return part
 
 

@@ -53,8 +53,8 @@ from repro.common.errors import BenchmarkError
 from repro.common.rng import derive_rng, derive_session_seed
 from repro.engines.kernel_cache import kernel_cache
 from repro.engines.scheduler import FairSessionPolicy, WeightedSharingPolicy
+from repro.obs import timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import STAGE_PENDING_STALL, get_profiler
 from repro.obs.sink import RingBuffer
 from repro.obs.timeseries import get_timeseries
 from repro.obs.tracer import get_tracer
@@ -322,7 +322,7 @@ class _ManagerCore:
                     # for everyone, exactly like a large think-time gap
                     # would, and never reorders events.
                     while driver.needs_input:
-                        with get_profiler().stage(STAGE_PENDING_STALL):
+                        with timed_stage("pending_stall"):
                             await hook.wait_input(driver)
             except SessionAbandoned:
                 # The remote frontend vanished, timed out, or violated
@@ -843,6 +843,11 @@ class RateSchedule:
             raise BenchmarkError("a rate schedule needs at least one point")
         times = [float(t) for t, _ in points]
         rates = [float(r) for _, r in points]
+        nonfinite = [v for v in times + rates if not math.isfinite(v)]
+        if nonfinite:
+            raise BenchmarkError(
+                f"schedule times and rates must be finite, got {nonfinite[0]!r}"
+            )
         if times[0] != 0.0:
             raise BenchmarkError(
                 f"the first schedule point must be at time 0, got {times[0]!r}"
@@ -855,10 +860,10 @@ class RateSchedule:
             raise BenchmarkError(f"rates must be >= 0: {rates!r}")
         if max(rates) <= 0:
             raise BenchmarkError("at least one schedule rate must be positive")
-        if period is not None and period <= times[-1]:
+        if period is not None and not times[-1] < period < math.inf:
             raise BenchmarkError(
-                f"period {period!r} must exceed the last point time "
-                f"{times[-1]!r}"
+                f"period {period!r} must be finite and exceed the last "
+                f"point time {times[-1]!r}"
             )
         self.points: List[Tuple[float, float]] = list(zip(times, rates))
         self.period = float(period) if period is not None else None
@@ -908,6 +913,10 @@ class RateSchedule:
             )
         if steps < 2:
             raise BenchmarkError(f"steps must be >= 2, got {steps!r}")
+        if not 0 < period < math.inf:
+            raise BenchmarkError(
+                f"period must be positive and finite, got {period!r}"
+            )
         points = []
         for i in range(steps):
             t = period * i / steps
@@ -1029,11 +1038,14 @@ class ArrivalProcess:
         max_sessions: Optional[int] = None,
         rate_schedule: Optional[RateSchedule] = None,
     ):
-        if rate <= 0:
-            raise BenchmarkError(f"arrival rate must be positive, got {rate!r}")
-        if horizon <= 0:
+        # Negated comparisons: NaN fails every one of them.
+        if not 0 < rate < math.inf:
+            raise BenchmarkError(
+                f"arrival rate must be positive and finite, got {rate!r}"
+            )
+        if not horizon > 0:
             raise BenchmarkError(f"horizon must be positive, got {horizon!r}")
-        if mean_residence is not None and mean_residence <= 0:
+        if mean_residence is not None and not mean_residence > 0:
             raise BenchmarkError(
                 f"mean residence must be positive, got {mean_residence!r}"
             )

@@ -33,6 +33,10 @@ REJECTED_SERVES = [
     (["--sessions", "1", "--per-session", "1", "--stats-window", "5",
       "--slo", "pct_tr_violated>25"],
      "--stats-window, --slo cannot combine with in-process serving"),
+    (["--arrivals", "1", "--horizon", "10",
+      "--arrival-schedule", "piecewise:0=inf"],
+     "schedule times and rates must be finite"),
+    (["--arrivals", "nan"], "arrival rate must be positive and finite"),
 ]
 
 

@@ -1,9 +1,9 @@
 """Tier-1 mirror of the CI docs job (tools/check_docs.py).
 
 Keeps the documentation guarantees local: a broken intra-repo markdown
-link, a package missing from docs/architecture.md or a doc or Python
-source citing a path that does not exist fails the test suite before it
-fails CI.
+link, a package missing from docs/architecture.md, a doc or Python
+source citing a path that does not exist or a metric missing from
+docs/observability.md fails the test suite before it fails CI.
 """
 
 import sys
@@ -113,6 +113,34 @@ class TestDocReferences:
         )
         assert check_docs.check_doc_references(tmp_path) == [
             "docs/a.md: cites missing benchmarks/bench_gone.py"
+        ]
+
+
+class TestMetricsDocumented:
+    def test_every_emitted_metric_is_documented(self, root):
+        assert check_docs.check_metrics_documented(root) == []
+
+    def test_undocumented_metric_detected(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "m.py").write_text(
+            'registry.counter("repro_known_total")\n'
+            'registry.counter("repro_new_total")\n'
+            'registry.counter(f"repro_kernel_cache_{event}_total")\n'
+            'registry.counter(f"repro_{kind}_total")\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "observability.md").write_text(
+            "| `repro_known_total` |\n| `repro_kernel_cache_hits_total` |\n"
+            "| `repro_kernel_cache_misses_total` |\n",
+            encoding="utf-8",
+        )
+        assert check_docs.check_metrics_documented(tmp_path) == [
+            "src/m.py: metric repro_new_total is not in docs/observability.md",
+            "src/m.py: metric repro_kernel_cache_evictions_total is not in "
+            "docs/observability.md",
+            "src/m.py: metric template repro_{kind}_total has no entry in "
+            "check_docs.METRIC_TEMPLATES",
         ]
 
 

@@ -1,6 +1,8 @@
 """Tests for the progressive engine (IDEA stand-in): polling at any time,
 convergence to exact, result reuse, speculation, warm-up penalty."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,62 @@ class TestSpeculation:
             return engine.speculative_tuples(carrier_count_query)
 
         assert accumulated_after(8.0) > accumulated_after(1.0)
+
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_idle_candidates_split_the_engine_evenly(
+        self, flights_dataset, tiny_settings, k
+    ):
+        engine = _speculating(flights_dataset, tiny_settings)
+        candidates = _candidates(k)
+        engine.link_vizs(candidates)
+        _run_to(engine, _SPECULATION_DELTA)
+        for query in candidates:
+            share = _SPECULATION_DELTA * engine._sampling_rate(query) / k
+            assert abs(engine.speculative_tuples(query) - math.floor(share)) <= 1
+
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_foreground_query_pauses_speculation(
+        self, flights_dataset, tiny_settings, k
+    ):
+        engine = _speculating(flights_dataset, tiny_settings)
+        handle = engine.submit(_candidates(k + 1)[-1])
+        candidates = _candidates(k)
+        engine.link_vizs(candidates)
+        _run_to(engine, _SPECULATION_DELTA)
+        # The foreground query runs throughout.
+        foreground = engine.result_at(handle, _SPECULATION_DELTA)
+        assert foreground is None or foreground.rows_processed < engine.actual_rows
+        for query in candidates:
+            idle_share = _SPECULATION_DELTA * engine._sampling_rate(query) / k
+            assert engine.speculative_tuples(query) < 1e-3 * math.floor(idle_share)
+
+
+#: Virtual seconds of speculation: short enough that no candidate (and
+#: no foreground query) exhausts the 6 000-row table.
+_SPECULATION_DELTA = 2.0
+
+
+def _speculating(dataset, settings) -> ProgressiveEngine:
+    engine = ProgressiveEngine(dataset, settings, VirtualClock(), speculation=True)
+    engine.prepare()
+    engine.workflow_start()
+    return engine
+
+
+def _candidates(k):
+    """``k`` distinct carrier histograms, one distance brush each."""
+    from repro.query.filters import RangePredicate
+    from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
+
+    return [
+        AggQuery(
+            "flights",
+            bins=(BinDimension("UNIQUE_CARRIER", BinKind.NOMINAL),),
+            aggregates=(Aggregate(AggFunc.COUNT),),
+            filter=RangePredicate("DISTANCE", float(10 * i), None),
+        )
+        for i in range(k)
+    ]
 
 
 class TestConstraints:

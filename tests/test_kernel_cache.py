@@ -175,14 +175,15 @@ class TestMetricsCounters:
         # Plain attributes still count regardless.
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_compile_lands_in_profiler_stage(self):
-        from repro.obs import get_profiler
-
+    def test_compile_lands_in_its_stage(self):
         dataset = _toy_dataset()
         with observed(enabled=True):
-            KernelCache(capacity=1).get(dataset, _query())
-            report = get_profiler().report()
-        assert "compile" in report
+            cache = KernelCache(capacity=1)
+            cache.get(dataset, _query())
+            cache.get(dataset, _query())
+            text = get_metrics().render_prometheus()
+        # One compile (the miss); the hit compiles nothing.
+        assert 'repro_stage_entries_total{stage="compile"} 1' in text
 
 
 class TestPortableKeys:

@@ -36,7 +36,7 @@ from repro.engines.kernel_cache import (
 from repro.engines.estimators import StrataMoments, stratified_estimate
 from repro.query import kernels as kernels_module
 from repro.query.filters import And, Comparison, Or, RangePredicate, SetPredicate
-from repro.query.kernels import PART_BUILDS, CompiledQueryKernel, PrefixKernelRun
+from repro.query.kernels import CompiledQueryKernel, PrefixKernelRun
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
 
 from reference_kernels import compute_grouped_stats
@@ -136,15 +136,25 @@ def _snapshot(kernel: CompiledQueryKernel):
 
 def _cold_snapshot(dataset, query):
     """A solitary compile: nothing of the dataset alive before or after."""
-    before = dict(PART_BUILDS)
+    live = kernels_module._PARTS.get(dataset, {})
+    assert ("groupings", query.bins, query.filter) not in live
+    assert ("masks", query.filter) not in live
     kernel = CompiledQueryKernel(dataset, query)
-    assert PART_BUILDS["groupings"] == before["groupings"] + 1
-    assert PART_BUILDS["masks"] == before["masks"] + 1
     snapshot = _snapshot(kernel)
     assert_stats_equal(kernel.evaluate(SAMPLE), compute_grouped_stats(dataset, query, SAMPLE))
     assert_exact_equal(kernel.exact_stats(), compute_grouped_stats(dataset, query))
     assert kernel.qualifying_fraction == float(kernel.full_mask.mean())
     return snapshot
+
+
+def _distinct_parts(kernels) -> dict:
+    """How many distinct plans, masks and groupings ``kernels`` hold."""
+    groupings = {id(k._grouping): k._grouping for k in kernels}.values()
+    return {
+        "plans": len({id(g.plan) for g in groupings if g.plan is not None}),
+        "masks": len({id(g.mask) for g in groupings}),
+        "groupings": len(groupings),
+    }
 
 
 def _assert_read_only(array: np.ndarray):
@@ -241,17 +251,15 @@ class TestIdentity:
         _assert_read_only(kernels[0].full_mask)
         assert len({id(k._row_gid) for k in kernels}) == len(BINS)
 
-    def test_builds_are_counted_once_per_live_part(self, dataset):
-        before = dict(PART_BUILDS)
+    def test_each_live_part_is_built_once(self, dataset):
         kernels = [
             CompiledQueryKernel(dataset, _query(bins, filter_expr, aggregates))
             for bins in BINS[:3]
             for filter_expr in FILTERS[3:6]
             for aggregates in AGGREGATES
         ]
-        built = {kind: PART_BUILDS[kind] - before[kind] for kind in before}
-        assert built == {"plans": 3, "masks": 3, "groupings": 9}
         assert len(kernels) == 27
+        assert _distinct_parts(kernels) == {"plans": 3, "masks": 3, "groupings": 9}
 
     def test_datasets_do_not_share(self):
         first, second = Dataset.from_table(TABLE), Dataset.from_table(TABLE)
@@ -277,9 +285,9 @@ class TestEdges:
 
     def test_filter_passing_nothing_builds_no_plan(self):
         dataset = Dataset.from_table(TABLE)
-        before = PART_BUILDS["plans"]
         kernel = CompiledQueryKernel(dataset, _query(BINS[2], FILTERS[2], AGGREGATES[1]))
-        assert PART_BUILDS["plans"] == before and kernel._grouping.plan is None
+        assert kernel._grouping.plan is None
+        assert ("plans", BINS[2]) not in kernels_module._PARTS[dataset]
         assert kernel.num_groups == 0 and not kernel.all_rows_pass
         assert not (kernel._row_gid >= 0).any()
 
@@ -318,14 +326,13 @@ class TestEdges:
         # shared by every filter like any other.
         dataset = Dataset.from_table(WIDE_TABLE)
         aggregates = (Aggregate(AggFunc.SUM, "m"),)
-        before = PART_BUILDS["plans"]
         kernels = [
             CompiledQueryKernel(dataset, _query(WIDE_BINS, filter_expr, aggregates, "wide"))
             for filter_expr in (
                 None, RangePredicate("a", None, 10.0), RangePredicate("m", None, 2.5)
             )
         ]
-        assert PART_BUILDS["plans"] == before + 1
+        assert _distinct_parts(kernels)["plans"] == 1
         plan = kernels[0]._grouping.plan
         assert kernels[0].all_rows_pass and kernels[0]._row_gid is plan.gid
         assert plan.keys == [(0, 0), (0, 2**30 - 1), (5, 7), (2**32 + 1, 2**30 - 1)]
@@ -469,11 +476,15 @@ class TestLifetime:
             # one kernel alive: its grouping, its plan, its mask
             assert len(kernels_module._PARTS[dataset]) == 3
         assert cache.evictions == 50
-        before = dict(PART_BUILDS)
-        assert _snapshot(cache.get(dataset, first_query)) == first_bytes
-        assert {kind: PART_BUILDS[kind] - before[kind] for kind in before} == {
-            "plans": 1, "masks": 1, "groupings": 1,
-        }
+        kernel = cache.get(dataset, first_query)
+        assert _snapshot(kernel) == first_bytes
+        # The last kernel's parts died with its eviction: the recompile
+        # built one plan, one mask and one grouping, and they are all
+        # that is alive.
+        assert all(probe() is None for probe in probes)
+        assert _distinct_parts([kernel]) == {"plans": 1, "masks": 1, "groupings": 1}
+        assert len(kernels_module._PARTS[dataset]) == 3
+        del kernel
         cache.clear()
         assert len(kernels_module._PARTS[dataset]) == 0
 

@@ -642,7 +642,7 @@ class TestFrameBatching:
         assert 0 < len(result.records) < _full_session_queries(server_ctx)
 
     def test_frame_counters_and_stage_cover_every_frame(self, server_ctx):
-        from repro.obs import get_metrics, get_profiler, observed
+        from repro.obs import get_metrics, observed
 
         for accel in (None, 1e4):
             with observed(enabled=True):
@@ -650,7 +650,11 @@ class TestFrameBatching:
                     server_ctx, accel=accel
                 )
                 metrics = get_metrics().snapshot()["metrics"]
-                stages = {name: count for name, count, _ in get_profiler().rows()}
+            stages = {
+                entry["labels"]["stage"]: entry["value"]
+                for entry in metrics
+                if entry["name"] == "repro_stage_entries_total"
+            }
             sent = {
                 entry["labels"].get("type", ""): entry["value"]
                 for entry in metrics

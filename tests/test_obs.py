@@ -30,13 +30,13 @@ from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
     RingBuffer,
-    StageProfiler,
     Tracer,
+    export_metrics_text,
     get_metrics,
-    get_profiler,
     get_tracer,
     observed,
     stats_payload,
+    timed_stage,
 )
 from repro.obs.sink import (
     csv_summary,
@@ -92,9 +92,9 @@ class TestTracingChangesNoBytes:
     def test_disabled_instruments_record_nothing(self):
         tracer = get_tracer()
         metrics = get_metrics()
-        profiler = get_profiler()
         assert not tracer.enabled
-        assert not profiler.enabled
+        with timed_stage("engine_step"):
+            pass
         assert list(tracer.entries()) == []
         assert metrics.snapshot()["metrics"] == []
 
@@ -208,13 +208,24 @@ class TestMetricsSnapshotFixpoint:
     def test_stats_payload_shape(self):
         registry = MetricsRegistry()
         registry.counter("x").inc()
-        profiler = StageProfiler(enabled=True)
-        profiler.add("stage_a", 0.25, count=2)
-        payload = stats_payload(registry, profiler)
+        payload = stats_payload(registry)
+        assert set(payload) == {"metrics", "trace_schema"}
         assert payload["trace_schema"] == 1
-        assert {s["name"] for s in payload["profile"]["stages"]} == {"stage_a"}
-        names = {m["name"] for m in payload["metrics"]["metrics"]}
-        assert "repro_stage_wall_seconds_total" in names
+        assert payload["metrics"] == registry.snapshot()
+
+    def test_timed_stage_counts_seconds_and_entries(self):
+        ticks = iter([10.0, 10.25, 20.0, 20.5])
+        with observed(enabled=True):
+            previous = set_perf_source(lambda: next(ticks))
+            try:
+                for _ in range(2):
+                    with timed_stage("stage_a"):
+                        pass
+            finally:
+                set_perf_source(previous)
+            text = export_metrics_text()
+        assert 'repro_stage_wall_seconds_total{stage="stage_a"} 0.75' in text
+        assert 'repro_stage_entries_total{stage="stage_a"} 2' in text
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,37 @@ class TestRateSchedule:
             RateSchedule.constant(1.0).rate_at(-1.0)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RateSchedule([(0.0, INF)]),
+        lambda: RateSchedule([(0.0, NAN)]),
+        lambda: RateSchedule([(0.0, 1.0), (INF, 2.0)]),
+        lambda: RateSchedule([(0.0, 1.0), (NAN, 2.0)]),
+        lambda: RateSchedule([(0.0, 1.0)], period=INF),
+        lambda: RateSchedule([(0.0, 1.0)], period=NAN),
+        lambda: RateSchedule.diurnal(1.0, period=INF),
+        lambda: ArrivalProcess(INF, 10.0),
+        lambda: ArrivalProcess(NAN, 10.0),
+        lambda: ArrivalProcess(1.0, NAN),
+        lambda: ArrivalProcess(1.0, 10.0, mean_residence=NAN),
+    ],
+    ids=[
+        "inf-rate", "nan-rate", "inf-time", "nan-time", "inf-period",
+        "nan-period", "diurnal-inf-period", "process-inf-rate",
+        "process-nan-rate", "process-nan-horizon", "process-nan-residence",
+    ],
+)
+def test_non_finite_arrival_parameters_rejected(build):
+    # An infinite envelope never advances the draw (exponential(0) is 0)
+    # and NaN makes every arrival time NaN: both fail typed, up front.
+    with pytest.raises(BenchmarkError, match="finite|positive"):
+        build()
+
+
 class TestScheduleParse:
     def test_constant(self):
         schedule = RateSchedule.parse("constant", 0.3, 60.0)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by the CI docs job (and tier-1 tests).
 
-Four guarantees, kept machine-checked so the docs cannot silently rot:
+Five guarantees, kept machine-checked so the docs cannot silently rot:
 
 1. **links resolve** — every relative markdown link in the repository's
    ``*.md`` files (README, docs/, top-level notes) points at a file or
@@ -25,6 +25,10 @@ Four guarantees, kept machine-checked so the docs cannot silently rot:
    paths are skipped, and so are the history files CHANGES.md and
    ROADMAP.md; a directory ``.gitignore`` names is a run output and
    counts as present.
+5. **metrics documented** — every ``repro_…`` metric name written as a
+   string literal under ``src/`` appears in docs/observability.md's
+   metric table; an f-string template counts as the names
+   :data:`METRIC_TEMPLATES` expands it to.
 
 Run from the repository root (CI does)::
 
@@ -161,6 +165,44 @@ def check_doc_references(root: Path) -> List[str]:
         for name in _cited_paths(text, python):
             if not name.startswith(outputs) and not (root / name).exists():
                 problems.append(f"{rel}: cites missing {name}")
+    return problems
+
+
+#: A metric name as a string literal in Python source: ``"repro_…"``, or
+#: an f-string template such as ``f"repro_kernel_cache_{event}_total"``.
+_METRIC_LITERAL_RE = re.compile(r"""f?["'](repro_[a-z0-9_{}]+)["']""")
+
+#: Every f-string metric template under src/ and the names it emits.
+METRIC_TEMPLATES = {
+    "repro_kernel_cache_{event}_total": (
+        "repro_kernel_cache_hits_total",
+        "repro_kernel_cache_misses_total",
+        "repro_kernel_cache_evictions_total",
+    ),
+}
+
+#: The document whose metric table must name every emitted metric.
+METRICS_DOC = "docs/observability.md"
+
+
+def check_metrics_documented(root: Path) -> List[str]:
+    """One problem per metric name emitted under ``src/`` that
+    :data:`METRICS_DOC` does not name in backticks."""
+    doc = root / METRICS_DOC
+    text = doc.read_text(encoding="utf-8") if doc.exists() else ""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for literal in _METRIC_LITERAL_RE.findall(path.read_text(encoding="utf-8")):
+            if "{" in literal and literal not in METRIC_TEMPLATES:
+                problems.append(
+                    f"{rel}: metric template {literal} has no entry in "
+                    f"check_docs.METRIC_TEMPLATES"
+                )
+                continue
+            for name in METRIC_TEMPLATES.get(literal, (literal,)):
+                if f"`{name}`" not in text:
+                    problems.append(f"{rel}: metric {name} is not in {METRICS_DOC}")
     return problems
 
 
@@ -361,6 +403,7 @@ def main() -> int:
         + check_architecture_coverage(root)
         + check_required_sections(root)
         + check_doc_references(root)
+        + check_metrics_documented(root)
     )
     files = markdown_files(root)
     if problems:
@@ -371,7 +414,8 @@ def main() -> int:
     print(
         f"docs check OK: {len(files)} markdown files, all relative links "
         f"resolve, architecture.md covers every src/repro package, all "
-        f"required sections present, every cited path exists"
+        f"required sections present, every cited path exists, every "
+        f"emitted metric is documented"
     )
     return 0
 
