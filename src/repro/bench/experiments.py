@@ -29,7 +29,9 @@ Every ``exp_*`` function *plans* its cells through
 :mod:`repro.runtime.planner` and executes them via the context's
 :class:`~repro.runtime.executor.MatrixExecutor` — serial and in-process by
 default (``jobs=1``), sharded across worker processes when the context is
-built with ``jobs=N``. Cell results are identical either way.
+built with ``jobs=N``. Cell results are identical either way. The
+cross-product figures (Fig. 5, 6a–6e, §5.6) plan through the same
+:func:`~repro.runtime.planner.plan_matrix` as ``repro run-matrix``.
 """
 
 from __future__ import annotations
@@ -66,12 +68,9 @@ from repro.query.model import AggFunc, Aggregate, BinDimension, BinKind
 from repro.runtime.executor import CellResult, MatrixExecutor
 from repro.runtime.planner import (
     plan_detailed_table,
-    plan_overall,
+    plan_matrix,
     plan_prep_times,
-    plan_schema,
-    plan_system_y,
     plan_think_time,
-    plan_workflow_types,
 )
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ArtifactStore
@@ -306,13 +305,10 @@ def exp_overall(
     size: Optional[DataSize] = None,
 ) -> OverallResults:
     """Fig. 5 / 6a–6c: mixed workload, five TRs, four engines, 500M."""
-    size = size if size is not None else ctx.settings.data_size
-    count = (
-        workflows_per_type
-        if workflows_per_type is not None
-        else ctx.settings.workflows_per_type
+    specs = plan_matrix(
+        ctx.settings, engines, time_requirements, None if size is None else (size,),
+        per_type=workflows_per_type,
     )
-    specs = plan_overall(ctx.settings, engines, time_requirements, count, size)
     results = OverallResults(settings=ctx.settings)
     for spec, cell in zip(specs, ctx.execute(specs)):
         tr = spec.settings.time_requirement
@@ -334,20 +330,15 @@ def exp_workflow_types(
     size: Optional[DataSize] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Fig. 6d: engine → workflow type → mean missing bins."""
-    size = size if size is not None else ctx.settings.data_size
-    count = (
-        workflows_per_type
-        if workflows_per_type is not None
-        else ctx.settings.workflows_per_type
-    )
     workflow_types = (
         WorkflowType.INDEPENDENT.value,
         WorkflowType.SEQUENTIAL.value,
         WorkflowType.ONE_TO_N.value,
         WorkflowType.N_TO_ONE.value,
     )
-    specs = plan_workflow_types(
-        ctx.settings, engines, workflow_types, count, size, time_requirement
+    specs = plan_matrix(
+        ctx.settings, engines, (time_requirement,), None if size is None else (size,),
+        workflow_types, workflows_per_type,
     )
     outcome: Dict[str, Dict[str, float]] = {}
     for spec, cell in zip(specs, ctx.execute(specs)):
@@ -373,12 +364,10 @@ def exp_schema(
     IDEA is excluded (no join support) and System X only works
     de-normalized, exactly as in §5.3.
     """
-    count = (
-        workflows_per_type
-        if workflows_per_type is not None
-        else ctx.settings.workflows_per_type
+    specs = plan_matrix(
+        ctx.settings, engines, (time_requirement,), sizes,
+        per_type=workflows_per_type, schemas=("denormalized", "normalized"),
     )
-    specs = plan_schema(ctx.settings, engines, sizes, count, time_requirement)
     outcome: Dict[Tuple[str, str, str], float] = {}
     for spec, cell in zip(specs, ctx.execute(specs)):
         violated = float(
@@ -572,8 +561,14 @@ def exp_system_y(
     1-2s per query" and found no prefetching layer. A long TR is used so
     most queries complete and the latency difference is observable.
     """
-    size = size if size is not None else ctx.settings.data_size
-    specs = plan_system_y(ctx.settings, num_variants, time_requirement, size)
+    specs = plan_matrix(
+        ctx.settings,
+        ("monetdb-sim", "system-y-sim"),
+        (time_requirement,),
+        None if size is None else (size,),
+        (WorkflowType.ONE_TO_N.value,),
+        num_variants,
+    )
     per_engine_records: Dict[str, List[QueryRecord]] = {}
     outcome: Dict[str, Dict[str, float]] = {}
     for spec, cell in zip(specs, ctx.execute(specs)):

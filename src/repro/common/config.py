@@ -20,6 +20,7 @@ original IDEBench driver's configuration files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Union
@@ -112,13 +113,15 @@ class BenchmarkSettings(codec.Codable, error=ConfigurationError, strict=True):
     workflows_per_type: int = 10
 
     def __post_init__(self):
-        if self.time_requirement <= 0:
+        # Negated comparisons: NaN fails every one of them.
+        if not 0 < self.time_requirement < math.inf:
             raise ConfigurationError(
-                f"time requirement must be positive, got {self.time_requirement!r}"
+                "time requirement must be positive and finite, "
+                f"got {self.time_requirement!r}"
             )
-        if self.think_time < 0:
+        if not 0 <= self.think_time < math.inf:
             raise ConfigurationError(
-                f"think time must be non-negative, got {self.think_time!r}"
+                f"think time must be non-negative and finite, got {self.think_time!r}"
             )
         if not 0.5 <= self.confidence_level < 1.0:
             raise ConfigurationError(
@@ -126,9 +129,10 @@ class BenchmarkSettings(codec.Codable, error=ConfigurationError, strict=True):
             )
         if self.scale < 1:
             raise ConfigurationError(f"scale must be >= 1, got {self.scale!r}")
-        if self.report_interval <= 0:
+        if not 0 < self.report_interval < math.inf:
             raise ConfigurationError(
-                f"report interval must be positive, got {self.report_interval!r}"
+                "report interval must be positive and finite, "
+                f"got {self.report_interval!r}"
             )
         if self.workflows_per_type < 1:
             raise ConfigurationError(

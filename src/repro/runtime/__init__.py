@@ -11,9 +11,10 @@ parallelizable run matrix:
   description of one experiment cell (``suite``, ``prepare``, or
   ``serve`` with a :class:`ServingSelector`);
 * :mod:`repro.runtime.planner` — ``plan_*`` functions enumerating the
-  cells of each paper experiment, the ``bench-sessions`` /
-  ``bench-adaptive`` sweeps (``plan_sessions`` / ``plan_adaptive``) and
-  arbitrary matrices for the CLI;
+  cells: ``plan_matrix`` for the §5 cross-product (the CLI's matrices
+  and most paper figures), the ``bench-sessions`` / ``bench-adaptive``
+  sweeps (``plan_sessions`` / ``plan_adaptive``) and the few figure
+  cells the cross-product cannot express;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, a content-addressed
   on-disk cache for datasets, workflow suites, ground-truth answers and
   per-cell reports;
@@ -38,13 +39,9 @@ from repro.runtime.planner import (
     plan_adaptive,
     plan_detailed_table,
     plan_matrix,
-    plan_overall,
     plan_prep_times,
-    plan_schema,
     plan_sessions,
-    plan_system_y,
     plan_think_time,
-    plan_workflow_types,
 )
 from repro.runtime.report import (
     current_revision,
@@ -72,13 +69,9 @@ __all__ = [
     "plan_adaptive",
     "plan_detailed_table",
     "plan_matrix",
-    "plan_overall",
     "plan_prep_times",
-    "plan_schema",
     "plan_sessions",
-    "plan_system_y",
     "plan_think_time",
-    "plan_workflow_types",
     "render_matrix",
     "result_key",
     "select_workflows",

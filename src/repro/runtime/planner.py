@@ -1,12 +1,15 @@
 """Run-matrix planning: enumerate experiment cells as :class:`RunSpec`\\ s.
 
-Each ``plan_*`` function mirrors the loop structure of one ``exp_*``
-harness function (§5 of the paper) but produces the cells *declaratively*,
-in a deterministic order, without executing anything. The generic
-:func:`plan_matrix` builds arbitrary engines × TRs × sizes × workflow
-types × schema cross-products for the ``run-matrix`` CLI;
-:func:`plan_sessions` and :func:`plan_adaptive` build the ``serve`` cells
-of ``repro bench-sessions`` and ``repro bench-adaptive``. Every planner
+Planners produce cells *declaratively*, in a deterministic order, without
+executing anything. :func:`plan_matrix` is the §5 cross-product (engines
+× sizes × schemas × workflow types × TRs): ``repro run-matrix`` and the
+``exp_*`` harness functions of Fig. 5 and 6a–6e and §5.6 all plan
+through it. The other planners build the cells it cannot:
+:func:`plan_think_time` the speculation probe of Fig. 6f,
+:func:`plan_detailed_table` Table 1's one-workflow slice,
+:func:`plan_prep_times` the §5.2 ``prepare`` cells, and
+:func:`plan_sessions` and :func:`plan_adaptive` the ``serve`` cells of
+``repro bench-sessions`` and ``repro bench-adaptive``. Every planner
 validates its whole product while building it, so a bad value fails
 before any cell runs.
 
@@ -77,82 +80,8 @@ def plan_matrix(
                                 ),
                                 normalized=normalized,
                                 speculation=speculation,
-                                label=f"{engine}/{size.name}/{schema}/{workflow_type}/tr{tr}",
                             )
                         )
-    return specs
-
-
-def plan_overall(
-    settings: BenchmarkSettings,
-    engines: Sequence[str],
-    time_requirements: Sequence[float],
-    count: int,
-    size: DataSize,
-) -> List[RunSpec]:
-    """Fig. 5 / 6a–6c cells: engines × TRs on the mixed workload."""
-    return [
-        RunSpec(
-            engine=engine,
-            settings=settings.with_(time_requirement=float(tr), data_size=size),
-            workflows=WorkflowSelector(workflow_type="mixed", count=count),
-            label=f"overall/{engine}/tr{tr}",
-        )
-        for engine in engines
-        for tr in time_requirements
-    ]
-
-
-def plan_workflow_types(
-    settings: BenchmarkSettings,
-    engines: Sequence[str],
-    workflow_types: Sequence[str],
-    count: int,
-    size: DataSize,
-    time_requirement: float,
-) -> List[RunSpec]:
-    """Fig. 6d cells: engines × workflow types at one TR."""
-    cell_settings = settings.with_(
-        time_requirement=time_requirement, data_size=size
-    )
-    return [
-        RunSpec(
-            engine=engine,
-            settings=cell_settings,
-            workflows=WorkflowSelector(workflow_type=workflow_type, count=count),
-            label=f"workflow-types/{engine}/{workflow_type}",
-        )
-        for engine in engines
-        for workflow_type in workflow_types
-    ]
-
-
-def plan_schema(
-    settings: BenchmarkSettings,
-    engines: Sequence[str],
-    sizes: Sequence[DataSize],
-    count: int,
-    time_requirement: float,
-) -> List[RunSpec]:
-    """Fig. 6e cells: engines × sizes × {denormalized, normalized}."""
-    specs: List[RunSpec] = []
-    for engine in engines:
-        for size in sizes:
-            for normalized in (False, True):
-                specs.append(
-                    RunSpec(
-                        engine=engine,
-                        settings=settings.with_(
-                            time_requirement=time_requirement,
-                            data_size=size,
-                            use_joins=normalized,
-                        ),
-                        workflows=WorkflowSelector(workflow_type="mixed", count=count),
-                        normalized=normalized,
-                        label=f"schema/{engine}/{size.name}/"
-                        f"{'normalized' if normalized else 'denormalized'}",
-                    )
-                )
     return specs
 
 
@@ -174,7 +103,6 @@ def plan_think_time(
             ),
             workflows=WorkflowSelector(kind="speculation", count=1),
             speculation=speculation,
-            label=f"think-time/{think}",
         )
         for think in think_times
     ]
@@ -199,7 +127,6 @@ def plan_detailed_table(
             workflows=WorkflowSelector(
                 workflow_type="mixed", count=3, start=2, stop=3
             ),
-            label=f"detailed-table/{engine}",
         )
     ]
 
@@ -216,30 +143,8 @@ def plan_prep_times(
             engine=engine,
             settings=cell_settings,
             mode="prepare",
-            label=f"prep-times/{engine}",
         )
         for engine in engines
-    ]
-
-
-def plan_system_y(
-    settings: BenchmarkSettings,
-    count: int,
-    time_requirement: float,
-    size: DataSize,
-) -> List[RunSpec]:
-    """§5.6 cells: MonetDB vs the System-Y frontend on 1:N workflows."""
-    cell_settings = settings.with_(
-        time_requirement=time_requirement, data_size=size
-    )
-    return [
-        RunSpec(
-            engine=engine,
-            settings=cell_settings,
-            workflows=WorkflowSelector(workflow_type="one_to_n", count=count),
-            label=f"system-y/{engine}",
-        )
-        for engine in ("monetdb-sim", "system-y-sim")
     ]
 
 
@@ -266,7 +171,6 @@ def plan_sessions(
             workflows=workflows,
             mode="serve",
             serving=ServingSelector(sessions, share_engine=mode == "shared"),
-            label=f"sessions/{engine}/{sessions}/{mode}",
         )
         for engine in engines
         for sessions in session_counts
@@ -303,7 +207,6 @@ def plan_adaptive(
                 sessions, share_engine, policy, churn,
                 *((arrival_rate, horizon, residence) if churn == "open" else ()),
             ),
-            label=f"adaptive/{engine}/{policy}/{sessions}/{churn}",
         )
         for policy in policies
         for sessions in session_counts

@@ -155,9 +155,9 @@ class RunSpec(codec.Codable, error=ConfigurationError):
     modeled data-preparation time (§5.2); ``mode="serve"`` serves
     ``serving.sessions`` sessions of ``workflows.count`` workflows each
     through the session server and yields the run's aggregate report
-    fields. ``label`` is a display/grouping tag and deliberately excluded
-    from the fingerprint, so relabeling a cell never invalidates its
-    cached artifacts.
+    fields. ``label`` is a caller's free-form tag that nothing here reads;
+    it is excluded from the fingerprint, so relabeling a cell never
+    invalidates its cached artifacts.
     """
 
     engine: str

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.driver import BenchmarkDriver, QueryRecord, SessionDriver
+from repro.bench.driver import QueryRecord, SessionDriver
 from repro.common.clock import VirtualClock, perf_seconds
 from repro.common.config import BenchmarkSettings
 from repro.common.errors import BenchmarkError
@@ -1053,6 +1053,16 @@ class ArrivalProcess:
             raise BenchmarkError(
                 f"max sessions must be >= 1, got {max_sessions!r}"
             )
+        # Without an end, the draw must reach max_sessions: a schedule
+        # that falls to rate 0 for good would thin every candidate away.
+        if horizon == math.inf and (max_sessions is None or (
+            rate_schedule is not None and rate_schedule.period is None
+            and not rate_schedule.points[-1][1] > 0
+        )):
+            raise BenchmarkError(
+                "an infinite horizon needs max sessions and a rate that "
+                "stays positive (a period or a positive last rate)"
+            )
         self.rate = float(rate)
         self.horizon = float(horizon)
         self.seed = seed
@@ -1243,18 +1253,16 @@ def serial_baseline(
     *,
     speculation: bool = False,
 ) -> List[SessionResult]:
-    """Run each session's workflows through the serial driver.
+    """Run each session's workflows through the serial suite runner.
 
     The reference the server's isolated mode is compared against: one
     fresh engine per session, stepped to completion by
-    :class:`~repro.bench.driver.BenchmarkDriver`. Per-session detailed
-    reports must be byte-identical to the server's.
+    :meth:`~repro.bench.experiments.ExperimentContext.run`. Per-session
+    detailed reports must be byte-identical to the server's.
     """
-    oracle, new_engine = _engine_source(ctx, engine_name, speculation)
-    results: List[SessionResult] = []
-    for spec in specs:
-        engine = new_engine()
-        engine.prepare()
-        driver = BenchmarkDriver(engine, oracle, ctx.settings)
-        results.append(SessionResult(spec, driver.run_suite(list(spec.workflows))))
-    return results
+    return [
+        SessionResult(
+            spec, ctx.run(engine_name, spec.workflows, speculation=speculation)
+        )
+        for spec in specs
+    ]

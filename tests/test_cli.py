@@ -211,6 +211,19 @@ class TestRunAndReport:
         assert "data preparation" in stdout
         assert "%TR viol" in stdout
 
+    @pytest.mark.parametrize("flags", [
+        ["--tr", "nan"], ["--tr", "inf"], ["--tr", "1", "--think-time", "nan"],
+    ])
+    def test_non_finite_timing_is_one_stderr_line(self, capsys, flags):
+        code = main([
+            "run", "--engine", "idea-sim", "--scale", "50000", "--size", "S",
+            "--per-type", "1", *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "must be" in err and "finite" in err
+        assert len(err.splitlines()) == 1
+
     def test_report_summarizes(self, tmp_path, capsys):
         out = tmp_path / "detail.csv"
         main([

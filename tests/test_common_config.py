@@ -57,11 +57,17 @@ class TestBenchmarkSettings:
     @pytest.mark.parametrize("field,value", [
         ("time_requirement", 0.0),
         ("time_requirement", -1.0),
+        ("time_requirement", float("nan")),
+        ("time_requirement", float("inf")),
         ("think_time", -0.1),
+        ("think_time", float("nan")),
+        ("think_time", float("inf")),
         ("confidence_level", 0.2),
         ("confidence_level", 1.0),
         ("scale", 0),
         ("report_interval", 0.0),
+        ("report_interval", float("nan")),
+        ("report_interval", float("inf")),
         ("workflows_per_type", 0),
     ])
     def test_validation(self, field, value):

@@ -32,7 +32,7 @@ from repro.engines.kernel_cache import (
 from repro.engines.onlineagg import OnlineAggEngine
 from repro.engines.progressive import ProgressiveEngine
 from repro.engines.sampling import StratifiedSamplingEngine
-from repro.runtime import MatrixExecutor, plan_overall
+from repro.runtime import MatrixExecutor, plan_matrix
 
 TABLE = generate_flights_seed(3_000, seed=17)
 
@@ -280,8 +280,8 @@ def test_matrix_kernel_cache_counters_are_unchanged(capacity, pinned):
         settings = BenchmarkSettings(
             data_size=DataSize.S, scale=50_000, workflows_per_type=1, seed=23
         )
-        specs = plan_overall(
-            settings, ("system-x-sim", "idea-sim"), (0.5, 3.0), 2, DataSize.S
+        specs = plan_matrix(
+            settings, ("system-x-sim", "idea-sim"), (0.5, 3.0), (DataSize.S,), per_type=2
         )
         MatrixExecutor(jobs=1).run(specs)
         stats = kernel_cache().stats()

@@ -263,6 +263,26 @@ class TestSpeculation:
             idle_share = _SPECULATION_DELTA * engine._sampling_rate(query) / k
             assert engine.speculative_tuples(query) < 1e-3 * math.floor(idle_share)
 
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    @pytest.mark.parametrize("tr, think", [(1, 1), (1, 2), (1, 3), (0.5, 2.5)])
+    def test_head_start_is_think_minus_tr(
+        self, flights_dataset, tiny_settings, k, tr, think
+    ):
+        # The driver cancels the foreground query at its TR deadline; the
+        # candidates then share the idle engine until the next interaction
+        # arrives at the think time (think - TR <= 2 s stays in the table).
+        engine = _speculating(flights_dataset, tiny_settings)
+        handle = engine.submit(_candidates(k + 1)[-1])
+        candidates = _candidates(k)
+        engine.link_vizs(candidates)
+        _run_to(engine, tr)
+        engine.cancel(handle)
+        _run_to(engine, think)
+        result = engine.result_at(engine.submit(candidates[0]), think)
+        rows = 0 if result is None else result.rows_processed
+        head_start = (think - tr) * engine._sampling_rate(candidates[0]) / k
+        assert abs(rows - math.floor(head_start)) <= 1
+
 
 #: Virtual seconds of speculation: short enough that no candidate (and
 #: no foreground query) exhausts the 6 000-row table.

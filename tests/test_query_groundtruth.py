@@ -442,13 +442,13 @@ class TestDigestOnlyAtTheStore:
     @staticmethod
     def _matrix(settings, store=None):
         from repro.common.config import DataSize
-        from repro.runtime import MatrixExecutor, plan_overall
+        from repro.runtime import MatrixExecutor, plan_matrix
 
         # The progressive engine runs first, so the oracle computes the
         # answers: a blocking engine first would leave them on their
         # kernels, and the oracle would never reach the store.
-        specs = plan_overall(
-            settings, ("idea-sim", "monetdb-sim"), (0.5, 3.0), 1, DataSize.S
+        specs = plan_matrix(
+            settings, ("idea-sim", "monetdb-sim"), (0.5, 3.0), (DataSize.S,), per_type=1
         )
         results = MatrixExecutor(jobs=1, store=store).run(specs)
         assert all(result.records for result in results)

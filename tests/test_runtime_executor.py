@@ -16,7 +16,7 @@ from repro.runtime import (
     RunSpec,
     current_revision,
     matrix_csv_text,
-    plan_overall,
+    plan_matrix,
     plan_prep_times,
     result_key,
 )
@@ -35,8 +35,8 @@ def settings():
 
 @pytest.fixture(scope="module")
 def specs(settings):
-    return plan_overall(
-        settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), 1, DataSize.S
+    return plan_matrix(
+        settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), (DataSize.S,), per_type=1
     )
 
 
@@ -219,8 +219,8 @@ class TestServeCells:
     def _texts(results):
         from repro.server import ADAPTIVE_COLUMNS, BENCH_COLUMNS, serving_csv_text
 
-        sessions = [r for r in results if r.spec.label.startswith("sessions/")]
-        adaptive = [r for r in results if r.spec.label.startswith("adaptive/")]
+        # plan_sessions' 2 engines x 2 counts x 2 modes come first.
+        sessions, adaptive = results[:8], results[8:]
         return (
             serving_csv_text(sessions, BENCH_COLUMNS),
             serving_csv_text(adaptive, ADAPTIVE_COLUMNS),

@@ -6,13 +6,17 @@ import pytest
 
 from repro.common.config import BenchmarkSettings, DataSize
 from repro.common.errors import BenchmarkError, ConfigurationError
+from repro.bench.experiments import (
+    exp_overall,
+    exp_schema,
+    exp_system_y,
+    exp_workflow_types,
+)
 from repro.common.fingerprint import canonical_json, stable_digest
 from repro.runtime.planner import (
     plan_adaptive,
     plan_matrix,
-    plan_overall,
     plan_prep_times,
-    plan_schema,
     plan_sessions,
     plan_think_time,
 )
@@ -85,9 +89,9 @@ class TestRunSpec:
 
 
 class TestPlanners:
-    def test_plan_overall_order_matches_loops(self, settings):
-        specs = plan_overall(
-            settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), 2, DataSize.S
+    def test_plan_matrix_order_matches_loops(self, settings):
+        specs = plan_matrix(
+            settings, ("monetdb-sim", "idea-sim"), (0.5, 3.0), (DataSize.S,), per_type=2
         )
         cells = [(s.engine, s.settings.time_requirement) for s in specs]
         assert cells == [
@@ -117,9 +121,10 @@ class TestPlanners:
         with pytest.raises(ConfigurationError):
             plan_matrix(settings, engines=("monetdb-sim",), schemas=("starry",))
 
-    def test_plan_schema_interleaves_layouts(self, settings):
-        specs = plan_schema(
-            settings, ("monetdb-sim",), (DataSize.S,), 2, 3.0
+    def test_plan_matrix_interleaves_layouts(self, settings):
+        specs = plan_matrix(
+            settings, ("monetdb-sim",), (3.0,), (DataSize.S,), per_type=2,
+            schemas=("denormalized", "normalized"),
         )
         assert [s.normalized for s in specs] == [False, True]
 
@@ -129,8 +134,8 @@ class TestPlanners:
         assert [s.settings.think_time for s in specs] == [1.0, 2.0]
 
     def test_plans_are_reproducible(self, settings):
-        first = plan_overall(settings, ("idea-sim",), (0.5,), 2, DataSize.S)
-        second = plan_overall(settings, ("idea-sim",), (0.5,), 2, DataSize.S)
+        first = plan_matrix(settings, ("idea-sim",), (0.5,), per_type=2)
+        second = plan_matrix(settings, ("idea-sim",), (0.5,), per_type=2)
         assert [s.fingerprint() for s in first] == [s.fingerprint() for s in second]
 
 
@@ -147,11 +152,11 @@ class TestFrozenFingerprints:
 
     def test_suite_and_prepare_fingerprints_are_pinned(self, pinned_settings):
         s = pinned_settings
-        overall = plan_overall(s, ["idea-sim"], [3.0], 2, DataSize.S)[0]
-        normalized = [
-            cell for cell in plan_schema(s, ["monetdb-sim"], [DataSize.S], 2, 1.0)
-            if cell.normalized
-        ][0]
+        overall = plan_matrix(s, ["idea-sim"], [3.0], [DataSize.S], per_type=2)[0]
+        normalized = plan_matrix(
+            s, ["monetdb-sim"], [1.0], [DataSize.S], per_type=2,
+            schemas=("normalized",),
+        )[0]
         speculation = plan_think_time(s, [2.0], 1.0, DataSize.S, True)[0]
         prepare = plan_prep_times(s, ["xdb-sim"], DataSize.S)[0]
         assert [
@@ -178,8 +183,42 @@ class TestFrozenFingerprints:
             "cd61a914d4806b934093ad24f8f298d4881b27a277d6cd34f5d7e315829eccbb",
         ]
 
+    @pytest.mark.parametrize("which, figure, cells, digest", [
+        ("default", exp_overall, 20, "4c26eed7c6a25363"),
+        ("default", exp_workflow_types, 16, "bbc56672a7aa94df"),
+        ("default", exp_schema, 8, "88254a8b035b6ff3"),
+        ("default", exp_system_y, 2, "1f31d0ce0928b72b"),
+        ("pinned", exp_overall, 20, "7e034442027d338c"),
+        ("pinned", exp_workflow_types, 16, "7ae6b8fa09b585ea"),
+        ("pinned", exp_schema, 8, "ea0f59081512b1d1"),
+        ("pinned", exp_system_y, 2, "16749b91421195cf"),
+    ])
+    def test_figure_cells_are_pinned(
+        self, pinned_settings, which, figure, cells, digest
+    ):
+        """The cells each §5 figure plans by default, in plan order. The
+        digests were taken from the per-figure planners these figures used
+        before they planned through plan_matrix."""
+
+        class Planned(Exception):
+            pass
+
+        class PlanOnly:
+            settings = (
+                pinned_settings if which == "pinned" else BenchmarkSettings()
+            )
+
+            def execute(self, specs):
+                raise Planned(specs)
+
+        with pytest.raises(Planned) as planned:
+            figure(PlanOnly())
+        (specs,) = planned.value.args
+        assert len(specs) == cells
+        assert stable_digest([spec.cell_id for spec in specs]) == digest
+
     def test_only_serve_cells_carry_a_serving_key(self, pinned_settings):
-        overall = plan_overall(pinned_settings, ["idea-sim"], [3.0], 2, DataSize.S)
+        overall = plan_matrix(pinned_settings, ["idea-sim"], [3.0], per_type=2)
         assert "serving" not in overall[0].to_dict()
         serve = plan_sessions(pinned_settings, ["idea-sim"], [2])[0]
         assert serve.to_dict()["serving"]["sessions"] == 2

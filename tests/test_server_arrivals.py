@@ -78,18 +78,58 @@ NAN, INF = math.nan, math.inf
         lambda: ArrivalProcess(NAN, 10.0),
         lambda: ArrivalProcess(1.0, NAN),
         lambda: ArrivalProcess(1.0, 10.0, mean_residence=NAN),
+        lambda: ArrivalProcess(1.0, INF),
+        lambda: ArrivalProcess(
+            1.0, INF, max_sessions=5,
+            rate_schedule=RateSchedule([(0.0, 1.0), (1.0, 0.0)]),
+        ),
     ],
     ids=[
         "inf-rate", "nan-rate", "inf-time", "nan-time", "inf-period",
         "nan-period", "diurnal-inf-period", "process-inf-rate",
         "process-nan-rate", "process-nan-horizon", "process-nan-residence",
+        "process-inf-horizon-uncapped", "process-inf-horizon-rate-ends-at-0",
     ],
 )
 def test_non_finite_arrival_parameters_rejected(build):
     # An infinite envelope never advances the draw (exponential(0) is 0)
-    # and NaN makes every arrival time NaN: both fail typed, up front.
+    # and NaN makes every arrival time NaN; an infinite horizon that no
+    # session cap or lasting rate can end would draw forever. All fail
+    # typed, up front, and no schedule here is ever iterated.
     with pytest.raises(BenchmarkError, match="finite|positive"):
         build()
+
+
+class TestInfiniteHorizon:
+    """An infinite horizon is accepted where a session cap and a rate that
+    stays positive end the draw. Only constructors run here."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ArrivalProcess(1.0, INF, max_sessions=5),
+        lambda: ArrivalProcess(
+            1.0, INF, max_sessions=5, rate_schedule=RateSchedule.diurnal(1.0)
+        ),
+        lambda: ArrivalProcess(
+            1.0, INF, max_sessions=5,
+            rate_schedule=RateSchedule([(0.0, 0.0), (1.0, 2.0)]),
+        ),
+    ], ids=["homogeneous", "diurnal", "positive-last-rate"])
+    def test_accepted(self, build):
+        assert build().horizon == INF
+
+    def test_serve_exits_one_with_one_stderr_line(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "serve", "--engine", "idea-sim", "--sessions", "5",
+            "--arrivals", "1", "--horizon", "inf",
+            "--arrival-schedule", "piecewise:0=1,1=0",
+            "--scale", "1000", "--size", "S",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "infinite horizon" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestScheduleParse:
