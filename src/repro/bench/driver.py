@@ -9,7 +9,10 @@ drivers, and generates reports". Concretely, for every workflow:
    simulation handles the overlap faithfully;
 2. each interaction updates the viz graph and submits one query per
    affected visualization — *simultaneously*, so they share engine
-   capacity (§2.2's multiple concurrent queries);
+   capacity (§2.2's multiple concurrent queries). A scripted workflow's
+   queries come from its :attr:`~repro.workflow.spec.Workflow.query_plan`,
+   derived once per workflow object and shared by every run of it; a
+   policy session applies each interaction to its own live graph;
 3. every query gets a deadline ``submit + TR``; at the deadline the driver
    fetches whatever answer is visible, cancels the query ("queries whose
    run-time exceed TR are cancelled", §4.7), computes all metrics against
@@ -62,14 +65,8 @@ from repro.workflow.policy import (
     WorkflowPlan,
 )
 from repro.query.model import AggQuery
-from repro.workflow.graph import VizGraph, VizNode
-from repro.workflow.spec import (
-    DiscardViz,
-    Interaction,
-    Link,
-    Workflow,
-    WorkflowType,
-)
+from repro.workflow.graph import PlannedStep, VizGraph, VizNode, derive_step
+from repro.workflow.spec import Interaction, Workflow, WorkflowType
 
 #: Cap on speculative queries enumerated per link (the Exp.-3 source viz
 #: has 25 bins; a small headroom covers other workflows).
@@ -210,7 +207,9 @@ class SessionDriver:
         self._wf_index = 0
         self._interaction_index = 0
         self._wf_start: Optional[float] = None
-        self._graph = VizGraph()
+        #: The live dashboard of a policy session; a scripted one reads
+        #: its workflow's query plan instead.
+        self._graph: Optional[VizGraph] = None
         self._deadlines: List[_Deadline] = []
         self._sequence = 0
         #: Speculative queries linked to the engine, in link order.
@@ -220,6 +219,7 @@ class SessionDriver:
         self._pending: Optional[Interaction] = None
         self._stalled = False
         if policy is not None:
+            self._graph = VizGraph()
             self._plan = policy.begin_workflow(0)
             self._finished = self._plan is None
             if not self._finished:
@@ -505,20 +505,19 @@ class SessionDriver:
         # deadlines, exactly like the historical serial loop.
         kind = interaction.kind
         self.interaction_counts[kind] = self.interaction_counts.get(kind, 0) + 1
-        if isinstance(interaction, DiscardViz):
-            # Tell the engine before the node disappears (Listing 1's
-            # delete_vizs: "free memory, if applicable").
-            if interaction.viz_name in self._graph:
-                self.engine.delete_vizs(
-                    [self._graph.query_for(interaction.viz_name)]
-                )
-        applied = self._graph.apply(interaction)
-        if isinstance(interaction, Link):
-            self._hint_speculation(self._graph, interaction)
+        if self._policy is None:
+            workflow = self._workflows[self._wf_index]
+            step = workflow.query_plan[self._interaction_index]
+        else:
+            step = derive_step(self._graph, interaction)
+        if step.discarded is not None:
+            # Listing 1's delete_vizs: "free memory, if applicable".
+            self.engine.delete_vizs([step.discarded])
+        if step.link_source is not None:
+            self._hint_speculation(step)
 
         submitted: List[Tuple[int, str, AggQuery]] = []
-        for viz_name in applied.affected:
-            query = self._graph.query_for(viz_name)
+        for viz_name, query in step.submitted:
             handle = self.engine.submit(query)
             submitted.append((handle, viz_name, query))
         for handle, viz_name, query in submitted:
@@ -553,8 +552,8 @@ class SessionDriver:
         self._wf_index += 1
         self._interaction_index = 0
         self._wf_start = None
-        self._graph = VizGraph()
         if self._policy is not None:
+            self._graph = VizGraph()
             self._plan = self._policy.begin_workflow(self._wf_index)
             if self._plan is None:
                 self._finished = True
@@ -602,7 +601,7 @@ class SessionDriver:
         self._query_counter += 1
         return record
 
-    def _hint_speculation(self, graph: VizGraph, link: Link) -> None:
+    def _hint_speculation(self, step: PlannedStep) -> None:
         """Link the single-bin-selection queries a link enables (§5.4).
 
         IDEA's experimental extension "executes queries for every possible
@@ -613,17 +612,15 @@ class SessionDriver:
         depends on the engine; the queries are built only for an engine
         that speculates.
         """
-        source_result = self.oracle.answer(graph.query_for(link.source))
+        source_result = self.oracle.answer(step.link_source)
         if not self.engine.speculates:
             return
-        source = graph.node(link.source).spec
-        target = graph.node(link.target)
-        upstream = graph.effective_filter(link.source)
+        source, target, target_filter, upstream = step.speculation
         queries = []
         for key in source_result.columns.keys[:MAX_SPECULATIVE_PER_LINK]:
             selection = VizNode(spec=source, selection=(key,)).selection_filter()
-            effective = conjoin([target.own_filter, selection, upstream])
-            queries.append(target.spec.base_query(effective))
+            effective = conjoin([target_filter, selection, upstream])
+            queries.append(target.base_query(effective))
         self._hints.extend(queries)
         self.engine.link_vizs(queries)
 

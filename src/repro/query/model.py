@@ -200,18 +200,24 @@ class AggQuery(codec.Codable, error=QueryError):
         """Dimensionality of the binning (1 or 2)."""
         return len(self.bins)
 
-    @property
+    # The descriptors below are memos, like ``digest``: every run of a
+    # scripted workflow submits the same query objects.
+    @cached_property
     def binning_types(self) -> Tuple[str, ...]:
         """Per-dimension kind labels, as reported in Table 1."""
         return tuple(dim.kind.value for dim in self.bins)
 
-    @property
+    @cached_property
     def agg_type(self) -> str:
         """Aggregate-type label for the detailed report (Table 1)."""
         return " ".join(agg.func.value for agg in self.aggregates)
 
     def referenced_columns(self) -> Tuple[str, ...]:
         """Every logical column the query touches (bins + aggs + filter)."""
+        return self._referenced_columns
+
+    @cached_property
+    def _referenced_columns(self) -> Tuple[str, ...]:
         seen = []
         for dim in self.bins:
             if dim.field not in seen:
@@ -236,9 +242,13 @@ class AggQuery(codec.Codable, error=QueryError):
         """
         return stable_digest(self.to_dict(), length=None)
 
+    #: The instance-``__dict__`` memos :meth:`__getstate__` leaves out.
+    _MEMOS = ("digest", "binning_types", "agg_type", "_referenced_columns")
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("digest", None)
+        for name in self._MEMOS:
+            state.pop(name, None)
         return state
 
 

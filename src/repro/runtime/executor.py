@@ -37,8 +37,7 @@ from repro.common.errors import BenchmarkError
 from repro.common.log import get_logger
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ArtifactStore
-from repro.workflow.graph import VizGraph
-from repro.workflow.spec import Link, WorkflowType
+from repro.workflow.spec import WorkflowType
 
 _log = get_logger("runtime.executor")
 
@@ -108,24 +107,25 @@ def warm_ground_truth(ctx, spec: RunSpec) -> None:
 
     The queries a workflow triggers are a deterministic function of its
     interactions — the engine never influences *which* queries the driver
-    submits, only how well it answers them. Replaying the interactions
-    through a shadow :class:`VizGraph` therefore enumerates exactly the
-    ground-truth lookups of every engine × TR cell over the same suite.
-    With a store-backed oracle the answers persist, so forked workers
-    (and resumed runs) hit the cache instead of recomputing the same
-    exact aggregations in parallel.
+    submits, only how well it answers them. Each workflow's
+    :attr:`~repro.workflow.spec.Workflow.query_plan`, the one every
+    engine × TR cell over the same suite then reads, therefore
+    enumerates exactly their ground-truth lookups. With a store-backed
+    oracle the answers persist, so forked workers (and resumed runs) hit
+    the cache instead of recomputing the same exact aggregations in
+    parallel.
     """
     oracle = ctx.oracle(spec.settings.data_size, spec.normalized)
     for workflow in select_workflows(ctx, spec):
-        graph = VizGraph()
-        for interaction in workflow.interactions:
-            applied = graph.apply(interaction)
-            if isinstance(interaction, Link):
-                # Mirrors the driver's speculation hint, which answers the
-                # link source's current query to enumerate its bins.
-                oracle.answer(graph.query_for(interaction.source))
-            for viz_name in applied.affected:
-                oracle.answer(graph.query_for(viz_name))
+        plan = workflow.query_plan
+        for index in range(len(plan)):
+            step = plan[index]
+            if step.link_source is not None:
+                # The driver's speculation hint answers the link source's
+                # query to enumerate its bins.
+                oracle.answer(step.link_source)
+            for _, query in step.submitted:
+                oracle.answer(query)
 
 
 def execute_cell(ctx, spec: RunSpec) -> Dict[str, Any]:

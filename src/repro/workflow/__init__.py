@@ -9,7 +9,8 @@ visualizations (§4.3). This subpackage implements:
   discard viz) and the :class:`Workflow` container;
 * :mod:`repro.workflow.graph` — the visualization dependency DAG the
   driver maintains (§4.4): filter/selection propagation along links and
-  the set of visualizations an interaction forces to update;
+  the set of visualizations an interaction forces to update, and the
+  per-workflow query plan every run of a scripted workflow reads;
 * :mod:`repro.workflow.markov` — the Markov-chain machinery behind the
   generator (§4.3: "models workflows as Markov Chains with pre-defined
   (and customizable) probability distributions");

@@ -19,12 +19,18 @@ driver asks on every interaction:
 
 Links must form a DAG; creating a cycle raises
 :class:`~repro.common.errors.WorkflowError`.
+
+A scripted workflow's queries depend on its interactions alone — not on
+the engine, the TR or the dataset — so :class:`QueryPlan` replays each
+:class:`~repro.workflow.spec.Workflow` object through one graph, once,
+and every run of it reads the same :class:`PlannedStep` per interaction
+(:attr:`Workflow.query_plan <repro.workflow.spec.Workflow.query_plan>`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import WorkflowError
 from repro.query.filters import (
@@ -255,3 +261,83 @@ class VizGraph:
             if name not in seen:
                 seen.append(name)
         return tuple(seen)
+
+
+class PlannedStep(NamedTuple):
+    """What firing one interaction submits and hands the engine (§4.4).
+
+    ``submitted`` holds one ``(viz_name, query)`` pair per affected viz,
+    in submission order. ``discarded`` is the query of the viz a
+    :class:`DiscardViz` removes, as it stood just before. On a
+    :class:`Link`, ``link_source`` is the source's query and
+    ``speculation`` the driver's speculative-hint inputs: the source's
+    spec, the target's spec, the target's own filter and the upstream
+    filter (the source's effective filter).
+    """
+
+    interaction: Interaction
+    submitted: Tuple[Tuple[str, AggQuery], ...]
+    discarded: Optional[AggQuery] = None
+    link_source: Optional[AggQuery] = None
+    speculation: Optional[
+        Tuple[VizSpec, VizSpec, Optional[Filter], Optional[Filter]]
+    ] = None
+
+
+def derive_step(graph: VizGraph, interaction: Interaction) -> PlannedStep:
+    """Apply ``interaction`` to ``graph``; the queries it derives."""
+    discarded = None
+    if isinstance(interaction, DiscardViz) and interaction.viz_name in graph:
+        discarded = graph.query_for(interaction.viz_name)
+    applied = graph.apply(interaction)
+    link_source = speculation = None
+    if isinstance(interaction, Link):
+        link_source = graph.query_for(interaction.source)
+        target = graph.node(interaction.target)
+        speculation = (
+            graph.node(interaction.source).spec,
+            target.spec,
+            target.own_filter,
+            link_source.filter,
+        )
+    submitted = tuple((name, graph.query_for(name)) for name in applied.affected)
+    return PlannedStep(interaction, submitted, discarded, link_source, speculation)
+
+
+class QueryPlan:
+    """A scripted workflow's :class:`PlannedStep` per interaction.
+
+    Built lazily: ``plan[i]`` replays the interactions only up to *i*
+    and reads ``interactions[i]`` no earlier (generated workflows
+    materialize on read, and a departing session fires only a prefix).
+    A step whose interaction is invalid raises its
+    :class:`~repro.common.errors.WorkflowError` and leaves the plan as it
+    was, so every run of the workflow fails at the same step. Once every
+    step is derived the graph is dropped.
+    """
+
+    __slots__ = ("_interactions", "_graph", "_steps")
+
+    def __init__(self, interactions: Sequence[Interaction]):
+        self._interactions = interactions
+        self._graph: Optional[VizGraph] = VizGraph()
+        self._steps: List[PlannedStep] = []
+
+    def __len__(self) -> int:
+        return len(self._interactions)
+
+    def __getitem__(self, index: int) -> PlannedStep:
+        steps = self._steps
+        while len(steps) <= index:
+            interaction = self._interactions[len(steps)]
+            try:
+                steps.append(derive_step(self._graph, interaction))
+            except Exception:
+                # The graph may have changed before a later read failed.
+                self._graph = VizGraph()
+                for step in steps:
+                    self._graph.apply(step.interaction)
+                raise
+            if len(steps) == len(self._interactions):
+                self._graph = None
+        return steps[index]

@@ -18,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -181,6 +182,24 @@ class Workflow(codec.Codable, error=WorkflowError):
     @property
     def num_interactions(self) -> int:
         return len(self.interactions)
+
+    @cached_property
+    def query_plan(self):
+        """The workflow's :class:`~repro.workflow.graph.QueryPlan`, one
+        per instance: every run of this object reads the same queries.
+
+        Like :attr:`AggQuery.digest <repro.query.model.AggQuery.digest>`
+        it lives in the instance ``__dict__``, so ``==``, the codec and
+        pickles never see it.
+        """
+        from repro.workflow.graph import QueryPlan  # graph imports this module
+
+        return QueryPlan(self.interactions)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("query_plan", None)
+        return state
 
 
 def save_suite(workflows: Sequence[Workflow], directory: Union[str, Path]) -> List[Path]:

@@ -7,9 +7,15 @@ parallel paths — real ``ProcessPoolExecutor`` workers — stay fast.
 
 import pytest
 
-from repro.bench.experiments import ExperimentContext, exp_overall
+from repro.bench.experiments import (
+    DEFAULT_TIME_REQUIREMENTS,
+    MAIN_ENGINES,
+    ExperimentContext,
+    exp_overall,
+)
 from repro.common.config import BenchmarkSettings, DataSize
 from repro.common.errors import BenchmarkError
+from repro.engines.kernel_cache import clear_kernel_cache, kernel_cache
 from repro.runtime import (
     ArtifactStore,
     MatrixExecutor,
@@ -22,6 +28,8 @@ from repro.runtime import (
 )
 from repro.runtime import executor as executor_module
 from repro.runtime.report import FALLBACK_REVISION
+from repro.workflow.graph import VizGraph
+from repro.workflow.spec import Link
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +248,56 @@ class TestServeCells:
         assert not any(r.from_cache for r in first)
         assert all(r.from_cache for r in second)
         assert self._texts(second) == self._texts(first)
+
+
+class TestWarmGroundTruth:
+    """What the parent answers before forking is exactly what the cells
+    of one suite ask the oracle: every engine × TR cell over it then
+    computes no exact answer of its own."""
+
+    @pytest.fixture(scope="class")
+    def cells(self, settings):
+        return plan_matrix(
+            settings, MAIN_ENGINES, DEFAULT_TIME_REQUIREMENTS, (DataSize.S,),
+            per_type=1,
+        )
+
+    def test_warmed_cells_compute_no_new_exact_answer(self, settings, cells):
+        clear_kernel_cache()
+        ctx = ExperimentContext(settings)
+        oracle = ctx.oracle(DataSize.S)
+        executor_module.warm_ground_truth(ctx, cells[0])
+        cache = kernel_cache()
+        warmed = (cache.misses, oracle.misses)
+        assert warmed[0] > 0 and warmed[1] > 0
+        results = MatrixExecutor(jobs=1, local_context=ctx).run(cells)
+        assert len(results) == len(MAIN_ENGINES) * len(DEFAULT_TIME_REQUIREMENTS)
+        assert all(result.records for result in results)
+        assert cache.evictions == 0  # the cache holds the whole suite
+        assert (cache.misses, oracle.misses) == warmed
+
+    def test_warmed_answers_equal_a_live_replay(self, settings, cells, monkeypatch):
+        clear_kernel_cache()
+        ctx = ExperimentContext(settings)
+        oracle = ctx.oracle(DataSize.S)
+        answered = []
+        answer = oracle.answer
+        monkeypatch.setattr(
+            oracle, "answer", lambda query: answered.append((query, answer(query)))
+        )
+        executor_module.warm_ground_truth(ctx, cells[0])
+        expected = []  # the shadow replay warming used to run
+        for workflow in executor_module.select_workflows(ctx, cells[0]):
+            graph = VizGraph()
+            for interaction in workflow.interactions:
+                applied = graph.apply(interaction)
+                if isinstance(interaction, Link):
+                    expected.append(graph.query_for(interaction.source))
+                expected.extend(graph.query_for(name) for name in applied.affected)
+        assert [query for query, _ in answered] == expected
+        monkeypatch.undo()
+        clear_kernel_cache()
+        assert [result for _, result in answered] == [answer(q) for q in expected]
 
 
 class TestCurrentRevision:
