@@ -21,6 +21,7 @@ Run with::
 
 from repro import BenchmarkSettings, DataSize
 from repro.bench.experiments import ExperimentContext
+from repro.obs import observed
 from repro.server import SessionManager, render_session_table
 
 
@@ -53,28 +54,32 @@ def main() -> None:
     manager = SessionManager.for_engine(
         ctx,
         "idea-sim",
-        num_sessions=3,
+        3,                  # a closed population: sessions 0, 1, 2 at t = 0
         per_session=1,
-        share_engine=True,   # all three contend on one engine, fairly
-        on_record=live,      # the per-session metric stream
-        trace_capture=True,  # keep the (time, session) step marks below
+        share_engine=True,  # all three contend on one engine, fairly
+        on_record=live,     # the per-session metric stream
     )
-    results = manager.run()
+    # The tracer's manager.turn events are the (time, session) step turns.
+    with observed(enabled=True) as tracer:
+        results = manager.run()
+    turns = [
+        entry["session"]
+        for entry in tracer.entries()
+        if entry["name"] == "manager.turn"
+    ]
 
     print("\n3. per-session summaries:")
     print(render_session_table(
         results, title="3 concurrent sessions, shared idea-sim engine"
     ))
 
-    switches = sum(
-        1 for a, b in zip(manager.trace, manager.trace[1:]) if a[1] != b[1]
-    )
+    switches = sum(1 for a, b in zip(turns, turns[1:]) if a != b)
     total = sum(result.num_queries for result in results)
     print(
         f"\n{total} queries ({verdicts['ok']} answered, "
         f"{verdicts['VIOLATED']} TR-violated) in "
         f"{manager.wall_seconds:.2f}s wall; "
-        f"{switches} session switches across {len(manager.trace)} events"
+        f"{switches} session switches across {len(turns)} turns"
     )
     print(
         "\nSessions are seeded per-session: re-running this script (or "

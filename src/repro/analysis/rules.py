@@ -431,8 +431,7 @@ _HASHLIB_SINKS = frozenset({
     "hashlib.blake2s", "hashlib.new",
 })
 
-_DERIVE_SINKS = ("derive_seed", "derive_rng", "derive_cell_seed",
-                 "derive_session_seed")
+_DERIVE_SINKS = ("derive_seed", "derive_rng", "derive_session_seed")
 
 _STRINGIFIERS = ("repr", "str", "format", "ascii")
 

@@ -156,6 +156,7 @@ class ExperimentContext:
         self._oracles: Dict[Tuple[DataSize, bool], GroundTruthOracle] = {}
         self._profiles: Dict[DataSize, Dict[str, ColumnProfile]] = {}
         self._suites: Dict[Tuple[DataSize, WorkflowType, int], List[Workflow]] = {}
+        self._probes: Dict[DataSize, Workflow] = {}
 
     # -- artifact keys ---------------------------------------------------
     def _table_key(self, size: DataSize) -> tuple:
@@ -252,6 +253,13 @@ class ExperimentContext:
                 build,
             )
         return self._suites[key]
+
+    def speculation_probe(self, size: DataSize) -> Workflow:
+        """Fig. 6f's :func:`speculation_workflow` over ``size``'s profiles,
+        built once, so every cell over it reads one query plan."""
+        if size not in self._probes:
+            self._probes[size] = speculation_workflow(self.profiles(size))
+        return self._probes[size]
 
     # -- running -----------------------------------------------------------
     def run(

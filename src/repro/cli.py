@@ -600,7 +600,8 @@ def _cmd_serve(args) -> int:
         print(f"wrote per-session detailed reports to {out_dir}/")
     if args.verify:
         baseline = serial_baseline(
-            ctx, args.engine, manager.specs, speculation=args.speculation
+            ctx, args.engine, [result.spec for result in results],
+            speculation=args.speculation,
         )
         mismatched = [
             result.session_id

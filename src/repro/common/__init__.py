@@ -27,7 +27,6 @@ from repro.common.errors import (
 )
 from repro.common.fingerprint import canonical_json, canonicalize, stable_digest
 from repro.common.rng import (
-    derive_cell_seed,
     derive_rng,
     derive_seed,
     derive_session_seed,
@@ -49,7 +48,6 @@ __all__ = [
     "WorkflowError",
     "canonical_json",
     "canonicalize",
-    "derive_cell_seed",
     "derive_rng",
     "derive_seed",
     "derive_session_seed",

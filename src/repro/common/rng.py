@@ -55,18 +55,6 @@ def derive_rng(root_seed: int, *purpose: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, *purpose))
 
 
-def derive_cell_seed(root_seed: int, cell_fingerprint: str) -> int:
-    """Seed for one run-matrix cell, derived from its content fingerprint.
-
-    The parallel runtime executes experiment cells in arbitrary order
-    across worker processes; seeding each cell from its own fingerprint
-    (rather than from a submission counter) is what makes parallel output
-    bit-identical to serial — the stream a cell draws from depends only on
-    *what* the cell is, never on *when* or *where* it runs.
-    """
-    return derive_seed(root_seed, "runtime-cell", cell_fingerprint)
-
-
 def derive_session_seed(root_seed: int, session_index: int) -> int:
     """Seed for one simulated IDE session of the session server.
 

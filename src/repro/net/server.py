@@ -544,23 +544,23 @@ class TcpSessionServer:
                 self, reader, writer, session_id,
                 ExternalInteractionSource(session_id, workflow_type), batched,
             )
-            spec, policy = hook.session(None, None)  # the frontend is the source
+            session = hook.session(None, None)  # the frontend is the source
         else:
-            spec, policy = make_session(
+            session = make_session(
                 self.ctx,
                 attach.session_index,
                 per_session=attach.per_session,
                 workflow_type=workflow_type,
                 policy=attach.policy,
             )
-            hook = _WireHook(self, reader, writer, spec.session_id,
+            hook = _WireHook(self, reader, writer, session[0].session_id,
                              batched=batched)
         manager = SessionManager(
-            [spec],
             self._oracle,
             self.ctx.settings,
-            engines=[self._new_engine()],
-            policies=[policy],
+            1,
+            lambda index: session,
+            engine_factory=self._new_engine,
             accel=attach.accel,
             turn_hooks={0: hook},
         )
@@ -574,7 +574,7 @@ class TcpSessionServer:
         await self._send(
             writer,
             Progress(
-                session_id=spec.session_id, event="attached", payload=payload
+                session_id=hook.session_id, event="attached", payload=payload
             ),
         )
         try:

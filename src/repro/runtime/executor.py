@@ -92,9 +92,7 @@ def select_workflows(ctx, spec: RunSpec):
     selector = spec.workflows
     size = spec.settings.data_size
     if selector.kind == "speculation":
-        from repro.bench.experiments import speculation_workflow
-
-        workflows = [speculation_workflow(ctx.profiles(size))]
+        workflows = [ctx.speculation_probe(size)]
     else:
         workflows = ctx.workflows(
             WorkflowType(selector.workflow_type), selector.count, size=size
@@ -180,31 +178,26 @@ def cell_context(ctx, spec: RunSpec):
 
 
 def serving_manager(ctx, spec: RunSpec, **presentation):
-    """The manager serving ``spec``, for sweep cells and ``repro serve``.
+    """The :class:`~repro.server.manager.SessionManager` serving ``spec``,
+    for sweep cells and ``repro serve``.
 
-    A closed cell gets a :class:`~repro.server.manager.SessionManager`, an
-    open one an :class:`~repro.server.manager.OpenSystemManager`.
-    ``presentation`` (``accel``, ``on_record``, ``spool``) paces or shows
-    the run and never changes its records.
+    ``presentation`` (``accel``, ``on_record``, ``spool``, ``turn_hooks``)
+    paces or shows the run and never changes its records.
     """
-    from repro.server.manager import OpenSystemManager, SessionManager
+    from repro.server.manager import SessionManager
 
     ctx = cell_context(ctx, spec)
     serving = spec.serving
-    options = dict(
+    return SessionManager.for_engine(
+        ctx,
+        spec.engine,
+        serving.population(spec.settings.seed),
         per_session=spec.workflows.count,
         workflow_type=WorkflowType(spec.workflows.workflow_type),
         share_engine=serving.share_engine,
         policy=None if serving.policy == "scripted" else serving.policy,
         speculation=spec.speculation,
         **presentation,
-    )
-    if serving.churn == "open":
-        return OpenSystemManager.for_engine(
-            ctx, spec.engine, serving.arrivals(spec.settings.seed), **options
-        )
-    return SessionManager.for_engine(
-        ctx, spec.engine, serving.sessions, **options
     )
 
 

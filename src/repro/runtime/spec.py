@@ -13,8 +13,7 @@ artifacts on disk, and resume a crashed matrix without re-planning.
 A spec's :meth:`~RunSpec.fingerprint` is the stable digest of its
 canonical dictionary (plus the cache schema version), so two equal specs
 fingerprint identically in every process — it doubles as the cell's
-artifact-cache key and as the input to per-cell seed derivation
-(:func:`repro.common.rng.derive_cell_seed`).
+artifact-cache key.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.common import codec
 from repro.common.config import BenchmarkSettings
 from repro.common.errors import ConfigurationError
 from repro.common.fingerprint import CACHE_SCHEMA_VERSION, stable_digest
-from repro.common.rng import derive_cell_seed
 from repro.workflow.policy import POLICY_NAMES
 from repro.workflow.spec import WorkflowType
 
@@ -129,12 +127,15 @@ class ServingSelector(codec.Codable, error=ConfigurationError, strict=True):
                 raise ConfigurationError(
                     "open serving cells need an arrival rate and a horizon"
                 )
-            self.arrivals(seed=0)  # a bad rate must not surface mid-sweep
+            self.population(seed=0)  # a bad rate must not surface mid-sweep
 
-    def arrivals(self, seed: int):
-        """The open cell's :class:`~repro.server.manager.ArrivalProcess`."""
+    def population(self, seed: int):
+        """What the cell's manager serves: ``sessions`` for a closed cell,
+        an open one's :class:`~repro.server.manager.ArrivalProcess`."""
         from repro.server.manager import ArrivalProcess, RateSchedule
 
+        if self.churn == "closed":
+            return self.sessions
         return ArrivalProcess(
             self.arrival_rate, self.horizon, seed=seed,
             mean_residence=self.residence, max_sessions=self.sessions,
@@ -196,17 +197,6 @@ class RunSpec(codec.Codable, error=ConfigurationError):
     def cell_id(self) -> str:
         """Short human-facing identifier (prefix of the fingerprint)."""
         return self.fingerprint()[:12]
-
-    @property
-    def cell_seed(self) -> int:
-        """Deterministic per-cell seed derived from the fingerprint.
-
-        Cells sharing ``settings.seed`` still draw the package's shared
-        streams (dataset, workflows) identically — this extra seed exists
-        for consumers that need randomness independent across cells yet
-        invariant to execution order.
-        """
-        return derive_cell_seed(self.settings.seed, self.fingerprint())
 
     def describe(self) -> str:
         """One-line human description for progress output."""

@@ -9,13 +9,13 @@ think-time-paced sessions concurrently from one process:
   workflow suite or adaptive policy), :class:`SessionStream` (live
   per-session metric stream), :class:`SessionResult` (per-session
   Table-1/Fig.-5 reports plus the session's interaction mix);
-* :mod:`repro.server.manager` — one event-calendar loop stepping
-  sessions in deterministic global virtual-time order, in *isolated*
-  (byte-identical to serial) or *shared-engine* (fair-scheduled
-  contention) topology: :class:`SessionManager` feeds it a fixed
-  population (every arrival at virtual time 0), :class:`ArrivalProcess`
-  and :class:`OpenSystemManager` seeded Poisson arrivals that spawn
-  sessions mid-run and churn them out again;
+* :mod:`repro.server.manager` — :class:`SessionManager`, one
+  event-calendar loop stepping sessions in deterministic global
+  virtual-time order, in *isolated* (byte-identical to serial) or
+  *shared-engine* (fair-scheduled contention) topology, over a fixed
+  population (every arrival at virtual time 0) or an
+  :class:`ArrivalProcess` of seeded Poisson arrivals that spawn sessions
+  mid-run and churn them out again;
 * :mod:`repro.server.clock` — :class:`AsyncClock`, wall-clock pacing for
   real-time/accelerated serving without losing determinism;
 * :mod:`repro.server.spool` — :class:`RecordSpool` and

@@ -2,18 +2,17 @@
 
 IDEBench models interactive exploration as think-time-paced sessions
 issuing concurrent queries (§2.2, §4.4). The serial driver simulates one
-such session at a time; the managers here serve *many at once* from a
-single process, the way a deployed exploration backend would face its
-users. Each session is a :class:`~repro.bench.driver.SessionDriver` (the
-steppable event machine factored out of the serial driver); one
-event-calendar loop (:meth:`_ManagerCore._run_calendar`) grants step
+such session at a time; :class:`SessionManager` serves *many at once*
+from a single process, the way a deployed exploration backend would face
+its users. Each session is a :class:`~repro.bench.driver.SessionDriver`
+(the steppable event machine factored out of the serial driver); one
+event-calendar loop (:meth:`SessionManager._run_calendar`) grants step
 turns in **global virtual-time order** — the discrete-event merge of all
 sessions' event queues, with ties broken by session index, so a run's
 event order (and thus its output) is a pure function of its inputs.
 
-Two populations, one loop: :class:`OpenSystemManager` follows a seeded
-:class:`ArrivalProcess` (sessions arrive and depart mid-run);
-:class:`SessionManager` serves a fixed set of sessions, which is the
+Two populations, one loop: a seeded :class:`ArrivalProcess` (sessions
+arrive and depart mid-run), or a fixed number of sessions, which is the
 same thing with every arrival at virtual time 0 and no departure.
 
 Two engine topologies:
@@ -55,7 +54,6 @@ from repro.engines.kernel_cache import kernel_cache
 from repro.engines.scheduler import FairSessionPolicy, WeightedSharingPolicy
 from repro.obs import timed_stage
 from repro.obs.metrics import get_metrics
-from repro.obs.sink import RingBuffer
 from repro.obs.timeseries import get_timeseries
 from repro.obs.tracer import get_tracer
 from repro.server.clock import AsyncClock
@@ -65,23 +63,9 @@ from repro.workflow.generator import WorkflowGenerator
 from repro.workflow.policy import InteractionPolicy, make_policy
 from repro.workflow.spec import WorkflowType
 
-#: Entries a trace ring keeps when ``trace_capture=True`` (an
-#: always-growing trace list at 10⁵ sessions is a memory leak, so capture
-#: is opt-in and bounded).
-DEFAULT_TRACE_CAPACITY = 65536
-
 #: Calendar slot of the arrival spawner — below every session index, so
 #: at equal virtual times the arrival is processed first.
 _SPAWNER = -1
-
-
-def _make_trace_ring(trace_capture: Union[bool, int]) -> Optional[RingBuffer]:
-    """Build the opt-in bounded step-trace ring (None = capture off)."""
-    if trace_capture is False or trace_capture is None:
-        return None
-    if trace_capture is True:
-        return RingBuffer(DEFAULT_TRACE_CAPACITY)
-    return RingBuffer(int(trace_capture))
 
 
 class SessionAbandoned(Exception):
@@ -127,7 +111,7 @@ class SessionTurnHook:
         self, spec: SessionSpec, policy: Optional[InteractionPolicy]
     ) -> Tuple[SessionSpec, Optional[InteractionPolicy]]:
         """The ``(spec, policy)`` the hooked slot runs, asked once when
-        the manager is built: the session built for the slot, unless the
+        the session spawns: the session built for the slot, unless the
         hook's frontend is itself the interaction source."""
         return spec, policy
 
@@ -145,35 +129,118 @@ class SessionTurnHook:
 _Live = Tuple[SessionDriver, SessionSpec, "SessionArrival"]
 
 
-class _ManagerCore:
-    """The serving loop both managers run.
+class SessionManager:
+    """Multiplexes simulated IDE sessions over shared engine state.
 
-    A run is an iterator of :class:`SessionArrival` merged with the live
-    sessions' event queues on one heap. Subclasses say where arrivals
-    come from (:meth:`_arrivals`) and what a spawned session is made of
-    (:meth:`_spawn`); everything else — admission, turn grants, hooked
-    or plain stepping, departures, abandonment, result and aggregate
-    bookkeeping — is here, once, keyed on data (``turn_hooks``,
-    ``arrival.departure_time``, ``spool``) rather than on the caller.
+    A run serves one *population* on one event calendar: an iterator of
+    :class:`SessionArrival` merged with the live sessions' event queues
+    on one heap. Admission, turn grants, hooked or plain stepping,
+    departures, abandonment, result and aggregate bookkeeping are keyed
+    on data (``population``, ``turn_hooks``, ``arrival.departure_time``,
+    ``spool``), never on the caller.
+
+    Parameters
+    ----------
+    oracle, settings:
+        Shared ground-truth oracle and benchmark settings.
+    population:
+        An ``int`` n — the closed system: sessions ``0 … n−1`` all
+        arrive at virtual time 0 and run to completion — or an
+        :class:`ArrivalProcess` (anything with its ``schedule()`` /
+        ``iter_schedule()``) — the open system: each session spawns at
+        its scheduled arrival instant and abandons whatever is in flight
+        when its ``departure_time`` overtakes its next event (queries
+        cancelled, never evaluated; on a shared engine the scheduler's
+        whole session group is swept, so ghost load from churned-out
+        users cannot skew the survivors). Sessions an arrival process
+        brings are announced (``manager.arrival`` trace event,
+        ``repro_sessions_spawned_total``); a closed population's are not.
+    session_factory:
+        ``index → (spec, policy)``, called once per session when it
+        spawns (``policy`` ``None`` runs the spec's workflows scripted).
+        :meth:`for_engine` passes :func:`make_session`'s.
+    engine_factory:
+        Isolated mode — called once per spawning session for a fresh (or
+        prepared) engine of its own. Mutually exclusive with ``engine``.
+    engine:
+        Shared mode — a single engine all sessions contend on. If its
+        scheduler still runs the default
+        :class:`~repro.engines.scheduler.WeightedSharingPolicy`, the
+        manager installs :class:`~repro.engines.scheduler.FairSessionPolicy`
+        (one group per session) before preparing it.
+    accel:
+        Optional wall-clock pacing: virtual seconds per wall second
+        (``1.0`` = real time). ``None`` steps as fast as possible.
+    on_record:
+        Optional callback ``(session_id, record)`` subscribed to every
+        session's metric stream.
+    turn_hooks:
+        Optional ``{session index: SessionTurnHook}`` map. Hooked
+        sessions pace their step turns through the hook (the TCP turn
+        protocol) and may swap in their own session
+        (:meth:`SessionTurnHook.session`: a client-driven TCP slot); a
+        hook raising :class:`SessionAbandoned` retires just that
+        session. Abandoned session ids accumulate on :attr:`abandoned`.
+    spool:
+        Optional :class:`~repro.server.spool.RecordSpool` switching the
+        run to constant-memory mode: records are spilled the moment they
+        are produced instead of retained, per-session state is freed as
+        sessions retire, an arrival process's schedule is streamed, never
+        materialized, and :meth:`run_async` returns ``[]`` —
+        :attr:`aggregate` carries the run totals. Incompatible with
+        ``turn_hooks`` (the TCP layer needs retained records).
+
+    Determinism: every grant follows global ``(time, index)`` order with
+    the spawner below all sessions, and a departure happens at the
+    departing session's own last event time, so a run's bytes are a pure
+    function of its configuration, invariant to wall pacing (``accel``)
+    and re-invocation.
+
+    A manager is single-shot: :meth:`run` (or :meth:`run_async`) may be
+    called once; per-session streams are available on :attr:`streams`
+    while it runs, results come back as :class:`SessionResult` in
+    arrival order.
     """
 
     def __init__(
         self,
         oracle,
         settings: BenchmarkSettings,
+        population: Union[int, "ArrivalProcess"],
+        session_factory: Callable[
+            [int], Tuple[SessionSpec, Optional[InteractionPolicy]]
+        ],
         *,
-        engine,
-        accel: Optional[float],
-        on_record: Optional[Callable[[str, QueryRecord], None]],
-        trace_capture: Union[bool, int],
-        spool: Optional[RecordSpool],
+        engine_factory: Optional[Callable[[], object]] = None,
+        engine=None,
+        accel: Optional[float] = None,
+        on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
+        spool: Optional[RecordSpool] = None,
     ):
+        if (engine_factory is None) == (engine is None):
+            raise BenchmarkError(
+                "pass exactly one of engine_factory= (isolated) or "
+                "engine= (shared)"
+            )
         if spool is not None and turn_hooks:
             raise BenchmarkError(
                 "record spooling is incompatible with turn hooks: the "
                 "wire protocol replays retained per-session records"
             )
+        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
+        self._closed = isinstance(population, int)
+        if self._closed:
+            if population < 1:
+                raise BenchmarkError(
+                    f"need at least one session, got {population!r}"
+                )
+            unknown = [i for i in self._hooks if not 0 <= i < population]
+            if unknown:
+                raise BenchmarkError(
+                    f"turn hooks reference unknown session indexes {unknown!r}"
+                )
+        self.population = population
         self.oracle = oracle
         self.settings = settings
         self.shared = engine is not None
@@ -182,6 +249,8 @@ class _ManagerCore:
             engine.scheduler.policy, WeightedSharingPolicy
         ):
             engine.scheduler.set_policy(FairSessionPolicy())
+        self._engine_factory = engine_factory
+        self._session_factory = session_factory
         self.accel = accel
         self._pacer = AsyncClock(accel) if accel is not None else None
         self._on_record = on_record
@@ -190,40 +259,31 @@ class _ManagerCore:
         #: happen (global virtual-time order) — spooled or not.
         self.aggregate = ServingAggregate()
         self.streams: Dict[str, SessionStream] = {}
-        self._trace_ring = _make_trace_ring(trace_capture)
         self.wall_seconds: float = 0.0
         #: Session ids whose turn hook raised :class:`SessionAbandoned`.
         self.abandoned: List[str] = []
-        self._hooks: Dict[int, SessionTurnHook] = dict(turn_hooks or {})
         #: Retained results by session index. The slot is reserved at
         #: spawn, so iteration order is arrival order no matter when
         #: each session retires; empty in spool mode.
         self._results: Dict[int, Optional[SessionResult]] = {}
+        #: Materialized only on demand (:attr:`schedule`).
+        self._schedule: Optional[List[SessionArrival]] = None
         self._ran = False
 
     # ------------------------------------------------------------------
     @property
-    def trace(self) -> List[Tuple[float, str]]:
-        """Captured ``(virtual time, session id)`` step marks (see
-        ``trace_capture``); empty when capture is off."""
-        if self._trace_ring is None:
-            return []
-        return list(self._trace_ring)
+    def schedule(self) -> List[SessionArrival]:
+        """The full (materialized) arrival schedule of this run."""
+        if self._schedule is None:
+            self._schedule = (
+                list(self._closed_arrivals())
+                if self._closed
+                else self.population.schedule()
+            )
+        return self._schedule
 
-    def _trace_mark(self, time: float, label: str) -> None:
-        if self._trace_ring is not None:
-            self._trace_ring.append((time, label))
-
-    # ------------------------------------------------------------------
-    def _arrivals(self) -> Iterator["SessionArrival"]:
-        """The run's arrival stream, in arrival order."""
-        raise NotImplementedError
-
-    def _spawn(
-        self, arrival: "SessionArrival"
-    ) -> Tuple[SessionDriver, SessionSpec]:
-        """Build (and announce) the session that ``arrival`` brings."""
-        raise NotImplementedError
+    def _closed_arrivals(self) -> Iterator[SessionArrival]:
+        return (SessionArrival(index, 0.0) for index in range(self.population))
 
     # ------------------------------------------------------------------
     def run(self) -> List[SessionResult]:
@@ -247,8 +307,15 @@ class _ManagerCore:
             if not self._shared_engine.is_prepared:
                 self._shared_engine.prepare()
             self._shared_engine.workflow_start()
+        if self._closed:
+            arrivals = self._closed_arrivals()
+        elif self.spool is not None:
+            # Constant memory: a 10⁵-session schedule is never held whole.
+            arrivals = self.population.iter_schedule()
+        else:
+            arrivals = iter(self.schedule)
         started = perf_seconds()
-        await self._run_calendar(self._arrivals())
+        await self._run_calendar(arrivals)
         series = get_timeseries()
         if series.enabled:
             series.finalize()
@@ -344,7 +411,6 @@ class _ManagerCore:
         self, event_time: float, session_id: str, queue_depth: int = 0
     ) -> None:
         """Per-grant side effects (the golden corpus pins their order)."""
-        self._trace_mark(event_time, session_id)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("manager.turn", event_time, session=session_id)
@@ -364,14 +430,17 @@ class _ManagerCore:
         if self.shared:
             self._shared_engine.scheduler.set_group(session_id)
 
-    def _start_session(
-        self,
-        arrival: "SessionArrival",
-        spec: SessionSpec,
-        policy: Optional[InteractionPolicy],
-        engine,
-    ) -> SessionDriver:
-        """Wire a session's stream and driver onto ``engine``."""
+    def _spawn(
+        self, arrival: "SessionArrival"
+    ) -> Tuple[SessionDriver, SessionSpec]:
+        """Build the session ``arrival`` brings and wire it onto its engine."""
+        spec, policy = self._session_factory(arrival.index)
+        hook = self._hooks.get(arrival.index)
+        if hook is not None:
+            spec, policy = hook.session(spec, policy)
+        if spec.session_id in self.streams:
+            raise BenchmarkError(f"duplicate session id {spec.session_id!r}")
+        engine = self._shared_engine if self.shared else self._engine_factory()
         stream = SessionStream(spec.session_id, retain=self.spool is None)
         if self._on_record is not None:
             stream.subscribe(self._on_record)
@@ -387,7 +456,7 @@ class _ManagerCore:
         if engine.clock.now() < arrival.arrival_time:
             engine.clock.advance_to(arrival.arrival_time)
             engine.advance_to(arrival.arrival_time)
-        return SessionDriver(
+        driver = SessionDriver(
             engine,
             self.oracle,
             self.settings,
@@ -397,6 +466,18 @@ class _ManagerCore:
             on_record=stream.push,
             policy=policy,
         )
+        if not self._closed:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "manager.arrival", arrival.arrival_time,
+                    session=spec.session_id,
+                )
+                get_metrics().counter(
+                    "repro_sessions_spawned_total",
+                    help="Open-system sessions spawned mid-run.",
+                ).inc()
+        return driver, spec
 
     def _retire(
         self,
@@ -452,163 +533,13 @@ class _ManagerCore:
         if self.shared:
             self._shared_engine.release_settled(spec.session_id)
 
-
-class SessionManager(_ManagerCore):
-    """Multiplexes N simulated IDE sessions over shared engine state.
-
-    The closed system: a fixed population, all present from virtual time
-    0 and each running to completion: one ``SessionArrival(i, 0.0)``
-    per spec, fed to the shared calendar loop.
-
-    Parameters
-    ----------
-    specs:
-        The sessions to serve (unique ids).
-    oracle, settings:
-        Shared ground-truth oracle and benchmark settings.
-    engines:
-        Isolated mode — one *prepared or fresh* engine per spec (the
-        manager prepares any engine that is not yet prepared). Mutually
-        exclusive with ``engine``.
-    engine:
-        Shared mode — a single engine all sessions contend on. If its
-        scheduler still runs the default
-        :class:`~repro.engines.scheduler.WeightedSharingPolicy`, the
-        manager installs :class:`~repro.engines.scheduler.FairSessionPolicy`
-        (one group per session) before preparing it.
-    accel:
-        Optional wall-clock pacing: virtual seconds per wall second
-        (``1.0`` = real time). ``None`` steps as fast as possible.
-    on_record:
-        Optional callback ``(session_id, record)`` subscribed to every
-        session's metric stream.
-    policies:
-        Optional per-spec :class:`~repro.workflow.policy.InteractionPolicy`
-        list (``None`` entries run scripted). A session with a policy
-        chooses its interactions online from its observed records —
-        adaptive users (docs/server.md).
-    turn_hooks:
-        Optional ``{spec index: SessionTurnHook}`` map. Hooked sessions
-        pace their step turns through the hook (the TCP turn protocol)
-        and may swap in their own session (:meth:`SessionTurnHook.session`:
-        a client-driven TCP slot); a hook raising
-        :class:`SessionAbandoned` retires just that session. Abandoned
-        session ids accumulate on :attr:`abandoned`.
-    trace_capture:
-        Opt-in step tracing. ``False`` (default) records nothing; ``True``
-        keeps the newest :data:`DEFAULT_TRACE_CAPACITY` entries in a
-        bounded ring; an integer sets the ring capacity. :attr:`trace`
-        then yields ``(virtual time, session id)`` marks.
-    spool:
-        Optional :class:`~repro.server.spool.RecordSpool` switching the
-        run to constant-memory mode: records are spilled the moment they
-        are produced instead of retained, per-session state is freed as
-        sessions retire, and :meth:`run_async` returns ``[]`` (there are
-        no per-session record lists to build results from) —
-        :attr:`aggregate` carries the run totals. Incompatible with
-        ``turn_hooks`` (the TCP layer needs retained records).
-
-    A manager is single-shot: :meth:`run` (or :meth:`run_async`) may be
-    called once; per-session streams are available on :attr:`streams`
-    while it runs, results come back as :class:`SessionResult` in spec
-    order. :attr:`trace` records the global step order ``(virtual time,
-    session id)`` for interleaving diagnostics when ``trace_capture`` is
-    enabled.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[SessionSpec],
-        oracle,
-        settings: BenchmarkSettings,
-        *,
-        engines: Optional[Sequence] = None,
-        engine=None,
-        accel: Optional[float] = None,
-        on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        policies: Optional[Sequence[Optional[InteractionPolicy]]] = None,
-        turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        trace_capture: Union[bool, int] = False,
-        spool: Optional[RecordSpool] = None,
-    ):
-        self._specs = list(specs)
-        if not self._specs:
-            raise BenchmarkError("session manager needs at least one session")
-        self._policies = list(policies) if policies is not None else [None] * len(
-            self._specs
-        )
-        if len(self._policies) != len(self._specs):
-            raise BenchmarkError(
-                f"{len(self._specs)} sessions need {len(self._specs)} "
-                f"policies, got {len(self._policies)}"
-            )
-        unknown = [
-            i for i in (turn_hooks or {}) if not 0 <= i < len(self._specs)
-        ]
-        if unknown:
-            raise BenchmarkError(
-                f"turn hooks reference unknown session indexes {unknown!r}"
-            )
-        for index, hook in (turn_hooks or {}).items():
-            self._specs[index], self._policies[index] = hook.session(
-                self._specs[index], self._policies[index]
-            )
-        ids = [spec.session_id for spec in self._specs]
-        if len(set(ids)) != len(ids):
-            raise BenchmarkError(f"duplicate session ids: {ids}")
-        for spec, policy in zip(self._specs, self._policies):
-            if policy is None and not spec.workflows:
-                raise BenchmarkError(
-                    f"session {spec.session_id!r} declares policy "
-                    f"{spec.policy!r} but no policy object was supplied"
-                )
-        if (engines is None) == (engine is None):
-            raise BenchmarkError(
-                "pass exactly one of engines= (isolated) or engine= (shared)"
-            )
-        self._engines = (
-            [engine] * len(self._specs) if engines is None else list(engines)
-        )
-        if len(self._engines) != len(self._specs):
-            raise BenchmarkError(
-                f"{len(self._specs)} sessions need {len(self._specs)} "
-                f"engines, got {len(self._engines)}"
-            )
-        super().__init__(
-            oracle, settings, engine=engine, accel=accel,
-            on_record=on_record, trace_capture=trace_capture, spool=spool,
-            turn_hooks=turn_hooks,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def specs(self) -> List[SessionSpec]:
-        return list(self._specs)
-
-    @property
-    def num_sessions(self) -> int:
-        return len(self._specs)
-
-    def _arrivals(self) -> Iterator["SessionArrival"]:
-        return (SessionArrival(index, 0.0) for index in range(len(self._specs)))
-
-    def _spawn(
-        self, arrival: "SessionArrival"
-    ) -> Tuple[SessionDriver, SessionSpec]:
-        index = arrival.index
-        spec = self._specs[index]
-        driver = self._start_session(
-            arrival, spec, self._policies[index], self._engines[index]
-        )
-        return driver, spec
-
     # ------------------------------------------------------------------
     @classmethod
     def for_engine(
         cls,
         ctx,
         engine_name: str,
-        num_sessions: int,
+        population: Union[int, "ArrivalProcess"],
         *,
         per_session: int = 2,
         workflow_type: WorkflowType = WorkflowType.MIXED,
@@ -618,30 +549,26 @@ class SessionManager(_ManagerCore):
         on_record: Optional[Callable[[str, QueryRecord], None]] = None,
         policy: Optional[str] = None,
         turn_hooks: Optional[Dict[int, SessionTurnHook]] = None,
-        trace_capture: Union[bool, int] = False,
         spool: Optional[RecordSpool] = None,
     ) -> "SessionManager":
         """Build a manager from an :class:`ExperimentContext`.
 
-        Sessions get deterministic per-session workflow suites via
-        :func:`make_session` (scripted and ``replay``) or adaptive
-        per-session policies seeded from the same purpose strings
-        (``markov``/``uncertainty``); engines come from the engine
-        registry over the context's shared dataset.
+        Session *i* — present from time zero or arriving mid-run — is
+        :func:`make_session`\\ ``(ctx, i, …)``: a scripted suite or an
+        adaptive policy seeded by
+        :func:`~repro.common.rng.derive_session_seed`\\ ``(root, i)``, so
+        its workload is the same under either population. Engines come
+        from the engine registry over the context's shared dataset.
         """
         oracle, new_engine = _engine_source(ctx, engine_name, speculation)
-        pairs = _make_sessions(
-            ctx, num_sessions, per_session, workflow_type, policy
-        )
+        session_factory = _session_factory(ctx, per_session, workflow_type, policy)
         if share_engine:
             topology = {"engine": new_engine()}
         else:
-            topology = {"engines": [new_engine() for _ in pairs]}
+            topology = {"engine_factory": new_engine}
         return cls(
-            [spec for spec, _ in pairs], oracle, ctx.settings, accel=accel,
-            on_record=on_record,
-            policies=[built for _, built in pairs],
-            turn_hooks=turn_hooks, trace_capture=trace_capture, spool=spool,
+            oracle, ctx.settings, population, session_factory, accel=accel,
+            on_record=on_record, turn_hooks=turn_hooks, spool=spool,
             **topology,
         )
 
@@ -692,8 +619,9 @@ def make_session(
     :func:`~repro.common.rng.derive_session_seed`\\ ``(root, i)`` — a pure
     function of ``(root seed, i)``, independent of how many sessions run,
     of stepping order, and of whether the session starts at time zero
-    (closed system) or arrives mid-run (open system): both managers call
-    this one function, so the invariant cannot drift between them.
+    (closed system) or arrives mid-run (open system): both populations
+    spawn through this one function, so the invariant cannot drift
+    between them.
     Scripted sessions (and the ``replay`` policy) carry a workflow suite
     *described* from that seed — its interactions materialize from the
     same stream as the driver fires them, so spawning costs the same
@@ -740,9 +668,8 @@ def _session_factory(
 ) -> Callable[[int], Tuple[SessionSpec, Optional[InteractionPolicy]]]:
     """``index → make_session(ctx, index, …)``, its arguments checked now.
 
-    Both managers build their sessions through this, so a bad count
-    fails before a caller opens a spool, even where (open system) the
-    first session is only made at its arrival.
+    Every session is made at its spawn, so a bad count must fail here,
+    before a caller opens a spool.
     """
     if per_session < 1:
         raise BenchmarkError(f"per_session must be >= 1, got {per_session!r}")
@@ -761,20 +688,6 @@ def _session_factory(
     return factory
 
 
-def _make_sessions(
-    ctx,
-    num_sessions: int,
-    per_session: int,
-    workflow_type: WorkflowType,
-    policy: Optional[str],
-) -> List[Tuple[SessionSpec, Optional[InteractionPolicy]]]:
-    """Sessions ``0 … num_sessions-1`` via :func:`make_session`."""
-    if num_sessions < 1:
-        raise BenchmarkError(f"need at least one session, got {num_sessions!r}")
-    factory = _session_factory(ctx, per_session, workflow_type, policy)
-    return [factory(index) for index in range(num_sessions)]
-
-
 def session_specs(
     ctx,
     num_sessions: int,
@@ -782,9 +695,9 @@ def session_specs(
     workflow_type: WorkflowType = WorkflowType.MIXED,
     policy: Optional[str] = None,
 ) -> List[SessionSpec]:
-    """Deterministic per-session workload specs (see :func:`make_session`)."""
-    pairs = _make_sessions(ctx, num_sessions, per_session, workflow_type, policy)
-    return [spec for spec, _ in pairs]
+    """Sessions ``0 … num_sessions-1``'s specs (see :func:`make_session`)."""
+    factory = _session_factory(ctx, per_session, workflow_type, policy)
+    return [factory(index)[0] for index in range(num_sessions)]
 
 
 # ----------------------------------------------------------------------
@@ -1114,136 +1027,15 @@ class ArrivalProcess:
 
 
 
-class OpenSystemManager(_ManagerCore):
-    """Serves an *open system*: sessions arrive and depart mid-run.
+class OpenSystemManager(SessionManager):
+    """:class:`SessionManager`, adding nothing.
 
-    Where :class:`SessionManager` steps a fixed population to
-    completion, this manager follows an :class:`ArrivalProcess`: the
-    calendar's spawner slot creates each session at its scheduled
-    arrival instant — deterministic per-session seed via
-    :func:`~repro.common.rng.derive_session_seed`, scripted suite or
-    adaptive policy via ``session_factory`` — and lets it compete for
-    step turns. Sessions whose ``departure_time`` overtakes their next
-    event *abandon*: in-flight queries are cancelled (never evaluated),
-    speculation hints freed, and — on a shared engine — the scheduler's
-    whole session group is cancelled
-    (:meth:`~repro.engines.scheduler.ProcessorSharingScheduler.cancel_group`),
-    so ghost load from churned-out users cannot skew the survivors.
-
-    Determinism: the schedule is a pure function of the arrival
-    process, every grant follows global ``(time, index)`` order with the
-    spawner below all sessions, and abandonment happens at the departing
-    session's own last event time — so a churned run's bytes are a pure
-    function of its configuration, invariant to wall pacing (``accel``)
-    and re-invocation.
-
-    ``arrivals`` is an :class:`ArrivalProcess` (or anything with its
-    ``schedule()`` / ``iter_schedule()``); the remaining parameters are
-    :class:`SessionManager`'s, with ``engine_factory`` (a fresh engine
-    per arriving session) in place of ``engines``. With a ``spool`` the
-    schedule is streamed, never materialized, so memory stays
-    O(active sessions).
+    The perf ledger (``benchmarks/perf/``) builds its open-system runs
+    through this name and wraps ``OpenSystemManager.run`` in its span
+    table; a subclass, not an alias, so that wrapping it never re-patches
+    :meth:`SessionManager.run`. It goes with the next change to the
+    benchmark.
     """
-
-    def __init__(
-        self,
-        oracle,
-        settings: BenchmarkSettings,
-        arrivals: ArrivalProcess,
-        session_factory: Callable[
-            [int], Tuple[SessionSpec, Optional[InteractionPolicy]]
-        ],
-        *,
-        engine_factory: Optional[Callable[[], object]] = None,
-        engine=None,
-        accel: Optional[float] = None,
-        on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        trace_capture: Union[bool, int] = False,
-        spool: Optional[RecordSpool] = None,
-    ):
-        if (engine_factory is None) == (engine is None):
-            raise BenchmarkError(
-                "pass exactly one of engine_factory= (isolated) or "
-                "engine= (shared)"
-            )
-        super().__init__(
-            oracle, settings, engine=engine, accel=accel,
-            on_record=on_record, trace_capture=trace_capture, spool=spool,
-        )
-        self.arrivals = arrivals
-        self._engine_factory = engine_factory
-        self._session_factory = session_factory
-        #: Materialized only on demand — a constant-memory run never
-        #: holds the full arrival schedule (it streams iter_schedule()).
-        self._schedule_cache: Optional[List[SessionArrival]] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def schedule(self) -> List[SessionArrival]:
-        """The full (materialized) arrival schedule of this run."""
-        if self._schedule_cache is None:
-            self._schedule_cache = self.arrivals.schedule()
-        return self._schedule_cache
-
-    def _arrivals(self) -> Iterator[SessionArrival]:
-        if self.spool is not None:
-            return self.arrivals.iter_schedule()
-        return iter(self.schedule)
-
-    def _spawn(
-        self, arrival: SessionArrival
-    ) -> Tuple[SessionDriver, SessionSpec]:
-        self._trace_mark(arrival.arrival_time, "arrival")
-        spec, policy = self._session_factory(arrival.index)
-        engine = self._shared_engine if self.shared else self._engine_factory()
-        driver = self._start_session(arrival, spec, policy, engine)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "manager.arrival", arrival.arrival_time, session=spec.session_id
-            )
-            get_metrics().counter(
-                "repro_sessions_spawned_total",
-                help="Open-system sessions spawned mid-run.",
-            ).inc()
-        return driver, spec
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_engine(
-        cls,
-        ctx,
-        engine_name: str,
-        arrivals: ArrivalProcess,
-        *,
-        policy: Optional[str] = None,
-        per_session: int = 2,
-        workflow_type: WorkflowType = WorkflowType.MIXED,
-        share_engine: bool = False,
-        accel: Optional[float] = None,
-        speculation: bool = False,
-        on_record: Optional[Callable[[str, QueryRecord], None]] = None,
-        trace_capture: Union[bool, int] = False,
-        spool: Optional[RecordSpool] = None,
-    ) -> "OpenSystemManager":
-        """Build an open-system manager from an :class:`ExperimentContext`.
-
-        Arriving session *i* gets the same purpose-string seed
-        (:func:`~repro.common.rng.derive_session_seed`\\ ``(root, i)``)
-        closed-system session *i* would get, so its workload is
-        identical whether it arrives mid-run or starts at time zero.
-        """
-        oracle, new_engine = _engine_source(ctx, engine_name, speculation)
-        session_factory = _session_factory(ctx, per_session, workflow_type, policy)
-        if share_engine:
-            topology = {"engine": new_engine()}
-        else:
-            topology = {"engine_factory": new_engine}
-        return cls(
-            oracle, ctx.settings, arrivals, session_factory, accel=accel,
-            on_record=on_record, trace_capture=trace_capture, spool=spool,
-            **topology,
-        )
 
 
 def serial_baseline(

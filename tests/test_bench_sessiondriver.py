@@ -22,7 +22,7 @@ from repro.engines.progressive import ProgressiveEngine
 from repro.query.filters import And, RangePredicate, SetPredicate
 from repro.query.groundtruth import GroundTruthOracle
 from repro.query.model import AggFunc, Aggregate, BinColumns, BinDimension, BinKind
-from repro.server import ArrivalProcess, OpenSystemManager
+from repro.server import ArrivalProcess, SessionManager
 from repro.workflow.spec import (
     CreateViz,
     Link,
@@ -446,7 +446,7 @@ class TestSpeculationHints:
         arrivals = ArrivalProcess(
             0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
         )
-        results = OpenSystemManager.for_engine(
+        results = SessionManager.for_engine(
             server_ctx, "idea-sim", arrivals, per_session=1
         ).run()
         assert any(

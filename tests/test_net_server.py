@@ -607,11 +607,11 @@ class TestFrameBatching:
                 evaluated.extend(record_to_dict(r) for r in records)
 
         evaluated = []
-        spec, policy = make_session(server_ctx, 0, per_session=1)
         manager = SessionManager(
-            [spec], server._oracle, server_ctx.settings,
-            engines=[_failing_on_submit(server._new_engine, 6)()],
-            policies=[policy], turn_hooks={0: Collect()},
+            server._oracle, server_ctx.settings, 1,
+            lambda index: make_session(server_ctx, index, per_session=1),
+            engine_factory=_failing_on_submit(server._new_engine, 6),
+            turn_hooks={0: Collect()},
         )
         with pytest.raises(BenchmarkError, match="engine failed"):
             manager.run()
@@ -623,18 +623,15 @@ class TestFrameBatching:
 
     def test_vanished_peer_is_abandoned_at_the_next_flush(self, server_ctx):
         server = _server(server_ctx)
-        spec, policy = make_session(server_ctx, 0, per_session=2)
         writer = _VanishedPeer(high_water=4096)
-        hook = _WireHook(
-            server, None, writer, spec.session_id, batched=True
-        )
+        hook = _WireHook(server, None, writer, "session-0", batched=True)
         manager = SessionManager(
-            [spec], server._oracle, server_ctx.settings,
-            engines=[server._new_engine()], policies=[policy],
-            turn_hooks={0: hook},
+            server._oracle, server_ctx.settings, 1,
+            lambda index: make_session(server_ctx, index, per_session=2),
+            engine_factory=server._new_engine, turn_hooks={0: hook},
         )
         (result,) = asyncio.run(manager.run_async())
-        assert manager.abandoned == [spec.session_id]
+        assert manager.abandoned == ["session-0"]
         assert hook.abandoned
         # One batch reached the dead socket; the session stopped there.
         (batch,) = writer.writes

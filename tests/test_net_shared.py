@@ -32,7 +32,12 @@ from repro.net.protocol import (
     TurnGrant,
 )
 from repro.net.server import ServerThread, TcpSessionServer
-from repro.server import SessionAbandoned, SessionManager, SessionTurnHook
+from repro.server import (
+    SessionAbandoned,
+    SessionManager,
+    SessionTurnHook,
+    make_session,
+)
 from serve_cells import serve_cell
 
 
@@ -367,15 +372,11 @@ class TestManagerTurnHooks:
         dataset = server_ctx.dataset(settings.data_size, False)
         engine = make_engine("idea-sim", dataset, settings,
                              VirtualClock(), False)
-        manager = SessionManager.for_engine.__func__  # appease linters
-        del manager
         run = SessionManager(
-            specs=SessionManager.for_engine(
-                server_ctx, "idea-sim", 2, per_session=1,
-                share_engine=True,
-            ).specs,
-            oracle=server_ctx.oracle(settings.data_size, False),
-            settings=settings,
+            server_ctx.oracle(settings.data_size, False),
+            settings,
+            2,
+            lambda index: make_session(server_ctx, index, per_session=1),
             engine=engine,
             turn_hooks={0: _AbandonAfterSteps(2)},
         )

@@ -24,6 +24,7 @@ from repro.runtime import (
     matrix_csv_text,
     plan_matrix,
     plan_prep_times,
+    plan_think_time,
     result_key,
 )
 from repro.runtime import executor as executor_module
@@ -298,6 +299,30 @@ class TestWarmGroundTruth:
         monkeypatch.undo()
         clear_kernel_cache()
         assert [result for _, result in answered] == [answer(q) for q in expected]
+
+    def test_fig6f_cells_and_warming_read_one_workflow(self, settings, monkeypatch):
+        from repro.workflow import graph
+
+        plans = []
+
+        class CountedPlan(graph.QueryPlan):
+            def __init__(self, interactions):
+                super().__init__(interactions)
+                plans.append(self)
+
+        monkeypatch.setattr(graph, "QueryPlan", CountedPlan)
+        ctx = ExperimentContext(settings)
+        cells = plan_think_time(settings, (1.0, 2.0, 3.0), 3.0, DataSize.S, True)
+        executor_module.warm_ground_truth(ctx, cells[0])
+        results = MatrixExecutor(jobs=1, local_context=ctx).run(cells)
+        assert all(result.records for result in results)
+        probes = {
+            id(workflow)
+            for cell in cells
+            for workflow in executor_module.select_workflows(ctx, cell)
+        }
+        assert len(probes) == 1
+        assert len(plans) == 1  # derived once, by the warming
 
 
 class TestCurrentRevision:

@@ -73,12 +73,6 @@ class TestRunSpec:
         )
         assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
 
-    def test_cell_seed_depends_on_cell_not_order(self, settings):
-        a = RunSpec(engine="idea-sim", settings=settings)
-        b = RunSpec(engine="xdb-sim", settings=settings)
-        assert a.cell_seed == RunSpec(engine="idea-sim", settings=settings).cell_seed
-        assert a.cell_seed != b.cell_seed
-
     def test_invalid_mode_rejected(self, settings):
         with pytest.raises(ConfigurationError):
             RunSpec(engine="idea-sim", settings=settings, mode="nonsense")
@@ -241,7 +235,7 @@ class TestServeSpecs:
             arrival_schedule="diurnal",
         )
         assert ServingSelector.from_dict(selector.to_dict()) == selector
-        assert selector.arrivals(seed=5).rate_schedule is not None
+        assert selector.population(seed=5).rate_schedule is not None
         spec = RunSpec(
             engine="idea-sim", settings=settings, mode="serve",
             serving=selector,

@@ -9,15 +9,11 @@ scheduler* at the last commit that had it. Each test here rebuilds one
 configuration with the one remaining loop and checks it against that
 line, so a drift names the configuration that moved
 (``tests/test_golden_reports.py`` checks the file as a whole).
-
-Also here: the trace ring's bounded/opt-in behavior.
 """
 
 import pytest
 
 from test_golden_reports import GOLDEN_DIR, regen
-
-from repro.server import SessionManager
 
 PINS = dict(
     line.split()
@@ -57,7 +53,7 @@ class TestClosedSystemEquivalence:
 class TestOpenSystemEquivalence:
     @pytest.mark.parametrize("share_engine", [False, True])
     def test_churn_bytes_and_traces_identical(self, server_ctx, share_engine):
-        """CSVs, ``departed_at`` and the step + ``"arrival"`` trace marks."""
+        """CSVs, ``departed_at`` and the grant + ``"arrival"`` trace marks."""
         mode = "shared" if share_engine else "isolated"
         _assert_pinned(server_ctx, f"open_markov_churn_{mode}")
 
@@ -66,30 +62,3 @@ class TestOpenSystemEquivalence:
         """The four ``random.Random(1000 + offset)`` arrival-process draws."""
         _assert_pinned(server_ctx, f"churn_fuzz_{1000 + seed_offset}")
 
-
-class TestTraceRing:
-    def test_trace_off_by_default(self, server_ctx):
-        manager = SessionManager.for_engine(
-            server_ctx, "idea-sim", 3, per_session=1
-        )
-        manager.run()
-        assert manager.trace == []
-
-    def test_trace_ring_is_bounded(self, server_ctx):
-        manager = SessionManager.for_engine(
-            server_ctx, "idea-sim", 3, per_session=1, trace_capture=8
-        )
-        manager.run()
-        trace = manager.trace
-        assert len(trace) == 8
-        assert manager._trace_ring.dropped > 0
-        times = [t for t, _ in trace]
-        assert times == sorted(times)  # the *latest* marks survive
-
-    def test_trace_capture_true_keeps_everything(self, server_ctx):
-        manager = SessionManager.for_engine(
-            server_ctx, "idea-sim", 3, per_session=1, trace_capture=True
-        )
-        manager.run()
-        assert manager._trace_ring.dropped == 0
-        assert len(manager.trace) > 0

@@ -17,11 +17,8 @@ The acceptance properties of the adaptive layer:
 import pytest
 
 from repro.common.errors import BenchmarkError
-from repro.server import (
-    ArrivalProcess,
-    OpenSystemManager,
-    SessionManager,
-)
+from repro.obs import observed
+from repro.server import ArrivalProcess, SessionManager
 from repro.workflow.policy import interaction_mix, mix_distance
 
 
@@ -92,17 +89,6 @@ class TestAdaptiveClosedSystem:
 
         assert _csvs(serve()) == _csvs(serve())
 
-    def test_policy_count_must_match_specs(self, server_ctx):
-        from repro.server import session_specs
-
-        specs = session_specs(server_ctx, 2, per_session=1)
-        oracle = server_ctx.oracle(server_ctx.settings.data_size)
-        with pytest.raises(BenchmarkError):
-            SessionManager(
-                specs, oracle, server_ctx.settings,
-                engines=[object(), object()], policies=[None],
-            )
-
 
 class TestArrivalProcess:
     def test_schedule_is_deterministic(self):
@@ -152,7 +138,7 @@ class TestOpenSystem:
         )
 
     def _run(self, server_ctx, **kwargs):
-        manager = OpenSystemManager.for_engine(
+        manager = SessionManager.for_engine(
             server_ctx,
             kwargs.pop("engine", "idea-sim"),
             kwargs.pop("arrivals", self._arrivals(server_ctx)),
@@ -185,15 +171,19 @@ class TestOpenSystem:
             )
 
     def test_sessions_arrive_mid_run(self, server_ctx):
-        manager, results = self._run(
-            server_ctx, policy="markov", trace_capture=True
-        )
-        arrival_marks = [t for t, sid in manager.trace if sid == "arrival"]
-        step_marks = [t for t, sid in manager.trace if sid != "arrival"]
+        with observed(enabled=True) as tracer:
+            _, results = self._run(server_ctx, policy="markov")
+        marks = [
+            (entry["vt"], entry["name"])
+            for entry in tracer.entries()
+            if entry["name"] in ("manager.arrival", "manager.turn")
+        ]
+        arrival_marks = [t for t, name in marks if name == "manager.arrival"]
+        step_marks = [t for t, name in marks if name == "manager.turn"]
         assert len(arrival_marks) == len(results)
         # At least one session arrived after another had started stepping.
         assert any(t > min(step_marks) for t in arrival_marks)
-        times = [t for t, _ in manager.trace]
+        times = [t for t, _ in marks]
         assert times == sorted(times)
 
     def test_shared_engine_departure_leaves_no_ghost_load(self, server_ctx):

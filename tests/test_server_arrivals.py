@@ -226,7 +226,7 @@ class TestNonStationaryArrivals:
         assert len(arrivals) == 4
 
     def test_open_system_run_with_schedule(self, server_ctx):
-        from repro.server import OpenSystemManager
+        from repro.server import SessionManager
 
         def run():
             arrivals = ArrivalProcess(
@@ -236,7 +236,7 @@ class TestNonStationaryArrivals:
                     0.2, peak=1.2, at=10.0, width=10.0
                 ),
             )
-            return OpenSystemManager.for_engine(
+            return SessionManager.for_engine(
                 server_ctx, "idea-sim", arrivals,
                 policy="markov", per_session=1,
             ).run()

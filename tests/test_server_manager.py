@@ -13,6 +13,7 @@ The acceptance properties:
   sessions).
 """
 
+import gc
 import io
 
 import pytest
@@ -22,10 +23,12 @@ from repro.bench.report import DetailedReport
 from repro.common.clock import VirtualClock
 from repro.common.errors import BenchmarkError
 from repro.common.rng import derive_session_seed
+from repro.engines.base import Engine
 from repro.engines.scheduler import FairSessionPolicy
+from repro.obs import observed
 from repro.server import (
     ArrivalProcess,
-    OpenSystemManager,
+    RecordSpool,
     SessionArrival,
     SessionManager,
     SessionSpec,
@@ -76,7 +79,10 @@ class TestSerialEquivalence:
             server_ctx, "idea-sim", num_sessions, per_session=2
         )
         results = manager.run()
-        baseline = serial_baseline(server_ctx, "idea-sim", manager.specs)
+        baseline = serial_baseline(
+            server_ctx, "idea-sim",
+            session_specs(server_ctx, num_sessions, per_session=2),
+        )
         assert len(results) == num_sessions
         for result, reference in zip(results, baseline):
             assert result.csv_text() == reference.csv_text()
@@ -87,7 +93,10 @@ class TestSerialEquivalence:
             server_ctx, "system-y-sim", 2, per_session=1
         )
         results = isolated.run()
-        baseline = serial_baseline(server_ctx, "system-y-sim", isolated.specs)
+        baseline = serial_baseline(
+            server_ctx, "system-y-sim",
+            session_specs(server_ctx, 2, per_session=1),
+        )
         for result, reference in zip(results, baseline):
             assert result.csv_text() == reference.csv_text()
         shared = SessionManager.for_engine(
@@ -113,10 +122,11 @@ class TestSerialEquivalence:
             VirtualClock(),
         )
         manager = SessionManager(
-            [spec],
             server_ctx.oracle(settings.data_size),
             settings,
-            engines=[engine],
+            1,
+            lambda index: (spec, None),
+            engine_factory=lambda: engine,
         )
         (result,) = manager.run()
         # The `repro run` path: ExperimentContext.run on a fresh engine.
@@ -176,15 +186,14 @@ class TestPacingAndStreams:
             assert a.csv_text() == b.csv_text()
 
     def test_trace_interleaves_sessions(self, server_ctx):
-        manager = SessionManager.for_engine(
-            server_ctx, "idea-sim", 3, per_session=1, trace_capture=True
-        )
-        manager.run()
-        switches = sum(
-            1 for a, b in zip(manager.trace, manager.trace[1:]) if a[1] != b[1]
-        )
+        with observed(enabled=True) as tracer:
+            SessionManager.for_engine(
+                server_ctx, "idea-sim", 3, per_session=1
+            ).run()
+        turns = _marks(tracer, "manager.turn")
+        switches = sum(1 for a, b in zip(turns, turns[1:]) if a[1] != b[1])
         assert switches >= 3
-        times = [t for t, _ in manager.trace]
+        times = [t for t, _ in turns]
         assert times == sorted(times)
 
     def test_streams_receive_every_record_in_order(self, server_ctx):
@@ -212,35 +221,64 @@ class TestValidation:
             manager.run()
 
     def test_engine_topology_is_exclusive(self, server_ctx):
-        specs = session_specs(server_ctx, 1, per_session=1)
+        spec = session_specs(server_ctx, 1, per_session=1)[0]
         oracle = server_ctx.oracle(server_ctx.settings.data_size)
         with pytest.raises(BenchmarkError):
-            SessionManager(specs, oracle, server_ctx.settings)
+            SessionManager(
+                oracle, server_ctx.settings, 1, lambda index: (spec, None)
+            )
 
-    def test_engine_count_must_match(self, server_ctx):
-        specs = session_specs(server_ctx, 2, per_session=1)
-        settings = server_ctx.settings
-        oracle = server_ctx.oracle(settings.data_size)
-        engine = make_engine(
-            "idea-sim", server_ctx.dataset(settings.data_size), settings,
-            VirtualClock(),
-        )
-        with pytest.raises(BenchmarkError):
-            SessionManager(specs, oracle, settings, engines=[engine])
+    @pytest.mark.parametrize("population", [0, -1])
+    def test_closed_population_needs_a_session(self, server_ctx, population):
+        with pytest.raises(BenchmarkError, match="at least one session"):
+            SessionManager.for_engine(server_ctx, "idea-sim", population)
 
     def test_duplicate_session_ids_rejected(self, server_ctx):
         spec = session_specs(server_ctx, 1, per_session=1)[0]
         settings = server_ctx.settings
-        oracle = server_ctx.oracle(settings.data_size)
-        engines = [
-            make_engine(
+
+        def new_engine():
+            return make_engine(
                 "idea-sim", server_ctx.dataset(settings.data_size), settings,
                 VirtualClock(),
             )
-            for _ in range(2)
-        ]
-        with pytest.raises(BenchmarkError):
-            SessionManager([spec, spec], oracle, settings, engines=engines)
+
+        manager = SessionManager(
+            server_ctx.oracle(settings.data_size), settings, 2,
+            lambda index: (spec, None), engine_factory=new_engine,
+        )
+        with pytest.raises(BenchmarkError, match="duplicate session id"):
+            manager.run()
+
+
+def _marks(tracer, name):
+    """``(vt, session)`` of every ``name`` trace event, in order."""
+    return [
+        (entry["vt"], entry["session"])
+        for entry in tracer.entries()
+        if entry["name"] == name
+    ]
+
+
+class TestSessionsDieWithTheirRun:
+    """Sessions are built at spawn and dropped at retirement, so the
+    manager holds no session's engine once its run returns."""
+
+    @pytest.mark.parametrize("spooled", [False, True])
+    def test_no_isolated_engine_outlives_the_run(self, server_ctx, spooled):
+        def live_engines():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Engine))
+
+        before = live_engines()
+        manager = SessionManager.for_engine(
+            server_ctx, "idea-sim", 4, per_session=1,
+            spool=RecordSpool() if spooled else None,
+        )
+        results = manager.run()
+        assert manager.aggregate.sessions_served == 4
+        assert len(results) == (0 if spooled else 4)
+        assert live_engines() == before
 
 
 class _AllAtZero:
@@ -263,7 +301,7 @@ class TestDepartedSessionsPayForWhatTheyFired:
         arrivals = ArrivalProcess(
             0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
         )
-        results = OpenSystemManager.for_engine(
+        results = SessionManager.for_engine(
             server_ctx, "idea-sim", arrivals, per_session=1
         ).run()
         unbuilt = 0
@@ -308,7 +346,7 @@ class TestIsolatedEnginesArePrivate:
         arrivals = ArrivalProcess(
             0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
         )
-        results = OpenSystemManager.for_engine(
+        results = SessionManager.for_engine(
             server_ctx, "idea-sim", arrivals, per_session=1
         ).run()
         assert any(result.abandoned for result in results)
@@ -336,8 +374,8 @@ class TestIsolatedEnginesArePrivate:
 
 
 class TestClosedIsOpenWithArrivalsAtZero:
-    """Why one loop serves both managers: a closed population *is* an
-    arrival schedule with every session arriving at virtual time 0 and
+    """Why one manager serves both populations: a closed population *is*
+    an arrival schedule with every session arriving at virtual time 0 and
     never departing."""
 
     @pytest.mark.parametrize("policy", [None, "markov"])
@@ -346,17 +384,15 @@ class TestClosedIsOpenWithArrivalsAtZero:
     def test_per_session_bytes_equal(
         self, server_ctx, num_sessions, share_engine, policy
     ):
-        kwargs = dict(
-            per_session=1, share_engine=share_engine, policy=policy,
-            trace_capture=True,
-        )
-        closed = SessionManager.for_engine(
-            server_ctx, "idea-sim", num_sessions, **kwargs
-        )
-        opened = OpenSystemManager.for_engine(
-            server_ctx, "idea-sim", _AllAtZero(num_sessions), **kwargs
-        )
-        closed_results, open_results = closed.run(), opened.run()
+        kwargs = dict(per_session=1, share_engine=share_engine, policy=policy)
+        with observed(enabled=True) as closed:
+            closed_results = SessionManager.for_engine(
+                server_ctx, "idea-sim", num_sessions, **kwargs
+            ).run()
+        with observed(enabled=True) as opened:
+            open_results = SessionManager.for_engine(
+                server_ctx, "idea-sim", _AllAtZero(num_sessions), **kwargs
+            ).run()
         assert [r.session_id for r in open_results] == [
             r.session_id for r in closed_results
         ]
@@ -364,7 +400,12 @@ class TestClosedIsOpenWithArrivalsAtZero:
             r.csv_text() for r in closed_results
         ]
         assert all(r.departed_at is None for r in open_results)
-        # Same grant order too; the open manager additionally announces
-        # each spawn with an "arrival" mark.
-        assert [m for m in opened.trace if m[1] != "arrival"] == closed.trace
+        # Same grant order too; only the arrival schedule's sessions are
+        # announced.
+        turns = _marks(closed, "manager.turn")
+        assert turns and _marks(opened, "manager.turn") == turns
+        assert _marks(closed, "manager.arrival") == []
+        assert _marks(opened, "manager.arrival") == [
+            (0.0, r.session_id) for r in open_results
+        ]
 

@@ -23,7 +23,6 @@ from repro.query.model import QueryResult
 from repro.server import (
     ArrivalProcess,
     FollowPrinter,
-    OpenSystemManager,
     RecordSpool,
     ServingAggregate,
     SessionManager,
@@ -50,7 +49,7 @@ def _arrivals(server_ctx):
 
 
 def _open_manager(server_ctx, **kwargs):
-    return OpenSystemManager.for_engine(
+    return SessionManager.for_engine(
         server_ctx, "idea-sim", _arrivals(server_ctx), policy="markov",
         **kwargs
     )
@@ -206,12 +205,12 @@ class TestServingAggregate:
         retiring session's own) used to crash the run with
         ``EngineError: unknown handle``.
         """
-        spooled = OpenSystemManager.for_engine(
+        spooled = SessionManager.for_engine(
             server_ctx, engine, _arrivals(server_ctx), per_session=1,
             share_engine=True, spool=RecordSpool(),
         )
         spooled.run()
-        retained = OpenSystemManager.for_engine(
+        retained = SessionManager.for_engine(
             server_ctx, engine, _arrivals(server_ctx), per_session=1,
             share_engine=True,
         )
@@ -270,7 +269,7 @@ def _steady_arrivals(total):
 
 
 def _serve_population(ctx, arrivals, share_engine=False):
-    manager = OpenSystemManager.for_engine(
+    manager = SessionManager.for_engine(
         ctx, "idea-sim", arrivals, per_session=1,
         share_engine=share_engine, spool=RecordSpool(),
     )

@@ -20,7 +20,7 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import WorkflowError
 from repro.query.filters import RangePredicate, conjoin
 from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
-from repro.server import ArrivalProcess, OpenSystemManager
+from repro.server import ArrivalProcess, SessionManager
 from repro.workflow.generator import WorkflowGenerator
 from repro.workflow.graph import VizGraph, VizNode
 from repro.workflow.policy import ReplayPolicy
@@ -360,7 +360,7 @@ class TestPlanStaysOutOfEveryByte:
         arrivals = ArrivalProcess(
             0.5, 30.0, seed=server_ctx.settings.seed, mean_residence=6.0
         )
-        results = OpenSystemManager.for_engine(
+        results = SessionManager.for_engine(
             server_ctx, "idea-sim", arrivals, per_session=1
         ).run()
         departed = 0

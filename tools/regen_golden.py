@@ -109,12 +109,12 @@ def case_adaptive_markov(ctx) -> str:
 
 def case_open_churn(ctx) -> str:
     """Open system: Poisson arrivals churning on a shared engine."""
-    from repro.server import ArrivalProcess, OpenSystemManager
+    from repro.server import ArrivalProcess, SessionManager
 
     arrivals = ArrivalProcess(
         0.2, 40.0, seed=ctx.settings.seed, mean_residence=25.0, max_sessions=4
     )
-    results = OpenSystemManager.for_engine(
+    results = SessionManager.for_engine(
         ctx, "idea-sim", arrivals, policy="uncertainty",
         per_session=1, share_engine=True,
     ).run()
@@ -365,36 +365,44 @@ def case_timeseries_serial(ctx) -> str:
 # Scheduler pins: outputs frozen from the deleted task-per-session path
 # ----------------------------------------------------------------------
 
-def _pin_text(manager, results) -> str:
+#: Trace events a pin's marks come from: each grant's ``(vt, session)``
+#: and each announced spawn's ``(vt, "arrival")``.
+_MARKS = {"manager.turn": None, "manager.arrival": "arrival"}
+
+
+def _pin_text(ctx, population, traced=False, engine="idea-sim", **kwargs):
     """Everything a pin covers: per-session CSVs with departure banners,
-    then the captured ``manager.trace`` marks (step and ``"arrival"``)."""
-    marks = "".join(f"{time!r} {label}\n" for time, label in manager.trace)
+    then, when ``traced``, the grant and ``"arrival"`` marks in order."""
+    from repro.obs import observed
+    from repro.server import SessionManager
+
+    manager = SessionManager.for_engine(ctx, engine, population, **kwargs)
+    if not traced:
+        return _session_text(manager.run())
+    with observed(enabled=True) as tracer:
+        results = manager.run()
+    marks = "".join(
+        f"{entry['vt']!r} {_MARKS[entry['name']] or entry['session']}\n"
+        for entry in tracer.entries()
+        if entry["name"] in _MARKS
+    )
     return _session_text(results) + marks
 
 
-def _closed_pin(sessions=3, engine="idea-sim", **kwargs):
-    def build(ctx) -> str:
-        from repro.server import SessionManager
-
-        manager = SessionManager.for_engine(ctx, engine, sessions, **kwargs)
-        return _pin_text(manager, manager.run())
-
-    return build
+def _closed_pin(sessions=3, **kwargs):
+    return lambda ctx: _pin_text(ctx, sessions, **kwargs)
 
 
 def _open_pin(rate=0.2, horizon=40.0, residence=25.0, cap=4, seed_offset=0,
               **kwargs):
     def build(ctx) -> str:
-        from repro.server import ArrivalProcess, OpenSystemManager
+        from repro.server import ArrivalProcess
 
         arrivals = ArrivalProcess(
             rate, horizon, seed=ctx.settings.seed + seed_offset,
             mean_residence=residence, max_sessions=cap,
         )
-        manager = OpenSystemManager.for_engine(
-            ctx, "idea-sim", arrivals, **kwargs
-        )
-        return _pin_text(manager, manager.run())
+        return _pin_text(ctx, arrivals, **kwargs)
 
     return build
 
@@ -423,15 +431,15 @@ SCHEDULER_PIN_CASES = {
         engine="monetdb-sim", per_session=1, policy="uncertainty",
         share_engine=True,
     ),
-    "closed_isolated_trace": _closed_pin(per_session=1, trace_capture=True),
+    "closed_isolated_trace": _closed_pin(per_session=1, traced=True),
     "closed_isolated_1": _closed_pin(sessions=1, per_session=1),
     "closed_isolated_10": _closed_pin(sessions=10, per_session=1),
     "closed_isolated_100": _closed_pin(sessions=100, per_session=1),
     "open_markov_churn_isolated": _open_pin(
-        policy="markov", trace_capture=True
+        policy="markov", traced=True
     ),
     "open_markov_churn_shared": _open_pin(
-        policy="markov", share_engine=True, trace_capture=True
+        policy="markov", share_engine=True, traced=True
     ),
     "churn_fuzz_1000": _open_pin(
         0.488678321350282, 35.0, 22.73616231030349, 2, 0,
