@@ -9,11 +9,17 @@ scheduler* at the last commit that had it. Each test here rebuilds one
 configuration with the one remaining loop and checks it against that
 line, so a drift names the configuration that moved
 (``tests/test_golden_reports.py`` checks the file as a whole).
+
+Also here: the manager's step marks (``manager.turn`` trace events) are
+opt-in and, under a bounded tracer, keep only the newest entries.
 """
 
 import pytest
 
 from test_golden_reports import GOLDEN_DIR, regen
+
+from repro.obs import observed
+from repro.server import SessionManager
 
 PINS = dict(
     line.split()
@@ -62,3 +68,37 @@ class TestOpenSystemEquivalence:
         """The four ``random.Random(1000 + offset)`` arrival-process draws."""
         _assert_pinned(server_ctx, f"churn_fuzz_{1000 + seed_offset}")
 
+
+
+class TestTraceRing:
+    def _run(self, server_ctx, **observe):
+        with observed(**observe) as tracer:
+            SessionManager.for_engine(
+                server_ctx, "idea-sim", 3, per_session=1
+            ).run()
+        return tracer
+
+    def test_trace_off_by_default(self, server_ctx):
+        tracer = self._run(server_ctx)
+        assert list(tracer.entries()) == []
+
+    def test_trace_ring_is_bounded(self, server_ctx):
+        tracer = self._run(server_ctx, enabled=True, capacity=8)
+        full = list(self._run(server_ctx, enabled=True).entries())
+        entries = list(tracer.entries())
+        assert len(entries) == 8
+        assert tracer.dropped == len(full) - 8 > 0
+        # The *latest* entries survive, in recording order.
+        key = [(e["name"], e["seq"], e["vt"]) for e in entries]
+        assert key == [(e["name"], e["seq"], e["vt"]) for e in full[-8:]]
+        times = [e["vt"] for e in entries if e["name"] == "manager.turn"]
+        assert times == sorted(times)
+
+    def test_trace_capture_true_keeps_everything(self, server_ctx):
+        tracer = self._run(server_ctx, enabled=True)
+        assert tracer.dropped == 0
+        turns = [e for e in tracer.entries() if e["name"] == "manager.turn"]
+        assert len(turns) > 0
+        assert sorted(e["seq"] for e in tracer.entries()) == list(
+            range(len(tracer))
+        )
