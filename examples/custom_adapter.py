@@ -4,13 +4,16 @@
 IDEBench evaluates any system that implements the five-method adapter
 interface. This example builds a deliberately simple external "system" —
 a uniform-sampling engine that answers every query from one fixed 2 %
-random sample, SQL-in/values-out — and benchmarks it against the built-in
-simulators on the same workflow.
+random sample — and benchmarks it against the built-in simulators on the
+same workflow.
 
 It demonstrates the full integration surface a third party needs:
 
-* receiving the benchmark's queries as **SQL text** and parsing them back
-  (:func:`repro.query.parse_sql` — the same statements Fig. 4 shows);
+* receiving the benchmark's queries as the :class:`AggQuery` that
+  Listing 1's ``process_request`` gets. A system that speaks SQL would
+  send it ``query_to_sql(query, dataset)`` instead — the statements of
+  Fig. 4, which ``tests/test_query_sql_exec.py`` runs in SQLite against
+  the exact answers;
 * computing answers with its own means (here: a compiled query kernel,
   ``get_kernel(dataset, query).evaluate(rows)``, over its private
   sample);
@@ -30,15 +33,13 @@ from repro.bench.experiments import ExperimentContext
 from repro.engines.estimators import srs_estimate
 from repro.engines.kernel_cache import get_kernel
 from repro.query.groundtruth import GroundTruthOracle
-from repro.query.model import QueryResult
-from repro.query.sql import query_to_sql
-from repro.query.sql_parser import parse_sql
+from repro.query.model import AggQuery, QueryResult
 from repro.workflow.graph import VizGraph
 from repro.workflow.spec import WorkflowType
 
 
 class TinySampleSystem:
-    """An 'external' DBMS: fixed uniform sample, SQL interface."""
+    """An 'external' system: a fixed uniform sample, queried by AggQuery."""
 
     def __init__(self, dataset, sample_rate: float = 0.02, seed: int = 0):
         self._dataset = dataset
@@ -48,9 +49,8 @@ class TinySampleSystem:
             rng.choice(dataset.num_fact_rows, size=n, replace=False)
         )
 
-    def execute_sql(self, sql: str) -> QueryResult:
-        """The system's only entry point: SQL in, result out."""
-        query = parse_sql(sql)  # ← the round-trip parser at work
+    def execute(self, query: AggQuery) -> QueryResult:
+        """The system's only entry point: query in, result out."""
         stats = get_kernel(self._dataset, query).evaluate(self._rows)
         values, margins = srs_estimate(
             stats, len(self._rows), self._dataset.num_fact_rows, 0.95
@@ -63,13 +63,13 @@ class TinySampleSystem:
 
 
 class TinySampleAdapter:
-    """Listing-1 adapter translating benchmark requests to SQL calls."""
+    """Listing-1 adapter handing benchmark requests to the system."""
 
     def __init__(self, system: TinySampleSystem):
         self.system = system
 
     def process_request(self, query) -> QueryResult:
-        return self.system.execute_sql(query_to_sql(query))
+        return self.system.execute(query)
 
     def link_vizs(self, viz_from, viz_to):
         pass  # no speculative execution in this toy system

@@ -58,7 +58,6 @@ from repro.query import (
     GroundTruthOracle,
     QueryResult,
     evaluate_exact,
-    parse_sql,
     query_to_sql,
 )
 from repro.runtime import (
@@ -116,7 +115,6 @@ __all__ = [
     "generate_default_suite",
     "generate_flights_seed",
     "normalize",
-    "parse_sql",
     "plan_matrix",
     "profile_table",
     "query_to_sql",

@@ -22,7 +22,6 @@ from repro.common.errors import (
     DataGenerationError,
     EngineError,
     QueryError,
-    SQLParseError,
     WorkflowError,
 )
 from repro.common.fingerprint import canonical_json, canonicalize, stable_digest
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_TIME_REQUIREMENTS",
     "EngineError",
     "QueryError",
-    "SQLParseError",
     "VirtualClock",
     "WallClock",
     "WorkflowError",

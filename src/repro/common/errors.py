@@ -3,7 +3,7 @@
 Every error raised by this package derives from :class:`BenchmarkError`, so
 callers embedding the benchmark can catch one type. Subclasses separate the
 major components (configuration, data generation, workflow handling, query
-processing, engine simulation, SQL parsing) because the benchmark driver
+processing, engine simulation, the wire protocol) because the benchmark driver
 reacts differently to each: configuration and workflow errors abort a run,
 while query errors are recorded as failed queries in the detailed report.
 """
@@ -40,10 +40,6 @@ class EngineError(BenchmarkError):
     Raised e.g. when polling a handle that was never submitted, advancing a
     virtual clock backwards, or submitting queries before :meth:`prepare`.
     """
-
-
-class SQLParseError(QueryError):
-    """The SQL round-trip parser rejected a statement."""
 
 
 class ProtocolError(BenchmarkError):

@@ -13,8 +13,9 @@ to evaluate them:
   the grouped statistics every engine simulator reads;
 * :mod:`repro.query.groundtruth` — exact answers and the ground-truth
   oracle;
-* :mod:`repro.query.sql` / :mod:`repro.query.sql_parser` — translation of
-  queries to the SQL of the paper's Fig. 4, and a round-trip parser.
+* :mod:`repro.query.sql` — translation of queries to the SQL of the
+  paper's Fig. 4, checked by running it in SQLite against the exact
+  answers.
 """
 
 from repro.query.filters import (
@@ -38,7 +39,6 @@ from repro.query.model import (
 from repro.query.groundtruth import GroundTruthOracle, evaluate_exact
 from repro.query.kernels import CompiledQueryKernel, KernelAccumulator, PrefixKernelRun
 from repro.query.sql import query_to_sql
-from repro.query.sql_parser import parse_sql
 
 __all__ = [
     "AggFunc",
@@ -60,6 +60,5 @@ __all__ = [
     "evaluate_exact",
     "evaluate_filter",
     "filter_from_dict",
-    "parse_sql",
     "query_to_sql",
 ]

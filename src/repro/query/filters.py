@@ -14,6 +14,7 @@ workflow file format) and evaluates to a boolean numpy mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,13 @@ class Filter(codec.Codable, error=QueryError):
         raise NotImplementedError
 
 
+def _require_finite(field: str, value: float) -> None:
+    """Reject a NaN or infinite literal: neither has a SQL literal, and a
+    NaN bound silently selects no row (an unbounded side is ``None``)."""
+    if not math.isfinite(value):
+        raise QueryError(f"predicate on {field!r} has non-finite value {value!r}")
+
+
 @dataclass(frozen=True)
 class RangePredicate(Filter):
     """``low <= column < high`` — the predicate a quantitative bin or range
@@ -67,6 +75,9 @@ class RangePredicate(Filter):
     def __post_init__(self):
         if self.low is None and self.high is None:
             raise QueryError(f"range predicate on {self.field!r} needs a bound")
+        for bound in (self.low, self.high):
+            if bound is not None:
+                _require_finite(self.field, bound)
         if self.low is not None and self.high is not None and self.low > self.high:
             raise QueryError(
                 f"range predicate on {self.field!r} has low {self.low} > high {self.high}"
@@ -158,6 +169,8 @@ class Comparison(Filter):
             raise QueryError(
                 f"operator {self.op!r} requires a numeric value, got {self.value!r}"
             )
+        if not isinstance(self.value, str):
+            _require_finite(self.field, self.value)
 
     def evaluate(
         self,

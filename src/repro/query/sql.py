@@ -12,13 +12,19 @@ original IDEBench would emit:
 * the star-schema layout adds one ``JOIN`` per foreign key whose
   attributes the query touches.
 
-:mod:`repro.query.sql_parser` parses these statements back, giving a
-round-trip property the tests exercise.
+Dialect contract: the statements use only standard SQL plus ``FLOOR``,
+and the bin width is always a floating-point literal (``/ 10.0``), so
+the bin division is a floating-point one in every dialect. SQLite and
+Postgres truncate an integer divided by an integer toward zero, which
+would move each negative value inside a bin one bin up (bin -1's rows
+into bin 0). ``tests/test_query_sql_exec.py``
+checks the contract by running the statements in SQLite, flat and as the
+star schema, against :func:`~repro.query.groundtruth.evaluate_exact`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import QueryError
 from repro.data.storage import Dataset, ForeignKey
@@ -69,7 +75,7 @@ def filter_to_sql(filter_expr: Filter, column_sql: Dict[str, str]) -> str:
 
 def _column_sql_map(
     query: AggQuery, dataset: Optional[Dataset]
-) -> (dict, List[str]):
+) -> Tuple[Dict[str, str], List[str]]:
     """Map each referenced logical column to its SQL expression.
 
     For a de-normalized dataset (or none) this is the identity. For a star
@@ -121,7 +127,7 @@ def query_to_sql(query: AggQuery, dataset: Optional[Dataset] = None) -> str:
         if dim.kind is BinKind.QUANTITATIVE:
             expression = (
                 f"FLOOR(({column_sql[dim.field]} - {_format_number(dim.reference)})"
-                f" / {_format_number(dim.width)})"
+                f" / {float(dim.width)!r})"
             )
         else:
             expression = column_sql[dim.field]

@@ -293,6 +293,15 @@ _BAD_WORKFLOWS = {
         {"name": "w", "type": "custom", "interactions": [["link", "a", "b"]]},
         "malformed Workflow: interactions[0]: expected an object, got list",
     ),
+    # json.dumps writes the NaN as the bare token NaN, which json.load reads.
+    "non-finite-filter-bound": (
+        {"name": "w", "type": "custom", "interactions": [{
+            "type": "set_filter", "viz": "viz_0",
+            "filter": {"type": "range", "field": "DAY_OF_WEEK", "low": float("nan"), "high": 3.0},
+        }]},
+        "malformed Workflow: interactions[0].filter: predicate on 'DAY_OF_WEEK' "
+        "has non-finite value nan",
+    ),
 }
 
 

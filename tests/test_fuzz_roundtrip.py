@@ -1,17 +1,10 @@
-"""Seeded round-trip fuzzers for the two serialization boundaries.
+"""Seeded round-trip fuzzer for the workflow file format.
 
-Two generators driven by stdlib :mod:`random` under fixed seeds:
-
-* **SQL**: random :class:`AggQuery` → ``query_to_sql`` → ``parse_sql``
-  must reach a *fixpoint* after one round — ``emit(parse(emit(q)))``
-  reproduces both the statement bytes and the parsed structure. (The
-  first round may legitimately canonicalize, e.g. fuse ``>=``/``<``
-  comparison pairs into range predicates.)
-* **Workflow specs**: random :class:`Workflow` → ``to_dict`` →
-  ``from_dict`` must be the identity (dict-level equality), since the
-  dict form is the benchmark's on-disk workload format.
-
-~200 cases each; the seeds are fixed so failures reproduce exactly.
+Random :class:`Workflow` objects, built with stdlib :mod:`random` under
+fixed seeds, go through ``to_dict`` → ``from_dict`` (and through JSON
+text), which must be the identity: the dict form is the benchmark's
+on-disk workload format. ~200 cases; the seeds are fixed so failures
+reproduce exactly.
 """
 
 import random
@@ -24,9 +17,7 @@ from repro.query.filters import (
     RangePredicate,
     SetPredicate,
 )
-from repro.query.model import AggFunc, Aggregate, AggQuery, BinDimension, BinKind
-from repro.query.sql import query_to_sql
-from repro.query.sql_parser import parse_sql
+from repro.query.model import AggFunc, Aggregate, BinDimension, BinKind
 from repro.workflow.spec import (
     CreateViz,
     DiscardViz,
@@ -40,9 +31,7 @@ from repro.workflow.spec import (
 
 N_CASES = 200
 
-#: Identifier pool. Upper-case names that are NOT SQL keywords (MIN/MAX
-#: etc. are, and must round-trip through the tokenizer as plain idents
-#: only when they aren't, so we simply avoid them).
+#: Identifier pool.
 COLUMNS = [f"C_{i}" for i in range(12)]
 CATEGORIES = ["AA", "B B", "c'c", "Delta_4", "e", "F-6"]
 
@@ -118,19 +107,6 @@ def _aggregates(rng: random.Random):
     return tuple(chosen)
 
 
-def _query(rng: random.Random) -> AggQuery:
-    num_bins = rng.randint(1, 2)
-    fields = rng.sample(COLUMNS, num_bins)
-    bins = tuple(_bin_dimension(rng, field) for field in fields)
-    filter_expr = _filter(rng) if rng.random() < 0.8 else None
-    return AggQuery(
-        table="flights",
-        bins=bins,
-        aggregates=_aggregates(rng),
-        filter=filter_expr,
-    )
-
-
 def _workflow(rng: random.Random, index: int) -> Workflow:
     interactions = []
     created = []
@@ -179,32 +155,8 @@ def _workflow(rng: random.Random, index: int) -> Workflow:
 
 
 # ----------------------------------------------------------------------
-# The fuzzers
+# The fuzzer
 # ----------------------------------------------------------------------
-
-class TestSqlRoundTrip:
-    def test_parse_emit_parse_fixpoint(self):
-        rng = random.Random(0xC0FFEE)
-        for case in range(N_CASES):
-            query = _query(rng)
-            sql = query_to_sql(query)
-            parsed = parse_sql(sql)
-            sql_again = query_to_sql(parsed)
-            parsed_again = parse_sql(sql_again)
-            assert sql_again == query_to_sql(parsed_again), f"case {case}:\n{sql}"
-            assert parsed_again == parsed, f"case {case}:\n{sql}"
-
-    def test_structure_survives_where_semantics(self):
-        """Bins/aggregates/table always survive the first round exactly."""
-        rng = random.Random(0xBEEF)
-        for case in range(N_CASES):
-            query = _query(rng)
-            parsed = parse_sql(query_to_sql(query))
-            assert parsed.table == query.table, f"case {case}"
-            assert parsed.bins == query.bins, f"case {case}"
-            assert parsed.aggregates == query.aggregates, f"case {case}"
-            assert (parsed.filter is None) == (query.filter is None), f"case {case}"
-
 
 class TestWorkflowSpecRoundTrip:
     def test_to_dict_from_dict_identity(self):

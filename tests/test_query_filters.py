@@ -48,6 +48,13 @@ class TestRangePredicate:
         with pytest.raises(QueryError):
             RangePredicate("v", 10.0, 5.0)
 
+    @pytest.mark.parametrize("low,high", [
+        (float("nan"), 5.0), (0.0, float("nan")), (float("-inf"), 5.0), (0.0, float("inf")),
+    ])
+    def test_rejects_non_finite_bounds(self, low, high):
+        with pytest.raises(QueryError, match="non-finite"):
+            RangePredicate("v", low, high)
+
     def test_rejects_string_column(self, columns):
         with pytest.raises(QueryError):
             RangePredicate("c", 0.0, 1.0).evaluate(columns)
@@ -90,6 +97,11 @@ class TestComparison:
     def test_rejects_unknown_operator(self):
         with pytest.raises(QueryError):
             Comparison("v", "<>", 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(QueryError, match="non-finite"):
+            Comparison("v", "=", value)
 
     def test_rejects_ordering_on_string_value(self):
         with pytest.raises(QueryError):
