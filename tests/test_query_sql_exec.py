@@ -169,6 +169,81 @@ def test_python_floor_stands_in(flights_table):
 
 
 # ----------------------------------------------------------------------
+# Fixed queries: one of each filter shape and aggregate function
+# ----------------------------------------------------------------------
+def _mixed_query(filter_expr=None):
+    return AggQuery(
+        "flights",
+        bins=(
+            BinDimension("DEP_DELAY", BinKind.QUANTITATIVE, width=10.0),
+            BinDimension("UNIQUE_CARRIER", BinKind.NOMINAL),
+        ),
+        aggregates=(Aggregate(AggFunc.COUNT), Aggregate(AggFunc.AVG, "ARR_DELAY")),
+        filter=filter_expr,
+    )
+
+
+class TestFixedQueries:
+    @pytest.mark.parametrize("filter_expr", [
+        pytest.param(None, id="unfiltered"),
+        pytest.param(RangePredicate("DISTANCE", 100.0, 500.0), id="range"),
+        pytest.param(RangePredicate("DEP_DELAY", -5.0, 60.0), id="negative-range"),
+        pytest.param(RangePredicate("DISTANCE", None, 300.0), id="open-low"),
+        pytest.param(SetPredicate("ORIGIN_STATE", frozenset(["CA", "NY", "TX"])), id="in-list"),
+        pytest.param(Comparison("MONTH", "=", 6.0), id="numeric-equal"),
+        pytest.param(Comparison("UNIQUE_CARRIER", "!=", "AA"), id="string-not-equal"),
+        pytest.param(
+            And(RangePredicate("DISTANCE", 0.0, 10.0), SetPredicate("ORIGIN", frozenset(["AAA"]))),
+            id="and-selects-nothing",
+        ),
+        pytest.param(
+            And(RangePredicate("DISTANCE", 200.0, 900.0),
+                SetPredicate("DEST_STATE", frozenset(["CA", "WA"]))),
+            id="and",
+        ),
+        pytest.param(
+            Or(Comparison("MONTH", "=", 1.0), Comparison("MONTH", "=", 2.0)), id="or"
+        ),
+        pytest.param(
+            And(Or(Comparison("MONTH", "=", 1.0), Comparison("MONTH", "=", 2.0)),
+                RangePredicate("DISTANCE", 5.0, 600.0)),
+            id="or-inside-and",
+        ),
+    ])
+    def test_filter(self, filter_expr, layouts):
+        assert_sql_matches_oracle(_mixed_query(filter_expr), layouts)
+
+    @pytest.mark.parametrize("func", [AggFunc.SUM, AggFunc.MIN, AggFunc.MAX, AggFunc.AVG],
+                             ids=lambda func: func.name)
+    def test_single_aggregate(self, func, layouts):
+        query = AggQuery(
+            "flights",
+            bins=(BinDimension("UNIQUE_CARRIER", BinKind.NOMINAL),),
+            aggregates=(Aggregate(func, "DISTANCE"),),
+        )
+        assert_sql_matches_oracle(query, layouts)
+
+
+@hyp_settings(max_examples=20, deadline=None)
+@given(
+    width=st.floats(0.5, 1000),
+    reference=st.floats(-1000, 1000),
+    low=st.floats(-100, 100),
+    span=st.floats(0.1, 100),
+)
+def test_full_precision_literals(width, reference, low, span, layouts):
+    """Widths, references and bounds keep every digit in the SQL text: the
+    stream below rounds its numbers, this property does not."""
+    query = AggQuery(
+        "flights",
+        bins=(BinDimension("DEP_DELAY", BinKind.QUANTITATIVE, width=width, reference=reference),),
+        aggregates=(Aggregate(AggFunc.COUNT),),
+        filter=RangePredicate("ARR_DELAY", low, low + span),
+    )
+    assert_sql_matches_oracle(query, layouts)
+
+
+# ----------------------------------------------------------------------
 # A hypothesis stream of random queries over the fixture
 # ----------------------------------------------------------------------
 #: Categories that occur in the fixture and ones that do not, one quoted.
